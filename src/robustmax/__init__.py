@@ -9,9 +9,9 @@ outbreak-detection sensor placement on water networks.
 
 from .core import (FacetDiagnostics, SetFunction, SubmodularCut, build_cut,
                    check_submodular, dominates, empty_set_cuts, facet_check)
-from .dcg import (DcgConfig, SolveReport, brute_force_robust, min_index,
-                  solve_robust, strengthen_generating_set, support)
-from .master import MasterResult, MasterState, node_bound
+from .dcg import (DcgConfig, SolveReport, brute_force_robust, solve_robust,
+                  strengthen_generating_set, support)
+from .master import MasterResult, MasterState
 from .ratio import (RatioReport, ScenarioBounds, certify_ratio_optimal,
                     maximize_single, rescale_cuts, solve_ratio_robust)
 from .water import (Instance, Network, ParseError, ReductionMatrix, Scenario,
@@ -22,8 +22,8 @@ from .water import (Instance, Network, ParseError, ReductionMatrix, Scenario,
 __all__ = [
     "SetFunction", "SubmodularCut", "FacetDiagnostics", "build_cut",
     "empty_set_cuts", "dominates", "facet_check", "check_submodular",
-    "MasterState", "MasterResult", "node_bound",
-    "DcgConfig", "SolveReport", "min_index", "strengthen_generating_set",
+    "MasterState", "MasterResult",
+    "DcgConfig", "SolveReport", "strengthen_generating_set",
     "solve_robust", "brute_force_robust", "support",
     "ScenarioBounds", "RatioReport", "maximize_single", "rescale_cuts",
     "solve_ratio_robust", "certify_ratio_optimal",

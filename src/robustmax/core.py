@@ -111,9 +111,6 @@ class SubmodularCut:
             raise ValueError("point dimension does not match cut")
         return self.constant + sum(c * xi for c, xi in zip(self.coefficients, x))
 
-    def rhs_at_set(self, subset: Iterable[int]) -> float:
-        return self.constant + sum(self.coefficients[j] for j in set(subset))
-
 
 def build_cut(fn: SetFunction, subset: Iterable[int], alpha: float,
               scenario_index: int) -> SubmodularCut:

@@ -81,17 +81,6 @@ def support(x: Sequence[int]) -> frozenset:
     return frozenset(j for j, xj in enumerate(x) if xj)
 
 
-def min_index(values: Sequence[float]) -> int:
-    """0-based index of the smallest value, ties to the smallest index."""
-    if len(values) == 0:
-        raise ValueError("min_index needs at least one value")
-    best = 0
-    for i in range(1, len(values)):
-        if values[i] < values[best]:
-            best = i
-    return best
-
-
 def strengthen_generating_set(fn: SetFunction, incumbent: Iterable[int],
                               stop_pt: int) -> frozenset:
     """Rebuild the incumbent support into a stronger cut generating set.

@@ -10,6 +10,12 @@ assignment; the node bound is the minimum of those per-cut values.  That
 bound drives a best-bound branch and bound, which keeps the artifact free of
 an external MILP dependency.
 
+Branching fixes variables in one order per pool, so the free set of a node
+depends only on its depth.  Each time the pool changes, the per-cut prefix
+sums of weight and value over the free items in ratio order are tabulated
+once per depth; a node's bound is then one comparison against its remaining
+budget and a few gathers.
+
 A MasterState is owned by a single solve call; distinct states may run in
 parallel.
 """
@@ -20,7 +26,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,38 +44,7 @@ class MasterResult:
     x: tuple
     bound: float
     status: str
-
-
-def node_bound(cuts: Sequence[SubmodularCut], fixed_one: Iterable[int],
-               fixed_zero: Iterable[int], costs: Sequence[float],
-               budget: float) -> float:
-    """Upper bound for the node where fixed_one is in and fixed_zero is out.
-
-    Per cut: constant + fixed contribution + fractional knapsack of the free
-    coefficients within the remaining budget; the bound is the minimum over
-    cuts.  Returns -inf when fixed_one already overruns the budget.
-    """
-    ones = frozenset(fixed_one)
-    zeros = frozenset(fixed_zero)
-    if ones & zeros:
-        raise ValueError("fixed sets must be disjoint")
-    remaining = budget - sum(costs[j] for j in ones)
-    if remaining < 0:
-        return -math.inf
-    n = len(costs)
-    free = [j for j in range(n) if j not in ones and j not in zeros]
-    best = math.inf
-    for cut in cuts:
-        value = cut.constant + sum(cut.coefficients[j] for j in ones)
-        room = remaining
-        for j in sorted(free, key=lambda t: (-cut.coefficients[t] / costs[t], t)):
-            if room <= 0:
-                break
-            take = min(1.0, room / costs[j])
-            value += take * cut.coefficients[j]
-            room -= take * costs[j]
-        best = min(best, value)
-    return best
+    nodes: int  # node bounds evaluated in this solve
 
 
 class MasterState:
@@ -84,8 +59,6 @@ class MasterState:
         self.costs = tuple(costs)
         self.budget = budget
         self.cut_pool: list = []
-        self.incumbent: tuple | None = None
-        self.best_bound = math.inf
         self._dirty = True
 
     def add_cut(self, cut: SubmodularCut, filter_dominated: bool = True) -> bool:
@@ -109,6 +82,9 @@ class MasterState:
     def _prepare(self):
         if not self._dirty:
             return
+        # Free the previous pool's tables before building the new ones.
+        self._tables = None
+        n = self.n
         A = np.array([c.coefficients for c in self.cut_pool], dtype=float)
         C = np.array([c.constant for c in self.cut_pool], dtype=float)
         cost = np.array(self.costs, dtype=float)
@@ -117,42 +93,62 @@ class MasterState:
         self._A = A
         self._C = C
         self._cost = cost
-        self._order = order
-        self._A_ord = np.take_along_axis(A, order, axis=1)
-        self._W_ord = cost[order]
         # Branch priority: free variable with the best guaranteed (min over
         # cuts) coefficient per unit cost, ties to the smallest index.
         score = A.min(axis=0) / cost
-        self._branch_order = np.lexsort((np.arange(self.n), -score))
+        self._branch_order = np.lexsort((np.arange(n), -score))
+        # Per-cut items in ratio order, then two pad items of zero value and
+        # unit weight that are free at every depth: a row whose free items
+        # all fit splits the first pad.
+        rows = len(C)
+        self._A_ord = np.zeros((rows, n + 2))
+        self._A_ord[:, :n] = np.take_along_axis(A, order, axis=1)
+        self._W_ord = np.ones((rows, n + 2))
+        self._W_ord[:, :n] = cost[order]
+        rank = np.empty(n, dtype=np.intp)
+        rank[self._branch_order] = np.arange(n)
+        rank_ord = np.full((rows, n + 2), n)
+        rank_ord[:, :n] = rank[order]
+        # One table set per depth L over the items free there (branch rank
+        # >= L: m = n - L per cut, plus the pads), in each cut's ratio order,
+        # as rows of m + 2 columns:
+        #   item    flat index in _A_ord / _W_ord of each free item
+        #   cw, cv  weight and value of the first i free items in column i;
+        #           column 0 is zero and cw's last column an infinite
+        #           sentinel, so every row overruns
+        #   offset  turns a row's first overrunning column into the flat
+        #           index of the column before it
+        offsets = np.arange(rows) * (n + 2 - np.arange(n + 1))[:, None] - 1
+        tables = []
+        for level in range(n + 1):
+            m = n - level
+            item = np.flatnonzero(rank_ord >= level).astype(np.int32)
+            free = item.reshape(rows, m + 2)[:, :m]
+            cw = np.zeros((rows, m + 2))
+            cv = np.zeros((rows, m + 2))
+            np.add.accumulate(self._W_ord.take(free), axis=1, out=cw[:, 1:m + 1])
+            np.add.accumulate(self._A_ord.take(free), axis=1, out=cv[:, 1:m + 1])
+            cw[:, m + 1] = math.inf
+            tables.append((cw, cv, item, offsets[level]))
+        self._tables = tables
         self._dirty = False
 
-    def _evaluate(self, ones: np.ndarray, free: np.ndarray, cost_ones: float):
-        """(fractional bound, value of the zeros-completion) for a node."""
+    def _evaluate(self, base: np.ndarray, level: int, cost_ones: float):
+        """(fractional bound, value of the zeros-completion) for the node at
+        depth ``level`` whose fixed-one variables give per-cut values ``base``
+        and cost ``cost_ones``."""
         remaining = self.budget - cost_ones
-        base = self._C + self._A[:, ones].sum(axis=1)
         zero_completion = float(base.min())
         if remaining < -1e-9:
             return -math.inf, -math.inf
         remaining = max(remaining, 0.0)
-        # Mask the per-cut sorted items down to the free variables.
-        sel = free[self._order]
-        w = np.where(sel, self._W_ord, 0.0)
-        v = np.where(sel, self._A_ord, 0.0)
-        cw = np.cumsum(w, axis=1)
-        taken = cw <= remaining + 1e-12
-        full = (v * taken).sum(axis=1)
-        pos = taken.sum(axis=1)
-        frac = np.zeros(len(base))
-        rows = np.nonzero(pos < self.n)[0]
-        if rows.size:
-            p = pos[rows]
-            prev = np.where(p > 0, cw[rows, np.maximum(p - 1, 0)], 0.0)
-            wv = w[rows, p]
-            vv = v[rows, p]
-            with np.errstate(invalid="ignore", divide="ignore"):
-                part = np.where(wv > 0, vv * (remaining - prev) / wv, 0.0)
-            frac[rows] = np.maximum(part, 0.0)
-        bound = float((base + full + frac).min())
+        cw, cv, item, offset = self._tables[level]
+        # Per cut, the first prefix that overruns the remaining budget: the
+        # prefix before it is taken whole and the next free item is split.
+        at = offset + (cw > remaining + 1e-12).argmax(axis=1)
+        split = item.take(at)
+        part = self._A_ord.take(split) * (remaining - cw.take(at)) / self._W_ord.take(split)
+        bound = float((base + cv.take(at) + np.maximum(part, 0.0, out=part)).min())
         return bound, zero_completion
 
     def _greedy_start(self):
@@ -215,15 +211,17 @@ class MasterState:
                 if x < inc_x:
                     inc_x = x
 
-        root_free = np.ones(self.n, dtype=bool)
-        root_bound, root_value = self._evaluate(np.zeros(self.n, dtype=bool), root_free, 0.0)
-        offer(root_value, np.zeros(self.n, dtype=bool))
+        root_ones = np.zeros(self.n, dtype=bool)
+        root_bound, root_value = self._evaluate(self._C, 0, 0.0)
+        nodes = 1
+        offer(root_value, root_ones)
         seq = 0
-        heap = [(-root_bound, seq, np.zeros(self.n, dtype=bool), root_free, 0, 0.0)]
+        # Heap entries: (-bound, seq, ones, per-cut value of ones, depth, cost of ones).
+        heap = [(-root_bound, seq, root_ones, self._C, 0, 0.0)]
         status = STATUS_OPTIMAL
         top_remaining = -math.inf
         while heap:
-            neg_bound, _, ones, free, level, cost_ones = heapq.heappop(heap)
+            neg_bound, _, ones, base, level, cost_ones = heapq.heappop(heap)
             bound = -neg_bound
             if bound <= threshold(inc_value):
                 # best-first order: nothing left can beat the incumbent
@@ -236,28 +234,27 @@ class MasterState:
             if level >= self.n:
                 continue
             j = int(self._branch_order[level])
-            child_free = free.copy()
-            child_free[j] = False
             if cost_ones + self._cost[j] <= self.budget + 1e-12:
                 child_ones = ones.copy()
                 child_ones[j] = True
+                child_base = base + self._A[:, j]
                 child_cost = cost_ones + float(self._cost[j])
-                b1, v1 = self._evaluate(child_ones, child_free, child_cost)
+                b1, v1 = self._evaluate(child_base, level + 1, child_cost)
+                nodes += 1
                 offer(v1, child_ones)
                 if b1 > threshold(inc_value):
                     seq += 1
-                    heapq.heappush(heap, (-b1, seq, child_ones, child_free, level + 1, child_cost))
-            b0, v0 = self._evaluate(ones, child_free, cost_ones)
+                    heapq.heappush(heap, (-b1, seq, child_ones, child_base, level + 1, child_cost))
+            b0, v0 = self._evaluate(base, level + 1, cost_ones)
+            nodes += 1
             offer(v0, ones)
             if b0 > threshold(inc_value):
                 seq += 1
-                heapq.heappush(heap, (-b0, seq, ones, child_free, level + 1, cost_ones))
+                heapq.heappush(heap, (-b0, seq, ones, base, level + 1, cost_ones))
 
         if heap:
             top_remaining = max(top_remaining, -heap[0][0])
         x_arr = np.array(inc_x, dtype=float)
         eta = float((self._C + self._A @ x_arr).min())
         bound = max(eta, inc_value, top_remaining)
-        self.incumbent = (eta, inc_x)
-        self.best_bound = bound
-        return MasterResult(eta=eta, x=inc_x, bound=bound, status=status)
+        return MasterResult(eta=eta, x=inc_x, bound=bound, status=status, nodes=nodes)

@@ -6,25 +6,10 @@ from random import Random
 import pytest
 
 from robustmax import (DcgConfig, brute_force_robust, build_cut,
-                       expected_reduction_oracle, generate_instance, min_index,
-                       solve_robust, strengthen_generating_set, support)
+                       expected_reduction_oracle, generate_instance, solve_robust,
+                       strengthen_generating_set, support)
 
 from conftest import all_subsets, cut_is_valid, modular_fn, random_coverage
-
-
-class TestMinIndex:
-    def test_first_function_wins(self):
-        assert min_index([2.0, 5.0]) == 0
-
-    def test_all_tie_takes_first(self):
-        assert min_index([3.0, 3.0, 3.0]) == 0
-
-    def test_first_minimizer(self):
-        assert min_index([5.0, 1.0, 1.0]) == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            min_index([])
 
 
 class TestStrengthenGeneratingSet:

@@ -6,7 +6,40 @@ from random import Random
 
 import pytest
 
-from robustmax import MasterState, SubmodularCut, empty_set_cuts, node_bound
+from robustmax import (DcgConfig, MasterState, SubmodularCut, empty_set_cuts,
+                       generate_instance, solve_robust)
+
+from conftest import indicator
+
+
+def node_bound(cuts, fixed_one, fixed_zero, costs, budget) -> float:
+    """Reference node bound: the node where fixed_one is in and fixed_zero is out.
+
+    Per cut: constant + fixed contribution + fractional knapsack of the free
+    coefficients within the remaining budget; the bound is the minimum over
+    cuts.  Returns -inf when fixed_one already overruns the budget.
+    """
+    ones = frozenset(fixed_one)
+    zeros = frozenset(fixed_zero)
+    if ones & zeros:
+        raise ValueError("fixed sets must be disjoint")
+    remaining = budget - sum(costs[j] for j in ones)
+    if remaining < 0:
+        return -math.inf
+    n = len(costs)
+    free = [j for j in range(n) if j not in ones and j not in zeros]
+    best = math.inf
+    for cut in cuts:
+        value = cut.constant + sum(cut.coefficients[j] for j in ones)
+        room = remaining
+        for j in sorted(free, key=lambda t: (-cut.coefficients[t] / costs[t], t)):
+            if room <= 0:
+                break
+            take = min(1.0, room / costs[j])
+            value += take * cut.coefficients[j]
+            room -= take * costs[j]
+        best = min(best, value)
+    return best
 
 
 def random_pool(rng: Random, n: int, k: int):
@@ -229,3 +262,139 @@ class TestNodeBound:
                 if sum(c for c, x in zip(costs, bits) if x) > budget:
                     continue
                 assert min(c.rhs_at(bits) for c in pool) <= bound + 1e-9
+
+
+def close(a: float, b: float) -> bool:
+    if math.isinf(b):
+        return a == b
+    return abs(a - b) <= 1e-9 * max(1.0, abs(b))
+
+
+def loaded_state(pool, costs, budget) -> MasterState:
+    ms = MasterState(len(costs), costs, budget)
+    for cut in pool:
+        ms.add_cut(cut, filter_dominated=False)
+    return ms
+
+
+class TestEvaluateMatchesReference:
+    """MasterState._evaluate against node_bound at the nodes the search can
+    reach: each depth fixes the next variable of the branch order."""
+
+    def walk(self, ms, pool, rng, cases):
+        ms._prepare()
+        n, costs = ms.n, ms.costs
+        ones, zeros = set(), set()
+        base = ms._C.copy()
+        for level in range(n + 1):
+            cost_ones = sum(costs[j] for j in ones)
+            bound, zero_value = ms._evaluate(base, level, cost_ones)
+            expected = node_bound(pool, ones, zeros, costs, ms.budget)
+            assert close(bound, expected), (level, sorted(ones), bound, expected)
+            free_cost = sum(costs[j] for j in range(n) if j not in ones | zeros)
+            remaining = ms.budget - cost_ones
+            if remaining < 0:
+                cases.add("overrun")
+                assert bound == -math.inf
+                return
+            assert close(zero_value, min(c.rhs_at(indicator(ones, n)) for c in pool))
+            if remaining == 0:
+                cases.add("zero remaining")
+            if 0 < free_cost <= remaining:
+                cases.add("all fit")
+            if level == n:
+                return
+            j = int(ms._branch_order[level])
+            if rng.random() < 0.5:
+                ones.add(j)
+                base = base + ms._A[:, j]
+            else:
+                zeros.add(j)
+
+    def test_random_walks(self):
+        rng = Random(41)
+        cases = set()
+        for trial in range(150):
+            n = rng.randint(1, 12)
+            costs = [rng.randint(1, 4) for _ in range(n)]
+            if trial % 3 == 0:
+                # every item has the same ratio in each cut
+                pool = [SubmodularCut(rng.randint(0, 4) * 0.5,
+                                      tuple(c * rng.randint(1, 3) * 0.5 for c in costs), 0)
+                        for _ in range(rng.randint(1, 4))]
+                cases.add("tied ratios")
+            else:
+                pool = random_pool(rng, n, rng.randint(1, 8))
+            budget = rng.choice([0, rng.randint(0, sum(costs)), sum(costs) + 1])
+            self.walk(loaded_state(pool, costs, budget), pool, rng, cases)
+        assert cases == {"overrun", "zero remaining", "all fit", "tied ratios"}
+
+
+def recorded_solves(monkeypatch) -> list:
+    """Collect the MasterResult of every MasterState.solve call."""
+    results = []
+    solve = MasterState.solve
+
+    def recording(self, *args, **kwargs):
+        result = solve(self, *args, **kwargs)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(MasterState, "solve", recording)
+    return results
+
+
+class TestNodeCounts:
+    def test_nodes_count_evaluations(self, monkeypatch):
+        evaluations = []
+        evaluate = MasterState._evaluate
+
+        def counting(self, *args):
+            evaluations.append(1)
+            return evaluate(self, *args)
+
+        monkeypatch.setattr(MasterState, "_evaluate", counting)
+        rng = Random(3)
+        pool = random_pool(rng, 10, 6)
+        costs = [rng.randint(1, 4) for _ in range(10)]
+        res = loaded_state(pool, costs, 12).solve(gap_tol=0.0)
+        assert res.nodes == len(evaluations) > 1
+
+    # Master nodes summed over a whole solve_robust run; any change to the
+    # bound, the branching order or the pruning shows here.
+    @pytest.mark.parametrize("family, seed, nodes, eta", [
+        (dict(n=12, edge_factor=2.0, m=5, j_count=5, budget=15), 1, 675, 9.6),
+        (dict(n=20, edge_factor=1.5, m=8, j_count=6, budget=20), 3, 2279, 15.166666666666666),
+        (dict(n=24, edge_factor=41 / 36, m=10, j_count=8, budget=20), 2, 8763, 19.75),
+    ])
+    def test_pinned_tree_size(self, monkeypatch, family, seed, nodes, eta):
+        inst = generate_instance(seed=seed, **family)
+        fns = inst.build_oracles()
+        results = recorded_solves(monkeypatch)
+        report = solve_robust(fns, [1.0] * len(fns), inst.network.sensor_costs,
+                              inst.network.budget, DcgConfig(reduce=True, stop_pt=2))
+        assert report.status == "optimal"
+        assert report.eta == pytest.approx(eta, abs=1e-12)
+        assert len(results) == report.iterations
+        assert sum(r.nodes for r in results) == nodes
+
+
+class TestTableRebuild:
+    def test_incremental_pool_matches_fresh_state(self):
+        rng = Random(23)
+        for _ in range(20):
+            n = rng.randint(3, 10)
+            pool = random_pool(rng, n, rng.randint(2, 6))
+            costs = [rng.randint(1, 4) for _ in range(n)]
+            budget = rng.randint(1, sum(costs))
+            grown = MasterState(n, costs, budget)
+            split = rng.randint(1, len(pool) - 1)
+            for cut in pool[:split]:
+                grown.add_cut(cut, filter_dominated=False)
+            grown.solve(gap_tol=0.0)
+            for cut in pool[split:]:
+                grown.add_cut(cut, filter_dominated=False)
+            res = grown.solve(gap_tol=0.0)
+            fresh = loaded_state(pool, costs, budget).solve(gap_tol=0.0)
+            assert (res.eta, res.x, res.bound, res.nodes) == \
+                (fresh.eta, fresh.x, fresh.bound, fresh.nodes)
