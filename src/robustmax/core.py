@@ -1,7 +1,12 @@
 """Set-function oracles, marginal algebra, and linearized hypograph cuts.
 
 A :class:`SetFunction` wraps a monotone submodular function on the ground set
-``{0, .., n-1}`` with memoized evaluation.  From an oracle and a generating
+``{0, .., n-1}`` with memoized evaluation.  The memo is keyed by bitmask (bit
+j set iff element j is in the set) and every miss goes through one path;
+callers that need many values read them in batches, by bitmask
+(:meth:`SetFunction.values`) or as all marginals at one set
+(:meth:`SetFunction.marginals`), and the exhaustive lawfulness check works
+on the table of all 2^n values at once.  From an oracle and a generating
 set, :func:`build_cut` produces the linear inequality
 
     eta <= constant + sum_j coefficients[j] * x[j]
@@ -19,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 TOL = 1e-9
 # Slack for dominance comparisons only: wide enough to absorb float dust on
@@ -57,15 +64,21 @@ class SetFunction:
             mask |= 1 << j
         return mask
 
-    def value(self, subset: Iterable[int]) -> float:
-        """f(S), cached by subset bitmask."""
-        key = self._key(subset)
+    def _value_by_key(self, key: int) -> float:
+        """f at a bitmask; the one path by which the memo is filled."""
         cached = self._cache.get(key)
         if cached is None:
-            members = frozenset(j for j in range(self.ground_size) if key >> j & 1)
+            n = self.ground_size
+            if key < 0 or key >> n:
+                raise ValueError(f"bitmask {key} out of range for ground set of size {n}")
+            members = frozenset(j for j in range(n) if key >> j & 1)
             cached = float(self._eval(members))
             self._cache[key] = cached
         return cached
+
+    def value(self, subset: Iterable[int]) -> float:
+        """f(S), cached by subset bitmask."""
+        return self._value_by_key(self._key(subset))
 
     def marginal(self, j: int, subset: Iterable[int]) -> float:
         """f(S + j) - f(S); zero when j is already in S."""
@@ -77,13 +90,19 @@ class SetFunction:
             return 0.0
         return self._value_by_key(key | bit) - self._value_by_key(key)
 
-    def _value_by_key(self, key: int) -> float:
-        cached = self._cache.get(key)
-        if cached is None:
-            members = frozenset(j for j in range(self.ground_size) if key >> j & 1)
-            cached = float(self._eval(members))
-            self._cache[key] = cached
-        return cached
+    def values(self, keys: Iterable[int]) -> np.ndarray:
+        """f at each bitmask in ``keys``, as one float array."""
+        get = self._cache.get
+        miss = self._value_by_key
+        return np.array([v if (v := get(k)) is not None else miss(k) for k in keys],
+                        dtype=float)
+
+    def marginals(self, subset: Iterable[int]) -> np.ndarray:
+        """f(S + j) - f(S) for every element j; zero where j is in S, since
+        S + j is then S itself."""
+        key = self._key(subset)
+        return (self.values([key | 1 << j for j in range(self.ground_size)])
+                - self._value_by_key(key))
 
 
 @dataclass(frozen=True)
@@ -125,15 +144,17 @@ def build_cut(fn: SetFunction, subset: Iterable[int], alpha: float,
     n = fn.ground_size
     if gen and (min(gen) < 0 or max(gen) >= n):
         raise ValueError("generating set not within ground set")
-    full_minus = {j: fn.marginal(j, frozenset(range(n)) - {j}) for j in gen}
-    constant = (fn.value(gen) - sum(full_minus.values())) / alpha
-    coeffs = []
-    for j in range(n):
-        if j in gen:
-            coeffs.append(full_minus[j] / alpha)
-        else:
-            coeffs.append(fn.marginal(j, gen) / alpha)
-    return SubmodularCut(constant=constant, coefficients=tuple(coeffs),
+    # f(N) - f(N - j) for each in-set j (f(N) is read only when there is
+    # one); Python's sum in the set's iteration order fixes the constant's
+    # rounding.
+    inside = list(gen)
+    full = (1 << n) - 1
+    full_minus = (fn.values([full] * len(inside))
+                  - fn.values([full ^ 1 << j for j in inside]))
+    constant = (fn.value(gen) - sum(full_minus.tolist())) / alpha
+    coeffs = fn.marginals(gen)
+    coeffs[inside] = full_minus
+    return SubmodularCut(constant=constant, coefficients=tuple((coeffs / alpha).tolist()),
                          scenario_index=scenario_index, generating_set=gen,
                          scale=alpha)
 
@@ -161,15 +182,13 @@ class FacetDiagnostics:
     """Outcome of the sufficient facet conditions for one cut.
 
     ``witnesses[j]`` is the swap partner found outside the generating set for
-    the in-set element j; ``tolerance`` is the equality slack the verdict was
-    computed under.  Diagnostic only; solver correctness never depends on
-    this check.
+    the in-set element j.  Diagnostic only; solver correctness never depends
+    on this check.
     """
 
     cond_i: bool
     cond_ii: bool
     witnesses: dict
-    tolerance: float = TOL
 
 
 def _scaled_min(fns, alphas, subset) -> float:
@@ -237,18 +256,20 @@ def check_submodular(fn: SetFunction, exhaustive_limit: int = 12,
     if abs(fn.value(())) > TOL:
         return False
     if n <= exhaustive_limit:
-        for mask in range(1 << n):
-            base = frozenset(j for j in range(n) if mask >> j & 1)
-            out = [j for j in range(n) if not mask >> j & 1]
-            for j in out:
-                mj = fn.marginal(j, base)
-                if mj < -TOL:
-                    return False
-                for k in out:
-                    if k == j:
-                        continue
-                    if fn.marginal(j, base | {k}) > mj + TOL:
-                        return False
+        # F[mask] = f(mask); M[mask, j] = f(mask + j) - f(mask), which is 0
+        # where j is in mask and so never a violation.
+        F = fn.values(range(1 << n))
+        masks = np.arange(1 << n)
+        M = F[masks[:, None] | (1 << np.arange(n))] - F[:, None]
+        if (M < -TOL).any():
+            return False
+        # Diminishing returns in k: pair each mask without bit k (index 0 of
+        # the middle axis) with mask + k.  The j = k column compares 0 with
+        # M[mask, k] + TOL, never a violation once M >= -TOL holds.
+        for k in range(n):
+            pairs = M.reshape(-1, 2, 1 << k, n)
+            if (pairs[:, 1] > pairs[:, 0] + TOL).any():
+                return False
         return True
     rng = Random(seed)
     for _ in range(samples):

@@ -20,6 +20,8 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .core import SetFunction, SubmodularCut, TOL, build_cut, empty_set_cuts
 from .master import MasterState, STATUS_OPTIMAL, STATUS_TIME_LIMIT
 
@@ -102,8 +104,8 @@ def strengthen_generating_set(fn: SetFunction, incumbent: Iterable[int],
     covered: set = set()
     admitted: set = set()
     bar = sorted(incumbent)
-    for j in range(fn.ground_size):
-        if fn.marginal(j, incumbent) > TOL:
+    for j, gain in enumerate(fn.marginals(incumbent).tolist()):
+        if gain > TOL:
             continue
         tmp = set(covered)
         counter = 0
@@ -233,15 +235,25 @@ def brute_force_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
         raise ValueError(f"ground set of size {n} exceeds the enumeration guard {max_ground}")
     if len(alphas) != len(fns):
         raise ValueError("need one alpha per scenario function")
-    best_val = -math.inf
-    best_x = None
-    for mask in range(1 << n):
-        x = tuple((mask >> j) & 1 for j in range(n))
-        cost = sum(c for c, xj in zip(costs, x) if xj)
-        if cost > budget:
-            continue
-        chosen = support(x)
-        value = min(fn.value(chosen) / a for fn, a in zip(fns, alphas))
-        if value > best_val or (value == best_val and x < best_x):
-            best_val, best_x = value, x
-    return best_val, best_x
+    if len(costs) != n:
+        raise ValueError("need one cost per element")
+    # cost[mask] sums the chosen costs in ascending element order, as a
+    # running sum over the tuple x would.
+    cost = np.zeros(1 << n)
+    for j, c in enumerate(costs):
+        cost[1 << j:2 << j] = cost[:1 << j] + c
+    feasible = np.flatnonzero(~(cost > budget))
+    if not feasible.size:
+        return -math.inf, None
+    keys = feasible.tolist()
+    worst = fns[0].values(keys) / alphas[0]
+    for fn, a in zip(fns[1:], alphas[1:]):
+        np.minimum(worst, fn.values(keys) / a, out=worst)
+    best = worst.max()
+    # Among tied masks, the lexicographically smallest x is the one whose
+    # bit-reversed mask is smallest.
+    tied = feasible[worst == best]
+    bits = np.arange(n)
+    reversed_masks = ((tied[:, None] >> bits & 1) << (n - 1 - bits)).sum(axis=1)
+    mask = int(tied[reversed_masks.argmin()])
+    return float(best), tuple((mask >> j) & 1 for j in range(n))

@@ -133,14 +133,17 @@ class MasterState:
         self._tables = tables
         self._dirty = False
 
-    def _evaluate(self, base: np.ndarray, level: int, cost_ones: float):
+    def _evaluate(self, base: np.ndarray, level: int, cost_ones: float,
+                  zero_completion: float | None = None):
         """(fractional bound, value of the zeros-completion) for the node at
         depth ``level`` whose fixed-one variables give per-cut values ``base``
-        and cost ``cost_ones``."""
+        and cost ``cost_ones``; ``zero_completion`` is ``base.min()`` when the
+        caller already has it."""
         remaining = self.budget - cost_ones
-        zero_completion = float(base.min())
         if remaining < -1e-9:
             return -math.inf, -math.inf
+        if zero_completion is None:
+            zero_completion = float(base.min())
         remaining = max(remaining, 0.0)
         cw, cv, item, offset = self._tables[level]
         # Per cut, the first prefix that overruns the remaining budget: the
@@ -216,12 +219,14 @@ class MasterState:
         nodes = 1
         offer(root_value, root_ones)
         seq = 0
-        # Heap entries: (-bound, seq, ones, per-cut value of ones, depth, cost of ones).
-        heap = [(-root_bound, seq, root_ones, self._C, 0, 0.0)]
+        # Heap entries: (-bound, seq, ones, per-cut value of ones, depth, cost
+        # of ones, zeros-completion value).  The zero child keeps its parent's
+        # ones, so it reuses the parent's zeros-completion value.
+        heap = [(-root_bound, seq, root_ones, self._C, 0, 0.0, root_value)]
         status = STATUS_OPTIMAL
         top_remaining = -math.inf
         while heap:
-            neg_bound, _, ones, base, level, cost_ones = heapq.heappop(heap)
+            neg_bound, _, ones, base, level, cost_ones, zero_value = heapq.heappop(heap)
             bound = -neg_bound
             if bound <= threshold(inc_value):
                 # best-first order: nothing left can beat the incumbent
@@ -244,13 +249,14 @@ class MasterState:
                 offer(v1, child_ones)
                 if b1 > threshold(inc_value):
                     seq += 1
-                    heapq.heappush(heap, (-b1, seq, child_ones, child_base, level + 1, child_cost))
-            b0, v0 = self._evaluate(base, level + 1, cost_ones)
+                    heapq.heappush(heap, (-b1, seq, child_ones, child_base, level + 1,
+                                          child_cost, v1))
+            b0, v0 = self._evaluate(base, level + 1, cost_ones, zero_value)
             nodes += 1
             offer(v0, ones)
             if b0 > threshold(inc_value):
                 seq += 1
-                heapq.heappush(heap, (-b0, seq, ones, base, level + 1, cost_ones))
+                heapq.heappush(heap, (-b0, seq, ones, base, level + 1, cost_ones, v0))
 
         if heap:
             top_remaining = max(top_remaining, -heap[0][0])

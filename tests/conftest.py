@@ -17,6 +17,13 @@ def modular_fn(weights) -> SetFunction:
     return SetFunction(len(w), lambda S: sum(w[j] for j in S))
 
 
+def table_fn(table) -> SetFunction:
+    """Set function read from a table of 2^n values indexed by bitmask."""
+    values = tuple(float(v) for v in table)
+    n = len(values).bit_length() - 1
+    return SetFunction(n, lambda S: values[sum(1 << j for j in S)])
+
+
 def coverage_fn(n, cover_sets, item_weights) -> SetFunction:
     """Weighted coverage: f(S) = total weight of the items covered by S."""
     def evaluate(S):

@@ -2,13 +2,80 @@ from __future__ import annotations
 
 from random import Random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustmax import (SetFunction, SubmodularCut, build_cut, check_submodular,
                        dominates, empty_set_cuts, facet_check)
+from robustmax.core import TOL
 
 from conftest import (all_subsets, cut_is_valid, modular_fn,
-                      random_coverage, tight_face_rank)
+                      random_coverage, table_fn, tight_face_rank)
+
+
+def scalar_check_submodular(fn: SetFunction) -> bool:
+    """Reference for the exhaustive check: every (X, j, k) triple, one
+    marginal at a time."""
+    n = fn.ground_size
+    for mask in range(1 << n):
+        base = frozenset(j for j in range(n) if mask >> j & 1)
+        out = [j for j in range(n) if not mask >> j & 1]
+        for j in out:
+            mj = fn.marginal(j, base)
+            if mj < -TOL:
+                return False
+            for k in out:
+                if k == j:
+                    continue
+                if fn.marginal(j, base | {k}) > mj + TOL:
+                    return False
+    return True
+
+
+def scalar_build_cut(fn: SetFunction, subset, alpha: float) -> tuple:
+    """Reference for build_cut's (constant, coefficients), one marginal at a
+    time."""
+    gen = frozenset(subset)
+    n = fn.ground_size
+    full_minus = {j: fn.marginal(j, frozenset(range(n)) - {j}) for j in gen}
+    constant = (fn.value(gen) - sum(full_minus.values())) / alpha
+    coeffs = tuple(full_minus[j] / alpha if j in gen else fn.marginal(j, gen) / alpha
+                   for j in range(n))
+    return constant, coeffs
+
+
+@st.composite
+def set_function_tables(draw):
+    """(table of f over all 2^n bitmasks, the verdict its construction
+    forces or None).  Noisy coverage straddles TOL; the concave kind breaks
+    monotonicity only and the joint bonus diminishing returns only."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(("coverage", "concave of size", "joint bonus", "random")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    expected = None
+    if kind == "coverage":
+        covers = rng.random((n, 6)) < 0.4
+        table = ((bits @ covers) > 0) @ rng.integers(1, 6, 6).astype(float)
+        noise = draw(st.sampled_from((0.0, 2e-10, 5e-10, 1e-9)))
+        table += noise * rng.uniform(-1.0, 1.0, table.shape)
+        expected = True if noise == 0.0 else None
+    elif kind == "concave of size":
+        size = bits.sum(axis=1)
+        table = size * (int(rng.integers(0, n)) - size) * rng.uniform(0.1, 3.0)
+        expected = False
+    elif kind == "joint bonus":
+        table = bits @ rng.integers(0, 5, n).astype(float)
+        joint = rng.permutation(n)[:max(2, int(rng.integers(0, n + 1)))]
+        bonus = draw(st.sampled_from((5e-10, 1e-9, 1.5e-9, 1e-3, 1.0)))
+        table += bonus * bits[:, joint].all(axis=1)
+        expected = False if n >= 2 and bonus > 2 * TOL else None
+    else:
+        table = rng.uniform(-1.0, 3.0, 1 << n)
+    table[0] = 0.0
+    return table, expected
 
 
 class TestMarginal:
@@ -198,3 +265,43 @@ class TestCheckSubmodular:
     def test_sampled_mode_detects_supermodular(self):
         fn = SetFunction(16, lambda S: float(len(S) ** 2))
         assert not check_submodular(fn, exhaustive_limit=4, samples=4000, seed=1)
+
+    def test_differences_of_exactly_tol_pass(self):
+        # a marginal of exactly -TOL, and one that grows by exactly TOL
+        for table, verdict in (([0.0, -TOL], True), ([0.0, 0.0, 0.0, TOL], True),
+                               ([0.0, -2 * TOL], False), ([0.0, 0.0, 0.0, 2 * TOL], False)):
+            assert check_submodular(table_fn(table)) is verdict
+            assert scalar_check_submodular(table_fn(table)) is verdict
+
+    @settings(max_examples=150, deadline=None)
+    @given(set_function_tables())
+    def test_verdict_matches_scalar_reference(self, case):
+        table, expected = case
+        verdict = check_submodular(table_fn(table))
+        assert verdict == scalar_check_submodular(table_fn(table))
+        if expected is not None:
+            assert verdict == expected
+
+
+class TestBatchReads:
+    @settings(max_examples=100, deadline=None)
+    @given(set_function_tables(), st.data())
+    def test_marginals_match_scalar(self, case, data):
+        fn = table_fn(case[0])
+        n = fn.ground_size
+        S = data.draw(st.sets(st.integers(0, n - 1)))
+        assert fn.marginals(S).tolist() == [fn.marginal(j, S) for j in range(n)]
+
+    def test_values_by_bitmask(self):
+        fn = modular_fn((1, 2, 4))
+        assert fn.values([0, 5, 7, 5]).tolist() == [0.0, 5.0, 7.0, 5.0]
+        with pytest.raises(ValueError):
+            fn.values([8])
+
+    @settings(max_examples=100, deadline=None)
+    @given(set_function_tables(), st.data(), st.floats(1e-6, 1e9))
+    def test_build_cut_matches_scalar_formula(self, case, data, alpha):
+        fn = table_fn(case[0])
+        gen = data.draw(st.sets(st.integers(0, fn.ground_size - 1)))
+        cut = build_cut(fn, gen, alpha, 0)
+        assert (cut.constant, cut.coefficients) == scalar_build_cut(fn, gen, alpha)

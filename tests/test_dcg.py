@@ -1,15 +1,64 @@
 from __future__ import annotations
 
+import math
 from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustmax import (DcgConfig, brute_force_robust, build_cut,
                        expected_reduction_oracle, generate_instance, solve_robust,
                        strengthen_generating_set, support)
 
 from conftest import all_subsets, cut_is_valid, modular_fn, random_coverage
+
+
+def scalar_brute_force(fns, alphas, costs, budget) -> tuple:
+    """Reference for brute_force_robust: one subset at a time, in mask order,
+    ties to the lexicographically smallest x."""
+    n = fns[0].ground_size
+    best_val = -math.inf
+    best_x = None
+    for mask in range(1 << n):
+        x = tuple((mask >> j) & 1 for j in range(n))
+        cost = sum(c for c, xj in zip(costs, x) if xj)
+        if cost > budget:
+            continue
+        chosen = support(x)
+        value = min(fn.value(chosen) / a for fn, a in zip(fns, alphas))
+        if value > best_val or (value == best_val and x < best_x):
+            best_val, best_x = value, x
+    return best_val, best_x
+
+
+@st.composite
+def knapsack_instances(draw):
+    """Coverage or equal-weight modular scenarios (many tied optima) with
+    fractional costs, and a budget that is random, the float cost of a
+    subset, below every cost, or negative."""
+    n = draw(st.integers(1, 8))
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    m = rng.randint(1, 3)
+    if draw(st.booleans()):
+        fns = [random_coverage(rng, n) for _ in range(m)]
+    else:
+        fns = [modular_fn([rng.randint(1, 2)] * n) for _ in range(m)]
+    costs = [rng.randint(1, 30) / 10 for _ in range(n)]
+    if draw(st.booleans()):
+        costs = [costs[0]] * n
+    alphas = [rng.choice((1.0, 0.3, 7.0, 1e-6, 1e9)) for _ in range(m)]
+    kind = draw(st.sampled_from(("random", "subset cost", "below every cost", "negative")))
+    if kind == "random":
+        budget = rng.uniform(0, sum(costs))
+    elif kind == "subset cost":
+        budget = sum(costs[j] for j in range(n) if rng.random() < 0.5)
+    elif kind == "below every cost":
+        budget = min(costs) / 2
+    else:
+        budget = -1.0
+    return fns, alphas, costs, budget
 
 
 class TestStrengthenGeneratingSet:
@@ -161,3 +210,26 @@ class TestBruteForce:
         fn = modular_fn(tuple(range(23)))
         with pytest.raises(ValueError):
             brute_force_robust([fn], [1.0], (1,) * 23, 3)
+
+    def test_one_cost_per_element(self):
+        with pytest.raises(ValueError):
+            brute_force_robust([modular_fn((1, 2, 3))], [1.0], (1, 1), 3)
+
+    def test_costs_summed_in_element_order(self):
+        # 0.1 + 0.2 + 0.3 rounds to 0.6000000000000001, above a budget of 0.6
+        fn = modular_fn((1, 1, 1))
+        assert brute_force_robust([fn], [1.0], (0.1, 0.2, 0.3), 0.6) == (2.0, (0, 1, 1))
+        assert brute_force_robust([fn], [1.0], (0.1, 0.2, 0.3), 0.1 + 0.2 + 0.3) == \
+            (3.0, (1, 1, 1))
+
+    def test_budget_below_every_cost(self):
+        fn = modular_fn((1, 2))
+        assert brute_force_robust([fn], [1.0], (1, 2), 0.5) == (0.0, (0, 0))
+        assert brute_force_robust([fn], [1.0], (1, 2), -1) == (-math.inf, None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(knapsack_instances())
+    def test_matches_scalar_reference(self, case):
+        fns, alphas, costs, budget = case
+        assert brute_force_robust(fns, alphas, costs, budget) == \
+            scalar_brute_force(fns, alphas, costs, budget)
