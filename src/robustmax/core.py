@@ -27,10 +27,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+# The solve path's one tolerance: a comparison allows TOL times a magnitude
+# the solver already holds, so a certificate means the same at any positive
+# scale.  Objective values use objective_slack, generating-set tests f at the
+# incumbent, the knapsack search the largest cost (a returned x fits exactly).
 TOL = 1e-9
-# Slack for dominance comparisons only: wide enough to absorb float dust on
-# equal cuts, narrow enough never to drop an almost-incomparable cut.
-DOM_TOL = 1e-12
 
 
 class SetFunction:
@@ -168,13 +169,21 @@ def empty_set_cuts(fns: Sequence[SetFunction], alphas: Sequence[float]) -> list:
     return [build_cut(fn, (), alpha, i) for i, (fn, alpha) in enumerate(zip(fns, alphas))]
 
 
+def objective_slack(cuts: Iterable[SubmodularCut]) -> float:
+    """Slack for objective values bounded by ``cuts``: TOL times the largest value
+    one takes on [0, 1]^n, at x = 1 since coefficients are nonnegative."""
+    return TOL * max(abs(c.constant + sum(c.coefficients)) for c in cuts)
+
+
 def dominates(a: SubmodularCut, b: SubmodularCut) -> bool:
-    """True iff a's right-hand side is pointwise <= b's, making b redundant."""
+    """True iff a's right-hand side is pointwise <= b's, up to the objective
+    slack of the two cuts, making b redundant."""
     if a.ground_size != b.ground_size:
         raise ValueError("cuts have mismatched dimensions")
-    if a.constant > b.constant + DOM_TOL:
+    slack = objective_slack((a, b))
+    if a.constant > b.constant + slack:
         return False
-    return all(ca <= cb + DOM_TOL for ca, cb in zip(a.coefficients, b.coefficients))
+    return all(ca <= cb + slack for ca, cb in zip(a.coefficients, b.coefficients))
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import SetFunction, SubmodularCut, TOL, build_cut, empty_set_cuts
+from .core import (TOL, SetFunction, SubmodularCut, build_cut, empty_set_cuts,
+                   objective_slack)
 from .master import MasterState, STATUS_OPTIMAL, STATUS_TIME_LIMIT
-
-_TINY = 1e-12
 
 
 @dataclass
@@ -37,8 +36,9 @@ class DcgConfig:
     epsilon           extra optimality margin on the violation test
     time_limit        wall-clock budget in seconds (None = unlimited)
     filter_dominated  drop pointwise-dominated cuts sharing a generating set
-    warm_start        seed the pool with the empty-set cut of every scenario
-    master_gap        absolute tolerance handed to each master solve
+
+    The pool always starts from every scenario's empty-set cut; tolerances
+    follow the one policy of :mod:`robustmax.core`.
     """
 
     reduce: bool = True
@@ -46,8 +46,6 @@ class DcgConfig:
     epsilon: float = 0.0
     time_limit: float | None = None
     filter_dominated: bool = True
-    warm_start: bool = True
-    master_gap: float = 1e-6
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -93,31 +91,32 @@ def strengthen_generating_set(fn: SetFunction, incumbent: Iterable[int],
 
         f(tmpQ) == f(S + j) + sum_{l in tmpQ} marginal(l, S + j)
 
-    holds, j is admitted and its witnesses are marked as covered.  The result
-    is the admitted elements plus the uncovered part of the incumbent; the
-    cut built on it is valid and remains tight at the incumbent.  stop_pt = 0
-    disables the rewrite and returns the support unchanged.
+    holds, both up to TOL * f(incumbent), j is admitted and its witnesses are
+    marked as covered.  The result is the admitted elements plus the uncovered
+    part of the incumbent; the cut built on it is valid and remains tight at
+    the incumbent.  stop_pt = 0 returns the support unchanged.
     """
     incumbent = frozenset(incumbent)
     if stop_pt == 0:
         return incumbent
+    slack = TOL * fn.value(incumbent)
     covered: set = set()
     admitted: set = set()
     bar = sorted(incumbent)
     for j, gain in enumerate(fn.marginals(incumbent).tolist()):
-        if gain > TOL:
+        if gain > slack:
             continue
         tmp = set(covered)
         counter = 0
         for k in bar:
-            if fn.marginal(j, frozenset([k])) <= TOL:
+            if fn.marginal(j, frozenset([k])) <= slack:
                 counter += 1
                 tmp.add(k)
             if counter == stop_pt:
                 with_j = frozenset(admitted | {j})
                 lhs = fn.value(tmp)
                 rhs = fn.value(with_j) + sum(fn.marginal(l, with_j) for l in tmp)
-                if abs(lhs - rhs) <= TOL:
+                if abs(lhs - rhs) <= slack:
                     admitted.add(j)
                     covered |= tmp
     return frozenset(admitted) | (incumbent - covered)
@@ -129,10 +128,10 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
                  initial_cuts: Iterable[SubmodularCut] = ()) -> SolveReport:
     """Cut-generation solve of max min_i f_i(x)/alpha_i over the knapsack.
 
-    Terminates when the master value no longer exceeds the incumbent's true
-    worst scaled value (then eta is the exact optimum) or when the time limit
-    runs out (then eta <= optimum <= upper_bound).  Never returns an
-    infeasible x.
+    Terminates when the master bound no longer exceeds the incumbent's true
+    worst scaled value (then eta is the optimum, up to epsilon and the
+    objective slack of the warm-start pool) or when the time limit runs out
+    (then eta <= optimum <= upper_bound).  Never returns an infeasible x.
     """
     config = config or DcgConfig()
     m = len(fns)
@@ -146,25 +145,22 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
     start = time.monotonic()
 
     state = MasterState(n, costs, budget)
-    if config.warm_start:
-        for cut in empty_set_cuts(fns, alphas):
-            state.add_cut(cut, filter_dominated=config.filter_dominated)
-    for cut in initial_cuts:
+    for cut in (*empty_set_cuts(fns, alphas), *initial_cuts):
         state.add_cut(cut, filter_dominated=config.filter_dominated)
     warm_size = len(state.cut_pool)
+    slack = objective_slack(state.cut_pool)
 
     best_lb = -math.inf
     best_x = tuple(0 for _ in range(n))
     master_values: list = []
     iterations = 0
     status = STATUS_OPTIMAL
-    upper = math.inf
-    master_gap = config.master_gap
+    exact = False
     while True:
         remaining = None
         if config.time_limit is not None:
             remaining = max(0.0, config.time_limit - (time.monotonic() - start))
-        result = state.solve(gap_tol=master_gap, time_limit=remaining)
+        result = state.solve(exact=exact, time_limit=remaining)
         iterations += 1
         master_values.append(result.eta)
         upper = result.bound
@@ -172,34 +168,32 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
         chosen = support(x_bar)
         values = [fn.value(chosen) / a for fn, a in zip(fns, alphas)]
         worst = min(values)
-        if worst > best_lb + _TINY:
+        if worst > best_lb + slack:
             best_lb, best_x = worst, x_bar
         if result.status == STATUS_TIME_LIMIT:
             status = STATUS_TIME_LIMIT
             break
-        if result.bound <= worst + config.epsilon + TOL:
+        if result.bound <= worst + config.epsilon + slack:
             # no scenario is violated and the master bound certifies it
             best_lb, best_x = worst, x_bar
-            upper = worst
-            status = STATUS_OPTIMAL
             break
         if config.time_limit is not None and time.monotonic() - start > config.time_limit:
             status = STATUS_TIME_LIMIT
             break
-        if result.eta <= worst + config.epsilon + TOL:
-            # incumbent shows no violation but the bound is loose: the master
-            # gap tolerance is hiding the gap, so re-solve exactly
-            if master_gap == 0.0:
+        if result.eta <= worst + config.epsilon + slack:
+            # incumbent shows no violation but the bound is loose: pruned
+            # bound ties are hiding the gap, so re-solve exactly
+            if exact:
                 raise RuntimeError("master bound stalled above a violation-free incumbent")
-            master_gap = 0.0
+            exact = True
             continue
         if config.reduce:
-            targets = [i for i, v in enumerate(values) if v <= worst + TOL]
+            targets = [i for i, v in enumerate(values) if v <= worst + slack]
         else:
             targets = list(range(m))
         added_any = False
         for i in targets:
-            if result.eta <= values[i] + config.epsilon + TOL:
+            if result.eta <= values[i] + config.epsilon + slack:
                 continue
             gen = strengthen_generating_set(fns[i], chosen, config.stop_pt)
             cut = build_cut(fns[i], gen, alphas[i], i)
@@ -213,7 +207,7 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
         upper = best_lb
     else:
         upper = max(upper, best_lb)
-        gap = (upper - best_lb) / max(upper, _TINY)
+        gap = (upper - best_lb) / upper if upper > 0 else 0.0
     return SolveReport(eta=best_lb, x=best_x, upper_bound=upper, gap=gap,
                        iterations=iterations,
                        cuts_added=len(state.cut_pool) - warm_size,

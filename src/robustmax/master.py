@@ -30,12 +30,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SubmodularCut, dominates
+from .core import TOL, SubmodularCut, dominates, objective_slack
 
 STATUS_OPTIMAL = "optimal"
 STATUS_TIME_LIMIT = "time_limit"
-
-_EQ_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -55,9 +53,13 @@ class MasterState:
             raise ValueError("one cost per variable is required")
         if any(c <= 0 for c in costs):
             raise ValueError("costs must be positive")
+        if budget < 0:
+            raise ValueError("budget must be nonnegative")
         self.n = n
         self.costs = tuple(costs)
         self.budget = budget
+        # Search admits sets this far over budget; an incumbent must pass _fits.
+        self._cost_slack = TOL * max(self.costs)
         self.cut_pool: list = []
         self._dirty = True
 
@@ -93,6 +95,7 @@ class MasterState:
         self._A = A
         self._C = C
         self._cost = cost
+        self._slack = objective_slack(self.cut_pool)
         # Branch priority: free variable with the best guaranteed (min over
         # cuts) coefficient per unit cost, ties to the smallest index.
         score = A.min(axis=0) / cost
@@ -140,7 +143,7 @@ class MasterState:
         and cost ``cost_ones``; ``zero_completion`` is ``base.min()`` when the
         caller already has it."""
         remaining = self.budget - cost_ones
-        if remaining < -1e-9:
+        if remaining < -self._cost_slack:
             return -math.inf, -math.inf
         if zero_completion is None:
             zero_completion = float(base.min())
@@ -148,10 +151,10 @@ class MasterState:
         cw, cv, item, offset = self._tables[level]
         # Per cut, the first prefix that overruns the remaining budget: the
         # prefix before it is taken whole and the next free item is split.
-        at = offset + (cw > remaining + 1e-12).argmax(axis=1)
+        at = offset + (cw > remaining).argmax(axis=1)
         split = item.take(at)
         part = self._A_ord.take(split) * (remaining - cw.take(at)) / self._W_ord.take(split)
-        bound = float((base + cv.take(at) + np.maximum(part, 0.0, out=part)).min())
+        bound = float((base + cv.take(at) + part).min())
         return bound, zero_completion
 
     def _greedy_start(self):
@@ -162,58 +165,57 @@ class MasterState:
         cost_ones = 0.0
         value = float(base.min())
         while True:
-            affordable = (~ones) & (self._cost <= self.budget - cost_ones + 1e-12)
+            affordable = (~ones) & (cost_ones + self._cost <= self.budget)
             if not affordable.any():
                 break
             candidate_values = (base[:, None] + self._A).min(axis=0)
             candidate_values[~affordable] = -math.inf
             j = int(np.argmax(candidate_values))
-            if candidate_values[j] <= value + _EQ_TOL:
+            if candidate_values[j] <= value + self._slack:
                 break
             ones[j] = True
             base = base + self._A[:, j]
             cost_ones += self._cost[j]
             value = candidate_values[j]
-        return value, ones, cost_ones
+        return value, ones
+
+    def _fits(self, ones: np.ndarray) -> bool:
+        """Whether the chosen costs, summed in element order, fit the budget."""
+        return sum(c for c, chosen in zip(self.costs, ones) if chosen) <= self.budget
 
     # -- solve ----------------------------------------------------------------
 
-    def solve(self, gap_tol: float = 1e-6, time_limit: float | None = None,
-              relative_gap: bool = False) -> MasterResult:
+    def solve(self, exact: bool = False, time_limit: float | None = None) -> MasterResult:
         """Best-bound branch and bound over the pool.
 
-        With gap_tol == 0 the search explores bound ties, so the returned x is
-        the lexicographically smallest optimal vector; with gap_tol > 0 it
-        stops once the remaining bound is within gap_tol (absolute by default)
-        of the incumbent.  A time limit never raises: the incumbent and the
-        best remaining bound are returned with status "time_limit".
+        A node is pruned once its bound is within the pool's objective slack
+        (:func:`~robustmax.core.objective_slack`) of the incumbent.  With
+        ``exact`` such bound ties are explored instead, so the returned x is
+        the lexicographically smallest optimal vector.  ``bound`` is the
+        largest bound of a node pruned or left open, so no feasible x scores
+        above it by more than the slack.  A time limit never raises: the
+        incumbent and the bound are returned with status "time_limit".
         """
         if not self.cut_pool:
             raise ValueError("cut pool is empty; solve needs at least one cut")
-        if gap_tol < 0:
-            raise ValueError("gap_tol must be nonnegative")
         self._prepare()
         start = time.monotonic()
+        slack = self._slack
+        margin = -slack if exact else slack  # explore while bound > incumbent + margin
 
-        def threshold(best: float) -> float:
-            if gap_tol == 0:
-                return best - 1e-12
-            slack = gap_tol * max(abs(best), 1.0) if relative_gap else gap_tol
-            return best + slack
-
-        inc_value, inc_ones, _ = self._greedy_start()
-        inc_x = tuple(int(b) for b in inc_ones)
+        inc_value, inc_x = -math.inf, ()
 
         def offer(value: float, ones: np.ndarray):
             nonlocal inc_value, inc_x
-            if value > inc_value + _EQ_TOL:
+            if value > inc_value + slack and self._fits(ones):
                 inc_value = value
                 inc_x = tuple(int(b) for b in ones)
-            elif value >= inc_value - _EQ_TOL:
+            elif value >= inc_value - slack:
                 x = tuple(int(b) for b in ones)
-                if x < inc_x:
+                if x < inc_x and self._fits(ones):
                     inc_x = x
 
+        offer(*self._greedy_start())
         root_ones = np.zeros(self.n, dtype=bool)
         root_bound, root_value = self._evaluate(self._C, 0, 0.0)
         nodes = 1
@@ -224,22 +226,31 @@ class MasterState:
         # ones, so it reuses the parent's zeros-completion value.
         heap = [(-root_bound, seq, root_ones, self._C, 0, 0.0, root_value)]
         status = STATUS_OPTIMAL
-        top_remaining = -math.inf
+        top_pruned = -math.inf  # largest bound of a node pruned, popped or not
+
+        def push(bound: float, *node):
+            nonlocal seq, top_pruned
+            if bound > inc_value + margin:
+                seq += 1
+                heapq.heappush(heap, (-bound, seq, *node))
+            else:
+                top_pruned = max(top_pruned, bound)
+
         while heap:
             neg_bound, _, ones, base, level, cost_ones, zero_value = heapq.heappop(heap)
             bound = -neg_bound
-            if bound <= threshold(inc_value):
+            if bound <= inc_value + margin:
                 # best-first order: nothing left can beat the incumbent
-                top_remaining = max(top_remaining, bound)
+                top_pruned = max(top_pruned, bound)
                 break
             if time_limit is not None and time.monotonic() - start > time_limit:
                 status = STATUS_TIME_LIMIT
-                top_remaining = max(top_remaining, bound)
+                top_pruned = max(top_pruned, bound)
                 break
             if level >= self.n:
                 continue
             j = int(self._branch_order[level])
-            if cost_ones + self._cost[j] <= self.budget + 1e-12:
+            if cost_ones + self._cost[j] <= self.budget + self._cost_slack:
                 child_ones = ones.copy()
                 child_ones[j] = True
                 child_base = base + self._A[:, j]
@@ -247,20 +258,13 @@ class MasterState:
                 b1, v1 = self._evaluate(child_base, level + 1, child_cost)
                 nodes += 1
                 offer(v1, child_ones)
-                if b1 > threshold(inc_value):
-                    seq += 1
-                    heapq.heappush(heap, (-b1, seq, child_ones, child_base, level + 1,
-                                          child_cost, v1))
+                push(b1, child_ones, child_base, level + 1, child_cost, v1)
             b0, v0 = self._evaluate(base, level + 1, cost_ones, zero_value)
             nodes += 1
             offer(v0, ones)
-            if b0 > threshold(inc_value):
-                seq += 1
-                heapq.heappush(heap, (-b0, seq, ones, base, level + 1, cost_ones, v0))
+            push(b0, ones, base, level + 1, cost_ones, v0)
 
-        if heap:
-            top_remaining = max(top_remaining, -heap[0][0])
         x_arr = np.array(inc_x, dtype=float)
         eta = float((self._C + self._A @ x_arr).min())
-        bound = max(eta, inc_value, top_remaining)
+        bound = max(eta, inc_value, top_pruned)
         return MasterResult(eta=eta, x=inc_x, bound=bound, status=status, nodes=nodes)

@@ -24,11 +24,9 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .core import SetFunction, SubmodularCut, TOL
+from .core import TOL, SetFunction, SubmodularCut
 from .dcg import DcgConfig, solve_robust, support
 from .master import STATUS_OPTIMAL
-
-_TINY = 1e-12
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,7 @@ def maximize_single(fn: SetFunction, costs: Sequence[float], budget: float,
     outcome, never an error.
     """
     base = config or DcgConfig()
-    run_cfg = replace(base, time_limit=time_budget, warm_start=True)
+    run_cfg = replace(base, time_limit=time_budget)
     report = solve_robust([fn], [1.0], costs, budget, run_cfg)
     lower = report.eta
     if report.status == STATUS_OPTIMAL:
@@ -81,19 +79,18 @@ def maximize_single(fn: SetFunction, costs: Sequence[float], budget: float,
     return bounds, report.pool, report
 
 
-def rescale_cuts(cuts: Sequence[SubmodularCut], alpha_bar: float) -> list:
-    """Divide unit-scale cuts by a positive scale, keeping their provenance."""
+def rescale_cuts(cuts: Sequence[SubmodularCut], alpha_bar: float,
+                 scenario_index: int) -> list:
+    """Divide unit-scale cuts by a positive scale and file them under
+    ``scenario_index``, keeping their generating sets."""
     if alpha_bar <= 0:
         raise ValueError("scale must be positive")
-    out = []
-    for cut in cuts:
-        out.append(SubmodularCut(
-            constant=cut.constant / alpha_bar,
-            coefficients=tuple(c / alpha_bar for c in cut.coefficients),
-            scenario_index=cut.scenario_index,
-            generating_set=cut.generating_set,
-            scale=cut.scale * alpha_bar))
-    return out
+    return [SubmodularCut(constant=cut.constant / alpha_bar,
+                          coefficients=tuple(c / alpha_bar for c in cut.coefficients),
+                          scenario_index=scenario_index,
+                          generating_set=cut.generating_set,
+                          scale=cut.scale * alpha_bar)
+            for cut in cuts]
 
 
 def certify_ratio_optimal(bounds: Sequence[ScenarioBounds], x: Sequence[int],
@@ -107,11 +104,11 @@ def certify_ratio_optimal(bounds: Sequence[ScenarioBounds], x: Sequence[int],
     """
     chosen = support(x)
     ratios_ub = [fn.value(chosen) / b.upper for fn, b in zip(fns, bounds)]
-    if min(ratios_ub) >= relax_bound - TOL:
+    if min(ratios_ub) >= (1 - TOL) * relax_bound:
         return True, "lower bound meets the relaxation bound"
     ratios_lb = [fn.value(chosen) / b.lower for fn, b in zip(fns, bounds)]
     i_star = min(range(len(fns)), key=lambda i: (ratios_lb[i], i))
-    if all(bounds[i_star].lower >= bounds[i].upper - TOL
+    if all(bounds[i_star].lower >= (1 - TOL) * bounds[i].upper
            for i in range(len(fns)) if i != i_star):
         return True, "worst scenario's lower bound dominates all other upper bounds"
     return False, ""
@@ -146,11 +143,7 @@ def solve_ratio_robust(fns: Sequence[SetFunction], costs: Sequence[float],
                 "ratio scaling is undefined")
         per_scenario.append(bounds)
         scales.append(bounds.lower)
-        for cut in rescale_cuts(pool, bounds.lower):
-            reused.append(SubmodularCut(
-                constant=cut.constant, coefficients=cut.coefficients,
-                scenario_index=i, generating_set=cut.generating_set,
-                scale=cut.scale))
+        reused += rescale_cuts(pool, bounds.lower, i)
 
     remaining = None
     if config.time_limit is not None:
@@ -163,7 +156,7 @@ def solve_ratio_robust(fns: Sequence[SetFunction], costs: Sequence[float],
              for fn, b in zip(fns, per_scenario))
     lb = min(lb, ub)
     exact, reason = certify_ratio_optimal(per_scenario, report.x, fns, ub)
-    gap = max(0.0, (ub - lb) / max(ub, _TINY))
+    gap = (ub - lb) / ub if ub > 0 else 0.0
     return RatioReport(eta=report.eta, x=report.x, upper_bound=ub,
                        lower_bound=lb, gap=gap, iterations=report.iterations,
                        cuts_added=pre_cuts + report.cuts_added,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustmax import (DcgConfig, brute_force_robust, build_cut,
+from robustmax import (DcgConfig, SetFunction, brute_force_robust, build_cut,
                        expected_reduction_oracle, generate_instance, solve_robust,
                        strengthen_generating_set, support)
 
@@ -128,9 +128,8 @@ class TestSolveRobust:
             inst = generate_instance(n=9, edge_factor=1.4, m=3, j_count=3,
                                      budget=14, seed=seed)
             fns = inst.build_oracles()
-            cfg = DcgConfig(master_gap=0.0)
             rep = solve_robust(fns, [1.0] * len(fns), inst.network.sensor_costs,
-                               inst.network.budget, cfg)
+                               inst.network.budget)
             trace = rep.master_values
             assert all(trace[i + 1] <= trace[i] + 1e-12 for i in range(len(trace) - 1))
 
@@ -140,7 +139,7 @@ class TestSolveRobust:
         fns = inst.build_oracles()
         costs, b = inst.network.sensor_costs, inst.network.budget
         alphas = [1.0] * len(fns)
-        rep = solve_robust(fns, alphas, costs, b, DcgConfig(master_gap=0.0))
+        rep = solve_robust(fns, alphas, costs, b)
         best = 0.0
         for X in all_subsets(len(costs)):
             if sum(costs[j] for j in X) > b:
@@ -233,3 +232,96 @@ class TestBruteForce:
         fns, alphas, costs, budget = case
         assert brute_force_robust(fns, alphas, costs, budget) == \
             scalar_brute_force(fns, alphas, costs, budget)
+
+
+def scaled_fn(fn, scale):
+    """The oracle ``scale * fn``, wrapped as a SetFunction of its own."""
+    return SetFunction(fn.ground_size, lambda S: scale * fn.value(S))
+
+
+def placement_cost(costs, x) -> float:
+    return sum(c for c, xj in zip(costs, x) if xj)
+
+
+def assert_certified(fns, alphas, costs, budget, report):
+    """An optimal report's eta is the enumerated optimum (1e-9 relative) and
+    its x fits the budget and scores eta."""
+    ref, _ = brute_force_robust(fns, alphas, costs, budget)
+    assert report.status == "optimal"
+    assert abs(report.eta - ref) <= 1e-9 * abs(ref)
+    assert placement_cost(costs, report.x) <= budget
+    score = min(fn.value(support(report.x)) / a for fn, a in zip(fns, alphas))
+    assert abs(score - report.eta) <= 1e-9 * abs(ref)
+
+
+@st.composite
+def scaled_instances(draw):
+    """Coverage scenarios on up to 10 elements with fractional costs and a
+    budget that is random, a subset's cost (so that rounding decides ties) or
+    below every cost; alphas, oracle values, and costs with the budget each
+    scaled by their own power of ten."""
+    n = draw(st.integers(1, 10))
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    m = rng.randint(1, 3)
+    oracle_scale = 10.0 ** draw(st.integers(-12, 8))
+    fns = [scaled_fn(random_coverage(rng, n), oracle_scale) for _ in range(m)]
+    alpha_scale = 10.0 ** draw(st.integers(-6, 9))
+    alphas = [alpha_scale * rng.choice((1.0, 1.37, 1.74, 2.11)) for _ in range(m)]
+    costs = [rng.randint(1, 30) / 10 for _ in range(n)]
+    kind = draw(st.sampled_from(("random", "subset cost", "below every cost")))
+    if kind == "random":
+        budget = rng.uniform(0, sum(costs))
+    elif kind == "subset cost":
+        budget = sum(costs[j] for j in range(n) if rng.random() < 0.5)
+    else:
+        budget = min(costs) / 2
+    cost_scale = 10.0 ** draw(st.integers(-13, 9))
+    return fns, alphas, [c * cost_scale for c in costs], budget * cost_scale
+
+
+def scaled_water(seed, alpha_scale=1.0, cost_scale=1.0, oracle_scale=1.0,
+                 alphas=(1.0, 1.0, 1.0, 1.0)):
+    inst = generate_instance(n=10, edge_factor=2.0, m=4, j_count=4, budget=15, seed=seed)
+    fns = [scaled_fn(fn, oracle_scale) for fn in inst.build_oracles()]
+    costs = [c * cost_scale for c in inst.network.sensor_costs]
+    return (fns, [a * alpha_scale for a in alphas], costs,
+            inst.network.budget * cost_scale)
+
+
+class TestScaleInvariance:
+    """`optimal` is a true certificate at any positive scale of alphas,
+    oracle values and costs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(scaled_instances())
+    def test_matches_brute_force(self, case):
+        fns, alphas, costs, budget = case
+        assert_certified(fns, alphas, costs, budget,
+                         solve_robust(fns, alphas, costs, budget))
+
+    @settings(max_examples=50, deadline=None)
+    @given(scaled_instances())
+    def test_time_limit_zero_keeps_x_feasible(self, case):
+        fns, alphas, costs, budget = case
+        report = solve_robust(fns, alphas, costs, budget, DcgConfig(time_limit=0.0))
+        assert placement_cost(costs, report.x) <= budget
+        assert report.eta <= report.upper_bound
+
+    @pytest.mark.parametrize("seed", [10, 31])
+    def test_large_alphas(self, seed):
+        # eta used to come back 21% (seed 10) and 17% (seed 31) low
+        fns, alphas, costs, budget = scaled_water(seed, alpha_scale=1e6,
+                                                  alphas=(1.0, 1.37, 1.74, 2.11))
+        assert_certified(fns, alphas, costs, budget,
+                         solve_robust(fns, alphas, costs, budget, DcgConfig(stop_pt=2)))
+
+    def test_tiny_costs(self):
+        # an absolute knapsack slack used to admit an x over the budget
+        fns, alphas, costs, budget = scaled_water(0, cost_scale=1e-13)
+        assert_certified(fns, alphas, costs, budget,
+                         solve_robust(fns, alphas, costs, budget))
+
+    def test_tiny_oracle_values(self):
+        fns, alphas, costs, budget = scaled_water(1, oracle_scale=1e-12)
+        assert_certified(fns, alphas, costs, budget,
+                         solve_robust(fns, alphas, costs, budget))

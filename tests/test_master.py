@@ -8,6 +8,7 @@ import pytest
 
 from robustmax import (DcgConfig, MasterState, SubmodularCut, empty_set_cuts,
                        generate_instance, solve_robust)
+from robustmax.core import objective_slack
 
 from conftest import indicator
 
@@ -104,7 +105,7 @@ class TestSolve:
         ms = MasterState(3, (1, 1, 1), 1)
         for cut in empty_set_cuts(warmstart_triple, [1.0] * 3):
             ms.add_cut(cut)
-        res = ms.solve(gap_tol=0.0)
+        res = ms.solve(exact=True)
         assert res.eta == pytest.approx(2.0, abs=1e-12)
         assert res.x == (0, 1, 0)
         assert res.status == "optimal"
@@ -129,24 +130,31 @@ class TestSolve:
             ms = MasterState(n, costs, budget)
             for cut in pool:
                 ms.add_cut(cut, filter_dominated=False)
-            res = ms.solve(gap_tol=0.0)
+            res = ms.solve(exact=True)
             ref_val, ref_x = enumerate_best(pool, costs, budget)
             assert res.eta == pytest.approx(ref_val, abs=1e-9)
             assert res.bound <= ref_val + 1e-9
             assert res.x == ref_x  # lexicographically smallest optimum
 
-    def test_relative_gap_mode(self):
+    def test_pruning_bound_covers_optimum(self):
+        # The default solve prunes bound ties; the bounds of children pruned
+        # before they reach the heap still count towards the returned bound,
+        # at any scale of the pool.
         rng = Random(31)
-        pool = random_pool(rng, 8, 5)
-        costs = [rng.randint(1, 3) for _ in range(8)]
-        ms = MasterState(8, costs, 9)
-        for cut in pool:
-            ms.add_cut(cut, filter_dominated=False)
-        res = ms.solve(gap_tol=0.5, relative_gap=True)
-        exact, _ = enumerate_best(pool, costs, 9)
-        assert res.eta <= exact + 1e-9
-        assert res.bound >= exact - 1e-9
-        assert res.bound - res.eta <= 0.5 * max(abs(res.eta), 1.0) + 1e-9
+        for _ in range(30):
+            n = rng.randint(3, 9)
+            pool = random_pool(rng, n, rng.randint(2, 6))
+            costs = [rng.randint(1, 3) for _ in range(n)]
+            budget = rng.randint(1, sum(costs))
+            for scale in (1.0, 1e-6, 1e-9):
+                scaled = [SubmodularCut(c.constant * scale,
+                                        tuple(a * scale for a in c.coefficients), 0)
+                          for c in pool]
+                res = loaded_state(scaled, costs, budget).solve()
+                exact, _ = enumerate_best(scaled, costs, budget)
+                assert res.eta <= exact + 1e-9 * scale
+                assert res.bound >= exact - 1e-9 * scale
+                assert res.bound - res.eta <= objective_slack(scaled)
 
     def test_eta_is_pool_min_at_x(self):
         rng = Random(19)
@@ -180,10 +188,25 @@ class TestSolve:
                 ms2.add_cut(cut, filter_dominated=False)
             assert ms1.solve().eta == pytest.approx(ms2.solve().eta, abs=1e-12)
 
+    def test_budget_ties_decided_in_element_order(self):
+        # 0.1 + 0.2 + 0.3 rounds to 0.6000000000000001, above a budget of 0.6,
+        # as brute_force_robust and users sum it; the tolerant search must
+        # not hand that set back as the incumbent
+        cut = SubmodularCut(0.0, (1.0, 1.0, 1.0), 0)
+        for budget, eta in ((0.6, 2.0), (0.1 + 0.2 + 0.3, 3.0)):
+            for exact in (False, True):
+                res = loaded_state([cut], (0.1, 0.2, 0.3), budget).solve(exact=exact)
+                assert res.eta == eta
+                assert sum(c for c, x in zip((0.1, 0.2, 0.3), res.x) if x) <= budget
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError):
+            MasterState(2, (1, 1), -1)
+
     def test_lex_tie_break(self):
         ms = MasterState(2, (1, 1), 1)
         ms.add_cut(SubmodularCut(0.0, (1.0, 1.0), 0))
-        res = ms.solve(gap_tol=0.0)
+        res = ms.solve(exact=True)
         assert res.eta == 1.0
         assert res.x == (0, 1)
 
@@ -194,11 +217,11 @@ class TestSolve:
         ms = MasterState(14, costs, 10)
         for cut in pool:
             ms.add_cut(cut, filter_dominated=False)
-        res = ms.solve(gap_tol=0.0, time_limit=0.0)
+        res = ms.solve(exact=True, time_limit=0.0)
         assert res.status == "time_limit"
         assert res.eta <= res.bound + 1e-9
         assert sum(c for c, x in zip(costs, res.x) if x) <= 10
-        exact = ms.solve(gap_tol=0.0)
+        exact = ms.solve(exact=True)
         assert res.eta <= exact.eta + 1e-9 <= res.bound + 2e-9
 
 
@@ -357,7 +380,7 @@ class TestNodeCounts:
         rng = Random(3)
         pool = random_pool(rng, 10, 6)
         costs = [rng.randint(1, 4) for _ in range(10)]
-        res = loaded_state(pool, costs, 12).solve(gap_tol=0.0)
+        res = loaded_state(pool, costs, 12).solve(exact=True)
         assert res.nodes == len(evaluations) > 1
 
     # Master nodes summed over a whole solve_robust run; any change to the
@@ -391,10 +414,10 @@ class TestTableRebuild:
             split = rng.randint(1, len(pool) - 1)
             for cut in pool[:split]:
                 grown.add_cut(cut, filter_dominated=False)
-            grown.solve(gap_tol=0.0)
+            grown.solve(exact=True)
             for cut in pool[split:]:
                 grown.add_cut(cut, filter_dominated=False)
-            res = grown.solve(gap_tol=0.0)
-            fresh = loaded_state(pool, costs, budget).solve(gap_tol=0.0)
+            res = grown.solve(exact=True)
+            fresh = loaded_state(pool, costs, budget).solve(exact=True)
             assert (res.eta, res.x, res.bound, res.nodes) == \
                 (fresh.eta, fresh.x, fresh.bound, fresh.nodes)

@@ -15,7 +15,7 @@ from conftest import cut_is_valid, modular_fn
 class TestRescaleCuts:
     def test_scalar_division(self):
         cut = SubmodularCut(2.0, (0.0, 0.0, 2.0, 3.0), 0, frozenset({0, 1}))
-        (out,) = rescale_cuts([cut], 2.0)
+        (out,) = rescale_cuts([cut], 2.0, 0)
         assert out.constant == 1.0
         assert out.coefficients == (0.0, 0.0, 1.0, 1.5)
         assert out.generating_set == cut.generating_set
@@ -24,17 +24,17 @@ class TestRescaleCuts:
 
     def test_unit_scale_is_identity(self):
         cut = SubmodularCut(1.0, (0.5, 2.0), 3, frozenset({1}))
-        (out,) = rescale_cuts([cut], 1.0)
+        (out,) = rescale_cuts([cut], 1.0, 3)
         assert out == cut
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):
-            rescale_cuts([SubmodularCut(0.0, (1.0,), 0)], 0.0)
+            rescale_cuts([SubmodularCut(0.0, (1.0,), 0)], 0.0, 0)
 
     def test_rescaled_worked_cut_valid_for_scaled_function(self, facet_pair):
         f1, _ = facet_pair
         cut = build_cut(f1, {0, 1}, 1.0, 0)
-        (scaled,) = rescale_cuts([cut], 2.0)
+        (scaled,) = rescale_cuts([cut], 2.0, 0)
         assert cut_is_valid(scaled, f1, 2.0)
 
 
