@@ -27,10 +27,11 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-# The solve path's one tolerance: a comparison allows TOL times a magnitude
-# the solver already holds, so a certificate means the same at any positive
-# scale.  Objective values use objective_slack, generating-set tests f at the
-# incumbent, the knapsack search the largest cost (a returned x fits exactly).
+# The one tolerance: a comparison allows TOL times a magnitude the code
+# already holds, so a certificate or a verdict means the same at any
+# positive scale.  Objective values use objective_slack, generating-set tests
+# f at the incumbent, the knapsack search the largest cost (a returned x fits
+# exactly), the lawfulness checks the largest value of f.
 TOL = 1e-9
 
 
@@ -223,16 +224,18 @@ def facet_check(fns: Sequence[SetFunction], alphas: Sequence[float],
     i = scenario_index
     fi, ai = fns[i], alphas[i]
     outside = [j for j in range(n) if j not in gen]
+    # scaled values compare up to TOL times the largest one, at N
+    slack = TOL * max(fn.value(range(n)) / a for fn, a in zip(fns, alphas))
 
     def attains(subset_) -> bool:
-        return fi.value(subset_) / ai <= _scaled_min(fns, alphas, subset_) + TOL
+        return fi.value(subset_) / ai <= _scaled_min(fns, alphas, subset_) + slack
 
     witnesses: dict = {}
     cond_i = attains(gen)
     for j in sorted(gen):
         found = None
         for k in outside:
-            if fi.marginal(j, frozenset([k])) > TOL:
+            if fi.marginal(j, frozenset([k])) / ai > slack:
                 continue
             swap = (gen - {j}) | {k}
             if attains(swap) and attains(gen | {k}):
@@ -259,33 +262,36 @@ def check_submodular(fn: SetFunction, exhaustive_limit: int = 12,
     """True iff no monotonicity or diminishing-returns violation is found.
 
     Exhaustive over all (X, j, k) triples when the ground set is small,
-    seeded random sampling otherwise.
+    seeded random sampling otherwise.  Marginals compare up to TOL times
+    the largest |f| of the exhaustive table, or |f(N)| when sampling, so
+    the verdict does not depend on the oracle's scale.  (f(empty) = 0 is
+    enforced when the SetFunction is built.)
     """
     n = fn.ground_size
-    if abs(fn.value(())) > TOL:
-        return False
     if n <= exhaustive_limit:
         # F[mask] = f(mask); M[mask, j] = f(mask + j) - f(mask), which is 0
         # where j is in mask and so never a violation.
         F = fn.values(range(1 << n))
+        slack = TOL * float(np.abs(F).max())
         masks = np.arange(1 << n)
         M = F[masks[:, None] | (1 << np.arange(n))] - F[:, None]
-        if (M < -TOL).any():
+        if (M < -slack).any():
             return False
         # Diminishing returns in k: pair each mask without bit k (index 0 of
         # the middle axis) with mask + k.  The j = k column compares 0 with
-        # M[mask, k] + TOL, never a violation once M >= -TOL holds.
+        # M[mask, k] + slack, never a violation once M >= -slack holds.
         for k in range(n):
             pairs = M.reshape(-1, 2, 1 << k, n)
-            if (pairs[:, 1] > pairs[:, 0] + TOL).any():
+            if (pairs[:, 1] > pairs[:, 0] + slack).any():
                 return False
         return True
+    slack = TOL * abs(fn.value(range(n)))
     rng = Random(seed)
     for _ in range(samples):
         size = rng.randint(0, n - 2)
         base = frozenset(rng.sample(range(n), size))
         j, k = rng.sample([v for v in range(n) if v not in base], 2)
         mj = fn.marginal(j, base)
-        if mj < -TOL or fn.marginal(j, base | {k}) > mj + TOL:
+        if mj < -slack or fn.marginal(j, base | {k}) > mj + slack:
             return False
     return True

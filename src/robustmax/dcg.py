@@ -1,15 +1,18 @@
 """Delayed constraint generation for worst-case submodular maximization.
 
-Maximize min_i f_i(x)/alpha_i over knapsack-feasible binary x by alternating
-a relaxed master (cut pool) with exact separation.  On each incumbent the
-violated scenarios receive a fresh hypograph cut; with ``reduce`` on, only
-the scenarios attaining the worst scaled value are separated, which is
-sufficient for optimality and keeps the pool small.  A nonzero ``stop_pt``
-routes the incumbent support through :func:`strengthen_generating_set`,
-which swaps covered support elements for zero-marginal witnesses before the
-cut is built; the resulting inequality is still tight at the incumbent.
+Maximize min_i f_i(x)/alpha_i over knapsack-feasible binary x by branch and
+cut: one best-bound tree over a relaxed master (cut pool) lives for the whole
+run, and every candidate it finds that beats the incumbent goes to exact
+separation at once.  The violated scenarios receive a fresh hypograph cut;
+with ``reduce`` on, only the scenarios attaining the worst scaled value are
+separated, which is sufficient for optimality and keeps the pool small.  A
+nonzero ``stop_pt`` routes the candidate's support through
+:func:`strengthen_generating_set`, which swaps covered support elements for
+zero-marginal witnesses before the cut is built; the resulting inequality is
+still tight at the candidate.  The tree keeps its open nodes as cuts arrive
+and re-bounds each when it is next popped (Padberg & Rinaldi 1991).
 
-A run is sequential (master, then separation, then master); distinct runs
+A run is sequential (separation runs inside the tree's search); distinct runs
 are independent.
 """
 
@@ -24,12 +27,12 @@ import numpy as np
 
 from .core import (TOL, SetFunction, SubmodularCut, build_cut, empty_set_cuts,
                    objective_slack)
-from .master import MasterState, STATUS_OPTIMAL, STATUS_TIME_LIMIT
+from .master import MasterState, STATUS_OPTIMAL
 
 
 @dataclass
 class DcgConfig:
-    """Knobs for the cut loop.
+    """Knobs for the branch-and-cut solve.
 
     reduce            separate only the scenarios attaining the worst value
     stop_pt           witness count for generating-set strengthening (0 = off)
@@ -61,8 +64,10 @@ class SolveReport:
     ``eta`` is the best certified objective value and ``x`` the placement
     attaining it; ``upper_bound`` equals ``eta`` at optimality.  ``gap`` is
     (upper_bound - eta)/upper_bound for time-limited runs and 0 otherwise.
+    ``iterations`` is one plus the number of separations that added cuts,
     ``cuts_added`` counts pool growth beyond the warm start, and
-    ``master_values`` traces the master optimum per iteration.
+    ``master_values`` holds, per separation, the bound of the tree node being
+    expanded: the master's upper bound at that moment, nonincreasing.
     """
 
     eta: float
@@ -126,12 +131,12 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
                  costs: Sequence[float], budget: float,
                  config: DcgConfig | None = None,
                  initial_cuts: Iterable[SubmodularCut] = ()) -> SolveReport:
-    """Cut-generation solve of max min_i f_i(x)/alpha_i over the knapsack.
+    """Branch-and-cut solve of max min_i f_i(x)/alpha_i over the knapsack.
 
-    Terminates when the master bound no longer exceeds the incumbent's true
-    worst scaled value (then eta is the optimum, up to epsilon and the
-    objective slack of the warm-start pool) or when the time limit runs out
-    (then eta <= optimum <= upper_bound).  Never returns an infeasible x.
+    Terminates when no open node's bound exceeds the incumbent's true worst
+    scaled value (then eta is the optimum, up to epsilon and the objective
+    slack of the warm-start pool) or when the time limit runs out (then
+    eta <= optimum <= upper_bound).  Never returns an infeasible x.
     """
     config = config or DcgConfig()
     m = len(fns)
@@ -150,68 +155,50 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
     warm_size = len(state.cut_pool)
     slack = objective_slack(state.cut_pool)
 
-    best_lb = -math.inf
-    best_x = tuple(0 for _ in range(n))
     master_values: list = []
-    iterations = 0
-    status = STATUS_OPTIMAL
-    exact = False
-    while True:
-        remaining = None
-        if config.time_limit is not None:
-            remaining = max(0.0, config.time_limit - (time.monotonic() - start))
-        result = state.solve(exact=exact, time_limit=remaining)
-        iterations += 1
-        master_values.append(result.eta)
-        upper = result.bound
-        x_bar = result.x
+    separations = 0
+
+    def separate(x_bar: tuple, value: float, bound: float) -> float:
+        """Cut off x_bar for its violated scenarios; x_bar's worst scaled
+        value plus epsilon is what the tree must beat from now on."""
+        nonlocal separations
+        master_values.append(bound)
         chosen = support(x_bar)
         values = [fn.value(chosen) / a for fn, a in zip(fns, alphas)]
         worst = min(values)
-        if worst > best_lb + slack:
-            best_lb, best_x = worst, x_bar
-        if result.status == STATUS_TIME_LIMIT:
-            status = STATUS_TIME_LIMIT
-            break
-        if result.bound <= worst + config.epsilon + slack:
-            # no scenario is violated and the master bound certifies it
-            best_lb, best_x = worst, x_bar
-            break
-        if config.time_limit is not None and time.monotonic() - start > config.time_limit:
-            status = STATUS_TIME_LIMIT
-            break
-        if result.eta <= worst + config.epsilon + slack:
-            # incumbent shows no violation but the bound is loose: pruned
-            # bound ties are hiding the gap, so re-solve exactly
-            if exact:
-                raise RuntimeError("master bound stalled above a violation-free incumbent")
-            exact = True
-            continue
+        if value <= worst + config.epsilon + slack:
+            return worst + config.epsilon  # no scenario is violated
         if config.reduce:
             targets = [i for i, v in enumerate(values) if v <= worst + slack]
         else:
             targets = list(range(m))
         added_any = False
         for i in targets:
-            if result.eta <= values[i] + config.epsilon + slack:
+            if value <= values[i] + config.epsilon + slack:
                 continue
             gen = strengthen_generating_set(fns[i], chosen, config.stop_pt)
             cut = build_cut(fns[i], gen, alphas[i], i)
             added_any |= state.add_cut(cut, filter_dominated=config.filter_dominated)
         if not added_any:
             raise RuntimeError("separation stalled: violated scenario produced no new cut")
+        separations += 1
+        return worst + config.epsilon
 
-    wall = time.monotonic() - start
-    if status == STATUS_OPTIMAL:
-        gap = 0.0
-        upper = best_lb
+    remaining = None
+    if config.time_limit is not None:
+        remaining = max(0.0, config.time_limit - (time.monotonic() - start))
+    result = state.solve(time_limit=remaining, separate=separate)
+    x = result.x
+    eta = min(fn.value(support(x)) / a for fn, a in zip(fns, alphas))
+    if result.status == STATUS_OPTIMAL:
+        upper, gap = eta, 0.0
     else:
-        upper = max(upper, best_lb)
-        gap = (upper - best_lb) / upper if upper > 0 else 0.0
-    return SolveReport(eta=best_lb, x=best_x, upper_bound=upper, gap=gap,
-                       iterations=iterations,
+        upper = max(result.bound, eta)
+        gap = (upper - eta) / upper if upper > 0 else 0.0
+    return SolveReport(eta=eta, x=x, upper_bound=upper, gap=gap,
+                       iterations=separations + 1,
                        cuts_added=len(state.cut_pool) - warm_size,
-                       wall_time=wall, status=status,
+                       wall_time=time.monotonic() - start, status=result.status,
                        master_values=tuple(master_values),
                        pool=tuple(state.cut_pool))
 

@@ -8,13 +8,15 @@ Because every cut coefficient is nonnegative, a per-cut fractional knapsack
 over the free variables upper-bounds any feasible completion of a partial
 assignment; the node bound is the minimum of those per-cut values.  That
 bound drives a best-bound branch and bound, which keeps the artifact free of
-an external MILP dependency.
+an external MILP dependency.  Given a separation callback, the same search
+is branch and cut: cuts join the pool while the tree is open, and the nodes
+bounded before they arrived are re-bounded when popped.
 
-Branching fixes variables in one order per pool, so the free set of a node
-depends only on its depth.  Each time the pool changes, the per-cut prefix
-sums of weight and value over the free items in ratio order are tabulated
-once per depth; a node's bound is then one comparison against its remaining
-budget and a few gathers.
+Branching fixes variables in one order per solve, taken from the pool at its
+start, so the free set of a node depends only on its depth.  Each time the
+pool changes, the per-cut prefix sums of weight and value over the free items
+in ratio order are tabulated once per depth; a node's bound is then one
+comparison against its remaining budget and a few gathers.
 
 A MasterState is owned by a single solve call; distinct states may run in
 parallel.
@@ -26,7 +28,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -81,7 +83,10 @@ class MasterState:
 
     # -- prepared arrays -----------------------------------------------------
 
-    def _prepare(self):
+    def _prepare(self, branch_order: np.ndarray | None = None):
+        """Build the per-depth tables for the pool.  The branch order comes
+        from the pool unless ``branch_order`` is given, as it is when the
+        pool grows during a solve."""
         if not self._dirty:
             return
         # Free the previous pool's tables before building the new ones.
@@ -96,10 +101,12 @@ class MasterState:
         self._C = C
         self._cost = cost
         self._slack = objective_slack(self.cut_pool)
-        # Branch priority: free variable with the best guaranteed (min over
-        # cuts) coefficient per unit cost, ties to the smallest index.
-        score = A.min(axis=0) / cost
-        self._branch_order = np.lexsort((np.arange(n), -score))
+        if branch_order is None:
+            # Branch priority: free variable with the best guaranteed (min
+            # over cuts) coefficient per unit cost, ties to the smallest index.
+            score = A.min(axis=0) / cost
+            branch_order = np.lexsort((np.arange(n), -score))
+        self._branch_order = branch_order
         # Per-cut items in ratio order, then two pad items of zero value and
         # unit weight that are free at every depth: a row whose free items
         # all fit splits the first pad.
@@ -185,7 +192,9 @@ class MasterState:
 
     # -- solve ----------------------------------------------------------------
 
-    def solve(self, exact: bool = False, time_limit: float | None = None) -> MasterResult:
+    def solve(self, exact: bool = False, time_limit: float | None = None,
+              separate: Callable[[tuple, float, float], float] | None = None
+              ) -> MasterResult:
         """Best-bound branch and bound over the pool.
 
         A node is pruned once its bound is within the pool's objective slack
@@ -195,6 +204,17 @@ class MasterState:
         largest bound of a node pruned or left open, so no feasible x scores
         above it by more than the slack.  A time limit never raises: the
         incumbent and the bound are returned with status "time_limit".
+
+        With ``separate`` the search is branch and cut in one tree.  Every
+        candidate x that fits and whose pool value beats the incumbent by
+        more than the slack goes at once to ``separate(x, value, bound)``,
+        with its pool value and the bound of the node being expanded (the
+        best bound left).  The callback may add cuts with :meth:`add_cut`
+        and returns the value later candidates must beat: the true objective
+        at x plus any margin the caller accepts as optimal.  The incumbent
+        and the pruning then follow those values, not pool values.  Open
+        nodes are kept when cuts arrive: a node bounded under an older pool
+        is re-bounded when popped, in the branch order the solve began with.
         """
         if not self.cut_pool:
             raise ValueError("cut pool is empty; solve needs at least one cut")
@@ -204,9 +224,18 @@ class MasterState:
         margin = -slack if exact else slack  # explore while bound > incumbent + margin
 
         inc_value, inc_x = -math.inf, ()
+        version = 0  # pool changes in this solve; each heap node records its own
 
         def offer(value: float, ones: np.ndarray):
-            nonlocal inc_value, inc_x
+            nonlocal inc_value, inc_x, version
+            if separate is not None:
+                # every value offered is bounded under the current pool
+                if value <= inc_value + margin or not self._fits(ones):
+                    return
+                value = separate(tuple(int(b) for b in ones), value, expanding)
+                if self._dirty:
+                    self._prepare(self._branch_order)
+                    version += 1
             if value > inc_value + slack and self._fits(ones):
                 inc_value = value
                 inc_x = tuple(int(b) for b in ones)
@@ -215,16 +244,19 @@ class MasterState:
                 if x < inc_x and self._fits(ones):
                     inc_x = x
 
-        offer(*self._greedy_start())
         root_ones = np.zeros(self.n, dtype=bool)
         root_bound, root_value = self._evaluate(self._C, 0, 0.0)
         nodes = 1
-        offer(root_value, root_ones)
+        expanding = root_bound  # bound of the node being expanded
+        offer(*self._greedy_start())
+        # the all-zeros x, valued under the pool the greedy start may have grown
+        offer(float(self._C.min()), root_ones)
         seq = 0
         # Heap entries: (-bound, seq, ones, per-cut value of ones, depth, cost
-        # of ones, zeros-completion value).  The zero child keeps its parent's
-        # ones, so it reuses the parent's zeros-completion value.
-        heap = [(-root_bound, seq, root_ones, self._C, 0, 0.0, root_value)]
+        # of ones, zeros-completion value, pool version of the bound).  The
+        # zero child keeps its parent's ones, so it reuses the parent's
+        # zeros-completion value.
+        heap = [(-root_bound, seq, root_ones, self._C, 0, 0.0, root_value, 0)]
         status = STATUS_OPTIMAL
         top_pruned = -math.inf  # largest bound of a node pruned, popped or not
 
@@ -237,7 +269,8 @@ class MasterState:
                 top_pruned = max(top_pruned, bound)
 
         while heap:
-            neg_bound, _, ones, base, level, cost_ones, zero_value = heapq.heappop(heap)
+            (neg_bound, _, ones, base, level, cost_ones, zero_value,
+             node_version) = heapq.heappop(heap)
             bound = -neg_bound
             if bound <= inc_value + margin:
                 # best-first order: nothing left can beat the incumbent
@@ -247,8 +280,19 @@ class MasterState:
                 status = STATUS_TIME_LIMIT
                 top_pruned = max(top_pruned, bound)
                 break
+            if node_version != version:
+                # Cuts arrived since this node was bounded; its stale bound
+                # is still valid, as cuts only lower bounds.  Re-bound it
+                # from its ones, since dominated cuts may have left the pool.
+                base = self._C + self._A @ ones
+                bound, zero_value = self._evaluate(base, level, cost_ones)
+                nodes += 1
+                if bound <= inc_value + margin or (heap and bound < -heap[0][0]):
+                    push(bound, ones, base, level, cost_ones, zero_value, version)
+                    continue
             if level >= self.n:
                 continue
+            expanding = bound
             j = int(self._branch_order[level])
             if cost_ones + self._cost[j] <= self.budget + self._cost_slack:
                 child_ones = ones.copy()
@@ -257,13 +301,22 @@ class MasterState:
                 child_cost = cost_ones + float(self._cost[j])
                 b1, v1 = self._evaluate(child_base, level + 1, child_cost)
                 nodes += 1
+                bounded_under = version
                 offer(v1, child_ones)
-                push(b1, child_ones, child_base, level + 1, child_cost, v1)
+                push(b1, child_ones, child_base, level + 1, child_cost, v1, bounded_under)
+                if version != bounded_under:
+                    base = self._C + self._A @ ones
+                    zero_value = None
             b0, v0 = self._evaluate(base, level + 1, cost_ones, zero_value)
             nodes += 1
+            bounded_under = version
             offer(v0, ones)
-            push(b0, ones, base, level + 1, cost_ones, v0)
+            push(b0, ones, base, level + 1, cost_ones, v0, bounded_under)
 
+        if version:
+            # the tables keep this solve's branch order; the next solve
+            # derives its own from the grown pool
+            self._dirty = True
         x_arr = np.array(inc_x, dtype=float)
         eta = float((self._C + self._A @ x_arr).min())
         bound = max(eta, inc_value, top_pruned)

@@ -17,19 +17,20 @@ from conftest import (all_subsets, cut_is_valid, modular_fn,
 
 def scalar_check_submodular(fn: SetFunction) -> bool:
     """Reference for the exhaustive check: every (X, j, k) triple, one
-    marginal at a time."""
+    marginal at a time, up to TOL times the largest |f|."""
     n = fn.ground_size
+    slack = TOL * max(abs(fn.value(S)) for S in all_subsets(n))
     for mask in range(1 << n):
         base = frozenset(j for j in range(n) if mask >> j & 1)
         out = [j for j in range(n) if not mask >> j & 1]
         for j in out:
             mj = fn.marginal(j, base)
-            if mj < -TOL:
+            if mj < -slack:
                 return False
             for k in out:
                 if k == j:
                     continue
-                if fn.marginal(j, base | {k}) > mj + TOL:
+                if fn.marginal(j, base | {k}) > mj + slack:
                     return False
     return True
 
@@ -49,8 +50,9 @@ def scalar_build_cut(fn: SetFunction, subset, alpha: float) -> tuple:
 @st.composite
 def set_function_tables(draw):
     """(table of f over all 2^n bitmasks, the verdict its construction
-    forces or None).  Noisy coverage straddles TOL; the concave kind breaks
-    monotonicity only and the joint bonus diminishing returns only."""
+    forces or None).  Noisy coverage straddles the tolerance, TOL times the
+    largest value; the concave kind breaks monotonicity only and the joint
+    bonus diminishing returns only."""
     n = draw(st.integers(1, 8))
     kind = draw(st.sampled_from(("coverage", "concave of size", "joint bonus", "random")))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -60,7 +62,7 @@ def set_function_tables(draw):
         covers = rng.random((n, 6)) < 0.4
         table = ((bits @ covers) > 0) @ rng.integers(1, 6, 6).astype(float)
         noise = draw(st.sampled_from((0.0, 2e-10, 5e-10, 1e-9)))
-        table += noise * rng.uniform(-1.0, 1.0, table.shape)
+        table += noise * table.max() * rng.uniform(-1.0, 1.0, table.shape)
         expected = True if noise == 0.0 else None
     elif kind == "concave of size":
         size = bits.sum(axis=1)
@@ -71,7 +73,7 @@ def set_function_tables(draw):
         joint = rng.permutation(n)[:max(2, int(rng.integers(0, n + 1)))]
         bonus = draw(st.sampled_from((5e-10, 1e-9, 1.5e-9, 1e-3, 1.0)))
         table += bonus * bits[:, joint].all(axis=1)
-        expected = False if n >= 2 and bonus > 2 * TOL else None
+        expected = False if n >= 2 and bonus > 2 * TOL * np.abs(table).max() else None
     else:
         table = rng.uniform(-1.0, 3.0, 1 << n)
     table[0] = 0.0
@@ -248,6 +250,25 @@ class TestFacetCheck:
                 assert tight_face_rank(fns, alphas, cut) == n
         assert positives >= 5  # the implication must actually be exercised
 
+    def test_verdicts_do_not_depend_on_scale(self):
+        # with an absolute TOL, tiny oracles attained every minimum and had
+        # zero pair marginals everywhere
+        rng = Random(37)
+        flips = 0
+        for _ in range(60):
+            n = 5
+            fns = [random_coverage(rng, n, duplicates=True) for _ in range(2)]
+            X = frozenset(rng.sample(range(n), rng.randint(1, 3)))
+            i = rng.randrange(2)
+            verdicts = set()
+            for scale in (1.0, 1e-12, 1e9):
+                scaled = [SetFunction(n, lambda S, fn=fn: scale * fn.value(S)) for fn in fns]
+                diag = facet_check(scaled, [1.0, 1.0], X, i)
+                verdicts.add((diag.cond_i, diag.cond_ii, tuple(diag.witnesses.items())))
+            assert len(verdicts) == 1
+            flips += not (diag.cond_i and diag.cond_ii)
+        assert flips > 10  # negative verdicts, which a tiny scale used to flip
+
 
 class TestCheckSubmodular:
     def test_modular_passes(self):
@@ -267,11 +288,26 @@ class TestCheckSubmodular:
         assert not check_submodular(fn, exhaustive_limit=4, samples=4000, seed=1)
 
     def test_differences_of_exactly_tol_pass(self):
-        # a marginal of exactly -TOL, and one that grows by exactly TOL
-        for table, verdict in (([0.0, -TOL], True), ([0.0, 0.0, 0.0, TOL], True),
-                               ([0.0, -2 * TOL], False), ([0.0, 0.0, 0.0, 2 * TOL], False)):
-            assert check_submodular(table_fn(table)) is verdict
-            assert scalar_check_submodular(table_fn(table)) is verdict
+        # The tolerance is TOL times the largest |f|, here the scale.  A
+        # marginal of exactly minus that passes and of twice it fails; a
+        # marginal that grows by half of it passes and by twice it fails
+        # (1 + TOL has no exact binary form, so growth has no exact case).
+        cases = (([0.0, -TOL, 1.0, 1.0], True), ([0.0, -2 * TOL, 1.0, 1.0], False),
+                 ([0.0, 0.0, 1.0, 1.0 + 0.5 * TOL], True),
+                 ([0.0, 0.0, 1.0, 1.0 + 2 * TOL], False))
+        for scale in (1.0, 1e-9, 1e-12, 1e8):
+            for table, verdict in cases:
+                scaled = table_fn([scale * v for v in table])
+                assert check_submodular(scaled) is verdict, (scale, table)
+                assert scalar_check_submodular(scaled) is verdict, (scale, table)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-12])
+    def test_non_monotone_fails_at_every_scale(self, scale):
+        # f = 1 on nonempty sets minus 0.5 on the full set; an absolute TOL
+        # let it pass at scales 1e-9 and 1e-12
+        fn = SetFunction(3, lambda S: scale * ((1.0 if S else 0.0) - (0.5 if len(S) == 3 else 0.0)))
+        assert not check_submodular(fn)
+        assert not scalar_check_submodular(fn)
 
     @settings(max_examples=150, deadline=None)
     @given(set_function_tables())
