@@ -17,7 +17,7 @@ from .ratio import (RatioReport, ScenarioBounds, certify_ratio_optimal,
 from .water import (Instance, Network, ParseError, ReductionMatrix, Scenario,
                     expected_reduction_oracle, generate_instance,
                     parse_instance, reduction_matrix, serialize_instance,
-                    shortest_times, with_budget)
+                    shortest_times)
 
 __all__ = [
     "SetFunction", "SubmodularCut", "FacetDiagnostics", "build_cut",
@@ -29,7 +29,7 @@ __all__ = [
     "solve_ratio_robust", "certify_ratio_optimal",
     "Network", "Scenario", "ReductionMatrix", "Instance", "ParseError",
     "shortest_times", "reduction_matrix", "expected_reduction_oracle",
-    "parse_instance", "serialize_instance", "generate_instance", "with_budget",
+    "parse_instance", "serialize_instance", "generate_instance",
 ]
 
 __version__ = "0.1.0"

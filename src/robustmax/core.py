@@ -2,11 +2,14 @@
 
 A :class:`SetFunction` wraps a monotone submodular function on the ground set
 ``{0, .., n-1}`` with memoized evaluation.  The memo is keyed by bitmask (bit
-j set iff element j is in the set) and every miss goes through one path;
-callers that need many values read them in batches, by bitmask
-(:meth:`SetFunction.values`) or as all marginals at one set
-(:meth:`SetFunction.marginals`), and the exhaustive lawfulness check works
-on the table of all 2^n values at once.  From an oracle and a generating
+j set iff element j is in the set).  Callers that need many values read
+them in batches, by bitmask (:meth:`SetFunction.values`) or as all marginals
+at one set (:meth:`SetFunction.marginals`), and the lawfulness checks read
+all their values in one batch.  An oracle may carry a vectorised form,
+``eval_fn.batch``, from a (B, n) bool membership matrix to B floats; a batch
+read then fills all its misses with one call to it.  Its values must equal
+``eval_fn``'s with ``==``, so the memo is the same whichever form filled
+it.  A single miss goes to ``eval_fn``.  From an oracle and a generating
 set, :func:`build_cut` produces the linear inequality
 
     eta <= constant + sum_j coefficients[j] * x[j]
@@ -36,13 +39,21 @@ TOL = 1e-9
 
 
 class SetFunction:
-    """Memoized oracle for a normalized monotone submodular set function.
+    """Memoized oracle for a monotone submodular set function.
 
-    ``eval_fn`` maps a frozenset of 0-based elements to a float and must
-    satisfy ``eval_fn(frozenset()) == 0``.
+    ``eval_fn`` maps a frozenset of 0-based elements to a float, and
+    ``eval_fn(frozenset())`` must be within TOL of 0.  The memo keeps the
+    value the oracle returns there, so every marginal is a difference of two
+    of its own values.
+
+    ``eval_fn`` may carry an optional vectorised form as the attribute
+    ``eval_fn.batch``: a function from a (B, n) bool membership matrix to
+    B floats.  :meth:`values` then fills all the keys it is missing with one
+    call to it.  Its row for S must equal ``eval_fn(S)`` with ``==``, so the
+    memo holds the same value whichever form filled it.
     """
 
-    __slots__ = ("ground_size", "_eval", "_cache", "name")
+    __slots__ = ("ground_size", "_eval", "_batch", "_cache", "name")
 
     def __init__(self, ground_size: int, eval_fn: Callable[[frozenset], float],
                  name: str = ""):
@@ -50,12 +61,12 @@ class SetFunction:
             raise ValueError("ground_size must be positive")
         self.ground_size = ground_size
         self._eval = eval_fn
-        self._cache: dict = {}
+        self._batch = getattr(eval_fn, "batch", None)
         self.name = name
-        empty = eval_fn(frozenset())
+        empty = float(eval_fn(frozenset()))
         if abs(empty) > TOL:
             raise ValueError(f"set function is not normalized: f(empty)={empty!r}")
-        self._cache[0] = 0.0
+        self._cache: dict = {0: empty}
 
     def _key(self, subset: Iterable[int]):
         mask = 0
@@ -66,17 +77,37 @@ class SetFunction:
             mask |= 1 << j
         return mask
 
-    def _value_by_key(self, key: int) -> float:
-        """f at a bitmask; the one path by which the memo is filled."""
-        cached = self._cache.get(key)
-        if cached is None:
-            n = self.ground_size
+    def _check_keys(self, *keys: int):
+        n = self.ground_size
+        for key in keys:
             if key < 0 or key >> n:
                 raise ValueError(f"bitmask {key} out of range for ground set of size {n}")
-            members = frozenset(j for j in range(n) if key >> j & 1)
-            cached = float(self._eval(members))
+
+    def _value_by_key(self, key: int) -> float:
+        """f at a bitmask, one oracle call on a miss."""
+        cached = self._cache.get(key)
+        if cached is None:
+            self._check_keys(key)
+            members = []
+            rest = key
+            while rest:
+                low = rest & -rest
+                members.append(low.bit_length() - 1)
+                rest ^= low
+            cached = float(self._eval(frozenset(members)))
             self._cache[key] = cached
         return cached
+
+    def _fill(self, missing: list):
+        """Memoize f at each of the distinct bitmasks ``missing``, in one
+        call to the oracle's vectorised form."""
+        self._check_keys(min(missing), max(missing))
+        n = self.ground_size
+        width = (n + 7) // 8
+        packed = np.frombuffer(b"".join(k.to_bytes(width, "little") for k in missing),
+                               dtype=np.uint8).reshape(len(missing), width)
+        members = np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+        self._cache.update(zip(missing, np.asarray(self._batch(members), dtype=float).tolist()))
 
     def value(self, subset: Iterable[int]) -> float:
         """f(S), cached by subset bitmask."""
@@ -93,11 +124,21 @@ class SetFunction:
         return self._value_by_key(key | bit) - self._value_by_key(key)
 
     def values(self, keys: Iterable[int]) -> np.ndarray:
-        """f at each bitmask in ``keys``, as one float array."""
+        """f at each bitmask in ``keys``, as one float array.  Two or more
+        distinct misses go to the oracle's vectorised form in one call when
+        it has one (a single miss is cheaper per key)."""
         get = self._cache.get
-        miss = self._value_by_key
-        return np.array([v if (v := get(k)) is not None else miss(k) for k in keys],
-                        dtype=float)
+        keys = keys if isinstance(keys, list) else list(keys)
+        found = [get(k) for k in keys]
+        if None in found:
+            missing = list(dict.fromkeys(k for k, v in zip(keys, found) if v is None))
+            if self._batch is not None and len(missing) > 1:
+                self._fill(missing)
+            else:
+                for k in missing:
+                    self._value_by_key(k)
+            found = [get(k) for k in keys]
+        return np.array(found, dtype=float)
 
     def marginals(self, subset: Iterable[int]) -> np.ndarray:
         """f(S + j) - f(S) for every element j; zero where j is in S, since
@@ -125,12 +166,6 @@ class SubmodularCut:
     @property
     def ground_size(self) -> int:
         return len(self.coefficients)
-
-    def rhs_at(self, x: Sequence[float]) -> float:
-        """Right-hand side evaluated at a binary (or fractional) point."""
-        if len(x) != len(self.coefficients):
-            raise ValueError("point dimension does not match cut")
-        return self.constant + sum(c * xi for c, xi in zip(self.coefficients, x))
 
 
 def build_cut(fn: SetFunction, subset: Iterable[int], alpha: float,
@@ -264,8 +299,8 @@ def check_submodular(fn: SetFunction, exhaustive_limit: int = 12,
     Exhaustive over all (X, j, k) triples when the ground set is small,
     seeded random sampling otherwise.  Marginals compare up to TOL times
     the largest |f| of the exhaustive table, or |f(N)| when sampling, so
-    the verdict does not depend on the oracle's scale.  (f(empty) = 0 is
-    enforced when the SetFunction is built.)
+    the verdict does not depend on the oracle's scale.  f(empty) is the
+    oracle's own value, read like any other.
     """
     n = fn.ground_size
     if n <= exhaustive_limit:
@@ -285,13 +320,17 @@ def check_submodular(fn: SetFunction, exhaustive_limit: int = 12,
             if (pairs[:, 1] > pairs[:, 0] + slack).any():
                 return False
         return True
+    # Draw every sample first, then read the four values of each,
+    # f(X), f(X + j), f(X + k) and f(X + j + k), in one batch.
     slack = TOL * abs(fn.value(range(n)))
     rng = Random(seed)
+    keys = []
     for _ in range(samples):
         size = rng.randint(0, n - 2)
         base = frozenset(rng.sample(range(n), size))
         j, k = rng.sample([v for v in range(n) if v not in base], 2)
-        mj = fn.marginal(j, base)
-        if mj < -slack or fn.marginal(j, base | {k}) > mj + slack:
-            return False
-    return True
+        key = sum(1 << v for v in base)
+        keys += (key, key | 1 << j, key | 1 << k, key | 1 << j | 1 << k)
+    F = fn.values(keys).reshape(-1, 4)
+    mj = F[:, 1] - F[:, 0]
+    return not ((mj < -slack).any() or (F[:, 3] - F[:, 2] > mj + slack).any())

@@ -108,13 +108,18 @@ def strengthen_generating_set(fn: SetFunction, incumbent: Iterable[int],
     covered: set = set()
     admitted: set = set()
     bar = sorted(incumbent)
-    for j, gain in enumerate(fn.marginals(incumbent).tolist()):
-        if gain > slack:
-            continue
+    zero = [j for j, gain in enumerate(fn.marginals(incumbent).tolist()) if gain <= slack]
+    # Every pair marginal f({j, k}) - f({k}), read in two batches; for
+    # k = j it is 0, as marginal(j, {j}) is.
+    pairs = [(j, k) for j in zero for k in bar]
+    pair_gain = (fn.values([1 << j | 1 << k for j, k in pairs])
+                 - fn.values([1 << k for _, k in pairs])).tolist()
+    witness = {pair for pair, gain in zip(pairs, pair_gain) if gain <= slack}
+    for j in zero:
         tmp = set(covered)
         counter = 0
         for k in bar:
-            if fn.marginal(j, frozenset([k])) <= slack:
+            if (j, k) in witness:
                 counter += 1
                 tmp.add(k)
             if counter == stop_pt:

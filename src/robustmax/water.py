@@ -16,12 +16,15 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from random import Random
 
 import numpy as np
 
 from .core import SetFunction, TOL
+
+# Most bool entries one chunk of a batched oracle evaluation holds at once.
+BATCH_CHUNK = 1 << 16
 
 
 class ParseError(ValueError):
@@ -135,7 +138,49 @@ def expected_reduction_oracle(network: Network, scenario: Scenario,
             return 0.0
         return float(probs @ saved[sorted(subset)].max(axis=0))
 
+    evaluate.batch = _BatchEvaluation(saved, probs)
     return SetFunction(network.node_count, evaluate, name=name)
+
+
+class _BatchEvaluation:
+    """The vectorised form of the water oracle: a (B, n) bool membership
+    matrix to B values, each equal with == to the scalar evaluation.
+
+    Per source, the sensor nodes are ranked by saved count, descending, and
+    the ranking ends with a sentinel node n that every set holds and that
+    saves 0 (saved is >= 0, so the sentinel sets the value only where the
+    members save 0 for that source or there are none).  A set's best sensor
+    for that source is its first member in the ranking, found by argmax, and
+    its count is an element of saved: the same max the scalar evaluation
+    takes.  matmul of (1, k) by (k, 1) blocks takes the same dot product as
+    ``probs @ row``, so the two agree with ==.
+    """
+
+    __slots__ = ("saved", "probs", "_ranking")
+
+    def __init__(self, saved: np.ndarray, probs: np.ndarray):
+        self.saved = saved
+        self.probs = probs
+        self._ranking = None  # built on the first call: building an oracle costs no more
+
+    def __call__(self, members: np.ndarray) -> np.ndarray:
+        saved, probs = self.saved, self.probs
+        n, k = saved.shape
+        if self._ranking is None:
+            order = np.argsort(-saved, axis=0, kind="stable")
+            ranked = np.vstack([np.take_along_axis(saved, order, axis=0), np.zeros(k)])
+            self._ranking = np.vstack([order, np.full(k, n)]).T.copy(), ranked
+        order, ranked = self._ranking  # (k, n + 1) node ids, (n + 1, k) counts
+        held = np.ones((len(members), n + 1), dtype=bool)
+        held[:, :n] = members
+        sources = np.arange(k)
+        out = np.empty(len(members))
+        # chunks bound the (rows, k, n + 1) bool temporary
+        step = max(1, BATCH_CHUNK // order.size)
+        for lo in range(0, len(members), step):
+            best = ranked[held[lo:lo + step, order].argmax(axis=2), sources]
+            out[lo:lo + step] = np.matmul(best[:, None, :], probs[:, None]).ravel()
+        return out
 
 
 @dataclass(frozen=True)
@@ -339,9 +384,3 @@ def generate_instance(n: int, edge_factor: float, m: int, j_count: int,
     return Instance(network=network, scenarios=scenarios,
                     budget_infeasible=budget < min(costs))
 
-
-def with_budget(instance: Instance, budget: int) -> Instance:
-    """Copy of the instance with a different knapsack budget."""
-    net = replace(instance.network, budget=budget)
-    return replace(instance, network=net,
-                   budget_infeasible=budget < min(net.sensor_costs))

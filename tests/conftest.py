@@ -88,9 +88,15 @@ def scaled_min(fns, alphas, subset) -> float:
     return min(fn.value(subset) / a for fn, a in zip(fns, alphas))
 
 
+def rhs(cut, x) -> float:
+    """A cut's right-hand side at a binary (or fractional) point."""
+    assert len(x) == len(cut.coefficients), "point dimension does not match cut"
+    return cut.constant + sum(c * xi for c, xi in zip(cut.coefficients, x))
+
+
 def cut_is_valid(cut, fn, alpha, tol=1e-9) -> bool:
     n = fn.ground_size
-    return all(fn.value(X) / alpha <= cut.rhs_at(indicator(X, n)) + tol
+    return all(fn.value(X) / alpha <= rhs(cut, indicator(X, n)) + tol
                for X in all_subsets(n))
 
 
@@ -100,7 +106,7 @@ def tight_face_rank(fns, alphas, cut) -> int:
     points = []
     for X in all_subsets(n):
         top = scaled_min(fns, alphas, X)
-        if abs(cut.rhs_at(indicator(X, n)) - top) <= 1e-9:
+        if abs(rhs(cut, indicator(X, n)) - top) <= 1e-9:
             points.append((top,) + indicator(X, n))
     if len(points) < 2:
         return 0

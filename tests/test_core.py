@@ -4,7 +4,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from robustmax import (SetFunction, SubmodularCut, build_cut, check_submodular,
@@ -33,6 +33,36 @@ def scalar_check_submodular(fn: SetFunction) -> bool:
                 if fn.marginal(j, base | {k}) > mj + slack:
                     return False
     return True
+
+
+def scalar_sampled_check_submodular(fn: SetFunction, samples: int, seed: int) -> bool:
+    """Reference for the sampled check: the same Random(seed) draws, one
+    marginal at a time, stopping at the first violation."""
+    n = fn.ground_size
+    slack = TOL * abs(fn.value(range(n)))
+    rng = Random(seed)
+    for _ in range(samples):
+        size = rng.randint(0, n - 2)
+        base = frozenset(rng.sample(range(n), size))
+        j, k = rng.sample([v for v in range(n) if v not in base], 2)
+        mj = fn.marginal(j, base)
+        if mj < -slack or fn.marginal(j, base | {k}) > mj + slack:
+            return False
+    return True
+
+
+def batched(fn: SetFunction, calls: list) -> SetFunction:
+    """fn's values behind an oracle with a vectorised form that records the
+    rows of each call."""
+    def evaluate(S):
+        return fn.value(S)
+
+    def batch(members):
+        calls.append(members.copy())
+        return np.array([fn.value(np.flatnonzero(row).tolist()) for row in members])
+
+    evaluate.batch = batch
+    return SetFunction(fn.ground_size, evaluate)
 
 
 def scalar_build_cut(fn: SetFunction, subset, alpha: float) -> tuple:
@@ -104,6 +134,15 @@ class TestMarginal:
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             SetFunction(2, lambda S: 1.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-12])
+    def test_own_empty_value_kept(self, scale):
+        # f(empty) = 5e-10 passes the normalization check; the memo must keep
+        # it, or the first marginal reads 5.01e-10 instead of 1e-12
+        fn = SetFunction(2, lambda S: scale * (5e-10 + 1e-12 * len(S)))
+        assert fn.value(()) == scale * 5e-10
+        assert fn.marginal(0, ()) == pytest.approx(1e-12 * scale, rel=1e-6)
+        assert fn.marginals(()).tolist() == [fn.marginal(0, ()), fn.marginal(1, ())]
 
 
 class TestBuildCut:
@@ -310,6 +349,22 @@ class TestCheckSubmodular:
         assert not scalar_check_submodular(fn)
 
     @settings(max_examples=150, deadline=None)
+    @given(set_function_tables(), st.integers(1, 300), st.integers(0, 2**16))
+    def test_sampled_verdict_matches_scalar_reference(self, case, samples, seed):
+        table, _ = case
+        assume(len(table) >= 4)  # sampling draws two elements outside a set
+        fn = table_fn(table)
+        verdict = check_submodular(fn, exhaustive_limit=0, samples=samples, seed=seed)
+        assert verdict is scalar_sampled_check_submodular(fn, samples, seed)
+
+    def test_sampled_verdicts_on_lawful_and_violating(self):
+        lawful = random_coverage(Random(3), 10)
+        violating = SetFunction(10, lambda S: float(len(S) ** 2))
+        for fn, verdict in ((lawful, True), (violating, False)):
+            assert check_submodular(fn, exhaustive_limit=0, samples=500, seed=2) is verdict
+            assert scalar_sampled_check_submodular(fn, 500, 2) is verdict
+
+    @settings(max_examples=150, deadline=None)
     @given(set_function_tables())
     def test_verdict_matches_scalar_reference(self, case):
         table, expected = case
@@ -327,6 +382,43 @@ class TestBatchReads:
         n = fn.ground_size
         S = data.draw(st.sets(st.integers(0, n - 1)))
         assert fn.marginals(S).tolist() == [fn.marginal(j, S) for j in range(n)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(set_function_tables(), st.data())
+    def test_values_match_per_key_reads(self, case, data):
+        # hits, misses and duplicates in one call: the same array and the
+        # same memo as reading each key alone
+        table = case[0]
+        keys_of = st.lists(st.integers(0, len(table) - 1), max_size=40)
+        warm, keys = data.draw(keys_of), data.draw(keys_of)
+        calls = []
+        batch_fn, scalar_fn = batched(table_fn(table), calls), table_fn(table)
+        for fn in (batch_fn, scalar_fn):
+            fn.values(warm)
+        calls.clear()
+        got = batch_fn.values(keys)
+        assert got.tolist() == [scalar_fn.values([k]).item() for k in keys]
+        assert batch_fn._cache == scalar_fn._cache
+        # one call with each distinct miss once, and only for two or more
+        missing = set(keys) - set(warm) - {0}
+        assert len(calls) == (len(missing) > 1)
+        if calls:
+            assert len(calls[0]) == len(missing)
+
+    def test_batch_beyond_64_elements(self):
+        n = 72
+
+        def evaluate(S):
+            return float(len(S))
+
+        evaluate.batch = lambda members: members.sum(axis=1).astype(float)
+        fn = SetFunction(n, evaluate)
+        keys = [1 << 71 | 1 << 3, (1 << n) - 1, 1 << 64, 5]
+        assert fn.values(keys).tolist() == [2.0, 72.0, 1.0, 2.0]
+        with pytest.raises(ValueError):
+            fn.values([1 << n, 3])
+        with pytest.raises(ValueError):
+            fn.values([-1, 3])
 
     def test_values_by_bitmask(self):
         fn = modular_fn((1, 2, 4))

@@ -12,7 +12,10 @@ from robustmax import (DcgConfig, SetFunction, brute_force_robust, build_cut,
                        expected_reduction_oracle, generate_instance, solve_robust,
                        strengthen_generating_set, support)
 
-from conftest import all_subsets, cut_is_valid, modular_fn, random_coverage
+from robustmax.core import TOL
+
+from conftest import (all_subsets, cut_is_valid, modular_fn, random_coverage, rhs,
+                      table_fn)
 
 
 def scalar_brute_force(fns, alphas, costs, budget) -> tuple:
@@ -31,6 +34,35 @@ def scalar_brute_force(fns, alphas, costs, budget) -> tuple:
         if value > best_val or (value == best_val and x < best_x):
             best_val, best_x = value, x
     return best_val, best_x
+
+
+def scalar_strengthen_generating_set(fn: SetFunction, incumbent, stop_pt: int) -> frozenset:
+    """Reference for strengthen_generating_set: every pair marginal read one
+    at a time."""
+    incumbent = frozenset(incumbent)
+    if stop_pt == 0:
+        return incumbent
+    slack = TOL * fn.value(incumbent)
+    covered: set = set()
+    admitted: set = set()
+    bar = sorted(incumbent)
+    for j, gain in enumerate(fn.marginals(incumbent).tolist()):
+        if gain > slack:
+            continue
+        tmp = set(covered)
+        counter = 0
+        for k in bar:
+            if fn.marginal(j, frozenset([k])) <= slack:
+                counter += 1
+                tmp.add(k)
+            if counter == stop_pt:
+                with_j = frozenset(admitted | {j})
+                lhs = fn.value(tmp)
+                rhs_ = fn.value(with_j) + sum(fn.marginal(l, with_j) for l in tmp)
+                if abs(lhs - rhs_) <= slack:
+                    admitted.add(j)
+                    covered |= tmp
+    return frozenset(admitted) | (incumbent - covered)
 
 
 @st.composite
@@ -82,10 +114,43 @@ class TestStrengthenGeneratingSet:
                 gen = strengthen_generating_set(fn, bar, stop_pt)
                 cut = build_cut(fn, gen, 1.0, 0)
                 x = tuple(1 if j in bar else 0 for j in range(n))
-                assert cut.rhs_at(x) == pytest.approx(fn.value(bar), abs=1e-9)
+                assert rhs(cut, x) == pytest.approx(fn.value(bar), abs=1e-9)
                 assert cut_is_valid(cut, fn, 1.0)
                 checked += gen != bar
         assert checked > 10  # the rewrite must actually fire somewhere
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 9), st.integers(0, 2**32 - 1), st.integers(0, 3),
+           st.booleans())
+    def test_matches_scalar_reference_on_tables(self, n, seed, stop_pt, noisy):
+        # coverage tables with duplicated elements have many zero marginals;
+        # noise straddling the slack tests the <= slack decisions
+        rng = Random(seed)
+        cover = random_coverage(rng, n, duplicates=True)
+        table = [cover.value(S) * (1 + noisy * rng.uniform(-2e-9, 2e-9))
+                 for S in all_subsets(n)]
+        table[0] = 0.0
+        bar = frozenset(j for j in range(n) if rng.random() < 0.6)
+        fn, ref = table_fn(table), table_fn(table)
+        assert (strengthen_generating_set(fn, bar, stop_pt)
+                == scalar_strengthen_generating_set(ref, bar, stop_pt))
+        assert fn._cache == ref._cache
+
+    def test_matches_scalar_reference_on_water_oracles(self):
+        # the water oracles read their pair marginals through the batch form
+        rng = Random(5)
+        for seed in range(4):
+            inst = generate_instance(n=16, edge_factor=41 / 36, m=3, j_count=5,
+                                     budget=40, seed=seed)
+            for sc in inst.scenarios:
+                fn = expected_reduction_oracle(inst.network, sc)
+                ref = expected_reduction_oracle(inst.network, sc)
+                for stop_pt in (1, 2, 3):
+                    bar = frozenset(rng.sample(range(16), rng.randint(1, 8)))
+                    assert (strengthen_generating_set(fn, bar, stop_pt)
+                            == scalar_strengthen_generating_set(ref, bar, stop_pt))
+                assert fn._cache == ref._cache
 
 
 class TestSolveRobust:

@@ -13,7 +13,7 @@ from robustmax import (DcgConfig, MasterState, SubmodularCut, empty_set_cuts,
                        generate_instance, solve_robust)
 from robustmax.core import objective_slack
 
-from conftest import indicator
+from conftest import indicator, rhs
 
 
 def node_bound(cuts, fixed_one, fixed_zero, costs, budget) -> float:
@@ -59,7 +59,7 @@ def enumerate_best(pool, costs, budget):
     for bits in product((0, 1), repeat=n):
         if sum(c for c, x in zip(costs, bits) if x) > budget:
             continue
-        val = min(cut.rhs_at(bits) for cut in pool)
+        val = min(rhs(cut, bits) for cut in pool)
         if val > best_val or (val == best_val and bits < best_x):
             best_val, best_x = val, bits
     return best_val, best_x
@@ -169,7 +169,7 @@ class TestSolve:
             for cut in pool:
                 ms.add_cut(cut, filter_dominated=False)
             res = ms.solve()
-            assert res.eta == pytest.approx(min(c.rhs_at(res.x) for c in pool), abs=1e-9)
+            assert res.eta == pytest.approx(min(rhs(c, res.x) for c in pool), abs=1e-9)
             assert res.eta <= res.bound + 1e-9
 
     def test_dominated_cut_never_changes_optimum(self):
@@ -287,7 +287,7 @@ class TestNodeBound:
                     continue
                 if sum(c for c, x in zip(costs, bits) if x) > budget:
                     continue
-                assert min(c.rhs_at(bits) for c in pool) <= bound + 1e-9
+                assert min(rhs(c, bits) for c in pool) <= bound + 1e-9
 
 
 def close(a: float, b: float) -> bool:
@@ -323,7 +323,7 @@ class TestEvaluateMatchesReference:
                 cases.add("overrun")
                 assert bound == -math.inf
                 return
-            assert close(zero_value, min(c.rhs_at(indicator(ones, n)) for c in pool))
+            assert close(zero_value, min(rhs(c, indicator(ones, n)) for c in pool))
             if remaining == 0:
                 cases.add("zero remaining")
             if 0 < free_cost <= remaining:
@@ -455,19 +455,19 @@ class TestBranchAndCut:
         ms.add_cut(weak)
 
         def separate(x, value, bound):
-            assert value == pytest.approx(min(cut.rhs_at(x) for cut in ms.cut_pool), abs=1e-9)
+            assert value == pytest.approx(min(rhs(cut, x) for cut in ms.cut_pool), abs=1e-9)
             assert bound >= value
             ms.add_cut(original)
             for cut in hidden:
-                if cut.rhs_at(x) < value:
+                if rhs(cut, x) < value:
                     ms.add_cut(cut)
-            return min(cut.rhs_at(x) for cut in hidden)
+            return min(rhs(cut, x) for cut in hidden)
 
         res = ms.solve(separate=separate)
         ref_val, _ = enumerate_best(hidden, costs, budget)
         assert weak not in ms.cut_pool
         assert res.status == "optimal"
-        assert min(cut.rhs_at(res.x) for cut in hidden) == pytest.approx(ref_val, abs=1e-9)
+        assert min(rhs(cut, res.x) for cut in hidden) == pytest.approx(ref_val, abs=1e-9)
         assert res.eta == pytest.approx(ref_val, abs=1e-9)
         assert res.bound >= res.eta
         assert sum(c for c, x in zip(costs, res.x) if x) <= budget

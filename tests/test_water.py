@@ -1,15 +1,25 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustmax import (Network, ParseError, Scenario, check_submodular,
                        expected_reduction_oracle, generate_instance,
                        parse_instance, reduction_matrix, serialize_instance,
-                       shortest_times, with_budget)
+                       shortest_times)
+
+
+def with_budget(instance, budget: int):
+    """Copy of the instance with a different knapsack budget."""
+    net = replace(instance.network, budget=budget)
+    return replace(instance, network=net,
+                   budget_infeasible=budget < min(net.sensor_costs))
 
 
 class TestShortestTimes:
@@ -106,6 +116,22 @@ class TestExpectedReductionOracle:
                                      budget=15, seed=100 + seed)
             for fn in inst.build_oracles():
                 assert check_submodular(fn)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from((4, 12, 36, 72)), st.integers(0, 2**32 - 1), st.data())
+    def test_batch_equals_scalar_evaluation(self, n, seed, data):
+        # the vectorised form must give the scalar value itself, not a
+        # rounding of it, at every size (n = 72 is past int64 bitmasks)
+        j_count = data.draw(st.integers(1, n))
+        inst = generate_instance(n=n, edge_factor=41 / 36, m=1, j_count=j_count,
+                                 budget=n, seed=seed % 1000)
+        evaluate = expected_reduction_oracle(inst.network, inst.scenarios[0])._eval
+        rng = np.random.default_rng(seed)
+        members = rng.random((300, n)) < rng.random((300, 1))
+        members[0] = False
+        members[1] = True
+        scalar = [evaluate(frozenset(np.flatnonzero(row).tolist())) for row in members]
+        assert evaluate.batch(members).tolist() == scalar
 
 
 FIGURE_TEXT = """\
