@@ -2,13 +2,13 @@
 
 The library maximizes the minimum of several scaled monotone submodular
 objectives by delayed generation of linearized hypograph cuts over an
-in-repo branch-and-bound master, with a time-budgeted pipeline for the
+in-repo branch-and-cut master, with a time-budgeted pipeline for the
 variant scaled by each scenario's own optimum.  The bundled application is
 outbreak-detection sensor placement on water networks.
 """
 
-from .core import (FacetDiagnostics, SetFunction, SubmodularCut, build_cut,
-                   check_submodular, dominates, empty_set_cuts, facet_check)
+from .core import (SetFunction, SubmodularCut, build_cut, check_submodular,
+                   dominates, empty_set_cuts)
 from .dcg import (DcgConfig, SolveReport, brute_force_robust, solve_robust,
                   strengthen_generating_set, support)
 from .master import MasterResult, MasterState
@@ -20,8 +20,8 @@ from .water import (Instance, Network, ParseError, ReductionMatrix, Scenario,
                     shortest_times)
 
 __all__ = [
-    "SetFunction", "SubmodularCut", "FacetDiagnostics", "build_cut",
-    "empty_set_cuts", "dominates", "facet_check", "check_submodular",
+    "SetFunction", "SubmodularCut", "build_cut", "empty_set_cuts",
+    "dominates", "check_submodular",
     "MasterState", "MasterResult",
     "DcgConfig", "SolveReport", "strengthen_generating_set",
     "solve_robust", "brute_force_robust", "support",

@@ -88,8 +88,7 @@ def _solve_one(path: str, mode: str, alpha_spec, args_dict) -> RunRecord:
     costs = instance.network.sensor_costs
     budget = instance.network.budget
     config = DcgConfig(reduce=args_dict["reduce"], stop_pt=args_dict["stop_pt"],
-                       epsilon=args_dict["epsilon"], time_limit=args_dict["time_limit"],
-                       filter_dominated=args_dict["filter_dominated"])
+                       epsilon=args_dict["epsilon"], time_limit=args_dict["time_limit"])
     if mode == "rsm":
         alphas = _resolve_alphas(instance, fns, alpha_spec, costs, budget)
         report = solve_robust(fns, alphas, costs, budget, config)
@@ -121,6 +120,9 @@ def _append_csv(path: str, records):
 
 
 def cmd_generate(args) -> int:
+    if args.nodes < 1 or args.edges < 0:
+        print("error: --nodes must be at least 1 and --edges nonnegative", file=sys.stderr)
+        return 2
     try:
         instance = generate_instance(n=args.nodes, edge_factor=args.edges / args.nodes,
                                      m=args.scenarios, j_count=args.sources,
@@ -144,8 +146,7 @@ def cmd_generate(args) -> int:
 
 def cmd_solve(args) -> int:
     args_dict = dict(reduce=args.reduce, stop_pt=args.stop_pt, epsilon=args.epsilon,
-                     time_limit=args.time_limit, filter_dominated=args.filter_dominated,
-                     scenario_budget=args.scenario_budget)
+                     time_limit=args.time_limit, scenario_budget=args.scenario_budget)
     jobs = [(path, args.mode, args.alpha, args_dict) for path in args.instance]
     try:
         if args.jobs > 1 and len(jobs) > 1:
@@ -187,8 +188,6 @@ def cmd_verify(args) -> int:
         budget = instance.network.budget
         alphas = [1.0] * len(fns)
         reference, _ = brute_force_robust(fns, alphas, costs, budget)
-        if args.corrupt:
-            reference += 1.0  # fault-injection hook for the FAIL path
         worst = 0.0
         for reduce in (False, True):
             for stop_pt in (0, 2):
@@ -267,15 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--epsilon", type=float, default=0.0)
     solve.add_argument("--time-limit", dest="time_limit", type=float, default=None)
     solve.add_argument("--scenario-budget", dest="scenario_budget", type=float, default=None)
-    solve.add_argument("--filter-dominated", dest="filter_dominated",
-                       action=argparse.BooleanOptionalAction, default=True)
     solve.add_argument("--jobs", type=int, default=1)
     solve.add_argument("--csv", default=None, help="append rows to this CSV file")
     solve.set_defaults(func=cmd_solve)
 
     verify = sub.add_parser("verify", help="cross-check the solver against enumeration")
     verify.add_argument("instance", nargs="+")
-    verify.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     verify.set_defaults(func=cmd_verify)
 
     report = sub.add_parser("report", help="aggregate solve CSVs into per-setting means")

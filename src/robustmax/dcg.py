@@ -34,21 +34,21 @@ from .master import MasterState, STATUS_OPTIMAL
 class DcgConfig:
     """Knobs for the branch-and-cut solve.
 
-    reduce            separate only the scenarios attaining the worst value
-    stop_pt           witness count for generating-set strengthening (0 = off)
-    epsilon           extra optimality margin on the violation test
-    time_limit        wall-clock budget in seconds (None = unlimited)
-    filter_dominated  drop pointwise-dominated cuts sharing a generating set
+    reduce      separate only the scenarios attaining the worst value
+    stop_pt     witness count for generating-set strengthening (0 = off)
+    epsilon     objective gap accepted as optimal on the violation test
+    time_limit  wall-clock budget in seconds (None = unlimited)
 
-    The pool always starts from every scenario's empty-set cut; tolerances
-    follow the one policy of :mod:`robustmax.core`.
+    The pool always starts from every scenario's empty-set cut and drops
+    pointwise-dominated cuts that share a generating set
+    (:meth:`~robustmax.master.MasterState.add_cut`); tolerances follow the
+    one policy of :mod:`robustmax.core`.
     """
 
     reduce: bool = True
     stop_pt: int = 2
     epsilon: float = 0.0
     time_limit: float | None = None
-    filter_dominated: bool = True
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -156,7 +156,7 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
 
     state = MasterState(n, costs, budget)
     for cut in (*empty_set_cuts(fns, alphas), *initial_cuts):
-        state.add_cut(cut, filter_dominated=config.filter_dominated)
+        state.add_cut(cut)
     warm_size = len(state.cut_pool)
     slack = objective_slack(state.cut_pool)
 
@@ -183,7 +183,7 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
                 continue
             gen = strengthen_generating_set(fns[i], chosen, config.stop_pt)
             cut = build_cut(fns[i], gen, alphas[i], i)
-            added_any |= state.add_cut(cut, filter_dominated=config.filter_dominated)
+            added_any |= state.add_cut(cut)
         if not added_any:
             raise RuntimeError("separation stalled: violated scenario produced no new cut")
         separations += 1
@@ -192,7 +192,7 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
     remaining = None
     if config.time_limit is not None:
         remaining = max(0.0, config.time_limit - (time.monotonic() - start))
-    result = state.solve(time_limit=remaining, separate=separate)
+    result = state.solve(separate, time_limit=remaining)
     x = result.x
     eta = min(fn.value(support(x)) / a for fn, a in zip(fns, alphas))
     if result.status == STATUS_OPTIMAL:

@@ -7,10 +7,11 @@ subject to eta <= constant_k + coefficients_k . x   for every pool cut k
 Because every cut coefficient is nonnegative, a per-cut fractional knapsack
 over the free variables upper-bounds any feasible completion of a partial
 assignment; the node bound is the minimum of those per-cut values.  That
-bound drives a best-bound branch and bound, which keeps the artifact free of
-an external MILP dependency.  Given a separation callback, the same search
-is branch and cut: cuts join the pool while the tree is open, and the nodes
-bounded before they arrived are re-bounded when popped.
+bound drives a best-bound branch and cut, which keeps the artifact free of
+an external MILP dependency: every improving candidate goes to a separation
+callback, cuts join the pool while the tree is open, and the nodes bounded
+before they arrived are re-bounded when popped.  A callback that returns the
+pool value it is given solves the fixed pool.
 
 Branching fixes variables in one order per solve, taken from the pool at its
 start, so the free set of a node depends only on its depth.  Each time the
@@ -65,18 +66,17 @@ class MasterState:
         self.cut_pool: list = []
         self._dirty = True
 
-    def add_cut(self, cut: SubmodularCut, filter_dominated: bool = True) -> bool:
-        """Append a cut; with filtering, drop it (or drop existing cuts) when a
-        pool cut with the same generating set pointwise dominates the other."""
+    def add_cut(self, cut: SubmodularCut) -> bool:
+        """Append a cut, unless a pool cut with the same generating set
+        pointwise dominates it; pool cuts it dominates that way are dropped."""
         if cut.ground_size != self.n:
             raise ValueError("cut dimension does not match the master")
-        if filter_dominated:
-            same_gen = [c for c in self.cut_pool if c.generating_set == cut.generating_set]
-            if any(dominates(old, cut) for old in same_gen):
-                return False
-            drop = {id(old) for old in same_gen if dominates(cut, old)}
-            if drop:
-                self.cut_pool = [c for c in self.cut_pool if id(c) not in drop]
+        same_gen = [c for c in self.cut_pool if c.generating_set == cut.generating_set]
+        if any(dominates(old, cut) for old in same_gen):
+            return False
+        drop = {id(old) for old in same_gen if dominates(cut, old)}
+        if drop:
+            self.cut_pool = [c for c in self.cut_pool if id(c) not in drop]
         self.cut_pool.append(cut)
         self._dirty = True
         return True
@@ -192,57 +192,51 @@ class MasterState:
 
     # -- solve ----------------------------------------------------------------
 
-    def solve(self, exact: bool = False, time_limit: float | None = None,
-              separate: Callable[[tuple, float, float], float] | None = None
-              ) -> MasterResult:
-        """Best-bound branch and bound over the pool.
+    def solve(self, separate: Callable[[tuple, float, float], float],
+              time_limit: float | None = None) -> MasterResult:
+        """Best-bound branch and cut over the pool, in one tree.
 
-        A node is pruned once its bound is within the pool's objective slack
-        (:func:`~robustmax.core.objective_slack`) of the incumbent.  With
-        ``exact`` such bound ties are explored instead, so the returned x is
-        the lexicographically smallest optimal vector.  ``bound`` is the
-        largest bound of a node pruned or left open, so no feasible x scores
-        above it by more than the slack.  A time limit never raises: the
-        incumbent and the bound are returned with status "time_limit".
+        Every candidate x that fits and whose pool value beats the incumbent
+        by more than the pool's objective slack
+        (:func:`~robustmax.core.objective_slack`) goes at once to
+        ``separate(x, value, bound)``, with its pool value and the bound of
+        the node being expanded (the best bound left).  The callback may add
+        cuts with :meth:`add_cut` and returns the value later candidates must
+        beat: the true objective at x plus any gap the caller accepts as
+        optimal.  The incumbent and the pruning then follow those values, not
+        pool values.  Open nodes are kept when cuts arrive: a node bounded
+        under an older pool is re-bounded when popped, in the branch order the
+        solve began with.
 
-        With ``separate`` the search is branch and cut in one tree.  Every
-        candidate x that fits and whose pool value beats the incumbent by
-        more than the slack goes at once to ``separate(x, value, bound)``,
-        with its pool value and the bound of the node being expanded (the
-        best bound left).  The callback may add cuts with :meth:`add_cut`
-        and returns the value later candidates must beat: the true objective
-        at x plus any margin the caller accepts as optimal.  The incumbent
-        and the pruning then follow those values, not pool values.  Open
-        nodes are kept when cuts arrive: a node bounded under an older pool
-        is re-bounded when popped, in the branch order the solve began with.
+        A node is pruned once its bound is within the slack of the incumbent.
+        ``bound`` is the largest bound of a node pruned or left open, so no
+        feasible x scores above it by more than the slack.  A time limit never
+        raises: the incumbent and the bound are returned with status
+        "time_limit".
         """
         if not self.cut_pool:
             raise ValueError("cut pool is empty; solve needs at least one cut")
         self._prepare()
         start = time.monotonic()
         slack = self._slack
-        margin = -slack if exact else slack  # explore while bound > incumbent + margin
 
         inc_value, inc_x = -math.inf, ()
         version = 0  # pool changes in this solve; each heap node records its own
 
         def offer(value: float, ones: np.ndarray):
             nonlocal inc_value, inc_x, version
-            if separate is not None:
-                # every value offered is bounded under the current pool
-                if value <= inc_value + margin or not self._fits(ones):
-                    return
-                value = separate(tuple(int(b) for b in ones), value, expanding)
-                if self._dirty:
-                    self._prepare(self._branch_order)
-                    version += 1
-            if value > inc_value + slack and self._fits(ones):
-                inc_value = value
-                inc_x = tuple(int(b) for b in ones)
-            elif value >= inc_value - slack:
-                x = tuple(int(b) for b in ones)
-                if x < inc_x and self._fits(ones):
-                    inc_x = x
+            # every value offered is bounded under the current pool
+            if value <= inc_value + slack or not self._fits(ones):
+                return
+            x = tuple(int(b) for b in ones)
+            value = separate(x, value, expanding)
+            if self._dirty:
+                self._prepare(self._branch_order)
+                version += 1
+            if value > inc_value + slack:
+                inc_value, inc_x = value, x
+            elif value >= inc_value - slack and x < inc_x:
+                inc_x = x
 
         root_ones = np.zeros(self.n, dtype=bool)
         root_bound, root_value = self._evaluate(self._C, 0, 0.0)
@@ -262,7 +256,7 @@ class MasterState:
 
         def push(bound: float, *node):
             nonlocal seq, top_pruned
-            if bound > inc_value + margin:
+            if bound > inc_value + slack:
                 seq += 1
                 heapq.heappush(heap, (-bound, seq, *node))
             else:
@@ -272,7 +266,7 @@ class MasterState:
             (neg_bound, _, ones, base, level, cost_ones, zero_value,
              node_version) = heapq.heappop(heap)
             bound = -neg_bound
-            if bound <= inc_value + margin:
+            if bound <= inc_value + slack:
                 # best-first order: nothing left can beat the incumbent
                 top_pruned = max(top_pruned, bound)
                 break
@@ -287,7 +281,7 @@ class MasterState:
                 base = self._C + self._A @ ones
                 bound, zero_value = self._evaluate(base, level, cost_ones)
                 nodes += 1
-                if bound <= inc_value + margin or (heap and bound < -heap[0][0]):
+                if bound <= inc_value + slack or (heap and bound < -heap[0][0]):
                     push(bound, ones, base, level, cost_ones, zero_value, version)
                     continue
             if level >= self.n:

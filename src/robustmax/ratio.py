@@ -69,12 +69,7 @@ def maximize_single(fn: SetFunction, costs: Sequence[float], budget: float,
     base = config or DcgConfig()
     run_cfg = replace(base, time_limit=time_budget)
     report = solve_robust([fn], [1.0], costs, budget, run_cfg)
-    lower = report.eta
-    if report.status == STATUS_OPTIMAL:
-        upper = lower
-    else:
-        upper = max(report.upper_bound, lower)
-    bounds = ScenarioBounds(lower=lower, upper=upper,
+    bounds = ScenarioBounds(lower=report.eta, upper=report.upper_bound,
                             solved_exactly=report.status == STATUS_OPTIMAL)
     return bounds, report.pool, report
 
@@ -155,11 +150,11 @@ def solve_ratio_robust(fns: Sequence[SetFunction], costs: Sequence[float],
     lb = min(fn.value(support(report.x)) / b.upper
              for fn, b in zip(fns, per_scenario))
     lb = min(lb, ub)
-    exact, reason = certify_ratio_optimal(per_scenario, report.x, fns, ub)
+    certified, reason = certify_ratio_optimal(per_scenario, report.x, fns, ub)
     gap = (ub - lb) / ub if ub > 0 else 0.0
     return RatioReport(eta=report.eta, x=report.x, upper_bound=ub,
                        lower_bound=lb, gap=gap, iterations=report.iterations,
                        cuts_added=pre_cuts + report.cuts_added,
                        wall_time=time.monotonic() - start, status=report.status,
                        scales=tuple(scales), per_scenario=tuple(per_scenario),
-                       certified_exact=exact, certificate=reason)
+                       certified_exact=certified, certificate=reason)

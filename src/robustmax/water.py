@@ -189,7 +189,6 @@ class Instance:
     scenarios: tuple
     alpha_mode: str = "unit"
     alpha_values: tuple | None = None
-    budget_infeasible: bool = False
 
     def __post_init__(self):
         if self.alpha_mode not in ("unit", "values", "solve"):
@@ -203,6 +202,12 @@ class Instance:
     @property
     def scenario_count(self) -> int:
         return len(self.scenarios)
+
+    @property
+    def budget_infeasible(self) -> bool:
+        """Whether the budget is below the cheapest sensor, so only the
+        empty placement is feasible."""
+        return self.network.budget < min(self.network.sensor_costs)
 
     def build_oracles(self) -> list:
         return [expected_reduction_oracle(self.network, sc, name=f"scenario-{i}")
@@ -324,8 +329,7 @@ def parse_instance(text: str) -> Instance:
                       budget=budget)
     try:
         return Instance(network=network, scenarios=tuple(scenarios),
-                        alpha_mode=alpha_mode, alpha_values=alpha_values,
-                        budget_infeasible=budget < min(costs))
+                        alpha_mode=alpha_mode, alpha_values=alpha_values)
     except ValueError as exc:
         raise ParseError(rd.last_line, str(exc)) from None
 
@@ -357,8 +361,11 @@ def generate_instance(n: int, edge_factor: float, m: int, j_count: int,
         raise ValueError("source count must be between 1 and the node count")
     if m < 1:
         raise ValueError("at least one scenario is required")
-    rng = Random(seed)
     e_count = max(1, math.ceil(edge_factor * n - 1e-9))
+    if e_count > n * (n - 1):
+        raise ValueError(f"{e_count} edges do not fit among the {n * (n - 1)} "
+                         f"directed pairs of {n} nodes")
+    rng = Random(seed)
     order = list(range(n))
     rng.shuffle(order)
     edges = []
@@ -381,6 +388,5 @@ def generate_instance(n: int, edge_factor: float, m: int, j_count: int,
     network = Network(node_count=n, edges=tuple(edges), sources=sources,
                       source_probabilities=tuple(1.0 / j_count for _ in sources),
                       sensor_costs=costs, budget=budget)
-    return Instance(network=network, scenarios=scenarios,
-                    budget_infeasible=budget < min(costs))
+    return Instance(network=network, scenarios=scenarios)
 

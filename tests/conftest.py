@@ -94,6 +94,12 @@ def rhs(cut, x) -> float:
     return cut.constant + sum(c * xi for c, xi in zip(cut.coefficients, x))
 
 
+def pool_value(x, value, bound) -> float:
+    """Separation callback of a fixed-pool solve: it adds no cut, and a
+    candidate's value is its pool value."""
+    return value
+
+
 def cut_is_valid(cut, fn, alpha, tol=1e-9) -> bool:
     n = fn.ground_size
     return all(fn.value(X) / alpha <= rhs(cut, indicator(X, n)) + tol

@@ -13,9 +13,11 @@ import pytest
 
 from robustmax import (DcgConfig, MasterState, SubmodularCut,
                        brute_force_robust, build_cut, check_submodular,
-                       empty_set_cuts, expected_reduction_oracle, facet_check,
+                       empty_set_cuts, expected_reduction_oracle,
                        generate_instance, reduction_matrix, solve_ratio_robust,
                        solve_robust)
+
+from facets import facet_check
 
 COMBOS = tuple(product((False, True), (0, 2)))  # (reduce, stop_pt)
 
@@ -59,9 +61,9 @@ def test_criterion_1_worked_example_fidelity(facet_pair, warmstart_triple):
     second = SubmodularCut(2.0, (0.0, 0.0, 3.0, 4.0), 1, gen)
     third = SubmodularCut(5.0, (0.0, 0.0, 3.0, 5.0), 2, gen)
     master = MasterState(4, (1, 1, 1, 1), 2)
-    assert master.add_cut(first, filter_dominated=True)
-    assert master.add_cut(second, filter_dominated=True)
-    assert not master.add_cut(third, filter_dominated=True)
+    assert master.add_cut(first)
+    assert master.add_cut(second)
+    assert not master.add_cut(third)
     assert len(master.cut_pool) == 2
 
     cuts = empty_set_cuts(warmstart_triple, [1.0, 1.0, 1.0])

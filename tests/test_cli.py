@@ -1,10 +1,17 @@
 from __future__ import annotations
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import robustmax.cli
 from robustmax.cli import CSV_HEADER, RunRecord, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -44,6 +51,35 @@ class TestGenerate:
         code, _, err = run(capsys, *gen_args(tmp_path / "no-dir" / "x.txt"))
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("nodes, edges", [(3, 7), (1, 0)])
+    def test_too_many_edges_exits_2(self, tmp_path, nodes, edges):
+        # more edges than the n * (n - 1) directed pairs (a generated
+        # instance has at least one); run in a child process with a timeout,
+        # so a regression to the endless extra-edge loop fails instead of
+        # hanging the suite
+        target = tmp_path / "x.txt"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+        done = subprocess.run(
+            [sys.executable, "-m", "robustmax.cli",
+             *gen_args(target, nodes=nodes, edges=edges, sources=1)],
+            capture_output=True, text=True, timeout=30, env=env)
+        assert done.returncode == 2
+        assert "error" in done.stderr
+        assert not target.exists()
+
+    def test_zero_nodes_exits_2(self, tmp_path, capsys):
+        code, _, err = run(capsys, *gen_args(tmp_path / "x.txt", nodes=0, sources=1))
+        assert code == 2
+        assert "--nodes" in err
+
+    def test_negative_edges_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "x.txt"
+        code, _, err = run(capsys, *gen_args(target, edges=-1))
+        assert code == 2
+        assert "--edges" in err
+        assert not target.exists()
 
 
 class TestSolve:
@@ -155,8 +191,15 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(p))
         assert code == 0 and "PASS" in out
 
-    def test_corrupt_hook_fails(self, small_instances, capsys):
-        code, out, _ = run(capsys, "verify", small_instances[0], "--corrupt")
+    def test_corrupt_hook_fails(self, small_instances, capsys, monkeypatch):
+        brute_force = robustmax.cli.brute_force_robust
+
+        def off_by_one(*args, **kwargs):
+            eta, x = brute_force(*args, **kwargs)
+            return eta + 1.0, x
+
+        monkeypatch.setattr(robustmax.cli, "brute_force_robust", off_by_one)
+        code, out, _ = run(capsys, "verify", small_instances[0])
         assert code == 1
         assert "FAIL" in out
 
@@ -206,3 +249,12 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["solve", "x.txt", "--mode", "bogus"])
         assert exc.value.code == 2
+
+    def test_filter_dominated_flag_is_gone(self, capsys):
+        # dominated cuts are always dropped; the flag is no longer accepted
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "x.txt", "--no-filter-dominated"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit):
+            main(["solve", "--help"])
+        assert "filter-dominated" not in capsys.readouterr().out

@@ -8,11 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from robustmax import (SetFunction, SubmodularCut, build_cut, check_submodular,
-                       dominates, empty_set_cuts, facet_check)
+                       dominates, empty_set_cuts)
 from robustmax.core import TOL
 
 from conftest import (all_subsets, cut_is_valid, modular_fn,
                       random_coverage, table_fn, tight_face_rank)
+from facets import facet_check
 
 
 def scalar_check_submodular(fn: SetFunction) -> bool:

@@ -13,7 +13,7 @@ from robustmax import (DcgConfig, MasterState, SubmodularCut, empty_set_cuts,
                        generate_instance, solve_robust)
 from robustmax.core import objective_slack
 
-from conftest import indicator, rhs
+from conftest import indicator, pool_value, rhs
 
 
 def node_bound(cuts, fixed_one, fixed_zero, costs, budget) -> float:
@@ -51,6 +51,12 @@ def random_pool(rng: Random, n: int, k: int):
                           coefficients=tuple(rng.randint(0, 5) * 0.5 for _ in range(n)),
                           scenario_index=0)
             for _ in range(k)]
+
+
+def distinct_sets(pool):
+    """The pool with a generating set of its own per cut, so that add_cut,
+    which compares only cuts sharing a generating set, keeps every cut."""
+    return [replace(cut, generating_set=frozenset({k})) for k, cut in enumerate(pool)]
 
 
 def enumerate_best(pool, costs, budget):
@@ -108,7 +114,7 @@ class TestSolve:
         ms = MasterState(3, (1, 1, 1), 1)
         for cut in empty_set_cuts(warmstart_triple, [1.0] * 3):
             ms.add_cut(cut)
-        res = ms.solve(exact=True)
+        res = ms.solve(pool_value)
         assert res.eta == pytest.approx(2.0, abs=1e-12)
         assert res.x == (0, 1, 0)
         assert res.status == "optimal"
@@ -116,12 +122,12 @@ class TestSolve:
     def test_zero_budget(self):
         ms = MasterState(2, (1, 1), 0)
         ms.add_cut(SubmodularCut(0.0, (1.0, 2.0), 0))
-        res = ms.solve()
+        res = ms.solve(pool_value)
         assert res.eta == 0.0 and res.x == (0, 0)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
-            MasterState(2, (1, 1), 1).solve()
+            MasterState(2, (1, 1), 1).solve(pool_value)
 
     def test_matches_enumeration_on_random_pools(self):
         rng = Random(7)
@@ -130,17 +136,16 @@ class TestSolve:
             pool = random_pool(rng, n, rng.randint(1, 8))
             costs = [rng.randint(1, 4) for _ in range(n)]
             budget = rng.randint(0, sum(costs))
-            ms = MasterState(n, costs, budget)
-            for cut in pool:
-                ms.add_cut(cut, filter_dominated=False)
-            res = ms.solve(exact=True)
-            ref_val, ref_x = enumerate_best(pool, costs, budget)
+            res = loaded_state(pool, costs, budget).solve(pool_value)
+            ref_val, _ = enumerate_best(pool, costs, budget)
             assert res.eta == pytest.approx(ref_val, abs=1e-9)
-            assert res.bound <= ref_val + 1e-9
-            assert res.x == ref_x  # lexicographically smallest optimum
+            assert ref_val - 1e-9 <= res.bound <= ref_val + objective_slack(pool)
+            # x is feasible and optimal; among tied optima any may come back
+            assert sum(c for c, xj in zip(costs, res.x) if xj) <= budget
+            assert min(rhs(cut, res.x) for cut in pool) == pytest.approx(ref_val, abs=1e-9)
 
     def test_pruning_bound_covers_optimum(self):
-        # The default solve prunes bound ties; the bounds of children pruned
+        # The solve prunes bound ties; the bounds of children pruned
         # before they reach the heap still count towards the returned bound,
         # at any scale of the pool.
         rng = Random(31)
@@ -153,7 +158,7 @@ class TestSolve:
                 scaled = [SubmodularCut(c.constant * scale,
                                         tuple(a * scale for a in c.coefficients), 0)
                           for c in pool]
-                res = loaded_state(scaled, costs, budget).solve()
+                res = loaded_state(scaled, costs, budget).solve(pool_value)
                 exact, _ = enumerate_best(scaled, costs, budget)
                 assert res.eta <= exact + 1e-9 * scale
                 assert res.bound >= exact - 1e-9 * scale
@@ -165,10 +170,7 @@ class TestSolve:
             n = rng.randint(2, 8)
             pool = random_pool(rng, n, rng.randint(1, 6))
             costs = [rng.randint(1, 3) for _ in range(n)]
-            ms = MasterState(n, costs, rng.randint(0, 2 * n))
-            for cut in pool:
-                ms.add_cut(cut, filter_dominated=False)
-            res = ms.solve()
+            res = loaded_state(pool, costs, rng.randint(0, 2 * n)).solve(pool_value)
             assert res.eta == pytest.approx(min(rhs(c, res.x) for c in pool), abs=1e-9)
             assert res.eta <= res.bound + 1e-9
 
@@ -183,13 +185,10 @@ class TestSolve:
             shifted = SubmodularCut(base.constant + 1.0,
                                     tuple(c + 0.5 for c in base.coefficients), 0,
                                     base.generating_set)
-            with_dom = pool + [shifted]
-            ms1, ms2 = MasterState(n, costs, budget), MasterState(n, costs, budget)
-            for cut in pool:
-                ms1.add_cut(cut, filter_dominated=False)
-            for cut in with_dom:
-                ms2.add_cut(cut, filter_dominated=False)
-            assert ms1.solve().eta == pytest.approx(ms2.solve().eta, abs=1e-12)
+            with_dom = loaded_state(pool + [shifted], costs, budget)
+            assert len(with_dom.cut_pool) == len(pool) + 1
+            assert loaded_state(pool, costs, budget).solve(pool_value).eta == \
+                pytest.approx(with_dom.solve(pool_value).eta, abs=1e-12)
 
     def test_budget_ties_decided_in_element_order(self):
         # 0.1 + 0.2 + 0.3 rounds to 0.6000000000000001, above a budget of 0.6,
@@ -197,35 +196,35 @@ class TestSolve:
         # not hand that set back as the incumbent
         cut = SubmodularCut(0.0, (1.0, 1.0, 1.0), 0)
         for budget, eta in ((0.6, 2.0), (0.1 + 0.2 + 0.3, 3.0)):
-            for exact in (False, True):
-                res = loaded_state([cut], (0.1, 0.2, 0.3), budget).solve(exact=exact)
-                assert res.eta == eta
-                assert sum(c for c, x in zip((0.1, 0.2, 0.3), res.x) if x) <= budget
+            res = loaded_state([cut], (0.1, 0.2, 0.3), budget).solve(pool_value)
+            assert res.eta == eta
+            assert sum(c for c, x in zip((0.1, 0.2, 0.3), res.x) if x) <= budget
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             MasterState(2, (1, 1), -1)
 
     def test_lex_tie_break(self):
-        ms = MasterState(2, (1, 1), 1)
-        ms.add_cut(SubmodularCut(0.0, (1.0, 1.0), 0))
-        res = ms.solve(exact=True)
-        assert res.eta == 1.0
-        assert res.x == (0, 1)
+        # Two optima tie; the master may return either.  Only
+        # brute_force_robust promises the lexicographically smallest x.
+        pool = [SubmodularCut(0.0, (1.0, 1.0), 0)]
+        res = loaded_state(pool, (1, 1), 1).solve(pool_value)
+        ref_val, ref_x = enumerate_best(pool, (1, 1), 1)
+        assert ref_x == (0, 1)
+        assert res.eta == res.bound == ref_val == 1.0
+        assert res.x in ((0, 1), (1, 0))
 
     def test_time_limit_returns_valid_sandwich(self):
         rng = Random(2)
         pool = random_pool(rng, 14, 10)
         costs = [rng.randint(1, 4) for _ in range(14)]
-        ms = MasterState(14, costs, 10)
-        for cut in pool:
-            ms.add_cut(cut, filter_dominated=False)
-        res = ms.solve(exact=True, time_limit=0.0)
+        ms = loaded_state(pool, costs, 10)
+        res = ms.solve(pool_value, time_limit=0.0)
         assert res.status == "time_limit"
         assert res.eta <= res.bound + 1e-9
         assert sum(c for c, x in zip(costs, res.x) if x) <= 10
-        exact = ms.solve(exact=True)
-        assert res.eta <= exact.eta + 1e-9 <= res.bound + 2e-9
+        full = ms.solve(pool_value)
+        assert res.eta <= full.eta + 1e-9 <= res.bound + 2e-9
 
 
 class TestNodeBound:
@@ -297,9 +296,10 @@ def close(a: float, b: float) -> bool:
 
 
 def loaded_state(pool, costs, budget) -> MasterState:
+    """A master holding every cut of the pool, dominated ones included."""
     ms = MasterState(len(costs), costs, budget)
-    for cut in pool:
-        ms.add_cut(cut, filter_dominated=False)
+    for cut in distinct_sets(pool):
+        ms.add_cut(cut)
     return ms
 
 
@@ -383,7 +383,7 @@ class TestNodeCounts:
         rng = Random(3)
         pool = random_pool(rng, 10, 6)
         costs = [rng.randint(1, 4) for _ in range(10)]
-        res = loaded_state(pool, costs, 12).solve(exact=True)
+        res = loaded_state(pool, costs, 12).solve(pool_value)
         assert res.nodes == len(evaluations) > 1
 
     # Master nodes of a whole solve_robust run, which is one branch-and-cut
@@ -411,18 +411,18 @@ class TestTableRebuild:
         rng = Random(23)
         for _ in range(20):
             n = rng.randint(3, 10)
-            pool = random_pool(rng, n, rng.randint(2, 6))
+            pool = distinct_sets(random_pool(rng, n, rng.randint(2, 6)))
             costs = [rng.randint(1, 4) for _ in range(n)]
             budget = rng.randint(1, sum(costs))
             grown = MasterState(n, costs, budget)
             split = rng.randint(1, len(pool) - 1)
             for cut in pool[:split]:
-                grown.add_cut(cut, filter_dominated=False)
-            grown.solve(exact=True)
+                grown.add_cut(cut)
+            grown.solve(pool_value)
             for cut in pool[split:]:
-                grown.add_cut(cut, filter_dominated=False)
-            res = grown.solve(exact=True)
-            fresh = loaded_state(pool, costs, budget).solve(exact=True)
+                grown.add_cut(cut)
+            res = grown.solve(pool_value)
+            fresh = loaded_state(pool, costs, budget).solve(pool_value)
             assert (res.eta, res.x, res.bound, res.nodes) == \
                 (fresh.eta, fresh.x, fresh.bound, fresh.nodes)
 
@@ -433,8 +433,7 @@ def hidden_pools(draw):
     weakened copy of one of them that the copy's original dominates."""
     n = draw(st.integers(1, 10))
     rng = Random(draw(st.integers(0, 2**32 - 1)))
-    hidden = [replace(cut, generating_set=frozenset({k}))
-              for k, cut in enumerate(random_pool(rng, n, rng.randint(1, 8)))]
+    hidden = distinct_sets(random_pool(rng, n, rng.randint(1, 8)))
     original = rng.choice(hidden)
     weak = replace(original, constant=original.constant + 1.0,
                    coefficients=tuple(c + 0.5 for c in original.coefficients))
@@ -473,7 +472,7 @@ class TestBranchAndCut:
         assert sum(c for c, x in zip(costs, res.x) if x) <= budget
         # a later solve orders its branching by the grown pool, as a fresh
         # state would
-        again = ms.solve(exact=True)
-        fresh = loaded_state(ms.cut_pool, costs, budget).solve(exact=True)
+        again = ms.solve(pool_value)
+        fresh = loaded_state(ms.cut_pool, costs, budget).solve(pool_value)
         assert (again.eta, again.x, again.bound, again.nodes) == \
             (fresh.eta, fresh.x, fresh.bound, fresh.nodes)

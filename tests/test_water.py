@@ -17,9 +17,7 @@ from robustmax import (Network, ParseError, Scenario, check_submodular,
 
 def with_budget(instance, budget: int):
     """Copy of the instance with a different knapsack budget."""
-    net = replace(instance.network, budget=budget)
-    return replace(instance, network=net,
-                   budget_infeasible=budget < min(net.sensor_costs))
+    return replace(instance, network=replace(instance.network, budget=budget))
 
 
 class TestShortestTimes:
@@ -229,9 +227,16 @@ class TestGenerateInstance:
         with pytest.raises(ValueError):
             generate_instance(n=4, edge_factor=1.2, m=1, j_count=5, budget=10, seed=0)
 
+    def test_all_pairs_fit(self):
+        # the most edges n nodes take; one more is refused (test_cli runs
+        # that case in a child process, as a regression would loop forever)
+        inst = generate_instance(n=3, edge_factor=2.0, m=1, j_count=1, budget=10, seed=0)
+        assert len(set(inst.network.edges)) == 6
+
     def test_with_budget_updates_flag(self):
         inst = generate_instance(n=5, edge_factor=1.2, m=1, j_count=1,
                                  budget=20, seed=0)
         assert not inst.budget_infeasible
-        assert with_budget(inst, 1).budget_infeasible
-        assert with_budget(inst, 1).network.budget == 1
+        tight = with_budget(inst, 1)
+        assert tight.budget_infeasible and tight.network.budget == 1
+        assert parse_instance(serialize_instance(tight)) == tight
