@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .dcg import DcgConfig, brute_force_robust, solve_robust
-from .ratio import maximize_single, solve_ratio_robust
+from .ratio import solve_ratio_robust
 from .water import Instance, ParseError, generate_instance, parse_instance, serialize_instance
 
 CSV_HEADER = ["instance", "mode", "reduce", "stop_pt", "time_s", "gap_pct",
@@ -59,53 +59,43 @@ def _load_instance(path: str) -> Instance:
     return parse_instance(Path(path).read_text(encoding="utf-8"))
 
 
-def _resolve_alphas(instance: Instance, fns, alpha_spec, costs, budget):
-    """Alpha vector from the CLI flag, falling back to the instance file."""
-    mode = alpha_spec[0] if alpha_spec else instance.alpha_mode
-    if mode == "unit":
-        return [1.0] * len(fns)
-    if mode == "values":
+def _resolve_alphas(instance: Instance, m: int, alpha_mode: str, alpha_spec):
+    """Unit or given alpha values, from the CLI flag or else the instance file."""
+    if alpha_mode == "unit":
+        return [1.0] * m
+    if alpha_mode == "values":
         values = [float(v) for v in alpha_spec[1:]] if alpha_spec else list(instance.alpha_values)
-        if len(values) != len(fns):
-            raise ValueError(f"expected {len(fns)} alpha values, found {len(values)}")
+        if len(values) != m:
+            raise ValueError(f"expected {m} alpha values, found {len(values)}")
         if any(v <= 0 for v in values):
             raise ValueError("alpha values must be positive")
         return values
-    if mode == "solve":
-        alphas = []
-        for fn in fns:
-            bounds, _, _ = maximize_single(fn, costs, budget)
-            if bounds.lower <= 0:
-                raise ValueError("a scenario optimum is nonpositive; cannot scale by it")
-            alphas.append(bounds.lower)
-        return alphas
-    raise ValueError(f"unknown alpha mode {mode!r}")
+    raise ValueError(f"unknown alpha mode {alpha_mode!r}")
 
 
 def _solve_one(path: str, mode: str, alpha_spec, args_dict) -> RunRecord:
+    """One report row; alpha mode ``solve`` runs the rsm3 pipeline under mode rsm."""
     instance = _load_instance(path)
     fns = instance.build_oracles()
     costs = instance.network.sensor_costs
     budget = instance.network.budget
     config = DcgConfig(reduce=args_dict["reduce"], stop_pt=args_dict["stop_pt"],
                        epsilon=args_dict["epsilon"], time_limit=args_dict["time_limit"])
-    if mode == "rsm":
-        alphas = _resolve_alphas(instance, fns, alpha_spec, costs, budget)
+    alpha_mode = alpha_spec[0] if alpha_spec else instance.alpha_mode
+    if mode == "rsm" and alpha_mode != "solve":
+        alphas = _resolve_alphas(instance, len(fns), alpha_mode, alpha_spec)
         report = solve_robust(fns, alphas, costs, budget, config)
-        return RunRecord(instance=path, mode=mode, reduce=config.reduce,
-                         stop_pt=config.stop_pt, time_s=report.wall_time,
-                         gap_pct=100.0 * report.gap, iterations=report.iterations,
-                         cuts=report.cuts_added, eta=report.eta,
-                         ub=report.upper_bound, lb=report.eta, status=report.status)
-    report = solve_ratio_robust(fns, costs, budget,
-                                per_scenario_budget=args_dict["scenario_budget"],
-                                config=config)
+        lb = report.eta
+    else:
+        report = solve_ratio_robust(fns, costs, budget,
+                                    per_scenario_budget=args_dict["scenario_budget"],
+                                    config=config)
+        lb = report.lower_bound
     return RunRecord(instance=path, mode=mode, reduce=config.reduce,
                      stop_pt=config.stop_pt, time_s=report.wall_time,
                      gap_pct=100.0 * report.gap, iterations=report.iterations,
                      cuts=report.cuts_added, eta=report.eta,
-                     ub=report.upper_bound, lb=report.lower_bound,
-                     status=report.status)
+                     ub=report.upper_bound, lb=lb, status=report.status)
 
 
 def _append_csv(path: str, records):
@@ -120,8 +110,8 @@ def _append_csv(path: str, records):
 
 
 def cmd_generate(args) -> int:
-    if args.nodes < 1 or args.edges < 0:
-        print("error: --nodes must be at least 1 and --edges nonnegative", file=sys.stderr)
+    if args.nodes < 1 or args.edges < 1:
+        print("error: --nodes and --edges must be at least 1", file=sys.stderr)
         return 2
     try:
         instance = generate_instance(n=args.nodes, edge_factor=args.edges / args.nodes,

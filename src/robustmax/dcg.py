@@ -36,8 +36,9 @@ class DcgConfig:
 
     reduce      separate only the scenarios attaining the worst value
     stop_pt     witness count for generating-set strengthening (0 = off)
-    epsilon     objective gap accepted as optimal on the violation test
-    time_limit  wall-clock budget in seconds (None = unlimited)
+    epsilon     objective gap accepted as optimal on the violation test (finite, >= 0)
+    time_limit  seconds for the whole call, >= 0 (None = unlimited); the
+                ratio pipeline splits it among its solves
 
     The pool always starts from every scenario's empty-set cut and drops
     pointwise-dominated cuts that share a generating set
@@ -51,8 +52,10 @@ class DcgConfig:
     time_limit: float | None = None
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and nonnegative")
+        if self.time_limit is not None and not self.time_limit >= 0:
+            raise ValueError("time_limit must be nonnegative")
         if self.stop_pt < 0:
             raise ValueError("stop_pt must be nonnegative")
 

@@ -1,17 +1,22 @@
-"""Worst-case performance-ratio variant with time-budgeted scenario solves.
+"""Worst-case performance-ratio variant with time-limited scenario solves.
 
 Scaling each scenario by its own maximization optimum turns the robust
 objective into a worst-case performance ratio, but computing those optima
 means solving one NP-hard problem per scenario.  This pipeline runs each
-single-scenario maximization under a wall-clock budget, records the
-incumbent value (lower bound) and master bound (upper bound), rescales and
-reuses every generated cut, and finishes with one robust solve where the
-scales are the recorded lower bounds.  The sandwich
+single-scenario maximization under a share of the call's time limit,
+records the incumbent value (lower bound) and master bound (upper bound),
+rescales and reuses every generated cut, and finishes with one robust solve
+where the scales are the recorded lower bounds.  The sandwich
 
     LB = min_i f_i(x)/ub_i  <=  true ratio optimum  <=  UB = final bound
 
-holds whether or not the scenario solves finished, so a finite budget still
+holds whether or not the scenario solves finished, so a finite limit still
 yields a feasible placement with a certified optimality gap.
+
+The call owns one time limit, ``config.time_limit``.  With ``left`` the part
+of it not yet spent, scenario i of m gets ``left / (m - i + 1)``, capped by
+``per_scenario_budget``, and the final solve gets all that is left: one
+share is always kept for it.
 
 The per-scenario solves are independent and could run in parallel; the final
 robust solve is sequential.
@@ -20,7 +25,6 @@ robust solve is sequential.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -58,20 +62,18 @@ class RatioReport:
 
 
 def maximize_single(fn: SetFunction, costs: Sequence[float], budget: float,
-                    time_budget: float | None = None,
                     config: DcgConfig | None = None):
     """Single-scenario maximization by cut generation with unit scale.
 
-    Returns (bounds, pool, report): the value sandwich, the accumulated cut
-    pool, and the underlying run report.  Budget exhaustion is a normal
-    outcome, never an error.
+    Returns (bounds, report): the value sandwich and the underlying run
+    report, whose ``pool`` holds the generated cuts.  The run stops at
+    ``config.time_limit``; running out of time is a normal outcome, never
+    an error.
     """
-    base = config or DcgConfig()
-    run_cfg = replace(base, time_limit=time_budget)
-    report = solve_robust([fn], [1.0], costs, budget, run_cfg)
+    report = solve_robust([fn], [1.0], costs, budget, config)
     bounds = ScenarioBounds(lower=report.eta, upper=report.upper_bound,
                             solved_exactly=report.status == STATUS_OPTIMAL)
-    return bounds, report.pool, report
+    return bounds, report
 
 
 def rescale_cuts(cuts: Sequence[SubmodularCut], alpha_bar: float,
@@ -112,25 +114,33 @@ def certify_ratio_optimal(bounds: Sequence[ScenarioBounds], x: Sequence[int],
 def solve_ratio_robust(fns: Sequence[SetFunction], costs: Sequence[float],
                        budget: float, per_scenario_budget: float | None = None,
                        config: DcgConfig | None = None) -> RatioReport:
-    """Ratio-robust solve with per-scenario time budgets and cut reuse."""
+    """Ratio-robust solve with cut reuse, within one time limit split as the
+    module docstring says."""
     config = config or DcgConfig()
     m = len(fns)
     if m == 0:
         raise ValueError("at least one scenario function is required")
-    if (per_scenario_budget is not None and config.time_limit is not None
-            and per_scenario_budget * m >= config.time_limit):
-        warnings.warn("per-scenario budgets consume the whole time limit; "
-                      "the final robust solve will start exhausted", stacklevel=2)
+    if per_scenario_budget is not None and not per_scenario_budget >= 0:
+        raise ValueError("per_scenario_budget must be nonnegative")
     start = time.monotonic()
+
+    def left():
+        if config.time_limit is None:
+            return None
+        return max(0.0, config.time_limit - (time.monotonic() - start))
 
     per_scenario = []
     reused: list = []
     scales = []
     pre_cuts = 0
     for i, fn in enumerate(fns):
-        bounds, pool, rep = maximize_single(fn, costs, budget,
-                                            time_budget=per_scenario_budget,
-                                            config=config)
+        limit = per_scenario_budget
+        if config.time_limit is not None:
+            # scenarios i..m-1 and the final solve share what is left
+            share = left() / (m - i + 1)
+            limit = share if limit is None else min(limit, share)
+        bounds, rep = maximize_single(fn, costs, budget,
+                                      replace(config, time_limit=limit))
         pre_cuts += rep.cuts_added
         if bounds.lower <= 0:
             raise ValueError(
@@ -138,18 +148,14 @@ def solve_ratio_robust(fns: Sequence[SetFunction], costs: Sequence[float],
                 "ratio scaling is undefined")
         per_scenario.append(bounds)
         scales.append(bounds.lower)
-        reused += rescale_cuts(pool, bounds.lower, i)
+        reused += rescale_cuts(rep.pool, bounds.lower, i)
 
-    remaining = None
-    if config.time_limit is not None:
-        remaining = max(0.0, config.time_limit - (time.monotonic() - start))
-    final_cfg = replace(config, time_limit=remaining)
-    report = solve_robust(fns, scales, costs, budget, final_cfg, initial_cuts=reused)
+    report = solve_robust(fns, scales, costs, budget,
+                          replace(config, time_limit=left()), initial_cuts=reused)
 
     ub = report.upper_bound
-    lb = min(fn.value(support(report.x)) / b.upper
-             for fn, b in zip(fns, per_scenario))
-    lb = min(lb, ub)
+    lb = min(ub, *(fn.value(support(report.x)) / b.upper
+                   for fn, b in zip(fns, per_scenario)))
     certified, reason = certify_ratio_optimal(per_scenario, report.x, fns, ub)
     gap = (ub - lb) / ub if ub > 0 else 0.0
     return RatioReport(eta=report.eta, x=report.x, upper_bound=ub,

@@ -46,6 +46,8 @@ class Network:
 
     def __post_init__(self):
         n = self.node_count
+        if not self.edges:
+            raise ValueError("a network needs at least one edge")
         for u, v in self.edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range")
@@ -119,10 +121,9 @@ def reduction_matrix(network: Network, scenario: Scenario) -> ReductionMatrix:
         dist = shortest_times(network, scenario, src)
         finite = np.sort(dist[np.isfinite(dist)])
         total[col] = finite.size
-        for s in range(n):
-            if math.isfinite(dist[s]):
-                # nodes with arrival >= arrival at the sensor are saved
-                saved[s, col] = finite.size - np.searchsorted(finite, dist[s], side="left")
+        # nodes with arrival >= arrival at the sensor are saved
+        reach = np.isfinite(dist)
+        saved[reach, col] = finite.size - np.searchsorted(finite, dist[reach], side="left")
     return ReductionMatrix(saved=saved, reachable_total=total)
 
 
@@ -200,10 +201,6 @@ class Instance:
                 raise ValueError("alpha values must be positive")
 
     @property
-    def scenario_count(self) -> int:
-        return len(self.scenarios)
-
-    @property
     def budget_infeasible(self) -> bool:
         """Whether the budget is below the cheapest sensor, so only the
         empty placement is feasible."""
@@ -261,7 +258,7 @@ def parse_instance(text: str) -> Instance:
     ln, toks = rd.take("nodes")
     (n,) = _ints(ln, toks[1:], 1, 1, "node count")
     ln, toks = rd.take("edges")
-    (e_count,) = _ints(ln, toks[1:], 1, 0, "edge count")
+    (e_count,) = _ints(ln, toks[1:], 1, 1, "edge count")
     edges = []
     for _ in range(e_count):
         ln, toks = rd.take()
@@ -361,7 +358,7 @@ def generate_instance(n: int, edge_factor: float, m: int, j_count: int,
         raise ValueError("source count must be between 1 and the node count")
     if m < 1:
         raise ValueError("at least one scenario is required")
-    e_count = max(1, math.ceil(edge_factor * n - 1e-9))
+    e_count = math.ceil(edge_factor * n - 1e-9)
     if e_count > n * (n - 1):
         raise ValueError(f"{e_count} edges do not fit among the {n * (n - 1)} "
                          f"directed pairs of {n} nodes")

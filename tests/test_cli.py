@@ -74,6 +74,13 @@ class TestGenerate:
         assert code == 2
         assert "--nodes" in err
 
+    def test_zero_edges_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "x.txt"
+        code, _, err = run(capsys, *gen_args(target, edges=0))
+        assert code == 2
+        assert "--edges" in err
+        assert not target.exists()
+
     def test_negative_edges_exits_2(self, tmp_path, capsys):
         target = tmp_path / "x.txt"
         code, _, err = run(capsys, *gen_args(target, edges=-1))
@@ -121,6 +128,34 @@ class TestSolve:
         assert code == 0
         rec = RunRecord.from_csv_row(next(csv.reader([out.strip().splitlines()[1]])))
         assert rec.eta <= 1.0 + 1e-9  # scaled by per-scenario optima
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_alpha_solve_runs_rsm3(self, instance_path, capsys, source):
+        # scaling by per-scenario optima is the rsm3 pipeline, whether the
+        # flag or the instance file asks for it; the row keeps mode rsm
+        if source == "flag":
+            argv = ["--alpha", "solve"]
+        else:
+            text = instance_path.read_text().replace("alpha unit", "alpha solve")
+            instance_path.write_text(text)
+            argv = []
+        _, out, _ = run(capsys, "solve", str(instance_path), *argv)
+        rec = RunRecord.from_csv_row(next(csv.reader([out.strip().splitlines()[1]])))
+        _, out3, _ = run(capsys, "solve", str(instance_path), "--mode", "rsm3")
+        rec3 = RunRecord.from_csv_row(next(csv.reader([out3.strip().splitlines()[1]])))
+        assert rec.mode == "rsm" and rec3.mode == "rsm3"
+        assert (rec.eta, rec.ub, rec.lb) == (rec3.eta, rec3.ub, rec3.lb)
+
+    @pytest.mark.parametrize("flags", [
+        ["--epsilon", "nan"], ["--epsilon", "inf"], ["--epsilon", "-1"],
+        ["--time-limit", "-1"], ["--time-limit", "nan"],
+        ["--mode", "rsm3", "--scenario-budget", "-1"],
+        ["--mode", "rsm3", "--scenario-budget", "nan"],
+    ])
+    def test_malformed_settings_exit_2(self, instance_path, capsys, flags):
+        code, out, err = run(capsys, "solve", str(instance_path), *flags)
+        assert code == 2
+        assert "error" in err and out == ""
 
     def test_csv_append_and_round_trip(self, instance_path, tmp_path, capsys):
         csv_path = tmp_path / "runs.csv"

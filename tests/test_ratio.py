@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import pytest
 
 from robustmax import (DcgConfig, ScenarioBounds, SubmodularCut,
                        brute_force_robust, build_cut, certify_ratio_optimal,
                        expected_reduction_oracle, generate_instance,
-                       maximize_single, rescale_cuts, solve_ratio_robust, support)
+                       maximize_single, ratio, rescale_cuts, solve_ratio_robust,
+                       support)
 
 from conftest import cut_is_valid, modular_fn
 
@@ -42,16 +44,16 @@ class TestMaximizeSingle:
     def test_figure_scenario_single_sensor(self, figure_network):
         net, sc = figure_network
         fn = expected_reduction_oracle(net, sc)
-        bounds, pool, report = maximize_single(fn, net.sensor_costs, net.budget)
+        bounds, report = maximize_single(fn, net.sensor_costs, net.budget)
         assert bounds.solved_exactly
         assert bounds.lower == pytest.approx(1.5, abs=1e-9)
         assert bounds.upper == bounds.lower
-        assert len(pool) >= 1
+        assert len(report.pool) >= 1
         assert report.status == "optimal"
 
     def test_modular_covers_all(self):
         fn = modular_fn((1, 2))
-        bounds, _, _ = maximize_single(fn, (1, 1), 2)
+        bounds, _ = maximize_single(fn, (1, 1), 2)
         assert bounds.lower == bounds.upper == pytest.approx(3.0, abs=1e-12)
 
     def test_exhausted_budget_still_sandwiches(self):
@@ -59,7 +61,7 @@ class TestMaximizeSingle:
                                  budget=18, seed=12)
         fn = inst.build_oracles()[0]
         costs, b = inst.network.sensor_costs, inst.network.budget
-        bounds, _, _ = maximize_single(fn, costs, b, time_budget=0.0)
+        bounds, _ = maximize_single(fn, costs, b, DcgConfig(time_limit=0.0))
         assert not bounds.solved_exactly
         assert 0 <= bounds.lower <= bounds.upper + 1e-9
         exact, _ = brute_force_robust([fn], [1.0], costs, b)
@@ -171,8 +173,58 @@ class TestSolveRatioRobust:
         d1.pop("wall_time"), d2.pop("wall_time")
         assert d1 == d2
 
-    def test_budget_warning(self):
-        fns = [modular_fn((1, 2))]
-        with pytest.warns(UserWarning):
-            solve_ratio_robust(fns, (1, 1), 2, per_scenario_budget=10.0,
-                               config=DcgConfig(time_limit=5.0))
+    def test_final_solve_keeps_a_share(self, monkeypatch):
+        # per-scenario budgets that would eat the whole limit are capped by
+        # the equal share, so the final solve still starts with time left
+        inst = generate_instance(n=8, edge_factor=1.4, m=3, j_count=2,
+                                 budget=14, seed=31)
+        fns = inst.build_oracles()
+        limits = _record_limits(monkeypatch, 5.0)
+        solve_ratio_robust(fns, inst.network.sensor_costs,
+                           inst.network.budget, per_scenario_budget=10.0,
+                           config=DcgConfig(time_limit=5.0))
+        assert len(limits) == 4
+        # scenario i of 3 shares what is left with 3 - i later solves
+        assert all(limit <= 5.0 / (4 - i) for i, (limit, _) in enumerate(limits[:3]))
+        assert limits[-1][0] > 0
+
+    def test_every_solve_gets_a_limit_within_what_is_left(self, monkeypatch):
+        inst = generate_instance(n=9, edge_factor=1.4, m=3, j_count=3,
+                                 budget=15, seed=5)
+        fns = inst.build_oracles()
+        limits = _record_limits(monkeypatch, 3.0)
+        solve_ratio_robust(fns, inst.network.sensor_costs, inst.network.budget,
+                           config=DcgConfig(time_limit=3.0))
+        assert len(limits) == 4
+        # the wrapper reads the clock a little after the pipeline does
+        assert all(limit is not None and 0 <= limit <= left + 1e-3
+                   for limit, left in limits)
+        assert limits[-1][0] > 0
+
+    def test_time_limit_bounds_the_whole_call(self):
+        # one scenario solve alone takes longer than the limit here
+        inst = generate_instance(n=54, edge_factor=41 / 36, m=10, j_count=18,
+                                 budget=45, seed=1)
+        fns = inst.build_oracles()
+        costs, b = inst.network.sensor_costs, inst.network.budget
+        start = time.monotonic()
+        report = solve_ratio_robust(fns, costs, b, config=DcgConfig(time_limit=1.0))
+        assert time.monotonic() - start < 3.0
+        assert report.lower_bound <= report.upper_bound
+        assert sum(c for c, xj in zip(costs, report.x) if xj) <= b
+
+
+def _record_limits(monkeypatch, time_limit: float) -> list:
+    """Wrap the solver the ratio pipeline calls; record, per call, its time
+    limit and what is left of ``time_limit`` at that moment."""
+    limits = []
+    start = time.monotonic()
+    solve_robust = ratio.solve_robust
+
+    def recording(fns, alphas, costs, budget, config=None, **kwargs):
+        left = time_limit - (time.monotonic() - start)
+        limits.append((config.time_limit, left))
+        return solve_robust(fns, alphas, costs, budget, config, **kwargs)
+
+    monkeypatch.setattr(ratio, "solve_robust", recording)
+    return limits

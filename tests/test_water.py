@@ -190,6 +190,18 @@ class TestInstanceFiles:
         with pytest.raises(ParseError):
             parse_instance(FIGURE_TEXT + "extra stuff\n")
 
+    def test_edgeless_file_rejected(self):
+        text = FIGURE_TEXT.replace("edges 3\n0 2\n0 3\n1 3\n", "edges 0\n")
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert "line 3" in str(err.value)
+
+    def test_edgeless_network_rejected(self):
+        # an edgeless instance would serialize to a file the parser refuses
+        inst = parse_instance(FIGURE_TEXT)
+        with pytest.raises(ValueError):
+            replace(inst.network, edges=())
+
 
 class TestGenerateInstance:
     def test_scale_dimensions(self):
@@ -222,6 +234,10 @@ class TestGenerateInstance:
         inst = generate_instance(n=5, edge_factor=1.2, m=1, j_count=1,
                                  budget=2, seed=0)
         assert inst.budget_infeasible
+
+    def test_no_edges_rejected(self):
+        with pytest.raises(ValueError):
+            generate_instance(n=4, edge_factor=0.0, m=1, j_count=1, budget=10, seed=0)
 
     def test_too_many_sources_rejected(self):
         with pytest.raises(ValueError):
