@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -63,24 +64,21 @@ def _resolve_alphas(instance: Instance, m: int, alpha_mode: str, alpha_spec):
     """Unit or given alpha values, from the CLI flag or else the instance file."""
     if alpha_mode == "unit":
         return [1.0] * m
-    if alpha_mode == "values":
-        values = [float(v) for v in alpha_spec[1:]] if alpha_spec else list(instance.alpha_values)
-        if len(values) != m:
-            raise ValueError(f"expected {m} alpha values, found {len(values)}")
-        if any(v <= 0 for v in values):
-            raise ValueError("alpha values must be positive")
-        return values
-    raise ValueError(f"unknown alpha mode {alpha_mode!r}")
+    values = [float(v) for v in alpha_spec[1:]] if alpha_spec else list(instance.alpha_values)
+    if len(values) != m:
+        raise ValueError(f"expected {m} alpha values, found {len(values)}")
+    if not all(0 < v < math.inf for v in values):
+        raise ValueError("alpha values must be positive and finite")
+    return values
 
 
-def _solve_one(path: str, mode: str, alpha_spec, args_dict) -> RunRecord:
+def _solve_one(path: str, mode: str, alpha_spec, config: DcgConfig,
+               scenario_budget) -> RunRecord:
     """One report row; alpha mode ``solve`` runs the rsm3 pipeline under mode rsm."""
     instance = _load_instance(path)
     fns = instance.build_oracles()
     costs = instance.network.sensor_costs
     budget = instance.network.budget
-    config = DcgConfig(reduce=args_dict["reduce"], stop_pt=args_dict["stop_pt"],
-                       epsilon=args_dict["epsilon"], time_limit=args_dict["time_limit"])
     alpha_mode = alpha_spec[0] if alpha_spec else instance.alpha_mode
     if mode == "rsm" and alpha_mode != "solve":
         alphas = _resolve_alphas(instance, len(fns), alpha_mode, alpha_spec)
@@ -88,8 +86,7 @@ def _solve_one(path: str, mode: str, alpha_spec, args_dict) -> RunRecord:
         lb = report.eta
     else:
         report = solve_ratio_robust(fns, costs, budget,
-                                    per_scenario_budget=args_dict["scenario_budget"],
-                                    config=config)
+                                    per_scenario_budget=scenario_budget, config=config)
         lb = report.lower_bound
     return RunRecord(instance=path, mode=mode, reduce=config.reduce,
                      stop_pt=config.stop_pt, time_s=report.wall_time,
@@ -134,11 +131,30 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _check_solve_flags(args):
+    """Raise ValueError for a malformed flag, before any solve runs."""
+    if args.alpha:
+        alpha_mode, values = args.alpha[0], args.alpha[1:]
+        if alpha_mode not in ("unit", "values", "solve"):
+            raise ValueError(f"unknown alpha mode {alpha_mode!r}")
+        if values and alpha_mode != "values":
+            raise ValueError(f"alpha mode {alpha_mode} takes no values")
+        if args.mode == "rsm3" and alpha_mode != "solve":
+            raise ValueError("mode rsm3 computes its own scales; "
+                             "only --alpha solve fits it")
+    if args.scenario_budget is not None and not args.scenario_budget >= 0:
+        raise ValueError("--scenario-budget must be nonnegative")
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
+
+
 def cmd_solve(args) -> int:
-    args_dict = dict(reduce=args.reduce, stop_pt=args.stop_pt, epsilon=args.epsilon,
-                     time_limit=args.time_limit, scenario_budget=args.scenario_budget)
-    jobs = [(path, args.mode, args.alpha, args_dict) for path in args.instance]
     try:
+        _check_solve_flags(args)
+        config = DcgConfig(reduce=args.reduce, stop_pt=args.stop_pt,
+                           epsilon=args.epsilon, time_limit=args.time_limit)
+        jobs = [(path, args.mode, args.alpha, config, args.scenario_budget)
+                for path in args.instance]
         if args.jobs > 1 and len(jobs) > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 records = list(pool.map(_solve_one_star, jobs))

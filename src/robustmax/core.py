@@ -180,15 +180,18 @@ def build_cut(fn: SetFunction, subset: Iterable[int], alpha: float,
     n = fn.ground_size
     if gen and (min(gen) < 0 or max(gen) >= n):
         raise ValueError("generating set not within ground set")
-    # f(N) - f(N - j) for each in-set j (f(N) is read only when there is
-    # one); Python's sum in the set's iteration order fixes the constant's
-    # rounding.
+    # One read: f(S + j) for every j, f(S), then f(N) and f(N - j) for each
+    # in-set j (f(N) only when there is one).  Python's sum in the set's
+    # iteration order fixes the constant's rounding.
     inside = list(gen)
+    key = fn._key(gen)
     full = (1 << n) - 1
-    full_minus = (fn.values([full] * len(inside))
-                  - fn.values([full ^ 1 << j for j in inside]))
-    constant = (fn.value(gen) - sum(full_minus.tolist())) / alpha
-    coeffs = fn.marginals(gen)
+    read = fn.values([key | 1 << j for j in range(n)] + [key]
+                     + [full] * bool(inside) + [full ^ 1 << j for j in inside])
+    at_gen = float(read[n])
+    full_minus = read[n + 1:n + 2] - read[n + 2:]
+    constant = (at_gen - sum(full_minus.tolist())) / alpha
+    coeffs = read[:n] - at_gen
     coeffs[inside] = full_minus
     return SubmodularCut(constant=constant, coefficients=tuple((coeffs / alpha).tolist()),
                          scenario_index=scenario_index, generating_set=gen,

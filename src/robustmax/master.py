@@ -14,10 +14,10 @@ before they arrived are re-bounded when popped.  A callback that returns the
 pool value it is given solves the fixed pool.
 
 Branching fixes variables in one order per solve, taken from the pool at its
-start, so the free set of a node depends only on its depth.  Each time the
-pool changes, the per-cut prefix sums of weight and value over the free items
-in ratio order are tabulated once per depth; a node's bound is then one
-comparison against its remaining budget and a few gathers.
+start, so the free set of a node depends only on its depth.  The per-cut
+prefix sums of weight and value over the free items in ratio order are
+built per depth on first use after each pool change; a node's bound is then
+one comparison against its remaining budget and a few gathers.
 
 A MasterState is owned by a single solve call; distinct states may run in
 parallel.
@@ -84,14 +84,16 @@ class MasterState:
     # -- prepared arrays -----------------------------------------------------
 
     def _prepare(self, branch_order: np.ndarray | None = None):
-        """Build the per-depth tables for the pool.  The branch order comes
-        from the pool unless ``branch_order`` is given, as it is when the
-        pool grows during a solve."""
+        """Build the per-pool arrays the node bounds read and drop the
+        previous pool's per-depth tables; :meth:`_table` builds each of
+        those when a node at its depth is first bounded.  The branch order
+        comes from the pool unless ``branch_order`` is given, as it is when
+        the pool grows during a solve."""
         if not self._dirty:
             return
-        # Free the previous pool's tables before building the new ones.
-        self._tables = None
         n = self.n
+        # Free the previous pool's tables before building the new arrays.
+        self._tables = [None] * (n + 1)
         A = np.array([c.coefficients for c in self.cut_pool], dtype=float)
         C = np.array([c.constant for c in self.cut_pool], dtype=float)
         cost = np.array(self.costs, dtype=float)
@@ -117,31 +119,33 @@ class MasterState:
         self._W_ord[:, :n] = cost[order]
         rank = np.empty(n, dtype=np.intp)
         rank[self._branch_order] = np.arange(n)
-        rank_ord = np.full((rows, n + 2), n)
-        rank_ord[:, :n] = rank[order]
-        # One table set per depth L over the items free there (branch rank
-        # >= L: m = n - L per cut, plus the pads), in each cut's ratio order,
-        # as rows of m + 2 columns:
-        #   item    flat index in _A_ord / _W_ord of each free item
-        #   cw, cv  weight and value of the first i free items in column i;
-        #           column 0 is zero and cw's last column an infinite
-        #           sentinel, so every row overruns
-        #   offset  turns a row's first overrunning column into the flat
-        #           index of the column before it
-        offsets = np.arange(rows) * (n + 2 - np.arange(n + 1))[:, None] - 1
-        tables = []
-        for level in range(n + 1):
-            m = n - level
-            item = np.flatnonzero(rank_ord >= level).astype(np.int32)
-            free = item.reshape(rows, m + 2)[:, :m]
-            cw = np.zeros((rows, m + 2))
-            cv = np.zeros((rows, m + 2))
-            np.add.accumulate(self._W_ord.take(free), axis=1, out=cw[:, 1:m + 1])
-            np.add.accumulate(self._A_ord.take(free), axis=1, out=cv[:, 1:m + 1])
-            cw[:, m + 1] = math.inf
-            tables.append((cw, cv, item, offsets[level]))
-        self._tables = tables
+        self._rank_ord = np.full((rows, n + 2), n)
+        self._rank_ord[:, :n] = rank[order]
+        self._offsets = np.arange(rows) * (n + 2 - np.arange(n + 1))[:, None] - 1
         self._dirty = False
+
+    def _table(self, level: int):
+        """The table set of depth L = ``level`` over the items free there
+        (branch rank >= L: m = n - L per cut, plus the pads), in each cut's
+        ratio order, as rows of m + 2 columns:
+
+          item    flat index in _A_ord / _W_ord of each free item
+          cw, cv  weight and value of the first i free items in column i;
+                  column 0 is zero and cw's last column an infinite
+                  sentinel, so every row overruns
+          offset  turns a row's first overrunning column into the flat
+                  index of the column before it
+        """
+        rows, m = len(self._C), self.n - level
+        item = np.flatnonzero(self._rank_ord >= level).astype(np.int32)
+        free = item.reshape(rows, m + 2)[:, :m]
+        cw = np.zeros((rows, m + 2))
+        cv = np.zeros((rows, m + 2))
+        np.add.accumulate(self._W_ord.take(free), axis=1, out=cw[:, 1:m + 1])
+        np.add.accumulate(self._A_ord.take(free), axis=1, out=cv[:, 1:m + 1])
+        cw[:, m + 1] = math.inf
+        table = self._tables[level] = (cw, cv, item, self._offsets[level])
+        return table
 
     def _evaluate(self, base: np.ndarray, level: int, cost_ones: float,
                   zero_completion: float | None = None):
@@ -155,7 +159,7 @@ class MasterState:
         if zero_completion is None:
             zero_completion = float(base.min())
         remaining = max(remaining, 0.0)
-        cw, cv, item, offset = self._tables[level]
+        cw, cv, item, offset = self._tables[level] or self._table(level)
         # Per cut, the first prefix that overruns the remaining budget: the
         # prefix before it is taken whole and the next free item is split.
         at = offset + (cw > remaining).argmax(axis=1)

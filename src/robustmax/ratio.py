@@ -44,7 +44,13 @@ class ScenarioBounds:
 
 @dataclass(frozen=True)
 class RatioReport:
-    """Ratio-robust outcome; upper/lower bracket the true ratio optimum."""
+    """Ratio-robust outcome; upper/lower bracket the true ratio optimum.
+
+    ``iterations``, ``cuts_added`` and ``wall_time`` cover the whole call:
+    the scenario solves and the final solve.  ``iterations`` sums each
+    solve's own count, one plus its separations that added cuts, and
+    ``cuts_added`` sums each solve's pool growth.
+    """
 
     eta: float
     x: tuple
@@ -132,7 +138,7 @@ def solve_ratio_robust(fns: Sequence[SetFunction], costs: Sequence[float],
     per_scenario = []
     reused: list = []
     scales = []
-    pre_cuts = 0
+    pre_iterations = pre_cuts = 0
     for i, fn in enumerate(fns):
         limit = per_scenario_budget
         if config.time_limit is not None:
@@ -141,6 +147,7 @@ def solve_ratio_robust(fns: Sequence[SetFunction], costs: Sequence[float],
             limit = share if limit is None else min(limit, share)
         bounds, rep = maximize_single(fn, costs, budget,
                                       replace(config, time_limit=limit))
+        pre_iterations += rep.iterations
         pre_cuts += rep.cuts_added
         if bounds.lower <= 0:
             raise ValueError(
@@ -159,7 +166,8 @@ def solve_ratio_robust(fns: Sequence[SetFunction], costs: Sequence[float],
     certified, reason = certify_ratio_optimal(per_scenario, report.x, fns, ub)
     gap = (ub - lb) / ub if ub > 0 else 0.0
     return RatioReport(eta=report.eta, x=report.x, upper_bound=ub,
-                       lower_bound=lb, gap=gap, iterations=report.iterations,
+                       lower_bound=lb, gap=gap,
+                       iterations=pre_iterations + report.iterations,
                        cuts_added=pre_cuts + report.cuts_added,
                        wall_time=time.monotonic() - start, status=report.status,
                        scales=tuple(scales), per_scenario=tuple(per_scenario),

@@ -157,6 +157,34 @@ class TestSolve:
         assert code == 2
         assert "error" in err and out == ""
 
+    @pytest.mark.parametrize("flags", [
+        ["--mode", "rsm3", "--alpha", "bogus"],
+        ["--mode", "rsm3", "--alpha", "values", "1", "2", "3"],
+        ["--mode", "rsm3", "--alpha", "unit"],
+        ["--alpha", "unit", "1"],
+        ["--mode", "rsm", "--alpha", "unit", "--scenario-budget", "-1"],
+        ["--mode", "rsm", "--alpha", "unit", "--scenario-budget", "nan"],
+        ["--jobs", "0"],
+        ["--jobs", "-3"],
+    ], ids=["rsm3-alpha-bogus", "rsm3-alpha-values", "rsm3-alpha-unit", "unit-with-values",
+            "rsm-scenario-budget-negative", "rsm-scenario-budget-nan", "jobs-0", "jobs-negative"])
+    def test_malformed_flags_exit_2_before_solving(self, instance_path, capsys,
+                                                   monkeypatch, flags):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran despite a malformed flag")
+
+        monkeypatch.setattr(robustmax.cli, "solve_robust", no_solve)
+        monkeypatch.setattr(robustmax.cli, "solve_ratio_robust", no_solve)
+        code, out, err = run(capsys, "solve", str(instance_path), *flags)
+        assert code == 2
+        assert "error" in err and out == ""
+
+    @pytest.mark.parametrize("values", [["nan", "1"], ["inf", "1"], ["0", "1"]])
+    def test_alpha_values_must_be_positive_and_finite(self, instance_path, capsys, values):
+        code, out, err = run(capsys, "solve", str(instance_path), "--alpha", "values", *values)
+        assert code == 2
+        assert "alpha" in err and out == ""
+
     def test_csv_append_and_round_trip(self, instance_path, tmp_path, capsys):
         csv_path = tmp_path / "runs.csv"
         run(capsys, "solve", str(instance_path), "--csv", str(csv_path))

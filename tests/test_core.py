@@ -434,3 +434,17 @@ class TestBatchReads:
         gen = data.draw(st.sets(st.integers(0, fn.ground_size - 1)))
         cut = build_cut(fn, gen, alpha, 0)
         assert (cut.constant, cut.coefficients) == scalar_build_cut(fn, gen, alpha)
+
+    @settings(max_examples=100, deadline=None)
+    @given(set_function_tables(), st.data(), st.floats(1e-6, 1e9))
+    def test_build_cut_reads_once_on_a_cold_oracle(self, case, data, alpha):
+        # every value the cut needs in one read: at most one batch call, and
+        # the memo the scalar formula leaves
+        table = case[0]
+        calls = []
+        batch_fn, scalar_fn = batched(table_fn(table), calls), table_fn(table)
+        gen = data.draw(st.sets(st.integers(0, batch_fn.ground_size - 1)))
+        cut = build_cut(batch_fn, gen, alpha, 0)
+        assert len(calls) <= 1
+        assert (cut.constant, cut.coefficients) == scalar_build_cut(scalar_fn, gen, alpha)
+        assert batch_fn._cache == scalar_fn._cache

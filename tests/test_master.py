@@ -5,6 +5,7 @@ from itertools import product
 from dataclasses import replace
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -307,14 +308,39 @@ class TestEvaluateMatchesReference:
     """MasterState._evaluate against node_bound at the nodes the search can
     reach: each depth fixes the next variable of the branch order."""
 
-    def walk(self, ms, pool, rng, cases):
+    def walk(self, ms, pool, rng, cases, grow=None):
+        """One random root-to-leaf walk.  With ``grow`` = (depth, cuts),
+        every depth's table of the old pool is built at that depth, then the
+        cuts join the pool and the walk goes on in the same branch order;
+        from there on each bound must equal, with ==, that of a state loaded
+        afresh with the grown pool."""
         ms._prepare()
         n, costs = ms.n, ms.costs
         ones, zeros = set(), set()
         base = ms._C.copy()
+        fresh = None
         for level in range(n + 1):
+            if grow is not None and level == grow[0]:
+                for depth in range(n + 1):
+                    ms._evaluate(ms._C, depth, 0.0)
+                size = len(ms.cut_pool) + len(grow[1])
+                for cut in grow[1]:
+                    ms.add_cut(cut)
+                cases.add("grown")
+                if len(ms.cut_pool) < size:
+                    cases.add("dropped")
+                ms._prepare(ms._branch_order)
+                pool = list(ms.cut_pool)
+                fresh = MasterState(n, costs, ms.budget)
+                for cut in pool:
+                    fresh.add_cut(cut)
+                assert fresh.cut_pool == pool
+                fresh._prepare(ms._branch_order)
+                base = ms._C + ms._A @ np.array(indicator(ones, n), dtype=float)
             cost_ones = sum(costs[j] for j in ones)
             bound, zero_value = ms._evaluate(base, level, cost_ones)
+            if fresh is not None:
+                assert (bound, zero_value) == fresh._evaluate(base, level, cost_ones)
             expected = node_bound(pool, ones, zeros, costs, ms.budget)
             assert close(bound, expected), (level, sorted(ones), bound, expected)
             free_cost = sum(costs[j] for j in range(n) if j not in ones | zeros)
@@ -354,6 +380,28 @@ class TestEvaluateMatchesReference:
             budget = rng.choice([0, rng.randint(0, sum(costs)), sum(costs) + 1])
             self.walk(loaded_state(pool, costs, budget), pool, rng, cases)
         assert cases == {"overrun", "zero remaining", "all fit", "tied ratios"}
+
+    def test_cuts_added_mid_walk(self):
+        # The tables built under the old pool must not outlive _prepare: the
+        # new cuts add rows, and a stronger copy of an old cut drops its row.
+        rng = Random(43)
+        cases = set()
+        for _ in range(150):
+            n = rng.randint(1, 12)
+            costs = [rng.randint(1, 4) for _ in range(n)]
+            pool = distinct_sets(random_pool(rng, n, rng.randint(1, 6)))
+            extra = [replace(cut, generating_set=frozenset({len(pool) + k}))
+                     for k, cut in enumerate(random_pool(rng, n, rng.randint(1, 4)))]
+            if rng.random() < 0.5:
+                old = rng.choice(pool)
+                extra.append(replace(old, constant=old.constant - 0.5,
+                                     coefficients=tuple(c / 2 for c in old.coefficients)))
+            budget = rng.choice([rng.randint(0, sum(costs)), sum(costs) + 1])
+            ms = MasterState(n, costs, budget)
+            for cut in pool:
+                ms.add_cut(cut)
+            self.walk(ms, pool, rng, cases, grow=(rng.randint(0, n), extra))
+        assert {"grown", "dropped", "zero remaining", "all fit"} <= cases
 
 
 def recorded_solves(monkeypatch) -> list:
@@ -407,6 +455,43 @@ class TestNodeCounts:
 
 
 class TestTableRebuild:
+    @pytest.mark.parametrize("family, seed", [
+        (dict(n=12, edge_factor=2.0, m=5, j_count=5, budget=15), 1),
+        (dict(n=20, edge_factor=1.5, m=8, j_count=6, budget=20), 3),
+    ])
+    def test_tables_built_on_demand(self, monkeypatch, family, seed):
+        # One solve_robust run: a table is built once per (pool, depth) at
+        # which a node is bounded, and at no other depth.
+        pools, built, bounded = [0], [], set()
+        prepare, table, evaluate = (MasterState._prepare, MasterState._table,
+                                    MasterState._evaluate)
+
+        def preparing(self, *args):
+            pools[0] += self._dirty
+            return prepare(self, *args)
+
+        def building(self, level):
+            built.append((pools[0], level))
+            return table(self, level)
+
+        def evaluating(self, base, level, *args):
+            result = evaluate(self, base, level, *args)
+            if result[0] > -math.inf:
+                bounded.add((pools[0], level))
+            return result
+
+        monkeypatch.setattr(MasterState, "_prepare", preparing)
+        monkeypatch.setattr(MasterState, "_table", building)
+        monkeypatch.setattr(MasterState, "_evaluate", evaluating)
+        inst = generate_instance(seed=seed, **family)
+        fns = inst.build_oracles()
+        report = solve_robust(fns, [1.0] * len(fns), inst.network.sensor_costs,
+                              inst.network.budget, DcgConfig(reduce=True, stop_pt=2))
+        assert report.iterations > 1
+        assert len(built) == len(set(built))
+        assert set(built) == bounded
+        assert len(built) < pools[0] * (inst.network.node_count + 1)
+
     def test_incremental_pool_matches_fresh_state(self):
         rng = Random(23)
         for _ in range(20):

@@ -173,6 +173,25 @@ class TestSolveRatioRobust:
         d1.pop("wall_time"), d2.pop("wall_time")
         assert d1 == d2
 
+    def test_counts_cover_every_solve(self, monkeypatch):
+        # iterations and cuts_added sum the scenario solves and the final one
+        inst = generate_instance(n=9, edge_factor=1.4, m=3, j_count=3,
+                                 budget=15, seed=5)
+        fns = inst.build_oracles()
+        reports = []
+        solve_robust = ratio.solve_robust
+
+        def recording(*args, **kwargs):
+            reports.append(solve_robust(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(ratio, "solve_robust", recording)
+        report = solve_ratio_robust(fns, inst.network.sensor_costs, inst.network.budget)
+        assert len(reports) == len(fns) + 1
+        assert report.iterations == sum(r.iterations for r in reports)
+        assert report.cuts_added == sum(r.cuts_added for r in reports)
+        assert report.iterations > reports[-1].iterations
+
     def test_final_solve_keeps_a_share(self, monkeypatch):
         # per-scenario budgets that would eat the whole limit are capped by
         # the equal share, so the final solve still starts with time left
