@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import (TOL, SetFunction, SubmodularCut, build_cut, empty_set_cuts,
                    objective_slack)
-from .master import MasterState, STATUS_OPTIMAL
+from .master import MasterState, STATUS_OPTIMAL, check_knapsack
 
 
 @dataclass
@@ -85,6 +85,11 @@ class SolveReport:
     pool: tuple = ()
 
 
+def check_alphas(alphas: Sequence[float]):
+    if not all(0 < a < math.inf for a in alphas):
+        raise ValueError("alphas must be positive and finite")
+
+
 def support(x: Sequence[int]) -> frozenset:
     return frozenset(j for j, xj in enumerate(x) if xj)
 
@@ -93,9 +98,10 @@ def strengthen_generating_set(fn: SetFunction, incumbent: Iterable[int],
                               stop_pt: int) -> frozenset:
     """Rebuild the incumbent support into a stronger cut generating set.
 
-    Scans every element j with zero marginal on the incumbent support; once
-    stop_pt in-support witnesses k with fn.marginal(j, {k}) == 0 have been
-    collected and the interchange identity
+    Scans every element j with zero marginal on the incumbent support; when
+    it has stop_pt in-support witnesses k with fn.marginal(j, {k}) == 0, tmpQ
+    is the covered set plus the first stop_pt of them in index order, and
+    the interchange identity
 
         f(tmpQ) == f(S + j) + sum_{l in tmpQ} marginal(l, S + j)
 
@@ -119,19 +125,16 @@ def strengthen_generating_set(fn: SetFunction, incumbent: Iterable[int],
                  - fn.values([1 << k for _, k in pairs])).tolist()
     witness = {pair for pair, gain in zip(pairs, pair_gain) if gain <= slack}
     for j in zero:
-        tmp = set(covered)
-        counter = 0
-        for k in bar:
-            if (j, k) in witness:
-                counter += 1
-                tmp.add(k)
-            if counter == stop_pt:
-                with_j = frozenset(admitted | {j})
-                lhs = fn.value(tmp)
-                rhs = fn.value(with_j) + sum(fn.marginal(l, with_j) for l in tmp)
-                if abs(lhs - rhs) <= slack:
-                    admitted.add(j)
-                    covered |= tmp
+        found = [k for k in bar if (j, k) in witness][:stop_pt]
+        if len(found) < stop_pt:
+            continue
+        tmp = covered.union(found)
+        with_j = frozenset(admitted | {j})
+        lhs = fn.value(tmp)
+        rhs = fn.value(with_j) + sum(fn.marginal(l, with_j) for l in tmp)
+        if abs(lhs - rhs) <= slack:
+            admitted.add(j)
+            covered |= tmp
     return frozenset(admitted) | (incumbent - covered)
 
 
@@ -152,8 +155,7 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
         raise ValueError("at least one scenario function is required")
     if len(alphas) != m:
         raise ValueError("need one alpha per scenario function")
-    if any(a <= 0 for a in alphas):
-        raise ValueError("alphas must be strictly positive")
+    check_alphas(alphas)
     n = fns[0].ground_size
     start = time.monotonic()
 
@@ -224,8 +226,8 @@ def brute_force_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
         raise ValueError(f"ground set of size {n} exceeds the enumeration guard {max_ground}")
     if len(alphas) != len(fns):
         raise ValueError("need one alpha per scenario function")
-    if len(costs) != n:
-        raise ValueError("need one cost per element")
+    check_alphas(alphas)
+    check_knapsack(n, costs, budget)
     # cost[mask] sums the chosen costs in ascending element order, as a
     # running sum over the tuple x would.
     cost = np.zeros(1 << n)

@@ -10,8 +10,9 @@ assignment; the node bound is the minimum of those per-cut values.  That
 bound drives a best-bound branch and cut, which keeps the artifact free of
 an external MILP dependency: every improving candidate goes to a separation
 callback, cuts join the pool while the tree is open, and the nodes bounded
-before they arrived are re-bounded when popped.  A callback that returns the
-pool value it is given solves the fixed pool.
+before they arrived are re-bounded when popped.  A candidate is offered once
+per pool it is valued under.  A callback that returns the pool value it is
+given solves the fixed pool.
 
 Branching fixes variables in one order per solve, taken from the pool at its
 start, so the free set of a node depends only on its depth.  The per-cut
@@ -39,6 +40,15 @@ STATUS_OPTIMAL = "optimal"
 STATUS_TIME_LIMIT = "time_limit"
 
 
+def check_knapsack(n: int, costs: Sequence[float], budget: float):
+    if len(costs) != n:
+        raise ValueError("one cost per variable is required")
+    if not all(0 < c < math.inf for c in costs):
+        raise ValueError("costs must be positive and finite")
+    if not math.isfinite(budget):
+        raise ValueError("budget must be finite")
+
+
 @dataclass(frozen=True)
 class MasterResult:
     eta: float
@@ -52,19 +62,17 @@ class MasterState:
     """Cut pool plus knapsack data; re-solvable as the pool grows."""
 
     def __init__(self, n: int, costs: Sequence[float], budget: float):
-        if len(costs) != n:
-            raise ValueError("one cost per variable is required")
-        if any(c <= 0 for c in costs):
-            raise ValueError("costs must be positive")
+        check_knapsack(n, costs, budget)
         if budget < 0:
             raise ValueError("budget must be nonnegative")
         self.n = n
         self.costs = tuple(costs)
         self.budget = budget
+        self._cost = np.array(self.costs, dtype=float)
         # Search admits sets this far over budget; an incumbent must pass _fits.
         self._cost_slack = TOL * max(self.costs)
         self.cut_pool: list = []
-        self._dirty = True
+        self._changes = 0  # pool changes so far; a heap node records its own
 
     def add_cut(self, cut: SubmodularCut) -> bool:
         """Append a cut, unless a pool cut with the same generating set
@@ -78,7 +86,7 @@ class MasterState:
         if drop:
             self.cut_pool = [c for c in self.cut_pool if id(c) not in drop]
         self.cut_pool.append(cut)
-        self._dirty = True
+        self._changes += 1
         return True
 
     # -- prepared arrays -----------------------------------------------------
@@ -89,20 +97,15 @@ class MasterState:
         those when a node at its depth is first bounded.  The branch order
         comes from the pool unless ``branch_order`` is given, as it is when
         the pool grows during a solve."""
-        if not self._dirty:
-            return
         n = self.n
         # Free the previous pool's tables before building the new arrays.
         self._tables = [None] * (n + 1)
         A = np.array([c.coefficients for c in self.cut_pool], dtype=float)
         C = np.array([c.constant for c in self.cut_pool], dtype=float)
-        cost = np.array(self.costs, dtype=float)
-        ratio = A / cost[None, :]
-        order = np.argsort(-ratio, axis=1, kind="stable")
+        cost = self._cost
+        order = np.argsort(-(A / cost[None, :]), axis=1, kind="stable")
         self._A = A
         self._C = C
-        self._cost = cost
-        self._slack = objective_slack(self.cut_pool)
         if branch_order is None:
             # Branch priority: free variable with the best guaranteed (min
             # over cuts) coefficient per unit cost, ties to the smallest index.
@@ -121,8 +124,6 @@ class MasterState:
         rank[self._branch_order] = np.arange(n)
         self._rank_ord = np.full((rows, n + 2), n)
         self._rank_ord[:, :n] = rank[order]
-        self._offsets = np.arange(rows) * (n + 2 - np.arange(n + 1))[:, None] - 1
-        self._dirty = False
 
     def _table(self, level: int):
         """The table set of depth L = ``level`` over the items free there
@@ -144,20 +145,17 @@ class MasterState:
         np.add.accumulate(self._W_ord.take(free), axis=1, out=cw[:, 1:m + 1])
         np.add.accumulate(self._A_ord.take(free), axis=1, out=cv[:, 1:m + 1])
         cw[:, m + 1] = math.inf
-        table = self._tables[level] = (cw, cv, item, self._offsets[level])
+        offset = np.arange(rows) * (m + 2) - 1
+        table = self._tables[level] = (cw, cv, item, offset)
         return table
 
-    def _evaluate(self, base: np.ndarray, level: int, cost_ones: float,
-                  zero_completion: float | None = None):
-        """(fractional bound, value of the zeros-completion) for the node at
-        depth ``level`` whose fixed-one variables give per-cut values ``base``
-        and cost ``cost_ones``; ``zero_completion`` is ``base.min()`` when the
-        caller already has it."""
+    def _evaluate(self, base: np.ndarray, level: int, cost_ones: float) -> float:
+        """Fractional bound of the node at depth ``level`` whose fixed-one
+        variables give per-cut values ``base`` and cost ``cost_ones``; -inf
+        when they overrun the budget."""
         remaining = self.budget - cost_ones
         if remaining < -self._cost_slack:
-            return -math.inf, -math.inf
-        if zero_completion is None:
-            zero_completion = float(base.min())
+            return -math.inf
         remaining = max(remaining, 0.0)
         cw, cv, item, offset = self._tables[level] or self._table(level)
         # Per cut, the first prefix that overruns the remaining budget: the
@@ -165,10 +163,9 @@ class MasterState:
         at = offset + (cw > remaining).argmax(axis=1)
         split = item.take(at)
         part = self._A_ord.take(split) * (remaining - cw.take(at)) / self._W_ord.take(split)
-        bound = float((base + cv.take(at) + part).min())
-        return bound, zero_completion
+        return float((base + cv.take(at) + part).min())
 
-    def _greedy_start(self):
+    def _greedy_start(self, slack: float):
         """Greedy incumbent: repeatedly add the affordable item with the best
         pool-min increase, smallest index on ties."""
         ones = np.zeros(self.n, dtype=bool)
@@ -182,7 +179,7 @@ class MasterState:
             candidate_values = (base[:, None] + self._A).min(axis=0)
             candidate_values[~affordable] = -math.inf
             j = int(np.argmax(candidate_values))
-            if candidate_values[j] <= value + self._slack:
+            if candidate_values[j] <= value + slack:
                 break
             ones[j] = True
             base = base + self._A[:, j]
@@ -201,7 +198,7 @@ class MasterState:
         """Best-bound branch and cut over the pool, in one tree.
 
         Every candidate x that fits and whose pool value beats the incumbent
-        by more than the pool's objective slack
+        by more than the starting pool's objective slack
         (:func:`~robustmax.core.objective_slack`) goes at once to
         ``separate(x, value, bound)``, with its pool value and the bound of
         the node being expanded (the best bound left).  The callback may add
@@ -210,7 +207,9 @@ class MasterState:
         optimal.  The incumbent and the pruning then follow those values, not
         pool values.  Open nodes are kept when cuts arrive: a node bounded
         under an older pool is re-bounded when popped, in the branch order the
-        solve began with.
+        solve began with.  A one child's x is offered as the child is bounded;
+        a node's own x is offered again (as its zero child) only after its
+        per-cut values were re-derived under a grown pool.
 
         A node is pruned once its bound is within the slack of the incumbent.
         ``bound`` is the largest bound of a node pruned or left open, so no
@@ -222,39 +221,37 @@ class MasterState:
             raise ValueError("cut pool is empty; solve needs at least one cut")
         self._prepare()
         start = time.monotonic()
-        slack = self._slack
+        slack = objective_slack(self.cut_pool)
 
         inc_value, inc_x = -math.inf, ()
-        version = 0  # pool changes in this solve; each heap node records its own
 
         def offer(value: float, ones: np.ndarray):
-            nonlocal inc_value, inc_x, version
+            nonlocal inc_value, inc_x
             # every value offered is bounded under the current pool
             if value <= inc_value + slack or not self._fits(ones):
                 return
             x = tuple(int(b) for b in ones)
+            changes = self._changes
             value = separate(x, value, expanding)
-            if self._dirty:
+            if self._changes != changes:
                 self._prepare(self._branch_order)
-                version += 1
             if value > inc_value + slack:
                 inc_value, inc_x = value, x
             elif value >= inc_value - slack and x < inc_x:
                 inc_x = x
 
         root_ones = np.zeros(self.n, dtype=bool)
-        root_bound, root_value = self._evaluate(self._C, 0, 0.0)
+        root_bound = self._evaluate(self._C, 0, 0.0)
         nodes = 1
+        # Heap entries: (-bound, seq, ones, per-cut value of ones, depth, cost
+        # of ones, pool changes at the bound, whether ones await an offer under
+        # that pool: only a node re-bounded and pushed back does).
+        heap = [(-root_bound, 0, root_ones, self._C, 0, 0.0, self._changes, False)]
         expanding = root_bound  # bound of the node being expanded
-        offer(*self._greedy_start())
+        offer(*self._greedy_start(slack))
         # the all-zeros x, valued under the pool the greedy start may have grown
         offer(float(self._C.min()), root_ones)
         seq = 0
-        # Heap entries: (-bound, seq, ones, per-cut value of ones, depth, cost
-        # of ones, zeros-completion value, pool version of the bound).  The
-        # zero child keeps its parent's ones, so it reuses the parent's
-        # zeros-completion value.
-        heap = [(-root_bound, seq, root_ones, self._C, 0, 0.0, root_value, 0)]
         status = STATUS_OPTIMAL
         top_pruned = -math.inf  # largest bound of a node pruned, popped or not
 
@@ -267,8 +264,8 @@ class MasterState:
                 top_pruned = max(top_pruned, bound)
 
         while heap:
-            (neg_bound, _, ones, base, level, cost_ones, zero_value,
-             node_version) = heapq.heappop(heap)
+            (neg_bound, _, ones, base, level, cost_ones, changes,
+             unoffered) = heapq.heappop(heap)
             bound = -neg_bound
             if bound <= inc_value + slack:
                 # best-first order: nothing left can beat the incumbent
@@ -278,15 +275,16 @@ class MasterState:
                 status = STATUS_TIME_LIMIT
                 top_pruned = max(top_pruned, bound)
                 break
-            if node_version != version:
+            if changes != self._changes:
                 # Cuts arrived since this node was bounded; its stale bound
                 # is still valid, as cuts only lower bounds.  Re-bound it
                 # from its ones, since dominated cuts may have left the pool.
                 base = self._C + self._A @ ones
-                bound, zero_value = self._evaluate(base, level, cost_ones)
+                bound = self._evaluate(base, level, cost_ones)
                 nodes += 1
+                unoffered = True
                 if bound <= inc_value + slack or (heap and bound < -heap[0][0]):
-                    push(bound, ones, base, level, cost_ones, zero_value, version)
+                    push(bound, ones, base, level, cost_ones, self._changes, True)
                     continue
             if level >= self.n:
                 continue
@@ -297,24 +295,21 @@ class MasterState:
                 child_ones[j] = True
                 child_base = base + self._A[:, j]
                 child_cost = cost_ones + float(self._cost[j])
-                b1, v1 = self._evaluate(child_base, level + 1, child_cost)
+                b1 = self._evaluate(child_base, level + 1, child_cost)
                 nodes += 1
-                bounded_under = version
-                offer(v1, child_ones)
-                push(b1, child_ones, child_base, level + 1, child_cost, v1, bounded_under)
-                if version != bounded_under:
+                changes = self._changes
+                offer(float(child_base.min()), child_ones)
+                push(b1, child_ones, child_base, level + 1, child_cost, changes, False)
+                if self._changes != changes:
                     base = self._C + self._A @ ones
-                    zero_value = None
-            b0, v0 = self._evaluate(base, level + 1, cost_ones, zero_value)
+                    unoffered = True
+            b0 = self._evaluate(base, level + 1, cost_ones)
             nodes += 1
-            bounded_under = version
-            offer(v0, ones)
-            push(b0, ones, base, level + 1, cost_ones, v0, bounded_under)
+            changes = self._changes
+            if unoffered:
+                offer(float(base.min()), ones)
+            push(b0, ones, base, level + 1, cost_ones, changes, False)
 
-        if version:
-            # the tables keep this solve's branch order; the next solve
-            # derives its own from the grown pool
-            self._dirty = True
         x_arr = np.array(inc_x, dtype=float)
         eta = float((self._C + self._A @ x_arr).min())
         bound = max(eta, inc_value, top_pruned)

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustmax import (DcgConfig, SetFunction, brute_force_robust, build_cut,
-                       expected_reduction_oracle, generate_instance, solve_robust,
-                       strengthen_generating_set, support)
+                       expected_reduction_oracle, generate_instance, solve_ratio_robust,
+                       solve_robust, strengthen_generating_set, support)
 
 from robustmax.core import TOL
 
@@ -263,6 +263,47 @@ class TestSolveRobust:
         tight = solve_robust(fns, [1.0] * len(fns), costs, b, DcgConfig(epsilon=0.0))
         assert loose.iterations <= tight.iterations
         assert loose.eta >= tight.eta - 0.5 - 1e-9
+
+
+class TestNonFiniteInputs:
+    """NaN passes ``c <= 0``, ``budget < 0`` and ``a <= 0``; every solver and
+    the brute-force reference must refuse it, and infinities, up front."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        inst = generate_instance(n=8, edge_factor=1.5, m=3, j_count=3, budget=12, seed=1)
+        return inst.build_oracles(), list(inst.network.sensor_costs), inst.network.budget
+
+    SOLVERS = {
+        "solve_robust": lambda fns, alphas, costs, budget:
+            solve_robust(fns, alphas, costs, budget),
+        "solve_ratio_robust": lambda fns, alphas, costs, budget:
+            solve_ratio_robust(fns, costs, budget),
+        "brute_force_robust": lambda fns, alphas, costs, budget:
+            brute_force_robust(fns, alphas, costs, budget),
+    }
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    @pytest.mark.parametrize("budget", [math.nan, math.inf])
+    def test_budget(self, problem, solver, budget):
+        fns, costs, _ = problem
+        with pytest.raises(ValueError, match="budget must be finite"):
+            self.SOLVERS[solver](fns, [1.0] * len(fns), costs, budget)
+
+    @pytest.mark.parametrize("solver", sorted(SOLVERS))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_cost(self, problem, solver, bad):
+        fns, costs, budget = problem
+        costs = costs[:2] + [bad] + costs[3:]
+        with pytest.raises(ValueError, match="costs must be positive and finite"):
+            self.SOLVERS[solver](fns, [1.0] * len(fns), costs, budget)
+
+    @pytest.mark.parametrize("solver", ["solve_robust", "brute_force_robust"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_alpha(self, problem, solver, bad):
+        fns, costs, budget = problem
+        with pytest.raises(ValueError, match="alphas must be positive and finite"):
+            self.SOLVERS[solver](fns, [bad] + [1.0] * (len(fns) - 1), costs, budget)
 
 
 class TestBruteForce:

@@ -338,9 +338,10 @@ class TestEvaluateMatchesReference:
                 fresh._prepare(ms._branch_order)
                 base = ms._C + ms._A @ np.array(indicator(ones, n), dtype=float)
             cost_ones = sum(costs[j] for j in ones)
-            bound, zero_value = ms._evaluate(base, level, cost_ones)
+            bound = ms._evaluate(base, level, cost_ones)
+            assert type(bound) is float
             if fresh is not None:
-                assert (bound, zero_value) == fresh._evaluate(base, level, cost_ones)
+                assert bound == fresh._evaluate(base, level, cost_ones)
             expected = node_bound(pool, ones, zeros, costs, ms.budget)
             assert close(bound, expected), (level, sorted(ones), bound, expected)
             free_cost = sum(costs[j] for j in range(n) if j not in ones | zeros)
@@ -349,7 +350,6 @@ class TestEvaluateMatchesReference:
                 cases.add("overrun")
                 assert bound == -math.inf
                 return
-            assert close(zero_value, min(rhs(c, indicator(ones, n)) for c in pool))
             if remaining == 0:
                 cases.add("zero remaining")
             if 0 < free_cost <= remaining:
@@ -460,25 +460,27 @@ class TestTableRebuild:
         (dict(n=20, edge_factor=1.5, m=8, j_count=6, budget=20), 3),
     ])
     def test_tables_built_on_demand(self, monkeypatch, family, seed):
-        # One solve_robust run: a table is built once per (pool, depth) at
-        # which a node is bounded, and at no other depth.
-        pools, built, bounded = [0], [], set()
+        # One solve_robust run: the tables are reset once per pool, and a
+        # table is built once per (pool, depth) at which a node is bounded,
+        # and at no other depth.
+        pools, built, bounded = [], [], set()
         prepare, table, evaluate = (MasterState._prepare, MasterState._table,
                                     MasterState._evaluate)
 
         def preparing(self, *args):
-            pools[0] += self._dirty
+            assert not pools or self._changes > pools[-1]
+            pools.append(self._changes)
             return prepare(self, *args)
 
         def building(self, level):
-            built.append((pools[0], level))
+            built.append((len(pools), level))
             return table(self, level)
 
         def evaluating(self, base, level, *args):
-            result = evaluate(self, base, level, *args)
-            if result[0] > -math.inf:
-                bounded.add((pools[0], level))
-            return result
+            bound = evaluate(self, base, level, *args)
+            if bound > -math.inf:
+                bounded.add((len(pools), level))
+            return bound
 
         monkeypatch.setattr(MasterState, "_prepare", preparing)
         monkeypatch.setattr(MasterState, "_table", building)
@@ -490,7 +492,7 @@ class TestTableRebuild:
         assert report.iterations > 1
         assert len(built) == len(set(built))
         assert set(built) == bounded
-        assert len(built) < pools[0] * (inst.network.node_count + 1)
+        assert len(built) < len(pools) * (inst.network.node_count + 1)
 
     def test_incremental_pool_matches_fresh_state(self):
         rng = Random(23)
@@ -527,6 +529,34 @@ def hidden_pools(draw):
 
 
 class TestBranchAndCut:
+    def test_candidates_offered_once_per_pool(self):
+        # A callback that adds only the least violated hidden cut, and only
+        # on every other call, leaves a candidate's pool value above what it
+        # returns.  A candidate is offered again only once the pool has
+        # changed since its last offer, and then it must be: after a re-bound
+        # at pop (whether the node is expanded at once or pushed back first)
+        # or after a separation in the middle of an expansion.
+        hidden = [SubmodularCut(0.5, (0.0, 0.5, 2.5), 0, frozenset({0})),
+                  SubmodularCut(1.5, (0.0, 0.0, 2.5), 0, frozenset({1})),
+                  SubmodularCut(2.0, (0.5, 2.5, 1.5), 0, frozenset({2})),
+                  SubmodularCut(0.0, (1.0, 1.0, 1.5), 0, frozenset({3}))]
+        ms = MasterState(3, (4, 3, 2), 6)
+        ms.add_cut(replace(hidden[0], constant=3.5, generating_set=frozenset({4})))
+        offers = []
+
+        def separate(x, value, bound):
+            offers.append((x, value))
+            violated = [cut for cut in hidden if rhs(cut, x) < value]
+            if violated and len(offers) % 2:
+                ms.add_cut(max(violated, key=lambda cut: rhs(cut, x)))
+            return min(rhs(cut, x) for cut in hidden)
+
+        res = ms.solve(separate)
+        assert offers == [((0, 1, 1), 6.5), ((0, 0, 1), 3.5), ((0, 1, 1), 6.0),
+                          ((0, 0, 1), 3.5), ((0, 1, 1), 4.0), ((1, 0, 1), 3.0),
+                          ((0, 0, 1), 3.0)]
+        assert (res.x, res.eta, res.status) == ((0, 1, 1), 2.5, "optimal")
+
     @settings(max_examples=200, deadline=None)
     @given(hidden_pools())
     def test_lazy_cuts_match_full_pool(self, case):
