@@ -24,6 +24,7 @@ the memo cache tolerates concurrent insertion of identical entries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from random import Random
 from typing import Callable, Iterable, Sequence
 
@@ -166,6 +167,11 @@ class SubmodularCut:
     def ground_size(self) -> int:
         return len(self.coefficients)
 
+    @cached_property
+    def magnitude(self) -> float:
+        """max |right-hand side| on [0, 1]^n: at x = 1, as coefficients are >= 0."""
+        return abs(self.constant + sum(self.coefficients))
+
 
 def build_cut(fn: SetFunction, subset: Iterable[int], alpha: float,
               scenario_index: int) -> SubmodularCut:
@@ -208,9 +214,8 @@ def empty_set_cuts(fns: Sequence[SetFunction], alphas: Sequence[float]) -> list:
 
 
 def objective_slack(cuts: Iterable[SubmodularCut]) -> float:
-    """Slack for objective values bounded by ``cuts``: TOL times the largest value
-    one takes on [0, 1]^n, at x = 1 since coefficients are nonnegative."""
-    return TOL * max(abs(c.constant + sum(c.coefficients)) for c in cuts)
+    """Slack for objective values bounded by ``cuts``: TOL times their largest magnitude."""
+    return TOL * max(c.magnitude for c in cuts)
 
 
 def dominates(a: SubmodularCut, b: SubmodularCut) -> bool:

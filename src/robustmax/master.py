@@ -4,7 +4,7 @@ maximize   eta
 subject to eta <= constant_k + coefficients_k . x   for every pool cut k
            costs . x <= budget,  x binary
 
-Because every cut coefficient is nonnegative, a per-cut fractional knapsack
+Because every cut coefficient is nonnegative, each cut's exact 0-1 knapsack
 over the free variables upper-bounds any feasible completion of a partial
 assignment; the node bound is the minimum of those per-cut values.  That
 bound drives a best-bound branch and cut, which keeps the artifact free of
@@ -15,10 +15,11 @@ per pool it is valued under.  A callback that returns the pool value it is
 given solves the fixed pool.
 
 Branching fixes variables in one order per solve, taken from the pool at its
-start, so the free set of a node depends only on its depth.  The per-cut
-prefix sums of weight and value over the free items in ratio order are
-built per depth on first use after each pool change; a node's bound is then
-one comparison against its remaining budget and a few gathers.
+start, so the free set of a node depends only on its depth.  Per depth, one
+table on an integer capacity grid (:func:`knapsack_grid`) holds each cut's
+knapsack value over the free items at every capacity (Martello & Toth 1990,
+*Knapsack Problems*), built on first use after each pool change; a node's
+bound is one row of it plus the node's per-cut values.
 
 A MasterState is owned by a single solve call; distinct states may run in
 parallel.
@@ -38,6 +39,27 @@ from .core import TOL, SubmodularCut, dominates, objective_slack
 
 STATUS_OPTIMAL = "optimal"
 STATUS_TIME_LIMIT = "time_limit"
+CELLS = 256  # most capacity cells above 0 in a node-bound table
+
+
+def knapsack_grid(cost: np.ndarray, budget: float):
+    """Integer weights and the unit u of the tables' capacity grid.
+
+    Exact grid: u = c_min / q for the smallest q <= 64 that puts every cost
+    within TOL/2 (relative) of a multiple of u, if the budget then spans at
+    most ``CELLS`` cells, as with integer costs whose least is <= 64.  Else
+    u = max(budget, c_min) / ``CELLS``: an item cheaper than u weighs 0 and
+    every table counts it free, so the bound is valid but loose there.
+    Weights round down, bar a cost within TOL/2 below a multiple of u, which
+    a node's cell slack covers.  Scaling costs and budget keeps the weights.
+    """
+    c_min = cost.min()
+    steps = np.arange(1, 65)[:, None] * (cost / c_min)  # row q - 1: cost / (c_min / q)
+    on_grid = (np.abs(steps - np.rint(steps)) <= TOL / 2 * steps).all(axis=1)
+    unit = c_min / (1 + int(on_grid.argmax()))
+    if not on_grid.any() or budget / unit > CELLS:
+        unit = max(budget, c_min) / CELLS
+    return np.floor(cost / unit * (1 + TOL / 2)).astype(np.intp), unit
 
 
 def check_knapsack(n: int, costs: Sequence[float], budget: float):
@@ -71,6 +93,10 @@ class MasterState:
         self._cost = np.array(self.costs, dtype=float)
         # Search admits sets this far over budget; an incumbent must pass _fits.
         self._cost_slack = TOL * max(self.costs)
+        self._weights, self._unit = knapsack_grid(self._cost, budget)
+        # at least _cost_slack: no summation order or weight rounding hides a set that fits
+        self._cell_slack = TOL * float(self._cost.sum())
+        self._cells = min(CELLS, int((budget + self._cell_slack) / self._unit))
         self.cut_pool: list = []
         self._changes = 0  # pool changes so far; a heap node records its own
 
@@ -92,78 +118,46 @@ class MasterState:
     # -- prepared arrays -----------------------------------------------------
 
     def _prepare(self, branch_order: np.ndarray | None = None):
-        """Build the per-pool arrays the node bounds read and drop the
-        previous pool's per-depth tables; :meth:`_table` builds each of
-        those when a node at its depth is first bounded.  The branch order
-        comes from the pool unless ``branch_order`` is given, as it is when
-        the pool grows during a solve."""
+        """Build the per-pool arrays the node bounds read, with the depth-n
+        table (no free items: zeros); :meth:`_table` builds each other depth
+        when a node there is first bounded.  The branch order comes from the
+        pool unless given, as it is when the pool grows during a solve."""
         n = self.n
-        # Free the previous pool's tables before building the new arrays.
-        self._tables = [None] * (n + 1)
-        A = np.array([c.coefficients for c in self.cut_pool], dtype=float)
-        C = np.array([c.constant for c in self.cut_pool], dtype=float)
-        cost = self._cost
-        order = np.argsort(-(A / cost[None, :]), axis=1, kind="stable")
-        self._A = A
-        self._C = C
+        self._A = np.array([c.coefficients for c in self.cut_pool], dtype=float)
+        self._C = np.array([c.constant for c in self.cut_pool], dtype=float)
         if branch_order is None:
             # Branch priority: free variable with the best guaranteed (min
             # over cuts) coefficient per unit cost, ties to the smallest index.
-            score = A.min(axis=0) / cost
+            score = self._A.min(axis=0) / self._cost
             branch_order = np.lexsort((np.arange(n), -score))
         self._branch_order = branch_order
-        # Per-cut items in ratio order, then two pad items of zero value and
-        # unit weight that are free at every depth: a row whose free items
-        # all fit splits the first pad.
-        rows = len(C)
-        self._A_ord = np.zeros((rows, n + 2))
-        self._A_ord[:, :n] = np.take_along_axis(A, order, axis=1)
-        self._W_ord = np.ones((rows, n + 2))
-        self._W_ord[:, :n] = cost[order]
-        rank = np.empty(n, dtype=np.intp)
-        rank[self._branch_order] = np.arange(n)
-        self._rank_ord = np.full((rows, n + 2), n)
-        self._rank_ord[:, :n] = rank[order]
+        self._tables = [None] * n + [np.zeros((self._cells + 1, len(self._C)))]
 
-    def _table(self, level: int):
-        """The table set of depth L = ``level`` over the items free there
-        (branch rank >= L: m = n - L per cut, plus the pads), in each cut's
-        ratio order, as rows of m + 2 columns:
-
-          item    flat index in _A_ord / _W_ord of each free item
-          cw, cv  weight and value of the first i free items in column i;
-                  column 0 is zero and cw's last column an infinite
-                  sentinel, so every row overruns
-          offset  turns a row's first overrunning column into the flat
-                  index of the column before it
-        """
-        rows, m = len(self._C), self.n - level
-        item = np.flatnonzero(self._rank_ord >= level).astype(np.int32)
-        free = item.reshape(rows, m + 2)[:, :m]
-        cw = np.zeros((rows, m + 2))
-        cv = np.zeros((rows, m + 2))
-        np.add.accumulate(self._W_ord.take(free), axis=1, out=cw[:, 1:m + 1])
-        np.add.accumulate(self._A_ord.take(free), axis=1, out=cv[:, 1:m + 1])
-        cw[:, m + 1] = math.inf
-        offset = np.arange(rows) * (m + 2) - 1
-        table = self._tables[level] = (cw, cv, item, offset)
-        return table
+    def _table(self, level: int) -> np.ndarray:
+        """Depth L's table: row r holds each cut's best coefficient sum over
+        the items free at depth L (branch rank >= L) that fit in r cells;
+        built on first use with every depth up to the nearest built deeper
+        one, each by a 0-1 knapsack step adding ``branch_order[L]``."""
+        deeper = level
+        while self._tables[deeper] is None:
+            deeper += 1
+        for depth in range(deeper - 1, level - 1, -1):
+            below = self._tables[depth + 1]
+            j = self._branch_order[depth]
+            w = min(self._weights[j], len(below))  # an item too heavy for every cell: no step
+            table = self._tables[depth] = below.copy()
+            np.maximum(table[w:], below[:len(below) - w] + self._A[:, j], out=table[w:])
+        return self._tables[level]
 
     def _evaluate(self, base: np.ndarray, level: int, cost_ones: float) -> float:
-        """Fractional bound of the node at depth ``level`` whose fixed-one
-        variables give per-cut values ``base`` and cost ``cost_ones``; -inf
-        when they overrun the budget."""
+        """Knapsack bound of the node at depth ``level`` whose fixed ones give
+        per-cut values ``base`` and cost ``cost_ones``: min over cuts of base
+        plus the table row of the cells left; -inf if they overrun the budget."""
         remaining = self.budget - cost_ones
         if remaining < -self._cost_slack:
             return -math.inf
-        remaining = max(remaining, 0.0)
-        cw, cv, item, offset = self._tables[level] or self._table(level)
-        # Per cut, the first prefix that overruns the remaining budget: the
-        # prefix before it is taken whole and the next free item is split.
-        at = offset + (cw > remaining).argmax(axis=1)
-        split = item.take(at)
-        part = self._A_ord.take(split) * (remaining - cw.take(at)) / self._W_ord.take(split)
-        return float((base + cv.take(at) + part).min())
+        cell = min(self._cells, int((remaining + self._cell_slack) / self._unit))
+        return float((base + self._table(level)[cell]).min())
 
     def _greedy_start(self, slack: float):
         """Greedy incumbent: repeatedly add the affordable item with the best

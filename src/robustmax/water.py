@@ -56,16 +56,16 @@ class Network:
         for j in self.sources:
             if not 0 <= j < n:
                 raise ValueError(f"source {j} out of range")
-        if any(p < 0 for p in self.source_probabilities):
-            raise ValueError("source probabilities must be nonnegative")
+        if not all(0 <= p < math.inf for p in self.source_probabilities):
+            raise ValueError("source probabilities must be nonnegative and finite")
         if abs(sum(self.source_probabilities) - 1.0) > TOL:
             raise ValueError("source probabilities must sum to 1")
         if len(self.sensor_costs) != n:
             raise ValueError("one sensor cost per node is required")
-        if any(c <= 0 for c in self.sensor_costs):
-            raise ValueError("sensor costs must be positive")
-        if self.budget < 0:
-            raise ValueError("budget must be nonnegative")
+        if not all(0 < c < math.inf for c in self.sensor_costs):
+            raise ValueError("sensor costs must be positive and finite")
+        if not 0 <= self.budget < math.inf:
+            raise ValueError("budget must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -197,8 +197,8 @@ class Instance:
         if self.alpha_mode == "values":
             if self.alpha_values is None or len(self.alpha_values) != len(self.scenarios):
                 raise ValueError("alpha values must match the scenario count")
-            if any(a <= 0 for a in self.alpha_values):
-                raise ValueError("alpha values must be positive")
+            if not all(0 < a < math.inf for a in self.alpha_values):
+                raise ValueError("alpha values must be positive and finite")
 
     @property
     def budget_infeasible(self) -> bool:
@@ -284,7 +284,7 @@ def parse_instance(text: str) -> Instance:
             raise ParseError(ln, "non-numeric probability") from None
         if len(probs) != len(sources):
             raise ParseError(ln, "one probability per source is required")
-        if abs(sum(probs) - 1.0) > TOL:
+        if not abs(sum(probs) - 1.0) <= TOL:  # a NaN fails this test too
             raise ParseError(ln, f"probabilities sum to {sum(probs)!r}, not 1")
     if probs is None:
         probs = [1.0 / len(sources)] * len(sources)
@@ -321,10 +321,10 @@ def parse_instance(text: str) -> Instance:
         ln, toks = rd.take()
         raise ParseError(ln, f"unexpected trailing content {toks[0]!r}")
 
-    network = Network(node_count=n, edges=tuple(edges), sources=tuple(sources),
-                      source_probabilities=tuple(probs), sensor_costs=tuple(costs),
-                      budget=budget)
     try:
+        network = Network(node_count=n, edges=tuple(edges), sources=tuple(sources),
+                          source_probabilities=tuple(probs), sensor_costs=tuple(costs),
+                          budget=budget)
         return Instance(network=network, scenarios=tuple(scenarios),
                         alpha_mode=alpha_mode, alpha_values=alpha_values)
     except ValueError as exc:

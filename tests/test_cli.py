@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -273,6 +274,18 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(p))
         assert code == 2
         assert "22" in err
+
+
+class TestNonFiniteInstance:
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_nan_probability_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "nanprob.txt"
+        assert main(gen_args(path)) == 0
+        path.write_text(re.sub(r"^probs [^ ]+", "probs nan", path.read_text(), flags=re.M))
+        capsys.readouterr()
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2
+        assert "error" in err and "probabilities" in err and out == ""
 
 
 class TestReport:

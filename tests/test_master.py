@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import math
-from itertools import product
+from itertools import combinations, product
 from dataclasses import replace
 from random import Random
 
@@ -20,9 +20,10 @@ from conftest import indicator, pool_value, rhs
 def node_bound(cuts, fixed_one, fixed_zero, costs, budget) -> float:
     """Reference node bound: the node where fixed_one is in and fixed_zero is out.
 
-    Per cut: constant + fixed contribution + fractional knapsack of the free
-    coefficients within the remaining budget; the bound is the minimum over
-    cuts.  Returns -inf when fixed_one already overruns the budget.
+    Per cut: constant + fixed contribution + the best coefficient sum of a
+    completion (a set of free variables within the remaining budget), found
+    by enumeration; the bound is the minimum over cuts.  Returns -inf when
+    fixed_one already overruns the budget.
     """
     ones = frozenset(fixed_one)
     zeros = frozenset(fixed_zero)
@@ -31,20 +32,13 @@ def node_bound(cuts, fixed_one, fixed_zero, costs, budget) -> float:
     remaining = budget - sum(costs[j] for j in ones)
     if remaining < 0:
         return -math.inf
-    n = len(costs)
-    free = [j for j in range(n) if j not in ones and j not in zeros]
-    best = math.inf
-    for cut in cuts:
-        value = cut.constant + sum(cut.coefficients[j] for j in ones)
-        room = remaining
-        for j in sorted(free, key=lambda t: (-cut.coefficients[t] / costs[t], t)):
-            if room <= 0:
-                break
-            take = min(1.0, room / costs[j])
-            value += take * cut.coefficients[j]
-            room -= take * costs[j]
-        best = min(best, value)
-    return best
+    free = [j for j in range(len(costs)) if j not in ones and j not in zeros]
+    completions = [chosen for size in range(len(free) + 1)
+                   for chosen in combinations(free, size)
+                   if sum(costs[j] for j in chosen) <= remaining]
+    return min(cut.constant + sum(cut.coefficients[j] for j in ones)
+               + max(sum(cut.coefficients[j] for j in chosen) for chosen in completions)
+               for cut in cuts)
 
 
 def random_pool(rng: Random, n: int, k: int):
@@ -241,6 +235,14 @@ class TestNodeBound:
         cuts = empty_set_cuts(warmstart_triple, [1.0] * 3)
         assert node_bound(cuts, (), (), (1, 1, 1), 1) == pytest.approx(3.0)
 
+    def test_exact_knapsack_not_fractional(self):
+        # A fractional split would take item 0 and half of item 1 for 6.5;
+        # no set within the budget scores above 6.
+        cut = SubmodularCut(0.0, (5.0, 3.0, 3.0), 0)
+        ms = loaded_state([cut], (3, 2, 2), 4)
+        ms._prepare()
+        assert node_bound([cut], (), (), (3, 2, 2), 4) == ms._evaluate(ms._C, 0, 0.0) == 6.0
+
     def test_infeasible_fixed_one_is_minus_inf(self):
         cut = SubmodularCut(0.0, (1.0, 1.0), 0)
         assert node_bound([cut], {0, 1}, (), (3, 3), 4) == -math.inf
@@ -290,12 +292,6 @@ class TestNodeBound:
                 assert min(rhs(c, bits) for c in pool) <= bound + 1e-9
 
 
-def close(a: float, b: float) -> bool:
-    if math.isinf(b):
-        return a == b
-    return abs(a - b) <= 1e-9 * max(1.0, abs(b))
-
-
 def loaded_state(pool, costs, budget) -> MasterState:
     """A master holding every cut of the pool, dominated ones included."""
     ms = MasterState(len(costs), costs, budget)
@@ -306,7 +302,9 @@ def loaded_state(pool, costs, budget) -> MasterState:
 
 class TestEvaluateMatchesReference:
     """MasterState._evaluate against node_bound at the nodes the search can
-    reach: each depth fixes the next variable of the branch order."""
+    reach: each depth fixes the next variable of the branch order.  Integer
+    costs put the tables on an exact grid, where the two are equal; other
+    costs may round weights down, where the tables may only bound above."""
 
     def walk(self, ms, pool, rng, cases, grow=None):
         """One random root-to-leaf walk.  With ``grow`` = (depth, cuts),
@@ -343,7 +341,10 @@ class TestEvaluateMatchesReference:
             if fresh is not None:
                 assert bound == fresh._evaluate(base, level, cost_ones)
             expected = node_bound(pool, ones, zeros, costs, ms.budget)
-            assert close(bound, expected), (level, sorted(ones), bound, expected)
+            if all(float(c).is_integer() for c in costs):
+                assert bound == expected, (level, sorted(ones), bound, expected)
+            else:
+                assert bound >= expected, (level, sorted(ones), bound, expected)
             free_cost = sum(costs[j] for j in range(n) if j not in ones | zeros)
             remaining = ms.budget - cost_ones
             if remaining < 0:
@@ -369,6 +370,11 @@ class TestEvaluateMatchesReference:
         for trial in range(150):
             n = rng.randint(1, 12)
             costs = [rng.randint(1, 4) for _ in range(n)]
+            if trial % 6 == 1:
+                # no common grid; a tiny item weighs 0 on the fallback grid
+                costs = [c + math.sqrt(j + 2) / 10 for j, c in enumerate(costs)]
+                costs[rng.randrange(n)] = 1e-3
+                cases.add("fallback grid")
             if trial % 3 == 0:
                 # every item has the same ratio in each cut
                 pool = [SubmodularCut(rng.randint(0, 4) * 0.5,
@@ -377,9 +383,13 @@ class TestEvaluateMatchesReference:
                 cases.add("tied ratios")
             else:
                 pool = random_pool(rng, n, rng.randint(1, 8))
-            budget = rng.choice([0, rng.randint(0, sum(costs)), sum(costs) + 1])
-            self.walk(loaded_state(pool, costs, budget), pool, rng, cases)
-        assert cases == {"overrun", "zero remaining", "all fit", "tied ratios"}
+            budget = rng.choice([0, rng.randint(0, int(sum(costs))), int(sum(costs)) + 1])
+            ms = loaded_state(pool, costs, budget)
+            if 0 in ms._weights:
+                cases.add("weight 0")
+            self.walk(ms, pool, rng, cases)
+        assert cases == {"overrun", "zero remaining", "all fit", "tied ratios",
+                         "fallback grid", "weight 0"}
 
     def test_cuts_added_mid_walk(self):
         # The tables built under the old pool must not outlive _prepare: the
@@ -402,6 +412,55 @@ class TestEvaluateMatchesReference:
                 ms.add_cut(cut)
             self.walk(ms, pool, rng, cases, grow=(rng.randint(0, n), extra))
         assert {"grown", "dropped", "zero remaining", "all fit"} <= cases
+
+
+@st.composite
+def knapsack_cases(draw):
+    """A random pool with costs from one family, at a scale of 10^-12 to
+    10^9, and a budget that is half the time some set's exact cost."""
+    n = draw(st.integers(1, 9))
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(["integer", "tenths", "incommensurable", "tiny and large"]))
+    if family == "integer":
+        costs = [rng.randint(1, 10) for _ in range(n)]
+    elif family == "tenths":
+        costs = [rng.randint(1, 40) / 10 for _ in range(n)]
+    elif family == "incommensurable":
+        costs = [rng.randint(1, 4) + math.sqrt(rng.randint(2, 99)) / 10 for _ in range(n)]
+    else:
+        # items far below the fallback unit weigh 0
+        costs = [rng.choice((rng.randint(1, 9) * 1e-6, rng.randint(1, 10))) for _ in range(n)]
+    scale = 10.0 ** draw(st.integers(-12, 9))
+    costs = [c * scale for c in costs]
+    if rng.random() < 0.5:
+        budget = rng.uniform(0, sum(costs))
+    else:
+        budget = sum(c for c in costs if rng.random() < 0.5)
+    return random_pool(rng, n, rng.randint(1, 6)), costs, budget
+
+
+class TestTableBoundIsValid:
+    @settings(max_examples=300, deadline=None)
+    @given(knapsack_cases())
+    def test_bound_covers_every_fitting_completion(self, case):
+        # Every node the search can reach, bounded as the search bounds it
+        # (costs and per-cut values summed in branch order), against every
+        # x that fits and agrees with the node's fixed variables.
+        pool, costs, budget = case
+        ms = loaded_state(pool, costs, budget)
+        ms._prepare()
+        order = [int(j) for j in ms._branch_order]
+        n = len(costs)
+        for bits in product((0, 1), repeat=n):
+            if sum(c for c, b in zip(costs, bits) if b) > budget:
+                continue
+            value = min(rhs(cut, bits) for cut in pool)
+            base, cost_ones = ms._C, 0.0
+            for level in range(n + 1):
+                assert ms._evaluate(base, level, cost_ones) >= value, (bits, level)
+                if level < n and bits[order[level]]:
+                    base = base + ms._A[:, order[level]]
+                    cost_ones += float(ms._cost[order[level]])
 
 
 def recorded_solves(monkeypatch) -> list:
@@ -438,9 +497,9 @@ class TestNodeCounts:
     # tree; any change to the bound, the branching order, the pruning or the
     # separation rule shows here.
     @pytest.mark.parametrize("family, seed, nodes, eta", [
-        (dict(n=12, edge_factor=2.0, m=5, j_count=5, budget=15), 1, 124, 9.6),
-        (dict(n=20, edge_factor=1.5, m=8, j_count=6, budget=20), 3, 342, 15.166666666666666),
-        (dict(n=24, edge_factor=41 / 36, m=10, j_count=8, budget=20), 2, 669, 19.75),
+        (dict(n=12, edge_factor=2.0, m=5, j_count=5, budget=15), 1, 52, 9.6),
+        (dict(n=20, edge_factor=1.5, m=8, j_count=6, budget=20), 3, 218, 15.166666666666666),
+        (dict(n=24, edge_factor=41 / 36, m=10, j_count=8, budget=20), 2, 264, 19.75),
     ])
     def test_pinned_tree_size(self, monkeypatch, family, seed, nodes, eta):
         inst = generate_instance(seed=seed, **family)
@@ -460,10 +519,11 @@ class TestTableRebuild:
         (dict(n=20, edge_factor=1.5, m=8, j_count=6, budget=20), 3),
     ])
     def test_tables_built_on_demand(self, monkeypatch, family, seed):
-        # One solve_robust run: the tables are reset once per pool, and a
-        # table is built once per (pool, depth) at which a node is bounded,
-        # and at no other depth.
-        pools, built, bounded = [], [], set()
+        # One solve_robust run: the tables are reset once per pool; per pool,
+        # each depth's table is built at most once, and the depths built are
+        # exactly those from the shallowest depth at which a node is bounded
+        # down to n - 1 (depth n's zeros come with the pool).
+        pools, built, shallowest = [], [], {}
         prepare, table, evaluate = (MasterState._prepare, MasterState._table,
                                     MasterState._evaluate)
 
@@ -473,13 +533,17 @@ class TestTableRebuild:
             return prepare(self, *args)
 
         def building(self, level):
-            built.append((len(pools), level))
-            return table(self, level)
+            before = list(self._tables)
+            result = table(self, level)
+            built.extend((len(pools), depth) for depth, t in enumerate(self._tables)
+                         if t is not before[depth])
+            return result
 
         def evaluating(self, base, level, *args):
             bound = evaluate(self, base, level, *args)
             if bound > -math.inf:
-                bounded.add((len(pools), level))
+                pool = len(pools)
+                shallowest[pool] = min(level, shallowest.get(pool, level))
             return bound
 
         monkeypatch.setattr(MasterState, "_prepare", preparing)
@@ -489,10 +553,13 @@ class TestTableRebuild:
         fns = inst.build_oracles()
         report = solve_robust(fns, [1.0] * len(fns), inst.network.sensor_costs,
                               inst.network.budget, DcgConfig(reduce=True, stop_pt=2))
+        n = inst.network.node_count
         assert report.iterations > 1
         assert len(built) == len(set(built))
-        assert set(built) == bounded
-        assert len(built) < len(pools) * (inst.network.node_count + 1)
+        assert set(built) == {(pool, depth) for pool, top in shallowest.items()
+                              for depth in range(top, n)}
+        # some pool never needs its shallow tables
+        assert len(built) < len(pools) * n
 
     def test_incremental_pool_matches_fresh_state(self):
         rng = Random(23)

@@ -203,6 +203,38 @@ class TestInstanceFiles:
             replace(inst.network, edges=())
 
 
+class TestNonFiniteInstanceData:
+    """A NaN passes every plain comparison, so NaN and infinite costs,
+    budgets, probabilities and alpha values are refused by name."""
+
+    @staticmethod
+    def instance():
+        return generate_instance(n=8, edge_factor=1.5, m=3, j_count=3, budget=12, seed=1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("budget", math.nan), ("budget", math.inf),
+        ("sensor_costs", (math.nan,) + (5,) * 7), ("sensor_costs", (math.inf,) + (5,) * 7),
+        ("source_probabilities", (math.nan, 0.5, 0.5)),
+        ("source_probabilities", (math.inf, 0.5, 0.5)),
+    ])
+    def test_network_refuses(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            replace(self.instance().network, **{field: value})
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_instance_refuses_alpha_values(self, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            replace(self.instance(), alpha_mode="values", alpha_values=(alpha, 1.0, 1.0))
+
+    @pytest.mark.parametrize("probs, line", [("nan 0.5 0.5", "line 16"),
+                                             ("-0.5 0.5 1.0", "line 23")])
+    def test_bad_probabilities_are_parse_errors(self, probs, line):
+        lines = serialize_instance(self.instance()).splitlines()
+        text = "\n".join(f"probs {probs}" if ln.startswith("probs") else ln for ln in lines)
+        with pytest.raises(ParseError, match=line):
+            parse_instance(text)
+
+
 class TestGenerateInstance:
     def test_scale_dimensions(self):
         inst = generate_instance(n=36, edge_factor=41 / 36, m=50, j_count=12,
