@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dcg import DcgConfig, brute_force_robust, solve_robust
+from .dcg import MAX_GROUND, DcgConfig, brute_force_robust, solve_robust
 from .ratio import solve_ratio_robust
 from .water import Instance, ParseError, generate_instance, parse_instance, serialize_instance
 
@@ -157,7 +157,7 @@ def cmd_solve(args) -> int:
                 for path in args.instance]
         if args.jobs > 1 and len(jobs) > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                records = list(pool.map(_solve_one_star, jobs))
+                records = list(pool.map(_solve_one, *zip(*jobs)))
         else:
             records = [_solve_one(*job) for job in jobs]
     except (ParseError, ValueError, OSError) as exc:
@@ -172,10 +172,6 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _solve_one_star(job):
-    return _solve_one(*job)
-
-
 def cmd_verify(args) -> int:
     failures = 0
     for path in args.instance:
@@ -185,8 +181,8 @@ def cmd_verify(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         n = instance.network.node_count
-        if n > 22:
-            print(f"error: {path}: {n} nodes exceeds the brute-force guard (22)",
+        if n > MAX_GROUND:
+            print(f"error: {path}: {n} nodes exceeds the brute-force guard ({MAX_GROUND})",
                   file=sys.stderr)
             return 2
         fns = instance.build_oracles()

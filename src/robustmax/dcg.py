@@ -29,6 +29,7 @@ from .core import (TOL, SetFunction, SubmodularCut, build_cut, empty_set_cuts,
                    objective_slack)
 from .master import MasterState, STATUS_OPTIMAL, check_knapsack
 
+MAX_GROUND = 22  # largest ground set brute_force_robust enumerates
 
 @dataclass
 class DcgConfig:
@@ -214,16 +215,15 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
 
 
 def brute_force_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
-                       costs: Sequence[float], budget: float,
-                       max_ground: int = 22) -> tuple:
-    """Exact reference by enumeration; refuses ground sets above max_ground.
+                       costs: Sequence[float], budget: float) -> tuple:
+    """Exact reference by enumeration; refuses ground sets above MAX_GROUND.
 
     Returns (eta, x) with ties broken by the lexicographically smallest
     binary vector.
     """
     n = fns[0].ground_size
-    if n > max_ground:
-        raise ValueError(f"ground set of size {n} exceeds the enumeration guard {max_ground}")
+    if n > MAX_GROUND:
+        raise ValueError(f"ground set of size {n} exceeds the enumeration guard {MAX_GROUND}")
     if len(alphas) != len(fns):
         raise ValueError("need one alpha per scenario function")
     check_alphas(alphas)

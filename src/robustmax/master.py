@@ -10,8 +10,8 @@ assignment; the node bound is the minimum of those per-cut values.  That
 bound drives a best-bound branch and cut, which keeps the artifact free of
 an external MILP dependency: every improving candidate goes to a separation
 callback, cuts join the pool while the tree is open, and the nodes bounded
-before they arrived are re-bounded when popped.  A candidate is offered once
-per pool it is valued under.  A callback that returns the pool value it is
+before they arrived are re-bounded when popped.  A candidate is offered once,
+when its node is created.  A callback that returns the pool value it is
 given solves the fixed pool.
 
 Branching fixes variables in one order per solve, taken from the pool at its
@@ -45,20 +45,20 @@ CELLS = 256  # most capacity cells above 0 in a node-bound table
 def knapsack_grid(cost: np.ndarray, budget: float):
     """Integer weights and the unit u of the tables' capacity grid.
 
-    Exact grid: u = c_min / q for the smallest q <= 64 that puts every cost
-    within TOL/2 (relative) of a multiple of u, if the budget then spans at
-    most ``CELLS`` cells, as with integer costs whose least is <= 64.  Else
-    u = max(budget, c_min) / ``CELLS``: an item cheaper than u weighs 0 and
-    every table counts it free, so the bound is valid but loose there.
-    Weights round down, bar a cost within TOL/2 below a multiple of u, which
-    a node's cell slack covers.  Scaling costs and budget keeps the weights.
+    Exact grid: u = c_min / q for the smallest q that puts every cost within
+    TOL/2 (relative) of a multiple of u, among q <= CELLS * c_min /
+    max(budget, c_min), so the budget spans at most ``CELLS`` cells; integer
+    costs get one whenever the budget is at most ``CELLS``.  Else u =
+    max(budget, c_min) / ``CELLS``: an item cheaper than u weighs 0 and every
+    table counts it free, so the bound is valid but loose there.  Weights
+    round down, bar a cost within TOL/2 below a multiple of u, which a node's
+    cost slack covers.  Scaling costs and budget keeps the weights.
     """
     c_min = cost.min()
-    steps = np.arange(1, 65)[:, None] * (cost / c_min)  # row q - 1: cost / (c_min / q)
+    q = np.arange(1, int(CELLS * c_min / max(budget, c_min)) + 1)
+    steps = q[:, None] * (cost / c_min)  # row q - 1: cost / (c_min / q)
     on_grid = (np.abs(steps - np.rint(steps)) <= TOL / 2 * steps).all(axis=1)
-    unit = c_min / (1 + int(on_grid.argmax()))
-    if not on_grid.any() or budget / unit > CELLS:
-        unit = max(budget, c_min) / CELLS
+    unit = c_min / q[on_grid][0] if on_grid.any() else max(budget, c_min) / CELLS
     return np.floor(cost / unit * (1 + TOL / 2)).astype(np.intp), unit
 
 
@@ -91,12 +91,11 @@ class MasterState:
         self.costs = tuple(costs)
         self.budget = budget
         self._cost = np.array(self.costs, dtype=float)
-        # Search admits sets this far over budget; an incumbent must pass _fits.
-        self._cost_slack = TOL * max(self.costs)
+        # Search admits sets this far over budget, so no summation order or
+        # weight rounding hides a set that fits; an incumbent must pass _fits.
+        self._cost_slack = TOL * float(self._cost.sum())
         self._weights, self._unit = knapsack_grid(self._cost, budget)
-        # at least _cost_slack: no summation order or weight rounding hides a set that fits
-        self._cell_slack = TOL * float(self._cost.sum())
-        self._cells = min(CELLS, int((budget + self._cell_slack) / self._unit))
+        self._cells = min(CELLS, int((budget + self._cost_slack) / self._unit))
         self.cut_pool: list = []
         self._changes = 0  # pool changes so far; a heap node records its own
 
@@ -156,7 +155,7 @@ class MasterState:
         remaining = self.budget - cost_ones
         if remaining < -self._cost_slack:
             return -math.inf
-        cell = min(self._cells, int((remaining + self._cell_slack) / self._unit))
+        cell = min(self._cells, int((remaining + self._cost_slack) / self._unit))
         return float((base + self._table(level)[cell]).min())
 
     def _greedy_start(self, slack: float):
@@ -201,9 +200,13 @@ class MasterState:
         optimal.  The incumbent and the pruning then follow those values, not
         pool values.  Open nodes are kept when cuts arrive: a node bounded
         under an older pool is re-bounded when popped, in the branch order the
-        solve began with.  A one child's x is offered as the child is bounded;
-        a node's own x is offered again (as its zero child) only after its
-        per-cut values were re-derived under a grown pool.
+        solve began with.
+
+        Each x is offered once, when its node is created: the greedy start
+        and the root's zeros at the start, a one child as it is bounded (a
+        zero child has its parent's ones).  The master relies on this: once
+        ``separate(x, value, bound)`` returns w, x's pool value is at most w
+        plus the slack, as cuts tight at x make it.
 
         A node is pruned once its bound is within the slack of the incumbent.
         ``bound`` is the largest bound of a node pruned or left open, so no
@@ -238,9 +241,8 @@ class MasterState:
         root_bound = self._evaluate(self._C, 0, 0.0)
         nodes = 1
         # Heap entries: (-bound, seq, ones, per-cut value of ones, depth, cost
-        # of ones, pool changes at the bound, whether ones await an offer under
-        # that pool: only a node re-bounded and pushed back does).
-        heap = [(-root_bound, 0, root_ones, self._C, 0, 0.0, self._changes, False)]
+        # of ones, pool changes at the bound).
+        heap = [(-root_bound, 0, root_ones, self._C, 0, 0.0, self._changes)]
         expanding = root_bound  # bound of the node being expanded
         offer(*self._greedy_start(slack))
         # the all-zeros x, valued under the pool the greedy start may have grown
@@ -258,8 +260,7 @@ class MasterState:
                 top_pruned = max(top_pruned, bound)
 
         while heap:
-            (neg_bound, _, ones, base, level, cost_ones, changes,
-             unoffered) = heapq.heappop(heap)
+            neg_bound, _, ones, base, level, cost_ones, changes = heapq.heappop(heap)
             bound = -neg_bound
             if bound <= inc_value + slack:
                 # best-first order: nothing left can beat the incumbent
@@ -276,9 +277,8 @@ class MasterState:
                 base = self._C + self._A @ ones
                 bound = self._evaluate(base, level, cost_ones)
                 nodes += 1
-                unoffered = True
                 if bound <= inc_value + slack or (heap and bound < -heap[0][0]):
-                    push(bound, ones, base, level, cost_ones, self._changes, True)
+                    push(bound, ones, base, level, cost_ones, self._changes)
                     continue
             if level >= self.n:
                 continue
@@ -293,16 +293,12 @@ class MasterState:
                 nodes += 1
                 changes = self._changes
                 offer(float(child_base.min()), child_ones)
-                push(b1, child_ones, child_base, level + 1, child_cost, changes, False)
+                push(b1, child_ones, child_base, level + 1, child_cost, changes)
                 if self._changes != changes:
                     base = self._C + self._A @ ones
-                    unoffered = True
             b0 = self._evaluate(base, level + 1, cost_ones)
             nodes += 1
-            changes = self._changes
-            if unoffered:
-                offer(float(base.min()), ones)
-            push(b0, ones, base, level + 1, cost_ones, changes, False)
+            push(b0, ones, base, level + 1, cost_ones, self._changes)
 
         x_arr = np.array(inc_x, dtype=float)
         eta = float((self._C + self._A @ x_arr).min())

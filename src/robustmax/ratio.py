@@ -46,6 +46,8 @@ class ScenarioBounds:
 class RatioReport:
     """Ratio-robust outcome; upper/lower bracket the true ratio optimum.
 
+    ``eta`` is the final solve's worst value with scenario i scaled by
+    ``per_scenario[i].lower``.
     ``iterations``, ``cuts_added`` and ``wall_time`` cover the whole call:
     the scenario solves and the final solve.  ``iterations`` sums each
     solve's own count, one plus its separations that added cuts, and
@@ -61,7 +63,6 @@ class RatioReport:
     cuts_added: int
     wall_time: float
     status: str
-    scales: tuple
     per_scenario: tuple
     certified_exact: bool
     certificate: str
@@ -137,7 +138,6 @@ def solve_ratio_robust(fns: Sequence[SetFunction], costs: Sequence[float],
 
     per_scenario = []
     reused: list = []
-    scales = []
     pre_iterations = pre_cuts = 0
     for i, fn in enumerate(fns):
         limit = per_scenario_budget
@@ -154,10 +154,9 @@ def solve_ratio_robust(fns: Sequence[SetFunction], costs: Sequence[float],
                 f"scenario {i} has a nonpositive incumbent value {bounds.lower!r}; "
                 "ratio scaling is undefined")
         per_scenario.append(bounds)
-        scales.append(bounds.lower)
         reused += rescale_cuts(rep.pool, bounds.lower, i)
 
-    report = solve_robust(fns, scales, costs, budget,
+    report = solve_robust(fns, [b.lower for b in per_scenario], costs, budget,
                           replace(config, time_limit=left()), initial_cuts=reused)
 
     ub = report.upper_bound
@@ -170,5 +169,5 @@ def solve_ratio_robust(fns: Sequence[SetFunction], costs: Sequence[float],
                        iterations=pre_iterations + report.iterations,
                        cuts_added=pre_cuts + report.cuts_added,
                        wall_time=time.monotonic() - start, status=report.status,
-                       scales=tuple(scales), per_scenario=tuple(per_scenario),
+                       per_scenario=tuple(per_scenario),
                        certified_exact=certified, certificate=reason)

@@ -286,6 +286,8 @@ def parse_instance(text: str) -> Instance:
             raise ParseError(ln, "one probability per source is required")
         if not abs(sum(probs) - 1.0) <= TOL:  # a NaN fails this test too
             raise ParseError(ln, f"probabilities sum to {sum(probs)!r}, not 1")
+        if not all(p >= 0 for p in probs):
+            raise ParseError(ln, "probabilities must be nonnegative")
     if probs is None:
         probs = [1.0 / len(sources)] * len(sources)
 

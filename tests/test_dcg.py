@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 from itertools import product
 from random import Random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,8 @@ from robustmax import (DcgConfig, SetFunction, brute_force_robust, build_cut,
                        expected_reduction_oracle, generate_instance, solve_ratio_robust,
                        solve_robust, strengthen_generating_set, support)
 
-from robustmax.core import TOL
+from robustmax.core import TOL, objective_slack
+from robustmax.master import MasterState
 
 from conftest import (all_subsets, cut_is_valid, modular_fn, random_coverage, rhs,
                       table_fn)
@@ -449,3 +451,44 @@ class TestScaleInvariance:
         fns, alphas, costs, budget = scaled_water(1, oracle_scale=1e-12)
         assert_certified(fns, alphas, costs, budget,
                          solve_robust(fns, alphas, costs, budget))
+
+
+@st.composite
+def water_instances(draw):
+    """Water instances of 6 to 12 nodes with 1 to 5 scenarios, unit alphas."""
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    inst = generate_instance(n=rng.randint(6, 12), edge_factor=2.0, m=rng.randint(1, 5),
+                             j_count=rng.randint(1, 5), budget=rng.randint(5, 25),
+                             seed=rng.randrange(2**32))
+    fns = inst.build_oracles()
+    return fns, [1.0] * len(fns), inst.network.sensor_costs, inst.network.budget
+
+
+class TestSeparationContract:
+    """What ``MasterState.solve`` relies on to offer each candidate once: after
+    ``separate(x, value, bound)`` returns w, x's pool value is at most w plus
+    the solve's objective slack."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(water_instances(), st.booleans(), st.integers(0, 2), st.sampled_from((0.0, 0.25)))
+    def test_separated_candidate_is_cut_off(self, case, reduce, stop_pt, epsilon):
+        fns, alphas, costs, budget = case
+        solve = MasterState.solve
+
+        def checked_solve(state, separate, time_limit=None):
+            slack = objective_slack(state.cut_pool)
+            offered = set()
+
+            def checked(x, value, bound):
+                assert x not in offered
+                offered.add(x)
+                w = separate(x, value, bound)
+                assert min(rhs(cut, x) for cut in state.cut_pool) <= w + slack
+                return w
+
+            return solve(state, checked, time_limit)
+
+        with patch.object(MasterState, "solve", checked_solve):
+            report = solve_robust(fns, alphas, costs, budget,
+                                  DcgConfig(reduce=reduce, stop_pt=stop_pt, epsilon=epsilon))
+        assert report.status == "optimal"

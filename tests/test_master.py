@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from robustmax import (DcgConfig, MasterState, SubmodularCut, empty_set_cuts,
                        generate_instance, solve_robust)
 from robustmax.core import objective_slack
+from robustmax.master import CELLS, knapsack_grid
 
 from conftest import indicator, pool_value, rhs
 
@@ -439,6 +440,23 @@ def knapsack_cases(draw):
     return random_pool(rng, n, rng.randint(1, 6)), costs, budget
 
 
+class TestKnapsackGrid:
+    def test_denominator_cap_comes_from_cells(self):
+        # Costs 65-70 share no grid c_min / q before q = 65 (u = 1), and
+        # budget 200 then spans 200 cells, within the cap.
+        weights, unit = knapsack_grid(np.array([65.0, 66.0, 70.0]), 200.0)
+        assert (weights.tolist(), unit) == ([65, 66, 70], 1.0)
+        weights, unit = knapsack_grid(np.array([65e-6, 66e-6, 70e-6]), 200e-6)
+        assert weights.tolist() == [65, 66, 70]
+        assert unit == pytest.approx(1e-6, rel=1e-12)
+
+    def test_budget_above_every_grid_falls_back(self):
+        # budget > CELLS * c_min leaves no q to search
+        weights, unit = knapsack_grid(np.array([1.0, 2.0]), 300.0)
+        assert unit == 300.0 / CELLS
+        assert weights.tolist() == [0, 1]
+
+
 class TestTableBoundIsValid:
     @settings(max_examples=300, deadline=None)
     @given(knapsack_cases())
@@ -596,33 +614,33 @@ def hidden_pools(draw):
 
 
 class TestBranchAndCut:
-    def test_candidates_offered_once_per_pool(self):
-        # A callback that adds only the least violated hidden cut, and only
-        # on every other call, leaves a candidate's pool value above what it
-        # returns.  A candidate is offered again only once the pool has
-        # changed since its last offer, and then it must be: after a re-bound
-        # at pop (whether the node is expanded at once or pushed back first)
-        # or after a separation in the middle of an expansion.
-        hidden = [SubmodularCut(0.5, (0.0, 0.5, 2.5), 0, frozenset({0})),
-                  SubmodularCut(1.5, (0.0, 0.0, 2.5), 0, frozenset({1})),
-                  SubmodularCut(2.0, (0.5, 2.5, 1.5), 0, frozenset({2})),
-                  SubmodularCut(0.0, (1.0, 1.0, 1.5), 0, frozenset({3}))]
-        ms = MasterState(3, (4, 3, 2), 6)
-        ms.add_cut(replace(hidden[0], constant=3.5, generating_set=frozenset({4})))
+    def test_each_candidate_offered_once(self):
+        # The callback adds only the hidden cut that gives the value it
+        # returns, tight at x, so x's pool value drops to that value, as the
+        # master relies on.  Each x is offered once, when its node is
+        # created; a zero child, which has its parent's ones, never is.
+        hidden = [SubmodularCut(2.0, (0.0, 1.5, 1.0, 0.0), 0, frozenset({0})),
+                  SubmodularCut(0.0, (0.5, 2.5, 2.0, 1.5), 0, frozenset({1})),
+                  SubmodularCut(1.0, (1.0, 0.0, 1.0, 1.5), 0, frozenset({2})),
+                  SubmodularCut(0.5, (2.5, 1.5, 2.0, 2.0), 0, frozenset({3}))]
+        costs, budget = (1, 2, 3, 1), 5
+        ms = MasterState(4, costs, budget)
+        ms.add_cut(SubmodularCut(6.0, (0.0,) * 4, 0, frozenset({4})))
         offers = []
 
         def separate(x, value, bound):
-            offers.append((x, value))
-            violated = [cut for cut in hidden if rhs(cut, x) < value]
-            if violated and len(offers) % 2:
-                ms.add_cut(max(violated, key=lambda cut: rhs(cut, x)))
-            return min(rhs(cut, x) for cut in hidden)
+            offers.append((x, value, bound))
+            worst = min(hidden, key=lambda cut: rhs(cut, x))
+            if rhs(worst, x) < value:
+                ms.add_cut(worst)
+            return rhs(worst, x)
 
         res = ms.solve(separate)
-        assert offers == [((0, 1, 1), 6.5), ((0, 0, 1), 3.5), ((0, 1, 1), 6.0),
-                          ((0, 0, 1), 3.5), ((0, 1, 1), 4.0), ((1, 0, 1), 3.0),
-                          ((0, 0, 1), 3.0)]
-        assert (res.x, res.eta, res.status) == ((0, 1, 1), 2.5, "optimal")
+        assert offers == [((0, 0, 0, 0), 6.0, 6.0), ((1, 0, 0, 0), 0.5, 4.5),
+                          ((1, 1, 0, 0), 3.0, 4.5), ((1, 0, 1, 0), 2.5, 4.0),
+                          ((1, 0, 1, 1), 4.0, 4.0), ((1, 1, 0, 1), 3.5, 3.5)]
+        assert (res.x, res.eta, res.bound, res.status) == ((1, 1, 0, 1), 3.5, 3.5, "optimal")
+        assert res.eta == enumerate_best(hidden, costs, budget)[0]
 
     @settings(max_examples=200, deadline=None)
     @given(hidden_pools())
@@ -634,8 +652,11 @@ class TestBranchAndCut:
         hidden, original, weak, costs, budget = case
         ms = MasterState(len(costs), costs, budget)
         ms.add_cut(weak)
+        offered = set()
 
         def separate(x, value, bound):
+            assert x not in offered  # each candidate reaches the callback once
+            offered.add(x)
             assert value == pytest.approx(min(rhs(cut, x) for cut in ms.cut_pool), abs=1e-9)
             assert bound >= value
             ms.add_cut(original)

@@ -135,7 +135,9 @@ class TestSolveRatioRobust:
         fns = inst.build_oracles()
         report = solve_ratio_robust(fns, inst.network.sensor_costs,
                                     inst.network.budget)
-        assert report.scales == tuple(s.lower for s in report.per_scenario)
+        chosen = support(report.x)
+        assert report.eta == min(fn.value(chosen) / s.lower
+                                 for fn, s in zip(fns, report.per_scenario))
         assert all(0 < s.lower <= s.upper for s in report.per_scenario)
 
     def test_certified_exact_means_solution_is_optimal(self):

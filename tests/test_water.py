@@ -227,12 +227,14 @@ class TestNonFiniteInstanceData:
             replace(self.instance(), alpha_mode="values", alpha_values=(alpha, 1.0, 1.0))
 
     @pytest.mark.parametrize("probs, line", [("nan 0.5 0.5", "line 16"),
-                                             ("-0.5 0.5 1.0", "line 23")])
+                                             ("-0.5 0.5 1.0", "line 16")])
     def test_bad_probabilities_are_parse_errors(self, probs, line):
         lines = serialize_instance(self.instance()).splitlines()
         text = "\n".join(f"probs {probs}" if ln.startswith("probs") else ln for ln in lines)
-        with pytest.raises(ParseError, match=line):
+        with pytest.raises(ParseError, match=line) as exc:
             parse_instance(text)
+        # the probs line itself, not the last line read
+        assert f"line {exc.value.line_no}" == line
 
 
 class TestGenerateInstance:
