@@ -1,8 +1,9 @@
 """Command-line harness: generate instances, solve, verify, aggregate.
 
 Exit codes: 0 for success (including time-limited solves, which carry a
-``time_limit`` status column), 1 for a verification failure, 2 for usage or
-parse errors.
+``time_limit`` status column), 1 for a verification failure, 2 for usage
+errors, malformed input and files that cannot be read or written: commands
+raise these as ``ValueError`` or ``OSError``, and :func:`main` reports them.
 """
 
 from __future__ import annotations
@@ -10,22 +11,25 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .core import TOL
 from .dcg import MAX_GROUND, DcgConfig, brute_force_robust, solve_robust
 from .ratio import solve_ratio_robust
-from .water import Instance, ParseError, generate_instance, parse_instance, serialize_instance
+from .water import Instance, generate_instance, parse_instance, serialize_instance
 
-CSV_HEADER = ["instance", "mode", "reduce", "stop_pt", "time_s", "gap_pct",
-              "iterations", "cuts", "eta", "ub", "lb", "status"]
+# CSV text of a RunRecord field, and back, by the field's annotated type.
+_FORMAT = {"str": str, "bool": lambda v: "true" if v else "false", "int": str, "float": repr}
+_PARSE = {"str": str, "bool": lambda t: t == "true", "int": int, "float": float}
 
 
 @dataclass(frozen=True)
 class RunRecord:
+    """One solve's CSV row; the field names are the columns, in order."""
+
     instance: str
     mode: str
     reduce: bool
@@ -40,36 +44,36 @@ class RunRecord:
     status: str
 
     def to_csv_row(self) -> list:
-        return [self.instance, self.mode, "true" if self.reduce else "false",
-                str(self.stop_pt), repr(self.time_s), repr(self.gap_pct),
-                str(self.iterations), str(self.cuts), repr(self.eta),
-                repr(self.ub), repr(self.lb), self.status]
+        return [_FORMAT[f.type](getattr(self, f.name)) for f in fields(self)]
 
     @classmethod
     def from_csv_row(cls, row: list) -> "RunRecord":
-        (instance, mode, reduce, stop_pt, time_s, gap_pct, iterations, cuts,
-         eta, ub, lb, status) = row
-        return cls(instance=instance, mode=mode, reduce=reduce == "true",
-                   stop_pt=int(stop_pt), time_s=float(time_s),
-                   gap_pct=float(gap_pct), iterations=int(iterations),
-                   cuts=int(cuts), eta=float(eta), ub=float(ub), lb=float(lb),
-                   status=status)
+        if len(row) != len(CSV_HEADER):
+            raise ValueError(f"expected {len(CSV_HEADER)} columns, found {len(row)}")
+        return cls(*(_PARSE[f.type](text) for f, text in zip(fields(cls), row)))
+
+
+CSV_HEADER = [f.name for f in fields(RunRecord)]
+
+
+def _write_csv(handle, rows, header=CSV_HEADER):
+    """CSV rows, after the header unless it is None."""
+    writer = csv.writer(handle)
+    if header is not None:
+        writer.writerow(header)
+    writer.writerows(rows)
 
 
 def _load_instance(path: str) -> Instance:
     return parse_instance(Path(path).read_text(encoding="utf-8"))
 
 
-def _resolve_alphas(instance: Instance, m: int, alpha_mode: str, alpha_spec):
-    """Unit or given alpha values, from the CLI flag or else the instance file."""
+def _resolve_alphas(instance: Instance, alpha_mode: str, alpha_spec) -> list:
+    """Unit or given alpha values, from the CLI flag or else the instance
+    file; solve_robust checks their count and range."""
     if alpha_mode == "unit":
-        return [1.0] * m
-    values = [float(v) for v in alpha_spec[1:]] if alpha_spec else list(instance.alpha_values)
-    if len(values) != m:
-        raise ValueError(f"expected {m} alpha values, found {len(values)}")
-    if not all(0 < v < math.inf for v in values):
-        raise ValueError("alpha values must be positive and finite")
-    return values
+        return [1.0] * len(instance.scenarios)
+    return [float(v) for v in alpha_spec[1:]] if alpha_spec else list(instance.alpha_values)
 
 
 def _solve_one(path: str, mode: str, alpha_spec, config: DcgConfig,
@@ -81,7 +85,7 @@ def _solve_one(path: str, mode: str, alpha_spec, config: DcgConfig,
     budget = instance.network.budget
     alpha_mode = alpha_spec[0] if alpha_spec else instance.alpha_mode
     if mode == "rsm" and alpha_mode != "solve":
-        alphas = _resolve_alphas(instance, len(fns), alpha_mode, alpha_spec)
+        alphas = _resolve_alphas(instance, alpha_mode, alpha_spec)
         report = solve_robust(fns, alphas, costs, budget, config)
         lb = report.eta
     else:
@@ -95,34 +99,14 @@ def _solve_one(path: str, mode: str, alpha_spec, config: DcgConfig,
                      ub=report.upper_bound, lb=lb, status=report.status)
 
 
-def _append_csv(path: str, records):
-    target = Path(path)
-    fresh = not target.exists() or target.stat().st_size == 0
-    with target.open("a", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        if fresh:
-            writer.writerow(CSV_HEADER)
-        for rec in records:
-            writer.writerow(rec.to_csv_row())
-
-
 def cmd_generate(args) -> int:
     if args.nodes < 1 or args.edges < 1:
-        print("error: --nodes and --edges must be at least 1", file=sys.stderr)
-        return 2
-    try:
-        instance = generate_instance(n=args.nodes, edge_factor=args.edges / args.nodes,
-                                     m=args.scenarios, j_count=args.sources,
-                                     budget=args.budget, seed=args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("--nodes and --edges must be at least 1")
+    instance = generate_instance(n=args.nodes, edge_factor=args.edges / args.nodes,
+                                 m=args.scenarios, j_count=args.sources,
+                                 budget=args.budget, seed=args.seed)
     text = serialize_instance(instance)
-    try:
-        Path(args.out).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
+    Path(args.out).write_text(text, encoding="utf-8")
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     if instance.budget_infeasible:
         print("warning: budget is below the cheapest sensor; only the empty "
@@ -149,54 +133,40 @@ def _check_solve_flags(args):
 
 
 def cmd_solve(args) -> int:
-    try:
-        _check_solve_flags(args)
-        config = DcgConfig(reduce=args.reduce, stop_pt=args.stop_pt,
-                           epsilon=args.epsilon, time_limit=args.time_limit)
-        jobs = [(path, args.mode, args.alpha, config, args.scenario_budget)
-                for path in args.instance]
-        if args.jobs > 1 and len(jobs) > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                records = list(pool.map(_solve_one, *zip(*jobs)))
-        else:
-            records = [_solve_one(*job) for job in jobs]
-    except (ParseError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    writer = csv.writer(sys.stdout)
-    writer.writerow(CSV_HEADER)
-    for rec in records:
-        writer.writerow(rec.to_csv_row())
+    _check_solve_flags(args)
+    config = DcgConfig(reduce=args.reduce, stop_pt=args.stop_pt,
+                       epsilon=args.epsilon, time_limit=args.time_limit)
+    jobs = [(path, args.mode, args.alpha, config, args.scenario_budget)
+            for path in args.instance]
+    if args.jobs > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            records = list(pool.map(_solve_one, *zip(*jobs)))
+    else:
+        records = [_solve_one(*job) for job in jobs]
+    rows = [rec.to_csv_row() for rec in records]
+    _write_csv(sys.stdout, rows)
     if args.csv:
-        _append_csv(args.csv, records)
+        with open(args.csv, "a", newline="", encoding="utf-8") as handle:
+            _write_csv(handle, rows, CSV_HEADER if handle.tell() == 0 else None)
     return 0
 
 
 def cmd_verify(args) -> int:
     failures = 0
     for path in args.instance:
-        try:
-            instance = _load_instance(path)
-        except (ParseError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        instance = _load_instance(path)
         n = instance.network.node_count
         if n > MAX_GROUND:
-            print(f"error: {path}: {n} nodes exceeds the brute-force guard ({MAX_GROUND})",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"{path}: {n} nodes exceeds the brute-force guard ({MAX_GROUND})")
         fns = instance.build_oracles()
         costs = instance.network.sensor_costs
         budget = instance.network.budget
         alphas = [1.0] * len(fns)
         reference, _ = brute_force_robust(fns, alphas, costs, budget)
-        worst = 0.0
-        for reduce in (False, True):
-            for stop_pt in (0, 2):
-                config = DcgConfig(reduce=reduce, stop_pt=stop_pt)
-                report = solve_robust(fns, alphas, costs, budget, config)
-                worst = max(worst, abs(report.eta - reference))
-        verdict = "PASS" if worst <= 1e-9 else "FAIL"
+        worst = max(abs(solve_robust(fns, alphas, costs, budget,
+                                     DcgConfig(reduce=reduce, stop_pt=stop_pt)).eta - reference)
+                    for reduce in (False, True) for stop_pt in (0, 2))
+        verdict = "PASS" if worst <= TOL else "FAIL"
         print(f"{verdict} {path} max|eta-brute|={worst:.3g}")
         failures += verdict == "FAIL"
     return 1 if failures else 0
@@ -207,38 +177,31 @@ def cmd_report(args) -> int:
     for path in args.csv_files:
         try:
             with open(path, newline="", encoding="utf-8") as handle:
-                reader = csv.reader(handle)
-                header = next(reader, None)
-                if header != CSV_HEADER:
-                    print(f"error: {path}: unexpected header", file=sys.stderr)
-                    return 2
-                records.extend(RunRecord.from_csv_row(row) for row in reader if row)
-        except (OSError, ValueError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
-            return 2
+                rows = csv.reader(handle)
+                if next(rows, None) != CSV_HEADER:
+                    raise ValueError("unexpected header")
+                records.extend(RunRecord.from_csv_row(row) for row in rows if row)
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}: {exc}") from None
     groups: dict = {}
     for rec in records:
         groups.setdefault((rec.mode, rec.reduce, rec.stop_pt), []).append(rec)
     out_rows = []
     for (mode, reduce, stop_pt), recs in sorted(groups.items()):
         k = len(recs)
-        out_rows.append([mode, "true" if reduce else "false", str(stop_pt), str(k),
+        out_rows.append([mode, _FORMAT["bool"](reduce), str(stop_pt), str(k),
                          f"{sum(r.time_s for r in recs) / k:.3f}",
                          f"{sum(r.gap_pct for r in recs) / k:.4f}",
                          f"{sum(r.iterations for r in recs) / k:.1f}",
                          f"{sum(r.cuts for r in recs) / k:.1f}"])
     header = ["mode", "reduce", "stop_pt", "runs", "mean_time_s", "mean_gap_pct",
               "mean_iterations", "mean_cuts"]
-    widths = [max(len(h), *(len(r[i]) for r in out_rows)) if out_rows else len(h)
-              for i, h in enumerate(header)]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for row in out_rows:
+    widths = [max([len(h), *(len(r[i]) for r in out_rows)]) for i, h in enumerate(header)]
+    for row in (header, *out_rows):
         print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(out_rows)
+            _write_csv(handle, out_rows, header)
     return 0
 
 
@@ -284,11 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -116,12 +116,7 @@ class SetFunction:
     def marginal(self, j: int, subset: Iterable[int]) -> float:
         """f(S + j) - f(S); zero when j is already in S."""
         key = self._key(subset)
-        if not 0 <= j < self.ground_size:
-            raise ValueError(f"element {j} out of range for ground set of size {self.ground_size}")
-        bit = 1 << j
-        if key & bit:
-            return 0.0
-        return self._value_by_key(key | bit) - self._value_by_key(key)
+        return self._value_by_key(key | self._key((j,))) - self._value_by_key(key)
 
     def values(self, keys: Iterable[int]) -> np.ndarray:
         """f at each bitmask in ``keys``, as one float array.  Two or more

@@ -86,7 +86,10 @@ class SolveReport:
     pool: tuple = ()
 
 
-def check_alphas(alphas: Sequence[float]):
+def check_alphas(alphas: Sequence[float], m: int):
+    """One positive, finite alpha per scenario function, ``m`` of them."""
+    if len(alphas) != m:
+        raise ValueError(f"expected {m} alphas, one per scenario function, found {len(alphas)}")
     if not all(0 < a < math.inf for a in alphas):
         raise ValueError("alphas must be positive and finite")
 
@@ -154,9 +157,7 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
     m = len(fns)
     if m == 0:
         raise ValueError("at least one scenario function is required")
-    if len(alphas) != m:
-        raise ValueError("need one alpha per scenario function")
-    check_alphas(alphas)
+    check_alphas(alphas, m)
     n = fns[0].ground_size
     start = time.monotonic()
 
@@ -224,9 +225,7 @@ def brute_force_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
     n = fns[0].ground_size
     if n > MAX_GROUND:
         raise ValueError(f"ground set of size {n} exceeds the enumeration guard {MAX_GROUND}")
-    if len(alphas) != len(fns):
-        raise ValueError("need one alpha per scenario function")
-    check_alphas(alphas)
+    check_alphas(alphas, len(fns))
     check_knapsack(n, costs, budget)
     # cost[mask] sums the chosen costs in ascending element order, as a
     # running sum over the tuple x would.

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from random import Random
 
@@ -33,6 +34,10 @@ class ParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+        self.message = message
+
+    def __reduce__(self):  # pickles with both arguments, so a worker process can raise it
+        return type(self), (self.line_no, self.message)
 
 
 @dataclass(frozen=True)
@@ -245,6 +250,8 @@ def _ints(line_no, toks, count=None, minimum=None, what="value"):
         vals = [int(t) for t in toks]
     except ValueError:
         raise ParseError(line_no, f"non-integer {what}") from None
+    if any(abs(v) > sys.float_info.max for v in vals):
+        raise ParseError(line_no, f"{what} beyond float range")
     if count is not None and len(vals) != count:
         raise ParseError(line_no, f"expected {count} {what}s, found {len(vals)}")
     if minimum is not None and any(v < minimum for v in vals):
@@ -271,6 +278,8 @@ def parse_instance(text: str) -> Instance:
     if not vals or len(vals) != vals[0] + 1:
         raise ParseError(ln, "source count does not match the listed sources")
     sources = vals[1:]
+    if not sources:
+        raise ParseError(ln, "at least one source is required")
     if any(j >= n for j in sources):
         raise ParseError(ln, "source id out of range")
 

@@ -334,3 +334,70 @@ class TestUsage:
         with pytest.raises(SystemExit):
             main(["solve", "--help"])
         assert "filter-dominated" not in capsys.readouterr().out
+
+
+class TestErrorPath:
+    """Every input or file error leaves main as exit 2 with ``error:`` on stderr."""
+
+    @pytest.fixture
+    def instance_path(self, tmp_path, capsys):
+        target = tmp_path / "inst.txt"
+        assert main(gen_args(target)) == 0
+        capsys.readouterr()
+        return target
+
+    def test_unwritable_csv_exits_2(self, instance_path, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        code, _, err = run(capsys, "solve", str(instance_path), "--csv", str(target))
+        assert code == 2
+        assert "error" in err and str(target) in err
+
+    def test_unwritable_report_out_exits_2(self, instance_path, tmp_path, capsys):
+        csv_path = tmp_path / "runs.csv"
+        assert run(capsys, "solve", str(instance_path), "--csv", str(csv_path))[0] == 0
+        target = tmp_path / "missing" / "r.csv"
+        code, _, err = run(capsys, "report", str(csv_path), "--out", str(target))
+        assert code == 2
+        assert "error" in err and str(target) in err
+
+    def test_bad_report_value_names_the_file(self, tmp_path, capsys):
+        row = RunRecord("a", "rsm", True, 2, 1.0, 0.0, 3, 5, 2.0, 2.0, 2.0, "optimal").to_csv_row()
+        row[CSV_HEADER.index("time_s")] = "abc"
+        bad = tmp_path / "bad.csv"
+        with bad.open("w", newline="") as handle:
+            csv.writer(handle).writerows([CSV_HEADER, row])
+        code, out, err = run(capsys, "report", str(bad))
+        assert code == 2
+        assert f"error: {bad}:" in err and "abc" in err and out == ""
+
+    def test_oversized_report_field_exits_2(self, tmp_path, capsys):
+        # the csv module refuses a field over its size limit with csv.Error
+        row = RunRecord("a" * 200_000, "rsm", True, 2, 1.0, 0.0, 3, 5, 2.0, 2.0, 2.0,
+                        "optimal").to_csv_row()
+        bad = tmp_path / "huge.csv"
+        with bad.open("w", newline="") as handle:
+            csv.writer(handle).writerows([CSV_HEADER, row])
+        code, _, err = run(capsys, "report", str(bad))
+        assert code == 2
+        assert f"error: {bad}:" in err
+
+    def test_parse_error_from_a_worker_exits_2(self, instance_path, tmp_path, capsys):
+        # a ParseError crosses the process boundary intact
+        bad = tmp_path / "bad.txt"
+        bad.write_text("nodes x\n")
+        code, out, err = run(capsys, "solve", str(bad), str(instance_path), "--jobs", "2")
+        assert code == 2
+        assert "line 1" in err and out == ""
+
+
+class TestRunRecord:
+    def test_exact_row(self):
+        rec = RunRecord("net.txt", "rsm3", False, 0, 0.25, 1.5, 7, 12, 1 / 3, 0.5, 0.1, "time_limit")
+        assert rec.to_csv_row() == ["net.txt", "rsm3", "false", "0", "0.25", "1.5", "7", "12",
+                                    "0.3333333333333333", "0.5", "0.1", "time_limit"]
+        assert RunRecord.from_csv_row(rec.to_csv_row()) == rec
+
+    def test_header_is_the_readme_column_list(self):
+        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        columns = re.search(r"`(instance,[a-z_,]+)`", readme).group(1)
+        assert CSV_HEADER == columns.split(",")

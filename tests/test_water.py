@@ -237,6 +237,34 @@ class TestNonFiniteInstanceData:
         assert f"line {exc.value.line_no}" == line
 
 
+class TestParseLimits:
+    @staticmethod
+    def lines():
+        inst = generate_instance(n=8, edge_factor=1.5, m=3, j_count=3, budget=12, seed=1)
+        return serialize_instance(inst).splitlines()
+
+    @pytest.mark.parametrize("keep_probs", [False, True])
+    def test_zero_sources_refused_at_sources_line(self, keep_probs):
+        lines = [ln for ln in self.lines() if keep_probs or not ln.startswith("probs")]
+        line_no = next(i for i, ln in enumerate(lines, 1) if ln.startswith("sources"))
+        lines[line_no - 1] = "sources 0"
+        with pytest.raises(ParseError) as exc:
+            parse_instance("\n".join(lines))
+        assert exc.value.line_no == line_no
+
+    @pytest.mark.parametrize("prefix, offset", [("costs", 0), ("budget", 0), ("scenarios", 1)],
+                             ids=["costs", "budget", "travel-time"])
+    def test_integer_beyond_float_range_refused_at_its_line(self, prefix, offset):
+        # offset 1: the first travel-time line, after the scenario count
+        lines = self.lines()
+        line_no = offset + next(i for i, ln in enumerate(lines, 1) if ln.startswith(prefix))
+        toks = lines[line_no - 1].split()
+        lines[line_no - 1] = " ".join(toks[:-1] + [str(10 ** 400)])
+        with pytest.raises(ParseError, match="float") as exc:
+            parse_instance("\n".join(lines))
+        assert exc.value.line_no == line_no
+
+
 class TestGenerateInstance:
     def test_scale_dimensions(self):
         inst = generate_instance(n=36, edge_factor=41 / 36, m=50, j_count=12,
