@@ -21,9 +21,16 @@ from .dcg import MAX_GROUND, DcgConfig, brute_force_robust, solve_robust
 from .ratio import solve_ratio_robust
 from .water import Instance, generate_instance, parse_instance, serialize_instance
 
+
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, found {text!r}")
+    return text == "true"
+
+
 # CSV text of a RunRecord field, and back, by the field's annotated type.
 _FORMAT = {"str": str, "bool": lambda v: "true" if v else "false", "int": str, "float": repr}
-_PARSE = {"str": str, "bool": lambda t: t == "true", "int": int, "float": float}
+_PARSE = {"str": str, "bool": _parse_bool, "int": int, "float": float}
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,9 @@ all their values in one batch.  An oracle may carry a vectorised form,
 ``eval_fn.batch``, from a (B, n) bool membership matrix to B floats; a batch
 read then fills all its misses with one call to it.  Its values must equal
 ``eval_fn``'s with ``==``, so the memo is the same whichever form filled
-it.  A single miss goes to ``eval_fn``.  From an oracle and a generating
+it.  A single miss goes to ``eval_fn``.  An oracle may also declare which
+elements cover which (``eval_fn.covers``, see :class:`SetFunction`), so that
+the solvers never branch on a covered element.  From an oracle and a generating
 set, :func:`build_cut` produces the linear inequality
 
     eta <= constant + sum_j coefficients[j] * x[j]
@@ -51,9 +53,15 @@ class SetFunction:
     B floats.  :meth:`values` then fills all the keys it is missing with one
     call to it.  Its row for S must equal ``eval_fn(S)`` with ``==``, so the
     memo holds the same value whichever form filled it.
+
+    ``eval_fn`` may also carry ``eval_fn.covers``: a function of no
+    arguments that returns an (n, n) bool relation, read by :attr:`covers`.
+    ``covers[k, j]`` may be true only if f(S + k) >= f(S + j) for every S;
+    then f(S + j + k) == f(S + k) as well, by monotonicity.  The relation
+    must be transitive, as such a relation between elements is.
     """
 
-    __slots__ = ("ground_size", "_eval", "_batch", "_cache", "name")
+    __slots__ = ("ground_size", "_eval", "_batch", "_relate", "_covers", "_cache", "name")
 
     def __init__(self, ground_size: int, eval_fn: Callable[[frozenset], float],
                  name: str = ""):
@@ -62,11 +70,25 @@ class SetFunction:
         self.ground_size = ground_size
         self._eval = eval_fn
         self._batch = getattr(eval_fn, "batch", None)
+        self._relate = getattr(eval_fn, "covers", None)
+        self._covers = None
         self.name = name
         empty = float(eval_fn(frozenset()))
         if abs(empty) > TOL:
             raise ValueError(f"set function is not normalized: f(empty)={empty!r}")
         self._cache: dict = {0: empty}
+
+    @property
+    def covers(self) -> np.ndarray | None:
+        """The relation ``eval_fn.covers`` declares, built on first read and
+        kept (building an oracle costs no more); None if it declares none."""
+        if self._covers is None and self._relate is not None:
+            relation = np.asarray(self._relate(), dtype=bool)
+            if relation.shape != (self.ground_size, self.ground_size):
+                raise ValueError(f"covers relation has shape {relation.shape}, "
+                                 f"not ({self.ground_size}, {self.ground_size})")
+            self._covers = relation
+        return self._covers
 
     def _key(self, subset: Iterable[int]):
         mask = 0

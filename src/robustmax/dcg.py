@@ -12,6 +12,10 @@ zero-marginal witnesses before the cut is built; the resulting inequality is
 still tight at the candidate.  The tree keeps its open nodes as cuts arrive
 and re-bounds each when it is next popped (Padberg & Rinaldi 1991).
 
+Before the tree starts, locations that a no-dearer location covers in every
+scenario are fixed at zero (:func:`kept_locations`), so the tree branches
+only on the rest; cuts and the pool still span the whole ground set.
+
 A run is sequential (separation runs inside the tree's search); distinct runs
 are independent.
 """
@@ -142,6 +146,41 @@ def strengthen_generating_set(fn: SetFunction, incumbent: Iterable[int],
     return frozenset(admitted) | (incumbent - covered)
 
 
+def kept_locations(fns: Sequence[SetFunction], costs: Sequence[float]) -> np.ndarray | None:
+    """The locations the tree branches on: those no other location beats
+    by the oracles' covering relations and the costs; None (all of them)
+    when some oracle declares no relation, or when the costs are not
+    integers summing below 2**53 (then a swap below could round a cost sum
+    up past the budget).
+
+    With ``covers`` the AND of every oracle's relation (one k must cover j in
+    every scenario), k beats j when k != j, covers[k, j] and either
+    c_k < c_j, or c_k == c_j and (not covers[j, k] or k < j).  As covers is
+    transitive, beating is a strict partial order, so every location beaten
+    is beaten by an unbeaten one; the unbeaten are kept.
+
+    Exchange argument: let S fit the budget and hold a dropped j, and let k
+    be a kept location that beats j.  With T = S - j, S' = T + k costs no
+    more than S and f_i(S') = f_i(T + k) >= f_i(T + j) = f_i(S) in every
+    scenario i.  Each such swap removes one dropped location, so some
+    optimum holds kept locations only, and the optimum is unchanged.  With
+    integer costs summing below 2**53 every cost sum is exact in any order,
+    so S' fits whenever S does.  A costs vector of the wrong length is left
+    to :class:`MasterState` to refuse.
+    """
+    relations = [fn.covers for fn in fns]
+    cost = np.asarray(costs, dtype=float)
+    if (any(relation is None for relation in relations) or len(cost) != len(relations[0])
+            or not cost.sum() < 2**53 or (cost != np.floor(cost)).any()):
+        return None
+    covers = np.logical_and.reduce(relations)
+    index = np.arange(len(cost))
+    tied = (cost[:, None] == cost) & (~covers.T | (index[:, None] < index))
+    beats = covers & ((cost[:, None] < cost) | tied)
+    np.fill_diagonal(beats, False)
+    return np.flatnonzero(~beats.any(axis=0))
+
+
 def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
                  costs: Sequence[float], budget: float,
                  config: DcgConfig | None = None,
@@ -151,7 +190,8 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
     Terminates when no open node's bound exceeds the incumbent's true worst
     scaled value (then eta is the optimum, up to epsilon and the objective
     slack of the warm-start pool) or when the time limit runs out (then
-    eta <= optimum <= upper_bound).  Never returns an infeasible x.
+    eta <= optimum <= upper_bound).  Never returns an infeasible x.  The
+    tree branches only on :func:`kept_locations`.
     """
     config = config or DcgConfig()
     m = len(fns)
@@ -161,7 +201,7 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
     n = fns[0].ground_size
     start = time.monotonic()
 
-    state = MasterState(n, costs, budget)
+    state = MasterState(n, costs, budget, kept_locations(fns, costs))
     for cut in (*empty_set_cuts(fns, alphas), *initial_cuts):
         state.add_cut(cut)
     warm_size = len(state.cut_pool)

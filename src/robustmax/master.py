@@ -15,7 +15,11 @@ when its node is created.  A callback that returns the pool value it is
 given solves the fixed pool.
 
 Branching fixes variables in one order per solve, taken from the pool at its
-start, so the free set of a node depends only on its depth.  Per depth, one
+start, so the free set of a node depends only on its depth.  A state may be
+given the variables the search ranges over (``kept``); the others stay at
+zero in every node and in the greedy start, while the cuts and the pool keep
+the whole ground set.  The caller vouches that some optimum sets none of
+them (:func:`robustmax.dcg.kept_locations`).  Per depth, one
 table on an integer capacity grid (:func:`knapsack_grid`) holds each cut's
 knapsack value over the free items at every capacity (Martello & Toth 1990,
 *Knapsack Problems*), built on first use after each pool change; a node's
@@ -83,11 +87,17 @@ class MasterResult:
 class MasterState:
     """Cut pool plus knapsack data; re-solvable as the pool grows."""
 
-    def __init__(self, n: int, costs: Sequence[float], budget: float):
+    def __init__(self, n: int, costs: Sequence[float], budget: float,
+                 kept: Sequence[int] | None = None):
         check_knapsack(n, costs, budget)
         if budget < 0:
             raise ValueError("budget must be nonnegative")
         self.n = n
+        # variables the search may set to one; None keeps all of them
+        self._kept = np.ones(n, dtype=bool)
+        if kept is not None:
+            self._kept[:] = False
+            self._kept[list(kept)] = True
         self.costs = tuple(costs)
         self.budget = budget
         self._cost = np.array(self.costs, dtype=float)
@@ -117,10 +127,11 @@ class MasterState:
     # -- prepared arrays -----------------------------------------------------
 
     def _prepare(self, branch_order: np.ndarray | None = None):
-        """Build the per-pool arrays the node bounds read, with the depth-n
+        """Build the per-pool arrays the node bounds read, with the deepest
         table (no free items: zeros); :meth:`_table` builds each other depth
-        when a node there is first bounded.  The branch order comes from the
-        pool unless given, as it is when the pool grows during a solve."""
+        when a node there is first bounded.  The branch order, over the kept
+        variables, comes from the pool unless given, as it is when the pool
+        grows during a solve."""
         n = self.n
         self._A = np.array([c.coefficients for c in self.cut_pool], dtype=float)
         self._C = np.array([c.constant for c in self.cut_pool], dtype=float)
@@ -129,8 +140,10 @@ class MasterState:
             # over cuts) coefficient per unit cost, ties to the smallest index.
             score = self._A.min(axis=0) / self._cost
             branch_order = np.lexsort((np.arange(n), -score))
+            branch_order = branch_order[self._kept[branch_order]]
         self._branch_order = branch_order
-        self._tables = [None] * n + [np.zeros((self._cells + 1, len(self._C)))]
+        self._tables = ([None] * len(branch_order)
+                        + [np.zeros((self._cells + 1, len(self._C)))])
 
     def _table(self, level: int) -> np.ndarray:
         """Depth L's table: row r holds each cut's best coefficient sum over
@@ -159,14 +172,14 @@ class MasterState:
         return float((base + self._table(level)[cell]).min())
 
     def _greedy_start(self, slack: float):
-        """Greedy incumbent: repeatedly add the affordable item with the best
-        pool-min increase, smallest index on ties."""
+        """Greedy incumbent: repeatedly add the affordable kept item with the
+        best pool-min increase, smallest index on ties."""
         ones = np.zeros(self.n, dtype=bool)
         base = self._C.copy()
         cost_ones = 0.0
         value = float(base.min())
         while True:
-            affordable = (~ones) & (cost_ones + self._cost <= self.budget)
+            affordable = self._kept & ~ones & (cost_ones + self._cost <= self.budget)
             if not affordable.any():
                 break
             candidate_values = (base[:, None] + self._A).min(axis=0)
@@ -280,7 +293,7 @@ class MasterState:
                 if bound <= inc_value + slack or (heap and bound < -heap[0][0]):
                     push(bound, ones, base, level, cost_ones, self._changes)
                     continue
-            if level >= self.n:
+            if level >= len(self._branch_order):
                 continue
             expanding = bound
             j = int(self._branch_order[level])

@@ -144,7 +144,20 @@ def expected_reduction_oracle(network: Network, scenario: Scenario,
             return 0.0
         return float(probs @ saved[sorted(subset)].max(axis=0))
 
+    def covers() -> np.ndarray:
+        # k covers j when it saves at least as much for every source: then
+        # max_{v in S+k} saved[v] >= max_{v in S+j} saved[v] for every S,
+        # and the sums over sources with probs >= 0 keep that order.
+        by_source = np.ascontiguousarray(saved.T)
+        relation = np.ones((len(saved), len(saved)), dtype=bool)
+        step = max(1, BATCH_CHUNK // relation.size)  # bounds the (step, n, n) temporary
+        for lo in range(0, len(by_source), step):
+            rows = by_source[lo:lo + step]
+            relation &= (rows[:, :, None] >= rows[:, None, :]).all(axis=0)
+        return relation
+
     evaluate.batch = _BatchEvaluation(saved, probs)
+    evaluate.covers = covers
     return SetFunction(network.node_count, evaluate, name=name)
 
 

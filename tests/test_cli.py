@@ -370,6 +370,20 @@ class TestErrorPath:
         assert code == 2
         assert f"error: {bad}:" in err and "abc" in err and out == ""
 
+    @pytest.mark.parametrize("text", ["TRUE", "False", "1", ""])
+    def test_report_bool_is_true_or_false(self, instance_path, tmp_path, capsys, text):
+        # any other text used to read as false and regroup the row silently
+        csv_path = tmp_path / "runs.csv"
+        assert run(capsys, "solve", str(instance_path), "--csv", str(csv_path))[0] == 0
+        with csv_path.open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        rows[1][CSV_HEADER.index("reduce")] = text
+        with csv_path.open("w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        code, out, err = run(capsys, "report", str(csv_path))
+        assert code == 2
+        assert f"error: {csv_path}:" in err and repr(text) in err and out == ""
+
     def test_oversized_report_field_exits_2(self, tmp_path, capsys):
         # the csv module refuses a field over its size limit with csv.Error
         row = RunRecord("a" * 200_000, "rsm", True, 2, 1.0, 0.0, 3, 5, 2.0, 2.0, 2.0,

@@ -146,6 +146,35 @@ class TestMarginal:
         assert fn.marginals(()).tolist() == [fn.marginal(0, ()), fn.marginal(1, ())]
 
 
+class TestCoversRelation:
+    def test_built_on_first_read_and_kept(self):
+        calls = []
+
+        def evaluate(S):
+            return float(len(S))
+
+        def covers():
+            calls.append(1)
+            return [[1, 1], [1, 1]]
+
+        evaluate.covers = covers
+        fn = SetFunction(2, evaluate)
+        assert calls == []
+        assert fn.covers.dtype == bool and fn.covers.all()
+        assert calls == [1]
+
+    def test_undeclared_is_none(self):
+        assert modular_fn((1, 2)).covers is None
+
+    def test_wrong_shape_rejected(self):
+        def evaluate(S):
+            return float(len(S))
+
+        evaluate.covers = lambda: np.ones((2, 3), dtype=bool)
+        with pytest.raises(ValueError, match="shape"):
+            SetFunction(2, evaluate).covers
+
+
 class TestBuildCut:
     def test_worked_example_cut(self, facet_pair):
         f1, _ = facet_pair

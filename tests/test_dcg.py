@@ -5,6 +5,7 @@ from itertools import product
 from random import Random
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from robustmax import (DcgConfig, SetFunction, brute_force_robust, build_cut,
                        solve_robust, strengthen_generating_set, support)
 
 from robustmax.core import TOL, objective_slack
+from robustmax.dcg import kept_locations
 from robustmax.master import MasterState
 
 from conftest import (all_subsets, cut_is_valid, modular_fn, random_coverage, rhs,
@@ -492,3 +494,98 @@ class TestSeparationContract:
             report = solve_robust(fns, alphas, costs, budget,
                                   DcgConfig(reduce=reduce, stop_pt=stop_pt, epsilon=epsilon))
         assert report.status == "optimal"
+
+
+def max_type_fn(saved, weights, declare: bool) -> SetFunction:
+    """f(S) = weights . max_{v in S} saved[v], 0 on the empty set; integer
+    data keep every value exact.  With ``declare``, ``covers`` is the
+    relation of the saved rows, as the water oracle declares it."""
+    def evaluate(S):
+        return float(weights @ saved[sorted(S)].max(axis=0)) if S else 0.0
+
+    if declare:
+        evaluate.covers = lambda: (saved[:, None] >= saved[None]).all(axis=2)
+    return SetFunction(len(saved), evaluate)
+
+
+@st.composite
+def covered_instances(draw):
+    """Max-type scenarios on up to 10 locations with integer saved counts,
+    source weights and costs, forced into covering ties: locations that
+    duplicate another in every scenario, at its cost or not, and a chain in
+    which each location covers the next in every scenario."""
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    n, m, k = rng.randint(1, 10), rng.randint(1, 3), rng.randint(1, 4)
+    saved = [np.array([[rng.randint(0, 4) for _ in range(k)] for _ in range(n)], dtype=float)
+             for _ in range(m)]
+    costs = [rng.randint(1, 3) for _ in range(n)]
+    for _ in range(rng.randint(0, 3)):
+        j, copy = rng.randrange(n), rng.randrange(n)
+        for rows in saved:
+            rows[copy] = rows[j]
+        if rng.random() < 0.7:
+            costs[copy] = costs[j]
+    chain = rng.sample(range(n), rng.randint(0, n))
+    for a, b in zip(chain, chain[1:]):
+        for rows in saved:
+            rows[b] = np.minimum(rows[a], rows[b])
+        if rng.random() < 0.5:
+            costs[b] = max(costs[a], costs[b])
+    weights = np.array([rng.randint(1, 3) for _ in range(k)], dtype=float)
+    return saved, weights, costs, rng.randint(0, sum(costs))
+
+
+class TestCoveredLocations:
+    """Locations covered by a no-dearer one are fixed at zero before the
+    tree starts; the optimum does not move."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(covered_instances(), st.booleans(), st.integers(0, 2))
+    def test_matches_brute_force(self, case, reduce, stop_pt):
+        saved, weights, costs, budget = case
+        alphas = [1.0] * len(saved)
+        config = DcgConfig(reduce=reduce, stop_pt=stop_pt)
+        fns = [max_type_fn(rows, weights, declare=True) for rows in saved]
+        report = solve_robust(fns, alphas, costs, budget, config)
+        assert_certified(fns, alphas, costs, budget, report)
+        plain = [max_type_fn(rows, weights, declare=False) for rows in saved]
+        assert kept_locations(plain, costs) is None
+        assert solve_robust(plain, alphas, costs, budget, config).eta == report.eta
+
+    @pytest.mark.parametrize("rows, costs, kept", [
+        ([[[1, 2], [1, 2]]], (1, 1), [0]),                 # duplicates: the smaller index stays
+        ([[[1, 2], [2, 2]]], (1, 1), [1]),                 # strict cover at equal cost
+        ([[[1, 2], [2, 2]]], (1, 2), [0, 1]),              # the coverer costs more
+        ([[[2, 2], [1, 2]]], (1, 2), [0]),                 # the coverer costs less
+        ([[[3, 3], [2, 2], [1, 1]]], (1, 1, 1), [0]),      # a chain keeps its head
+        ([[[2, 2], [1, 1]], [[1, 1], [2, 2]]], (1, 1), [0, 1]),  # each scenario its own way
+        ([[[2, 2], [1, 1]], [[2, 2], [1, 2]]], (1, 1), [0]),     # covered in every scenario
+    ])
+    def test_kept_locations(self, rows, costs, kept):
+        fns = [max_type_fn(np.array(r, dtype=float), np.ones(2), declare=True) for r in rows]
+        assert kept_locations(fns, costs).tolist() == kept
+
+    def test_one_oracle_without_relation_keeps_all(self):
+        rows = np.array([[1, 2], [1, 2]], dtype=float)
+        fns = [max_type_fn(rows, np.ones(2), declare=True),
+               max_type_fn(rows, np.ones(2), declare=False)]
+        assert kept_locations(fns, (1, 1)) is None
+
+    def test_fractional_costs_keep_all(self):
+        # 0.2 + 0.3 + 0.1 == 0.6 fits, but the swap 0.1 + 0.2 + 0.3 rounds
+        # to 0.6000000000000001: dropping location 3 for its duplicate 0
+        # would lose the optimum {1, 2, 3}
+        rows = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=float)
+        fns = [max_type_fn(rows, np.ones(3), declare=True)]
+        costs, budget = (0.1, 0.2, 0.3, 0.1), 0.6
+        assert kept_locations(fns, costs) is None
+        assert kept_locations(fns, (1, 2, 3, 1)).tolist() == [0, 1, 2]
+        report = solve_robust(fns, [1.0], costs, budget)
+        assert_certified(fns, [1.0], costs, budget, report)
+        assert report.eta == 3.0
+
+    def test_integer_costs_past_exact_sums_keep_all(self):
+        rows = np.array([[1, 2], [1, 2]], dtype=float)
+        fns = [max_type_fn(rows, np.ones(2), declare=True)]
+        assert kept_locations(fns, (2**52, 2**52)) is None
+        assert kept_locations(fns, (2**51, 2**51)).tolist() == [0]

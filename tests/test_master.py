@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations, product
 from dataclasses import replace
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustmax import (DcgConfig, MasterState, SubmodularCut, empty_set_cuts,
-                       generate_instance, solve_robust)
+from robustmax import (DcgConfig, MasterState, SetFunction, SubmodularCut,
+                       empty_set_cuts, generate_instance, solve_robust, water)
 from robustmax.core import objective_slack
+from robustmax.dcg import kept_locations
 from robustmax.master import CELLS, knapsack_grid
 
 from conftest import indicator, pool_value, rhs
@@ -515,9 +517,9 @@ class TestNodeCounts:
     # tree; any change to the bound, the branching order, the pruning or the
     # separation rule shows here.
     @pytest.mark.parametrize("family, seed, nodes, eta", [
-        (dict(n=12, edge_factor=2.0, m=5, j_count=5, budget=15), 1, 52, 9.6),
-        (dict(n=20, edge_factor=1.5, m=8, j_count=6, budget=20), 3, 218, 15.166666666666666),
-        (dict(n=24, edge_factor=41 / 36, m=10, j_count=8, budget=20), 2, 264, 19.75),
+        (dict(n=12, edge_factor=2.0, m=5, j_count=5, budget=15), 1, 50, 9.6),
+        (dict(n=20, edge_factor=1.5, m=8, j_count=6, budget=20), 3, 144, 15.166666666666666),
+        (dict(n=24, edge_factor=41 / 36, m=10, j_count=8, budget=20), 2, 256, 19.75),
     ])
     def test_pinned_tree_size(self, monkeypatch, family, seed, nodes, eta):
         inst = generate_instance(seed=seed, **family)
@@ -530,6 +532,26 @@ class TestNodeCounts:
         assert len(results) == 1
         assert results[0].nodes == nodes
 
+    def test_wrapped_oracles_grow_the_same_tree(self, monkeypatch):
+        # A wrapper made with functools.wraps, as a tracer puts around each
+        # water oracle's callable, copies ``covers`` with the other function
+        # attributes, so the solve fixes the same locations at zero.
+        inst = generate_instance(n=20, edge_factor=1.5, m=8, j_count=6, budget=20, seed=3)
+        costs = inst.network.sensor_costs
+        args = ([1.0] * 8, costs, inst.network.budget, DcgConfig(reduce=True, stop_pt=2))
+        results = recorded_solves(monkeypatch)
+        plain = solve_robust(inst.build_oracles(), *args)
+
+        def wrapping(ground_size, eval_fn, name=""):
+            return SetFunction(ground_size, functools.wraps(eval_fn)(lambda S: eval_fn(S)),
+                               name=name)
+
+        monkeypatch.setattr(water, "SetFunction", wrapping)
+        fns = inst.build_oracles()
+        assert len(kept_locations(fns, costs)) < inst.network.node_count
+        wrapped = solve_robust(fns, *args)
+        assert (wrapped.eta, results[1].nodes) == (plain.eta, results[0].nodes)
+
 
 class TestTableRebuild:
     @pytest.mark.parametrize("family, seed", [
@@ -540,7 +562,8 @@ class TestTableRebuild:
         # One solve_robust run: the tables are reset once per pool; per pool,
         # each depth's table is built at most once, and the depths built are
         # exactly those from the shallowest depth at which a node is bounded
-        # down to n - 1 (depth n's zeros come with the pool).
+        # down to the kept count less one (the deepest table, zeros, comes
+        # with the pool).
         pools, built, shallowest = [], [], {}
         prepare, table, evaluate = (MasterState._prepare, MasterState._table,
                                     MasterState._evaluate)
@@ -571,13 +594,13 @@ class TestTableRebuild:
         fns = inst.build_oracles()
         report = solve_robust(fns, [1.0] * len(fns), inst.network.sensor_costs,
                               inst.network.budget, DcgConfig(reduce=True, stop_pt=2))
-        n = inst.network.node_count
+        kept = len(kept_locations(fns, inst.network.sensor_costs))
         assert report.iterations > 1
         assert len(built) == len(set(built))
         assert set(built) == {(pool, depth) for pool, top in shallowest.items()
-                              for depth in range(top, n)}
+                              for depth in range(top, kept)}
         # some pool never needs its shallow tables
-        assert len(built) < len(pools) * n
+        assert len(built) < len(pools) * kept
 
     def test_incremental_pool_matches_fresh_state(self):
         rng = Random(23)

@@ -116,6 +116,27 @@ class TestExpectedReductionOracle:
                 assert check_submodular(fn)
 
     @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_covers_relation_holds(self, seed):
+        # covers[k, j] iff k saves at least as much as j for every source;
+        # then k is worth at least j next to any S, and j adds nothing to k
+        rng = Random(seed)
+        n = rng.randint(3, 14)
+        inst = generate_instance(n=n, edge_factor=rng.choice((1.0, 1.5)), m=1,
+                                 j_count=rng.randint(1, min(4, n)), budget=n,
+                                 seed=rng.randrange(1000))
+        fn = inst.build_oracles()[0]
+        saved = reduction_matrix(inst.network, inst.scenarios[0]).saved
+        covers = fn.covers
+        assert (covers == (saved[:, None] >= saved[None]).all(axis=2)).all()
+        pairs = np.argwhere(covers & ~np.eye(n, dtype=bool)).tolist()
+        for k, j in pairs:
+            for _ in range(4):
+                S = frozenset(v for v in range(n) if rng.random() < 0.3)
+                assert fn.value(S | {k}) >= fn.value(S | {j})
+                assert fn.value(S | {j, k}) == fn.value(S | {k})
+
+    @settings(max_examples=40, deadline=None)
     @given(st.sampled_from((4, 12, 36, 72)), st.integers(0, 2**32 - 1), st.data())
     def test_batch_equals_scalar_evaluation(self, n, seed, data):
         # the vectorised form must give the scalar value itself, not a
