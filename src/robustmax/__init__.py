@@ -14,10 +14,9 @@ from .dcg import (DcgConfig, SolveReport, brute_force_robust, solve_robust,
 from .master import MasterResult, MasterState
 from .ratio import (RatioReport, ScenarioBounds, certify_ratio_optimal,
                     maximize_single, rescale_cuts, solve_ratio_robust)
-from .water import (Instance, Network, ParseError, ReductionMatrix, Scenario,
+from .water import (Instance, Network, ParseError, Scenario,
                     expected_reduction_oracle, generate_instance,
-                    parse_instance, reduction_matrix, serialize_instance,
-                    shortest_times)
+                    parse_instance, reduction_matrix, serialize_instance)
 
 __all__ = [
     "SetFunction", "SubmodularCut", "build_cut", "empty_set_cuts",
@@ -27,8 +26,8 @@ __all__ = [
     "solve_robust", "brute_force_robust", "support",
     "ScenarioBounds", "RatioReport", "maximize_single", "rescale_cuts",
     "solve_ratio_robust", "certify_ratio_optimal",
-    "Network", "Scenario", "ReductionMatrix", "Instance", "ParseError",
-    "shortest_times", "reduction_matrix", "expected_reduction_oracle",
+    "Network", "Scenario", "Instance", "ParseError",
+    "reduction_matrix", "expected_reduction_oracle",
     "parse_instance", "serialize_instance", "generate_instance",
 ]
 

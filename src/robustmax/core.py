@@ -74,7 +74,7 @@ class SetFunction:
         self._covers = None
         self.name = name
         empty = float(eval_fn(frozenset()))
-        if abs(empty) > TOL:
+        if not abs(empty) <= TOL:  # a NaN fails this test too
             raise ValueError(f"set function is not normalized: f(empty)={empty!r}")
         self._cache: dict = {0: empty}
 
@@ -254,13 +254,16 @@ def check_submodular(fn: SetFunction, exhaustive_limit: int = 12,
     seeded random sampling otherwise.  Marginals compare up to TOL times
     the largest |f| of the exhaustive table, or |f(N)| when sampling, so
     the verdict does not depend on the oracle's scale.  f(empty) is the
-    oracle's own value, read like any other.
+    oracle's own value, read like any other.  A value that is not finite
+    is a violation: no comparison with a NaN could find one.
     """
     n = fn.ground_size
     if n <= exhaustive_limit:
         # F[mask] = f(mask); M[mask, j] = f(mask + j) - f(mask), which is 0
         # where j is in mask and so never a violation.
         F = fn.values(range(1 << n))
+        if not np.isfinite(F).all():
+            return False
         slack = TOL * float(np.abs(F).max())
         masks = np.arange(1 << n)
         M = F[masks[:, None] | (1 << np.arange(n))] - F[:, None]
@@ -276,7 +279,7 @@ def check_submodular(fn: SetFunction, exhaustive_limit: int = 12,
         return True
     # Draw every sample first, then read the four values of each,
     # f(X), f(X + j), f(X + k) and f(X + j + k), in one batch.
-    slack = TOL * abs(fn.value(range(n)))
+    full = fn.value(range(n))
     rng = Random(seed)
     keys = []
     for _ in range(samples):
@@ -286,5 +289,8 @@ def check_submodular(fn: SetFunction, exhaustive_limit: int = 12,
         key = sum(1 << v for v in base)
         keys += (key, key | 1 << j, key | 1 << k, key | 1 << j | 1 << k)
     F = fn.values(keys).reshape(-1, 4)
+    if not (np.isfinite(full) and np.isfinite(F).all()):
+        return False
+    slack = TOL * abs(full)
     mj = F[:, 1] - F[:, 0]
     return not ((mj < -slack).any() or (F[:, 3] - F[:, 2] > mj + slack).any())

@@ -78,66 +78,54 @@ class Scenario:
     edge_weights: tuple
 
     def __post_init__(self):
-        if any(w < 1 for w in self.edge_weights):
-            raise ValueError("edge travel times must be >= 1")
+        if not all(1 <= w < math.inf for w in self.edge_weights):  # a NaN fails too
+            raise ValueError("edge travel times must be >= 1 and finite")
 
 
-@dataclass(frozen=True, eq=False)
-class ReductionMatrix:
+def reduction_matrix(network: Network, scenario: Scenario) -> np.ndarray:
     """saved[s, j]: reachable nodes from source j with arrival >= arrival at s.
 
-    ``reachable_total[j]`` counts all nodes reachable from source j (the
-    source itself included); a sensor on the source saves everything, an
-    unreachable sensor saves nothing.
+    An (n, k) float64 array, one column per source.  A sensor on the source
+    saves every node the source reaches, itself included, so
+    ``saved[sources[j], j]`` is that count; an unreachable sensor saves 0.
+    Dijkstra pops the nodes in order of arrival, so a node's saving is the
+    reached count less the number popped at a strictly earlier time.
     """
-
-    saved: np.ndarray
-    reachable_total: np.ndarray
-
-
-def shortest_times(network: Network, scenario: Scenario, source: int) -> np.ndarray:
-    """Arrival time of the contamination at every node; inf when unreachable."""
     if len(scenario.edge_weights) != len(network.edges):
         raise ValueError("scenario weight count does not match edge count")
-    adj: list = [[] for _ in range(network.node_count)]
+    n = network.node_count
+    adj: list = [[] for _ in range(n)]
     for (u, v), w in zip(network.edges, scenario.edge_weights):
         adj[u].append((v, w))
-    dist = np.full(network.node_count, math.inf)
-    dist[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for v, w in adj[u]:
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
-
-
-def reduction_matrix(network: Network, scenario: Scenario) -> ReductionMatrix:
-    n = network.node_count
-    k = len(network.sources)
-    saved = np.zeros((n, k))
-    total = np.zeros(k)
-    for col, src in enumerate(network.sources):
-        dist = shortest_times(network, scenario, src)
-        finite = np.sort(dist[np.isfinite(dist)])
-        total[col] = finite.size
-        # nodes with arrival >= arrival at the sensor are saved
-        reach = np.isfinite(dist)
-        saved[reach, col] = finite.size - np.searchsorted(finite, dist[reach], side="left")
-    return ReductionMatrix(saved=saved, reachable_total=total)
+    saved = np.zeros((n, len(network.sources)))
+    for col, source in enumerate(network.sources):
+        dist = [math.inf] * n
+        dist[source] = 0.0
+        reached, earlier = [], []
+        heap = [(0.0, source)]
+        last, first = -1.0, 0
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist[u]:
+                continue
+            if d != last:  # the first node at this arrival time
+                last, first = d, len(reached)
+            reached.append(u)
+            earlier.append(first)
+            for v, w in adj[u]:
+                nd = d + w
+                if nd < dist[v]:
+                    dist[v] = nd
+                    heapq.heappush(heap, (nd, v))
+        saved[reached, col] = len(reached) - np.array(earlier)
+    return saved
 
 
 def expected_reduction_oracle(network: Network, scenario: Scenario,
                               name: str = "") -> SetFunction:
     """Monotone submodular oracle S -> expected number of saved nodes."""
-    matrix = reduction_matrix(network, scenario)
+    saved = reduction_matrix(network, scenario)
     probs = np.asarray(network.source_probabilities)
-    saved = matrix.saved
 
     def evaluate(subset: frozenset) -> float:
         if not subset:

@@ -395,6 +395,27 @@ class TestErrorPath:
         assert code == 2
         assert f"error: {bad}:" in err
 
+    def test_nan_alpha_value_names_the_alpha_line(self, instance_path, tmp_path, capsys):
+        # float() reads nan, so Instance refuses it and the parser names the line
+        lines = instance_path.read_text().splitlines()
+        assert lines[-1].startswith("alpha ")
+        bad = tmp_path / "nanalpha.txt"
+        bad.write_text("\n".join(lines[:-1] + ["alpha values nan 1"]) + "\n")
+        code, out, err = run(capsys, "solve", str(bad))
+        assert code == 2 and out == ""
+        assert err == f"error: line {len(lines)}: alpha values must be positive and finite\n"
+
+    @pytest.mark.parametrize("flags", [("--mode", "rsm3"), ("--alpha", "solve")])
+    def test_ratio_scaling_with_no_affordable_sensor_exits_2(self, tmp_path, capsys, flags):
+        # every sensor costs more than the budget, so each scenario's optimum is 0
+        target = tmp_path / "low.txt"
+        assert main(gen_args(target, budget=3)) == 0
+        capsys.readouterr()
+        code, out, err = run(capsys, "solve", str(target), *flags)
+        assert code == 2 and out == ""
+        assert err == ("error: scenario 0 has a nonpositive incumbent value 0.0; "
+                       "ratio scaling is undefined\n")
+
     def test_parse_error_from_a_worker_exits_2(self, instance_path, tmp_path, capsys):
         # a ParseError crosses the process boundary intact
         bad = tmp_path / "bad.txt"

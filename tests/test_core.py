@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from random import Random
 
 import numpy as np
@@ -136,6 +137,12 @@ class TestMarginal:
         with pytest.raises(ValueError):
             SetFunction(2, lambda S: 1.0)
 
+    @pytest.mark.parametrize("empty", [math.nan, math.inf])
+    def test_non_finite_empty_rejected(self, empty):
+        # abs(nan) > TOL is false, so a NaN f(empty) used to pass
+        with pytest.raises(ValueError, match="normalized"):
+            SetFunction(2, lambda S: empty)
+
     @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-12])
     def test_own_empty_value_kept(self, scale):
         # f(empty) = 5e-10 passes the normalization check; the memo must keep
@@ -241,10 +248,10 @@ class TestEmptySetCuts:
         net, sc = figure_network
         fn = expected_reduction_oracle(net, sc)
         (cut,) = empty_set_cuts([fn], [1.0])
-        mat = reduction_matrix(net, sc)
+        saved = reduction_matrix(net, sc)
         probs = net.source_probabilities
         for v in range(4):
-            expect = sum(p * mat.saved[v, jj] for jj, p in enumerate(probs))
+            expect = sum(p * saved[v, jj] for jj, p in enumerate(probs))
             assert cut.coefficients[v] == pytest.approx(expect, abs=1e-12)
 
 
@@ -351,6 +358,16 @@ class TestCheckSubmodular:
     def test_supermodular_fails(self):
         fn = SetFunction(3, lambda S: float(len(S) ** 2))
         assert not check_submodular(fn)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("limit", [12, 0], ids=["exhaustive", "sampled"])
+    def test_non_finite_values_fail(self, bad, limit):
+        # every comparison with a NaN value or slack is false, so an oracle
+        # that is NaN on every nonempty set used to pass both checks
+        everywhere = SetFunction(5, lambda S: bad if S else 0.0)
+        assert not check_submodular(everywhere, exhaustive_limit=limit, samples=200)
+        at_one_set = SetFunction(5, lambda S: bad if S == {1, 3} else float(len(S)))
+        assert not check_submodular(at_one_set, exhaustive_limit=limit, samples=2000)
 
     def test_sampled_mode_detects_supermodular(self):
         fn = SetFunction(16, lambda S: float(len(S) ** 2))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import replace
 from random import Random
@@ -11,8 +12,7 @@ from hypothesis import strategies as st
 
 from robustmax import (Network, ParseError, Scenario, check_submodular,
                        expected_reduction_oracle, generate_instance,
-                       parse_instance, reduction_matrix, serialize_instance,
-                       shortest_times)
+                       parse_instance, reduction_matrix, serialize_instance)
 
 
 def with_budget(instance, budget: int):
@@ -20,7 +20,47 @@ def with_budget(instance, budget: int):
     return replace(instance, network=replace(instance.network, budget=budget))
 
 
+def shortest_times(network: Network, scenario: Scenario, source: int) -> np.ndarray:
+    """Reference: arrival time of the contamination at every node from one
+    source, inf when unreachable; a fresh adjacency and Dijkstra per call."""
+    adj: list = [[] for _ in range(network.node_count)]
+    for (u, v), w in zip(network.edges, scenario.edge_weights):
+        adj[u].append((v, w))
+    dist = np.full(network.node_count, math.inf)
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, w in adj[u]:
+            nd = d + w
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
+
+
+def reference_saved(network: Network, scenario: Scenario):
+    """Reference: saved[s, j] counted from sorted arrival times, one source
+    at a time, and the number of nodes each source reaches."""
+    n = network.node_count
+    k = len(network.sources)
+    saved = np.zeros((n, k))
+    total = np.zeros(k)
+    for col, src in enumerate(network.sources):
+        dist = shortest_times(network, scenario, src)
+        finite = np.sort(dist[np.isfinite(dist)])
+        total[col] = finite.size
+        # nodes with arrival >= arrival at the sensor are saved
+        reach = np.isfinite(dist)
+        saved[reach, col] = finite.size - np.searchsorted(finite, dist[reach], side="left")
+    return saved, total
+
+
 class TestShortestTimes:
+    """The reference arrival times, on worked examples."""
+
     def test_source_zero(self, figure_network):
         net, sc = figure_network
         d = shortest_times(net, sc, 0)
@@ -36,48 +76,49 @@ class TestShortestTimes:
                       source_probabilities=(1.0,), sensor_costs=(1, 1, 1), budget=1)
         d = shortest_times(net, Scenario((5,)), 2)
         assert d[2] == 0 and math.isinf(d[0]) and math.isinf(d[1])
+        assert reduction_matrix(net, Scenario((5,))).tolist() == [[0.0], [0.0], [1.0]]
 
     def test_weight_count_must_match(self, figure_network):
         net, _ = figure_network
-        with pytest.raises(ValueError):
-            shortest_times(net, Scenario((1, 2)), 0)
+        with pytest.raises(ValueError, match="weight count"):
+            reduction_matrix(net, Scenario((1, 2)))
 
 
 class TestReductionMatrix:
     def test_worked_entries(self, figure_network):
         net, sc = figure_network
-        mat = reduction_matrix(net, sc)
-        assert mat.reachable_total[0] == 3  # source, gray, gray
-        assert mat.reachable_total[1] == 2
-        assert mat.saved[2, 0] == 1
-        assert mat.saved[1, 0] == 0
-        assert mat.saved[1, 1] == 2
+        saved = reduction_matrix(net, sc)
+        assert saved.shape == (4, 2) and saved.dtype == np.float64
+        assert saved[0, 0] == 3  # source, gray, gray
+        assert saved[1, 1] == 2
+        assert saved[2, 0] == 1
+        assert saved[1, 0] == 0
 
     def test_sensor_at_source_saves_everything(self, figure_network):
         net, sc = figure_network
-        mat = reduction_matrix(net, sc)
+        saved = reduction_matrix(net, sc)
+        _, total = reference_saved(net, sc)
         for jj, src in enumerate(net.sources):
-            assert mat.saved[src, jj] == mat.reachable_total[jj]
+            assert saved[src, jj] == total[jj]
 
     def test_two_route_agreement(self):
-        # saved[s, j] must equal reachable_total[j] minus the strict-arrival
+        # saved[s, j] must equal the reachable count minus the strict-arrival
         # damage count at the sensor's own arrival time
-        rng = Random(4)
         for seed in range(6):
             inst = generate_instance(n=9, edge_factor=1.5, m=2, j_count=3,
                                      budget=20, seed=seed)
             net = inst.network
             for sc in inst.scenarios:
-                mat = reduction_matrix(net, sc)
+                saved = reduction_matrix(net, sc)
                 for jj, src in enumerate(net.sources):
                     d = shortest_times(net, sc, src)
                     finite = d[np.isfinite(d)]
                     for s in range(net.node_count):
                         if math.isinf(d[s]):
-                            assert mat.saved[s, jj] == 0
+                            assert saved[s, jj] == 0
                         else:
                             damage_before = int((finite < d[s]).sum())
-                            assert mat.saved[s, jj] == len(finite) - damage_before
+                            assert saved[s, jj] == len(finite) - damage_before
 
     def test_damage_counter_is_nondecreasing(self, figure_network):
         net, sc = figure_network
@@ -86,6 +127,27 @@ class TestReductionMatrix:
             finite = np.sort(d[np.isfinite(d)])
             counts = [int((finite < t).sum()) for t in finite]
             assert counts == sorted(counts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 72), st.integers(0, 2**32 - 1),
+           st.sampled_from(("int", "half", "float")), st.data())
+    def test_equals_reference(self, n, seed, weights, data):
+        # few edges leave nodes isolated, sources among them; half-integer
+        # weights tie arrival times along different paths
+        e_count = data.draw(st.integers(1, min(n * (n - 1), 2 * n)))
+        inst = generate_instance(n=n, edge_factor=e_count / n, m=1,
+                                 j_count=data.draw(st.integers(1, n)), budget=n,
+                                 seed=seed % 1000)
+        net = inst.network
+        rng = Random(seed)
+        draw = {"int": lambda: rng.randint(1, 10), "half": lambda: rng.randint(2, 20) / 2,
+                "float": lambda: rng.uniform(1, 10)}[weights]
+        sc = Scenario(tuple(draw() for _ in net.edges))
+        saved = reduction_matrix(net, sc)
+        expect, total = reference_saved(net, sc)
+        assert saved.dtype == np.float64 and saved.shape == expect.shape
+        assert (saved == expect).all()
+        assert (saved[list(net.sources), range(len(net.sources))] == total).all()
 
 
 class TestExpectedReductionOracle:
@@ -103,9 +165,8 @@ class TestExpectedReductionOracle:
             net = inst.network
             for sc in inst.scenarios:
                 fn = expected_reduction_oracle(net, sc)
-                mat = reduction_matrix(net, sc)
-                expect = sum(p * t for p, t in
-                             zip(net.source_probabilities, mat.reachable_total))
+                _, total = reference_saved(net, sc)
+                expect = sum(p * t for p, t in zip(net.source_probabilities, total))
                 assert fn.value(range(net.node_count)) == pytest.approx(expect, abs=1e-9)
 
     def test_always_monotone_submodular(self):
@@ -126,7 +187,7 @@ class TestExpectedReductionOracle:
                                  j_count=rng.randint(1, min(4, n)), budget=n,
                                  seed=rng.randrange(1000))
         fn = inst.build_oracles()[0]
-        saved = reduction_matrix(inst.network, inst.scenarios[0]).saved
+        saved = reduction_matrix(inst.network, inst.scenarios[0])
         covers = fn.covers
         assert (covers == (saved[:, None] >= saved[None]).all(axis=2)).all()
         pairs = np.argwhere(covers & ~np.eye(n, dtype=bool)).tolist()
@@ -226,7 +287,8 @@ class TestInstanceFiles:
 
 class TestNonFiniteInstanceData:
     """A NaN passes every plain comparison, so NaN and infinite costs,
-    budgets, probabilities and alpha values are refused by name."""
+    budgets, probabilities, travel times and alpha values are refused by
+    name."""
 
     @staticmethod
     def instance():
@@ -241,6 +303,12 @@ class TestNonFiniteInstanceData:
     def test_network_refuses(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             replace(self.instance().network, **{field: value})
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_scenario_refuses_travel_time(self, weight):
+        # serialize_instance would write a file parse_instance refuses
+        with pytest.raises(ValueError, match="finite"):
+            Scenario((weight, 1, 1))
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf])
     def test_instance_refuses_alpha_values(self, alpha):
