@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .core import TOL
+from .core import TOL, check_submodular
 from .dcg import MAX_GROUND, DcgConfig, brute_force_robust, solve_robust
 from .ratio import solve_ratio_robust
 from .water import Instance, generate_instance, parse_instance, serialize_instance
@@ -166,6 +166,11 @@ def cmd_verify(args) -> int:
         if n > MAX_GROUND:
             raise ValueError(f"{path}: {n} nodes exceeds the brute-force guard ({MAX_GROUND})")
         fns = instance.build_oracles()
+        unlawful = next((i for i, fn in enumerate(fns) if not check_submodular(fn)), None)
+        if unlawful is not None:
+            print(f"FAIL {path} scenario {unlawful} is not monotone submodular")
+            failures += 1
+            continue
         costs = instance.network.sensor_costs
         budget = instance.network.budget
         alphas = [1.0] * len(fns)

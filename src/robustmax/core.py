@@ -26,7 +26,7 @@ the memo cache tolerates concurrent insertion of identical entries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from random import Random
 from typing import Callable, Iterable, Sequence
 
@@ -250,15 +250,19 @@ def check_submodular(fn: SetFunction, exhaustive_limit: int = 12,
                      samples: int = 10_000, seed: int = 0) -> bool:
     """True iff no monotonicity or diminishing-returns violation is found.
 
-    Exhaustive over all (X, j, k) triples when the ground set is small,
-    seeded random sampling otherwise.  Marginals compare up to TOL times
-    the largest |f| of the exhaustive table, or |f(N)| when sampling, so
-    the verdict does not depend on the oracle's scale.  f(empty) is the
-    oracle's own value, read like any other.  A value that is not finite
-    is a violation: no comparison with a NaN could find one.
+    Exhaustive over all (X, j, k) triples when the ground set has at most
+    ``exhaustive_limit`` elements, or fewer than two (no triple to draw);
+    otherwise ``samples`` seeded random triples, which must be at least 1.
+    The sampled sets depend only on (n, samples, seed) and are drawn once
+    per such key, the most recent one kept, so checking the scenarios of
+    one instance in a row draws them once.  Marginals compare up to TOL
+    times the largest |f| of the exhaustive table, or |f(N)| when sampling,
+    so the verdict does not depend on the oracle's scale.  f(empty) is the
+    oracle's own value, read like any other.  A value that is not finite is
+    a violation: no comparison with a NaN could find one.
     """
     n = fn.ground_size
-    if n <= exhaustive_limit:
+    if n <= exhaustive_limit or n < 2:
         # F[mask] = f(mask); M[mask, j] = f(mask + j) - f(mask), which is 0
         # where j is in mask and so never a violation.
         F = fn.values(range(1 << n))
@@ -277,9 +281,22 @@ def check_submodular(fn: SetFunction, exhaustive_limit: int = 12,
             if (pairs[:, 1] > pairs[:, 0] + slack).any():
                 return False
         return True
-    # Draw every sample first, then read the four values of each,
-    # f(X), f(X + j), f(X + k) and f(X + j + k), in one batch.
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     full = fn.value(range(n))
+    F = fn.values(_sample_keys(n, samples, seed)).reshape(-1, 4)
+    if not (np.isfinite(full) and np.isfinite(F).all()):
+        return False
+    slack = TOL * abs(full)
+    mj = F[:, 1] - F[:, 0]
+    return not ((mj < -slack).any() or (F[:, 3] - F[:, 2] > mj + slack).any())
+
+
+@lru_cache(maxsize=1)
+def _sample_keys(n: int, samples: int, seed: int) -> tuple:
+    """The bitmasks of X, X + j, X + k and X + j + k for each of ``samples``
+    seeded random triples (X, j, k) over n >= 2 elements, four per sample.
+    A tuple, so no caller can change the keys a later check reads."""
     rng = Random(seed)
     keys = []
     for _ in range(samples):
@@ -288,9 +305,4 @@ def check_submodular(fn: SetFunction, exhaustive_limit: int = 12,
         j, k = rng.sample([v for v in range(n) if v not in base], 2)
         key = sum(1 << v for v in base)
         keys += (key, key | 1 << j, key | 1 << k, key | 1 << j | 1 << k)
-    F = fn.values(keys).reshape(-1, 4)
-    if not (np.isfinite(full) and np.isfinite(F).all()):
-        return False
-    slack = TOL * abs(full)
-    mj = F[:, 1] - F[:, 0]
-    return not ((mj < -slack).any() or (F[:, 3] - F[:, 2] > mj + slack).any())
+    return tuple(keys)

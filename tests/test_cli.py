@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import robustmax.cli
+from robustmax import SetFunction
 from robustmax.cli import CSV_HEADER, RunRecord, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -266,6 +267,19 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", small_instances[0])
         assert code == 1
         assert "FAIL" in out
+
+    def test_unlawful_oracle_fails(self, small_instances, capsys, monkeypatch):
+        build_oracles = robustmax.cli.Instance.build_oracles
+
+        def one_supermodular(instance):
+            fns = build_oracles(instance)
+            fns[1] = SetFunction(fns[1].ground_size, lambda S: float(len(S) ** 2))
+            return fns
+
+        monkeypatch.setattr(robustmax.cli.Instance, "build_oracles", one_supermodular)
+        code, out, _ = run(capsys, "verify", small_instances[0])
+        assert code == 1
+        assert out.startswith("FAIL") and "scenario 1 " in out
 
     def test_oversize_refused(self, tmp_path, capsys):
         p = tmp_path / "big.txt"

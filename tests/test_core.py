@@ -8,8 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import robustmax.core
 from robustmax import (SetFunction, SubmodularCut, build_cut, check_submodular,
-                       dominates, empty_set_cuts)
+                       dominates, empty_set_cuts, generate_instance)
 from robustmax.core import TOL
 
 from conftest import (all_subsets, cut_is_valid, modular_fn,
@@ -410,6 +411,73 @@ class TestCheckSubmodular:
         for fn, verdict in ((lawful, True), (violating, False)):
             assert check_submodular(fn, exhaustive_limit=0, samples=500, seed=2) is verdict
             assert scalar_sampled_check_submodular(fn, 500, 2) is verdict
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_sampled_without_samples_refused(self, samples):
+        # nothing drawn used to mean nothing violated, so this passed
+        robustmax.core._sample_keys.cache_clear()
+        fn = SetFunction(6, lambda S: float(len(S) ** 2))
+        with pytest.raises(ValueError, match="samples"):
+            check_submodular(fn, exhaustive_limit=0, samples=samples)
+        assert robustmax.core._sample_keys.cache_info().currsize == 0
+
+    def test_one_element_checked_exhaustively(self):
+        # one element has no (X, j, k) triple to draw; sampling raised
+        # "empty range for randrange()"
+        assert check_submodular(SetFunction(1, lambda S: float(len(S))), exhaustive_limit=0)
+        assert not check_submodular(SetFunction(1, lambda S: -1.0 if S else 0.0),
+                                    exhaustive_limit=0)
+
+    def test_sample_keys_match_inline_draws(self):
+        n, samples, seed = 36, 200, 7
+        rng = Random(seed)
+        keys = []
+        for _ in range(samples):
+            size = rng.randint(0, n - 2)
+            base = frozenset(rng.sample(range(n), size))
+            j, k = rng.sample([v for v in range(n) if v not in base], 2)
+            key = sum(1 << v for v in base)
+            keys += (key, key | 1 << j, key | 1 << k, key | 1 << j | 1 << k)
+        drawn = robustmax.core._sample_keys(n, samples, seed)
+        assert isinstance(drawn, tuple) and drawn == tuple(keys)
+
+    def test_cached_keys_follow_each_triple(self):
+        # a violation planted on one triple of elements is found by some
+        # (n, samples, seed) and missed by others, so a verdict read from
+        # another triple's keys would differ from the reference
+        oracles = {}
+        for n in (8, 9):
+            bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+            rng = np.random.default_rng(n)
+            covers = rng.random((n, 6)) < 0.4
+            lawful = ((bits @ covers) > 0) @ rng.integers(1, 6, 6).astype(float)
+            oracles[n] = (table_fn(lawful), table_fn(lawful + bits[:, :3].all(axis=1)))
+        triples = [(8, 20, 1), (8, 20, 2), (9, 40, 2), (9, 20, 1), (8, 40, 4)]
+        planted = set()
+        for _ in range(2):
+            for n, samples, seed in triples:
+                for fn in oracles[n]:
+                    verdict = check_submodular(fn, exhaustive_limit=0,
+                                               samples=samples, seed=seed)
+                    assert verdict is scalar_sampled_check_submodular(fn, samples, seed)
+                planted.add(verdict)
+        assert planted == {True, False}
+
+    def test_desk_oracles_draw_once(self, monkeypatch):
+        seeds = []
+
+        class CountingRandom(Random):
+            def __init__(self, seed):
+                seeds.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(robustmax.core, "Random", CountingRandom)
+        robustmax.core._sample_keys.cache_clear()
+        desk = generate_instance(n=36, edge_factor=41 / 36, m=50, j_count=12,
+                                 budget=30, seed=2)
+        assert all(check_submodular(fn, exhaustive_limit=12, samples=200, seed=7)
+                   for fn in desk.build_oracles())
+        assert seeds == [7]
 
     @settings(max_examples=150, deadline=None)
     @given(set_function_tables())
