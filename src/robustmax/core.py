@@ -35,8 +35,8 @@ import numpy as np
 # The one tolerance: a comparison allows TOL times a magnitude the code
 # already holds, so a certificate or a verdict means the same at any
 # positive scale.  Objective values use objective_slack, generating-set tests
-# f at the incumbent, the knapsack search the largest cost (a returned x fits
-# exactly), the lawfulness checks the largest value of f.
+# f at the incumbent, the knapsack search the sum of the costs (a returned x
+# fits exactly), the lawfulness checks the largest value of f.
 TOL = 1e-9
 
 
@@ -170,15 +170,14 @@ class SubmodularCut:
     """One linearized hypograph inequality eta <= constant + coefficients . x.
 
     ``generating_set`` and ``scenario_index`` record where the cut came from;
-    ``scale`` is the positive divisor already applied to constant and
-    coefficients.
+    the divisor applied to constant and coefficients is that scenario's
+    alpha in the solve that holds the cut.
     """
 
     constant: float
     coefficients: tuple
     scenario_index: int
     generating_set: frozenset = field(default_factory=frozenset)
-    scale: float = 1.0
 
     @property
     def ground_size(self) -> int:
@@ -217,8 +216,7 @@ def build_cut(fn: SetFunction, subset: Iterable[int], alpha: float,
     coeffs = read[:n] - at_gen
     coeffs[inside] = full_minus
     return SubmodularCut(constant=constant, coefficients=tuple((coeffs / alpha).tolist()),
-                         scenario_index=scenario_index, generating_set=gen,
-                         scale=alpha)
+                         scenario_index=scenario_index, generating_set=gen)
 
 
 def empty_set_cuts(fns: Sequence[SetFunction], alphas: Sequence[float]) -> list:

@@ -61,6 +61,8 @@ class DcgConfig:
             raise ValueError("epsilon must be finite and nonnegative")
         if self.time_limit is not None and not self.time_limit >= 0:
             raise ValueError("time_limit must be nonnegative")
+        if not isinstance(self.stop_pt, (int, np.integer)):
+            raise ValueError(f"stop_pt must be an integer, got {self.stop_pt!r}")
         if self.stop_pt < 0:
             raise ValueError("stop_pt must be nonnegative")
 
@@ -70,8 +72,9 @@ class SolveReport:
     """Outcome of one cut-generation run.
 
     ``eta`` is the best certified objective value and ``x`` the placement
-    attaining it; ``upper_bound`` equals ``eta`` at optimality.  ``gap`` is
-    (upper_bound - eta)/upper_bound for time-limited runs and 0 otherwise.
+    attaining it; ``upper_bound`` is what the search proved, eta + epsilon
+    at optimality and the tree's bound when time ran out, and ``gap`` is
+    (upper_bound - eta)/upper_bound (0 unless upper_bound > 0).
     ``iterations`` is one plus the number of separations that added cuts,
     ``cuts_added`` counts pool growth beyond the warm start, and
     ``master_values`` holds, per separation, the bound of the tree node being
@@ -91,7 +94,9 @@ class SolveReport:
 
 
 def check_alphas(alphas: Sequence[float], m: int):
-    """One positive, finite alpha per scenario function, ``m`` of them."""
+    """One positive, finite alpha per scenario function, ``m`` >= 1 of them."""
+    if m == 0:
+        raise ValueError("at least one scenario function is required")
     if len(alphas) != m:
         raise ValueError(f"expected {m} alphas, one per scenario function, found {len(alphas)}")
     if not all(0 < a < math.inf for a in alphas):
@@ -188,15 +193,13 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
     """Branch-and-cut solve of max min_i f_i(x)/alpha_i over the knapsack.
 
     Terminates when no open node's bound exceeds the incumbent's true worst
-    scaled value (then eta is the optimum, up to epsilon and the objective
-    slack of the warm-start pool) or when the time limit runs out (then
-    eta <= optimum <= upper_bound).  Never returns an infeasible x.  The
-    tree branches only on :func:`kept_locations`.
+    scaled value plus epsilon (upper_bound = eta + epsilon, up to the objective
+    slack of the warm-start pool) or when the time limit runs out (upper_bound
+    = the tree's bound); either way eta <= optimum <= upper_bound.  Never
+    returns an infeasible x.  The tree branches only on :func:`kept_locations`.
     """
     config = config or DcgConfig()
     m = len(fns)
-    if m == 0:
-        raise ValueError("at least one scenario function is required")
     check_alphas(alphas, m)
     n = fns[0].ground_size
     start = time.monotonic()
@@ -243,10 +246,10 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
     x = result.x
     eta = min(fn.value(support(x)) / a for fn, a in zip(fns, alphas))
     if result.status == STATUS_OPTIMAL:
-        upper, gap = eta, 0.0
+        upper = eta + config.epsilon
     else:
         upper = max(result.bound, eta)
-        gap = (upper - eta) / upper if upper > 0 else 0.0
+    gap = (upper - eta) / upper if upper > 0 else 0.0
     return SolveReport(eta=eta, x=x, upper_bound=upper, gap=gap,
                        iterations=separations + 1,
                        cuts_added=len(state.cut_pool) - warm_size,
@@ -262,10 +265,10 @@ def brute_force_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
     Returns (eta, x) with ties broken by the lexicographically smallest
     binary vector.
     """
+    check_alphas(alphas, len(fns))
     n = fns[0].ground_size
     if n > MAX_GROUND:
         raise ValueError(f"ground set of size {n} exceeds the enumeration guard {MAX_GROUND}")
-    check_alphas(alphas, len(fns))
     check_knapsack(n, costs, budget)
     # cost[mask] sums the chosen costs in ascending element order, as a
     # running sum over the tuple x would.

@@ -30,12 +30,12 @@ from typing import Sequence
 
 from .core import TOL, SetFunction, SubmodularCut
 from .dcg import DcgConfig, solve_robust, support
-from .master import STATUS_OPTIMAL
 
 
 @dataclass(frozen=True)
 class ScenarioBounds:
-    """Sandwich for one scenario's maximization optimum: lower <= opt <= upper."""
+    """Sandwich for one scenario's maximization optimum: lower <= opt <= upper,
+    the solve's eta and upper bound; ``solved_exactly`` when the two meet."""
 
     lower: float
     upper: float
@@ -79,7 +79,7 @@ def maximize_single(fn: SetFunction, costs: Sequence[float], budget: float,
     """
     report = solve_robust([fn], [1.0], costs, budget, config)
     bounds = ScenarioBounds(lower=report.eta, upper=report.upper_bound,
-                            solved_exactly=report.status == STATUS_OPTIMAL)
+                            solved_exactly=report.gap == 0.0)
     return bounds, report
 
 
@@ -92,8 +92,7 @@ def rescale_cuts(cuts: Sequence[SubmodularCut], alpha_bar: float,
     return [SubmodularCut(constant=cut.constant / alpha_bar,
                           coefficients=tuple(c / alpha_bar for c in cut.coefficients),
                           scenario_index=scenario_index,
-                          generating_set=cut.generating_set,
-                          scale=cut.scale * alpha_bar)
+                          generating_set=cut.generating_set)
             for cut in cuts]
 
 
@@ -125,8 +124,6 @@ def solve_ratio_robust(fns: Sequence[SetFunction], costs: Sequence[float],
     module docstring says."""
     config = config or DcgConfig()
     m = len(fns)
-    if m == 0:
-        raise ValueError("at least one scenario function is required")
     if per_scenario_budget is not None and not per_scenario_budget >= 0:
         raise ValueError("per_scenario_budget must be nonnegative")
     start = time.monotonic()

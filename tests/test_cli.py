@@ -119,6 +119,20 @@ class TestSolve:
         assert rec.mode == "rsm3"
         assert rec.lb <= rec.ub + 1e-9
 
+    def test_epsilon_row_keeps_sandwich(self, tmp_path, capsys):
+        # a grid-family instance whose optimum is 10.8; with epsilon 1 the
+        # solve stops at eta 10.0, and ub used to read 10.0 too
+        path = tmp_path / "grid3.txt"
+        assert main(gen_args(path, seed=3, nodes=12, edges=24, scenarios=5, sources=5,
+                             budget=15)) == 0
+        capsys.readouterr()
+        code, out, _ = run(capsys, "solve", str(path), "--epsilon", "1")
+        assert code == 0
+        rec = RunRecord.from_csv_row(next(csv.reader([out.strip().splitlines()[1]])))
+        assert rec.status == "optimal"
+        assert rec.ub >= 10.8 and rec.ub == rec.eta + 1
+        assert rec.gap_pct > 0
+
     def test_alpha_values_arity_error(self, instance_path, capsys):
         code, _, err = run(capsys, "solve", str(instance_path),
                            "--alpha", "values", "1", "2", "3")

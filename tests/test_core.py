@@ -134,6 +134,10 @@ class TestMarginal:
         with pytest.raises(ValueError):
             fn.value({5})
 
+    def test_empty_ground_set_rejected(self):
+        with pytest.raises(ValueError, match="ground_size must be positive"):
+            SetFunction(0, lambda S: 0.0)
+
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
             SetFunction(2, lambda S: 1.0)
@@ -190,7 +194,6 @@ class TestBuildCut:
         assert cut.constant == pytest.approx(2.0, abs=1e-12)
         assert cut.coefficients == pytest.approx((0.0, 0.0, 2.0, 3.0), abs=1e-12)
         assert cut.generating_set == frozenset({0, 1})
-        assert cut.scale == 1.0
 
     def test_empty_generating_set(self):
         fn = modular_fn((1, 2, 3))
@@ -208,6 +211,11 @@ class TestBuildCut:
     def test_alpha_must_be_positive(self):
         with pytest.raises(ValueError):
             build_cut(modular_fn((1,)), (), 0.0, 0)
+
+    @pytest.mark.parametrize("subset", [{-1}, {0, 2}])
+    def test_generating_set_outside_ground_set_rejected(self, subset):
+        with pytest.raises(ValueError, match="generating set not within ground set"):
+            build_cut(modular_fn((1, 2)), subset, 1.0, 0)
 
     def test_tight_at_generating_set(self, facet_pair):
         f1, f2 = facet_pair
@@ -243,6 +251,10 @@ class TestEmptySetCuts:
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
             empty_set_cuts([], [])
+
+    def test_one_alpha_per_function(self, warmstart_triple):
+        with pytest.raises(ValueError, match="need one alpha per set function"):
+            empty_set_cuts(warmstart_triple, [1.0, 1.0])
 
     def test_water_oracle_singletons(self, figure_network):
         from robustmax import expected_reduction_oracle, reduction_matrix

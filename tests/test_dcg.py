@@ -242,7 +242,7 @@ class TestSolveRobust:
         rep = solve_robust(fns, [1.0] * len(fns), inst.network.sensor_costs,
                            inst.network.budget, DcgConfig(stop_pt=2))
         for cut in rep.pool:
-            assert cut_is_valid(cut, fns[cut.scenario_index], cut.scale)
+            assert cut_is_valid(cut, fns[cut.scenario_index], 1.0)
 
     def test_time_limit_keeps_sandwich(self):
         inst = generate_instance(n=12, edge_factor=1.5, m=4, j_count=4,
@@ -267,6 +267,27 @@ class TestSolveRobust:
         tight = solve_robust(fns, [1.0] * len(fns), costs, b, DcgConfig(epsilon=0.0))
         assert loose.iterations <= tight.iterations
         assert loose.eta >= tight.eta - 0.5 - 1e-9
+
+
+class TestSandwichAtAnyEpsilon:
+    """upper_bound is what the search proved: eta + epsilon at optimality,
+    so the optimum lies between eta and upper_bound whatever epsilon is."""
+
+    @pytest.mark.parametrize("epsilon", [0.25, 0.5, 1.0])
+    def test_matches_brute_force_on_grid(self, epsilon):
+        # the benchmark's grid family; at epsilon 1 seed 3 stops at 10.0,
+        # below its optimum of 10.8
+        for seed in range(100):
+            inst = generate_instance(n=12, edge_factor=2.0, m=5, j_count=5, budget=15,
+                                     seed=seed)
+            fns = inst.build_oracles()
+            costs, b = inst.network.sensor_costs, inst.network.budget
+            exact, _ = brute_force_robust(fns, [1.0] * 5, costs, b)
+            rep = solve_robust(fns, [1.0] * 5, costs, b, DcgConfig(epsilon=epsilon))
+            assert rep.eta - 1e-9 <= exact <= rep.upper_bound + 1e-9, seed
+            if rep.status == "optimal":
+                assert rep.upper_bound == rep.eta + epsilon, seed
+                assert rep.gap == pytest.approx(epsilon / rep.upper_bound), seed
 
 
 class TestNonFiniteInputs:
@@ -308,6 +329,28 @@ class TestNonFiniteInputs:
         fns, costs, budget = problem
         with pytest.raises(ValueError, match="alphas must be positive and finite"):
             self.SOLVERS[solver](fns, [bad] + [1.0] * (len(fns) - 1), costs, budget)
+
+
+class TestMalformedInputs:
+    """Inputs every solver refuses up front, before any search."""
+
+    @pytest.mark.parametrize("stop_pt, message", [
+        (-1, "stop_pt must be nonnegative"),
+        (2.0, "stop_pt must be an integer, got 2.0"),
+        (1.5, "stop_pt must be an integer, got 1.5"),
+    ], ids=["negative", "integral-float", "float"])
+    def test_config_stop_pt(self, stop_pt, message):
+        # a float used to pass and then fail as a slice index mid-solve
+        with pytest.raises(ValueError, match=message):
+            DcgConfig(stop_pt=stop_pt)
+
+    def test_config_takes_numpy_integer_stop_pt(self):
+        assert DcgConfig(stop_pt=np.int64(3)).stop_pt == 3
+
+    @pytest.mark.parametrize("solver", sorted(TestNonFiniteInputs.SOLVERS))
+    def test_no_scenarios(self, solver):
+        with pytest.raises(ValueError, match="at least one scenario function is required"):
+            TestNonFiniteInputs.SOLVERS[solver]([], [], [], 0)
 
 
 class TestBruteForce:

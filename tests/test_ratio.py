@@ -22,7 +22,6 @@ class TestRescaleCuts:
         assert out.coefficients == (0.0, 0.0, 1.0, 1.5)
         assert out.generating_set == cut.generating_set
         assert out.scenario_index == cut.scenario_index
-        assert out.scale == 2.0
 
     def test_unit_scale_is_identity(self):
         cut = SubmodularCut(1.0, (0.5, 2.0), 3, frozenset({1}))
@@ -55,6 +54,14 @@ class TestMaximizeSingle:
         fn = modular_fn((1, 2))
         bounds, _ = maximize_single(fn, (1, 1), 2)
         assert bounds.lower == bounds.upper == pytest.approx(3.0, abs=1e-12)
+
+    def test_epsilon_is_not_exact(self, figure_network):
+        net, sc = figure_network
+        bounds, report = maximize_single(expected_reduction_oracle(net, sc),
+                                         net.sensor_costs, net.budget, DcgConfig(epsilon=0.5))
+        assert report.status == "optimal"
+        assert bounds.upper == bounds.lower + 0.5
+        assert not bounds.solved_exactly
 
     def test_exhausted_budget_still_sandwiches(self):
         inst = generate_instance(n=10, edge_factor=1.4, m=1, j_count=3,
@@ -128,6 +135,27 @@ class TestSolveRatioRobust:
             ref, _ = brute_force_robust(fns, alphas, costs, b)
             assert report.lower_bound <= ref + 1e-9
             assert ref <= report.upper_bound + 1e-9
+
+    def test_epsilon_keeps_sandwich_and_certificate_honest(self):
+        # grid family seed 1: with epsilon 1 the scenario solves and the
+        # final solve stop short, and LB = UB = 0.96296 used to be certified
+        inst = generate_instance(n=12, edge_factor=2.0, m=5, j_count=5, budget=15, seed=1)
+        fns = inst.build_oracles()
+        costs, b = inst.network.sensor_costs, inst.network.budget
+        report = solve_ratio_robust(fns, costs, b, config=DcgConfig(epsilon=1.0))
+        alphas = [brute_force_robust([fn], [1.0], costs, b)[0] for fn in fns]
+        ref, _ = brute_force_robust(fns, alphas, costs, b)
+        assert ref == pytest.approx(0.9591836734693877, abs=1e-12)
+        assert report.lower_bound <= ref <= report.upper_bound
+        assert not report.certified_exact
+        assert not any(s.solved_exactly for s in report.per_scenario)
+
+    def test_malformed_inputs_refused(self):
+        fn = modular_fn((1, 2))
+        with pytest.raises(ValueError, match="at least one scenario function is required"):
+            solve_ratio_robust([], (1, 1), 2)
+        with pytest.raises(ValueError, match="per_scenario_budget must be nonnegative"):
+            solve_ratio_robust([fn], (1, 1), 2, per_scenario_budget=-1)
 
     def test_scales_are_recorded_lower_bounds(self):
         inst = generate_instance(n=8, edge_factor=1.3, m=2, j_count=2,

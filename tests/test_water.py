@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 from dataclasses import replace
 from random import Random
 
@@ -230,6 +231,19 @@ alpha unit
 """
 
 
+# nodes 4, edges 6 (lines 3-8), sources (9), probs (10), costs (11),
+# budget (12), scenarios 2 (13-15), alpha unit (16)
+SMALL_LINES = serialize_instance(generate_instance(n=4, edge_factor=1.5, m=2, j_count=2,
+                                                   budget=10, seed=1)).splitlines()
+
+
+def small_text_with(line_no: int, text: str) -> str:
+    """The small instance's file with line ``line_no`` (1-based) replaced."""
+    lines = list(SMALL_LINES)
+    lines[line_no - 1] = text
+    return "\n".join(lines) + "\n"
+
+
 class TestInstanceFiles:
     def test_parse_worked_instance(self):
         inst = parse_instance(FIGURE_TEXT)
@@ -278,6 +292,27 @@ class TestInstanceFiles:
             parse_instance(text)
         assert "line 3" in str(err.value)
 
+    @pytest.mark.parametrize("text, line_no, message", [
+        ("\n".join(SMALL_LINES[:5]), 6, "unexpected end of file"),
+        ("", 1, "unexpected end of file, expected 'nodes'"),
+        (small_text_with(12, "budgte 10"), 12, "expected 'budget', found 'budgte'"),
+        (small_text_with(3, "0 9"), 3, "edge (0, 9) out of range for 4 nodes"),
+        (small_text_with(9, "sources 3 0 1"), 9, "source count does not match the listed sources"),
+        (small_text_with(9, "sources 2 0 9"), 9, "source id out of range"),
+        (small_text_with(10, "probs a b"), 10, "non-numeric probability"),
+        (small_text_with(10, "probs 1.0"), 10, "one probability per source is required"),
+        (small_text_with(16, "alpha"), 16, "alpha mode missing"),
+        (small_text_with(16, "alpha values x y"), 16, "non-numeric alpha value"),
+        (small_text_with(16, "alpha values 1"), 16, "expected 2 alpha values, found 1"),
+        (small_text_with(16, "alpha bogus"), 16, "unknown alpha mode 'bogus'"),
+    ], ids=["truncated", "empty", "misspelt-keyword", "edge-endpoint", "source-count",
+            "source-id", "probs-non-numeric", "probs-count", "alpha-mode-missing",
+            "alpha-non-numeric", "alpha-count", "alpha-mode-unknown"])
+    def test_refusal_names_its_line(self, text, line_no, message):
+        with pytest.raises(ParseError, match=re.escape(f"line {line_no}: {message}")) as exc:
+            parse_instance(text)
+        assert exc.value.line_no == line_no
+
     def test_edgeless_network_rejected(self):
         # an edgeless instance would serialize to a file the parser refuses
         inst = parse_instance(FIGURE_TEXT)
@@ -324,6 +359,35 @@ class TestNonFiniteInstanceData:
             parse_instance(text)
         # the probs line itself, not the last line read
         assert f"line {exc.value.line_no}" == line
+
+
+class TestMalformedInstanceData:
+    """Network and Instance refuse malformed data given directly, not only
+    in a file."""
+
+    @staticmethod
+    def instance():
+        return generate_instance(n=8, edge_factor=1.5, m=3, j_count=3, budget=12, seed=1)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("edges", ((0, 8), (1, 2)), "edge (0, 8) out of range"),
+        ("source_probabilities", (0.5, 0.5), "one probability per source is required"),
+        ("sources", (0, 1, 8), "source 8 out of range"),
+        ("source_probabilities", (0.5, 0.25, 0.125), "source probabilities must sum to 1"),
+        ("sensor_costs", (5,) * 7, "one sensor cost per node is required"),
+    ], ids=["edge", "probability-count", "source", "probability-sum", "cost-count"])
+    def test_network_refuses_malformed(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(self.instance().network, **{field: value})
+
+    @pytest.mark.parametrize("changes, message", [
+        (dict(alpha_mode="bogus"), "unknown alpha mode 'bogus'"),
+        (dict(alpha_mode="values", alpha_values=(1.0, 1.0)),
+         "alpha values must match the scenario count"),
+    ], ids=["mode", "count"])
+    def test_instance_refuses_malformed(self, changes, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(self.instance(), **changes)
 
 
 class TestParseLimits:
@@ -393,6 +457,16 @@ class TestGenerateInstance:
     def test_too_many_sources_rejected(self):
         with pytest.raises(ValueError):
             generate_instance(n=4, edge_factor=1.2, m=1, j_count=5, budget=10, seed=0)
+
+    @pytest.mark.parametrize("changes, message", [
+        (dict(m=0), "at least one scenario is required"),
+        (dict(edge_factor=7 / 3), "7 edges do not fit among the 6 directed pairs of 3 nodes"),
+    ], ids=["no-scenarios", "too-many-edges"])
+    def test_refusals(self, changes, message):
+        # the edge count is refused before any edge is drawn
+        params = dict(n=3, edge_factor=1.0, m=1, j_count=1, budget=10, seed=0) | changes
+        with pytest.raises(ValueError, match=re.escape(message)):
+            generate_instance(**params)
 
     def test_all_pairs_fit(self):
         # the most edges n nodes take; one more is refused (test_cli runs
