@@ -222,9 +222,10 @@ class MasterState:
         plus the slack, as cuts tight at x make it.
 
         A node is pruned once its bound is within the slack of the incumbent.
-        ``bound`` is the largest bound of a node pruned or left open, so no
-        feasible x scores above it by more than the slack.  A time limit never
-        raises: the incumbent and the bound are returned with status
+        ``bound`` is the incumbent's value, or at a time limit the larger
+        bound of the node popped then, the best one left open; either way no
+        feasible x scores above it by more than the slack.  A time limit
+        never raises: the incumbent and the bound are returned with status
         "time_limit".
         """
         if not self.cut_pool:
@@ -262,26 +263,23 @@ class MasterState:
         offer(float(self._C.min()), root_ones)
         seq = 0
         status = STATUS_OPTIMAL
-        top_pruned = -math.inf  # largest bound of a node pruned, popped or not
+        open_bound = -math.inf  # bound of the node popped when time ran out
 
         def push(bound: float, *node):
-            nonlocal seq, top_pruned
+            nonlocal seq
             if bound > inc_value + slack:
                 seq += 1
                 heapq.heappush(heap, (-bound, seq, *node))
-            else:
-                top_pruned = max(top_pruned, bound)
 
         while heap:
             neg_bound, _, ones, base, level, cost_ones, changes = heapq.heappop(heap)
             bound = -neg_bound
             if bound <= inc_value + slack:
                 # best-first order: nothing left can beat the incumbent
-                top_pruned = max(top_pruned, bound)
                 break
             if time_limit is not None and time.monotonic() - start > time_limit:
                 status = STATUS_TIME_LIMIT
-                top_pruned = max(top_pruned, bound)
+                open_bound = bound
                 break
             if changes != self._changes:
                 # Cuts arrived since this node was bounded; its stale bound
@@ -315,5 +313,5 @@ class MasterState:
 
         x_arr = np.array(inc_x, dtype=float)
         eta = float((self._C + self._A @ x_arr).min())
-        bound = max(eta, inc_value, top_pruned)
+        bound = max(eta, inc_value, open_bound)
         return MasterResult(eta=eta, x=inc_x, bound=bound, status=status, nodes=nodes)

@@ -5,8 +5,11 @@ objective into a worst-case performance ratio, but computing those optima
 means solving one NP-hard problem per scenario.  This pipeline runs each
 single-scenario maximization under a share of the call's time limit,
 records the incumbent value (lower bound) and master bound (upper bound),
-rescales and reuses every generated cut, and finishes with one robust solve
-where the scales are the recorded lower bounds.  The sandwich
+re-derives every generated cut at its scenario's scale with ``build_cut``
+and reuses it, and finishes with one robust solve where the scales are the
+recorded lower bounds.  ``config.epsilon`` is in oracle units in every
+solve: the final solve, whose objective is a ratio, gets it divided by the
+largest recorded lower bound.  The sandwich
 
     LB = min_i f_i(x)/ub_i  <=  true ratio optimum  <=  UB = final bound
 
@@ -28,7 +31,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .core import TOL, SetFunction, SubmodularCut
+from .core import TOL, SetFunction, SubmodularCut, build_cut
 from .dcg import DcgConfig, solve_robust, support
 
 
@@ -83,36 +86,29 @@ def maximize_single(fn: SetFunction, costs: Sequence[float], budget: float,
     return bounds, report
 
 
-def rescale_cuts(cuts: Sequence[SubmodularCut], alpha_bar: float,
+def rescale_cuts(fn: SetFunction, cuts: Sequence[SubmodularCut], alpha_bar: float,
                  scenario_index: int) -> list:
-    """Divide unit-scale cuts by a positive scale and file them under
-    ``scenario_index``, keeping their generating sets."""
-    if alpha_bar <= 0:
-        raise ValueError("scale must be positive")
-    return [SubmodularCut(constant=cut.constant / alpha_bar,
-                          coefficients=tuple(c / alpha_bar for c in cut.coefficients),
-                          scenario_index=scenario_index,
-                          generating_set=cut.generating_set)
-            for cut in cuts]
+    """Re-derive each cut at scale ``alpha_bar`` with :func:`build_cut` from
+    fn and the cut's generating set, filed under ``scenario_index``."""
+    return [build_cut(fn, cut.generating_set, alpha_bar, scenario_index) for cut in cuts]
 
 
-def certify_ratio_optimal(bounds: Sequence[ScenarioBounds], x: Sequence[int],
-                          fns: Sequence[SetFunction], relax_bound: float):
+def certify_ratio_optimal(bounds: Sequence[ScenarioBounds], values: Sequence[float],
+                          relax_bound: float):
     """Optimality certificate for the returned placement despite inexact scales.
 
+    ``values`` holds each scenario's f_i(x) at the returned placement x.
     Condition (i): the conservative lower bound min_i f_i(x)/ub_i already
     meets the relaxation bound.  Condition (ii): the scenario attaining the
     lower-bound-scaled minimum dominates every other scenario's upper bound.
     Either one certifies x as an exact ratio-robust optimum.
     """
-    chosen = support(x)
-    ratios_ub = [fn.value(chosen) / b.upper for fn, b in zip(fns, bounds)]
-    if min(ratios_ub) >= (1 - TOL) * relax_bound:
+    if min(v / b.upper for v, b in zip(values, bounds)) >= (1 - TOL) * relax_bound:
         return True, "lower bound meets the relaxation bound"
-    ratios_lb = [fn.value(chosen) / b.lower for fn, b in zip(fns, bounds)]
-    i_star = min(range(len(fns)), key=lambda i: (ratios_lb[i], i))
+    ratios_lb = [v / b.lower for v, b in zip(values, bounds)]
+    i_star = min(range(len(bounds)), key=lambda i: (ratios_lb[i], i))
     if all(bounds[i_star].lower >= (1 - TOL) * bounds[i].upper
-           for i in range(len(fns)) if i != i_star):
+           for i in range(len(bounds)) if i != i_star):
         return True, "worst scenario's lower bound dominates all other upper bounds"
     return False, ""
 
@@ -151,15 +147,19 @@ def solve_ratio_robust(fns: Sequence[SetFunction], costs: Sequence[float],
                 f"scenario {i} has a nonpositive incumbent value {bounds.lower!r}; "
                 "ratio scaling is undefined")
         per_scenario.append(bounds)
-        reused += rescale_cuts(rep.pool, bounds.lower, i)
+        reused += rescale_cuts(fn, rep.pool, bounds.lower, i)
 
-    report = solve_robust(fns, [b.lower for b in per_scenario], costs, budget,
-                          replace(config, time_limit=left()), initial_cuts=reused)
+    scales = [b.lower for b in per_scenario]
+    # the default serves only fns = [], which solve_robust refuses
+    final = replace(config, time_limit=left(),
+                    epsilon=config.epsilon / max(scales, default=1.0))
+    report = solve_robust(fns, scales, costs, budget, final, initial_cuts=reused)
 
     ub = report.upper_bound
-    lb = min(ub, *(fn.value(support(report.x)) / b.upper
-                   for fn, b in zip(fns, per_scenario)))
-    certified, reason = certify_ratio_optimal(per_scenario, report.x, fns, ub)
+    chosen = support(report.x)
+    values = [fn.value(chosen) for fn in fns]
+    lb = min(ub, *(v / b.upper for v, b in zip(values, per_scenario)))
+    certified, reason = certify_ratio_optimal(per_scenario, values, ub)
     gap = (ub - lb) / ub if ub > 0 else 0.0
     return RatioReport(eta=report.eta, x=report.x, upper_bound=ub,
                        lower_bound=lb, gap=gap,

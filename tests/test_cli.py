@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import robustmax.cli
-from robustmax import SetFunction
+from robustmax import ParseError, SetFunction
 from robustmax.cli import CSV_HEADER, RunRecord, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -451,6 +452,31 @@ class TestErrorPath:
         code, out, err = run(capsys, "solve", str(bad), str(instance_path), "--jobs", "2")
         assert code == 2
         assert "line 1" in err and out == ""
+
+    def test_parse_error_in_a_later_file_names_its_line(self, instance_path, tmp_path, capsys):
+        # the first file solves; the second file's error is re-raised from its
+        # worker with the line number it carries
+        lines = instance_path.read_text().splitlines()
+        line_no = next(k for k, line in enumerate(lines, 1) if line.startswith("budget "))
+        lines[line_no - 1] = "budget x"
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "solve", str(instance_path), str(bad), "--jobs", "2")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: line {line_no}: ")
+        # the pickled form a worker sends back keeps both arguments
+        exc = pickle.loads(pickle.dumps(ParseError(line_no, "non-integer budget")))
+        assert (type(exc), exc.line_no, str(exc)) == \
+            (ParseError, line_no, f"line {line_no}: non-integer budget")
+
+    def test_report_row_with_a_missing_column_exits_2(self, tmp_path, capsys):
+        row = RunRecord("a", "rsm", True, 2, 1.0, 0.0, 3, 5, 2.0, 2.0, 2.0, "optimal").to_csv_row()
+        bad = tmp_path / "short.csv"
+        with bad.open("w", newline="") as handle:
+            csv.writer(handle).writerows([CSV_HEADER, row[:-1]])
+        code, out, err = run(capsys, "report", str(bad))
+        assert code == 2 and out == ""
+        assert err == f"error: {bad}: expected 12 columns, found 11\n"
 
 
 class TestRunRecord:

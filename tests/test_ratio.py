@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from robustmax import (DcgConfig, ScenarioBounds, SubmodularCut,
+from robustmax import (DcgConfig, ScenarioBounds,
                        brute_force_robust, build_cut, certify_ratio_optimal,
                        expected_reduction_oracle, generate_instance,
                        maximize_single, ratio, rescale_cuts, solve_ratio_robust,
@@ -15,27 +15,31 @@ from conftest import cut_is_valid, modular_fn
 
 
 class TestRescaleCuts:
-    def test_scalar_division(self):
-        cut = SubmodularCut(2.0, (0.0, 0.0, 2.0, 3.0), 0, frozenset({0, 1}))
-        (out,) = rescale_cuts([cut], 2.0, 0)
+    def test_scalar_division(self, facet_pair):
+        f1, _ = facet_pair
+        cut = build_cut(f1, {0, 1}, 1.0, 0)
+        assert (cut.constant, cut.coefficients) == (2.0, (0.0, 0.0, 2.0, 3.0))
+        (out,) = rescale_cuts(f1, [cut], 2.0, 0)
         assert out.constant == 1.0
         assert out.coefficients == (0.0, 0.0, 1.0, 1.5)
         assert out.generating_set == cut.generating_set
         assert out.scenario_index == cut.scenario_index
 
     def test_unit_scale_is_identity(self):
-        cut = SubmodularCut(1.0, (0.5, 2.0), 3, frozenset({1}))
-        (out,) = rescale_cuts([cut], 1.0, 3)
+        fn = modular_fn((0.5, 2.0))
+        cut = build_cut(fn, {1}, 1.0, 3)
+        (out,) = rescale_cuts(fn, [cut], 1.0, 3)
         assert out == cut
 
     def test_nonpositive_scale_rejected(self):
-        with pytest.raises(ValueError):
-            rescale_cuts([SubmodularCut(0.0, (1.0,), 0)], 0.0, 0)
+        fn = modular_fn((1.0,))
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            rescale_cuts(fn, [build_cut(fn, (), 1.0, 0)], 0.0, 0)
 
     def test_rescaled_worked_cut_valid_for_scaled_function(self, facet_pair):
         f1, _ = facet_pair
         cut = build_cut(f1, {0, 1}, 1.0, 0)
-        (scaled,) = rescale_cuts([cut], 2.0, 0)
+        (scaled,) = rescale_cuts(f1, [cut], 2.0, 0)
         assert cut_is_valid(scaled, f1, 2.0)
 
 
@@ -76,22 +80,20 @@ class TestMaximizeSingle:
 
 
 class TestCertify:
+    # values holds f_i(x) of each scenario at the placement being certified
     def test_all_exact_certifies_via_relaxation_bound(self):
-        fns = [modular_fn((2, 1)), modular_fn((1, 2))]
         bounds = [ScenarioBounds(3.0, 3.0, True), ScenarioBounds(3.0, 3.0, True)]
-        exact, reason = certify_ratio_optimal(bounds, (1, 1), fns, 1.0)
+        exact, reason = certify_ratio_optimal(bounds, (3.0, 3.0), 1.0)
         assert exact and "relaxation" in reason
 
     def test_dominating_scenario_certifies(self):
-        fns = [modular_fn((10, 10)), modular_fn((1, 1))]
         bounds = [ScenarioBounds(20.0, 30.0, False), ScenarioBounds(1.0, 1.0, True)]
-        exact, reason = certify_ratio_optimal(bounds, (1, 0), fns, 0.9)
+        exact, reason = certify_ratio_optimal(bounds, (10.0, 1.0), 0.9)
         assert exact and "dominates" in reason
 
     def test_generic_inexact_is_uncertified(self):
-        fns = [modular_fn((2, 1)), modular_fn((1, 2))]
         bounds = [ScenarioBounds(2.0, 4.0, False), ScenarioBounds(2.0, 4.0, False)]
-        exact, reason = certify_ratio_optimal(bounds, (1, 0), fns, 0.99)
+        exact, reason = certify_ratio_optimal(bounds, (2.0, 1.0), 0.99)
         assert not exact and reason == ""
 
 
@@ -149,6 +151,40 @@ class TestSolveRatioRobust:
         assert report.lower_bound <= ref <= report.upper_bound
         assert not report.certified_exact
         assert not any(s.solved_exactly for s in report.per_scenario)
+
+    def test_final_solve_epsilon_is_in_ratio_units(self):
+        # grid family seed 1 at epsilon 1: the final solve's objective is a
+        # ratio, so it accepts 1 / max(lower_i) of it as optimal, not 1
+        inst = generate_instance(n=12, edge_factor=2.0, m=5, j_count=5, budget=15, seed=1)
+        report = solve_ratio_robust(inst.build_oracles(), inst.network.sensor_costs,
+                                    inst.network.budget, config=DcgConfig(epsilon=1.0))
+        tightest = max(s.lower for s in report.per_scenario)
+        assert report.upper_bound - report.eta <= 1.0 / tightest + 1e-9
+        # the ratio optimum, by enumeration in the test above
+        assert report.lower_bound <= 0.9591836734693877 <= report.upper_bound
+
+    @pytest.mark.parametrize("family, seed", [("ratio", 1), *(("grid", s) for s in range(5))])
+    def test_every_pool_cut_rederives_with_build_cut(self, monkeypatch, family, seed):
+        # every cut of every pool the pipeline builds, reused ones included,
+        # is build_cut's at its scenario's scale in that solve, equal with ==
+        params = {"ratio": dict(n=36, edge_factor=41 / 36, m=10, j_count=12, budget=30),
+                  "grid": dict(n=12, edge_factor=2.0, m=5, j_count=5, budget=15)}
+        inst = generate_instance(seed=seed, **params[family])
+        calls = []
+        solve_robust = ratio.solve_robust
+
+        def recording(fns, alphas, *args, **kwargs):
+            calls.append((fns, alphas, solve_robust(fns, alphas, *args, **kwargs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(ratio, "solve_robust", recording)
+        fns = inst.build_oracles()
+        solve_ratio_robust(fns, inst.network.sensor_costs, inst.network.budget)
+        assert len(calls) == len(fns) + 1
+        for call_fns, alphas, report in calls:
+            for cut in report.pool:
+                i = cut.scenario_index
+                assert cut == build_cut(call_fns[i], cut.generating_set, alphas[i], i)
 
     def test_malformed_inputs_refused(self):
         fn = modular_fn((1, 2))
