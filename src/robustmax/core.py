@@ -17,14 +17,19 @@ set, :func:`build_cut` produces the linear inequality
     eta <= constant + sum_j coefficients[j] * x[j]
 
 that upper-bounds ``f(X)/alpha`` over all binary points and is tight at the
-generating set.  Pointwise dominance between such cuts lives here as well.
+generating set.  Pointwise dominance between such cuts lives here as well,
+as one array comparison over a list of cuts (:func:`dominance`).
 
 Oracles are immutable after construction and safe to share across threads;
-the memo cache tolerates concurrent insertion of identical entries.
+the memo cache tolerates concurrent insertion of identical entries.  An
+``eval_fn`` may keep a cache of its own if every call still returns the same
+value on any thread: the water oracles of one instance share a one-entry
+cache that is replaced atomically (see :mod:`robustmax.water`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from random import Random
@@ -38,6 +43,8 @@ import numpy as np
 # f at the incumbent, the knapsack search the sum of the costs (a returned x
 # fits exactly), the lawfulness checks the largest value of f.
 TOL = 1e-9
+# Most (cut, cut, entry) elements one chunk of a dominance comparison holds.
+DOMINANCE_CHUNK = 1 << 16
 
 
 class SetFunction:
@@ -196,8 +203,8 @@ def build_cut(fn: SetFunction, subset: Iterable[int], alpha: float,
     The inequality is tight at the generating set and valid for
     ``fn(X)/alpha`` at every binary point.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:  # a NaN fails this test too
+        raise ValueError("alpha must be positive and finite")
     gen = frozenset(subset)
     n = fn.ground_size
     if gen and (min(gen) < 0 or max(gen) >= n):
@@ -233,15 +240,32 @@ def objective_slack(cuts: Iterable[SubmodularCut]) -> float:
     return TOL * max(c.magnitude for c in cuts)
 
 
+def dominance(cuts: Sequence[SubmodularCut]) -> np.ndarray:
+    """The (g, g) bool matrix whose [a, b] entry is true iff cuts[a]'s
+    right-hand side is pointwise <= cuts[b]'s, up to the objective slack of
+    the two cuts, making cuts[b] redundant.  One comparison, chunked so that
+    at most ``DOMINANCE_CHUNK`` (cut, cut, entry) elements are compared at
+    once; a cut's entries are its constant and its coefficients."""
+    g, n = len(cuts), len(cuts[0].coefficients)
+    if any(len(c.coefficients) != n for c in cuts):
+        raise ValueError("cuts have mismatched dimensions")
+    # entries[a]: a's constant and coefficients; slack[a, b, 0]: the pair's slack
+    entries = np.array([(c.constant, *c.coefficients) for c in cuts],
+                       dtype=float).reshape(g, n + 1)
+    magnitudes = np.array([c.magnitude for c in cuts])
+    slack = TOL * np.maximum.outer(magnitudes, magnitudes)[:, :, None]
+    out = np.empty((g, g), dtype=bool)
+    step = max(1, DOMINANCE_CHUNK // entries.size)
+    for lo in range(0, g, step):
+        rows = slice(lo, lo + step)
+        out[rows] = (entries[rows, None] <= entries + slack[rows]).all(axis=2)
+    return out
+
+
 def dominates(a: SubmodularCut, b: SubmodularCut) -> bool:
     """True iff a's right-hand side is pointwise <= b's, up to the objective
-    slack of the two cuts, making b redundant."""
-    if a.ground_size != b.ground_size:
-        raise ValueError("cuts have mismatched dimensions")
-    slack = objective_slack((a, b))
-    if a.constant > b.constant + slack:
-        return False
-    return all(ca <= cb + slack for ca, cb in zip(a.coefficients, b.coefficients))
+    slack of the two cuts, making b redundant: :func:`dominance` of the pair."""
+    return bool(dominance((a, b))[0, 1])
 
 
 def check_submodular(fn: SetFunction, exhaustive_limit: int = 12,

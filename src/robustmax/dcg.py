@@ -45,10 +45,12 @@ class DcgConfig:
     time_limit  seconds for the whole call, >= 0 (None = unlimited); the
                 ratio pipeline splits it among its solves
 
-    The pool always starts from every scenario's empty-set cut and drops
-    pointwise-dominated cuts that share a generating set
-    (:meth:`~robustmax.master.MasterState.add_cut`); tolerances follow the
-    one policy of :mod:`robustmax.core`.
+    The pool always starts from every scenario's empty-set cut, inserted
+    with any initial cuts in one call to
+    :meth:`~robustmax.master.MasterState.add_cut`, and each separation
+    inserts its cuts in one call; the pool drops pointwise-dominated cuts
+    that share a generating set.  Tolerances follow the one policy of
+    :mod:`robustmax.core`.
     """
 
     reduce: bool = True
@@ -93,10 +95,21 @@ class SolveReport:
     pool: tuple = ()
 
 
-def check_alphas(alphas: Sequence[float], m: int):
-    """One positive, finite alpha per scenario function, ``m`` >= 1 of them."""
-    if m == 0:
+def ground_size(fns: Sequence[SetFunction]) -> int:
+    """The ground-set size of the scenario functions, which must be at least
+    one function and share it."""
+    if not fns:
         raise ValueError("at least one scenario function is required")
+    n = fns[0].ground_size
+    for i, fn in enumerate(fns):
+        if fn.ground_size != n:
+            raise ValueError(f"scenario function {i} has a ground set of size "
+                             f"{fn.ground_size}, scenario function 0 one of size {n}")
+    return n
+
+
+def check_alphas(alphas: Sequence[float], m: int):
+    """One positive, finite alpha per scenario function, ``m`` of them."""
     if len(alphas) != m:
         raise ValueError(f"expected {m} alphas, one per scenario function, found {len(alphas)}")
     if not all(0 < a < math.inf for a in alphas):
@@ -200,13 +213,12 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
     """
     config = config or DcgConfig()
     m = len(fns)
+    n = ground_size(fns)
     check_alphas(alphas, m)
-    n = fns[0].ground_size
     start = time.monotonic()
 
     state = MasterState(n, costs, budget, kept_locations(fns, costs))
-    for cut in (*empty_set_cuts(fns, alphas), *initial_cuts):
-        state.add_cut(cut)
+    state.add_cut(*empty_set_cuts(fns, alphas), *initial_cuts)
     warm_size = len(state.cut_pool)
     slack = objective_slack(state.cut_pool)
 
@@ -227,14 +239,10 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
             targets = [i for i, v in enumerate(values) if v <= worst + slack]
         else:
             targets = list(range(m))
-        added_any = False
-        for i in targets:
-            if value <= values[i] + config.epsilon + slack:
-                continue
-            gen = strengthen_generating_set(fns[i], chosen, config.stop_pt)
-            cut = build_cut(fns[i], gen, alphas[i], i)
-            added_any |= state.add_cut(cut)
-        if not added_any:
+        cuts = [build_cut(fns[i], strengthen_generating_set(fns[i], chosen, config.stop_pt),
+                          alphas[i], i)
+                for i in targets if value > values[i] + config.epsilon + slack]
+        if not state.add_cut(*cuts):
             raise RuntimeError("separation stalled: violated scenario produced no new cut")
         separations += 1
         return worst + config.epsilon
@@ -265,8 +273,8 @@ def brute_force_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
     Returns (eta, x) with ties broken by the lexicographically smallest
     binary vector.
     """
+    n = ground_size(fns)
     check_alphas(alphas, len(fns))
-    n = fns[0].ground_size
     if n > MAX_GROUND:
         raise ValueError(f"ground set of size {n} exceeds the enumeration guard {MAX_GROUND}")
     check_knapsack(n, costs, budget)

@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import TOL, SubmodularCut, dominates, objective_slack
+from .core import TOL, SubmodularCut, dominance, objective_slack
 
 STATUS_OPTIMAL = "optimal"
 STATUS_TIME_LIMIT = "time_limit"
@@ -109,20 +109,47 @@ class MasterState:
         self.cut_pool: list = []
         self._changes = 0  # pool changes so far; a heap node records its own
 
-    def add_cut(self, cut: SubmodularCut) -> bool:
-        """Append a cut, unless a pool cut with the same generating set
-        pointwise dominates it; pool cuts it dominates that way are dropped."""
-        if cut.ground_size != self.n:
-            raise ValueError("cut dimension does not match the master")
-        same_gen = [c for c in self.cut_pool if c.generating_set == cut.generating_set]
-        if any(dominates(old, cut) for old in same_gen):
-            return False
-        drop = {id(old) for old in same_gen if dominates(cut, old)}
-        if drop:
-            self.cut_pool = [c for c in self.cut_pool if id(c) not in drop]
-        self.cut_pool.append(cut)
-        self._changes += 1
-        return True
+    def add_cut(self, *cuts: SubmodularCut) -> int:
+        """Insert ``cuts`` in order and return how many were accepted.
+
+        A cut is accepted unless a pool cut with the same generating set
+        pointwise dominates it (:func:`~robustmax.core.dominance`); pool cuts
+        it dominates that way are dropped, and it is appended.  The pool, its
+        order and the count are those of inserting the cuts one at a time,
+        so a later cut of the call may drop or be refused by an earlier one.
+        One comparison covers every pair among the call's cuts and the pool
+        cuts that share a generating set with one of them; the insertions
+        then replay it.  A cut of the wrong dimension, or whose constant, a
+        coefficient or their sum is not finite, is refused before any cut is
+        inserted.
+        """
+        for cut in cuts:
+            if cut.ground_size != self.n:
+                raise ValueError("cut dimension does not match the master")
+            if not math.isfinite(cut.magnitude):  # so is every entry of a cut that passes
+                raise ValueError("cut constant and coefficients must be finite, "
+                                 "and so must their sum")
+        gens = {cut.generating_set for cut in cuts}
+        shared = [c for c in self.cut_pool if c.generating_set in gens]
+        group = shared + list(cuts)
+        # Only cuts that share a generating set are compared: no matrix when none do.
+        beats = dominance(group).tolist() if len(gens) < len(group) else None
+        alive = list(range(len(shared)))  # positions in group of the cuts in the pool
+        accepted = 0
+        for r in range(len(shared), len(group)):
+            gen = group[r].generating_set
+            same = [q for q in alive if group[q].generating_set == gen]
+            if not any(beats[q][r] for q in same):
+                drop = {q for q in same if beats[r][q]}
+                alive = [q for q in alive if q not in drop] + [r]
+                accepted += 1
+        if accepted:
+            dropped = {id(c) for c in shared} - {id(group[q]) for q in alive}
+            if dropped:
+                self.cut_pool = [c for c in self.cut_pool if id(c) not in dropped]
+            self.cut_pool += [group[r] for r in alive if r >= len(shared)]
+            self._changes += 1
+        return accepted
 
     # -- prepared arrays -----------------------------------------------------
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .core import TOL, SetFunction, SubmodularCut, build_cut
-from .dcg import DcgConfig, solve_robust, support
+from .dcg import DcgConfig, ground_size, solve_robust, support
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,7 @@ def solve_ratio_robust(fns: Sequence[SetFunction], costs: Sequence[float],
     module docstring says."""
     config = config or DcgConfig()
     m = len(fns)
+    ground_size(fns)
     if per_scenario_budget is not None and not per_scenario_budget >= 0:
         raise ValueError("per_scenario_budget must be nonnegative")
     start = time.monotonic()
@@ -150,9 +151,7 @@ def solve_ratio_robust(fns: Sequence[SetFunction], costs: Sequence[float],
         reused += rescale_cuts(fn, rep.pool, bounds.lower, i)
 
     scales = [b.lower for b in per_scenario]
-    # the default serves only fns = [], which solve_robust refuses
-    final = replace(config, time_limit=left(),
-                    epsilon=config.epsilon / max(scales, default=1.0))
+    final = replace(config, time_limit=left(), epsilon=config.epsilon / max(scales))
     report = solve_robust(fns, scales, costs, budget, final, initial_cuts=reused)
 
     ub = report.upper_bound

@@ -8,8 +8,14 @@ every node at arrival time >= t, the sensed node included.  The expected
 saving over sources, weighted by event probabilities, is the monotone
 submodular objective the solvers maximize.
 
-Travel times are static per-scenario edge weights; no hydraulics.  All data
-is immutable after construction and shared freely across threads.
+Travel times are static per-scenario edge weights; no hydraulics.  The
+oracles of one instance read one (m, n, k) stack of the scenarios' saved
+arrays, each its own slice, and share a one-entry cache: the last set
+evaluated with its values in every scenario, one tuple that a miss replaces
+atomically.  Reading a set in one scenario after another, as separation
+does, computes it once.  The instance data is immutable after construction,
+and oracles are shared freely across threads: a reader uses a cached tuple
+only if it holds the reader's own set.
 """
 
 from __future__ import annotations
@@ -124,13 +130,47 @@ def reduction_matrix(network: Network, scenario: Scenario) -> np.ndarray:
 def expected_reduction_oracle(network: Network, scenario: Scenario,
                               name: str = "") -> SetFunction:
     """Monotone submodular oracle S -> expected number of saved nodes."""
-    saved = reduction_matrix(network, scenario)
-    probs = np.asarray(network.source_probabilities)
+    stack = _ScenarioStack(reduction_matrix(network, scenario)[None], network)
+    return _scenario_oracle(stack, 0, name)
+
+
+def _expected(best: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Row r of the (B, k) best savings dotted with probs, B values: matmul
+    of (1, k) by (k, 1) blocks, one product for every form of evaluation."""
+    return np.matmul(best[:, None, :], probs[:, None]).ravel()
+
+
+class _ScenarioStack:
+    """The saved arrays of an instance's scenarios, stacked (m, n, k), and
+    the last set evaluated: ``last`` is (S, its m values), one tuple that an
+    evaluation replaces whole, so a reader that finds S there on any thread
+    reads S's own values.  Scenario oracles usually read a set in one
+    scenario after another; the first read computes it in all of them."""
+
+    __slots__ = ("saved", "probs", "last")
+
+    def __init__(self, saved: np.ndarray, network: Network):
+        self.saved = saved
+        self.probs = np.asarray(network.source_probabilities)
+        self.last = (None, None)
+
+    def values(self, subset: frozenset) -> np.ndarray:
+        """f_i(S) for every scenario i: one gather, one max, one product."""
+        last = self.last
+        if last[0] != subset:
+            best = self.saved[:, sorted(subset)].max(axis=1)
+            last = self.last = (subset, _expected(best, self.probs))
+        return last[1]
+
+
+def _scenario_oracle(stack: _ScenarioStack, i: int, name: str) -> SetFunction:
+    """The oracle of scenario i of the stack: it reads its own slice."""
+    saved = stack.saved[i]
 
     def evaluate(subset: frozenset) -> float:
         if not subset:
             return 0.0
-        return float(probs @ saved[sorted(subset)].max(axis=0))
+        return float(stack.values(subset)[i])
 
     def covers() -> np.ndarray:
         # k covers j when it saves at least as much for every source: then
@@ -144,9 +184,9 @@ def expected_reduction_oracle(network: Network, scenario: Scenario,
             relation &= (rows[:, :, None] >= rows[:, None, :]).all(axis=0)
         return relation
 
-    evaluate.batch = _BatchEvaluation(saved, probs)
+    evaluate.batch = _BatchEvaluation(saved, stack.probs)
     evaluate.covers = covers
-    return SetFunction(network.node_count, evaluate, name=name)
+    return SetFunction(len(saved), evaluate, name=name)
 
 
 class _BatchEvaluation:
@@ -159,8 +199,7 @@ class _BatchEvaluation:
     members save 0 for that source or there are none).  A set's best sensor
     for that source is its first member in the ranking, found by argmax, and
     its count is an element of saved: the same max the scalar evaluation
-    takes.  matmul of (1, k) by (k, 1) blocks takes the same dot product as
-    ``probs @ row``, so the two agree with ==.
+    takes, dotted with probs by the same :func:`_expected`.
     """
 
     __slots__ = ("saved", "probs", "_ranking")
@@ -186,7 +225,7 @@ class _BatchEvaluation:
         step = max(1, BATCH_CHUNK // order.size)
         for lo in range(0, len(members), step):
             best = ranked[held[lo:lo + step, order].argmax(axis=2), sources]
-            out[lo:lo + step] = np.matmul(best[:, None, :], probs[:, None]).ravel()
+            out[lo:lo + step] = _expected(best, probs)
         return out
 
 
@@ -213,8 +252,11 @@ class Instance:
         return self.network.budget < min(self.network.sensor_costs)
 
     def build_oracles(self) -> list:
-        return [expected_reduction_oracle(self.network, sc, name=f"scenario-{i}")
-                for i, sc in enumerate(self.scenarios)]
+        """One oracle per scenario, each reading its slice of one (m, n, k)
+        stack of the scenarios' saved arrays (see :class:`_ScenarioStack`)."""
+        stack = _ScenarioStack(np.stack([reduction_matrix(self.network, sc)
+                                         for sc in self.scenarios]), self.network)
+        return [_scenario_oracle(stack, i, f"scenario-{i}") for i in range(len(self.scenarios))]
 
 
 def _tokens(text: str):

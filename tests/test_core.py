@@ -212,6 +212,12 @@ class TestBuildCut:
         with pytest.raises(ValueError):
             build_cut(modular_fn((1,)), (), 0.0, 0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_alpha_must_be_finite(self, alpha):
+        # NaN used to give an all-NaN cut, inf an all-zero one
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            build_cut(modular_fn((1, 2)), {0}, alpha, 0)
+
     @pytest.mark.parametrize("subset", [{-1}, {0, 2}])
     def test_generating_set_outside_ground_set_rejected(self, subset):
         with pytest.raises(ValueError, match="generating set not within ground set"):
@@ -251,6 +257,10 @@ class TestEmptySetCuts:
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError):
             empty_set_cuts([], [])
+
+    def test_non_finite_alpha_rejected(self, warmstart_triple):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            empty_set_cuts(warmstart_triple[:1], [math.nan])
 
     def test_one_alpha_per_function(self, warmstart_triple):
         with pytest.raises(ValueError, match="need one alpha per set function"):

@@ -352,6 +352,14 @@ class TestMalformedInputs:
         with pytest.raises(ValueError, match="at least one scenario function is required"):
             TestNonFiniteInputs.SOLVERS[solver]([], [], [], 0)
 
+    @pytest.mark.parametrize("solver", sorted(TestNonFiniteInputs.SOLVERS))
+    def test_ground_sizes_must_match(self, solver):
+        # brute force used to score the 3-element oracle on 2-element masks
+        fns = [modular_fn((1, 1)), modular_fn((1, 1, 1))]
+        with pytest.raises(ValueError, match="scenario function 1 has a ground set of size 3, "
+                                             "scenario function 0 one of size 2"):
+            TestNonFiniteInputs.SOLVERS[solver](fns, [1, 1], [1, 1], 2)
+
 
 class TestBruteForce:
     def test_figure_instance_single_sensor(self, figure_network):

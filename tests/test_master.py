@@ -5,6 +5,7 @@ import math
 from itertools import combinations, product
 from dataclasses import replace
 from random import Random
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from robustmax import (DcgConfig, MasterState, SetFunction, SubmodularCut,
                        empty_set_cuts, generate_instance, solve_robust, water)
-from robustmax.core import objective_slack
+from robustmax import core
+from robustmax.core import TOL, dominance, objective_slack
 from robustmax.dcg import kept_locations
 from robustmax.master import CELLS, knapsack_grid
 
@@ -105,6 +107,145 @@ class TestAddCut:
         ms = MasterState(3, (1, 1, 1), 2)
         with pytest.raises(ValueError):
             ms.add_cut(SubmodularCut(0.0, (1.0,), 0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["constant", "coefficient"])
+    def test_non_finite_cut_refused_before_any_insertion(self, bad, where):
+        # a NaN cut used to join the pool, and nothing dominates it
+        good = SubmodularCut(1.0, (1.0, 2.0), 0, frozenset({0}))
+        bad_cut = (SubmodularCut(bad, (1.0, 2.0), 1) if where == "constant"
+                   else SubmodularCut(1.0, (1.0, bad), 1))
+        ms = MasterState(2, (1, 1), 2)
+        with pytest.raises(ValueError, match="cut constant and coefficients must be finite"):
+            ms.add_cut(good, bad_cut)
+        assert ms.cut_pool == []
+
+    def test_dimension_refused_before_any_insertion(self):
+        ms = MasterState(2, (1, 1), 2)
+        with pytest.raises(ValueError, match="cut dimension does not match the master"):
+            ms.add_cut(SubmodularCut(1.0, (1.0, 2.0), 0), SubmodularCut(0.0, (1.0,), 0))
+        assert ms.cut_pool == []
+
+    def test_call_counts_accepted_cuts(self):
+        gen = frozenset({0})
+        weak = SubmodularCut(4.0, (2.0, 2.0), 0, gen)
+        strong = SubmodularCut(3.0, (1.0, 2.0), 1, gen)
+        other = SubmodularCut(9.0, (9.0, 9.0), 2, frozenset({1}))
+        ms = MasterState(2, (1, 1), 2)
+        # weak is accepted, then dropped by strong within the same call; the
+        # duplicate of strong is refused
+        assert ms.add_cut(weak, strong, other, strong) == 3
+        assert ms.cut_pool == [strong, other]
+        assert ms.add_cut(weak) == 0
+        assert ms.add_cut() == 0
+
+
+def scalar_dominates(a: SubmodularCut, b: SubmodularCut) -> bool:
+    """Reference for the dominance rule: one pair, one coefficient at a time."""
+    slack = objective_slack((a, b))
+    if a.constant > b.constant + slack:
+        return False
+    return all(ca <= cb + slack for ca, cb in zip(a.coefficients, b.coefficients))
+
+
+def scalar_add_cut(pool: list, cut: SubmodularCut) -> bool:
+    """Reference for MasterState.add_cut: insert one cut into ``pool`` in
+    place, dropping the same-set cuts it dominates, unless one dominates it."""
+    same_gen = [c for c in pool if c.generating_set == cut.generating_set]
+    if any(scalar_dominates(old, cut) for old in same_gen):
+        return False
+    drop = {id(old) for old in same_gen if scalar_dominates(cut, old)}
+    pool[:] = [c for c in pool if id(c) not in drop] + [cut]
+    return True
+
+
+VALUES = (0.0, 0.5, 1.0, 2.0, 3.0)
+
+
+@st.composite
+def cut_streams(draw):
+    """Calls of cuts on n <= 4 variables whose generating sets repeat.  Each
+    cut is fresh, a copy of an earlier one (or the object itself), an earlier
+    one with one entry moved to exactly its slack above it or the next float
+    past that, or an earlier one lowered so that it dominates it."""
+    n = draw(st.integers(1, 4))
+    gens = draw(st.lists(st.sampled_from([frozenset(), frozenset({0}), frozenset({n - 1, 0})]),
+                         min_size=1, max_size=3))
+    cuts = []
+    for k in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from(["fresh", "same", "copy", "at_slack", "past_slack",
+                                     "dominating"]) if cuts else st.just("fresh"))
+        if kind == "fresh":
+            cuts.append(SubmodularCut(draw(st.sampled_from(VALUES)),
+                                      tuple(draw(st.sampled_from(VALUES)) for _ in range(n)),
+                                      k, draw(st.sampled_from(gens))))
+            continue
+        base = draw(st.sampled_from(cuts))
+        if kind == "same":
+            cuts.append(base)
+        elif kind == "copy":
+            cuts.append(replace(base, scenario_index=k))
+        elif kind == "dominating":
+            j = draw(st.integers(-1, n - 1))  # -1: the constant
+            entries = [base.constant, *base.coefficients]
+            entries[j + 1] -= draw(st.sampled_from((0.5, 1.0)))
+            cuts.append(replace(base, constant=entries[0], coefficients=tuple(entries[1:]),
+                                scenario_index=k))
+        else:
+            # Raise entry j (-1: the constant) by TOL times base's magnitude
+            # and lower another entry by one, so that, when base's
+            # right-hand side at x = 1 is at least one, the new cut's
+            # magnitude is below base's and the raise is the pair's slack.
+            j = draw(st.integers(-1, n - 1))
+            entries = [base.constant, *base.coefficients]
+            raised = entries[j + 1] + TOL * base.magnitude
+            if kind == "past_slack":
+                raised = math.nextafter(raised, math.inf)
+            entries[1 if j == -1 else 0] -= 1.0
+            entries[j + 1] = raised
+            cuts.append(replace(base, constant=entries[0], coefficients=tuple(entries[1:]),
+                                scenario_index=k))
+    sizes = draw(st.lists(st.integers(0, 5), min_size=1, max_size=len(cuts) + 1))
+    calls, rest = [], list(cuts)
+    for size in sizes:
+        calls.append(rest[:size])
+        rest = rest[size:]
+    return n, calls + [rest]
+
+
+class TestBatchedInsertion:
+    @settings(max_examples=300, deadline=None)
+    @given(cut_streams())
+    def test_matches_one_at_a_time_insertion(self, stream):
+        n, calls = stream
+        ms = MasterState(n, (1,) * n, n)
+        pool: list = []
+        for call in calls:
+            accepted = sum(scalar_add_cut(pool, cut) for cut in call)
+            assert ms.add_cut(*call) == accepted
+            assert [id(c) for c in ms.cut_pool] == [id(c) for c in pool]
+
+    @settings(max_examples=200, deadline=None)
+    @given(cut_streams(), st.sampled_from((1, 5, 1 << 16)))
+    def test_array_rule_equals_scalar_rule(self, stream, chunk):
+        _, calls = stream
+        cuts = [cut for call in calls for cut in call]
+        if not cuts:
+            return
+        with patch.object(core, "DOMINANCE_CHUNK", chunk):
+            beats = dominance(cuts)
+        assert beats.tolist() == [[scalar_dominates(a, b) for b in cuts] for a in cuts]
+
+    def test_slack_boundary(self):
+        # the stream's at-slack cut lies exactly on the rule's boundary: it
+        # dominates its base, and the next float past it does not
+        base = SubmodularCut(2.0, (1.0, 3.0), 0, frozenset())
+        at = replace(base, constant=1.0, coefficients=(1.0 + TOL * base.magnitude, 3.0))
+        past = replace(at, coefficients=(math.nextafter(at.coefficients[0], math.inf), 3.0))
+        assert objective_slack((base, at)) == objective_slack((base, past)) == TOL * base.magnitude
+        assert scalar_dominates(at, base) and not scalar_dominates(past, base)
+        assert dominance((base, at, past)).tolist() == [
+            [True, False, False], [True, True, True], [False, True, True]]
 
 
 class TestSolve:

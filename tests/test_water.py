@@ -3,6 +3,8 @@ from __future__ import annotations
 import heapq
 import math
 import re
+import sys
+import threading
 from dataclasses import replace
 from random import Random
 
@@ -213,6 +215,63 @@ class TestExpectedReductionOracle:
         members[1] = True
         scalar = [evaluate(frozenset(np.flatnonzero(row).tolist())) for row in members]
         assert evaluate.batch(members).tolist() == scalar
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.integers(3, 40), st.integers(0, 2**32 - 1), st.data())
+    def test_stacked_reads_equal_batch_rows(self, m, n, seed, data):
+        # An instance's oracles share one stack and its last evaluated set:
+        # reads that alternate between scenarios and sets (S in scenario 0,
+        # T in 3, S in 1, ...) must each give the scenario's own batch row,
+        # which the one-scenario oracle gives as well.
+        inst = generate_instance(n=n, edge_factor=41 / 36, m=m,
+                                 j_count=data.draw(st.integers(1, n)), budget=n,
+                                 seed=seed % 1000)
+        evaluators = [fn._eval for fn in inst.build_oracles()]
+        rng = np.random.default_rng(seed)
+        members = rng.random((4, n)) < rng.random((4, 1))
+        sets = [frozenset(np.flatnonzero(row).tolist()) for row in members]
+        rows = [evaluate.batch(members).tolist() for evaluate in evaluators]
+        reads = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, 3)),
+                                   min_size=1, max_size=30))
+        for i, k in reads:
+            assert evaluators[i](sets[k]) == rows[i][k]
+        for i, scenario in enumerate(inst.scenarios):
+            single = expected_reduction_oracle(inst.network, scenario)._eval
+            assert [single(S) for S in sets] == rows[i]
+
+    def test_concurrent_reads_of_alternating_sets(self):
+        # Two threads read two sets in opposite phase, so each read may find
+        # the other thread's set in the shared cache, or have it replaced
+        # mid-read; every value must still be the scenario's own.
+        n = 30
+        inst = generate_instance(n=n, edge_factor=41 / 36, m=6, j_count=10, budget=n, seed=4)
+        evaluators = [fn._eval for fn in inst.build_oracles()]
+        members = np.zeros((2, n), dtype=bool)
+        members[0, ::2] = True
+        members[1, 1::3] = True
+        sets = [frozenset(np.flatnonzero(row).tolist()) for row in members]
+        rows = [evaluate.batch(members).tolist() for evaluate in evaluators]
+        wrong = []
+
+        def read(phase):
+            for t in range(600):
+                k = (t + phase) % 2
+                for i, evaluate in enumerate(evaluators):
+                    value = evaluate(sets[k])
+                    if value != rows[i][k]:
+                        wrong.append((i, k, value))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(phase,)) for phase in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
 
 
 FIGURE_TEXT = """\
