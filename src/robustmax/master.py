@@ -22,8 +22,8 @@ the whole ground set.  The caller vouches that some optimum sets none of
 them (:func:`robustmax.dcg.kept_locations`).  Per depth, one
 table on an integer capacity grid (:func:`knapsack_grid`) holds each cut's
 knapsack value over the free items at every capacity (Martello & Toth 1990,
-*Knapsack Problems*), built on first use after each pool change; a node's
-bound is one row of it plus the node's per-cut values.
+*Knapsack Problems*), built for every depth after each pool change; a
+node's bound is one row of it plus the node's per-cut values.
 
 A MasterState is owned by a single solve call; distinct states may run in
 parallel.
@@ -94,10 +94,11 @@ class MasterState:
             raise ValueError("budget must be nonnegative")
         self.n = n
         # variables the search may set to one; None keeps all of them
-        self._kept = np.ones(n, dtype=bool)
-        if kept is not None:
-            self._kept[:] = False
-            self._kept[list(kept)] = True
+        kept = range(n) if kept is None else list(kept)
+        if not all(0 <= j < n for j in kept):
+            raise ValueError("kept variables must lie in 0..n-1")
+        self._kept = np.zeros(n, dtype=bool)
+        self._kept[kept] = True
         self.costs = tuple(costs)
         self.budget = budget
         self._cost = np.array(self.costs, dtype=float)
@@ -130,8 +131,8 @@ class MasterState:
                 raise ValueError("cut constant and coefficients must be finite, "
                                  "and so must their sum")
         gens = {cut.generating_set for cut in cuts}
-        shared = [c for c in self.cut_pool if c.generating_set in gens]
-        group = shared + list(cuts)
+        shared = [i for i, c in enumerate(self.cut_pool) if c.generating_set in gens]
+        group = [self.cut_pool[i] for i in shared] + list(cuts)
         # Only cuts that share a generating set are compared: no matrix when none do.
         beats = dominance(group).tolist() if len(gens) < len(group) else None
         alive = list(range(len(shared)))  # positions in group of the cuts in the pool
@@ -144,9 +145,10 @@ class MasterState:
                 alive = [q for q in alive if q not in drop] + [r]
                 accepted += 1
         if accepted:
-            dropped = {id(c) for c in shared} - {id(group[q]) for q in alive}
+            # by position, not identity: the call may re-offer a pool cut it drops
+            dropped = set(shared) - {shared[q] for q in alive if q < len(shared)}
             if dropped:
-                self.cut_pool = [c for c in self.cut_pool if id(c) not in dropped]
+                self.cut_pool = [c for i, c in enumerate(self.cut_pool) if i not in dropped]
             self.cut_pool += [group[r] for r in alive if r >= len(shared)]
             self._changes += 1
         return accepted
@@ -154,39 +156,28 @@ class MasterState:
     # -- prepared arrays -----------------------------------------------------
 
     def _prepare(self, branch_order: np.ndarray | None = None):
-        """Build the per-pool arrays the node bounds read, with the deepest
-        table (no free items: zeros); :meth:`_table` builds each other depth
-        when a node there is first bounded.  The branch order, over the kept
-        variables, comes from the pool unless given, as it is when the pool
-        grows during a solve."""
-        n = self.n
+        """Build the per-pool arrays the node bounds read.  The branch order,
+        over the kept variables, comes from the pool unless given, as it is
+        when the pool grows during a solve.  ``_tables[L, r]`` holds each
+        cut's best coefficient sum over the items free at depth L (branch
+        rank >= L) that fit in r cells: zeros at the deepest depth, and each
+        other depth is the one below plus a 0-1 knapsack step on its item."""
         self._A = np.array([c.coefficients for c in self.cut_pool], dtype=float)
         self._C = np.array([c.constant for c in self.cut_pool], dtype=float)
         if branch_order is None:
             # Branch priority: free variable with the best guaranteed (min
             # over cuts) coefficient per unit cost, ties to the smallest index.
             score = self._A.min(axis=0) / self._cost
-            branch_order = np.lexsort((np.arange(n), -score))
+            branch_order = np.lexsort((np.arange(self.n), -score))
             branch_order = branch_order[self._kept[branch_order]]
         self._branch_order = branch_order
-        self._tables = ([None] * len(branch_order)
-                        + [np.zeros((self._cells + 1, len(self._C)))])
-
-    def _table(self, level: int) -> np.ndarray:
-        """Depth L's table: row r holds each cut's best coefficient sum over
-        the items free at depth L (branch rank >= L) that fit in r cells;
-        built on first use with every depth up to the nearest built deeper
-        one, each by a 0-1 knapsack step adding ``branch_order[L]``."""
-        deeper = level
-        while self._tables[deeper] is None:
-            deeper += 1
-        for depth in range(deeper - 1, level - 1, -1):
-            below = self._tables[depth + 1]
-            j = self._branch_order[depth]
+        self._tables = None  # the old pool's tables go before the new ones are allocated
+        tables = self._tables = np.zeros((len(branch_order) + 1, self._cells + 1, len(self._C)))
+        for depth, j in reversed(list(enumerate(branch_order))):
+            below, table = tables[depth + 1], tables[depth]
             w = min(self._weights[j], len(below))  # an item too heavy for every cell: no step
-            table = self._tables[depth] = below.copy()
+            table[:] = below
             np.maximum(table[w:], below[:len(below) - w] + self._A[:, j], out=table[w:])
-        return self._tables[level]
 
     def _evaluate(self, base: np.ndarray, level: int, cost_ones: float) -> float:
         """Knapsack bound of the node at depth ``level`` whose fixed ones give
@@ -196,7 +187,7 @@ class MasterState:
         if remaining < -self._cost_slack:
             return -math.inf
         cell = min(self._cells, int((remaining + self._cost_slack) / self._unit))
-        return float((base + self._table(level)[cell]).min())
+        return float((base + self._tables[level, cell]).min())
 
     def _greedy_start(self, slack: float):
         """Greedy incumbent: repeatedly add the affordable kept item with the

@@ -385,6 +385,14 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(rd.last_line, str(exc)) from None
 
 
+def _integers(values, what: str) -> str:
+    """The values as the integers the format holds: 12.0 is written 12."""
+    ints = list(map(int, values))
+    if ints != list(values):
+        raise ValueError(f"non-integer {what}: the instance format holds integers")
+    return " ".join(map(str, ints))
+
+
 def serialize_instance(instance: Instance) -> str:
     """Inverse of parse_instance: parse(serialize(x)) == x."""
     net = instance.network
@@ -392,10 +400,10 @@ def serialize_instance(instance: Instance) -> str:
     out += [f"{u} {v}" for u, v in net.edges]
     out.append("sources " + " ".join(str(t) for t in (len(net.sources),) + net.sources))
     out.append("probs " + " ".join(repr(p) for p in net.source_probabilities))
-    out.append("costs " + " ".join(str(c) for c in net.sensor_costs))
-    out.append(f"budget {net.budget}")
+    out.append("costs " + _integers(net.sensor_costs, "cost"))
+    out.append("budget " + _integers((net.budget,), "budget"))
     out.append(f"scenarios {len(instance.scenarios)}")
-    out += [" ".join(str(w) for w in sc.edge_weights) for sc in instance.scenarios]
+    out += [_integers(sc.edge_weights, "travel time") for sc in instance.scenarios]
     if instance.alpha_mode == "values":
         out.append("alpha values " + " ".join(repr(a) for a in instance.alpha_values))
     else:

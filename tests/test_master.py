@@ -225,6 +225,21 @@ class TestBatchedInsertion:
             assert ms.add_cut(*call) == accepted
             assert [id(c) for c in ms.cut_pool] == [id(c) for c in pool]
 
+    def test_call_re_offers_a_pool_cut_it_dropped(self):
+        # The call's first cut drops the pool's cut z, a chain of cuts each
+        # dropping the one before leaves none that dominates z, and z itself
+        # comes back as the call's last cut: it is accepted once, at the end.
+        z = SubmodularCut(0.0, (0.0,), 0, frozenset())
+        chain = [SubmodularCut(-1.0, (0.0,), 1, frozenset()),
+                 SubmodularCut(-2.0, (1e-09,), 2, frozenset()),
+                 SubmodularCut(-3.0, (2.9999999990000002e-09,), 3, frozenset())]
+        ms = MasterState(1, (1,), 1)
+        ms.add_cut(z)
+        pool = [z]
+        accepted = sum(scalar_add_cut(pool, cut) for cut in chain + [z])
+        assert ms.add_cut(*chain, z) == accepted == 4
+        assert [id(c) for c in ms.cut_pool] == [id(c) for c in pool] == [id(chain[2]), id(z)]
+
     @settings(max_examples=200, deadline=None)
     @given(cut_streams(), st.sampled_from((1, 5, 1 << 16)))
     def test_array_rule_equals_scalar_rule(self, stream, chunk):
@@ -343,6 +358,12 @@ class TestSolve:
         with pytest.raises(ValueError):
             MasterState(2, (1, 1), -1)
 
+    @pytest.mark.parametrize("kept", [[-1], [5], [0, 3]])
+    def test_kept_outside_ground_set_rejected(self, kept):
+        # -1 would keep element n - 1, and 5 would index past the mask
+        with pytest.raises(ValueError, match="kept"):
+            MasterState(3, (1, 1, 1), 2, kept)
+
     def test_lex_tie_break(self):
         # Two optima tie; the master may return either.  Only
         # brute_force_robust promises the lexicographically smallest x.
@@ -451,11 +472,10 @@ class TestEvaluateMatchesReference:
     costs may round weights down, where the tables may only bound above."""
 
     def walk(self, ms, pool, rng, cases, grow=None):
-        """One random root-to-leaf walk.  With ``grow`` = (depth, cuts),
-        every depth's table of the old pool is built at that depth, then the
-        cuts join the pool and the walk goes on in the same branch order;
-        from there on each bound must equal, with ==, that of a state loaded
-        afresh with the grown pool."""
+        """One random root-to-leaf walk.  With ``grow`` = (depth, cuts), the
+        cuts join the pool at that depth and the walk goes on in the same
+        branch order; from there on each bound must equal, with ==, that of
+        a state loaded afresh with the grown pool."""
         ms._prepare()
         n, costs = ms.n, ms.costs
         ones, zeros = set(), set()
@@ -463,8 +483,6 @@ class TestEvaluateMatchesReference:
         fresh = None
         for level in range(n + 1):
             if grow is not None and level == grow[0]:
-                for depth in range(n + 1):
-                    ms._evaluate(ms._C, depth, 0.0)
                 size = len(ms.cut_pool) + len(grow[1])
                 for cut in grow[1]:
                     ms.add_cut(cut)
@@ -661,6 +679,8 @@ class TestNodeCounts:
         (dict(n=12, edge_factor=2.0, m=5, j_count=5, budget=15), 1, 50, 9.6),
         (dict(n=20, edge_factor=1.5, m=8, j_count=6, budget=20), 3, 144, 15.166666666666666),
         (dict(n=24, edge_factor=41 / 36, m=10, j_count=8, budget=20), 2, 256, 19.75),
+        (dict(n=54, edge_factor=41 / 36, m=50, j_count=18, budget=45), 1, 10862,
+         48.444444444444436),
     ])
     def test_pinned_tree_size(self, monkeypatch, family, seed, nodes, eta):
         inst = generate_instance(seed=seed, **family)
@@ -694,54 +714,58 @@ class TestNodeCounts:
         assert (wrapped.eta, results[1].nodes) == (plain.eta, results[0].nodes)
 
 
+def knapsack_entries(ms: MasterState, depth: int) -> np.ndarray:
+    """Reference for ``ms._tables[depth]``: per cell and cut, the best
+    coefficient sum over the sets of the items free at ``depth`` whose
+    weights fit in that many cells, by enumeration."""
+    free = [int(j) for j in ms._branch_order[depth:]]
+    sets = [chosen for size in range(len(free) + 1) for chosen in combinations(free, size)]
+    return np.array([[max(sum(cut.coefficients[j] for j in chosen) for chosen in sets
+                          if sum(ms._weights[j] for j in chosen) <= cell)
+                      for cut in ms.cut_pool]
+                     for cell in range(ms._cells + 1)])
+
+
 class TestTableRebuild:
-    @pytest.mark.parametrize("family, seed", [
-        (dict(n=12, edge_factor=2.0, m=5, j_count=5, budget=15), 1),
-        (dict(n=20, edge_factor=1.5, m=8, j_count=6, budget=20), 3),
-    ])
-    def test_tables_built_on_demand(self, monkeypatch, family, seed):
-        # One solve_robust run: the tables are reset once per pool; per pool,
-        # each depth's table is built at most once, and the depths built are
-        # exactly those from the shallowest depth at which a node is bounded
-        # down to the kept count less one (the deepest table, zeros, comes
-        # with the pool).
-        pools, built, shallowest = [], [], {}
-        prepare, table, evaluate = (MasterState._prepare, MasterState._table,
-                                    MasterState._evaluate)
+    def test_tables_are_exact_knapsacks(self, monkeypatch):
+        # Every (depth, cell, cut) entry of the stacked tables, for the pool
+        # a solve starts with and for each pool it grows to mid-walk, against
+        # a brute-force 0-1 knapsack over the depth's free items.  Integer
+        # costs put the tables on an exact grid, and coefficients in halves
+        # sum exactly, so the two are equal.
+        prepare = MasterState._prepare
+        pools, changes = [], {}
 
         def preparing(self, *args):
-            assert not pools or self._changes > pools[-1]
-            pools.append(self._changes)
-            return prepare(self, *args)
-
-        def building(self, level):
-            before = list(self._tables)
-            result = table(self, level)
-            built.extend((len(pools), depth) for depth, t in enumerate(self._tables)
-                         if t is not before[depth])
-            return result
-
-        def evaluating(self, base, level, *args):
-            bound = evaluate(self, base, level, *args)
-            if bound > -math.inf:
-                pool = len(pools)
-                shallowest[pool] = min(level, shallowest.get(pool, level))
-            return bound
+            # once per pool: a solve's start, then each pool change
+            assert self._changes > changes.get(id(self), -1)
+            changes[id(self)] = self._changes
+            prepare(self, *args)
+            order = self._branch_order
+            assert isinstance(self._tables, np.ndarray)
+            assert self._tables.shape == (len(order) + 1, self._cells + 1, len(self.cut_pool))
+            assert set(order.tolist()) == set(np.flatnonzero(self._kept).tolist())
+            for depth in range(len(order) + 1):
+                assert (self._tables[depth] == knapsack_entries(self, depth)).all(), depth
+            pools.append(bool(args))
 
         monkeypatch.setattr(MasterState, "_prepare", preparing)
-        monkeypatch.setattr(MasterState, "_table", building)
-        monkeypatch.setattr(MasterState, "_evaluate", evaluating)
-        inst = generate_instance(seed=seed, **family)
-        fns = inst.build_oracles()
-        report = solve_robust(fns, [1.0] * len(fns), inst.network.sensor_costs,
-                              inst.network.budget, DcgConfig(reduce=True, stop_pt=2))
-        kept = len(kept_locations(fns, inst.network.sensor_costs))
-        assert report.iterations > 1
-        assert len(built) == len(set(built))
-        assert set(built) == {(pool, depth) for pool, top in shallowest.items()
-                              for depth in range(top, kept)}
-        # some pool never needs its shallow tables
-        assert len(built) < len(pools) * kept
+        rng = Random(29)
+        for trial in range(40):
+            changes.clear()
+            n = rng.randint(1, 7)
+            costs = [rng.randint(1, 4) for _ in range(n)]
+            hidden = distinct_sets(random_pool(rng, n, rng.randint(2, 6)))
+            kept = sorted(rng.sample(range(n), rng.randint(1, n))) if trial % 2 else None
+            ms = MasterState(n, costs, rng.randint(0, sum(costs) + 1), kept)
+            ms.add_cut(SubmodularCut(10.0, (0.0,) * n, 0, frozenset({n})))
+
+            def separate(x, value, bound):
+                ms.add_cut(*(cut for cut in hidden if rhs(cut, x) < value))
+                return min(rhs(cut, x) for cut in hidden)
+
+            ms.solve(separate)
+        assert False in pools and True in pools  # fresh pools and pools grown mid-walk
 
     def test_incremental_pool_matches_fresh_state(self):
         rng = Random(23)

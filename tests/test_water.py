@@ -449,6 +449,45 @@ class TestMalformedInstanceData:
             replace(self.instance(), **changes)
 
 
+class TestSerializeIntegers:
+    """The format holds integer costs, budgets and travel times; values the
+    dataclasses accept but the format cannot hold are refused on writing."""
+
+    @staticmethod
+    def instance():
+        return generate_instance(n=8, edge_factor=1.5, m=2, j_count=3, budget=12, seed=1)
+
+    def with_cost(self, cost):
+        inst = self.instance()
+        costs = (cost,) + inst.network.sensor_costs[1:]
+        return replace(inst, network=replace(inst.network, sensor_costs=costs))
+
+    def with_travel_time(self, weight):
+        inst = self.instance()
+        first = inst.scenarios[0]
+        scenarios = (Scenario((weight,) + first.edge_weights[1:]),) + inst.scenarios[1:]
+        return replace(inst, scenarios=scenarios)
+
+    def test_budget(self):
+        with pytest.raises(ValueError, match="non-integer budget:"):
+            serialize_instance(with_budget(self.instance(), 12.5))
+        text = serialize_instance(with_budget(self.instance(), 12.0))
+        assert "budget 12\n" in text
+        assert parse_instance(text) == self.instance()
+
+    def test_cost(self):
+        with pytest.raises(ValueError, match="non-integer cost:"):
+            serialize_instance(self.with_cost(5.5))
+        inst = self.with_cost(7)
+        assert parse_instance(serialize_instance(self.with_cost(7.0))) == inst
+
+    def test_travel_time(self):
+        with pytest.raises(ValueError, match="non-integer travel time:"):
+            serialize_instance(self.with_travel_time(1.5))
+        inst = self.with_travel_time(3)
+        assert parse_instance(serialize_instance(self.with_travel_time(3.0))) == inst
+
+
 class TestParseLimits:
     @staticmethod
     def lines():
