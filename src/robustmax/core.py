@@ -7,24 +7,28 @@ them in batches, by bitmask (:meth:`SetFunction.values`) or as all marginals
 at one set (:meth:`SetFunction.marginals`), and the lawfulness checks read
 all their values in one batch.  An oracle may carry a vectorised form,
 ``eval_fn.batch``, from a (B, n) bool membership matrix to B floats; a batch
-read then fills all its misses with one call to it.  Its values must equal
-``eval_fn``'s with ``==``, so the memo is the same whichever form filled
-it.  A single miss goes to ``eval_fn``.  An oracle may also declare which
-elements cover which (``eval_fn.covers``, see :class:`SetFunction`), so that
-the solvers never branch on a covered element.  From an oracle and a generating
-set, :func:`build_cut` produces the linear inequality
+read then fills all its misses with one call to it.  Oracles may also form a
+family (``eval_fn.family``) whose one kernel evaluates rows of several
+members at once: :func:`values_in` reads keys in several functions and fills
+the misses of a family's functions with one call to it.  Every form's values
+must equal ``eval_fn``'s with ``==``, so the memo is the same whichever form
+filled it.  A single miss goes to ``eval_fn``.  An oracle may also declare
+which elements cover which (``eval_fn.covers``, see :class:`SetFunction`), so
+that the solvers never branch on a covered element.  From an oracle and a
+generating set, :func:`build_cut` produces the linear inequality
 
     eta <= constant + sum_j coefficients[j] * x[j]
 
 that upper-bounds ``f(X)/alpha`` over all binary points and is tight at the
-generating set.  Pointwise dominance between such cuts lives here as well,
-as one array comparison over a list of cuts (:func:`dominance`).
+generating set; :func:`cut_keys` names the bitmasks it reads, so a caller can
+read them for several functions first.  Pointwise dominance between such cuts
+lives here as well, as one array comparison over a list of cuts
+(:func:`dominance`).
 
 Oracles are immutable after construction and safe to share across threads;
 the memo cache tolerates concurrent insertion of identical entries.  An
-``eval_fn`` may keep a cache of its own if every call still returns the same
-value on any thread: the water oracles of one instance share a one-entry
-cache that is replaced atomically (see :mod:`robustmax.water`).
+``eval_fn`` may keep state of its own if every call still returns the same
+value on any thread; the water oracles keep none (see :mod:`robustmax.water`).
 """
 
 from __future__ import annotations
@@ -66,9 +70,20 @@ class SetFunction:
     ``covers[k, j]`` may be true only if f(S + k) >= f(S + j) for every S;
     then f(S + j + k) == f(S + k) as well, by monotonicity.  The relation
     must be transitive, as such a relation between elements is.
+
+    ``eval_fn`` may also carry ``eval_fn.family = (source, i)``: the
+    function is member i of a family whose members share ``source`` and its
+    ground size.  ``source.rows(scenario_of_row, members)`` takes an int
+    array of B member indices and a bool membership matrix with no empty
+    row, (B, n) or (1, n) for one set read by every member given, and
+    returns B floats: float r is member ``scenario_of_row[r]``'s value at
+    its row, equal with ``==`` to that member's ``eval_fn``.
+    :func:`values_in` fills the misses of a family's functions with one
+    call to it.
     """
 
-    __slots__ = ("ground_size", "_eval", "_batch", "_relate", "_covers", "_cache", "name")
+    __slots__ = ("ground_size", "_eval", "_batch", "_relate", "_family", "_covers",
+                 "_cache", "name")
 
     def __init__(self, ground_size: int, eval_fn: Callable[[frozenset], float],
                  name: str = ""):
@@ -78,6 +93,7 @@ class SetFunction:
         self._eval = eval_fn
         self._batch = getattr(eval_fn, "batch", None)
         self._relate = getattr(eval_fn, "covers", None)
+        self._family = getattr(eval_fn, "family", None)
         self._covers = None
         self.name = name
         empty = float(eval_fn(frozenset()))
@@ -97,7 +113,8 @@ class SetFunction:
             self._covers = relation
         return self._covers
 
-    def _key(self, subset: Iterable[int]):
+    def key(self, subset: Iterable[int]) -> int:
+        """The bitmask of a subset of the ground set."""
         mask = 0
         n = self.ground_size
         for j in subset:
@@ -117,35 +134,30 @@ class SetFunction:
         cached = self._cache.get(key)
         if cached is None:
             self._check_keys(key)
-            members = []
-            rest = key
-            while rest:
-                low = rest & -rest
-                members.append(low.bit_length() - 1)
-                rest ^= low
-            cached = float(self._eval(frozenset(members)))
+            cached = float(self._eval(frozenset(_bits(key))))
             self._cache[key] = cached
         return cached
 
     def _fill(self, missing: list):
-        """Memoize f at each of the distinct bitmasks ``missing``, in one
-        call to the oracle's vectorised form."""
+        """Memoize f at each of the distinct bitmasks ``missing``: two or
+        more in one call to the oracle's vectorised form when it has one (a
+        single miss is cheaper per key), else one oracle call each."""
+        if self._batch is None or len(missing) < 2:
+            for k in missing:
+                self._value_by_key(k)
+            return
         self._check_keys(min(missing), max(missing))
-        n = self.ground_size
-        width = (n + 7) // 8
-        packed = np.frombuffer(b"".join(k.to_bytes(width, "little") for k in missing),
-                               dtype=np.uint8).reshape(len(missing), width)
-        members = np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+        members = _members(missing, self.ground_size)
         self._cache.update(zip(missing, np.asarray(self._batch(members), dtype=float).tolist()))
 
     def value(self, subset: Iterable[int]) -> float:
         """f(S), cached by subset bitmask."""
-        return self._value_by_key(self._key(subset))
+        return self._value_by_key(self.key(subset))
 
     def marginal(self, j: int, subset: Iterable[int]) -> float:
         """f(S + j) - f(S); zero when j is already in S."""
-        key = self._key(subset)
-        return self._value_by_key(key | self._key((j,))) - self._value_by_key(key)
+        key = self.key(subset)
+        return self._value_by_key(key | self.key((j,))) - self._value_by_key(key)
 
     def values(self, keys: Iterable[int]) -> np.ndarray:
         """f at each bitmask in ``keys``, as one float array.  Two or more
@@ -153,23 +165,84 @@ class SetFunction:
         it has one (a single miss is cheaper per key)."""
         get = self._cache.get
         keys = keys if isinstance(keys, list) else list(keys)
-        found = [get(k) for k in keys]
+        found = list(map(get, keys))
         if None in found:
-            missing = list(dict.fromkeys(k for k, v in zip(keys, found) if v is None))
-            if self._batch is not None and len(missing) > 1:
-                self._fill(missing)
-            else:
-                for k in missing:
-                    self._value_by_key(k)
-            found = [get(k) for k in keys]
+            self._fill(list(dict.fromkeys(k for k, v in zip(keys, found) if v is None)))
+            found = list(map(get, keys))
         return np.array(found, dtype=float)
 
     def marginals(self, subset: Iterable[int]) -> np.ndarray:
         """f(S + j) - f(S) for every element j; zero where j is in S, since
         S + j is then S itself."""
-        key = self._key(subset)
-        return (self.values([key | 1 << j for j in range(self.ground_size)])
-                - self._value_by_key(key))
+        key = self.key(subset)
+        return self.values(self.marginal_keys(key)) - self._value_by_key(key)
+
+    def marginal_keys(self, key: int) -> list:
+        """The bitmasks of S + j for every element j, S given by its bitmask."""
+        return [key | 1 << j for j in range(self.ground_size)]
+
+
+def _bits(key: int) -> list:
+    """The elements of the bitmask ``key``, ascending."""
+    members = []
+    while key:
+        low = key & -key
+        members.append(low.bit_length() - 1)
+        key ^= low
+    return members
+
+
+def _members(keys: list, n: int) -> np.ndarray:
+    """The (len(keys), n) bool membership matrix of the bitmasks ``keys``."""
+    if len(keys) == 1:  # one key: set its bits, fewer steps than unpacking
+        members = np.zeros((1, n), dtype=bool)
+        members.put(_bits(keys[0]), True)
+        return members
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(k.to_bytes(width, "little") for k in keys),
+                           dtype=np.uint8).reshape(len(keys), width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+
+
+def values_in(fns: Sequence[SetFunction], keys: Sequence[Sequence[int]]) -> list:
+    """fns[i] at each bitmask of the sequence keys[i]: one list of floats
+    per function.
+
+    The distinct misses of two or more functions of one family (see
+    :class:`SetFunction`) go to the family's kernel in one call; any other
+    function fills its misses as :meth:`SetFunction.values` does, so a read
+    whose misses fall in one function pays nothing for the family.  Each
+    memo gains exactly the keys that function's own ``values`` would add.
+    """
+    if len(keys) != len(fns):
+        raise ValueError("need one key list per set function")
+    families: dict = {}
+    for fn, fn_keys in zip(fns, keys):
+        missing = set(fn_keys).difference(fn._cache)
+        if not missing:
+            continue
+        if fn._family is None:
+            fn._fill(list(missing))
+        else:
+            families.setdefault(fn._family[0], []).append((fn, missing))
+    for source, group in families.items():
+        if len(group) == 1:
+            fn, missing = group[0]
+            fn._fill(list(missing))
+            continue
+        n = group[0][0].ground_size  # a family shares one ground size
+        flat = [k for _, missing in group for k in missing]
+        group[0][0]._check_keys(min(flat), max(flat))
+        owners = np.array([fn._family[1] for fn, _ in group])
+        if len(flat) == len(group) and flat.count(flat[0]) == len(flat):
+            read = source.rows(owners, _members(flat[:1], n))  # one key, one row for all
+        else:
+            read = source.rows(owners.repeat([len(missing) for _, missing in group]),
+                               _members(flat, n))
+        read = iter(np.asarray(read, dtype=float).tolist())
+        for fn, missing in group:
+            fn._cache.update(zip(missing, read))  # zip stops at missing's end
+    return [list(map(fn._cache.__getitem__, fn_keys)) for fn, fn_keys in zip(fns, keys)]
 
 
 @dataclass(frozen=True)
@@ -209,14 +282,10 @@ def build_cut(fn: SetFunction, subset: Iterable[int], alpha: float,
     n = fn.ground_size
     if gen and (min(gen) < 0 or max(gen) >= n):
         raise ValueError("generating set not within ground set")
-    # One read: f(S + j) for every j, f(S), then f(N) and f(N - j) for each
-    # in-set j (f(N) only when there is one).  Python's sum in the set's
-    # iteration order fixes the constant's rounding.
+    # One read of cut_keys.  Python's sum in the set's iteration order fixes
+    # the constant's rounding.
     inside = list(gen)
-    key = fn._key(gen)
-    full = (1 << n) - 1
-    read = fn.values([key | 1 << j for j in range(n)] + [key]
-                     + [full] * bool(inside) + [full ^ 1 << j for j in inside])
+    read = fn.values(cut_keys(fn, gen))
     at_gen = float(read[n])
     full_minus = read[n + 1:n + 2] - read[n + 2:]
     constant = (at_gen - sum(full_minus.tolist())) / alpha
@@ -226,12 +295,23 @@ def build_cut(fn: SetFunction, subset: Iterable[int], alpha: float,
                          scenario_index=scenario_index, generating_set=gen)
 
 
+def cut_keys(fn: SetFunction, gen: frozenset) -> list:
+    """The bitmasks :func:`build_cut` reads at the generating set S, in its
+    order: S + j for every j, S, then N and N - j for each j in S in the
+    set's iteration order (N only when S has an element)."""
+    key = fn.key(gen)
+    full = (1 << fn.ground_size) - 1
+    return fn.marginal_keys(key) + [key] + [full] * bool(gen) + [full ^ 1 << j for j in gen]
+
+
 def empty_set_cuts(fns: Sequence[SetFunction], alphas: Sequence[float]) -> list:
-    """One empty-generating-set cut per function; the standard warm start."""
+    """One empty-generating-set cut per function; the standard warm start,
+    whose values are read for every function in one :func:`values_in`."""
     if not fns:
         raise ValueError("at least one set function is required")
     if len(fns) != len(alphas):
         raise ValueError("need one alpha per set function")
+    values_in(fns, [cut_keys(fn, frozenset()) for fn in fns])
     return [build_cut(fn, (), alpha, i) for i, (fn, alpha) in enumerate(zip(fns, alphas))]
 
 

@@ -12,6 +12,11 @@ zero-marginal witnesses before the cut is built; the resulting inequality is
 still tight at the candidate.  The tree keeps its open nodes as cuts arrive
 and re-bounds each when it is next popped (Padberg & Rinaldi 1991).
 
+A separation reads the candidate in every scenario, then the violated
+scenarios' marginals, pair keys and cut keys, each step in one
+:func:`~robustmax.core.values_in` read, so that oracles of one family
+compute each step's misses together.
+
 Before the tree starts, locations that a no-dearer location covers in every
 scenario are fixed at zero (:func:`kept_locations`), so the tree branches
 only on the rest; cuts and the pool still span the whole ground set.
@@ -29,8 +34,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import (TOL, SetFunction, SubmodularCut, build_cut, empty_set_cuts,
-                   objective_slack)
+from .core import (TOL, SetFunction, SubmodularCut, build_cut, cut_keys, empty_set_cuts,
+                   objective_slack, values_in)
 from .master import MasterState, STATUS_OPTIMAL, check_knapsack
 
 MAX_GROUND = 22  # largest ground set brute_force_robust enumerates
@@ -120,6 +125,12 @@ def support(x: Sequence[int]) -> frozenset:
     return frozenset(j for j, xj in enumerate(x) if xj)
 
 
+def values_at(fns: Sequence[SetFunction], subset: Iterable[int]) -> list:
+    """f_i(S) for every function, as floats, in one :func:`values_in` read."""
+    key = fns[0].key(subset)
+    return [v for v, in values_in(fns, [[key]] * len(fns))]
+
+
 def strengthen_generating_set(fn: SetFunction, incumbent: Iterable[int],
                               stop_pt: int) -> frozenset:
     """Rebuild the incumbent support into a stronger cut generating set.
@@ -139,16 +150,13 @@ def strengthen_generating_set(fn: SetFunction, incumbent: Iterable[int],
     incumbent = frozenset(incumbent)
     if stop_pt == 0:
         return incumbent
-    slack = TOL * fn.value(incumbent)
+    slack, zero, pairs = _candidates(incumbent, fn.value(incumbent),
+                                     fn.marginals(incumbent).tolist())
     covered: set = set()
     admitted: set = set()
     bar = sorted(incumbent)
-    zero = [j for j, gain in enumerate(fn.marginals(incumbent).tolist()) if gain <= slack]
-    # Every pair marginal f({j, k}) - f({k}), read in two batches; for
-    # k = j it is 0, as marginal(j, {j}) is.
-    pairs = [(j, k) for j in zero for k in bar]
-    pair_gain = (fn.values([1 << j | 1 << k for j, k in pairs])
-                 - fn.values([1 << k for _, k in pairs])).tolist()
+    read = fn.values(_pair_keys(pairs))
+    pair_gain = (read[:len(pairs)] - read[len(pairs):]).tolist()
     witness = {pair for pair, gain in zip(pairs, pair_gain) if gain <= slack}
     for j in zero:
         found = [k for k in bar if (j, k) in witness][:stop_pt]
@@ -162,6 +170,23 @@ def strengthen_generating_set(fn: SetFunction, incumbent: Iterable[int],
             admitted.add(j)
             covered |= tmp
     return frozenset(admitted) | (incumbent - covered)
+
+
+def _candidates(incumbent: frozenset, at: float, gains: list) -> tuple:
+    """From f(incumbent) and each element's marginal gain there: the slack
+    TOL * f(incumbent), the elements j whose gain is within it, and every
+    pair (j, k) of such a j with k in the incumbent, whose pair marginal
+    f({j, k}) - f({k}) strengthening reads next; for k = j it is 0, as
+    marginal(j, {j}) is."""
+    slack = TOL * at
+    zero = [j for j, gain in enumerate(gains) if gain <= slack]
+    bar = sorted(incumbent)
+    return slack, zero, [(j, k) for j in zero for k in bar]
+
+
+def _pair_keys(pairs: list) -> list:
+    """The bitmasks of {j, k} for every pair, then of {k} for every pair."""
+    return [1 << j | 1 << k for j, k in pairs] + [1 << k for _, k in pairs]
 
 
 def kept_locations(fns: Sequence[SetFunction], costs: Sequence[float]) -> np.ndarray | None:
@@ -231,7 +256,8 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
         nonlocal separations
         master_values.append(bound)
         chosen = support(x_bar)
-        values = [fn.value(chosen) / a for fn, a in zip(fns, alphas)]
+        at_x = values_at(fns, chosen)
+        values = [v / a for v, a in zip(at_x, alphas)]
         worst = min(values)
         if value <= worst + config.epsilon + slack:
             return worst + config.epsilon  # no scenario is violated
@@ -239,9 +265,21 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
             targets = [i for i, v in enumerate(values) if v <= worst + slack]
         else:
             targets = list(range(m))
-        cuts = [build_cut(fns[i], strengthen_generating_set(fns[i], chosen, config.stop_pt),
-                          alphas[i], i)
-                for i in targets if value > values[i] + config.epsilon + slack]
+        violated = [i for i in targets if value > values[i] + config.epsilon + slack]
+        cut_fns = [fns[i] for i in violated]
+        # With two or more violated scenarios, each step's keys are read in
+        # all of them at once, so that strengthening and build_cut find
+        # their values in the memo; one scenario reads them itself.
+        prefetch = len(cut_fns) > 1
+        if prefetch and config.stop_pt:
+            after = values_in(cut_fns, [fn.marginal_keys(fn.key(chosen)) for fn in cut_fns])
+            values_in(cut_fns, [_pair_keys(_candidates(chosen, at_x[i],
+                                                       [v - at_x[i] for v in row])[2])
+                                for i, row in zip(violated, after)])
+        gens = [strengthen_generating_set(fn, chosen, config.stop_pt) for fn in cut_fns]
+        if prefetch:
+            values_in(cut_fns, [cut_keys(fn, gen) for fn, gen in zip(cut_fns, gens)])
+        cuts = [build_cut(fns[i], gen, alphas[i], i) for i, gen in zip(violated, gens)]
         if not state.add_cut(*cuts):
             raise RuntimeError("separation stalled: violated scenario produced no new cut")
         separations += 1
@@ -252,7 +290,7 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
         remaining = max(0.0, config.time_limit - (time.monotonic() - start))
     result = state.solve(separate, time_limit=remaining)
     x = result.x
-    eta = min(fn.value(support(x)) / a for fn, a in zip(fns, alphas))
+    eta = min(v / a for v, a in zip(values_at(fns, support(x)), alphas))
     if result.status == STATUS_OPTIMAL:
         upper = eta + config.epsilon
     else:

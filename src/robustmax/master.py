@@ -34,6 +34,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -119,10 +120,11 @@ class MasterState:
         order and the count are those of inserting the cuts one at a time,
         so a later cut of the call may drop or be refused by an earlier one.
         One comparison covers every pair among the call's cuts and the pool
-        cuts that share a generating set with one of them; the insertions
-        then replay it.  A cut of the wrong dimension, or whose constant, a
-        coefficient or their sum is not finite, is refused before any cut is
-        inserted.
+        cuts that share a generating set with one of them, restricted to the
+        cuts whose set occurs at least twice there (only pairs with one set
+        are read); the insertions then replay it.  A cut of the wrong
+        dimension, or whose constant, a coefficient or their sum is not
+        finite, is refused before any cut is inserted.
         """
         for cut in cuts:
             if cut.ground_size != self.n:
@@ -133,15 +135,21 @@ class MasterState:
         gens = {cut.generating_set for cut in cuts}
         shared = [i for i, c in enumerate(self.cut_pool) if c.generating_set in gens]
         group = [self.cut_pool[i] for i in shared] + list(cuts)
-        # Only cuts that share a generating set are compared: no matrix when none do.
-        beats = dominance(group).tolist() if len(gens) < len(group) else None
+        # Only cuts whose generating set repeats in the group are compared,
+        # row[q] their row in the matrix: no matrix when no set repeats.
+        beats = row = None
+        if len(gens) < len(group):
+            count = Counter(c.generating_set for c in group)
+            repeated = [q for q, c in enumerate(group) if count[c.generating_set] > 1]
+            row = {q: r for r, q in enumerate(repeated)}
+            beats = dominance([group[q] for q in repeated]).tolist()
         alive = list(range(len(shared)))  # positions in group of the cuts in the pool
         accepted = 0
         for r in range(len(shared), len(group)):
             gen = group[r].generating_set
             same = [q for q in alive if group[q].generating_set == gen]
-            if not any(beats[q][r] for q in same):
-                drop = {q for q in same if beats[r][q]}
+            if not any(beats[row[q]][row[r]] for q in same):
+                drop = {q for q in same if beats[row[r]][row[q]]}
                 alive = [q for q in alive if q not in drop] + [r]
                 accepted += 1
         if accepted:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .core import TOL, SetFunction, SubmodularCut, build_cut
-from .dcg import DcgConfig, ground_size, solve_robust, support
+from .dcg import DcgConfig, ground_size, solve_robust, support, values_at
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,7 @@ def solve_ratio_robust(fns: Sequence[SetFunction], costs: Sequence[float],
 
     ub = report.upper_bound
     chosen = support(report.x)
-    values = [fn.value(chosen) for fn in fns]
+    values = values_at(fns, chosen)
     lb = min(ub, *(v / b.upper for v, b in zip(values, per_scenario)))
     certified, reason = certify_ratio_optimal(per_scenario, values, ub)
     gap = (ub - lb) / ub if ub > 0 else 0.0

@@ -10,12 +10,11 @@ submodular objective the solvers maximize.
 
 Travel times are static per-scenario edge weights; no hydraulics.  The
 oracles of one instance read one (m, n, k) stack of the scenarios' saved
-arrays, each its own slice, and share a one-entry cache: the last set
-evaluated with its values in every scenario, one tuple that a miss replaces
-atomically.  Reading a set in one scenario after another, as separation
-does, computes it once.  The instance data is immutable after construction,
-and oracles are shared freely across threads: a reader uses a cached tuple
-only if it holds the reader's own set.
+arrays and form one family: a read that spans several scenarios, and every
+scalar read, goes through the stack's one kernel, which computes only the
+(scenario, set) rows it is given.  The instance data is immutable after
+construction, the kernel keeps no state, and oracles are shared freely
+across threads.
 """
 
 from __future__ import annotations
@@ -32,6 +31,8 @@ from .core import SetFunction, TOL
 
 # Most bool entries one chunk of a batched oracle evaluation holds at once.
 BATCH_CHUNK = 1 << 16
+# Most saved entries one chunk of a stacked read gathers at once.
+ROWS_CHUNK = 1 << 18
 
 
 class ParseError(ValueError):
@@ -142,42 +143,61 @@ def _expected(best: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 class _ScenarioStack:
     """The saved arrays of an instance's scenarios, stacked (m, n, k), and
-    the last set evaluated: ``last`` is (S, its m values), one tuple that an
-    evaluation replaces whole, so a reader that finds S there on any thread
-    reads S's own values.  Scenario oracles usually read a set in one
-    scenario after another; the first read computes it in all of them."""
+    the one kernel that reads them, :meth:`rows`."""
 
-    __slots__ = ("saved", "probs", "last")
+    __slots__ = ("saved", "probs", "_flat")
 
     def __init__(self, saved: np.ndarray, network: Network):
         self.saved = saved
         self.probs = np.asarray(network.source_probabilities)
-        self.last = (None, None)
+        self._flat = saved.reshape(-1, saved.shape[2])  # row i * n + v: saved[i, v]; a view
 
-    def values(self, subset: frozenset) -> np.ndarray:
-        """f_i(S) for every scenario i: one gather, one max, one product."""
-        last = self.last
-        if last[0] != subset:
-            best = self.saved[:, sorted(subset)].max(axis=1)
-            last = self.last = (subset, _expected(best, self.probs))
-        return last[1]
+    def rows(self, scenario_of_row: np.ndarray, members: np.ndarray) -> np.ndarray:
+        """f_i(S) for each row r: i = scenario_of_row[r] and S the members of
+        row r of the (B, n) bool matrix, or of its one row when it has one
+        (one set, read in every scenario given); no row may be empty.  One
+        gather of every member's saved row, one max over each row's members
+        and one :func:`_expected` product, in chunks of rows that gather at
+        most ``ROWS_CHUNK`` saved entries.  The max is the one the batch
+        kernel takes, so each value equals its row with ==."""
+        n, k = self.saved.shape[1:]
+        step = max(1, ROWS_CHUNK // (n * k))  # a row has at most n members
+        if len(scenario_of_row) > step:
+            return np.concatenate([
+                self.rows(scenario_of_row[lo:lo + step],
+                          members if len(members) == 1 else members[lo:lo + step])
+                for lo in range(0, len(scenario_of_row), step)])
+        at = members.ravel().nonzero()[0]  # r * n + v for member v of row r, in row order
+        if len(members) == 1:  # one set: a dense (B, |S|) gather, no ragged reduction
+            best = self._flat.take(scenario_of_row[:, None] * n + at, axis=0).max(axis=1)
+        else:
+            row, col = np.divmod(at, n)
+            gathered = self._flat.take(scenario_of_row[row] * n + col, axis=0)
+            starts = row.searchsorted(np.arange(len(members)))  # each row's first member
+            best = np.maximum.reduceat(gathered, starts)
+        return _expected(best, self.probs)
 
 
 def _scenario_oracle(stack: _ScenarioStack, i: int, name: str) -> SetFunction:
-    """The oracle of scenario i of the stack: it reads its own slice."""
+    """The oracle of scenario i of the stack, in the stack's family: a
+    scalar read computes scenario i alone."""
     saved = stack.saved[i]
+    n = len(saved)
+    own = np.array([i])
 
     def evaluate(subset: frozenset) -> float:
         if not subset:
             return 0.0
-        return float(stack.values(subset)[i])
+        members = np.zeros((1, n), dtype=bool)
+        members.put(list(subset), True)
+        return float(stack.rows(own, members)[0])
 
     def covers() -> np.ndarray:
         # k covers j when it saves at least as much for every source: then
         # max_{v in S+k} saved[v] >= max_{v in S+j} saved[v] for every S,
         # and the sums over sources with probs >= 0 keep that order.
         by_source = np.ascontiguousarray(saved.T)
-        relation = np.ones((len(saved), len(saved)), dtype=bool)
+        relation = np.ones((n, n), dtype=bool)
         step = max(1, BATCH_CHUNK // relation.size)  # bounds the (step, n, n) temporary
         for lo in range(0, len(by_source), step):
             rows = by_source[lo:lo + step]
@@ -186,7 +206,8 @@ def _scenario_oracle(stack: _ScenarioStack, i: int, name: str) -> SetFunction:
 
     evaluate.batch = _BatchEvaluation(saved, stack.probs)
     evaluate.covers = covers
-    return SetFunction(len(saved), evaluate, name=name)
+    evaluate.family = (stack, i)
+    return SetFunction(n, evaluate, name=name)
 
 
 class _BatchEvaluation:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import robustmax.core
 from robustmax import (SetFunction, SubmodularCut, build_cut, check_submodular,
                        dominates, empty_set_cuts, generate_instance)
-from robustmax.core import TOL
+from robustmax.core import TOL, values_in
 
 from conftest import (all_subsets, cut_is_valid, modular_fn,
                       random_coverage, table_fn, tight_face_rank)
@@ -52,6 +52,94 @@ def scalar_sampled_check_submodular(fn: SetFunction, samples: int, seed: int) ->
         if mj < -slack or fn.marginal(j, base | {k}) > mj + slack:
             return False
     return True
+
+
+class CoverageFamily:
+    """m weighted coverage functions that share one kernel, as a family:
+    ``rows`` evaluates each row's members in its own function and records
+    the functions each call spans.  Integer weights keep every sum exact,
+    so the kernel's values equal the scalar ones with ==."""
+
+    def __init__(self, m: int, n: int, seed: int):
+        rng = np.random.default_rng(seed)
+        self.covers = rng.random((m, n, 6)) < 0.4
+        self.weights = rng.integers(1, 6, 6)
+        self.calls: list = []
+
+    def rows(self, scenario_of_row, members):
+        self.calls.append(np.asarray(scenario_of_row).tolist())
+        covered = (members[:, :, None] & self.covers[scenario_of_row]).any(axis=1)
+        return (covered * self.weights).sum(axis=1).astype(float)
+
+    def functions(self) -> list:
+        fns = []
+        for i, cover in enumerate(self.covers):
+            def evaluate(S, cover=cover):
+                return float(self.weights[cover[sorted(S)].any(axis=0)].sum()) if S else 0.0
+            evaluate.family = (self, i)
+            fns.append(SetFunction(len(cover), evaluate))
+        return fns
+
+
+class TestFamilyReads:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.one_of(st.integers(3, 40), st.sampled_from((65, 72))),
+           st.integers(0, 2**32 - 1), st.data())
+    def test_equals_per_function_reads(self, m, n, seed, data):
+        # hits, misses, repeated keys and the full set, in several functions
+        # at once: each function's own values, the memo per-function reads
+        # leave, and one family call for the misses of two or more functions
+        family = CoverageFamily(m, n, seed)
+        rng = np.random.default_rng(seed)
+        members = rng.random((5, n)) < rng.random((5, 1))
+        members[0] = True  # the full set
+        pool = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in members]
+        reads = st.lists(st.tuples(st.integers(0, m - 1), st.sampled_from(pool)), max_size=30)
+        warm, now = data.draw(reads), data.draw(reads)
+        fns, alone = family.functions(), family.functions()
+        for sides in (fns, alone):
+            for i, key in warm:
+                sides[i].values([key])
+        keys = [[key for i, key in now if i == f] for f in range(m)]
+        misses = [set(fn_keys) - set(fn._cache) for fn, fn_keys in zip(fns, keys)]
+        family.calls.clear()
+        got = values_in(fns, keys)
+        for fn, fn_keys in zip(alone, keys):
+            fn.values(fn_keys)
+        for fn, fn_keys, row, own in zip(fns, keys, got, alone):
+            assert row == [fn._eval(frozenset(j for j in range(n) if key >> j & 1))
+                           for key in fn_keys]
+            assert fn._cache == own._cache
+        missed = [i for i, missing in enumerate(misses) if missing]
+        if len(missed) > 1:
+            assert len(family.calls) == 1
+            assert sorted(family.calls[0]) == sorted(i for i in missed for _ in misses[i])
+        else:
+            assert family.calls == []  # one function's misses take its own path
+
+    @pytest.mark.parametrize("bad", [1 << 12, -1])
+    def test_out_of_range_key_refused_on_family_path(self, bad):
+        fns = CoverageFamily(3, 12, 1).functions()
+        with pytest.raises(ValueError):
+            values_in(fns, [[3], [5, bad], [6]])
+
+    def test_mixed_family_and_plain_functions(self):
+        family = CoverageFamily(3, 10, 2)
+        fns = family.functions()
+        plain = SetFunction(10, lambda S: float(len(S)))
+        mixed = [fns[0], plain, fns[2], modular_fn(range(1, 11))]
+        keys = [[0b1011, 0b1], [0b111, 0b1011], [0b1011, 0b110], [0b101]]
+        got = values_in(mixed, keys)
+        assert got[1] == [3.0, 3.0]
+        assert got[3] == [4.0]
+        for fn, fn_keys, row in zip(mixed, keys, got):
+            assert row == [fn._eval(frozenset(j for j in range(10) if key >> j & 1))
+                           for key in fn_keys]
+        assert [sorted(call) for call in family.calls] == [[0, 0, 2, 2]]
+
+    def test_needs_one_key_list_per_function(self):
+        with pytest.raises(ValueError):
+            values_in(CoverageFamily(2, 5, 0).functions(), [[1]])
 
 
 def batched(fn: SetFunction, calls: list) -> SetFunction:

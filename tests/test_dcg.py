@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustmax import (DcgConfig, SetFunction, brute_force_robust, build_cut,
-                       expected_reduction_oracle, generate_instance, solve_ratio_robust,
-                       solve_robust, strengthen_generating_set, support)
+                       empty_set_cuts, expected_reduction_oracle, generate_instance,
+                       solve_ratio_robust, solve_robust, strengthen_generating_set, support,
+                       water)
 
 from robustmax.core import TOL, objective_slack
 from robustmax.dcg import kept_locations
@@ -640,3 +641,66 @@ class TestCoveredLocations:
         fns = [max_type_fn(rows, np.ones(2), declare=True)]
         assert kept_locations(fns, (2**52, 2**52)) is None
         assert kept_locations(fns, (2**51, 2**51)).tolist() == [0]
+
+
+class TestReadCounts:
+    """How many kernel calls the water oracles' stack gets, counted by a
+    wrapper around its one kernel, ``_ScenarioStack.rows``."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        rows = water._ScenarioStack.rows
+
+        def counted(stack, scenario_of_row, members):
+            made.append(np.asarray(scenario_of_row).tolist())
+            return rows(stack, scenario_of_row, members)
+
+        monkeypatch.setattr(water._ScenarioStack, "rows", counted)
+        return made
+
+    @staticmethod
+    def family(made):
+        """The calls that span several scenarios, as a family read makes."""
+        return [call for call in made if len(set(call)) > 1]
+
+    def test_warm_start_is_one_call(self, calls):
+        fns = generate_instance(n=14, edge_factor=1.5, m=6, j_count=5, budget=20,
+                                seed=3).build_oracles()
+        empty_set_cuts(fns, [1.0] * 6)
+        assert len(calls) == 1
+        assert sorted(set(calls[0])) == list(range(6))
+
+    def test_scalar_read_computes_its_scenario(self, calls):
+        fns = generate_instance(n=14, edge_factor=1.5, m=6, j_count=5, budget=20,
+                                seed=3).build_oracles()
+        fns[3].value({0, 2, 5})
+        fns[3].marginal(7, {0, 2, 5})
+        assert calls == [[3], [3]]
+
+    @pytest.mark.parametrize("reduce", [False, True])
+    def test_separation_reads_once_per_step(self, calls, monkeypatch, reduce):
+        # x in every scenario, then the violated scenarios' marginals, pair
+        # keys and cut keys: at most four family calls per separation, and
+        # any other call is a scalar read of one set in one scenario
+        per_separation = []
+        solve = MasterState.solve
+
+        def counted_solve(state, separate, time_limit=None):
+            def counted(*args):
+                start = len(calls)
+                value = separate(*args)
+                per_separation.append(calls[start:])
+                return value
+            return solve(state, counted, time_limit)
+
+        monkeypatch.setattr(MasterState, "solve", counted_solve)
+        inst = generate_instance(n=14, edge_factor=1.5, m=6, j_count=5, budget=20, seed=3)
+        net = inst.network
+        solve_robust(inst.build_oracles(), [1.0] * 6, net.sensor_costs, net.budget,
+                     DcgConfig(reduce=reduce))
+        assert per_separation
+        assert all(len(self.family(made)) <= 4 for made in per_separation)
+        assert max(len(self.family(made)) for made in per_separation) >= 2 - reduce
+        assert all(len(call) == 1 for made in per_separation for call in made
+                   if call not in self.family(made))

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustmax import (Network, ParseError, Scenario, check_submodular,
+from robustmax import (Network, ParseError, Scenario, SetFunction, check_submodular,
                        expected_reduction_oracle, generate_instance,
                        parse_instance, reduction_matrix, serialize_instance)
+from robustmax.core import values_in
 
 
 def with_budget(instance, budget: int):
@@ -219,10 +220,10 @@ class TestExpectedReductionOracle:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 8), st.integers(3, 40), st.integers(0, 2**32 - 1), st.data())
     def test_stacked_reads_equal_batch_rows(self, m, n, seed, data):
-        # An instance's oracles share one stack and its last evaluated set:
-        # reads that alternate between scenarios and sets (S in scenario 0,
-        # T in 3, S in 1, ...) must each give the scenario's own batch row,
-        # which the one-scenario oracle gives as well.
+        # An instance's oracles share one stack: reads that alternate
+        # between scenarios and sets (S in scenario 0, T in 3, S in 1, ...)
+        # must each give the scenario's own batch row, which the
+        # one-scenario oracle gives as well.
         inst = generate_instance(n=n, edge_factor=41 / 36, m=m,
                                  j_count=data.draw(st.integers(1, n)), budget=n,
                                  seed=seed % 1000)
@@ -240,9 +241,9 @@ class TestExpectedReductionOracle:
             assert [single(S) for S in sets] == rows[i]
 
     def test_concurrent_reads_of_alternating_sets(self):
-        # Two threads read two sets in opposite phase, so each read may find
-        # the other thread's set in the shared cache, or have it replaced
-        # mid-read; every value must still be the scenario's own.
+        # Two threads read two sets in opposite phase through oracles that
+        # share one stack; the stack's kernel keeps no state, so every value
+        # must be the scenario's own whichever read runs when.
         n = 30
         inst = generate_instance(n=n, edge_factor=41 / 36, m=6, j_count=10, budget=n, seed=4)
         evaluators = [fn._eval for fn in inst.build_oracles()]
@@ -272,6 +273,62 @@ class TestExpectedReductionOracle:
         finally:
             sys.setswitchinterval(interval)
         assert wrong == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.one_of(st.integers(3, 40), st.sampled_from((65, 72))),
+           st.integers(0, 2**32 - 1), st.data())
+    def test_family_reads_equal_scalar_and_batch(self, m, n, seed, data):
+        # values_in fills the misses of an instance's oracles with one
+        # stacked kernel call: each value must equal the scenario's scalar
+        # evaluation and its batch row with ==, past 64-bit keys too, and
+        # each memo must be the one per-function reads leave.
+        inst = generate_instance(n=n, edge_factor=41 / 36, m=m,
+                                 j_count=data.draw(st.integers(1, n)), budget=n,
+                                 seed=seed % 1000)
+        rng = np.random.default_rng(seed)
+        members = rng.random((5, n)) < rng.random((5, 1))
+        members[0] = True  # the full set
+        pool = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in members]
+        reads = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.sampled_from(pool)),
+                                   min_size=1, max_size=30))
+        keys = [[key for i, key in reads if i == scenario] for scenario in range(m)]
+        fns, alone = inst.build_oracles(), inst.build_oracles()
+        got = values_in(fns, keys)
+        for fn, fn_keys in zip(alone, keys):
+            fn.values(fn_keys)
+        for fn, fn_keys, row, own in zip(fns, keys, got, alone):
+            evaluate = fn._eval
+            sets = [frozenset(j for j in range(n) if key >> j & 1) for key in fn_keys]
+            assert row == [evaluate(S) for S in sets]
+            if fn_keys:
+                held = np.array([[j in S for j in range(n)] for S in sets], dtype=bool)
+                assert row == evaluate.batch(held).tolist()
+            assert fn._cache == own._cache
+
+    @pytest.mark.parametrize("n", [12, 72])
+    def test_family_read_refuses_out_of_range_keys(self, n):
+        fns = generate_instance(n=n, edge_factor=41 / 36, m=3, j_count=4, budget=n,
+                                seed=2).build_oracles()
+        for bad in (1 << n, -1):
+            with pytest.raises(ValueError):
+                values_in(fns, [[3], [bad, 5], [6]])
+
+    def test_family_read_mixed_with_plain_functions(self):
+        # a plain SetFunction and oracles of two instances in one read: each
+        # function gets its own values
+        n = 10
+        first = generate_instance(n=n, edge_factor=1.5, m=3, j_count=4, budget=n,
+                                  seed=1).build_oracles()
+        second = generate_instance(n=n, edge_factor=1.5, m=2, j_count=3, budget=n,
+                                   seed=2).build_oracles()
+        plain = SetFunction(n, lambda S: float(len(S)))
+        fns = [first[0], plain, second[1], first[2], second[0]]
+        keys = [[0b1011, 0b1], [0b111, 0b1011], [0b1011, 0b110], [0b1011], [0b1100]]
+        got = values_in(fns, keys)
+        for fn, fn_keys, row in zip(fns, keys, got):
+            assert row == [fn._eval(frozenset(j for j in range(n) if key >> j & 1))
+                           for key in fn_keys]
+        assert got[1] == [3.0, 3.0]
 
 
 FIGURE_TEXT = """\
