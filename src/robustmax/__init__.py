@@ -14,8 +14,7 @@ from .dcg import (DcgConfig, SolveReport, brute_force_robust, solve_robust,
 from .master import MasterResult, MasterState
 from .ratio import (RatioReport, ScenarioBounds, certify_ratio_optimal,
                     maximize_single, rescale_cuts, solve_ratio_robust)
-from .water import (Instance, Network, ParseError, Scenario,
-                    expected_reduction_oracle, generate_instance,
+from .water import (Instance, Network, ParseError, Scenario, generate_instance,
                     parse_instance, reduction_matrix, serialize_instance)
 
 __all__ = [
@@ -27,7 +26,7 @@ __all__ = [
     "ScenarioBounds", "RatioReport", "maximize_single", "rescale_cuts",
     "solve_ratio_robust", "certify_ratio_optimal",
     "Network", "Scenario", "Instance", "ParseError",
-    "reduction_matrix", "expected_reduction_oracle",
+    "reduction_matrix",
     "parse_instance", "serialize_instance", "generate_instance",
 ]
 

@@ -2,19 +2,21 @@
 
 A :class:`SetFunction` wraps a monotone submodular function on the ground set
 ``{0, .., n-1}`` with memoized evaluation.  The memo is keyed by bitmask (bit
-j set iff element j is in the set).  Callers that need many values read
-them in batches, by bitmask (:meth:`SetFunction.values`) or as all marginals
-at one set (:meth:`SetFunction.marginals`), and the lawfulness checks read
-all their values in one batch.  An oracle may carry a vectorised form,
-``eval_fn.batch``, from a (B, n) bool membership matrix to B floats; a batch
-read then fills all its misses with one call to it.  Oracles may also form a
-family (``eval_fn.family``) whose one kernel evaluates rows of several
-members at once: :func:`values_in` reads keys in several functions and fills
-the misses of a family's functions with one call to it.  Every form's values
-must equal ``eval_fn``'s with ``==``, so the memo is the same whichever form
-filled it.  A single miss goes to ``eval_fn``.  An oracle may also declare
-which elements cover which (``eval_fn.covers``, see :class:`SetFunction`), so
-that the solvers never branch on a covered element.  From an oracle and a
+j set iff element j is in the set); elements and bitmasks may be any Python
+or numpy integers.  Callers that need many values read them in batches, and
+every batch read goes through one routine, :func:`values_in`, which reads
+keys in one or several functions: :meth:`SetFunction.values` is its call for
+one function, :meth:`SetFunction.marginals` reads all marginals at one set,
+and the lawfulness checks read all their values in one batch.  An oracle may
+carry a vectorised form, ``eval_fn.batch``, from a (B, n) bool membership
+matrix to B floats; a function's misses then go to it in one call.  Oracles
+may also form a family (``eval_fn.family``) whose one kernel evaluates rows
+of several members at once; the misses of two or more of a family's
+functions in one read go to it in one call.  Every form's values must equal
+``eval_fn``'s with ``==``, so the memo is the same whichever form filled it.
+A single miss goes to ``eval_fn``.  An oracle may also declare which
+elements cover which (``eval_fn.covers``, see :class:`SetFunction`), so that
+the solvers never branch on a covered element.  From an oracle and a
 generating set, :func:`build_cut` produces the linear inequality
 
     eta <= constant + sum_j coefficients[j] * x[j]
@@ -36,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import index
 from random import Random
 from typing import Callable, Iterable, Sequence
 
@@ -59,11 +62,14 @@ class SetFunction:
     value the oracle returns there, so every marginal is a difference of two
     of its own values.
 
+    Elements and bitmasks may be any Python or numpy integers; the memo
+    keys them as Python ints.
+
     ``eval_fn`` may carry an optional vectorised form as the attribute
     ``eval_fn.batch``: a function from a (B, n) bool membership matrix to
-    B floats.  :meth:`values` then fills all the keys it is missing with one
-    call to it.  Its row for S must equal ``eval_fn(S)`` with ``==``, so the
-    memo holds the same value whichever form filled it.
+    B floats.  A batch read then fills the two or more keys this function
+    is missing with one call to it.  Its row for S must equal ``eval_fn(S)``
+    with ``==``, so the memo holds the same value whichever form filled it.
 
     ``eval_fn`` may also carry ``eval_fn.covers``: a function of no
     arguments that returns an (n, n) bool relation, read by :attr:`covers`.
@@ -74,12 +80,11 @@ class SetFunction:
     ``eval_fn`` may also carry ``eval_fn.family = (source, i)``: the
     function is member i of a family whose members share ``source`` and its
     ground size.  ``source.rows(scenario_of_row, members)`` takes an int
-    array of B member indices and a bool membership matrix with no empty
-    row, (B, n) or (1, n) for one set read by every member given, and
-    returns B floats: float r is member ``scenario_of_row[r]``'s value at
-    its row, equal with ``==`` to that member's ``eval_fn``.
-    :func:`values_in` fills the misses of a family's functions with one
-    call to it.
+    array of B member indices and a (B, n) bool membership matrix with no
+    empty row, and returns B floats: float r is member
+    ``scenario_of_row[r]``'s value at row r, equal with ``==`` to that
+    member's ``eval_fn``.  :func:`values_in` fills the misses of two or more
+    of a family's functions with one call to it.
     """
 
     __slots__ = ("ground_size", "_eval", "_batch", "_relate", "_family", "_covers",
@@ -117,7 +122,7 @@ class SetFunction:
         """The bitmask of a subset of the ground set."""
         mask = 0
         n = self.ground_size
-        for j in subset:
+        for j in map(index, subset):
             if not 0 <= j < n:
                 raise ValueError(f"element {j} out of range for ground set of size {n}")
             mask |= 1 << j
@@ -138,18 +143,6 @@ class SetFunction:
             self._cache[key] = cached
         return cached
 
-    def _fill(self, missing: list):
-        """Memoize f at each of the distinct bitmasks ``missing``: two or
-        more in one call to the oracle's vectorised form when it has one (a
-        single miss is cheaper per key), else one oracle call each."""
-        if self._batch is None or len(missing) < 2:
-            for k in missing:
-                self._value_by_key(k)
-            return
-        self._check_keys(min(missing), max(missing))
-        members = _members(missing, self.ground_size)
-        self._cache.update(zip(missing, np.asarray(self._batch(members), dtype=float).tolist()))
-
     def value(self, subset: Iterable[int]) -> float:
         """f(S), cached by subset bitmask."""
         return self._value_by_key(self.key(subset))
@@ -160,16 +153,9 @@ class SetFunction:
         return self._value_by_key(key | self.key((j,))) - self._value_by_key(key)
 
     def values(self, keys: Iterable[int]) -> np.ndarray:
-        """f at each bitmask in ``keys``, as one float array.  Two or more
-        distinct misses go to the oracle's vectorised form in one call when
-        it has one (a single miss is cheaper per key)."""
-        get = self._cache.get
-        keys = keys if isinstance(keys, list) else list(keys)
-        found = list(map(get, keys))
-        if None in found:
-            self._fill(list(dict.fromkeys(k for k, v in zip(keys, found) if v is None)))
-            found = list(map(get, keys))
-        return np.array(found, dtype=float)
+        """f at each bitmask in ``keys``, as one float array: the
+        :func:`values_in` read of this function alone."""
+        return np.array(values_in((self,), (keys,))[0], dtype=float)
 
     def marginals(self, subset: Iterable[int]) -> np.ndarray:
         """f(S + j) - f(S) for every element j; zero where j is in S, since
@@ -194,51 +180,47 @@ def _bits(key: int) -> list:
 
 def _members(keys: list, n: int) -> np.ndarray:
     """The (len(keys), n) bool membership matrix of the bitmasks ``keys``."""
-    if len(keys) == 1:  # one key: set its bits, fewer steps than unpacking
-        members = np.zeros((1, n), dtype=bool)
-        members.put(_bits(keys[0]), True)
-        return members
     width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(k.to_bytes(width, "little") for k in keys),
+    packed = np.frombuffer(b"".join([k.to_bytes(width, "little") for k in keys]),
                            dtype=np.uint8).reshape(len(keys), width)
     return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
-def values_in(fns: Sequence[SetFunction], keys: Sequence[Sequence[int]]) -> list:
-    """fns[i] at each bitmask of the sequence keys[i]: one list of floats
-    per function.
+def values_in(fns: Sequence[SetFunction], keys: Sequence[Iterable[int]]) -> list:
+    """fns[i] at each bitmask of the iterable keys[i]: one list of floats
+    per function.  The one routine that finds and fills misses.
 
-    The distinct misses of two or more functions of one family (see
-    :class:`SetFunction`) go to the family's kernel in one call; any other
-    function fills its misses as :meth:`SetFunction.values` does, so a read
-    whose misses fall in one function pays nothing for the family.  Each
-    memo gains exactly the keys that function's own ``values`` would add.
+    A function's distinct misses go to its vectorised form in one call when
+    it has one and they are two or more, else one oracle call each; the
+    misses of two or more functions of one family (see
+    :class:`SetFunction`) go instead to the family's kernel, as one (B, n)
+    matrix in one call.  So a read whose misses fall in one function pays
+    nothing for the family, and each memo gains exactly the keys that
+    function's own ``values`` would add.
     """
     if len(keys) != len(fns):
         raise ValueError("need one key list per set function")
-    families: dict = {}
+    keys = [k if isinstance(k, (list, tuple, range)) else list(k) for k in keys]
+    groups: dict = {}  # one per family; a function outside any has its own
     for fn, fn_keys in zip(fns, keys):
         missing = set(fn_keys).difference(fn._cache)
-        if not missing:
+        if missing:
+            source = object() if fn._family is None else fn._family[0]
+            groups.setdefault(source, []).append((fn, list(map(index, missing))))
+    for source, group in groups.items():
+        fn, missing = group[0]
+        if len(group) == 1 and (fn._batch is None or len(missing) < 2):
+            for k in missing:  # one oracle call each: a single miss is cheaper so
+                fn._value_by_key(k)
             continue
-        if fn._family is None:
-            fn._fill(list(missing))
-        else:
-            families.setdefault(fn._family[0], []).append((fn, missing))
-    for source, group in families.items():
-        if len(group) == 1:
-            fn, missing = group[0]
-            fn._fill(list(missing))
-            continue
-        n = group[0][0].ground_size  # a family shares one ground size
         flat = [k for _, missing in group for k in missing]
-        group[0][0]._check_keys(min(flat), max(flat))
-        owners = np.array([fn._family[1] for fn, _ in group])
-        if len(flat) == len(group) and flat.count(flat[0]) == len(flat):
-            read = source.rows(owners, _members(flat[:1], n))  # one key, one row for all
+        fn._check_keys(min(flat), max(flat))
+        members = _members(flat, fn.ground_size)  # a family shares one ground size
+        if len(group) == 1:
+            read = fn._batch(members)
         else:
-            read = source.rows(owners.repeat([len(missing) for _, missing in group]),
-                               _members(flat, n))
+            owners = np.array([fn._family[1] for fn, _ in group])
+            read = source.rows(owners.repeat([len(missing) for _, missing in group]), members)
         read = iter(np.asarray(read, dtype=float).tolist())
         for fn, missing in group:
             fn._cache.update(zip(missing, read))  # zip stops at missing's end
@@ -278,7 +260,7 @@ def build_cut(fn: SetFunction, subset: Iterable[int], alpha: float,
     """
     if not 0 < alpha < math.inf:  # a NaN fails this test too
         raise ValueError("alpha must be positive and finite")
-    gen = frozenset(subset)
+    gen = element_set(subset)
     n = fn.ground_size
     if gen and (min(gen) < 0 or max(gen) >= n):
         raise ValueError("generating set not within ground set")
@@ -293,6 +275,16 @@ def build_cut(fn: SetFunction, subset: Iterable[int], alpha: float,
     coeffs[inside] = full_minus
     return SubmodularCut(constant=constant, coefficients=tuple((coeffs / alpha).tolist()),
                          scenario_index=scenario_index, generating_set=gen)
+
+
+def element_set(subset: Iterable[int]) -> frozenset:
+    """``frozenset(subset)``, its elements read as Python ints: a set of
+    Python ints keeps its iteration order, which fixes the rounding of sums
+    over it (see :func:`build_cut`)."""
+    elements = frozenset(subset)
+    if all(type(j) is int for j in elements):
+        return elements
+    return frozenset(map(index, elements))
 
 
 def cut_keys(fn: SetFunction, gen: frozenset) -> list:

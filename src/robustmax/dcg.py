@@ -34,8 +34,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import (TOL, SetFunction, SubmodularCut, build_cut, cut_keys, empty_set_cuts,
-                   objective_slack, values_in)
+from .core import (TOL, SetFunction, SubmodularCut, build_cut, cut_keys, element_set,
+                   empty_set_cuts, objective_slack, values_in)
 from .master import MasterState, STATUS_OPTIMAL, check_knapsack
 
 MAX_GROUND = 22  # largest ground set brute_force_robust enumerates
@@ -147,7 +147,7 @@ def strengthen_generating_set(fn: SetFunction, incumbent: Iterable[int],
     part of the incumbent; the cut built on it is valid and remains tight at
     the incumbent.  stop_pt = 0 returns the support unchanged.
     """
-    incumbent = frozenset(incumbent)
+    incumbent = element_set(incumbent)
     if stop_pt == 0:
         return incumbent
     slack, zero, pairs = _candidates(incumbent, fn.value(incumbent),

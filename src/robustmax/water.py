@@ -9,11 +9,13 @@ saving over sources, weighted by event probabilities, is the monotone
 submodular objective the solvers maximize.
 
 Travel times are static per-scenario edge weights; no hydraulics.  The
-oracles of one instance read one (m, n, k) stack of the scenarios' saved
-arrays and form one family: a read that spans several scenarios, and every
-scalar read, goes through the stack's one kernel, which computes only the
-(scenario, set) rows it is given.  The instance data is immutable after
-construction, the kernel keeps no state, and oracles are shared freely
+oracles of one instance are made by one evaluator, which holds the (m, n, k)
+stack of the scenarios' saved arrays, and they form one family.  A read that
+spans several scenarios, and every scalar read, goes through the stack's
+gather-and-reduce kernel, which computes only the (scenario, set) rows it is
+given; a batch read of one oracle goes through its scenario's ranking
+kernel.  The instance data is immutable after construction, the kernels
+keep no state but a ranking built once, and oracles are shared freely
 across threads.
 """
 
@@ -23,6 +25,7 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from random import Random
 
 import numpy as np
@@ -128,13 +131,6 @@ def reduction_matrix(network: Network, scenario: Scenario) -> np.ndarray:
     return saved
 
 
-def expected_reduction_oracle(network: Network, scenario: Scenario,
-                              name: str = "") -> SetFunction:
-    """Monotone submodular oracle S -> expected number of saved nodes."""
-    stack = _ScenarioStack(reduction_matrix(network, scenario)[None], network)
-    return _scenario_oracle(stack, 0, name)
-
-
 def _expected(best: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Row r of the (B, k) best savings dotted with probs, B values: matmul
     of (1, k) by (k, 1) blocks, one product for every form of evaluation."""
@@ -142,102 +138,60 @@ def _expected(best: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 
 class _ScenarioStack:
-    """The saved arrays of an instance's scenarios, stacked (m, n, k), and
-    the one kernel that reads them, :meth:`rows`."""
+    """The saved arrays of an instance's scenarios, stacked (m, n, k): the
+    instance's one evaluator.  :meth:`oracle` makes scenario i's oracle,
+    S -> expected number of saved nodes; its scalar reads, and the reads
+    that span scenarios, go to :meth:`rows`, its batch reads to
+    :meth:`batch`, and its covering relation is :meth:`covers`."""
 
-    __slots__ = ("saved", "probs", "_flat")
+    __slots__ = ("saved", "probs", "_flat", "_rankings")
 
     def __init__(self, saved: np.ndarray, network: Network):
         self.saved = saved
         self.probs = np.asarray(network.source_probabilities)
         self._flat = saved.reshape(-1, saved.shape[2])  # row i * n + v: saved[i, v]; a view
+        # each scenario's ranking is built on its first batch read: building
+        # an oracle costs no more
+        self._rankings: list = [None] * len(saved)
 
     def rows(self, scenario_of_row: np.ndarray, members: np.ndarray) -> np.ndarray:
         """f_i(S) for each row r: i = scenario_of_row[r] and S the members of
-        row r of the (B, n) bool matrix, or of its one row when it has one
-        (one set, read in every scenario given); no row may be empty.  One
-        gather of every member's saved row, one max over each row's members
-        and one :func:`_expected` product, in chunks of rows that gather at
-        most ``ROWS_CHUNK`` saved entries.  The max is the one the batch
-        kernel takes, so each value equals its row with ==."""
+        row r of the (B, n) bool matrix; no row may be empty.  One gather of
+        every member's saved row, one max over each row's members and one
+        :func:`_expected` product, in chunks of rows that gather at most
+        ``ROWS_CHUNK`` saved entries.  The max is the one :meth:`batch`
+        takes, so each value equals its row with ==."""
         n, k = self.saved.shape[1:]
         step = max(1, ROWS_CHUNK // (n * k))  # a row has at most n members
-        if len(scenario_of_row) > step:
-            return np.concatenate([
-                self.rows(scenario_of_row[lo:lo + step],
-                          members if len(members) == 1 else members[lo:lo + step])
-                for lo in range(0, len(scenario_of_row), step)])
-        at = members.ravel().nonzero()[0]  # r * n + v for member v of row r, in row order
-        if len(members) == 1:  # one set: a dense (B, |S|) gather, no ragged reduction
-            best = self._flat.take(scenario_of_row[:, None] * n + at, axis=0).max(axis=1)
-        else:
-            row, col = np.divmod(at, n)
-            gathered = self._flat.take(scenario_of_row[row] * n + col, axis=0)
-            starts = row.searchsorted(np.arange(len(members)))  # each row's first member
-            best = np.maximum.reduceat(gathered, starts)
-        return _expected(best, self.probs)
+        if len(members) > step:
+            return np.concatenate([self.rows(scenario_of_row[lo:lo + step], members[lo:lo + step])
+                                   for lo in range(0, len(members), step)])
+        # r * n + v for member v of row r, in row order
+        row, col = np.divmod(members.ravel().nonzero()[0], n)
+        gathered = self._flat.take(scenario_of_row[row] * n + col, axis=0)
+        starts = row.searchsorted(np.arange(len(members)))  # each row's first member
+        return _expected(np.maximum.reduceat(gathered, starts), self.probs)
 
+    def batch(self, i: int, members: np.ndarray) -> np.ndarray:
+        """f_i at each row of the (B, n) bool membership matrix, B values,
+        each equal with == to the scalar read.
 
-def _scenario_oracle(stack: _ScenarioStack, i: int, name: str) -> SetFunction:
-    """The oracle of scenario i of the stack, in the stack's family: a
-    scalar read computes scenario i alone."""
-    saved = stack.saved[i]
-    n = len(saved)
-    own = np.array([i])
-
-    def evaluate(subset: frozenset) -> float:
-        if not subset:
-            return 0.0
-        members = np.zeros((1, n), dtype=bool)
-        members.put(list(subset), True)
-        return float(stack.rows(own, members)[0])
-
-    def covers() -> np.ndarray:
-        # k covers j when it saves at least as much for every source: then
-        # max_{v in S+k} saved[v] >= max_{v in S+j} saved[v] for every S,
-        # and the sums over sources with probs >= 0 keep that order.
-        by_source = np.ascontiguousarray(saved.T)
-        relation = np.ones((n, n), dtype=bool)
-        step = max(1, BATCH_CHUNK // relation.size)  # bounds the (step, n, n) temporary
-        for lo in range(0, len(by_source), step):
-            rows = by_source[lo:lo + step]
-            relation &= (rows[:, :, None] >= rows[:, None, :]).all(axis=0)
-        return relation
-
-    evaluate.batch = _BatchEvaluation(saved, stack.probs)
-    evaluate.covers = covers
-    evaluate.family = (stack, i)
-    return SetFunction(n, evaluate, name=name)
-
-
-class _BatchEvaluation:
-    """The vectorised form of the water oracle: a (B, n) bool membership
-    matrix to B values, each equal with == to the scalar evaluation.
-
-    Per source, the sensor nodes are ranked by saved count, descending, and
-    the ranking ends with a sentinel node n that every set holds and that
-    saves 0 (saved is >= 0, so the sentinel sets the value only where the
-    members save 0 for that source or there are none).  A set's best sensor
-    for that source is its first member in the ranking, found by argmax, and
-    its count is an element of saved: the same max the scalar evaluation
-    takes, dotted with probs by the same :func:`_expected`.
-    """
-
-    __slots__ = ("saved", "probs", "_ranking")
-
-    def __init__(self, saved: np.ndarray, probs: np.ndarray):
-        self.saved = saved
-        self.probs = probs
-        self._ranking = None  # built on the first call: building an oracle costs no more
-
-    def __call__(self, members: np.ndarray) -> np.ndarray:
-        saved, probs = self.saved, self.probs
-        n, k = saved.shape
-        if self._ranking is None:
+        Per source, the sensor nodes are ranked by saved count, descending,
+        and the ranking ends with a sentinel node n that every set holds and
+        that saves 0 (saved is >= 0, so the sentinel sets the value only
+        where the members save 0 for that source or there are none).  A
+        set's best sensor for that source is its first member in the
+        ranking, found by argmax, and its count is an element of saved: the
+        same max :meth:`rows` takes, dotted with probs by the same
+        :func:`_expected`.
+        """
+        n, k = self.saved.shape[1:]
+        if self._rankings[i] is None:
+            saved = self.saved[i]
             order = np.argsort(-saved, axis=0, kind="stable")
             ranked = np.vstack([np.take_along_axis(saved, order, axis=0), np.zeros(k)])
-            self._ranking = np.vstack([order, np.full(k, n)]).T.copy(), ranked
-        order, ranked = self._ranking  # (k, n + 1) node ids, (n + 1, k) counts
+            self._rankings[i] = np.vstack([order, np.full(k, n)]).T.copy(), ranked
+        order, ranked = self._rankings[i]  # (k, n + 1) node ids, (n + 1, k) counts
         held = np.ones((len(members), n + 1), dtype=bool)
         held[:, :n] = members
         sources = np.arange(k)
@@ -246,8 +200,40 @@ class _BatchEvaluation:
         step = max(1, BATCH_CHUNK // order.size)
         for lo in range(0, len(members), step):
             best = ranked[held[lo:lo + step, order].argmax(axis=2), sources]
-            out[lo:lo + step] = _expected(best, probs)
+            out[lo:lo + step] = _expected(best, self.probs)
         return out
+
+    def covers(self, i: int) -> np.ndarray:
+        """Scenario i's (n, n) covering relation: k covers j when it saves
+        at least as much for every source.  Then max_{v in S+k} saved[v] >=
+        max_{v in S+j} saved[v] for every S, and the sums over sources with
+        probs >= 0 keep that order."""
+        by_source = np.ascontiguousarray(self.saved[i].T)
+        n = by_source.shape[1]
+        relation = np.ones((n, n), dtype=bool)
+        step = max(1, BATCH_CHUNK // relation.size)  # bounds the (step, n, n) temporary
+        for lo in range(0, len(by_source), step):
+            rows = by_source[lo:lo + step]
+            relation &= (rows[:, :, None] >= rows[:, None, :]).all(axis=0)
+        return relation
+
+    def oracle(self, i: int, name: str) -> SetFunction:
+        """Scenario i's oracle, in the stack's family: a scalar read
+        computes scenario i alone."""
+        n = self.saved.shape[1]
+        own = np.array([i])
+
+        def evaluate(subset: frozenset) -> float:
+            if not subset:
+                return 0.0
+            members = np.zeros((1, n), dtype=bool)
+            members.put(list(subset), True)
+            return float(self.rows(own, members)[0])
+
+        evaluate.batch = partial(self.batch, i)
+        evaluate.covers = partial(self.covers, i)
+        evaluate.family = (self, i)
+        return SetFunction(n, evaluate, name=name)
 
 
 @dataclass(frozen=True)
@@ -277,7 +263,7 @@ class Instance:
         stack of the scenarios' saved arrays (see :class:`_ScenarioStack`)."""
         stack = _ScenarioStack(np.stack([reduction_matrix(self.network, sc)
                                          for sc in self.scenarios]), self.network)
-        return [_scenario_oracle(stack, i, f"scenario-{i}") for i in range(len(self.scenarios))]
+        return [stack.oracle(i, f"scenario-{i}") for i in range(len(self.scenarios))]
 
 
 def _tokens(text: str):

@@ -9,7 +9,14 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from robustmax import Network, Scenario, SetFunction  # noqa: E402
+from robustmax import Instance, Network, Scenario, SetFunction  # noqa: E402
+
+
+def scenario_oracle(network: Network, scenario: Scenario) -> SetFunction:
+    """The water oracle of one scenario: the one oracle of the one-scenario
+    instance on the network."""
+    (fn,) = Instance(network=network, scenarios=(scenario,)).build_oracles()
+    return fn
 
 
 def modular_fn(weights) -> SetFunction:

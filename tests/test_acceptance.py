@@ -13,10 +13,10 @@ import pytest
 
 from robustmax import (DcgConfig, MasterState, SubmodularCut,
                        brute_force_robust, build_cut, check_submodular,
-                       empty_set_cuts, expected_reduction_oracle,
-                       generate_instance, reduction_matrix, solve_ratio_robust,
-                       solve_robust)
+                       empty_set_cuts, generate_instance, reduction_matrix,
+                       solve_ratio_robust, solve_robust)
 
+from conftest import scenario_oracle
 from facets import facet_check
 
 COMBOS = tuple(product((False, True), (0, 2)))  # (reduce, stop_pt)
@@ -79,7 +79,7 @@ def test_criterion_1_worked_example_fidelity(facet_pair, warmstart_triple):
 def test_criterion_2_figure_fidelity(figure_network):
     start = time.monotonic()
     net, sc = figure_network
-    fn = expected_reduction_oracle(net, sc)
+    fn = scenario_oracle(net, sc)
     assert fn.value({1, 2}) == 1.5
     saved = reduction_matrix(net, sc)
     assert max(saved[s, 0] for s in (1, 2)) == 1.0

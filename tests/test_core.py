@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 import robustmax.core
 from robustmax import (SetFunction, SubmodularCut, build_cut, check_submodular,
-                       dominates, empty_set_cuts, generate_instance)
+                       dominates, empty_set_cuts, generate_instance,
+                       strengthen_generating_set)
 from robustmax.core import TOL, values_in
 
-from conftest import (all_subsets, cut_is_valid, modular_fn,
-                      random_coverage, table_fn, tight_face_rank)
+from conftest import (all_subsets, cut_is_valid, modular_fn, random_coverage,
+                      scenario_oracle, table_fn, tight_face_rank)
 from facets import facet_check
 
 
@@ -127,11 +128,13 @@ class TestFamilyReads:
         family = CoverageFamily(3, 10, 2)
         fns = family.functions()
         plain = SetFunction(10, lambda S: float(len(S)))
-        mixed = [fns[0], plain, fns[2], modular_fn(range(1, 11))]
-        keys = [[0b1011, 0b1], [0b111, 0b1011], [0b1011, 0b110], [0b101]]
+        # plain twice: each entry reads its own keys
+        mixed = [fns[0], plain, fns[2], modular_fn(range(1, 11)), plain]
+        keys = [[0b1011, 0b1], [0b111, 0b1011], [0b1011, 0b110], [0b101], [0b11, 0b111]]
         got = values_in(mixed, keys)
         assert got[1] == [3.0, 3.0]
         assert got[3] == [4.0]
+        assert got[4] == [2.0, 3.0]
         for fn, fn_keys, row in zip(mixed, keys, got):
             assert row == [fn._eval(frozenset(j for j in range(10) if key >> j & 1))
                            for key in fn_keys]
@@ -355,9 +358,9 @@ class TestEmptySetCuts:
             empty_set_cuts(warmstart_triple, [1.0, 1.0])
 
     def test_water_oracle_singletons(self, figure_network):
-        from robustmax import expected_reduction_oracle, reduction_matrix
+        from robustmax import reduction_matrix
         net, sc = figure_network
-        fn = expected_reduction_oracle(net, sc)
+        fn = scenario_oracle(net, sc)
         (cut,) = empty_set_cuts([fn], [1.0])
         saved = reduction_matrix(net, sc)
         probs = net.source_probabilities
@@ -462,9 +465,8 @@ class TestCheckSubmodular:
         assert check_submodular(modular_fn((1, 2, 3)))
 
     def test_water_oracle_passes(self, figure_network):
-        from robustmax import expected_reduction_oracle
         net, sc = figure_network
-        assert check_submodular(expected_reduction_oracle(net, sc))
+        assert check_submodular(scenario_oracle(net, sc))
 
     def test_supermodular_fails(self):
         fn = SetFunction(3, lambda S: float(len(S) ** 2))
@@ -672,3 +674,47 @@ class TestBatchReads:
         assert len(calls) <= 1
         assert (cut.constant, cut.coefficients) == scalar_build_cut(scalar_fn, gen, alpha)
         assert batch_fn._cache == scalar_fn._cache
+
+
+class TestNumpyIntegers:
+    """Elements and bitmasks may be numpy integers: each read gives the
+    value the same read with Python ints gives, on a cold or a warm memo,
+    and the memo and the cut hold Python ints.  Under numpy 2, 1 << j for a
+    numpy j past bit 63 is 0, and a numpy key has no bit_length."""
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("n, pair", [(8, (3, 6)), (70, (3, 65))])
+    def test_reads_equal_python_int_reads(self, n, pair, warm):
+        inst = generate_instance(n=n, edge_factor=80 / 70, m=2, j_count=min(10, n),
+                                 budget=20, seed=1)
+        fn, ref = inst.build_oracles()[0], inst.build_oracles()[0]
+        low, high = pair
+        x = np.zeros(n, dtype=bool)
+        x[list(pair)] = True
+
+        def reads(f, numpy):
+            support = np.flatnonzero(x) if numpy else [low, high]
+            keys = np.arange(1, 6) if numpy else range(1, 6)
+            j = np.int64(high) if numpy else high
+            cut = build_cut(f, support, 1.0, 0)
+            return (f.value(support), f.marginal(j, [low]), f.values(keys).tolist(),
+                    (cut.constant, cut.coefficients, sorted(cut.generating_set)),
+                    sorted(strengthen_generating_set(f, support, 2)), cut)
+
+        if warm:
+            fn.value([low])
+            reads(fn, numpy=False)
+        *got, cut = reads(fn, numpy=True)
+        *want, _ = reads(ref, numpy=False)
+        assert got == want
+        assert fn._cache == ref._cache
+        assert all(type(key) is int for key in fn._cache)
+        assert all(type(j) is int for j in cut.generating_set)
+
+    def test_float_element_refused(self):
+        fn = modular_fn((1, 2, 4))
+        for bad in ([1.0], np.array([1.0])):
+            with pytest.raises(TypeError):
+                fn.value(bad)
+            with pytest.raises(TypeError):
+                build_cut(fn, bad, 1.0, 0)

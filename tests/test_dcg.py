@@ -11,16 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustmax import (DcgConfig, SetFunction, brute_force_robust, build_cut,
-                       empty_set_cuts, expected_reduction_oracle, generate_instance,
-                       solve_ratio_robust, solve_robust, strengthen_generating_set, support,
-                       water)
+                       empty_set_cuts, generate_instance, solve_ratio_robust, solve_robust,
+                       strengthen_generating_set, support, water)
 
 from robustmax.core import TOL, objective_slack
 from robustmax.dcg import kept_locations
 from robustmax.master import MasterState
 
 from conftest import (all_subsets, cut_is_valid, modular_fn, random_coverage, rhs,
-                      table_fn)
+                      scenario_oracle, table_fn)
 
 
 def scalar_brute_force(fns, alphas, costs, budget) -> tuple:
@@ -149,8 +148,8 @@ class TestStrengthenGeneratingSet:
             inst = generate_instance(n=16, edge_factor=41 / 36, m=3, j_count=5,
                                      budget=40, seed=seed)
             for sc in inst.scenarios:
-                fn = expected_reduction_oracle(inst.network, sc)
-                ref = expected_reduction_oracle(inst.network, sc)
+                fn = scenario_oracle(inst.network, sc)
+                ref = scenario_oracle(inst.network, sc)
                 for stop_pt in (1, 2, 3):
                     bar = frozenset(rng.sample(range(16), rng.randint(1, 8)))
                     assert (strengthen_generating_set(fn, bar, stop_pt)
@@ -365,7 +364,7 @@ class TestMalformedInputs:
 class TestBruteForce:
     def test_figure_instance_single_sensor(self, figure_network):
         net, sc = figure_network
-        fn = expected_reduction_oracle(net, sc)
+        fn = scenario_oracle(net, sc)
         eta, x = brute_force_robust([fn], [1.0], net.sensor_costs, net.budget)
         assert eta == pytest.approx(1.5, abs=1e-12)
         assert x == (0, 0, 0, 1)  # node 0 ties at 1.5; node 3 is lex-smaller

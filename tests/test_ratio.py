@@ -7,11 +7,10 @@ import pytest
 
 from robustmax import (DcgConfig, ScenarioBounds,
                        brute_force_robust, build_cut, certify_ratio_optimal,
-                       expected_reduction_oracle, generate_instance,
-                       maximize_single, ratio, rescale_cuts, solve_ratio_robust,
-                       support)
+                       generate_instance, maximize_single, ratio, rescale_cuts,
+                       solve_ratio_robust, support)
 
-from conftest import cut_is_valid, modular_fn
+from conftest import cut_is_valid, modular_fn, scenario_oracle
 
 
 class TestRescaleCuts:
@@ -46,7 +45,7 @@ class TestRescaleCuts:
 class TestMaximizeSingle:
     def test_figure_scenario_single_sensor(self, figure_network):
         net, sc = figure_network
-        fn = expected_reduction_oracle(net, sc)
+        fn = scenario_oracle(net, sc)
         bounds, report = maximize_single(fn, net.sensor_costs, net.budget)
         assert bounds.solved_exactly
         assert bounds.lower == pytest.approx(1.5, abs=1e-9)
@@ -61,7 +60,7 @@ class TestMaximizeSingle:
 
     def test_epsilon_is_not_exact(self, figure_network):
         net, sc = figure_network
-        bounds, report = maximize_single(expected_reduction_oracle(net, sc),
+        bounds, report = maximize_single(scenario_oracle(net, sc),
                                          net.sensor_costs, net.budget, DcgConfig(epsilon=0.5))
         assert report.status == "optimal"
         assert bounds.upper == bounds.lower + 0.5

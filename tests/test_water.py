@@ -14,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustmax import (Network, ParseError, Scenario, SetFunction, check_submodular,
-                       expected_reduction_oracle, generate_instance,
-                       parse_instance, reduction_matrix, serialize_instance)
+                       generate_instance, parse_instance, reduction_matrix,
+                       serialize_instance)
 from robustmax.core import values_in
+
+from conftest import scenario_oracle
 
 
 def with_budget(instance, budget: int):
@@ -157,7 +159,7 @@ class TestReductionMatrix:
 class TestExpectedReductionOracle:
     def test_worked_values(self, figure_network):
         net, sc = figure_network
-        fn = expected_reduction_oracle(net, sc)
+        fn = scenario_oracle(net, sc)
         assert fn.value({1, 2}) == pytest.approx(1.5, abs=1e-12)
         assert fn.value(()) == 0.0
         assert fn.value({2}) == pytest.approx(0.5, abs=1e-12)
@@ -168,7 +170,7 @@ class TestExpectedReductionOracle:
                                      budget=20, seed=seed)
             net = inst.network
             for sc in inst.scenarios:
-                fn = expected_reduction_oracle(net, sc)
+                fn = scenario_oracle(net, sc)
                 _, total = reference_saved(net, sc)
                 expect = sum(p * t for p, t in zip(net.source_probabilities, total))
                 assert fn.value(range(net.node_count)) == pytest.approx(expect, abs=1e-9)
@@ -209,7 +211,7 @@ class TestExpectedReductionOracle:
         j_count = data.draw(st.integers(1, n))
         inst = generate_instance(n=n, edge_factor=41 / 36, m=1, j_count=j_count,
                                  budget=n, seed=seed % 1000)
-        evaluate = expected_reduction_oracle(inst.network, inst.scenarios[0])._eval
+        evaluate = scenario_oracle(inst.network, inst.scenarios[0])._eval
         rng = np.random.default_rng(seed)
         members = rng.random((300, n)) < rng.random((300, 1))
         members[0] = False
@@ -237,7 +239,7 @@ class TestExpectedReductionOracle:
         for i, k in reads:
             assert evaluators[i](sets[k]) == rows[i][k]
         for i, scenario in enumerate(inst.scenarios):
-            single = expected_reduction_oracle(inst.network, scenario)._eval
+            single = scenario_oracle(inst.network, scenario)._eval
             assert [single(S) for S in sets] == rows[i]
 
     def test_concurrent_reads_of_alternating_sets(self):
@@ -281,7 +283,9 @@ class TestExpectedReductionOracle:
         # values_in fills the misses of an instance's oracles with one
         # stacked kernel call: each value must equal the scenario's scalar
         # evaluation and its batch row with ==, past 64-bit keys too, and
-        # each memo must be the one per-function reads leave.
+        # values and memo must be the ones per-function reads leave, with
+        # each key list in any container values takes (m = 1 reads the
+        # one-scenario stack).
         inst = generate_instance(n=n, edge_factor=41 / 36, m=m,
                                  j_count=data.draw(st.integers(1, n)), budget=n,
                                  seed=seed % 1000)
@@ -292,10 +296,15 @@ class TestExpectedReductionOracle:
         reads = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.sampled_from(pool)),
                                    min_size=1, max_size=30))
         keys = [[key for i, key in reads if i == scenario] for scenario in range(m)]
+        containers = {
+            "list": list, "tuple": tuple, "generator": lambda ks: (k for k in ks),
+            # numpy integers up to int64; past 63 bits an object array of ints
+            "numpy": lambda ks: np.array(ks, dtype=np.int64 if n < 63 else object),
+        }
+        contain = containers[data.draw(st.sampled_from(sorted(containers)))]
         fns, alone = inst.build_oracles(), inst.build_oracles()
-        got = values_in(fns, keys)
-        for fn, fn_keys in zip(alone, keys):
-            fn.values(fn_keys)
+        got = values_in(fns, [contain(fn_keys) for fn_keys in keys])
+        assert got == [fn.values(contain(fn_keys)).tolist() for fn, fn_keys in zip(alone, keys)]
         for fn, fn_keys, row, own in zip(fns, keys, got, alone):
             evaluate = fn._eval
             sets = [frozenset(j for j in range(n) if key >> j & 1) for key in fn_keys]
