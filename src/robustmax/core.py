@@ -22,8 +22,8 @@ generating set, :func:`build_cut` produces the linear inequality
     eta <= constant + sum_j coefficients[j] * x[j]
 
 that upper-bounds ``f(X)/alpha`` over all binary points and is tight at the
-generating set; :func:`cut_keys` names the bitmasks it reads, so a caller can
-read them for several functions first.  Pointwise dominance between such cuts
+generating set; :func:`build_cuts` builds the cuts of several functions from
+one read of every value they need.  Pointwise dominance between such cuts
 lives here as well, as one array comparison over a list of cuts
 (:func:`dominance`).
 
@@ -200,13 +200,14 @@ def values_in(fns: Sequence[SetFunction], keys: Sequence[Iterable[int]]) -> list
     """
     if len(keys) != len(fns):
         raise ValueError("need one key list per set function")
-    keys = [k if isinstance(k, (list, tuple, range)) else list(k) for k in keys]
+    # index refuses a float key, which a warm memo would answer as an int
+    keys = [list(map(index, fn_keys)) for fn_keys in keys]
     groups: dict = {}  # one per family; a function outside any has its own
     for fn, fn_keys in zip(fns, keys):
         missing = set(fn_keys).difference(fn._cache)
         if missing:
             source = object() if fn._family is None else fn._family[0]
-            groups.setdefault(source, []).append((fn, list(map(index, missing))))
+            groups.setdefault(source, []).append((fn, list(missing)))
     for source, group in groups.items():
         fn, missing = group[0]
         if len(group) == 1 and (fn._batch is None or len(missing) < 2):
@@ -253,58 +254,61 @@ class SubmodularCut:
 
 def build_cut(fn: SetFunction, subset: Iterable[int], alpha: float,
               scenario_index: int) -> SubmodularCut:
-    """Linearize fn's hypograph at the generating set, scaled by alpha.
+    """fn's hypograph linearized at the generating set, scaled by alpha, from
+    one :func:`values_in` read: the one-cut call of :func:`build_cuts`."""
+    return build_cuts((fn,), (subset,), (alpha,), (scenario_index,))[0]
 
-    The inequality is tight at the generating set and valid for
-    ``fn(X)/alpha`` at every binary point.
-    """
-    if not 0 < alpha < math.inf:  # a NaN fails this test too
+
+def build_cuts(fns: Sequence[SetFunction], subsets: Sequence[Iterable[int]],
+               alphas: Sequence[float], scenario_indices: Sequence[int]) -> list:
+    """One cut per function: fns[c]'s hypograph linearized at subsets[c] and
+    scaled by alphas[c], tight there and valid for ``fns[c](X)/alphas[c]`` at
+    every binary point, filed under scenario_indices[c].  Every cut's keys go
+    to one :func:`values_in` read (at S: S + j for every j, S, then N and
+    N - j for each j in S in the set's iteration order, N only when S has an
+    element), and each cut is computed from its row."""
+    if not len(fns) == len(subsets) == len(alphas) == len(scenario_indices):
+        raise ValueError("need one generating set, alpha and scenario index per set function")
+    if not all(0 < alpha < math.inf for alpha in alphas):  # a NaN fails this test too
         raise ValueError("alpha must be positive and finite")
-    gen = element_set(subset)
-    n = fn.ground_size
-    if gen and (min(gen) < 0 or max(gen) >= n):
+    gens = [element_set(subset) for subset in subsets]
+    if any(gen and (min(gen) < 0 or max(gen) >= fn.ground_size) for fn, gen in zip(fns, gens)):
         raise ValueError("generating set not within ground set")
-    # One read of cut_keys.  Python's sum in the set's iteration order fixes
-    # the constant's rounding.
-    inside = list(gen)
-    read = fn.values(cut_keys(fn, gen))
-    at_gen = float(read[n])
-    full_minus = read[n + 1:n + 2] - read[n + 2:]
-    constant = (at_gen - sum(full_minus.tolist())) / alpha
-    coeffs = read[:n] - at_gen
-    coeffs[inside] = full_minus
-    return SubmodularCut(constant=constant, coefficients=tuple((coeffs / alpha).tolist()),
-                         scenario_index=scenario_index, generating_set=gen)
+    keys = [fn.marginal_keys(key) + [key] + [full] * bool(gen) + [full ^ 1 << j for j in gen]
+            for fn, gen in zip(fns, gens)
+            for key, full in [(fn.key(gen), (1 << fn.ground_size) - 1)]]
+    cuts = []
+    for fn, gen, alpha, i, read in zip(fns, gens, alphas, scenario_indices, values_in(fns, keys)):
+        # Python's sum in the set's iteration order fixes the constant's rounding.
+        n = fn.ground_size
+        row = np.array(read)
+        full_minus = row[n + 1:n + 2] - row[n + 2:]
+        coeffs = row[:n] - read[n]
+        coeffs[list(gen)] = full_minus
+        cuts.append(SubmodularCut(constant=(read[n] - sum(full_minus.tolist())) / alpha,
+                                  coefficients=tuple((coeffs / alpha).tolist()),
+                                  scenario_index=i, generating_set=gen))
+    return cuts
 
 
 def element_set(subset: Iterable[int]) -> frozenset:
     """``frozenset(subset)``, its elements read as Python ints: a set of
     Python ints keeps its iteration order, which fixes the rounding of sums
-    over it (see :func:`build_cut`)."""
+    over it (see :func:`build_cuts`)."""
     elements = frozenset(subset)
     if all(type(j) is int for j in elements):
         return elements
     return frozenset(map(index, elements))
 
 
-def cut_keys(fn: SetFunction, gen: frozenset) -> list:
-    """The bitmasks :func:`build_cut` reads at the generating set S, in its
-    order: S + j for every j, S, then N and N - j for each j in S in the
-    set's iteration order (N only when S has an element)."""
-    key = fn.key(gen)
-    full = (1 << fn.ground_size) - 1
-    return fn.marginal_keys(key) + [key] + [full] * bool(gen) + [full ^ 1 << j for j in gen]
-
-
 def empty_set_cuts(fns: Sequence[SetFunction], alphas: Sequence[float]) -> list:
-    """One empty-generating-set cut per function; the standard warm start,
-    whose values are read for every function in one :func:`values_in`."""
+    """The standard warm start: one empty-set cut per function, filed under
+    its position, all from one :func:`build_cuts` read."""
     if not fns:
         raise ValueError("at least one set function is required")
     if len(fns) != len(alphas):
         raise ValueError("need one alpha per set function")
-    values_in(fns, [cut_keys(fn, frozenset()) for fn in fns])
-    return [build_cut(fn, (), alpha, i) for i, (fn, alpha) in enumerate(zip(fns, alphas))]
+    return build_cuts(fns, [frozenset()] * len(fns), alphas, range(len(fns)))
 
 
 def objective_slack(cuts: Iterable[SubmodularCut]) -> float:

@@ -7,15 +7,15 @@ separation at once.  The violated scenarios receive a fresh hypograph cut;
 with ``reduce`` on, only the scenarios attaining the worst scaled value are
 separated, which is sufficient for optimality and keeps the pool small.  A
 nonzero ``stop_pt`` routes the candidate's support through
-:func:`strengthen_generating_set`, which swaps covered support elements for
+:func:`strengthen_generating_sets`, which swaps covered support elements for
 zero-marginal witnesses before the cut is built; the resulting inequality is
 still tight at the candidate.  The tree keeps its open nodes as cuts arrive
 and re-bounds each when it is next popped (Padberg & Rinaldi 1991).
 
-A separation reads the candidate in every scenario, then the violated
-scenarios' marginals, pair keys and cut keys, each step in one
-:func:`~robustmax.core.values_in` read, so that oracles of one family
-compute each step's misses together.
+A separation makes four :func:`~robustmax.core.values_in` reads, however
+many scenarios it cuts: the candidate in every scenario, then the violated
+ones' marginals, pair keys and cut keys.  Strengthening and cut building
+compute from these values, and one family's oracles fill each read together.
 
 Before the tree starts, locations that a no-dearer location covers in every
 scenario are fixed at zero (:func:`kept_locations`), so the tree branches
@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import (TOL, SetFunction, SubmodularCut, build_cut, cut_keys, element_set,
+from .core import (TOL, SetFunction, SubmodularCut, build_cuts, element_set,
                    empty_set_cuts, objective_slack, values_in)
 from .master import MasterState, STATUS_OPTIMAL, check_knapsack
 
@@ -133,7 +133,17 @@ def values_at(fns: Sequence[SetFunction], subset: Iterable[int]) -> list:
 
 def strengthen_generating_set(fn: SetFunction, incumbent: Iterable[int],
                               stop_pt: int) -> frozenset:
-    """Rebuild the incumbent support into a stronger cut generating set.
+    """:func:`strengthen_generating_sets` for fn alone: f(incumbent), then its two reads."""
+    incumbent = element_set(incumbent)
+    if stop_pt == 0:
+        return incumbent
+    return strengthen_generating_sets((fn,), incumbent, (fn.value(incumbent),), stop_pt)[0]
+
+
+def strengthen_generating_sets(fns: Sequence[SetFunction], incumbent: Iterable[int],
+                               at: Sequence[float], stop_pt: int) -> list:
+    """Rebuild the incumbent support into a stronger cut generating set for
+    each function, ``at`` holding each f(incumbent).
 
     Scans every element j with zero marginal on the incumbent support; when
     it has stop_pt in-support witnesses k with fn.marginal(j, {k}) == 0, tmpQ
@@ -146,47 +156,42 @@ def strengthen_generating_set(fn: SetFunction, incumbent: Iterable[int],
     marked as covered.  The result is the admitted elements plus the uncovered
     part of the incumbent; the cut built on it is valid and remains tight at
     the incumbent.  stop_pt = 0 returns the support unchanged.
+
+    Every function's marginals at the incumbent go to one :func:`values_in`
+    read, its pair keys to one more, and the admission loops use those values.
     """
     incumbent = element_set(incumbent)
     if stop_pt == 0:
-        return incumbent
-    slack, zero, pairs = _candidates(incumbent, fn.value(incumbent),
-                                     fn.marginals(incumbent).tolist())
-    covered: set = set()
-    admitted: set = set()
+        return [incumbent] * len(fns)
+    ground_size(fns)
     bar = sorted(incumbent)
-    read = fn.values(_pair_keys(pairs))
-    pair_gain = (read[:len(pairs)] - read[len(pairs):]).tolist()
-    witness = {pair for pair, gain in zip(pairs, pair_gain) if gain <= slack}
-    for j in zero:
-        found = [k for k in bar if (j, k) in witness][:stop_pt]
-        if len(found) < stop_pt:
-            continue
-        tmp = covered.union(found)
-        with_j = frozenset(admitted | {j})
-        lhs = fn.value(tmp)
-        rhs = fn.value(with_j) + sum(fn.marginal(l, with_j) for l in tmp)
-        if abs(lhs - rhs) <= slack:
-            admitted.add(j)
-            covered |= tmp
-    return frozenset(admitted) | (incumbent - covered)
-
-
-def _candidates(incumbent: frozenset, at: float, gains: list) -> tuple:
-    """From f(incumbent) and each element's marginal gain there: the slack
-    TOL * f(incumbent), the elements j whose gain is within it, and every
-    pair (j, k) of such a j with k in the incumbent, whose pair marginal
-    f({j, k}) - f({k}) strengthening reads next; for k = j it is 0, as
-    marginal(j, {j}) is."""
-    slack = TOL * at
-    zero = [j for j, gain in enumerate(gains) if gain <= slack]
-    bar = sorted(incumbent)
-    return slack, zero, [(j, k) for j in zero for k in bar]
-
-
-def _pair_keys(pairs: list) -> list:
-    """The bitmasks of {j, k} for every pair, then of {k} for every pair."""
-    return [1 << j | 1 << k for j, k in pairs] + [1 << k for _, k in pairs]
+    after = values_in(fns, [fns[0].marginal_keys(fns[0].key(incumbent))] * len(fns))
+    # Per function: the slack, the j whose gain is within it, and each pair
+    # (j, k) with k in the incumbent: f({j, k}) - f({k}) is 0 for k = j.
+    slacks = [TOL * a for a in at]
+    zeros = [[j for j, v in enumerate(row) if v - a <= slack]
+             for a, row, slack in zip(at, after, slacks, strict=True)]
+    pairs = [[(j, k) for j in zero for k in bar] for zero in zeros]
+    reads = values_in(fns, [[1 << j | 1 << k for j, k in p] + [1 << k for _, k in p]
+                            for p in pairs])
+    gens = []
+    for fn, slack, zero, fn_pairs, read in zip(fns, slacks, zeros, pairs, reads):
+        witness = {pair for pair, both, alone in zip(fn_pairs, read, read[len(fn_pairs):])
+                   if both - alone <= slack}
+        covered, admitted = set(), set()
+        for j in zero:
+            found = [k for k in bar if (j, k) in witness][:stop_pt]
+            if len(found) < stop_pt:
+                continue
+            tmp = covered.union(found)
+            with_j = frozenset(admitted | {j})
+            lhs = fn.value(tmp)
+            rhs = fn.value(with_j) + sum(fn.marginal(l, with_j) for l in tmp)
+            if abs(lhs - rhs) <= slack:
+                admitted.add(j)
+                covered |= tmp
+        gens.append(frozenset(admitted) | (incumbent - covered))
+    return gens
 
 
 def kept_locations(fns: Sequence[SetFunction], costs: Sequence[float]) -> np.ndarray | None:
@@ -267,19 +272,9 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
             targets = list(range(m))
         violated = [i for i in targets if value > values[i] + config.epsilon + slack]
         cut_fns = [fns[i] for i in violated]
-        # With two or more violated scenarios, each step's keys are read in
-        # all of them at once, so that strengthening and build_cut find
-        # their values in the memo; one scenario reads them itself.
-        prefetch = len(cut_fns) > 1
-        if prefetch and config.stop_pt:
-            after = values_in(cut_fns, [fn.marginal_keys(fn.key(chosen)) for fn in cut_fns])
-            values_in(cut_fns, [_pair_keys(_candidates(chosen, at_x[i],
-                                                       [v - at_x[i] for v in row])[2])
-                                for i, row in zip(violated, after)])
-        gens = [strengthen_generating_set(fn, chosen, config.stop_pt) for fn in cut_fns]
-        if prefetch:
-            values_in(cut_fns, [cut_keys(fn, gen) for fn, gen in zip(cut_fns, gens)])
-        cuts = [build_cut(fns[i], gen, alphas[i], i) for i, gen in zip(violated, gens)]
+        gens = strengthen_generating_sets(cut_fns, chosen, [at_x[i] for i in violated],
+                                          config.stop_pt)
+        cuts = build_cuts(cut_fns, gens, [alphas[i] for i in violated], violated)
         if not state.add_cut(*cuts):
             raise RuntimeError("separation stalled: violated scenario produced no new cut")
         separations += 1

@@ -5,7 +5,7 @@ objective into a worst-case performance ratio, but computing those optima
 means solving one NP-hard problem per scenario.  This pipeline runs each
 single-scenario maximization under a share of the call's time limit,
 records the incumbent value (lower bound) and master bound (upper bound),
-re-derives every generated cut at its scenario's scale with ``build_cut``
+re-derives every generated cut at its scenario's scale with ``build_cuts``
 and reuses it, and finishes with one robust solve where the scales are the
 recorded lower bounds.  ``config.epsilon`` is in oracle units in every
 solve: the final solve, whose objective is a ratio, gets it divided by the
@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .core import TOL, SetFunction, SubmodularCut, build_cut
+from .core import TOL, SetFunction, SubmodularCut, build_cuts
 from .dcg import DcgConfig, ground_size, solve_robust, support, values_at
 
 
@@ -88,9 +88,10 @@ def maximize_single(fn: SetFunction, costs: Sequence[float], budget: float,
 
 def rescale_cuts(fn: SetFunction, cuts: Sequence[SubmodularCut], alpha_bar: float,
                  scenario_index: int) -> list:
-    """Re-derive each cut at scale ``alpha_bar`` with :func:`build_cut` from
-    fn and the cut's generating set, filed under ``scenario_index``."""
-    return [build_cut(fn, cut.generating_set, alpha_bar, scenario_index) for cut in cuts]
+    """Re-derive each cut at scale ``alpha_bar`` from fn and the cut's
+    generating set, filed under ``scenario_index``, in one :func:`build_cuts`."""
+    return build_cuts([fn] * len(cuts), [cut.generating_set for cut in cuts],
+                      [alpha_bar] * len(cuts), [scenario_index] * len(cuts))
 
 
 def certify_ratio_optimal(bounds: Sequence[ScenarioBounds], values: Sequence[float],

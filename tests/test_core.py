@@ -12,7 +12,7 @@ import robustmax.core
 from robustmax import (SetFunction, SubmodularCut, build_cut, check_submodular,
                        dominates, empty_set_cuts, generate_instance,
                        strengthen_generating_set)
-from robustmax.core import TOL, values_in
+from robustmax.core import TOL, build_cuts, values_in
 
 from conftest import (all_subsets, cut_is_valid, modular_fn, random_coverage,
                       scenario_oracle, table_fn, tight_face_rank)
@@ -331,6 +331,46 @@ class TestBuildCut:
             cut = build_cut(fn, X, 1.0, 0)
             assert all(c >= -1e-12 for c in cut.coefficients)
             assert cut_is_valid(cut, fn, 1.0)
+
+
+class TestBuildCuts:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 9), st.integers(0, 2**32 - 1),
+           st.sampled_from(("family", "mixed", "plain")), st.data())
+    def test_equals_per_function_build_cut(self, m, n, seed, kind, data):
+        # one read for every cut, on a cold or a warm memo and with a
+        # function listed twice: each cut equals build_cut's with ==, and
+        # each memo the one that per-function reads leave.  Plain functions
+        # hold random floats, so the constant's summation order shows.
+        def functions():
+            family = CoverageFamily(m, n, seed).functions()
+            rng = np.random.default_rng(seed)
+            plain = []
+            for i in range(m):
+                table = np.concatenate(([0.0], 10 * rng.random((1 << n) - 1)))
+                plain.append(batched(table_fn(table), []) if i % 2 else table_fn(table))
+            mixed = [fam if i % 2 else own for i, (fam, own) in enumerate(zip(family, plain))]
+            return {"family": family, "mixed": mixed, "plain": plain}[kind]
+
+        fns, alone = functions(), functions()
+        warm = data.draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                            st.integers(0, (1 << n) - 1)), max_size=12))
+        for side in (fns, alone):
+            for i, key in warm:
+                side[i].values([key])
+        cuts = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.sets(st.integers(0, n - 1)),
+                                            st.floats(1e-6, 1e9)), min_size=1, max_size=6))
+        got = build_cuts([fns[i] for i, _, _ in cuts], [gen for _, gen, _ in cuts],
+                         [alpha for _, _, alpha in cuts], [i for i, _, _ in cuts])
+        want = [build_cut(alone[i], gen, alpha, i) for i, gen, alpha in cuts]
+        assert got == want
+        assert [fn._cache for fn in fns] == [fn._cache for fn in alone]
+
+    def test_one_entry_per_function_refused_otherwise(self):
+        fn = modular_fn((1, 2))
+        with pytest.raises(ValueError, match="need one generating set, alpha and scenario index"):
+            build_cuts([fn, fn], [{0}, {1}], [1.0], [0, 1])
+        assert build_cuts([], [], [], []) == []
 
 
 class TestEmptySetCuts:
@@ -718,3 +758,17 @@ class TestNumpyIntegers:
                 fn.value(bad)
             with pytest.raises(TypeError):
                 build_cut(fn, bad, 1.0, 0)
+
+    def test_float_key_refused_on_a_cold_and_a_warm_memo(self):
+        # hash(5.0) == hash(5), so a warm memo used to answer the float key
+        fn = SetFunction(3, lambda S: float(len(S)))
+        with pytest.raises(TypeError):
+            fn.values([5.0])
+        assert fn.values([5]).tolist() == [2.0]
+        for bad in ([5.0], np.array([5.0]), [3, 5.0]):
+            with pytest.raises(TypeError):
+                fn.values(bad)
+        with pytest.raises(TypeError):
+            values_in([fn, fn], [[5], [5.0]])
+        assert fn.values(np.array([5, 3], dtype=np.int64)).tolist() == [2.0, 2.0]
+        assert all(type(key) is int for key in fn._cache)

@@ -14,8 +14,9 @@ from robustmax import (DcgConfig, SetFunction, brute_force_robust, build_cut,
                        empty_set_cuts, generate_instance, solve_ratio_robust, solve_robust,
                        strengthen_generating_set, support, water)
 
-from robustmax.core import TOL, objective_slack
-from robustmax.dcg import kept_locations
+from robustmax import core, dcg
+from robustmax.core import TOL, objective_slack, values_in
+from robustmax.dcg import kept_locations, strengthen_generating_sets
 from robustmax.master import MasterState
 
 from conftest import (all_subsets, cut_is_valid, modular_fn, random_coverage, rhs,
@@ -155,6 +156,43 @@ class TestStrengthenGeneratingSet:
                     assert (strengthen_generating_set(fn, bar, stop_pt)
                             == scalar_strengthen_generating_set(ref, bar, stop_pt))
                 assert fn._cache == ref._cache
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 9), st.integers(0, 2**32 - 1), st.integers(0, 3),
+           st.booleans())
+    def test_several_functions_match_scalar_reference(self, m, n, seed, stop_pt, noisy):
+        # each function's set and memo are those of the scalar reference
+        # run on it alone; f(incumbent) comes from the table, not the memo
+        rng = Random(seed)
+        tables = []
+        for _ in range(m):
+            cover = random_coverage(rng, n, duplicates=True)
+            table = [cover.value(S) * (1 + noisy * rng.uniform(-2e-9, 2e-9))
+                     for S in all_subsets(n)]
+            table[0] = 0.0
+            tables.append(table)
+        bar = frozenset(j for j in range(n) if rng.random() < 0.6)
+        fns, refs = [table_fn(t) for t in tables], [table_fn(t) for t in tables]
+        at = [t[sum(1 << j for j in bar)] for t in tables]
+        assert (strengthen_generating_sets(fns, bar, at, stop_pt)
+                == [scalar_strengthen_generating_set(ref, bar, stop_pt) for ref in refs])
+        assert [fn._cache for fn in fns] == [ref._cache for ref in refs]
+
+    def test_several_water_scenarios_match_scalar_reference(self):
+        # one family read per step for the instance's oracles
+        rng = Random(8)
+        for seed in range(3):
+            inst = generate_instance(n=16, edge_factor=41 / 36, m=4, j_count=5,
+                                     budget=40, seed=seed)
+            fns = inst.build_oracles()
+            refs = [scenario_oracle(inst.network, sc) for sc in inst.scenarios]
+            for stop_pt in (1, 2, 3):
+                bar = frozenset(rng.sample(range(16), rng.randint(1, 8)))
+                want = [scalar_strengthen_generating_set(ref, bar, stop_pt) for ref in refs]
+                at = [ref.value(bar) for ref in refs]
+                assert strengthen_generating_sets(fns, bar, at, stop_pt) == want
+            assert [fn._cache for fn in fns] == [ref._cache for ref in refs]
 
 
 class TestSolveRobust:
@@ -703,3 +741,47 @@ class TestReadCounts:
         assert max(len(self.family(made)) for made in per_separation) >= 2 - reduce
         assert all(len(call) == 1 for made in per_separation for call in made
                    if call not in self.family(made))
+
+    @pytest.mark.parametrize("stop_pt", [0, 2])
+    def test_separation_makes_four_values_in_reads(self, monkeypatch, stop_pt):
+        # x in every scenario, then the violated scenarios' marginals, pair
+        # keys and cut keys: four values_in calls however many scenarios are
+        # cut, and no function reads a key list twice in one separation
+        reads = []
+
+        def counted(fns, keys):
+            keys = [list(fn_keys) for fn_keys in keys]
+            reads.append([(id(fn), tuple(fn_keys)) for fn, fn_keys in zip(fns, keys)])
+            return values_in(fns, keys)
+
+        monkeypatch.setattr(core, "values_in", counted)
+        monkeypatch.setattr(dcg, "values_in", counted)
+        offered = []
+        add_cut, solve = MasterState.add_cut, MasterState.solve
+
+        def counted_add_cut(state, *cuts):
+            offered.append(len(cuts))
+            return add_cut(state, *cuts)
+
+        steps = []  # (the separation's reads, the cuts it offered)
+
+        def counted_solve(state, separate, time_limit=None):
+            def counted_separate(*args):
+                start, cuts = len(reads), len(offered)
+                value = separate(*args)
+                steps.append((reads[start:], sum(offered[cuts:])))
+                return value
+            return solve(state, counted_separate, time_limit)
+
+        monkeypatch.setattr(MasterState, "add_cut", counted_add_cut)
+        monkeypatch.setattr(MasterState, "solve", counted_solve)
+        for seed in range(3):
+            inst = generate_instance(n=12, edge_factor=2.0, m=5, j_count=5, budget=15, seed=seed)
+            net = inst.network
+            solve_robust(inst.build_oracles(), [1.0] * 5, net.sensor_costs, net.budget,
+                         DcgConfig(reduce=False, stop_pt=stop_pt))
+        assert max(cuts for _, cuts in steps) >= 2
+        assert all(len(made) <= 4 for made, _ in steps)
+        for made, _ in steps:
+            lists = [entry for read in made for entry in read]
+            assert len(lists) == len(set(lists))
