@@ -4,17 +4,16 @@ A :class:`SetFunction` wraps a monotone submodular function on the ground set
 ``{0, .., n-1}`` with memoized evaluation.  The memo is keyed by bitmask (bit
 j set iff element j is in the set); elements and bitmasks may be any Python
 or numpy integers.  Callers that need many values read them in batches, and
-every batch read goes through one routine, :func:`values_in`, which reads
-keys in one or several functions: :meth:`SetFunction.values` is its call for
-one function, :meth:`SetFunction.marginals` reads all marginals at one set,
-and the lawfulness checks read all their values in one batch.  An oracle may
-carry a vectorised form, ``eval_fn.batch``, from a (B, n) bool membership
-matrix to B floats; a function's misses then go to it in one call.  Oracles
-may also form a family (``eval_fn.family``) whose one kernel evaluates rows
-of several members at once; the misses of two or more of a family's
-functions in one read go to it in one call.  Every form's values must equal
-``eval_fn``'s with ``==``, so the memo is the same whichever form filled it.
-A single miss goes to ``eval_fn``.  An oracle may also declare which
+every miss is filled by one routine, :func:`values_in`, which reads keys in
+one or several functions: :meth:`SetFunction.values` is its call for one
+function, a scalar miss its call for one key, :meth:`SetFunction.marginals`
+reads all marginals at one set, and the lawfulness checks read all their
+values in one batch.  An oracle is vectorised by declaring a family
+(``eval_fn.family``, of one member or more) whose one kernel evaluates rows
+of its members at once: all misses of a family's functions in one read go
+to it in one call.  Its values must equal ``eval_fn``'s with ``==``, so the
+memo is the same whichever form filled it.  A function outside any family
+gets one ``eval_fn`` call per miss.  An oracle may also declare which
 elements cover which (``eval_fn.covers``, see :class:`SetFunction`), so that
 the solvers never branch on a covered element.  From an oracle and a
 generating set, :func:`build_cut` produces the linear inequality
@@ -65,30 +64,23 @@ class SetFunction:
     Elements and bitmasks may be any Python or numpy integers; the memo
     keys them as Python ints.
 
-    ``eval_fn`` may carry an optional vectorised form as the attribute
-    ``eval_fn.batch``: a function from a (B, n) bool membership matrix to
-    B floats.  A batch read then fills the two or more keys this function
-    is missing with one call to it.  Its row for S must equal ``eval_fn(S)``
-    with ``==``, so the memo holds the same value whichever form filled it.
-
     ``eval_fn`` may also carry ``eval_fn.covers``: a function of no
     arguments that returns an (n, n) bool relation, read by :attr:`covers`.
     ``covers[k, j]`` may be true only if f(S + k) >= f(S + j) for every S;
     then f(S + j + k) == f(S + k) as well, by monotonicity.  The relation
     must be transitive, as such a relation between elements is.
 
-    ``eval_fn`` may also carry ``eval_fn.family = (source, i)``: the
-    function is member i of a family whose members share ``source`` and its
-    ground size.  ``source.rows(scenario_of_row, members)`` takes an int
-    array of B member indices and a (B, n) bool membership matrix with no
-    empty row, and returns B floats: float r is member
-    ``scenario_of_row[r]``'s value at row r, equal with ``==`` to that
-    member's ``eval_fn``.  :func:`values_in` fills the misses of two or more
-    of a family's functions with one call to it.
+    ``eval_fn`` may also carry ``eval_fn.family = (source, i)``, its one
+    vectorised form: the function is member i of a family, of one member or
+    more, whose members share ``source`` and its ground size.
+    ``source.rows(scenario_of_row, members)`` takes an int array of B member
+    indices and a (B, n) bool membership matrix with no empty row, and
+    returns B floats: float r is member ``scenario_of_row[r]``'s value at
+    row r, equal with ``==`` to that member's ``eval_fn``.  :func:`values_in`
+    fills all misses of a family's functions in one read with one call to it.
     """
 
-    __slots__ = ("ground_size", "_eval", "_batch", "_relate", "_family", "_covers",
-                 "_cache", "name")
+    __slots__ = ("ground_size", "_eval", "_relate", "_family", "_covers", "_cache", "name")
 
     def __init__(self, ground_size: int, eval_fn: Callable[[frozenset], float],
                  name: str = ""):
@@ -96,7 +88,6 @@ class SetFunction:
             raise ValueError("ground_size must be positive")
         self.ground_size = ground_size
         self._eval = eval_fn
-        self._batch = getattr(eval_fn, "batch", None)
         self._relate = getattr(eval_fn, "covers", None)
         self._family = getattr(eval_fn, "family", None)
         self._covers = None
@@ -128,19 +119,11 @@ class SetFunction:
             mask |= 1 << j
         return mask
 
-    def _check_keys(self, *keys: int):
-        n = self.ground_size
-        for key in keys:
-            if key < 0 or key >> n:
-                raise ValueError(f"bitmask {key} out of range for ground set of size {n}")
-
     def _value_by_key(self, key: int) -> float:
-        """f at a bitmask, one oracle call on a miss."""
+        """f at a bitmask, a one-key :func:`values_in` read on a miss."""
         cached = self._cache.get(key)
         if cached is None:
-            self._check_keys(key)
-            cached = float(self._eval(frozenset(_bits(key))))
-            self._cache[key] = cached
+            (cached,), = values_in((self,), ((key,),))
         return cached
 
     def value(self, subset: Iterable[int]) -> float:
@@ -190,13 +173,11 @@ def values_in(fns: Sequence[SetFunction], keys: Sequence[Iterable[int]]) -> list
     """fns[i] at each bitmask of the iterable keys[i]: one list of floats
     per function.  The one routine that finds and fills misses.
 
-    A function's distinct misses go to its vectorised form in one call when
-    it has one and they are two or more, else one oracle call each; the
-    misses of two or more functions of one family (see
-    :class:`SetFunction`) go instead to the family's kernel, as one (B, n)
-    matrix in one call.  So a read whose misses fall in one function pays
-    nothing for the family, and each memo gains exactly the keys that
-    function's own ``values`` would add.
+    All distinct misses of a family's functions (see :class:`SetFunction`)
+    go to its kernel as one (B, n) matrix in one call, however many keys and
+    functions they span; a function outside any family gets one ``eval_fn``
+    call per distinct miss.  The misses are checked before the first call,
+    and each memo gains exactly the keys its function's ``values`` would add.
     """
     if len(keys) != len(fns):
         raise ValueError("need one key list per set function")
@@ -209,19 +190,19 @@ def values_in(fns: Sequence[SetFunction], keys: Sequence[Iterable[int]]) -> list
             source = object() if fn._family is None else fn._family[0]
             groups.setdefault(source, []).append((fn, list(missing)))
     for source, group in groups.items():
-        fn, missing = group[0]
-        if len(group) == 1 and (fn._batch is None or len(missing) < 2):
-            for k in missing:  # one oracle call each: a single miss is cheaper so
-                fn._value_by_key(k)
-            continue
+        fn = group[0][0]
         flat = [k for _, missing in group for k in missing]
-        fn._check_keys(min(flat), max(flat))
-        members = _members(flat, fn.ground_size)  # a family shares one ground size
-        if len(group) == 1:
-            read = fn._batch(members)
-        else:
-            owners = np.array([fn._family[1] for fn, _ in group])
-            read = source.rows(owners.repeat([len(missing) for _, missing in group]), members)
+        n, lo, hi = fn.ground_size, min(flat), max(flat)  # a family shares one ground size
+        if lo < 0 or hi >> n:
+            raise ValueError(f"bitmask {lo if lo < 0 else hi} out of range "
+                             f"for ground set of size {n}")
+        if fn._family is None:
+            for k in flat:
+                if k not in fn._cache:  # the function may be listed twice
+                    fn._cache[k] = float(fn._eval(frozenset(_bits(k))))
+            continue
+        owners = np.array([fn._family[1] for fn, _ in group])
+        read = source.rows(owners.repeat([len(missing) for _, missing in group]), _members(flat, n))
         read = iter(np.asarray(read, dtype=float).tolist())
         for fn, missing in group:
             fn._cache.update(zip(missing, read))  # zip stops at missing's end

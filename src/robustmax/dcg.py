@@ -12,10 +12,12 @@ zero-marginal witnesses before the cut is built; the resulting inequality is
 still tight at the candidate.  The tree keeps its open nodes as cuts arrive
 and re-bounds each when it is next popped (Padberg & Rinaldi 1991).
 
-A separation makes four :func:`~robustmax.core.values_in` reads, however
-many scenarios it cuts: the candidate in every scenario, then the violated
-ones' marginals, pair keys and cut keys.  Strengthening and cut building
-compute from these values, and one family's oracles fill each read together.
+A separation makes four batch :func:`~robustmax.core.values_in` reads,
+however many scenarios it cuts: the candidate in every scenario, then the
+violated ones' marginals, pair keys and cut keys.  Strengthening and cut
+building compute from these values, and one family's oracles fill each read
+together.  The strengthening's admission loop reads its few other values
+one at a time, and each of those that misses is a one-key ``values_in`` read.
 
 Before the tree starts, locations that a no-dearer location covers in every
 scenario are fixed at zero (:func:`kept_locations`), so the tree branches

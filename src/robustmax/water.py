@@ -10,13 +10,13 @@ submodular objective the solvers maximize.
 
 Travel times are static per-scenario edge weights; no hydraulics.  The
 oracles of one instance are made by one evaluator, which holds the (m, n, k)
-stack of the scenarios' saved arrays, and they form one family.  A read that
-spans several scenarios, and every scalar read, goes through the stack's
-gather-and-reduce kernel, which computes only the (scenario, set) rows it is
-given; a batch read of one oracle goes through its scenario's ranking
-kernel.  The instance data is immutable after construction, the kernels
-keep no state but a ranking built once, and oracles are shared freely
-across threads.
+stack of the scenarios' saved arrays, and they form one family: every miss
+reaches the stack's one read entry, ``rows``.  Two or more rows that all
+read one scenario go to its ranking kernel; any other read, one row or rows
+that span scenarios, to the gather-and-reduce kernel, which computes only
+the (scenario, set) rows it is given.  The instance data is immutable after
+construction, the kernels keep no state but a ranking built once, and
+oracles are shared freely across threads.
 """
 
 from __future__ import annotations
@@ -140,9 +140,10 @@ def _expected(best: np.ndarray, probs: np.ndarray) -> np.ndarray:
 class _ScenarioStack:
     """The saved arrays of an instance's scenarios, stacked (m, n, k): the
     instance's one evaluator.  :meth:`oracle` makes scenario i's oracle,
-    S -> expected number of saved nodes; its scalar reads, and the reads
-    that span scenarios, go to :meth:`rows`, its batch reads to
-    :meth:`batch`, and its covering relation is :meth:`covers`."""
+    S -> expected number of saved nodes; every read of it goes to
+    :meth:`rows`, which picks one of two kernels, :meth:`batch` (ranking) or
+    :meth:`gather` (gather and reduce), and its covering relation is
+    :meth:`covers`."""
 
     __slots__ = ("saved", "probs", "_flat", "_rankings")
 
@@ -150,21 +151,27 @@ class _ScenarioStack:
         self.saved = saved
         self.probs = np.asarray(network.source_probabilities)
         self._flat = saved.reshape(-1, saved.shape[2])  # row i * n + v: saved[i, v]; a view
-        # each scenario's ranking is built on its first batch read: building
-        # an oracle costs no more
+        # each scenario's ranking is built on its first read of two or more
+        # rows: building an oracle, or reading it by scalars, costs no more
         self._rankings: list = [None] * len(saved)
 
     def rows(self, scenario_of_row: np.ndarray, members: np.ndarray) -> np.ndarray:
         """f_i(S) for each row r: i = scenario_of_row[r] and S the members of
-        row r of the (B, n) bool matrix; no row may be empty.  One gather of
-        every member's saved row, one max over each row's members and one
-        :func:`_expected` product, in chunks of rows that gather at most
-        ``ROWS_CHUNK`` saved entries.  The max is the one :meth:`batch`
-        takes, so each value equals its row with ==."""
+        row r of the (B, n) bool matrix; no row may be empty.  Two or more
+        rows of one scenario go to :meth:`batch`, any other read to :meth:`gather`."""
+        if len(members) > 1 and (scenario_of_row == scenario_of_row[0]).all():
+            return self.batch(int(scenario_of_row[0]), members)
+        return self.gather(scenario_of_row, members)
+
+    def gather(self, scenario_of_row: np.ndarray, members: np.ndarray) -> np.ndarray:
+        """:meth:`rows` by one gather of every member's saved row, one max
+        over each row's members and one :func:`_expected` product, in chunks
+        of rows that gather at most ``ROWS_CHUNK`` saved entries.  The max is
+        the one :meth:`batch` takes, so each value equals its row with ==."""
         n, k = self.saved.shape[1:]
         step = max(1, ROWS_CHUNK // (n * k))  # a row has at most n members
         if len(members) > step:
-            return np.concatenate([self.rows(scenario_of_row[lo:lo + step], members[lo:lo + step])
+            return np.concatenate([self.gather(scenario_of_row[lo:lo + step], members[lo:lo + step])
                                    for lo in range(0, len(members), step)])
         # r * n + v for member v of row r, in row order
         row, col = np.divmod(members.ravel().nonzero()[0], n)
@@ -218,8 +225,8 @@ class _ScenarioStack:
         return relation
 
     def oracle(self, i: int, name: str) -> SetFunction:
-        """Scenario i's oracle, in the stack's family: a scalar read
-        computes scenario i alone."""
+        """Scenario i's oracle, member i of the stack's family: a scalar
+        read computes scenario i alone."""
         n = self.saved.shape[1]
         own = np.array([i])
 
@@ -230,7 +237,6 @@ class _ScenarioStack:
             members.put(list(subset), True)
             return float(self.rows(own, members)[0])
 
-        evaluate.batch = partial(self.batch, i)
         evaluate.covers = partial(self.covers, i)
         evaluate.family = (self, i)
         return SetFunction(n, evaluate, name=name)

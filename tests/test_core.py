@@ -89,7 +89,7 @@ class TestFamilyReads:
     def test_equals_per_function_reads(self, m, n, seed, data):
         # hits, misses, repeated keys and the full set, in several functions
         # at once: each function's own values, the memo per-function reads
-        # leave, and one family call for the misses of two or more functions
+        # leave, and one family call for the misses of one function or more
         family = CoverageFamily(m, n, seed)
         rng = np.random.default_rng(seed)
         members = rng.random((5, n)) < rng.random((5, 1))
@@ -97,7 +97,7 @@ class TestFamilyReads:
         pool = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in members]
         reads = st.lists(st.tuples(st.integers(0, m - 1), st.sampled_from(pool)), max_size=30)
         warm, now = data.draw(reads), data.draw(reads)
-        fns, alone = family.functions(), family.functions()
+        fns, alone = family.functions(), CoverageFamily(m, n, seed).functions()
         for sides in (fns, alone):
             for i, key in warm:
                 sides[i].values([key])
@@ -112,11 +112,11 @@ class TestFamilyReads:
                            for key in fn_keys]
             assert fn._cache == own._cache
         missed = [i for i, missing in enumerate(misses) if missing]
-        if len(missed) > 1:
+        if missed:
             assert len(family.calls) == 1
             assert sorted(family.calls[0]) == sorted(i for i in missed for _ in misses[i])
         else:
-            assert family.calls == []  # one function's misses take its own path
+            assert family.calls == []  # a read with no miss calls no kernel
 
     @pytest.mark.parametrize("bad", [1 << 12, -1])
     def test_out_of_range_key_refused_on_family_path(self, bad):
@@ -145,17 +145,24 @@ class TestFamilyReads:
             values_in(CoverageFamily(2, 5, 0).functions(), [[1]])
 
 
+class Kernel:
+    """The source of a family whose kernel is the function ``rows``."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+
 def batched(fn: SetFunction, calls: list) -> SetFunction:
-    """fn's values behind an oracle with a vectorised form that records the
-    rows of each call."""
+    """fn's values behind an oracle that is the one member of a family whose
+    kernel records the rows of each call."""
     def evaluate(S):
         return fn.value(S)
 
-    def batch(members):
+    def rows(scenario_of_row, members):
         calls.append(members.copy())
         return np.array([fn.value(np.flatnonzero(row).tolist()) for row in members])
 
-    evaluate.batch = batch
+    evaluate.family = (Kernel(rows), 0)
     return SetFunction(fn.ground_size, evaluate)
 
 
@@ -666,9 +673,9 @@ class TestBatchReads:
         got = batch_fn.values(keys)
         assert got.tolist() == [scalar_fn.values([k]).item() for k in keys]
         assert batch_fn._cache == scalar_fn._cache
-        # one call with each distinct miss once, and only for two or more
+        # one call with each distinct miss once, and only for one or more
         missing = set(keys) - set(warm) - {0}
-        assert len(calls) == (len(missing) > 1)
+        assert len(calls) == (len(missing) > 0)
         if calls:
             assert len(calls[0]) == len(missing)
 
@@ -678,7 +685,8 @@ class TestBatchReads:
         def evaluate(S):
             return float(len(S))
 
-        evaluate.batch = lambda members: members.sum(axis=1).astype(float)
+        evaluate.family = (Kernel(lambda scenario_of_row, members:
+                                  members.sum(axis=1).astype(float)), 0)
         fn = SetFunction(n, evaluate)
         keys = [1 << 71 | 1 << 3, (1 << n) - 1, 1 << 64, 5]
         assert fn.values(keys).tolist() == [2.0, 72.0, 1.0, 2.0]
@@ -714,6 +722,71 @@ class TestBatchReads:
         assert len(calls) <= 1
         assert (cut.constant, cut.coefficients) == scalar_build_cut(scalar_fn, gen, alpha)
         assert batch_fn._cache == scalar_fn._cache
+
+
+class TestScalarReads:
+    """A scalar miss is filled by a one-key :func:`values_in` read, the one
+    routine that fills misses."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        made = []
+
+        def counted(fns, keys):
+            keys = [list(fn_keys) for fn_keys in keys]
+            made.append(keys)
+            return values_in(fns, keys)
+
+        monkeypatch.setattr(robustmax.core, "values_in", counted)
+        return made
+
+    def test_cold_value_is_one_one_key_read(self, reads):
+        family = CoverageFamily(1, 8, 3)
+        (fn,) = family.functions()
+        cold = fn.value({1, 3})
+        assert reads == [[[0b1010]]]
+        assert family.calls == [[0]]
+        assert fn.value({1, 3}) == cold and fn.marginal(3, {1}) == cold - fn.value({1})
+        assert reads == [[[0b1010]], [[0b10]]]  # the warm reads made none
+        assert cold == fn._eval(frozenset({1, 3}))
+
+    def test_plain_function_one_call_per_distinct_miss(self, reads):
+        calls = []
+
+        def evaluate(S):
+            calls.append(S)
+            return float(len(S))
+
+        fn = SetFunction(6, evaluate)
+        calls.clear()
+        assert fn.values([3, 5, 3, 6, 0, 5]).tolist() == [2.0, 2.0, 2.0, 2.0, 0.0, 2.0]
+        assert sorted(map(sorted, calls)) == [[0, 1], [0, 2], [1, 2]]
+        assert fn.value({0, 1}) == 2.0 and fn.marginal(4, {0}) == 1.0
+        assert len(calls) == 5
+        assert reads[1:] == [[[0b10001]], [[0b1]]]  # one read per cold key; 0b11 is warm
+
+    @pytest.mark.parametrize("bad", [-1, 1 << 6])
+    def test_out_of_range_key_refused_before_any_call(self, bad):
+        # a plain function's misses, and a family's, are all checked before
+        # the first oracle call
+        calls = []
+
+        def evaluate(S):
+            calls.append(S)
+            return float(len(S))
+
+        fn = SetFunction(6, evaluate)
+        calls.clear()
+        with pytest.raises(ValueError):
+            fn.values([3, bad, 5])
+        assert calls == []
+        assert fn._cache == {0: 0.0}
+        family = CoverageFamily(3, 6, 1)
+        fns = family.functions()
+        with pytest.raises(ValueError):
+            values_in(fns, [[3], [5, bad], [6]])
+        assert family.calls == []
+        assert [fn._cache for fn in fns] == [{0: 0.0}] * 3
 
 
 class TestNumpyIntegers:

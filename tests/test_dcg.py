@@ -143,7 +143,7 @@ class TestStrengthenGeneratingSet:
         assert fn._cache == ref._cache
 
     def test_matches_scalar_reference_on_water_oracles(self):
-        # the water oracles read their pair marginals through the batch form
+        # the water oracles read their pair marginals through the ranking kernel
         rng = Random(5)
         for seed in range(4):
             inst = generate_instance(n=16, edge_factor=41 / 36, m=3, j_count=5,
@@ -719,7 +719,9 @@ class TestReadCounts:
     def test_separation_reads_once_per_step(self, calls, monkeypatch, reduce):
         # x in every scenario, then the violated scenarios' marginals, pair
         # keys and cut keys: at most four family calls per separation, and
-        # any other call is a scalar read of one set in one scenario
+        # any other call reads one scenario (a step's read of one oracle, or
+        # a scalar read); at most four calls per separation read two or
+        # more rows
         per_separation = []
         solve = MasterState.solve
 
@@ -739,8 +741,9 @@ class TestReadCounts:
         assert per_separation
         assert all(len(self.family(made)) <= 4 for made in per_separation)
         assert max(len(self.family(made)) for made in per_separation) >= 2 - reduce
-        assert all(len(call) == 1 for made in per_separation for call in made
+        assert all(len(set(call)) == 1 for made in per_separation for call in made
                    if call not in self.family(made))
+        assert all(sum(len(call) > 1 for call in made) <= 4 for made in per_separation)
 
     @pytest.mark.parametrize("stop_pt", [0, 2])
     def test_separation_makes_four_values_in_reads(self, monkeypatch, stop_pt):

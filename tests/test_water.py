@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from robustmax import (Network, ParseError, Scenario, SetFunction, check_submodular,
                        generate_instance, parse_instance, reduction_matrix,
                        serialize_instance)
+from robustmax import water
 from robustmax.core import values_in
 
 from conftest import scenario_oracle
@@ -206,18 +207,19 @@ class TestExpectedReductionOracle:
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from((4, 12, 36, 72)), st.integers(0, 2**32 - 1), st.data())
     def test_batch_equals_scalar_evaluation(self, n, seed, data):
-        # the vectorised form must give the scalar value itself, not a
+        # the ranking kernel must give the scalar value itself, not a
         # rounding of it, at every size (n = 72 is past int64 bitmasks)
         j_count = data.draw(st.integers(1, n))
         inst = generate_instance(n=n, edge_factor=41 / 36, m=1, j_count=j_count,
                                  budget=n, seed=seed % 1000)
         evaluate = scenario_oracle(inst.network, inst.scenarios[0])._eval
+        stack, i = evaluate.family
         rng = np.random.default_rng(seed)
         members = rng.random((300, n)) < rng.random((300, 1))
         members[0] = False
         members[1] = True
         scalar = [evaluate(frozenset(np.flatnonzero(row).tolist())) for row in members]
-        assert evaluate.batch(members).tolist() == scalar
+        assert stack.batch(i, members).tolist() == scalar
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 8), st.integers(3, 40), st.integers(0, 2**32 - 1), st.data())
@@ -233,7 +235,8 @@ class TestExpectedReductionOracle:
         rng = np.random.default_rng(seed)
         members = rng.random((4, n)) < rng.random((4, 1))
         sets = [frozenset(np.flatnonzero(row).tolist()) for row in members]
-        rows = [evaluate.batch(members).tolist() for evaluate in evaluators]
+        rows = [evaluate.family[0].batch(evaluate.family[1], members).tolist()
+                for evaluate in evaluators]
         reads = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, 3)),
                                    min_size=1, max_size=30))
         for i, k in reads:
@@ -253,7 +256,8 @@ class TestExpectedReductionOracle:
         members[0, ::2] = True
         members[1, 1::3] = True
         sets = [frozenset(np.flatnonzero(row).tolist()) for row in members]
-        rows = [evaluate.batch(members).tolist() for evaluate in evaluators]
+        rows = [evaluate.family[0].batch(evaluate.family[1], members).tolist()
+                for evaluate in evaluators]
         wrong = []
 
         def read(phase):
@@ -311,7 +315,8 @@ class TestExpectedReductionOracle:
             assert row == [evaluate(S) for S in sets]
             if fn_keys:
                 held = np.array([[j in S for j in range(n)] for S in sets], dtype=bool)
-                assert row == evaluate.batch(held).tolist()
+                stack, i = evaluate.family
+                assert row == stack.batch(i, held).tolist()
             assert fn._cache == own._cache
 
     @pytest.mark.parametrize("n", [12, 72])
@@ -360,6 +365,86 @@ alpha unit
 # budget (12), scenarios 2 (13-15), alpha unit (16)
 SMALL_LINES = serialize_instance(generate_instance(n=4, edge_factor=1.5, m=2, j_count=2,
                                                    budget=10, seed=1)).splitlines()
+
+
+class TestKernelChoice:
+    """Which of the stack's two kernels each read takes, seen by wrappers
+    around ``_ScenarioStack.rows``, which every read enters, and
+    ``_ScenarioStack.batch``, the ranking kernel."""
+
+    @pytest.fixture
+    def kernels(self, monkeypatch):
+        made = {"rows": [], "batch": []}
+        rows, batch = water._ScenarioStack.rows, water._ScenarioStack.batch
+
+        def counted_rows(stack, scenario_of_row, members):
+            made["rows"].append(np.asarray(scenario_of_row).tolist())
+            return rows(stack, scenario_of_row, members)
+
+        def counted_batch(stack, i, members):
+            keys = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in members]
+            made["batch"].append((i, keys))
+            return batch(stack, i, members)
+
+        monkeypatch.setattr(water._ScenarioStack, "rows", counted_rows)
+        monkeypatch.setattr(water._ScenarioStack, "batch", counted_batch)
+        return made
+
+    @staticmethod
+    def scalar(fn, keys):
+        """fn's scalar evaluate at each bitmask, past the memo."""
+        return [fn._eval(frozenset(j for j in range(fn.ground_size) if key >> j & 1))
+                for key in keys]
+
+    @pytest.mark.parametrize("n, seed", [(12, 1), (36, 2), (72, 3)])
+    def test_one_oracle_read_is_one_ranking_call(self, kernels, n, seed):
+        # warm keys, repeats and two or more misses in one oracle: one
+        # ranking call over the distinct misses, entered through rows
+        fns = generate_instance(n=n, edge_factor=41 / 36, m=4, j_count=5, budget=n,
+                                seed=seed).build_oracles()
+        rng = Random(seed)
+        keys = [rng.getrandbits(n) | 1 for _ in range(12)]
+        fn = fns[2]
+        fn.values(keys[:3])
+        kernels["rows"].clear()
+        kernels["batch"].clear()
+        keys += keys[4:7]
+        got = fn.values(keys).tolist()
+        missing = set(keys[3:])
+        assert len(missing) >= 2
+        assert kernels["rows"] == [[2] * len(missing)]
+        assert len(kernels["batch"]) == 1
+        i, read = kernels["batch"][0]
+        assert i == 2 and sorted(read) == sorted(missing)
+        assert got == self.scalar(fn, keys)
+
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_read_across_scenarios_makes_no_ranking_call(self, kernels, m):
+        # several misses in each of several oracles: one gather-and-reduce
+        # call, even where one scenario has two or more rows
+        fns = generate_instance(n=20, edge_factor=41 / 36, m=m, j_count=6, budget=20,
+                                seed=m).build_oracles()
+        keys = [[0b1011, 0b110 << i, 1 << 19 | i + 1] for i in range(m)]
+        got = values_in(fns, keys)
+        assert kernels["batch"] == []
+        assert len(kernels["rows"]) == 1
+        assert sorted(set(kernels["rows"][0])) == list(range(m))
+        assert got == [self.scalar(fn, fn_keys) for fn, fn_keys in zip(fns, keys)]
+
+    def test_scalar_reads_never_build_a_ranking(self, kernels):
+        # cold value and marginal reads compute one row each in their own
+        # scenario, and the scenario's ranking is never built
+        fns = generate_instance(n=14, edge_factor=1.5, m=3, j_count=5, budget=20,
+                                seed=3).build_oracles()
+        fn = fns[1]
+        stack, i = fn._eval.family
+        got = [fn.value({0, 2, 5}), fn.marginal(7, {0, 2, 5}), fn.marginal(3, {9}),
+               fn.value({0, 2, 5})]
+        assert kernels["batch"] == []
+        assert kernels["rows"] == [[1], [1], [1], [1]]
+        assert stack._rankings == [None] * 3
+        want = self.scalar(fn, [0b100101, 0b10100101, 0b100101, 0b1000001000, 1 << 9])
+        assert got == [want[0], want[1] - want[2], want[3] - want[4], want[0]]
 
 
 def small_text_with(line_no: int, text: str) -> str:
