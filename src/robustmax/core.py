@@ -6,17 +6,18 @@ j set iff element j is in the set); elements and bitmasks may be any Python
 or numpy integers.  Callers that need many values read them in batches, and
 every miss is filled by one routine, :func:`values_in`, which reads keys in
 one or several functions: :meth:`SetFunction.values` is its call for one
-function, a scalar miss its call for one key, :meth:`SetFunction.marginals`
-reads all marginals at one set, and the lawfulness checks read all their
-values in one batch.  An oracle is vectorised by declaring a family
-(``eval_fn.family``, of one member or more) whose one kernel evaluates rows
-of its members at once: all misses of a family's functions in one read go
-to it in one call.  Its values must equal ``eval_fn``'s with ``==``, so the
-memo is the same whichever form filled it.  A function outside any family
-gets one ``eval_fn`` call per miss.  An oracle may also declare which
-elements cover which (``eval_fn.covers``, see :class:`SetFunction`), so that
-the solvers never branch on a covered element.  From an oracle and a
-generating set, :func:`build_cut` produces the linear inequality
+function, a scalar miss its call for one key, and the lawfulness checks
+read all their values in one batch.  Every oracle is a member of a family
+whose one kernel evaluates rows of its members at once: all misses of a
+family's functions in one read go to it in one call.  An oracle is
+vectorised by declaring its family (``eval_fn.family``, of one member or
+more), whose values must equal ``eval_fn``'s with ``==``, so the memo is the
+same whichever form filled it.  An oracle that declares none is its own
+one-member family, whose kernel calls ``eval_fn`` once per row.  An oracle
+may also declare which elements cover which (``eval_fn.covers``, see
+:class:`SetFunction`), so that the solvers never branch on a covered
+element.  From an oracle and a generating set, :func:`build_cut` produces
+the linear inequality
 
     eta <= constant + sum_j coefficients[j] * x[j]
 
@@ -78,6 +79,8 @@ class SetFunction:
     returns B floats: float r is member ``scenario_of_row[r]``'s value at
     row r, equal with ``==`` to that member's ``eval_fn``.  :func:`values_in`
     fills all misses of a family's functions in one read with one call to it.
+    A function that declares no family is its own one-member family, with
+    :meth:`rows` as its kernel.
     """
 
     __slots__ = ("ground_size", "_eval", "_relate", "_family", "_covers", "_cache", "name")
@@ -140,25 +143,14 @@ class SetFunction:
         :func:`values_in` read of this function alone."""
         return np.array(values_in((self,), (keys,))[0], dtype=float)
 
-    def marginals(self, subset: Iterable[int]) -> np.ndarray:
-        """f(S + j) - f(S) for every element j; zero where j is in S, since
-        S + j is then S itself."""
-        key = self.key(subset)
-        return self.values(self.marginal_keys(key)) - self._value_by_key(key)
-
     def marginal_keys(self, key: int) -> list:
         """The bitmasks of S + j for every element j, S given by its bitmask."""
         return [key | 1 << j for j in range(self.ground_size)]
 
-
-def _bits(key: int) -> list:
-    """The elements of the bitmask ``key``, ascending."""
-    members = []
-    while key:
-        low = key & -key
-        members.append(low.bit_length() - 1)
-        key ^= low
-    return members
+    def rows(self, scenario_of_row: np.ndarray, members: np.ndarray) -> list:
+        """The kernel of this function's own one-member family: one
+        ``eval_fn`` call per row of ``members``, on its elements ascending."""
+        return [float(self._eval(frozenset(np.flatnonzero(row).tolist()))) for row in members]
 
 
 def _members(keys: list, n: int) -> np.ndarray:
@@ -173,38 +165,38 @@ def values_in(fns: Sequence[SetFunction], keys: Sequence[Iterable[int]]) -> list
     """fns[i] at each bitmask of the iterable keys[i]: one list of floats
     per function.  The one routine that finds and fills misses.
 
-    All distinct misses of a family's functions (see :class:`SetFunction`)
-    go to its kernel as one (B, n) matrix in one call, however many keys and
-    functions they span; a function outside any family gets one ``eval_fn``
-    call per distinct miss.  The misses are checked before the first call,
-    and each memo gains exactly the keys its function's ``values`` would add.
+    All distinct misses of a family's functions (see :class:`SetFunction`;
+    a function that declares none is its own one-member family) go to its
+    kernel as one (B, n) matrix in one call, however many keys and functions
+    they span, each miss once even if its function is listed twice.  A
+    family's misses are checked before its kernel is called, a function's
+    memo changes only once all its misses are evaluated, and each memo gains
+    exactly the keys its function's ``values`` would add.
     """
     if len(keys) != len(fns):
         raise ValueError("need one key list per set function")
     # index refuses a float key, which a warm memo would answer as an int
     keys = [list(map(index, fn_keys)) for fn_keys in keys]
-    groups: dict = {}  # one per family; a function outside any has its own
+    groups: dict = {}  # family source -> {(function, member index): its distinct misses}
     for fn, fn_keys in zip(fns, keys):
         missing = set(fn_keys).difference(fn._cache)
         if missing:
-            source = object() if fn._family is None else fn._family[0]
-            groups.setdefault(source, []).append((fn, list(missing)))
-    for source, group in groups.items():
-        fn = group[0][0]
-        flat = [k for _, missing in group for k in missing]
-        n, lo, hi = fn.ground_size, min(flat), max(flat)  # a family shares one ground size
+            source, i = fn._family or (fn, 0)
+            group = groups.setdefault(source, {})
+            if group.setdefault((fn, i), missing) is not missing:  # fn listed twice
+                group[fn, i] |= missing
+    for source, misses in groups.items():
+        flat = [k for missing in misses.values() for k in missing]
+        n = next(iter(misses))[0].ground_size  # a family shares one ground size
+        lo, hi = min(flat), max(flat)
         if lo < 0 or hi >> n:
             raise ValueError(f"bitmask {lo if lo < 0 else hi} out of range "
                              f"for ground set of size {n}")
-        if fn._family is None:
-            for k in flat:
-                if k not in fn._cache:  # the function may be listed twice
-                    fn._cache[k] = float(fn._eval(frozenset(_bits(k))))
-            continue
-        owners = np.array([fn._family[1] for fn, _ in group])
-        read = source.rows(owners.repeat([len(missing) for _, missing in group]), _members(flat, n))
+        owners = np.array([i for _, i in misses])
+        read = source.rows(owners.repeat([len(missing) for missing in misses.values()]),
+                           _members(flat, n))
         read = iter(np.asarray(read, dtype=float).tolist())
-        for fn, missing in group:
+        for (fn, _), missing in misses.items():
             fn._cache.update(zip(missing, read))  # zip stops at missing's end
     return [list(map(fn._cache.__getitem__, fn_keys)) for fn, fn_keys in zip(fns, keys)]
 

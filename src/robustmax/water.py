@@ -433,6 +433,8 @@ def generate_instance(n: int, edge_factor: float, m: int, j_count: int,
         raise ValueError("source count must be between 1 and the node count")
     if m < 1:
         raise ValueError("at least one scenario is required")
+    if not 0 < edge_factor < math.inf:  # a NaN fails this test too
+        raise ValueError(f"edge_factor must be positive and finite, got {edge_factor!r}")
     e_count = math.ceil(edge_factor * n - 1e-9)
     if e_count > n * (n - 1):
         raise ValueError(f"{e_count} edges do not fit among the {n * (n - 1)} "

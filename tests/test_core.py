@@ -253,7 +253,8 @@ class TestMarginal:
         fn = SetFunction(2, lambda S: scale * (5e-10 + 1e-12 * len(S)))
         assert fn.value(()) == scale * 5e-10
         assert fn.marginal(0, ()) == pytest.approx(1e-12 * scale, rel=1e-6)
-        assert fn.marginals(()).tolist() == [fn.marginal(0, ()), fn.marginal(1, ())]
+        assert ((fn.values(fn.marginal_keys(0)) - fn.value(())).tolist()
+                == [fn.marginal(0, ()), fn.marginal(1, ())])
 
 
 class TestCoversRelation:
@@ -655,7 +656,8 @@ class TestBatchReads:
         fn = table_fn(case[0])
         n = fn.ground_size
         S = data.draw(st.sets(st.integers(0, n - 1)))
-        assert fn.marginals(S).tolist() == [fn.marginal(j, S) for j in range(n)]
+        marginals = fn.values(fn.marginal_keys(fn.key(S))) - fn.value(S)
+        assert marginals.tolist() == [fn.marginal(j, S) for j in range(n)]
 
     @settings(max_examples=100, deadline=None)
     @given(set_function_tables(), st.data())
@@ -764,6 +766,23 @@ class TestScalarReads:
         assert fn.value({0, 1}) == 2.0 and fn.marginal(4, {0}) == 1.0
         assert len(calls) == 5
         assert reads[1:] == [[[0b10001]], [[0b1]]]  # one read per cold key; 0b11 is warm
+        # listed twice in one read, a plain function evaluates 0b10000 once
+        calls.clear()
+        assert values_in([fn, fn], [[0b1000, 0b10000], [0b10000, 0b100000]]) == [[1.0, 1.0]] * 2
+        assert sorted(map(sorted, calls)) == [[3], [4], [5]]
+
+    def test_plain_eval_error_leaves_memo(self):
+        # every miss is evaluated before the memo changes, so an eval_fn that
+        # fails partway leaves the memo as it was
+        def evaluate(S):
+            if S == {1}:
+                raise RuntimeError("eval_fn failed")
+            return float(len(S))
+
+        fn = SetFunction(4, evaluate)
+        with pytest.raises(RuntimeError):
+            fn.values([1, 2, 4])
+        assert fn._cache == {0: 0.0}
 
     @pytest.mark.parametrize("bad", [-1, 1 << 6])
     def test_out_of_range_key_refused_before_any_call(self, bad):

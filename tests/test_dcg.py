@@ -51,7 +51,8 @@ def scalar_strengthen_generating_set(fn: SetFunction, incumbent, stop_pt: int) -
     covered: set = set()
     admitted: set = set()
     bar = sorted(incumbent)
-    for j, gain in enumerate(fn.marginals(incumbent).tolist()):
+    gains = fn.values(fn.marginal_keys(fn.key(incumbent))) - fn.value(incumbent)
+    for j, gain in enumerate(gains.tolist()):
         if gain > slack:
             continue
         tmp = set(covered)

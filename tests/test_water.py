@@ -431,6 +431,16 @@ class TestKernelChoice:
         assert sorted(set(kernels["rows"][0])) == list(range(m))
         assert got == [self.scalar(fn, fn_keys) for fn, fn_keys in zip(fns, keys)]
 
+    def test_oracle_listed_twice_sends_each_miss_once(self, kernels):
+        # a cold read that lists one oracle twice: key 2 is missed in both
+        # entries, and the kernel gets it once
+        fns = generate_instance(n=10, edge_factor=1.5, m=2, j_count=3, budget=10,
+                                seed=4).build_oracles()
+        fn = fns[0]
+        got = values_in([fn, fn], [[1, 2], [2, 4]])
+        assert kernels["rows"] == [[0, 0, 0]]
+        assert got == [self.scalar(fn, [1, 2]), self.scalar(fn, [2, 4])]
+
     def test_scalar_reads_never_build_a_ranking(self, kernels):
         # cold value and marginal reads compute one row each in their own
         # scenario, and the scenario's ranking is never built
@@ -710,9 +720,14 @@ class TestGenerateInstance:
     @pytest.mark.parametrize("changes, message", [
         (dict(m=0), "at least one scenario is required"),
         (dict(edge_factor=7 / 3), "7 edges do not fit among the 6 directed pairs of 3 nodes"),
-    ], ids=["no-scenarios", "too-many-edges"])
+        (dict(n=5, edge_factor=-0.5), "edge_factor must be positive and finite, got -0.5"),
+        (dict(edge_factor=math.inf), "edge_factor must be positive and finite, got inf"),
+        (dict(edge_factor=math.nan), "edge_factor must be positive and finite, got nan"),
+    ], ids=["no-scenarios", "too-many-edges", "negative-edge-factor", "infinite-edge-factor",
+            "nan-edge-factor"])
     def test_refusals(self, changes, message):
-        # the edge count is refused before any edge is drawn
+        # the edge count and the edge factor are refused before any edge is
+        # drawn
         params = dict(n=3, edge_factor=1.0, m=1, j_count=1, budget=10, seed=0) | changes
         with pytest.raises(ValueError, match=re.escape(message)):
             generate_instance(**params)
