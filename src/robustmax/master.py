@@ -237,9 +237,9 @@ class MasterState:
         cuts with :meth:`add_cut` and returns the value later candidates must
         beat: the true objective at x plus any gap the caller accepts as
         optimal.  The incumbent and the pruning then follow those values, not
-        pool values.  Open nodes are kept when cuts arrive: a node bounded
-        under an older pool is re-bounded when popped, in the branch order the
-        solve began with.
+        pool values.  An open node is stored as its fixings and its per-cut
+        values are recomputed when it is popped, so a node bounded under an
+        older pool is re-bounded then, in the branch order the solve began with.
 
         Each x is offered once, when its node is created: the greedy start
         and the root's zeros at the start, a one child as it is bounded (a
@@ -280,9 +280,9 @@ class MasterState:
         root_ones = np.zeros(self.n, dtype=bool)
         root_bound = self._evaluate(self._C, 0, 0.0)
         nodes = 1
-        # Heap entries: (-bound, seq, ones, per-cut value of ones, depth, cost
-        # of ones, pool changes at the bound).
-        heap = [(-root_bound, 0, root_ones, self._C, 0, 0.0, self._changes)]
+        # Heap entries hold a node's fixings, not its per-cut values: (-bound,
+        # seq, ones, depth, cost of ones, pool changes at the bound).
+        heap = [(-root_bound, 0, root_ones, 0, 0.0, self._changes)]
         expanding = root_bound  # bound of the node being expanded
         offer(*self._greedy_start(slack))
         # the all-zeros x, valued under the pool the greedy start may have grown
@@ -298,7 +298,7 @@ class MasterState:
                 heapq.heappush(heap, (-bound, seq, *node))
 
         while heap:
-            neg_bound, _, ones, base, level, cost_ones, changes = heapq.heappop(heap)
+            neg_bound, _, ones, level, cost_ones, changes = heapq.heappop(heap)
             bound = -neg_bound
             if bound <= inc_value + slack:
                 # best-first order: nothing left can beat the incumbent
@@ -307,15 +307,14 @@ class MasterState:
                 status = STATUS_TIME_LIMIT
                 open_bound = bound
                 break
+            base = self._C + self._A @ ones
             if changes != self._changes:
                 # Cuts arrived since this node was bounded; its stale bound
-                # is still valid, as cuts only lower bounds.  Re-bound it
-                # from its ones, since dominated cuts may have left the pool.
-                base = self._C + self._A @ ones
+                # is still valid, as cuts only lower bounds.  Re-bound it.
                 bound = self._evaluate(base, level, cost_ones)
                 nodes += 1
                 if bound <= inc_value + slack or (heap and bound < -heap[0][0]):
-                    push(bound, ones, base, level, cost_ones, self._changes)
+                    push(bound, ones, level, cost_ones, self._changes)
                     continue
             if level >= len(self._branch_order):
                 continue
@@ -330,12 +329,12 @@ class MasterState:
                 nodes += 1
                 changes = self._changes
                 offer(float(child_base.min()), child_ones)
-                push(b1, child_ones, child_base, level + 1, child_cost, changes)
+                push(b1, child_ones, level + 1, child_cost, changes)
                 if self._changes != changes:
                     base = self._C + self._A @ ones
             b0 = self._evaluate(base, level + 1, cost_ones)
             nodes += 1
-            push(b0, ones, base, level + 1, cost_ones, self._changes)
+            push(b0, ones, level + 1, cost_ones, self._changes)
 
         x_arr = np.array(inc_x, dtype=float)
         eta = float((self._C + self._A @ x_arr).min())

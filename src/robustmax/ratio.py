@@ -33,6 +33,7 @@ from typing import Sequence
 
 from .core import TOL, SetFunction, SubmodularCut, build_cuts
 from .dcg import DcgConfig, ground_size, solve_robust, support, values_at
+from .master import STATUS_TIME_LIMIT
 
 
 @dataclass(frozen=True)
@@ -51,10 +52,11 @@ class RatioReport:
 
     ``eta`` is the final solve's worst value with scenario i scaled by
     ``per_scenario[i].lower``.
-    ``iterations``, ``cuts_added`` and ``wall_time`` cover the whole call:
-    the scenario solves and the final solve.  ``iterations`` sums each
-    solve's own count, one plus its separations that added cuts, and
-    ``cuts_added`` sums each solve's pool growth.
+    ``iterations``, ``cuts_added``, ``wall_time`` and ``status`` cover the
+    whole call: the scenario solves and the final solve.  ``iterations``
+    sums each solve's own count, one plus its separations that added cuts,
+    ``cuts_added`` sums each solve's pool growth, and ``status`` is
+    "time_limit" when any of the solves stopped at its limit.
     """
 
     eta: float
@@ -133,7 +135,7 @@ def solve_ratio_robust(fns: Sequence[SetFunction], costs: Sequence[float],
 
     per_scenario = []
     reused: list = []
-    pre_iterations = pre_cuts = 0
+    reports = []  # every solve of the call, the final one last
     for i, fn in enumerate(fns):
         limit = per_scenario_budget
         if config.time_limit is not None:
@@ -142,8 +144,7 @@ def solve_ratio_robust(fns: Sequence[SetFunction], costs: Sequence[float],
             limit = share if limit is None else min(limit, share)
         bounds, rep = maximize_single(fn, costs, budget,
                                       replace(config, time_limit=limit))
-        pre_iterations += rep.iterations
-        pre_cuts += rep.cuts_added
+        reports.append(rep)
         if bounds.lower <= 0:
             raise ValueError(
                 f"scenario {i} has a nonpositive incumbent value {bounds.lower!r}; "
@@ -154,6 +155,8 @@ def solve_ratio_robust(fns: Sequence[SetFunction], costs: Sequence[float],
     scales = [b.lower for b in per_scenario]
     final = replace(config, time_limit=left(), epsilon=config.epsilon / max(scales))
     report = solve_robust(fns, scales, costs, budget, final, initial_cuts=reused)
+    reports.append(report)
+    stopped = any(r.status == STATUS_TIME_LIMIT for r in reports)
 
     ub = report.upper_bound
     chosen = support(report.x)
@@ -163,8 +166,9 @@ def solve_ratio_robust(fns: Sequence[SetFunction], costs: Sequence[float],
     gap = (ub - lb) / ub if ub > 0 else 0.0
     return RatioReport(eta=report.eta, x=report.x, upper_bound=ub,
                        lower_bound=lb, gap=gap,
-                       iterations=pre_iterations + report.iterations,
-                       cuts_added=pre_cuts + report.cuts_added,
-                       wall_time=time.monotonic() - start, status=report.status,
+                       iterations=sum(r.iterations for r in reports),
+                       cuts_added=sum(r.cuts_added for r in reports),
+                       wall_time=time.monotonic() - start,
+                       status=STATUS_TIME_LIMIT if stopped else report.status,
                        per_scenario=tuple(per_scenario),
                        certified_exact=certified, certificate=reason)

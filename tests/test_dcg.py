@@ -21,6 +21,7 @@ from robustmax.master import MasterState
 
 from conftest import (all_subsets, cut_is_valid, modular_fn, random_coverage, rhs,
                       scenario_oracle, table_fn)
+from reference_milp import reference_eta
 
 
 def scalar_brute_force(fns, alphas, costs, budget) -> tuple:
@@ -554,6 +555,32 @@ def water_instances(draw):
                              seed=rng.randrange(2**32))
     fns = inst.build_oracles()
     return fns, [1.0] * len(fns), inst.network.sensor_costs, inst.network.budget
+
+
+@st.composite
+def milp_instances(draw):
+    """Water instances of 16 to 30 nodes with 1 to 4 scenarios and positive
+    alphas: past the sizes brute force enumerates."""
+    n, m = draw(st.integers(16, 30)), draw(st.integers(1, 4))
+    inst = generate_instance(n=n, edge_factor=draw(st.sampled_from((41 / 36, 1.5, 2.0))), m=m,
+                             j_count=draw(st.integers(1, n // 3)), budget=draw(st.integers(5, 40)),
+                             seed=draw(st.integers(0, 2**32 - 1)))
+    return inst, draw(st.lists(st.floats(0.01, 100.0), min_size=m, max_size=m))
+
+
+class TestMatchesReferenceMilp:
+    @settings(max_examples=40, deadline=None)
+    @given(milp_instances(), st.booleans(), st.integers(0, 3))
+    def test_eta_is_the_milp_optimum(self, case, reduce, stop_pt):
+        # the exact assignment MILP (tests/reference_milp.py), solved by HiGHS
+        pytest.importorskip("scipy")
+        inst, alphas = case
+        fns = inst.build_oracles()
+        report = solve_robust(fns, alphas, inst.network.sensor_costs, inst.network.budget,
+                              DcgConfig(reduce=reduce, stop_pt=stop_pt))
+        reference = reference_eta(inst, alphas)
+        assert report.status == "optimal"
+        assert abs(report.eta - reference) <= TOL * abs(reference)
 
 
 class TestSeparationContract:

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from itertools import combinations, product
 from dataclasses import replace
 from random import Random
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from robustmax import (DcgConfig, MasterState, SetFunction, SubmodularCut,
                        empty_set_cuts, generate_instance, solve_robust, water)
-from robustmax import core
+from robustmax import core, master
 from robustmax.core import TOL, dominance, objective_slack
 from robustmax.dcg import kept_locations
 from robustmax.master import CELLS, knapsack_grid
@@ -712,6 +714,33 @@ class TestNodeCounts:
         assert len(kept_locations(fns, costs)) < inst.network.node_count
         wrapped = solve_robust(fns, *args)
         assert (wrapped.eta, results[1].nodes) == (plain.eta, results[0].nodes)
+
+
+class TestOpenNodes:
+    def test_no_heap_entry_holds_per_cut_values(self, monkeypatch):
+        # An open node is its fixings: every entry pushed or popped holds
+        # scalars and its bool ones, never a float array the size of a pool
+        # that a pool change could leave stale.
+        entries = []
+
+        def heappush(heap, entry):
+            entries.append(entry)
+            heapq.heappush(heap, entry)
+
+        def heappop(heap):
+            entries.append(heapq.heappop(heap))
+            return entries[-1]
+
+        monkeypatch.setattr(master, "heapq", SimpleNamespace(heappush=heappush,
+                                                              heappop=heappop))
+        inst = generate_instance(n=20, edge_factor=1.5, m=8, j_count=6, budget=20, seed=3)
+        fns = inst.build_oracles()
+        report = solve_robust(fns, [1.0] * len(fns), inst.network.sensor_costs,
+                              inst.network.budget, DcgConfig(reduce=True, stop_pt=2))
+        assert report.status == "optimal"
+        assert len({entry[-1] for entry in entries}) > 1  # the pool changed mid-solve
+        assert not [entry for entry in entries for value in entry
+                    if isinstance(value, np.ndarray) and value.dtype.kind == "f"]
 
 
 def knapsack_entries(ms: MasterState, depth: int) -> np.ndarray:

@@ -257,6 +257,28 @@ class TestSolveRatioRobust:
         assert report.cuts_added == sum(r.cuts_added for r in reports)
         assert report.iterations > reports[-1].iterations
 
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_a_stopped_scenario_solve_makes_the_call_time_limited(self, monkeypatch, seed):
+        # ratio family: with no time for the scenario solves, the final solve
+        # closes its own tree, but the scales it used are not optima, so the
+        # gap stays open and the call may not read "optimal"
+        inst = generate_instance(n=36, edge_factor=41 / 36, m=10, j_count=12,
+                                 budget=30, seed=seed)
+        reports = []
+        solve_robust = ratio.solve_robust
+
+        def recording(*args, **kwargs):
+            reports.append(solve_robust(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(ratio, "solve_robust", recording)
+        report = solve_ratio_robust(inst.build_oracles(), inst.network.sensor_costs,
+                                    inst.network.budget, per_scenario_budget=0.0)
+        assert all(r.status == "time_limit" for r in reports[:-1])
+        assert reports[-1].status == "optimal"
+        assert report.status == "time_limit"
+        assert report.gap > 0
+
     def test_final_solve_keeps_a_share(self, monkeypatch):
         # per-scenario budgets that would eat the whole limit are capped by
         # the equal share, so the final solve still starts with time left
