@@ -32,6 +32,7 @@ parallel.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import time
 from collections import Counter
@@ -237,9 +238,9 @@ class MasterState:
         cuts with :meth:`add_cut` and returns the value later candidates must
         beat: the true objective at x plus any gap the caller accepts as
         optimal.  The incumbent and the pruning then follow those values, not
-        pool values.  An open node is stored as its fixings and its per-cut
-        values are recomputed when it is popped, so a node bounded under an
-        older pool is re-bounded then, in the branch order the solve began with.
+        pool values.  An open node is stored as its fixings and the pool at its
+        push (a one child is pushed before its offer), and is re-bounded when
+        popped under a newer pool, in the branch order the solve began with.
 
         Each x is offered once, when its node is created: the greedy start
         and the root's zeros at the start, a one child as it is bounded (a
@@ -262,11 +263,11 @@ class MasterState:
 
         inc_value, inc_x = -math.inf, ()
 
-        def offer(value: float, ones: np.ndarray):
+        def offer(value: float, ones: np.ndarray) -> bool:  # True iff the pool changed
             nonlocal inc_value, inc_x
             # every value offered is bounded under the current pool
             if value <= inc_value + slack or not self._fits(ones):
-                return
+                return False
             x = tuple(int(b) for b in ones)
             changes = self._changes
             value = separate(x, value, expanding)
@@ -276,29 +277,30 @@ class MasterState:
                 inc_value, inc_x = value, x
             elif value >= inc_value - slack and x < inc_x:
                 inc_x = x
+            return self._changes != changes
+
+        # Heap entries hold a node's fixings, not its per-cut values: (-bound,
+        # seq, ones, depth, cost of ones, pool changes when pushed), so a bound
+        # is pushed before any offer that may change the pool.
+        heap = []
+        seq = itertools.count()
+
+        def push(bound: float, ones: np.ndarray, depth: int, cost: float):
+            if bound > inc_value + slack:
+                heapq.heappush(heap, (-bound, next(seq), ones, depth, cost, self._changes))
 
         root_ones = np.zeros(self.n, dtype=bool)
-        root_bound = self._evaluate(self._C, 0, 0.0)
+        expanding = self._evaluate(self._C, 0, 0.0)  # bound of the node being expanded
         nodes = 1
-        # Heap entries hold a node's fixings, not its per-cut values: (-bound,
-        # seq, ones, depth, cost of ones, pool changes at the bound).
-        heap = [(-root_bound, 0, root_ones, 0, 0.0, self._changes)]
-        expanding = root_bound  # bound of the node being expanded
+        push(expanding, root_ones, 0, 0.0)
         offer(*self._greedy_start(slack))
         # the all-zeros x, valued under the pool the greedy start may have grown
         offer(float(self._C.min()), root_ones)
-        seq = 0
         status = STATUS_OPTIMAL
         open_bound = -math.inf  # bound of the node popped when time ran out
 
-        def push(bound: float, *node):
-            nonlocal seq
-            if bound > inc_value + slack:
-                seq += 1
-                heapq.heappush(heap, (-bound, seq, *node))
-
         while heap:
-            neg_bound, _, ones, level, cost_ones, changes = heapq.heappop(heap)
+            neg_bound, _, ones, level, cost_ones, stamp = heapq.heappop(heap)
             bound = -neg_bound
             if bound <= inc_value + slack:
                 # best-first order: nothing left can beat the incumbent
@@ -308,13 +310,13 @@ class MasterState:
                 open_bound = bound
                 break
             base = self._C + self._A @ ones
-            if changes != self._changes:
+            if stamp != self._changes:
                 # Cuts arrived since this node was bounded; its stale bound
                 # is still valid, as cuts only lower bounds.  Re-bound it.
                 bound = self._evaluate(base, level, cost_ones)
                 nodes += 1
                 if bound <= inc_value + slack or (heap and bound < -heap[0][0]):
-                    push(bound, ones, level, cost_ones, self._changes)
+                    push(bound, ones, level, cost_ones)
                     continue
             if level >= len(self._branch_order):
                 continue
@@ -325,16 +327,13 @@ class MasterState:
                 child_ones[j] = True
                 child_base = base + self._A[:, j]
                 child_cost = cost_ones + float(self._cost[j])
-                b1 = self._evaluate(child_base, level + 1, child_cost)
+                push(self._evaluate(child_base, level + 1, child_cost),
+                     child_ones, level + 1, child_cost)
                 nodes += 1
-                changes = self._changes
-                offer(float(child_base.min()), child_ones)
-                push(b1, child_ones, level + 1, child_cost, changes)
-                if self._changes != changes:
+                if offer(float(child_base.min()), child_ones):
                     base = self._C + self._A @ ones
-            b0 = self._evaluate(base, level + 1, cost_ones)
+            push(self._evaluate(base, level + 1, cost_ones), ones, level + 1, cost_ones)
             nodes += 1
-            push(b0, ones, level + 1, cost_ones, self._changes)
 
         x_arr = np.array(inc_x, dtype=float)
         eta = float((self._C + self._A @ x_arr).min())

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from itertools import product
 from random import Random
 from unittest.mock import patch
@@ -568,19 +569,45 @@ def milp_instances(draw):
     return inst, draw(st.lists(st.floats(0.01, 100.0), min_size=m, max_size=m))
 
 
+@st.composite
+def fractional_milp_instances(draw):
+    """Water instances of 16 to 36 nodes with 1 to 10 scenarios and positive
+    alphas, whose costs are multiples of 1/8 in [5, 10] and whose budget is
+    one in [15, 45]: every cost sum is exact in binary, budgets above 32 put
+    the node-bound tables on the fallback grid, and ``kept_locations`` keeps
+    every location."""
+    n, m = draw(st.integers(16, 36)), draw(st.integers(1, 10))
+    inst = generate_instance(n=n, edge_factor=draw(st.sampled_from((41 / 36, 1.5, 2.0))), m=m,
+                             j_count=draw(st.integers(1, n // 3)), budget=5,
+                             seed=draw(st.integers(0, 2**32 - 1)))
+    eighths = draw(st.lists(st.integers(40, 80), min_size=n, max_size=n))
+    network = replace(inst.network, sensor_costs=tuple(k / 8 for k in eighths),
+                      budget=draw(st.integers(120, 360)) / 8)
+    return (replace(inst, network=network),
+            draw(st.lists(st.floats(0.01, 100.0), min_size=m, max_size=m)))
+
+
+def assert_eta_is_the_milp_optimum(inst, alphas, reduce, stop_pt):
+    # the exact assignment MILP (tests/reference_milp.py), solved by HiGHS
+    pytest.importorskip("scipy")
+    fns = inst.build_oracles()
+    report = solve_robust(fns, alphas, inst.network.sensor_costs, inst.network.budget,
+                          DcgConfig(reduce=reduce, stop_pt=stop_pt))
+    reference = reference_eta(inst, alphas)
+    assert report.status == "optimal"
+    assert abs(report.eta - reference) <= TOL * abs(reference)
+
+
 class TestMatchesReferenceMilp:
     @settings(max_examples=40, deadline=None)
     @given(milp_instances(), st.booleans(), st.integers(0, 3))
     def test_eta_is_the_milp_optimum(self, case, reduce, stop_pt):
-        # the exact assignment MILP (tests/reference_milp.py), solved by HiGHS
-        pytest.importorskip("scipy")
-        inst, alphas = case
-        fns = inst.build_oracles()
-        report = solve_robust(fns, alphas, inst.network.sensor_costs, inst.network.budget,
-                              DcgConfig(reduce=reduce, stop_pt=stop_pt))
-        reference = reference_eta(inst, alphas)
-        assert report.status == "optimal"
-        assert abs(report.eta - reference) <= TOL * abs(reference)
+        assert_eta_is_the_milp_optimum(*case, reduce, stop_pt)
+
+    @settings(max_examples=12, deadline=None)
+    @given(fractional_milp_instances(), st.booleans(), st.integers(0, 3))
+    def test_fractional_costs_match_the_milp(self, case, reduce, stop_pt):
+        assert_eta_is_the_milp_optimum(*case, reduce, stop_pt)
 
 
 class TestSeparationContract:

@@ -683,6 +683,9 @@ class TestNodeCounts:
         (dict(n=24, edge_factor=41 / 36, m=10, j_count=8, budget=20), 2, 256, 19.75),
         (dict(n=54, edge_factor=41 / 36, m=50, j_count=18, budget=45), 1, 10862,
          48.444444444444436),
+        # the benchmark's desk family
+        (dict(n=36, edge_factor=41 / 36, m=50, j_count=12, budget=30), 1, 480,
+         19.333333333333332),
     ])
     def test_pinned_tree_size(self, monkeypatch, family, seed, nodes, eta):
         inst = generate_instance(seed=seed, **family)
@@ -741,6 +744,38 @@ class TestOpenNodes:
         assert len({entry[-1] for entry in entries}) > 1  # the pool changed mid-solve
         assert not [entry for entry in entries for value in entry
                     if isinstance(value, np.ndarray) and value.dtype.kind == "f"]
+
+    def test_each_stamp_is_the_pool_its_bound_was_computed_under(self, monkeypatch):
+        # A pushed entry's last field is the pool change count at the
+        # _evaluate call that gave its bound: the last one before the push.
+        events = []
+        evaluate = MasterState._evaluate
+
+        def recording(self, *args):
+            events.append(("bound", evaluate(self, *args), self._changes))
+            return events[-1][1]
+
+        def heappush(heap, entry):
+            events.append(("push", entry))
+            heapq.heappush(heap, entry)
+
+        monkeypatch.setattr(MasterState, "_evaluate", recording)
+        monkeypatch.setattr(master, "heapq", SimpleNamespace(heappush=heappush,
+                                                              heappop=heapq.heappop))
+        inst = generate_instance(n=20, edge_factor=1.5, m=8, j_count=6, budget=20, seed=3)
+        fns = inst.build_oracles()
+        report = solve_robust(fns, [1.0] * len(fns), inst.network.sensor_costs,
+                              inst.network.budget, DcgConfig(reduce=True, stop_pt=2))
+        assert report.status == "optimal"
+        pushes = [i for i, event in enumerate(events) if event[0] == "push"]
+        for i in pushes:
+            _, bound, changes = next(e for e in reversed(events[:i]) if e[0] == "bound")
+            assert (-events[i][1][0], events[i][1][-1]) == (bound, changes)
+        # Offers change the pool only after the root's push and a one child's
+        # push, so a later push whose next bound reads another pool is a one
+        # child offered after it was stamped.
+        assert any(next(e[2] for e in events[i:] if e[0] == "bound") != events[i][1][-1]
+                   for i in pushes[1:] if any(e[0] == "bound" for e in events[i:]))
 
 
 def knapsack_entries(ms: MasterState, depth: int) -> np.ndarray:
