@@ -238,9 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--mode", choices=["rsm", "rsm3"], default="rsm")
     solve.add_argument("--alpha", nargs="+", default=None,
                        metavar="MODE", help="unit | values v1 .. vm | solve")
-    solve.add_argument("--reduce", action=argparse.BooleanOptionalAction, default=True)
-    solve.add_argument("--stop-pt", dest="stop_pt", type=int, default=2)
-    solve.add_argument("--epsilon", type=float, default=0.0)
+    defaults = DcgConfig()  # the library's solve defaults are the flags' defaults
+    solve.add_argument("--reduce", action=argparse.BooleanOptionalAction,
+                       default=defaults.reduce)
+    solve.add_argument("--stop-pt", dest="stop_pt", type=int, default=defaults.stop_pt)
+    solve.add_argument("--epsilon", type=float, default=defaults.epsilon)
     solve.add_argument("--time-limit", dest="time_limit", type=float, default=None)
     solve.add_argument("--scenario-budget", dest="scenario_budget", type=float, default=None)
     solve.add_argument("--jobs", type=int, default=1)

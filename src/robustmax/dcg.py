@@ -3,21 +3,24 @@
 Maximize min_i f_i(x)/alpha_i over knapsack-feasible binary x by branch and
 cut: one best-bound tree over a relaxed master (cut pool) lives for the whole
 run, and every candidate it finds that beats the incumbent goes to exact
-separation at once.  The violated scenarios receive a fresh hypograph cut;
-with ``reduce`` on, only the scenarios attaining the worst scaled value are
-separated, which is sufficient for optimality and keeps the pool small.  A
-nonzero ``stop_pt`` routes the candidate's support through
+separation at once.  The violated scenarios receive a fresh hypograph cut.
+With ``reduce`` on, only the scenarios attaining the worst scaled value are
+separated, and when fewer than :data:`K` tie, the next most violated ones
+up to K: cutting the worst alone suffices for optimality, and the few more
+cuts shrink the tree while the pool stays small (Achterberg 2007, cut
+selection).  A nonzero ``stop_pt`` routes the candidate's support through
 :func:`strengthen_generating_sets`, which swaps covered support elements for
 zero-marginal witnesses before the cut is built; the resulting inequality is
 still tight at the candidate.  The tree keeps its open nodes as cuts arrive
 and re-bounds each when it is next popped (Padberg & Rinaldi 1991).
 
-A separation makes four batch :func:`~robustmax.core.values_in` reads,
-however many scenarios it cuts: the candidate in every scenario, then the
-violated ones' marginals, pair keys and cut keys.  Strengthening and cut
-building compute from these values, and one family's oracles fill each read
-together.  The strengthening's admission loop reads its few other values
-one at a time, and each of those that misses is a one-key ``values_in`` read.
+A separation makes at most four batch :func:`~robustmax.core.values_in`
+reads, however many scenarios it cuts: the candidate in every scenario,
+then, with ``stop_pt`` nonzero, the violated ones' marginals and pair keys,
+and last their cut keys.  Strengthening and cut building compute from these
+values, and one family's oracles fill each read together.  The
+strengthening's admission loop reads its few other values one at a time,
+and each of those that misses is a one-key ``values_in`` read.
 
 Before the tree starts, locations that a no-dearer location covers in every
 scenario are fixed at zero (:func:`kept_locations`), so the tree branches
@@ -41,13 +44,21 @@ from .core import (TOL, SetFunction, SubmodularCut, build_cuts, element_set,
 from .master import MasterState, STATUS_OPTIMAL, check_knapsack
 
 MAX_GROUND = 22  # largest ground set brute_force_robust enumerates
+# Under ``reduce``, the fewest scenarios a separation cuts when that many are
+# violated: 3 took less CPU time than 1 on the instances measured (the table
+# is in CHANGES.md).
+K = 3
 
 @dataclass
 class DcgConfig:
     """Knobs for the branch-and-cut solve.
 
-    reduce      separate only the scenarios attaining the worst value
-    stop_pt     witness count for generating-set strengthening (0 = off)
+    reduce      separate the scenarios attaining the worst value, and the next
+                most violated ones up to :data:`K` when fewer tie (ties to the
+                smaller index); off, every violated scenario
+    stop_pt     witness count for generating-set strengthening (0 = off, the
+                default: by measurement its reads cost more time than its
+                stronger cuts save; 2 gives the paper's strengthened cuts)
     epsilon     objective gap accepted as optimal on the violation test (finite, >= 0)
     time_limit  seconds for the whole call, >= 0 (None = unlimited); the
                 ratio pipeline splits it among its solves
@@ -61,7 +72,7 @@ class DcgConfig:
     """
 
     reduce: bool = True
-    stop_pt: int = 2
+    stop_pt: int = 0
     epsilon: float = 0.0
     time_limit: float | None = None
 
@@ -160,7 +171,8 @@ def strengthen_generating_sets(fns: Sequence[SetFunction], incumbent: Iterable[i
     the incumbent.  stop_pt = 0 returns the support unchanged.
 
     Every function's marginals at the incumbent go to one :func:`values_in`
-    read, its pair keys to one more, and the admission loops use those values.
+    read, its pair keys and the incumbent's singletons to one more, and the
+    admission loops use those values.
     """
     incumbent = element_set(incumbent)
     if stop_pt == 0:
@@ -174,12 +186,13 @@ def strengthen_generating_sets(fns: Sequence[SetFunction], incumbent: Iterable[i
     zeros = [[j for j, v in enumerate(row) if v - a <= slack]
              for a, row, slack in zip(at, after, slacks, strict=True)]
     pairs = [[(j, k) for j in zero for k in bar] for zero in zeros]
-    reads = values_in(fns, [[1 << j | 1 << k for j, k in p] + [1 << k for _, k in p]
+    # each function's pair keys, then each incumbent singleton once
+    reads = values_in(fns, [[1 << j | 1 << k for j, k in p] + ([1 << k for k in bar] if p else [])
                             for p in pairs])
     gens = []
     for fn, slack, zero, fn_pairs, read in zip(fns, slacks, zeros, pairs, reads):
-        witness = {pair for pair, both, alone in zip(fn_pairs, read, read[len(fn_pairs):])
-                   if both - alone <= slack}
+        alone = dict(zip(bar, read[len(fn_pairs):]))
+        witness = {(j, k) for (j, k), both in zip(fn_pairs, read) if both - alone[k] <= slack}
         covered, admitted = set(), set()
         for j in zero:
             found = [k for k in bar if (j, k) in witness][:stop_pt]
@@ -269,7 +282,11 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
         if value <= worst + config.epsilon + slack:
             return worst + config.epsilon  # no scenario is violated
         if config.reduce:
-            targets = [i for i, v in enumerate(values) if v <= worst + slack]
+            # the tied scenarios rank first, so the first max(K, tied) are
+            # every tied one and the next most violated up to K
+            ranked = sorted(range(m), key=values.__getitem__)
+            tied = sum(v <= worst + slack for v in values)
+            targets = sorted(ranked[:max(K, tied)])
         else:
             targets = list(range(m))
         violated = [i for i in targets if value > values[i] + config.epsilon + slack]

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import robustmax.cli
-from robustmax import ParseError, SetFunction
+from robustmax import DcgConfig, ParseError, SetFunction
 from robustmax.cli import CSV_HEADER, RunRecord, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -111,6 +111,16 @@ class TestSolve:
         assert rec.mode == "rsm" and rec.reduce and rec.stop_pt == 2
         assert rec.status == "optimal" and rec.gap_pct == 0.0
         assert rec.lb == rec.eta <= rec.ub + 1e-9
+
+    def test_default_row_reads_the_library_defaults(self, instance_path, capsys):
+        # solve's flags take their defaults from DcgConfig, so the two cannot drift
+        code, out, _ = run(capsys, "solve", str(instance_path))
+        assert code == 0
+        rec = RunRecord.from_csv_row(next(csv.reader([out.strip().splitlines()[1]])))
+        defaults = DcgConfig()
+        assert (rec.reduce, rec.stop_pt) == (defaults.reduce, defaults.stop_pt)
+        args = robustmax.cli.build_parser().parse_args(["solve", str(instance_path)])
+        assert args.epsilon == defaults.epsilon
 
     def test_rsm3_row_sandwich(self, instance_path, capsys):
         code, out, _ = run(capsys, "solve", str(instance_path), "--mode", "rsm3",

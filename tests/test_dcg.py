@@ -197,6 +197,25 @@ class TestStrengthenGeneratingSet:
                 assert strengthen_generating_sets(fns, bar, at, stop_pt) == want
             assert [fn._cache for fn in fns] == [ref._cache for ref in refs]
 
+    def test_each_key_is_read_once(self, monkeypatch):
+        # the pair read lists each incumbent singleton once per function,
+        # not once per (j, k) pair
+        reads = []
+
+        def recording(fns, keys):
+            keys = [list(fn_keys) for fn_keys in keys]
+            reads.append(keys)
+            return values_in(fns, keys)
+
+        monkeypatch.setattr(dcg, "values_in", recording)
+        fns = generate_instance(n=16, edge_factor=41 / 36, m=4, j_count=5, budget=40,
+                                seed=0).build_oracles()
+        bar = frozenset({0, 3, 5, 8, 11})
+        strengthen_generating_sets(fns, bar, [fn.value(bar) for fn in fns], 2)
+        _, pairs = reads
+        # 1 << k is the key of the pair (k, k) and of k alone, and of nothing else
+        assert all(fn_keys.count(1 << k) == 2 for fn_keys in pairs for k in bar)
+
 
 class TestSolveRobust:
     def test_two_modular_functions(self):
@@ -638,6 +657,96 @@ class TestSeparationContract:
             report = solve_robust(fns, alphas, costs, budget,
                                   DcgConfig(reduce=reduce, stop_pt=stop_pt, epsilon=epsilon))
         assert report.status == "optimal"
+
+
+def cut_rule(values, value, slack, epsilon, reduce) -> list:
+    """The scenarios a separation cuts at scaled values ``values`` and pool
+    value ``value``: every violated one, or with ``reduce`` those tied at the
+    worst value and the next most violated up to K, ties to the smaller
+    index; in ascending order."""
+    violated = [i for i, v in enumerate(values) if value > v + epsilon + slack]
+    if not reduce:
+        return violated
+    tied = [i for i in violated if values[i] <= min(values) + slack]
+    rest = sorted((i for i in violated if i not in tied), key=lambda i: (values[i], i))
+    return sorted(tied + rest[:max(0, dcg.K - len(tied))])
+
+
+class TestCutRule:
+    """Which scenarios each separation hands to ``add_cut``, in its one call."""
+
+    @pytest.fixture
+    def separations(self, monkeypatch):
+        """Per separation: its candidate, pool value, the solve's objective
+        slack and the scenario indices of each add_cut call it made."""
+        steps, calls = [], []
+        add_cut, solve = MasterState.add_cut, MasterState.solve
+
+        def recording_add_cut(state, *cuts):
+            calls.append([cut.scenario_index for cut in cuts])
+            return add_cut(state, *cuts)
+
+        def recording_solve(state, separate, time_limit=None):
+            slack = objective_slack(state.cut_pool)
+
+            def recording(x, value, bound):
+                start = len(calls)
+                w = separate(x, value, bound)
+                steps.append((x, value, slack, calls[start:]))
+                return w
+            return solve(state, recording, time_limit)
+
+        monkeypatch.setattr(MasterState, "add_cut", recording_add_cut)
+        monkeypatch.setattr(MasterState, "solve", recording_solve)
+        return steps
+
+    def solve(self, separations, fns, alphas, costs, budget, reduce, epsilon=0.0):
+        """solve_robust, then each separation's scaled values at its candidate."""
+        report = solve_robust(fns, alphas, costs, budget,
+                              DcgConfig(reduce=reduce, epsilon=epsilon))
+        assert report.status == "optimal"
+        return [([fn.value(support(x)) / a for fn, a in zip(fns, alphas)], value, slack, made)
+                for x, value, slack, made in separations]
+
+    @pytest.mark.parametrize("reduce", [True, False])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.25])
+    def test_cuts_follow_the_rule(self, separations, reduce, epsilon):
+        steps = []
+        for family, seed in [(dict(n=20, edge_factor=1.5, m=8, j_count=6, budget=20), 3),
+                             *((dict(n=12, edge_factor=2.0, m=5, j_count=5, budget=15), s)
+                               for s in range(3))]:
+            inst = generate_instance(seed=seed, **family)
+            fns = inst.build_oracles()
+            del separations[:]
+            steps += self.solve(separations, fns, [1.0] * len(fns),
+                                inst.network.sensor_costs, inst.network.budget,
+                                reduce, epsilon)
+        extra = 0
+        for values, value, slack, made in steps:
+            want = cut_rule(values, value, slack, epsilon, reduce)
+            assert made == ([want] if want else [])
+            if made:
+                # the separation contract: the worst scenario is always cut
+                assert values.index(min(values)) in made[0]
+                tied = sum(v <= min(values) + slack for v in values)
+                extra = max(extra, len(made[0]) - tied)
+        # some separation cut more than its tied scenarios
+        assert extra >= (1 if reduce else 2)
+
+    def test_every_tied_scenario_is_cut_past_k(self, separations):
+        # K + 1 copies of one scenario tie at every candidate, and a last
+        # copy at half scale is never the worst unless the value is 0
+        inst = generate_instance(n=12, edge_factor=2.0, m=1, j_count=5, budget=15, seed=0)
+        copies = water.Instance(network=inst.network, scenarios=inst.scenarios * (dcg.K + 2))
+        fns = copies.build_oracles()
+        alphas = [1.0] * (dcg.K + 1) + [0.5]
+        steps = self.solve(separations, fns, alphas, inst.network.sensor_costs,
+                           inst.network.budget, reduce=True)
+        cut = [made[0] for _, _, _, made in steps if made]
+        assert cut
+        for values, value, slack, made in steps:
+            assert made == ([cut_rule(values, value, slack, 0.0, True)] if made else [])
+        assert all(set(range(dcg.K + 1)) <= set(scenarios) for scenarios in cut)
 
 
 def max_type_fn(saved, weights, declare: bool) -> SetFunction:

@@ -678,13 +678,13 @@ class TestNodeCounts:
     # tree; any change to the bound, the branching order, the pruning or the
     # separation rule shows here.
     @pytest.mark.parametrize("family, seed, nodes, eta", [
-        (dict(n=12, edge_factor=2.0, m=5, j_count=5, budget=15), 1, 50, 9.6),
-        (dict(n=20, edge_factor=1.5, m=8, j_count=6, budget=20), 3, 144, 15.166666666666666),
-        (dict(n=24, edge_factor=41 / 36, m=10, j_count=8, budget=20), 2, 256, 19.75),
-        (dict(n=54, edge_factor=41 / 36, m=50, j_count=18, budget=45), 1, 10862,
+        (dict(n=12, edge_factor=2.0, m=5, j_count=5, budget=15), 1, 44, 9.6),
+        (dict(n=20, edge_factor=1.5, m=8, j_count=6, budget=20), 3, 131, 15.166666666666666),
+        (dict(n=24, edge_factor=41 / 36, m=10, j_count=8, budget=20), 2, 208, 19.75),
+        (dict(n=54, edge_factor=41 / 36, m=50, j_count=18, budget=45), 1, 7395,
          48.444444444444436),
         # the benchmark's desk family
-        (dict(n=36, edge_factor=41 / 36, m=50, j_count=12, budget=30), 1, 480,
+        (dict(n=36, edge_factor=41 / 36, m=50, j_count=12, budget=30), 1, 401,
          19.333333333333332),
     ])
     def test_pinned_tree_size(self, monkeypatch, family, seed, nodes, eta):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from itertools import product
 
 import pytest
 
@@ -110,12 +111,13 @@ class TestSolveRatioRobust:
         assert fn.value(support(report.x)) == pytest.approx(single_opt, abs=1e-9)
 
     def test_exact_scales_match_brute_force(self):
-        for seed in range(6):
+        # stop_pt 2 puts strengthened cuts through rescaling and reuse
+        for stop_pt, seed in product((0, 2), range(6)):
             inst = generate_instance(n=7 + seed % 3, edge_factor=1.4, m=3,
                                      j_count=3, budget=13, seed=seed)
             fns = inst.build_oracles()
             costs, b = inst.network.sensor_costs, inst.network.budget
-            report = solve_ratio_robust(fns, costs, b)
+            report = solve_ratio_robust(fns, costs, b, config=DcgConfig(stop_pt=stop_pt))
             assert all(s.solved_exactly for s in report.per_scenario)
             assert report.gap == pytest.approx(0.0, abs=1e-9)
             assert report.certified_exact
