@@ -8,25 +8,29 @@ every node at arrival time >= t, the sensed node included.  The expected
 saving over sources, weighted by event probabilities, is the monotone
 submodular objective the solvers maximize.
 
-Travel times are static per-scenario edge weights; no hydraulics.  The
-oracles of one instance are made by one evaluator, which holds the (m, n, k)
-stack of the scenarios' saved arrays, and they form one family: every miss
-reaches the stack's one read entry, ``rows``.  Two or more rows that all
-read one scenario go to its ranking kernel; any other read, one row or rows
-that span scenarios, to the gather-and-reduce kernel, which computes only
-the (scenario, set) rows it is given.  The instance data is immutable after
-construction, the kernels keep no state but a ranking built once, and
-oracles are shared freely across threads.
+Travel times are static per-scenario edge weights; no hydraulics.  An
+instance's (m, n, k) stack of saved arrays comes from one pass,
+:func:`reduction_matrix`: one Dijkstra over every (scenario, source) pair at
+once, in chunks of whole scenarios, where a node's saving is its pair's
+reached count less the nodes popped at a strictly earlier arrival.  The
+oracles of one instance are made by one evaluator, which holds that stack,
+and they form one family: every miss reaches the stack's one read entry,
+``rows``.  Two or more rows that all read one scenario go to its ranking
+kernel; any other read, one row or rows that span scenarios, to the
+gather-and-reduce kernel, which computes only the (scenario, set) rows it
+is given.  The instance data is immutable after construction, the kernels
+keep no state but a ranking built once, and oracles are shared freely
+across threads.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import sys
 from dataclasses import dataclass
 from functools import partial
 from random import Random
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +38,8 @@ from .core import SetFunction, TOL
 
 # Most bool entries one chunk of a batched oracle evaluation holds at once.
 BATCH_CHUNK = 1 << 16
-# Most saved entries one chunk of a stacked read gathers at once.
+# Most saved entries one chunk of a stacked read gathers at once, and most
+# entries one chunk of reduction_matrix's Dijkstra arrays and edge table hold.
 ROWS_CHUNK = 1 << 18
 
 
@@ -92,43 +97,122 @@ class Scenario:
             raise ValueError("edge travel times must be >= 1 and finite")
 
 
-def reduction_matrix(network: Network, scenario: Scenario) -> np.ndarray:
-    """saved[s, j]: reachable nodes from source j with arrival >= arrival at s.
+def _out_edges(network: Network, weights: np.ndarray):
+    """The network's out-edges padded to the most any node has: the (n,
+    width) ``heads``, where ``heads[u]`` lists the nodes u leads to, and
+    the (tail, slot) position of each kept edge in that table, with the
+    (m, kept) weights to write there, from the (m, E) weights.
 
-    An (n, k) float64 array, one column per source.  A sensor on the source
-    saves every node the source reaches, itself included, so
-    ``saved[sources[j], j]`` is that count; an unreachable sensor saves 0.
-    Dijkstra pops the nodes in order of arrival, so a node's saving is the
-    reached count less the number popped at a strictly earlier time.
-    """
-    if len(scenario.edge_weights) != len(network.edges):
-        raise ValueError("scenario weight count does not match edge count")
+    Parallel edges act as one edge at their least travel time and a
+    self-loop is dropped, as Dijkstra treats them; so no node is the head of
+    two of u's edges.  A pad edge leads back to u at inf, which changes
+    nothing, as u is popped when its edges are relaxed."""
     n = network.node_count
-    adj: list = [[] for _ in range(n)]
-    for (u, v), w in zip(network.edges, scenario.edge_weights):
-        adj[u].append((v, w))
-    saved = np.zeros((n, len(network.sources)))
-    for col, source in enumerate(network.sources):
-        dist = [math.inf] * n
-        dist[source] = 0.0
-        reached, earlier = [], []
-        heap = [(0.0, source)]
-        last, first = -1.0, 0
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            if d != last:  # the first node at this arrival time
-                last, first = d, len(reached)
-            reached.append(u)
-            earlier.append(first)
-            for v, w in adj[u]:
-                nd = d + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        saved[reached, col] = len(reached) - np.array(earlier)
-    return saved
+    ends = np.array(network.edges)
+    key = ends[:, 0] * n + ends[:, 1]
+    order = key.argsort(kind="stable")  # by tail, then head
+    key, weights = key[order], weights[:, order]
+    if (key[1:] == key[:-1]).any() or (ends[:, 0] == ends[:, 1]).any():
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])  # each (u, v) group's first
+        key, weights = key[starts], np.minimum.reduceat(weights, starts, axis=1)
+        kept = key // n != key % n
+        key, weights = key[kept], weights[:, kept]
+    tail, head = np.divmod(key, n)
+    slot = np.arange(len(key)) - tail.searchsorted(tail)  # rank among its tail's edges
+    width = int(slot.max()) + 1 if len(key) else 1
+    heads = np.repeat(np.arange(n), width).reshape(n, width)
+    heads[tail, slot] = head
+    return heads, (tail, slot), weights
+
+
+def _arrivals(heads: np.ndarray, table: np.ndarray, rows: np.ndarray, sources: np.ndarray):
+    """Dijkstra for P (scenario, source) pairs at once, pair p from node
+    ``sources[p]`` over the out-edges of :func:`_out_edges`, whose travel
+    times from node u are ``table[rows[p] + u]``: (n, P) arrays of the node
+    each pair popped at each step and its arrival, inf once the pair has
+    run out of reached nodes.
+
+    Each step pops the nearest unpopped node of every pair with one argmin
+    and relaxes its out-edges, so a pair pops its nodes in order of
+    arrival, one per step.  A key is an arrival, inf until reached, or NaN
+    once popped.  Keys are >= 0, so their bits read as int64 order as the
+    floats do, with NaN above inf: the argmin over that view never picks a
+    popped node while another is left, and ``np.minimum`` keeps a NaN, so
+    a relaxation never reopens one."""
+    pairs, n = len(rows), len(heads)
+    first = np.arange(pairs) * n  # the pair's node 0 in the flat (pairs, n) keys
+    keys = np.full((pairs, n), math.inf)
+    flat, order = keys.ravel(), keys.view(np.int64)
+    flat.put(first + sources, 0.0)
+    popped = np.empty((n, pairs), dtype=np.intp)
+    times = np.empty((n, pairs))
+    for t in range(n):
+        u = order.argmin(axis=1, out=popped[t])
+        at = u + first
+        d = flat.take(at, out=times[t])
+        flat.put(at, math.nan)
+        to = heads.take(u, axis=0)
+        to += first[:, None]
+        arrival = table.take(rows + u, axis=0)
+        arrival += d[:, None]
+        current = flat.take(to)
+        np.minimum(current, arrival, out=current)
+        flat.put(to, current)
+    return popped, times
+
+
+def reduction_matrix(network: Network, scenarios: Sequence[Scenario]) -> np.ndarray:
+    """saved[i, s, j]: nodes reachable from source j in scenario i whose
+    arrival is >= the arrival at s.
+
+    An (m, n, k) float64 array, one (n, k) slice per scenario.  A sensor on
+    the source saves every node the source reaches, itself included, so
+    ``saved[i, sources[j], j]`` is that count; an unreachable sensor saves 0.
+
+    One Dijkstra runs over every (scenario, source) pair of the instance at
+    once (:func:`_arrivals`).  A pair pops its nodes in order of arrival,
+    one per step, so a node's saving is the pair's reached count less the
+    pops at a strictly earlier time, which the step index counts.  The
+    pairs go in chunks of whole scenarios, as many as keep a chunk's
+    (pairs, n + width) Dijkstra arrays and its (scenarios, n, width) edge
+    table inside ``ROWS_CHUNK`` entries, where width is the most out-edges
+    any node has; a chunk holds at least one scenario, so one scenario's
+    k * (n + width) + n * width entries is the floor.  Each step reads all
+    n keys of every pair, so a pair costs O(n * (n + width)) where a heap
+    Dijkstra costs O((n + E) log n): this pass wins while numpy's per-call
+    cost dominates, on small networks with many pairs (see README).
+    """
+    n, m, e_count = network.node_count, len(scenarios), len(network.edges)
+    if any(len(sc.edge_weights) != e_count for sc in scenarios):
+        raise ValueError("scenario weight count does not match edge count")
+    weights = np.array([sc.edge_weights for sc in scenarios], dtype=float).reshape(m, e_count)
+    sources = np.array(network.sources)
+    k = len(sources)
+    saved = np.zeros(m * n * k + 1)  # the last entry takes the pops of pairs run dry
+    heads, (tail, slot), weights = _out_edges(network, weights)
+    width = heads.shape[1]
+    step = max(1, ROWS_CHUNK // (k * (n + width) + n * width))
+    for lo in range(0, m, step):
+        count = min(m, lo + step) - lo
+        table = np.full((count, n, width), math.inf)  # row i * n + u: u's out-edges in lo + i
+        table[:, tail, slot] = weights[lo:lo + count]
+        table = table.reshape(count * n, width)
+        # pair p is scenario lo + p // k, source p % k; rows[p] is its node 0 in table
+        rows = np.repeat(np.arange(count) * n, k)
+        popped, times = _arrivals(heads, table, rows, np.tile(sources, count))
+        real = times < math.inf
+        new = np.ones(times.shape, dtype=bool)  # the pair's first pop at this time
+        np.not_equal(times[1:], times[:-1], out=new[1:])
+        earlier = np.where(new, np.arange(len(times))[:, None], 0)
+        np.maximum.accumulate(earlier, axis=0, out=earlier)
+        np.subtract(real.sum(axis=0), earlier, out=earlier)  # each pop's saving
+        # pair (lo + i, j) writes saved[lo + i, v, j] at ((lo + i) * n + v) * k + j
+        popped += rows + lo * n
+        popped *= k
+        popped += np.tile(np.arange(k), count)
+        popped[~real] = m * n * k
+        saved.put(popped, earlier)
+    return saved[:-1].reshape(m, n, k)
 
 
 def _expected(best: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -267,8 +351,7 @@ class Instance:
     def build_oracles(self) -> list:
         """One oracle per scenario, each reading its slice of one (m, n, k)
         stack of the scenarios' saved arrays (see :class:`_ScenarioStack`)."""
-        stack = _ScenarioStack(np.stack([reduction_matrix(self.network, sc)
-                                         for sc in self.scenarios]), self.network)
+        stack = _ScenarioStack(reduction_matrix(self.network, self.scenarios), self.network)
         return [stack.oracle(i, f"scenario-{i}") for i in range(len(self.scenarios))]
 
 
@@ -303,14 +386,14 @@ class _LineReader:
 
 def _ints(line_no, toks, count=None, minimum=None, what="value"):
     try:
-        vals = [int(t) for t in toks]
+        vals = list(map(int, toks))
     except ValueError:
         raise ParseError(line_no, f"non-integer {what}") from None
-    if any(abs(v) > sys.float_info.max for v in vals):
+    if vals and max(map(abs, vals)) > sys.float_info.max:
         raise ParseError(line_no, f"{what} beyond float range")
     if count is not None and len(vals) != count:
         raise ParseError(line_no, f"expected {count} {what}s, found {len(vals)}")
-    if minimum is not None and any(v < minimum for v in vals):
+    if minimum is not None and vals and min(vals) < minimum:
         raise ParseError(line_no, f"{what} below {minimum}")
     return vals
 

@@ -37,7 +37,7 @@ def reference_eta(instance: Instance, alphas: Sequence[float]) -> float:
     net = instance.network
     n, k, m = net.node_count, len(net.sources), len(instance.scenarios)
     probs = np.asarray(net.source_probabilities, dtype=float)
-    saved = np.stack([reduction_matrix(net, sc) for sc in instance.scenarios])  # (m, n, k)
+    saved = reduction_matrix(net, instance.scenarios)  # (m, n, k)
     y_count = m * k * n  # y[i, s, v] is column i * k * n + s * n + v
     cols = n + y_count + 1  # x, then y, then eta
 

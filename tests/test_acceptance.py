@@ -81,7 +81,7 @@ def test_criterion_2_figure_fidelity(figure_network):
     net, sc = figure_network
     fn = scenario_oracle(net, sc)
     assert fn.value({1, 2}) == 1.5
-    saved = reduction_matrix(net, sc)
+    saved = reduction_matrix(net, [sc])[0]
     assert max(saved[s, 0] for s in (1, 2)) == 1.0
     assert max(saved[s, 1] for s in (1, 2)) == 2.0
     assert saved[net.sources[0], 0] == 3.0  # a sensor on the source saves all it reaches

@@ -410,7 +410,7 @@ class TestEmptySetCuts:
         net, sc = figure_network
         fn = scenario_oracle(net, sc)
         (cut,) = empty_set_cuts([fn], [1.0])
-        saved = reduction_matrix(net, sc)
+        saved = reduction_matrix(net, [sc])[0]
         probs = net.source_probabilities
         for v in range(4):
             expect = sum(p * saved[v, jj] for jj, p in enumerate(probs))

@@ -83,18 +83,18 @@ class TestShortestTimes:
                       source_probabilities=(1.0,), sensor_costs=(1, 1, 1), budget=1)
         d = shortest_times(net, Scenario((5,)), 2)
         assert d[2] == 0 and math.isinf(d[0]) and math.isinf(d[1])
-        assert reduction_matrix(net, Scenario((5,))).tolist() == [[0.0], [0.0], [1.0]]
+        assert reduction_matrix(net, [Scenario((5,))])[0].tolist() == [[0.0], [0.0], [1.0]]
 
     def test_weight_count_must_match(self, figure_network):
         net, _ = figure_network
         with pytest.raises(ValueError, match="weight count"):
-            reduction_matrix(net, Scenario((1, 2)))
+            reduction_matrix(net, [Scenario((1, 2))])
 
 
 class TestReductionMatrix:
     def test_worked_entries(self, figure_network):
         net, sc = figure_network
-        saved = reduction_matrix(net, sc)
+        saved = reduction_matrix(net, [sc])[0]
         assert saved.shape == (4, 2) and saved.dtype == np.float64
         assert saved[0, 0] == 3  # source, gray, gray
         assert saved[1, 1] == 2
@@ -103,7 +103,7 @@ class TestReductionMatrix:
 
     def test_sensor_at_source_saves_everything(self, figure_network):
         net, sc = figure_network
-        saved = reduction_matrix(net, sc)
+        saved = reduction_matrix(net, [sc])[0]
         _, total = reference_saved(net, sc)
         for jj, src in enumerate(net.sources):
             assert saved[src, jj] == total[jj]
@@ -116,7 +116,7 @@ class TestReductionMatrix:
                                      budget=20, seed=seed)
             net = inst.network
             for sc in inst.scenarios:
-                saved = reduction_matrix(net, sc)
+                saved = reduction_matrix(net, [sc])[0]
                 for jj, src in enumerate(net.sources):
                     d = shortest_times(net, sc, src)
                     finite = d[np.isfinite(d)]
@@ -150,11 +150,44 @@ class TestReductionMatrix:
         draw = {"int": lambda: rng.randint(1, 10), "half": lambda: rng.randint(2, 20) / 2,
                 "float": lambda: rng.uniform(1, 10)}[weights]
         sc = Scenario(tuple(draw() for _ in net.edges))
-        saved = reduction_matrix(net, sc)
+        saved = reduction_matrix(net, [sc])[0]
         expect, total = reference_saved(net, sc)
         assert saved.dtype == np.float64 and saved.shape == expect.shape
         assert (saved == expect).all()
         assert (saved[list(net.sources), range(len(net.sources))] == total).all()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 12), st.sampled_from(("int", "half", "float")), st.data())
+    def test_stack_equals_reference(self, n, weights, data):
+        # a network built directly holds parallel edges, self-loops and
+        # isolated sources, and each scenario of the stack must read its own
+        # weights: every slice equals its one-scenario reference.  Repeating
+        # drawn edges at their own weights makes parallel edges common.
+        node = st.integers(0, n - 1)
+        edges = data.draw(st.lists(st.tuples(node, node), min_size=1, max_size=3 * n))
+        edges = tuple(edges + data.draw(st.lists(st.sampled_from(edges), max_size=len(edges))))
+        sources = tuple(data.draw(st.lists(node, min_size=1, max_size=n)))
+        net = Network(node_count=n, edges=edges, sources=sources,
+                      source_probabilities=(1.0 / len(sources),) * len(sources),
+                      sensor_costs=(1,) * n, budget=n)
+        weight = {"int": st.integers(1, 10), "half": st.integers(2, 20).map(lambda w: w / 2),
+                  "float": st.floats(1, 10)}[weights]
+        scenarios = [Scenario(tuple(data.draw(st.lists(weight, min_size=len(edges),
+                                                       max_size=len(edges)))))
+                     for _ in range(data.draw(st.integers(1, 4)))]
+        saved = reduction_matrix(net, scenarios)
+        assert saved.shape == (len(scenarios), n, len(sources)) and saved.dtype == np.float64
+        for i, sc in enumerate(scenarios):
+            assert (saved[i] == reference_saved(net, sc)[0]).all()
+
+    def test_chunks_change_nothing(self, monkeypatch):
+        # chunks of one scenario, of two (the last one short), and the whole stack
+        inst = generate_instance(n=20, edge_factor=1.5, m=5, j_count=6, budget=20, seed=4)
+        expect = [reference_saved(inst.network, sc)[0] for sc in inst.scenarios]
+        for rows in (1, 2 * 20 * 6, water.ROWS_CHUNK):
+            monkeypatch.setattr(water, "ROWS_CHUNK", rows)
+            saved = reduction_matrix(inst.network, inst.scenarios)
+            assert all((saved[i] == e).all() for i, e in enumerate(expect))
 
 
 class TestExpectedReductionOracle:
@@ -194,7 +227,7 @@ class TestExpectedReductionOracle:
                                  j_count=rng.randint(1, min(4, n)), budget=n,
                                  seed=rng.randrange(1000))
         fn = inst.build_oracles()[0]
-        saved = reduction_matrix(inst.network, inst.scenarios[0])
+        saved = reduction_matrix(inst.network, [inst.scenarios[0]])[0]
         covers = fn.covers
         assert (covers == (saved[:, None] >= saved[None]).all(axis=2)).all()
         pairs = np.argwhere(covers & ~np.eye(n, dtype=bool)).tolist()
