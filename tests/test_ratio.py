@@ -5,13 +5,17 @@ import time
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from robustmax import (DcgConfig, ScenarioBounds,
                        brute_force_robust, build_cut, certify_ratio_optimal,
                        generate_instance, maximize_single, ratio, rescale_cuts,
                        solve_ratio_robust, support)
+from robustmax.core import TOL
 
 from conftest import cut_is_valid, modular_fn, scenario_oracle
+from reference_milp import reference_eta
 
 
 class TestRescaleCuts:
@@ -320,6 +324,40 @@ class TestSolveRatioRobust:
         assert time.monotonic() - start < 3.0
         assert report.lower_bound <= report.upper_bound
         assert sum(c for c, xj in zip(costs, report.x) if xj) <= b
+
+
+@st.composite
+def ratio_milp_instances(draw):
+    """Water instances of 16 to 30 nodes with 1 to 4 scenarios: past the
+    sizes brute force enumerates."""
+    n, m = draw(st.integers(16, 30)), draw(st.integers(1, 4))
+    return generate_instance(n=n, edge_factor=draw(st.sampled_from((41 / 36, 1.5, 2.0))), m=m,
+                             j_count=draw(st.integers(1, n // 3)),
+                             budget=draw(st.integers(5, 40)),
+                             seed=draw(st.integers(0, 2**32 - 1)))
+
+
+class TestMatchesReferenceMilp:
+    @settings(max_examples=10, deadline=None)
+    @given(ratio_milp_instances(), st.booleans(), st.integers(0, 3))
+    def test_bounds_are_the_milp_optima(self, inst, reduce, stop_pt):
+        # Each scale is its one-scenario instance's MILP optimum, and the
+        # ratio optimum is the MILP's at those scales
+        # (tests/reference_milp.py, solved by HiGHS).
+        pytest.importorskip("scipy")
+        scales = [reference_eta(dataclasses.replace(inst, scenarios=(scenario,)), [1.0])
+                  for scenario in inst.scenarios]
+        assume(min(scales) > 0)  # else ratio scaling is undefined
+        report = solve_ratio_robust(inst.build_oracles(), inst.network.sensor_costs,
+                                    inst.network.budget,
+                                    config=DcgConfig(reduce=reduce, stop_pt=stop_pt))
+        for bounds, scale in zip(report.per_scenario, scales, strict=True):
+            assert abs(bounds.lower - scale) <= TOL * scale
+            assert abs(bounds.upper - scale) <= TOL * scale
+        optimum = reference_eta(inst, scales)
+        assert abs(report.lower_bound - optimum) <= TOL * abs(optimum)
+        assert abs(report.upper_bound - optimum) <= TOL * abs(optimum)
+        assert report.certified_exact
 
 
 def _record_limits(monkeypatch, time_limit: float) -> list:
