@@ -24,7 +24,9 @@ and each of those that misses is a one-key ``values_in`` read.
 
 Before the tree starts, locations that a no-dearer location covers in every
 scenario are fixed at zero (:func:`kept_locations`), so the tree branches
-only on the rest; cuts and the pool still span the whole ground set.
+only on the rest; cuts and the pool still span the whole ground set.  It
+branches on them in one order, read from the empty-set cuts alone, so a
+warm pool leaves it as a cold start has it.
 
 A run is sequential (separation runs inside the tree's search); distinct runs
 are independent.
@@ -229,7 +231,7 @@ def kept_locations(fns: Sequence[SetFunction], costs: Sequence[float]) -> np.nda
     optimum holds kept locations only, and the optimum is unchanged.  With
     integer costs summing below 2**53 every cost sum is exact in any order,
     so S' fits whenever S does.  A costs vector of the wrong length is left
-    to :class:`MasterState` to refuse.
+    to :func:`~robustmax.master.check_knapsack` to refuse.
     """
     relations = [fn.covers for fn in fns]
     cost = np.asarray(costs, dtype=float)
@@ -254,16 +256,24 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
     scaled value plus epsilon (upper_bound = eta + epsilon, up to the objective
     slack of the warm-start pool) or when the time limit runs out (upper_bound
     = the tree's bound); either way eta <= optimum <= upper_bound.  Never
-    returns an infeasible x.  The tree branches only on :func:`kept_locations`.
+    returns an infeasible x.  The tree branches only on :func:`kept_locations`,
+    best first by the min over the empty-set cuts of each coefficient per
+    unit cost, ties to the smaller index: the order a cold start's pool
+    gives, whatever ``initial_cuts`` hold.
     """
     config = config or DcgConfig()
     m = len(fns)
     n = ground_size(fns)
     check_alphas(alphas, m)
+    check_knapsack(n, costs, budget)
     start = time.monotonic()
 
-    state = MasterState(n, costs, budget, kept_locations(fns, costs))
-    state.add_cut(*empty_set_cuts(fns, alphas), *initial_cuts)
+    empty = empty_set_cuts(fns, alphas)
+    score = np.min([cut.coefficients for cut in empty], axis=0) / np.asarray(costs, dtype=float)
+    order = np.lexsort((np.arange(n), -score))
+    kept = kept_locations(fns, costs)
+    state = MasterState(n, costs, budget, order if kept is None else order[np.isin(order, kept)])
+    state.add_cut(*empty, *initial_cuts)
     warm_size = len(state.cut_pool)
     slack = objective_slack(state.cut_pool)
 

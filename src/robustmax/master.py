@@ -14,12 +14,13 @@ before they arrived are re-bounded when popped.  A candidate is offered once,
 when its node is created.  A callback that returns the pool value it is
 given solves the fixed pool.
 
-Branching fixes variables in one order per solve, taken from the pool at its
-start, so the free set of a node depends only on its depth.  A state may be
-given the variables the search ranges over (``kept``); the others stay at
-zero in every node and in the greedy start, while the cuts and the pool keep
-the whole ground set.  The caller vouches that some optimum sets none of
-them (:func:`robustmax.dcg.kept_locations`).  Per depth, one
+Branching fixes variables in one order, given when the state is built
+(``order``; every variable in index order by default) and kept by every
+solve and pool, so the free set of a node depends only on its depth.  The
+order lists the variables the search ranges over; the others stay at zero
+in every node and in the greedy start, while the cuts and the pool keep the
+whole ground set.  The caller picks the order and vouches that some optimum
+sets none of the others (:func:`robustmax.dcg.solve_robust`).  Per depth, one
 table on an integer capacity grid (:func:`knapsack_grid`) holds each cut's
 knapsack value over the free items at every capacity (Martello & Toth 1990,
 *Knapsack Problems*), built for every depth after each pool change; a
@@ -90,17 +91,19 @@ class MasterState:
     """Cut pool plus knapsack data; re-solvable as the pool grows."""
 
     def __init__(self, n: int, costs: Sequence[float], budget: float,
-                 kept: Sequence[int] | None = None):
+                 order: Sequence[int] | None = None):
         check_knapsack(n, costs, budget)
         if budget < 0:
             raise ValueError("budget must be nonnegative")
         self.n = n
-        # variables the search may set to one; None keeps all of them
-        kept = range(n) if kept is None else list(kept)
-        if not all(0 <= j < n for j in kept):
-            raise ValueError("kept variables must lie in 0..n-1")
+        # the variables the search may set to one, in branch order
+        order = range(n) if order is None else list(order)
+        if not (all(isinstance(j, (int, np.integer)) and not isinstance(j, bool)
+                    and 0 <= j < n for j in order) and len(set(order)) == len(order)):
+            raise ValueError("order must list distinct integer variables in 0..n-1")
+        self._branch_order = np.array(order, dtype=np.intp)
         self._kept = np.zeros(n, dtype=bool)
-        self._kept[kept] = True
+        self._kept[self._branch_order] = True
         self.costs = tuple(costs)
         self.budget = budget
         self._cost = np.array(self.costs, dtype=float)
@@ -164,25 +167,18 @@ class MasterState:
 
     # -- prepared arrays -----------------------------------------------------
 
-    def _prepare(self, branch_order: np.ndarray | None = None):
-        """Build the per-pool arrays the node bounds read.  The branch order,
-        over the kept variables, comes from the pool unless given, as it is
-        when the pool grows during a solve.  ``_tables[L, r]`` holds each
+    def _prepare(self):
+        """Build the per-pool arrays the node bounds read, at a solve's start
+        and after each pool change during it.  ``_tables[L, r]`` holds each
         cut's best coefficient sum over the items free at depth L (branch
         rank >= L) that fit in r cells: zeros at the deepest depth, and each
         other depth is the one below plus a 0-1 knapsack step on its item."""
         self._A = np.array([c.coefficients for c in self.cut_pool], dtype=float)
         self._C = np.array([c.constant for c in self.cut_pool], dtype=float)
-        if branch_order is None:
-            # Branch priority: free variable with the best guaranteed (min
-            # over cuts) coefficient per unit cost, ties to the smallest index.
-            score = self._A.min(axis=0) / self._cost
-            branch_order = np.lexsort((np.arange(self.n), -score))
-            branch_order = branch_order[self._kept[branch_order]]
-        self._branch_order = branch_order
         self._tables = None  # the old pool's tables go before the new ones are allocated
-        tables = self._tables = np.zeros((len(branch_order) + 1, self._cells + 1, len(self._C)))
-        for depth, j in reversed(list(enumerate(branch_order))):
+        order = self._branch_order
+        tables = self._tables = np.zeros((len(order) + 1, self._cells + 1, len(self._C)))
+        for depth, j in reversed(list(enumerate(order))):
             below, table = tables[depth + 1], tables[depth]
             w = min(self._weights[j], len(below))  # an item too heavy for every cell: no step
             table[:] = below
@@ -240,7 +236,8 @@ class MasterState:
         optimal.  The incumbent and the pruning then follow those values, not
         pool values.  An open node is stored as its fixings and the pool at its
         push (a one child is pushed before its offer), and is re-bounded when
-        popped under a newer pool, in the branch order the solve began with.
+        popped under a newer pool.  Every pool branches in the state's one
+        order.
 
         Each x is offered once, when its node is created: the greedy start
         and the root's zeros at the start, a one child as it is bounded (a
@@ -272,7 +269,7 @@ class MasterState:
             changes = self._changes
             value = separate(x, value, expanding)
             if self._changes != changes:
-                self._prepare(self._branch_order)
+                self._prepare()
             if value > inc_value + slack:
                 inc_value, inc_x = value, x
             elif value >= inc_value - slack and x < inc_x:

@@ -844,6 +844,30 @@ class TestCoveredLocations:
         assert kept_locations(fns, (2**51, 2**51)).tolist() == [0]
 
 
+class TestBranchOrder:
+    def test_warm_pool_keeps_the_cold_order(self, monkeypatch):
+        # The order comes from the empty-set cuts alone.  The cold solve's
+        # final pool holds cuts tight at large sets, with small coefficients
+        # on their own elements, so a pool-derived order would change here.
+        orders = []
+        solve = MasterState.solve
+
+        def recording(self, *args, **kwargs):
+            result = solve(self, *args, **kwargs)
+            orders.append(self._branch_order.tolist())
+            return result
+
+        monkeypatch.setattr(MasterState, "solve", recording)
+        inst = generate_instance(n=20, edge_factor=1.5, m=8, j_count=6, budget=20, seed=3)
+        fns = inst.build_oracles()
+        args = (fns, [1.0] * len(fns), inst.network.sensor_costs, inst.network.budget)
+        cold = solve_robust(*args)
+        warm = solve_robust(*args, initial_cuts=cold.pool)
+        assert len(cold.pool) > len(fns)
+        assert orders[1] == orders[0]
+        assert (warm.status, warm.eta) == (cold.status, cold.eta)
+
+
 class TestReadCounts:
     """How many kernel calls the water oracles' stack gets, counted by a
     wrapper around its one kernel, ``_ScenarioStack.rows``."""

@@ -360,11 +360,13 @@ class TestSolve:
         with pytest.raises(ValueError):
             MasterState(2, (1, 1), -1)
 
-    @pytest.mark.parametrize("kept", [[-1], [5], [0, 3]])
-    def test_kept_outside_ground_set_rejected(self, kept):
-        # -1 would keep element n - 1, and 5 would index past the mask
-        with pytest.raises(ValueError, match="kept"):
-            MasterState(3, (1, 1, 1), 2, kept)
+    @pytest.mark.parametrize("order", [[-1], [5], [0, 3], [0.5], [True, False, True], [0, 0]])
+    def test_malformed_order_rejected(self, order):
+        # -1 would branch on element n - 1, 5 would index past the mask, 0.5
+        # would raise numpy's IndexError, bools would read as a mask ({0, 2})
+        # and a repeated variable would be branched on twice
+        with pytest.raises(ValueError, match="order"):
+            MasterState(3, (1, 1, 1), 2, order)
 
     def test_lex_tie_break(self):
         # Two optima tie; the master may return either.  Only
@@ -477,7 +479,7 @@ class TestEvaluateMatchesReference:
         """One random root-to-leaf walk.  With ``grow`` = (depth, cuts), the
         cuts join the pool at that depth and the walk goes on in the same
         branch order; from there on each bound must equal, with ==, that of
-        a state loaded afresh with the grown pool."""
+        a state given that order and loaded afresh with the grown pool."""
         ms._prepare()
         n, costs = ms.n, ms.costs
         ones, zeros = set(), set()
@@ -491,13 +493,15 @@ class TestEvaluateMatchesReference:
                 cases.add("grown")
                 if len(ms.cut_pool) < size:
                     cases.add("dropped")
-                ms._prepare(ms._branch_order)
+                order = ms._branch_order.tolist()
+                ms._prepare()
+                assert ms._branch_order.tolist() == order
                 pool = list(ms.cut_pool)
-                fresh = MasterState(n, costs, ms.budget)
+                fresh = MasterState(n, costs, ms.budget, order)
                 for cut in pool:
                     fresh.add_cut(cut)
                 assert fresh.cut_pool == pool
-                fresh._prepare(ms._branch_order)
+                fresh._prepare()
                 base = ms._C + ms._A @ np.array(indicator(ones, n), dtype=float)
             cost_ones = sum(costs[j] for j in ones)
             bound = ms._evaluate(base, level, cost_ones)
@@ -800,18 +804,18 @@ class TestTableRebuild:
         prepare = MasterState._prepare
         pools, changes = [], {}
 
-        def preparing(self, *args):
+        def preparing(self):
             # once per pool: a solve's start, then each pool change
             assert self._changes > changes.get(id(self), -1)
+            pools.append(id(self) in changes)  # False at a solve's start
             changes[id(self)] = self._changes
-            prepare(self, *args)
+            prepare(self)
             order = self._branch_order
             assert isinstance(self._tables, np.ndarray)
             assert self._tables.shape == (len(order) + 1, self._cells + 1, len(self.cut_pool))
-            assert set(order.tolist()) == set(np.flatnonzero(self._kept).tolist())
+            assert order.tolist() == (list(range(self.n)) if given is None else given)
             for depth in range(len(order) + 1):
                 assert (self._tables[depth] == knapsack_entries(self, depth)).all(), depth
-            pools.append(bool(args))
 
         monkeypatch.setattr(MasterState, "_prepare", preparing)
         rng = Random(29)
@@ -820,8 +824,8 @@ class TestTableRebuild:
             n = rng.randint(1, 7)
             costs = [rng.randint(1, 4) for _ in range(n)]
             hidden = distinct_sets(random_pool(rng, n, rng.randint(2, 6)))
-            kept = sorted(rng.sample(range(n), rng.randint(1, n))) if trial % 2 else None
-            ms = MasterState(n, costs, rng.randint(0, sum(costs) + 1), kept)
+            given = rng.sample(range(n), rng.randint(1, n)) if trial % 2 else None
+            ms = MasterState(n, costs, rng.randint(0, sum(costs) + 1), given)
             ms.add_cut(SubmodularCut(10.0, (0.0,) * n, 0, frozenset({n})))
 
             def separate(x, value, bound):
