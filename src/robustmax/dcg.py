@@ -83,7 +83,9 @@ class DcgConfig:
             raise ValueError("epsilon must be finite and nonnegative")
         if self.time_limit is not None and not self.time_limit >= 0:
             raise ValueError("time_limit must be nonnegative")
-        if not isinstance(self.stop_pt, (int, np.integer)):
+        if not isinstance(self.reduce, (bool, np.bool_)):
+            raise ValueError(f"reduce must be a bool, got {self.reduce!r}")
+        if isinstance(self.stop_pt, bool) or not isinstance(self.stop_pt, (int, np.integer)):
             raise ValueError(f"stop_pt must be an integer, got {self.stop_pt!r}")
         if self.stop_pt < 0:
             raise ValueError("stop_pt must be nonnegative")
@@ -99,8 +101,8 @@ class SolveReport:
     (upper_bound - eta)/upper_bound (0 unless upper_bound > 0).
     ``iterations`` is one plus the number of separations that added cuts,
     ``cuts_added`` counts pool growth beyond the warm start, and
-    ``master_values`` holds, per separation, the bound of the tree node being
-    expanded: the master's upper bound at that moment, nonincreasing.
+    ``master_values`` is the master's ``MasterResult.separation_bounds``: per
+    separation, the bound of the tree node being expanded, nonincreasing.
     """
 
     eta: float
@@ -277,28 +279,23 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
     warm_size = len(state.cut_pool)
     slack = objective_slack(state.cut_pool)
 
-    master_values: list = []
     separations = 0
 
-    def separate(x_bar: tuple, value: float, bound: float) -> float:
+    def separate(x_bar: tuple, value: float) -> float:
         """Cut off x_bar for its violated scenarios; x_bar's worst scaled
         value plus epsilon is what the tree must beat from now on."""
         nonlocal separations
-        master_values.append(bound)
         chosen = support(x_bar)
         at_x = values_at(fns, chosen)
         values = [v / a for v, a in zip(at_x, alphas)]
         worst = min(values)
         if value <= worst + config.epsilon + slack:
             return worst + config.epsilon  # no scenario is violated
-        if config.reduce:
-            # the tied scenarios rank first, so the first max(K, tied) are
-            # every tied one and the next most violated up to K
-            ranked = sorted(range(m), key=values.__getitem__)
-            tied = sum(v <= worst + slack for v in values)
-            targets = sorted(ranked[:max(K, tied)])
-        else:
-            targets = list(range(m))
+        # the tied scenarios rank first, so the first max(K, tied) are every
+        # tied one and the next most violated up to K; without reduce, K = m
+        ranked = sorted(range(m), key=values.__getitem__)
+        tied = sum(v <= worst + slack for v in values)
+        targets = sorted(ranked[:max(K if config.reduce else m, tied)])
         violated = [i for i in targets if value > values[i] + config.epsilon + slack]
         cut_fns = [fns[i] for i in violated]
         gens = strengthen_generating_sets(cut_fns, chosen, [at_x[i] for i in violated],
@@ -324,7 +321,7 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
                        iterations=separations + 1,
                        cuts_added=len(state.cut_pool) - warm_size,
                        wall_time=time.monotonic() - start, status=result.status,
-                       master_values=tuple(master_values),
+                       master_values=result.separation_bounds,
                        pool=tuple(state.cut_pool))
 
 

@@ -23,8 +23,8 @@ whole ground set.  The caller picks the order and vouches that some optimum
 sets none of the others (:func:`robustmax.dcg.solve_robust`).  Per depth, one
 table on an integer capacity grid (:func:`knapsack_grid`) holds each cut's
 knapsack value over the free items at every capacity (Martello & Toth 1990,
-*Knapsack Problems*), built for every depth after each pool change; a
-node's bound is one row of it plus the node's per-cut values.
+*Knapsack Problems*), rebuilt by :meth:`MasterState.add_cut` whenever it
+accepts cuts; a node's bound is one row of it plus the node's per-cut values.
 
 A MasterState is owned by a single solve call; distinct states may run in
 parallel.
@@ -85,6 +85,7 @@ class MasterResult:
     bound: float
     status: str
     nodes: int  # node bounds evaluated in this solve
+    separation_bounds: tuple = ()  # per separation call, the bound of the node being expanded
 
 
 class MasterState:
@@ -163,16 +164,17 @@ class MasterState:
                 self.cut_pool = [c for i, c in enumerate(self.cut_pool) if i not in dropped]
             self.cut_pool += [group[r] for r in alive if r >= len(shared)]
             self._changes += 1
+            self._prepare()
         return accepted
 
     # -- prepared arrays -----------------------------------------------------
 
     def _prepare(self):
-        """Build the per-pool arrays the node bounds read, at a solve's start
-        and after each pool change during it.  ``_tables[L, r]`` holds each
-        cut's best coefficient sum over the items free at depth L (branch
-        rank >= L) that fit in r cells: zeros at the deepest depth, and each
-        other depth is the one below plus a 0-1 knapsack step on its item."""
+        """Build the per-pool arrays the node bounds read, each time
+        :meth:`add_cut` accepts cuts.  ``_tables[L, r]`` holds each cut's best
+        coefficient sum over the items free at depth L (branch rank >= L) that
+        fit in r cells: zeros at the deepest depth, and each other depth is
+        the one below plus a 0-1 knapsack step on its item."""
         self._A = np.array([c.coefficients for c in self.cut_pool], dtype=float)
         self._C = np.array([c.constant for c in self.cut_pool], dtype=float)
         self._tables = None  # the old pool's tables go before the new ones are allocated
@@ -222,28 +224,28 @@ class MasterState:
 
     # -- solve ----------------------------------------------------------------
 
-    def solve(self, separate: Callable[[tuple, float, float], float],
+    def solve(self, separate: Callable[[tuple, float], float],
               time_limit: float | None = None) -> MasterResult:
         """Best-bound branch and cut over the pool, in one tree.
 
         Every candidate x that fits and whose pool value beats the incumbent
         by more than the starting pool's objective slack
         (:func:`~robustmax.core.objective_slack`) goes at once to
-        ``separate(x, value, bound)``, with its pool value and the bound of
-        the node being expanded (the best bound left).  The callback may add
+        ``separate(x, value)``, with its pool value.  The callback may add
         cuts with :meth:`add_cut` and returns the value later candidates must
         beat: the true objective at x plus any gap the caller accepts as
         optimal.  The incumbent and the pruning then follow those values, not
-        pool values.  An open node is stored as its fixings and the pool at its
-        push (a one child is pushed before its offer), and is re-bounded when
-        popped under a newer pool.  Every pool branches in the state's one
-        order.
+        pool values.  ``separation_bounds`` records, per call, the bound of
+        the node being expanded (the best bound left, nonincreasing).  An open
+        node is stored as its fixings and the pool at its push (a one child is
+        pushed before its offer), and is re-bounded when popped under a newer
+        pool.  Every pool branches in the state's one order.
 
         Each x is offered once, when its node is created: the greedy start
         and the root's zeros at the start, a one child as it is bounded (a
         zero child has its parent's ones).  The master relies on this: once
-        ``separate(x, value, bound)`` returns w, x's pool value is at most w
-        plus the slack, as cuts tight at x make it.
+        ``separate(x, value)`` returns w, x's pool value is at most w plus
+        the slack, as cuts tight at x make it.
 
         A node is pruned once its bound is within the slack of the incumbent.
         ``bound`` is the incumbent's value, or at a time limit the larger
@@ -254,11 +256,11 @@ class MasterState:
         """
         if not self.cut_pool:
             raise ValueError("cut pool is empty; solve needs at least one cut")
-        self._prepare()
         start = time.monotonic()
         slack = objective_slack(self.cut_pool)
 
         inc_value, inc_x = -math.inf, ()
+        separation_bounds = []
 
         def offer(value: float, ones: np.ndarray) -> bool:  # True iff the pool changed
             nonlocal inc_value, inc_x
@@ -267,9 +269,8 @@ class MasterState:
                 return False
             x = tuple(int(b) for b in ones)
             changes = self._changes
-            value = separate(x, value, expanding)
-            if self._changes != changes:
-                self._prepare()
+            separation_bounds.append(expanding)
+            value = separate(x, value)
             if value > inc_value + slack:
                 inc_value, inc_x = value, x
             elif value >= inc_value - slack and x < inc_x:
@@ -335,4 +336,5 @@ class MasterState:
         x_arr = np.array(inc_x, dtype=float)
         eta = float((self._C + self._A @ x_arr).min())
         bound = max(eta, inc_value, open_bound)
-        return MasterResult(eta=eta, x=inc_x, bound=bound, status=status, nodes=nodes)
+        return MasterResult(eta=eta, x=inc_x, bound=bound, status=status, nodes=nodes,
+                            separation_bounds=tuple(separation_bounds))

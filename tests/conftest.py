@@ -101,7 +101,7 @@ def rhs(cut, x) -> float:
     return cut.constant + sum(c * xi for c, xi in zip(cut.coefficients, x))
 
 
-def pool_value(x, value, bound) -> float:
+def pool_value(x, value) -> float:
     """Separation callback of a fixed-pool solve: it adds no cut, and a
     candidate's value is its pool value."""
     return value

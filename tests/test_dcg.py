@@ -398,7 +398,8 @@ class TestMalformedInputs:
         (-1, "stop_pt must be nonnegative"),
         (2.0, "stop_pt must be an integer, got 2.0"),
         (1.5, "stop_pt must be an integer, got 1.5"),
-    ], ids=["negative", "integral-float", "float"])
+        (True, "stop_pt must be an integer, got True"),
+    ], ids=["negative", "integral-float", "float", "bool"])
     def test_config_stop_pt(self, stop_pt, message):
         # a float used to pass and then fail as a slice index mid-solve
         with pytest.raises(ValueError, match=message):
@@ -406,6 +407,15 @@ class TestMalformedInputs:
 
     def test_config_takes_numpy_integer_stop_pt(self):
         assert DcgConfig(stop_pt=np.int64(3)).stop_pt == 3
+
+    @pytest.mark.parametrize("reduce", ["false", None, 1])
+    def test_config_reduce(self, reduce):
+        # "false" is truthy, so taking it would reduce
+        with pytest.raises(ValueError, match=f"reduce must be a bool, got {reduce!r}"):
+            DcgConfig(reduce=reduce)
+
+    def test_config_takes_numpy_bool_reduce(self):
+        assert not DcgConfig(reduce=np.bool_(False)).reduce
 
     @pytest.mark.parametrize("solver", sorted(TestNonFiniteInputs.SOLVERS))
     def test_no_scenarios(self, solver):
@@ -631,32 +641,37 @@ class TestMatchesReferenceMilp:
 
 class TestSeparationContract:
     """What ``MasterState.solve`` relies on to offer each candidate once: after
-    ``separate(x, value, bound)`` returns w, x's pool value is at most w plus
-    the solve's objective slack."""
+    ``separate(x, value)`` returns w, x's pool value is at most w plus the
+    solve's objective slack."""
 
     @settings(max_examples=150, deadline=None)
     @given(water_instances(), st.booleans(), st.integers(0, 2), st.sampled_from((0.0, 0.25)))
     def test_separated_candidate_is_cut_off(self, case, reduce, stop_pt, epsilon):
         fns, alphas, costs, budget = case
         solve = MasterState.solve
+        results = []
 
         def checked_solve(state, separate, time_limit=None):
             slack = objective_slack(state.cut_pool)
             offered = set()
 
-            def checked(x, value, bound):
+            def checked(x, value):
                 assert x not in offered
                 offered.add(x)
-                w = separate(x, value, bound)
+                w = separate(x, value)
                 assert min(rhs(cut, x) for cut in state.cut_pool) <= w + slack
                 return w
 
-            return solve(state, checked, time_limit)
+            results.append(solve(state, checked, time_limit))
+            # the master records one bound per callback call
+            assert len(results[-1].separation_bounds) == len(offered)
+            return results[-1]
 
         with patch.object(MasterState, "solve", checked_solve):
             report = solve_robust(fns, alphas, costs, budget,
                                   DcgConfig(reduce=reduce, stop_pt=stop_pt, epsilon=epsilon))
         assert report.status == "optimal"
+        assert report.master_values == results[0].separation_bounds
 
 
 def cut_rule(values, value, slack, epsilon, reduce) -> list:
@@ -689,9 +704,9 @@ class TestCutRule:
         def recording_solve(state, separate, time_limit=None):
             slack = objective_slack(state.cut_pool)
 
-            def recording(x, value, bound):
+            def recording(x, value):
                 start = len(calls)
-                w = separate(x, value, bound)
+                w = separate(x, value)
                 steps.append((x, value, slack, calls[start:]))
                 return w
             return solve(state, recording, time_limit)

@@ -801,13 +801,22 @@ class TestTableRebuild:
         # a brute-force 0-1 knapsack over the depth's free items.  Integer
         # costs put the tables on an exact grid, and coefficients in halves
         # sum exactly, so the two are equal.
-        prepare = MasterState._prepare
-        pools, changes = [], {}
+        prepare, add_cut = MasterState._prepare, MasterState.add_cut
+        pools, changes, adding = [], {}, []
+
+        def adding_cut(self, *cuts):
+            adding.append(self._changes)
+            accepted = add_cut(self, *cuts)
+            adding.pop()
+            # the pool's last change was prepared inside the call that made it
+            assert changes.get(id(self), 0) == self._changes
+            return accepted
 
         def preparing(self):
-            # once per pool: a solve's start, then each pool change
-            assert self._changes > changes.get(id(self), -1)
-            pools.append(id(self) in changes)  # False at a solve's start
+            # only inside an add_cut that changed the pool, once per change
+            assert adding and self._changes == adding[-1] + 1
+            assert self._changes > changes.get(id(self), 0)
+            pools.append(self._changes > 1)  # False for the pool a solve starts with
             changes[id(self)] = self._changes
             prepare(self)
             order = self._branch_order
@@ -818,6 +827,7 @@ class TestTableRebuild:
                 assert (self._tables[depth] == knapsack_entries(self, depth)).all(), depth
 
         monkeypatch.setattr(MasterState, "_prepare", preparing)
+        monkeypatch.setattr(MasterState, "add_cut", adding_cut)
         rng = Random(29)
         for trial in range(40):
             changes.clear()
@@ -828,12 +838,29 @@ class TestTableRebuild:
             ms = MasterState(n, costs, rng.randint(0, sum(costs) + 1), given)
             ms.add_cut(SubmodularCut(10.0, (0.0,) * n, 0, frozenset({n})))
 
-            def separate(x, value, bound):
+            def separate(x, value):
                 ms.add_cut(*(cut for cut in hidden if rhs(cut, x) < value))
                 return min(rhs(cut, x) for cut in hidden)
 
             ms.solve(separate)
         assert False in pools and True in pools  # fresh pools and pools grown mid-walk
+
+    def test_one_rebuild_per_iteration(self, monkeypatch):
+        # The warm insertion's rebuild, then one per separation that adds
+        # cuts: 12 on the benchmark's desk seed 1.
+        prepares = []
+        prepare = MasterState._prepare
+
+        def counting(self):
+            prepares.append(1)
+            prepare(self)
+
+        monkeypatch.setattr(MasterState, "_prepare", counting)
+        inst = generate_instance(n=36, edge_factor=41 / 36, m=50, j_count=12, budget=30, seed=1)
+        fns = inst.build_oracles()
+        report = solve_robust(fns, [1.0] * len(fns), inst.network.sensor_costs,
+                              inst.network.budget, DcgConfig(reduce=True, stop_pt=2))
+        assert len(prepares) == report.iterations == 12
 
     def test_incremental_pool_matches_fresh_state(self):
         rng = Random(23)
@@ -884,17 +911,20 @@ class TestBranchAndCut:
         ms.add_cut(SubmodularCut(6.0, (0.0,) * 4, 0, frozenset({4})))
         offers = []
 
-        def separate(x, value, bound):
-            offers.append((x, value, bound))
+        def separate(x, value):
+            offers.append((x, value))
             worst = min(hidden, key=lambda cut: rhs(cut, x))
             if rhs(worst, x) < value:
                 ms.add_cut(worst)
             return rhs(worst, x)
 
         res = ms.solve(separate)
-        assert offers == [((0, 0, 0, 0), 6.0, 6.0), ((1, 0, 0, 0), 0.5, 4.5),
-                          ((1, 1, 0, 0), 3.0, 4.5), ((1, 0, 1, 0), 2.5, 4.0),
-                          ((1, 0, 1, 1), 4.0, 4.0), ((1, 1, 0, 1), 3.5, 3.5)]
+        # the tree's bound at each offer is the master's own record
+        assert len(res.separation_bounds) == len(offers)
+        triples = [(x, value, bound) for (x, value), bound in zip(offers, res.separation_bounds)]
+        assert triples == [((0, 0, 0, 0), 6.0, 6.0), ((1, 0, 0, 0), 0.5, 4.5),
+                           ((1, 1, 0, 0), 3.0, 4.5), ((1, 0, 1, 0), 2.5, 4.0),
+                           ((1, 0, 1, 1), 4.0, 4.0), ((1, 1, 0, 1), 3.5, 3.5)]
         assert (res.x, res.eta, res.bound, res.status) == ((1, 1, 0, 1), 3.5, 3.5, "optimal")
         assert res.eta == enumerate_best(hidden, costs, budget)[0]
 
@@ -908,13 +938,13 @@ class TestBranchAndCut:
         hidden, original, weak, costs, budget = case
         ms = MasterState(len(costs), costs, budget)
         ms.add_cut(weak)
-        offered = set()
+        offered, values = set(), []
 
-        def separate(x, value, bound):
+        def separate(x, value):
             assert x not in offered  # each candidate reaches the callback once
             offered.add(x)
+            values.append(value)
             assert value == pytest.approx(min(rhs(cut, x) for cut in ms.cut_pool), abs=1e-9)
-            assert bound >= value
             ms.add_cut(original)
             for cut in hidden:
                 if rhs(cut, x) < value:
@@ -922,6 +952,8 @@ class TestBranchAndCut:
             return min(rhs(cut, x) for cut in hidden)
 
         res = ms.solve(separate=separate)
+        assert len(res.separation_bounds) == len(values)
+        assert all(bound >= value for bound, value in zip(res.separation_bounds, values))
         ref_val, _ = enumerate_best(hidden, costs, budget)
         assert weak not in ms.cut_pool
         assert res.status == "optimal"
