@@ -100,7 +100,8 @@ class SolveReport:
     at optimality and the tree's bound when time ran out, and ``gap`` is
     (upper_bound - eta)/upper_bound (0 unless upper_bound > 0).
     ``iterations`` is one plus the number of separations that added cuts,
-    ``cuts_added`` counts pool growth beyond the warm start, and
+    ``cuts_added`` counts pool growth beyond the warm start, ``nodes`` the
+    tree nodes the master bounded (``MasterResult.nodes``), and
     ``master_values`` is the master's ``MasterResult.separation_bounds``: per
     separation, the bound of the tree node being expanded, nonincreasing.
     """
@@ -113,6 +114,7 @@ class SolveReport:
     cuts_added: int
     wall_time: float
     status: str
+    nodes: int
     master_values: tuple = ()
     pool: tuple = ()
 
@@ -321,7 +323,7 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
                        iterations=separations + 1,
                        cuts_added=len(state.cut_pool) - warm_size,
                        wall_time=time.monotonic() - start, status=result.status,
-                       master_values=result.separation_bounds,
+                       nodes=result.nodes, master_values=result.separation_bounds,
                        pool=tuple(state.cut_pool))
 
 

@@ -5,7 +5,7 @@ objective into a worst-case performance ratio, but computing those optima
 means solving one NP-hard problem per scenario.  This pipeline runs each
 single-scenario maximization under a share of the call's time limit,
 records the incumbent value (lower bound) and master bound (upper bound),
-re-derives every generated cut at its scenario's scale with ``build_cuts``
+re-derives every cut it generated at its scenario's scale with ``build_cuts``
 and reuses it, and finishes with one robust solve where the scales are the
 recorded lower bounds.  ``config.epsilon`` is in oracle units in every
 solve: the final solve, whose objective is a ratio, gets it divided by the
@@ -21,15 +21,21 @@ of it not yet spent, scenario i of m gets ``left / (m - i + 1)``, capped by
 ``per_scenario_budget``, and the final solve gets all that is left: one
 share is always kept for it.
 
-The per-scenario solves are independent and could run in parallel; the final
-robust solve is sequential.
+The scenario solves form a chain.  A hypograph cut is valid at any
+generating set (Nemhauser, Wolsey & Fisher 1978), and the scenarios share one
+network, so scenario i starts from its own cuts at every distinct nonempty
+generating set in the pools of scenarios 0..i-1, in first-seen order, built
+in one ``build_cuts`` call (Padberg & Rinaldi 1991, cut pools).  The final
+solve reuses only the cuts each scenario solve generated itself, the pool
+cuts whose generating set did not come in warm: reusing the transferred ones
+too would hand it each transferred set once per later scenario.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import TOL, SetFunction, SubmodularCut, build_cuts
 from .dcg import DcgConfig, ground_size, solve_robust, support, values_at
@@ -52,11 +58,13 @@ class RatioReport:
 
     ``eta`` is the final solve's worst value with scenario i scaled by
     ``per_scenario[i].lower``.
-    ``iterations``, ``cuts_added``, ``wall_time`` and ``status`` cover the
-    whole call: the scenario solves and the final solve.  ``iterations``
-    sums each solve's own count, one plus its separations that added cuts,
-    ``cuts_added`` sums each solve's pool growth, and ``status`` is
-    "time_limit" when any of the solves stopped at its limit.
+    ``iterations``, ``cuts_added``, ``nodes``, ``wall_time`` and ``status``
+    cover the whole call: the scenario solves and the final solve.
+    ``iterations`` sums each solve's own count, one plus its separations
+    that added cuts, ``cuts_added`` sums each solve's pool growth, so the
+    cuts transferred to a scenario solve are warm start and not counted,
+    ``nodes`` sums each solve's tree nodes, and ``status`` is "time_limit"
+    when any of the solves stopped at its limit.
     """
 
     eta: float
@@ -66,6 +74,7 @@ class RatioReport:
     gap: float
     iterations: int
     cuts_added: int
+    nodes: int
     wall_time: float
     status: str
     per_scenario: tuple
@@ -74,15 +83,17 @@ class RatioReport:
 
 
 def maximize_single(fn: SetFunction, costs: Sequence[float], budget: float,
-                    config: DcgConfig | None = None):
-    """Single-scenario maximization by cut generation with unit scale.
+                    config: DcgConfig | None = None,
+                    initial_cuts: Iterable[SubmodularCut] = ()):
+    """Single-scenario maximization by cut generation with unit scale,
+    warm-started with ``initial_cuts`` (unit scale, scenario index 0).
 
     Returns (bounds, report): the value sandwich and the underlying run
-    report, whose ``pool`` holds the generated cuts.  The run stops at
-    ``config.time_limit``; running out of time is a normal outcome, never
-    an error.
+    report, whose ``pool`` holds the initial and generated cuts.  The run
+    stops at ``config.time_limit``; running out of time is a normal outcome,
+    never an error.
     """
-    report = solve_robust([fn], [1.0], costs, budget, config)
+    report = solve_robust([fn], [1.0], costs, budget, config, initial_cuts=initial_cuts)
     bounds = ScenarioBounds(lower=report.eta, upper=report.upper_bound,
                             solved_exactly=report.gap == 0.0)
     return bounds, report
@@ -136,21 +147,28 @@ def solve_ratio_robust(fns: Sequence[SetFunction], costs: Sequence[float],
     per_scenario = []
     reused: list = []
     reports = []  # every solve of the call, the final one last
+    # the nonempty generating sets of the pools so far, in first-seen order
+    sets: dict = {}
     for i, fn in enumerate(fns):
+        # built before the share is read, so the limit pays for it
+        g = len(sets)
+        warm = build_cuts([fn] * g, list(sets), [1.0] * g, [0] * g)
         limit = per_scenario_budget
         if config.time_limit is not None:
             # scenarios i..m-1 and the final solve share what is left
             share = left() / (m - i + 1)
             limit = share if limit is None else min(limit, share)
         bounds, rep = maximize_single(fn, costs, budget,
-                                      replace(config, time_limit=limit))
+                                      replace(config, time_limit=limit), warm)
         reports.append(rep)
         if bounds.lower <= 0:
             raise ValueError(
                 f"scenario {i} has a nonpositive incumbent value {bounds.lower!r}; "
                 "ratio scaling is undefined")
         per_scenario.append(bounds)
-        reused += rescale_cuts(fn, rep.pool, bounds.lower, i)
+        own = [cut for cut in rep.pool if cut.generating_set not in sets]
+        reused += rescale_cuts(fn, own, bounds.lower, i)
+        sets.update(dict.fromkeys(cut.generating_set for cut in own if cut.generating_set))
 
     scales = [b.lower for b in per_scenario]
     final = replace(config, time_limit=left(), epsilon=config.epsilon / max(scales))
@@ -168,6 +186,7 @@ def solve_ratio_robust(fns: Sequence[SetFunction], costs: Sequence[float],
                        lower_bound=lb, gap=gap,
                        iterations=sum(r.iterations for r in reports),
                        cuts_added=sum(r.cuts_added for r in reports),
+                       nodes=sum(r.nodes for r in reports),
                        wall_time=time.monotonic() - start,
                        status=STATUS_TIME_LIMIT if stopped else report.status,
                        per_scenario=tuple(per_scenario),

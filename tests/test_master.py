@@ -700,7 +700,7 @@ class TestNodeCounts:
         assert report.status == "optimal"
         assert report.eta == pytest.approx(eta, abs=1e-12)
         assert len(results) == 1
-        assert results[0].nodes == nodes
+        assert report.nodes == results[0].nodes == nodes
 
     def test_wrapped_oracles_grow_the_same_tree(self, monkeypatch):
         # A wrapper made with functools.wraps, as a tracer puts around each

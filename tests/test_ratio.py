@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -261,6 +262,7 @@ class TestSolveRatioRobust:
         assert len(reports) == len(fns) + 1
         assert report.iterations == sum(r.iterations for r in reports)
         assert report.cuts_added == sum(r.cuts_added for r in reports)
+        assert report.nodes == sum(r.nodes for r in reports)
         assert report.iterations > reports[-1].iterations
 
     @pytest.mark.parametrize("seed", range(1, 6))
@@ -326,6 +328,66 @@ class TestSolveRatioRobust:
         assert sum(c for c, xj in zip(costs, report.x) if xj) <= b
 
 
+FAMILIES = {"ratio": dict(n=36, edge_factor=41 / 36, m=10, j_count=12, budget=30),
+            "grid": dict(n=12, edge_factor=2.0, m=5, j_count=5, budget=15)}
+
+
+class TestScenarioChain:
+    @pytest.mark.parametrize("family, seed", [("ratio", 1), *(("grid", s) for s in range(5))])
+    def test_each_scenario_starts_from_the_earlier_pools(self, monkeypatch, family, seed):
+        # scenario i is warm-started with its unit-scale cut at every distinct
+        # nonempty generating set of pools 0..i-1, in first-seen order, and
+        # the final solve reuses only the cuts each scenario generated itself
+        inst = generate_instance(seed=seed, **FAMILIES[family])
+        scenarios, solves = _record_chain(monkeypatch)
+        fns = inst.build_oracles()
+        solve_ratio_robust(fns, inst.network.sensor_costs, inst.network.budget)
+        assert len(scenarios) == len(fns) and len(solves) == len(fns) + 1
+        assert scenarios[0][1] == []
+        seen, reused = [], []
+        for i, (fn, warm, bounds, report) in enumerate(scenarios):
+            assert [cut.generating_set for cut in warm] == seen
+            for cut in warm:
+                assert cut == build_cut(fn, cut.generating_set, 1.0, 0)
+            own = [cut for cut in report.pool if cut not in warm]
+            assert not {cut.generating_set for cut in own} & set(seen)
+            reused += rescale_cuts(fn, own, bounds.lower, i)
+            seen += [g for g in dict.fromkeys(cut.generating_set for cut in report.pool)
+                     if g and g not in seen]
+        assert any(warm for _, warm, _, _ in scenarios)
+        assert solves[-1][0] == reused
+
+    def test_pinned_node_counts(self, monkeypatch):
+        # ratio seed 1: with the transfer the scenario trees take 2,650 nodes,
+        # not the 4,918 of cold starts, and the final tree, which reuses only
+        # each scenario's own cuts, 496, not 232
+        inst = generate_instance(seed=1, **FAMILIES["ratio"])
+        _, solves = _record_chain(monkeypatch)
+        report = solve_ratio_robust(inst.build_oracles(), inst.network.sensor_costs,
+                                    inst.network.budget)
+        assert sum(r.nodes for _, r in solves[:-1]) == 2650
+        assert solves[-1][1].nodes == 496
+        assert report.nodes == 2650 + 496
+
+    def test_warm_start_is_built_before_the_share_is_read(self, monkeypatch):
+        # so the time limit pays for it: each scenario solve follows its cut
+        # build and then the clock read that sets its share
+        inst = generate_instance(n=9, edge_factor=1.4, m=3, j_count=3, budget=15, seed=5)
+        events = []
+        build_cuts, maximize_single = ratio.build_cuts, ratio.maximize_single
+        monkeypatch.setattr(ratio, "build_cuts",
+                            lambda *args: events.append("build") or build_cuts(*args))
+        monkeypatch.setattr(ratio, "maximize_single",
+                            lambda *args: events.append("solve") or maximize_single(*args))
+        monkeypatch.setattr(ratio, "time", SimpleNamespace(
+            monotonic=lambda: events.append("clock") or time.monotonic()))
+        solve_ratio_robust(inst.build_oracles(), inst.network.sensor_costs,
+                           inst.network.budget, config=DcgConfig(time_limit=5.0))
+        starts = [k for k, event in enumerate(events) if event == "solve"]
+        assert len(starts) == 3
+        assert all(events[k - 2:k] == ["build", "clock"] for k in starts)
+
+
 @st.composite
 def ratio_milp_instances(draw):
     """Water instances of 16 to 30 nodes with 1 to 4 scenarios: past the
@@ -374,3 +436,26 @@ def _record_limits(monkeypatch, time_limit: float) -> list:
 
     monkeypatch.setattr(ratio, "solve_robust", recording)
     return limits
+
+
+def _record_chain(monkeypatch) -> tuple:
+    """Wrap the ratio pipeline's scenario solves and its solver; return the
+    lists they fill: per scenario solve (fn, initial cuts, bounds, report),
+    and per solver call, the final one last, (initial cuts, report)."""
+    scenarios, solves = [], []
+    maximize_single, solve_robust = ratio.maximize_single, ratio.solve_robust
+
+    def recording_single(fn, costs, budget, config=None, initial_cuts=()):
+        initial_cuts = list(initial_cuts)
+        bounds, report = maximize_single(fn, costs, budget, config, initial_cuts)
+        scenarios.append((fn, initial_cuts, bounds, report))
+        return bounds, report
+
+    def recording_solve(*args, initial_cuts=(), **kwargs):
+        initial_cuts = list(initial_cuts)
+        solves.append((initial_cuts, solve_robust(*args, initial_cuts=initial_cuts, **kwargs)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(ratio, "maximize_single", recording_single)
+    monkeypatch.setattr(ratio, "solve_robust", recording_solve)
+    return scenarios, solves
