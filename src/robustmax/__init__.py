@@ -7,10 +7,8 @@ variant scaled by each scenario's own optimum.  The bundled application is
 outbreak-detection sensor placement on water networks.
 """
 
-from .core import (SetFunction, SubmodularCut, build_cut, check_submodular,
-                   dominates, empty_set_cuts)
-from .dcg import (DcgConfig, SolveReport, brute_force_robust, solve_robust,
-                  strengthen_generating_set, support)
+from .core import SetFunction, SubmodularCut, check_submodular, empty_set_cuts
+from .dcg import DcgConfig, SolveReport, brute_force_robust, solve_robust, support
 from .master import MasterResult, MasterState
 from .ratio import (RatioReport, ScenarioBounds, certify_ratio_optimal,
                     maximize_single, rescale_cuts, solve_ratio_robust)
@@ -18,10 +16,9 @@ from .water import (Instance, Network, ParseError, Scenario, generate_instance,
                     parse_instance, reduction_matrix, serialize_instance)
 
 __all__ = [
-    "SetFunction", "SubmodularCut", "build_cut", "empty_set_cuts",
-    "dominates", "check_submodular",
+    "SetFunction", "SubmodularCut", "empty_set_cuts", "check_submodular",
     "MasterState", "MasterResult",
-    "DcgConfig", "SolveReport", "strengthen_generating_set",
+    "DcgConfig", "SolveReport",
     "solve_robust", "brute_force_robust", "support",
     "ScenarioBounds", "RatioReport", "maximize_single", "rescale_cuts",
     "solve_ratio_robust", "certify_ratio_optimal",

@@ -79,6 +79,9 @@ class DcgConfig:
     time_limit: float | None = None
 
     def __post_init__(self):
+        for name, value in (("epsilon", self.epsilon), ("time_limit", self.time_limit)):
+            if isinstance(value, (bool, np.bool_)):  # a bool passes the range checks as 0 or 1
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0 <= self.epsilon < math.inf:
             raise ValueError("epsilon must be finite and nonnegative")
         if self.time_limit is not None and not self.time_limit >= 0:

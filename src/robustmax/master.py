@@ -36,7 +36,6 @@ import heapq
 import itertools
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -124,12 +123,11 @@ class MasterState:
         it dominates that way are dropped, and it is appended.  The pool, its
         order and the count are those of inserting the cuts one at a time,
         so a later cut of the call may drop or be refused by an earlier one.
-        One comparison covers every pair among the call's cuts and the pool
-        cuts that share a generating set with one of them, restricted to the
-        cuts whose set occurs at least twice there (only pairs with one set
-        are read); the insertions then replay it.  A cut of the wrong
-        dimension, or whose constant, a coefficient or their sum is not
-        finite, is refused before any cut is inserted.
+        The insertions replay per generating set, on one comparison among
+        the pool cuts and the call's cuts with that set, made when it holds
+        two or more.  A cut of the wrong dimension, or whose constant, a
+        coefficient or their sum is not finite, is refused before any cut is
+        inserted.
         """
         for cut in cuts:
             if cut.ground_size != self.n:
@@ -137,32 +135,24 @@ class MasterState:
             if not math.isfinite(cut.magnitude):  # so is every entry of a cut that passes
                 raise ValueError("cut constant and coefficients must be finite, "
                                  "and so must their sum")
-        gens = {cut.generating_set for cut in cuts}
-        shared = [i for i, c in enumerate(self.cut_pool) if c.generating_set in gens]
-        group = [self.cut_pool[i] for i in shared] + list(cuts)
-        # Only cuts whose generating set repeats in the group are compared,
-        # row[q] their row in the matrix: no matrix when no set repeats.
-        beats = row = None
-        if len(gens) < len(group):
-            count = Counter(c.generating_set for c in group)
-            repeated = [q for q, c in enumerate(group) if count[c.generating_set] > 1]
-            row = {q: r for r, q in enumerate(repeated)}
-            beats = dominance([group[q] for q in repeated]).tolist()
-        alive = list(range(len(shared)))  # positions in group of the cuts in the pool
-        accepted = 0
-        for r in range(len(shared), len(group)):
-            gen = group[r].generating_set
-            same = [q for q in alive if group[q].generating_set == gen]
-            if not any(beats[row[q]][row[r]] for q in same):
-                drop = {q for q in same if beats[row[r]][row[q]]}
-                alive = [q for q in alive if q not in drop] + [r]
-                accepted += 1
+        # positions in the pool followed by the call, by position and not
+        # identity: the call may re-offer a pool cut it drops
+        merged = self.cut_pool + list(cuts)
+        by_set = {cut.generating_set: [] for cut in cuts}
+        for p, cut in enumerate(merged):
+            if cut.generating_set in by_set:
+                by_set[cut.generating_set].append(p)
+        gone, accepted = set(), 0
+        for same in by_set.values():
+            beats = dominance([merged[p] for p in same]).tolist() if len(same) > 1 else None
+            alive = [q for q, p in enumerate(same) if p < len(self.cut_pool)]
+            for r in range(len(alive), len(same)):
+                if not any(beats[q][r] for q in alive):
+                    alive = [q for q in alive if not beats[r][q]] + [r]
+                    accepted += 1
+            gone.update(p for q, p in enumerate(same) if q not in alive)
         if accepted:
-            # by position, not identity: the call may re-offer a pool cut it drops
-            dropped = set(shared) - {shared[q] for q in alive if q < len(shared)}
-            if dropped:
-                self.cut_pool = [c for i, c in enumerate(self.cut_pool) if i not in dropped]
-            self.cut_pool += [group[r] for r in alive if r >= len(shared)]
+            self.cut_pool = [c for p, c in enumerate(merged) if p not in gone]
             self._changes += 1
             self._prepare()
         return accepted

@@ -336,6 +336,9 @@ class Instance:
     def __post_init__(self):
         if self.alpha_mode not in ("unit", "values", "solve"):
             raise ValueError(f"unknown alpha mode {self.alpha_mode!r}")
+        if self.alpha_mode != "values" and self.alpha_values is not None:
+            # serialize_instance would write the mode alone and drop them
+            raise ValueError(f"alpha values need alpha mode 'values', not {self.alpha_mode!r}")
         if self.alpha_mode == "values":
             if self.alpha_values is None or len(self.alpha_values) != len(self.scenarios):
                 raise ValueError("alpha values must match the scenario count")

@@ -12,9 +12,10 @@ from itertools import product
 import pytest
 
 from robustmax import (DcgConfig, MasterState, SubmodularCut,
-                       brute_force_robust, build_cut, check_submodular,
+                       brute_force_robust, check_submodular,
                        empty_set_cuts, generate_instance, reduction_matrix,
                        solve_ratio_robust, solve_robust)
+from robustmax.core import build_cut
 
 from conftest import scenario_oracle
 from facets import facet_check

@@ -9,10 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import robustmax.core
-from robustmax import (SetFunction, SubmodularCut, build_cut, check_submodular,
-                       dominates, empty_set_cuts, generate_instance,
-                       strengthen_generating_set)
-from robustmax.core import TOL, build_cuts, values_in
+from robustmax import (SetFunction, SubmodularCut, check_submodular, empty_set_cuts,
+                       generate_instance)
+from robustmax.core import TOL, build_cut, build_cuts, dominates, values_in
+from robustmax.dcg import strengthen_generating_set
 
 from conftest import (all_subsets, cut_is_valid, modular_fn, random_coverage,
                       scenario_oracle, table_fn, tight_face_rank)

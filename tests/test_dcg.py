@@ -11,13 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustmax import (DcgConfig, SetFunction, brute_force_robust, build_cut,
-                       empty_set_cuts, generate_instance, solve_ratio_robust, solve_robust,
-                       strengthen_generating_set, support, water)
+from robustmax import (DcgConfig, SetFunction, brute_force_robust, empty_set_cuts,
+                       generate_instance, solve_ratio_robust, solve_robust, support, water)
 
 from robustmax import core, dcg
-from robustmax.core import TOL, objective_slack, values_in
-from robustmax.dcg import kept_locations, strengthen_generating_sets
+from robustmax.core import TOL, build_cut, objective_slack, values_in
+from robustmax.dcg import kept_locations, strengthen_generating_set, strengthen_generating_sets
 from robustmax.master import MasterState
 
 from conftest import (all_subsets, cut_is_valid, modular_fn, random_coverage, rhs,
@@ -405,6 +404,16 @@ class TestMalformedInputs:
         with pytest.raises(ValueError, match=message):
             DcgConfig(stop_pt=stop_pt)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("epsilon", True, "epsilon must be a number, got True"),
+        ("epsilon", np.bool_(False), f"epsilon must be a number, got {np.bool_(False)!r}"),
+        ("time_limit", True, "time_limit must be a number, got True"),
+    ], ids=["epsilon-bool", "epsilon-numpy-bool", "time-limit-bool"])
+    def test_config_refuses_bool_numbers(self, field, value, message):
+        # True used to solve with a gap of 1, or a one-second limit
+        with pytest.raises(ValueError, match=message):
+            DcgConfig(**{field: value})
+
     def test_config_takes_numpy_integer_stop_pt(self):
         assert DcgConfig(stop_pt=np.int64(3)).stop_pt == 3
 
@@ -637,6 +646,37 @@ class TestMatchesReferenceMilp:
     @given(fractional_milp_instances(), st.booleans(), st.integers(0, 3))
     def test_fractional_costs_match_the_milp(self, case, reduce, stop_pt):
         assert_eta_is_the_milp_optimum(*case, reduce, stop_pt)
+
+
+class TestTightBudgets:
+    """Budgets at the optimum's cost and one or a few ulps below it, where a
+    node-bound table cell without its cost slack, or weights rounded to the
+    nearest cell, would prune the optimum.  Costs in tenths with budgets up
+    to 25 put the tables on the exact grid; costs with three decimals put
+    them on the fallback grid."""
+
+    @staticmethod
+    def instance(seed: int, kind: str):
+        rng = Random(seed)
+        n, m = rng.randint(10, 14), rng.randint(1, 4)
+        if kind == "tenths":
+            budget, costs = rng.randint(12, 25), [rng.randint(10, 60) / 10 for _ in range(n)]
+        else:
+            budget, costs = rng.randint(15, 45), [rng.randint(1000, 6000) / 1000 for _ in range(n)]
+        inst = generate_instance(n=n, edge_factor=1.5, m=m, j_count=3, budget=budget, seed=seed)
+        return inst.build_oracles(), costs, budget
+
+    @pytest.mark.parametrize("kind", ["tenths", "thousandths"])
+    def test_budget_at_and_just_below_the_optimum_cost(self, kind):
+        for seed in range(40):
+            fns, costs, budget = self.instance(seed, kind)
+            alphas = [1.0] * len(fns)
+            _, x = brute_force_robust(fns, alphas, costs, budget)
+            c = placement_cost(costs, x)
+            for tight in (c, math.nextafter(c, -math.inf), c * (1 - 1e-12)):
+                for reduce in (True, False):
+                    report = solve_robust(fns, alphas, costs, tight, DcgConfig(reduce=reduce))
+                    assert_certified(fns, alphas, costs, tight, report)
 
 
 class TestSeparationContract:

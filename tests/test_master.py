@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+from collections import Counter
 from itertools import combinations, product
 from dataclasses import replace
 from random import Random
@@ -241,6 +242,44 @@ class TestBatchedInsertion:
         accepted = sum(scalar_add_cut(pool, cut) for cut in chain + [z])
         assert ms.add_cut(*chain, z) == accepted == 4
         assert [id(c) for c in ms.cut_pool] == [id(c) for c in pool] == [id(chain[2]), id(z)]
+
+    @staticmethod
+    def compared_sets(ms, call) -> list:
+        """The generating sets of the cuts each dominance call of
+        ``ms.add_cut(*call)`` compares, one list per call."""
+        seen = []
+
+        def recording(cuts):
+            seen.append([c.generating_set for c in cuts])
+            return dominance(cuts)
+
+        with patch.object(master, "dominance", recording):
+            ms.add_cut(*call)
+        return seen
+
+    @settings(max_examples=300, deadline=None)
+    @given(cut_streams())
+    def test_one_comparison_per_repeated_set(self, stream):
+        n, calls = stream
+        ms = MasterState(n, (1,) * n, n)
+        for call in calls:
+            gens = {c.generating_set for c in call}
+            counts = Counter(c.generating_set for c in ms.cut_pool + call
+                             if c.generating_set in gens)
+            seen = self.compared_sets(ms, call)
+            assert all(len(set(sets)) == 1 for sets in seen)
+            repeated = {gen: k for gen, k in counts.items() if k > 1}
+            assert len(seen) == len(repeated)
+            assert {sets[0]: len(sets) for sets in seen} == repeated
+
+    def test_two_repeated_sets_are_compared_apart(self):
+        a, b = frozenset({0}), frozenset({1})
+        ms = MasterState(2, (1, 1), 2)
+        ms.add_cut(SubmodularCut(4.0, (2.0, 2.0), 0, a), SubmodularCut(4.0, (2.0, 2.0), 1, b))
+        call = [SubmodularCut(3.0, (1.0, 2.0), 2, a), SubmodularCut(3.0, (2.0, 1.0), 3, b),
+                SubmodularCut(9.0, (9.0, 9.0), 4, frozenset())]
+        assert self.compared_sets(ms, call) == [[a, a], [b, b]]
+        assert [c.scenario_index for c in ms.cut_pool] == [2, 3, 4]
 
     @settings(max_examples=200, deadline=None)
     @given(cut_streams(), st.sampled_from((1, 5, 1 << 16)))

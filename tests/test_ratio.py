@@ -10,10 +10,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from robustmax import (DcgConfig, ScenarioBounds,
-                       brute_force_robust, build_cut, certify_ratio_optimal,
+                       brute_force_robust, certify_ratio_optimal,
                        generate_instance, maximize_single, ratio, rescale_cuts,
                        solve_ratio_robust, support)
-from robustmax.core import TOL
+from robustmax.core import TOL, build_cut
 
 from conftest import cut_is_valid, modular_fn, scenario_oracle
 from reference_milp import reference_eta

@@ -637,7 +637,12 @@ class TestMalformedInstanceData:
         (dict(alpha_mode="bogus"), "unknown alpha mode 'bogus'"),
         (dict(alpha_mode="values", alpha_values=(1.0, 1.0)),
          "alpha values must match the scenario count"),
-    ], ids=["mode", "count"])
+        # the file would read back without them
+        (dict(alpha_mode="unit", alpha_values=(1.0, 2.0, 3.0)),
+         "alpha values need alpha mode 'values', not 'unit'"),
+        (dict(alpha_mode="solve", alpha_values=(1.0, 2.0, 3.0)),
+         "alpha values need alpha mode 'values', not 'solve'"),
+    ], ids=["mode", "count", "values-under-unit", "values-under-solve"])
     def test_instance_refuses_malformed(self, changes, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             replace(self.instance(), **changes)
