@@ -24,8 +24,8 @@ the linear inequality
 that upper-bounds ``f(X)/alpha`` over all binary points and is tight at the
 generating set; :func:`build_cuts` builds the cuts of several functions from
 one read of every value they need.  Pointwise dominance between such cuts
-lives here as well, as one array comparison over a list of cuts
-(:func:`dominance`).
+lives here as well, as one comparison of the arrays of their constants,
+coefficient rows and magnitudes (:func:`dominance`).
 
 Oracles are immutable after construction and safe to share across threads;
 the memo cache tolerates concurrent insertion of identical entries.  An
@@ -289,20 +289,18 @@ def objective_slack(cuts: Iterable[SubmodularCut]) -> float:
     return TOL * max(c.magnitude for c in cuts)
 
 
-def dominance(cuts: Sequence[SubmodularCut]) -> np.ndarray:
-    """The (g, g) bool matrix whose [a, b] entry is true iff cuts[a]'s
-    right-hand side is pointwise <= cuts[b]'s, up to the objective slack of
-    the two cuts, making cuts[b] redundant.  One comparison, chunked so that
-    at most ``DOMINANCE_CHUNK`` (cut, cut, entry) elements are compared at
-    once; a cut's entries are its constant and its coefficients."""
-    g, n = len(cuts), len(cuts[0].coefficients)
-    if any(len(c.coefficients) != n for c in cuts):
-        raise ValueError("cuts have mismatched dimensions")
+def dominance(constants: np.ndarray, coefficients: np.ndarray,
+              magnitudes: Sequence[float]) -> np.ndarray:
+    """The (g, g) bool matrix whose [a, b] entry is true iff cut a's
+    right-hand side is pointwise <= cut b's, up to the objective slack of
+    the two cuts, making cut b redundant; cut a is ``constants[a]``, row a of
+    ``coefficients`` and its :attr:`SubmodularCut.magnitude` ``magnitudes[a]``.
+    One comparison, chunked so that at most ``DOMINANCE_CHUNK`` (cut, cut,
+    entry) elements are compared at once."""
     # entries[a]: a's constant and coefficients; slack[a, b, 0]: the pair's slack
-    entries = np.array([(c.constant, *c.coefficients) for c in cuts],
-                       dtype=float).reshape(g, n + 1)
-    magnitudes = np.array([c.magnitude for c in cuts])
+    entries = np.concatenate((np.asarray(constants)[:, None], coefficients), axis=1)
     slack = TOL * np.maximum.outer(magnitudes, magnitudes)[:, :, None]
+    g = len(entries)
     out = np.empty((g, g), dtype=bool)
     step = max(1, DOMINANCE_CHUNK // entries.size)
     for lo in range(0, g, step):
@@ -314,7 +312,8 @@ def dominance(cuts: Sequence[SubmodularCut]) -> np.ndarray:
 def dominates(a: SubmodularCut, b: SubmodularCut) -> bool:
     """True iff a's right-hand side is pointwise <= b's, up to the objective
     slack of the two cuts, making b redundant: :func:`dominance` of the pair."""
-    return bool(dominance((a, b))[0, 1])
+    return bool(dominance((a.constant, b.constant), (a.coefficients, b.coefficients),
+                          (a.magnitude, b.magnitude))[0, 1])
 
 
 def check_submodular(fn: SetFunction, exhaustive_limit: int = 12,

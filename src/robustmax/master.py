@@ -23,8 +23,9 @@ whole ground set.  The caller picks the order and vouches that some optimum
 sets none of the others (:func:`robustmax.dcg.solve_robust`).  Per depth, one
 table on an integer capacity grid (:func:`knapsack_grid`) holds each cut's
 knapsack value over the free items at every capacity (Martello & Toth 1990,
-*Knapsack Problems*), rebuilt by :meth:`MasterState.add_cut` whenever it
-accepts cuts; a node's bound is one row of it plus the node's per-cut values.
+*Knapsack Problems*), rebuilt from the pool's rows by :meth:`MasterState.add_cut`
+whenever it accepts cuts (it reads each offered cut into rows once); a node's
+bound is one row of a table plus the node's per-cut values.
 
 A MasterState is owned by a single solve call; distinct states may run in
 parallel.
@@ -113,6 +114,7 @@ class MasterState:
         self._weights, self._unit = knapsack_grid(self._cost, budget)
         self._cells = min(CELLS, int((budget + self._cost_slack) / self._unit))
         self.cut_pool: list = []
+        self._C, self._A = np.zeros(0), np.zeros((0, n))  # cut_pool's constants and rows
         self._changes = 0  # pool changes so far; a heap node records its own
 
     def add_cut(self, *cuts: SubmodularCut) -> int:
@@ -123,11 +125,12 @@ class MasterState:
         it dominates that way are dropped, and it is appended.  The pool, its
         order and the count are those of inserting the cuts one at a time,
         so a later cut of the call may drop or be refused by an earlier one.
-        The insertions replay per generating set, on one comparison among
-        the pool cuts and the call's cuts with that set, made when it holds
-        two or more.  A cut of the wrong dimension, or whose constant, a
-        coefficient or their sum is not finite, is refused before any cut is
-        inserted.
+        The insertions replay per generating set, on one comparison of the
+        rows of the pool cuts and the call's cuts with that set, made when it
+        holds two or more; one mask of kept positions selects the new pool and
+        its rows, so ``_C[k]``/``_A[k]`` hold ``cut_pool[k]``'s numbers.  A cut
+        of the wrong dimension, or whose constant, a coefficient or their sum
+        is not finite, is refused before any cut is inserted.
         """
         for cut in cuts:
             if cut.ground_size != self.n:
@@ -135,24 +138,28 @@ class MasterState:
             if not math.isfinite(cut.magnitude):  # so is every entry of a cut that passes
                 raise ValueError("cut constant and coefficients must be finite, "
                                  "and so must their sum")
-        # positions in the pool followed by the call, by position and not
-        # identity: the call may re-offer a pool cut it drops
+        # by position, not identity: the call may re-offer a pool cut it drops
         merged = self.cut_pool + list(cuts)
+        C = np.concatenate((self._C, np.array([c.constant for c in cuts], dtype=float)))
+        A = np.concatenate((self._A, np.array([c.coefficients for c in cuts], dtype=float)
+                            .reshape(len(cuts), self.n)))
         by_set = {cut.generating_set: [] for cut in cuts}
         for p, cut in enumerate(merged):
             if cut.generating_set in by_set:
                 by_set[cut.generating_set].append(p)
-        gone, accepted = set(), 0
+        keep, accepted = np.ones(len(merged), dtype=bool), 0
         for same in by_set.values():
-            beats = dominance([merged[p] for p in same]).tolist() if len(same) > 1 else None
+            beats = dominance(C[same], A[same], [merged[p].magnitude for p in same]
+                              ).tolist() if len(same) > 1 else None
             alive = [q for q, p in enumerate(same) if p < len(self.cut_pool)]
             for r in range(len(alive), len(same)):
                 if not any(beats[q][r] for q in alive):
                     alive = [q for q in alive if not beats[r][q]] + [r]
                     accepted += 1
-            gone.update(p for q, p in enumerate(same) if q not in alive)
+            keep[[p for q, p in enumerate(same) if q not in alive]] = False
         if accepted:
-            self.cut_pool = [c for p, c in enumerate(merged) if p not in gone]
+            self.cut_pool = [cut for cut, kept in zip(merged, keep) if kept]
+            self._C, self._A = C[keep], A[keep]
             self._changes += 1
             self._prepare()
         return accepted
@@ -160,13 +167,11 @@ class MasterState:
     # -- prepared arrays -----------------------------------------------------
 
     def _prepare(self):
-        """Build the per-pool arrays the node bounds read, each time
+        """Build the node-bound tables from the pool's rows ``_A``, each time
         :meth:`add_cut` accepts cuts.  ``_tables[L, r]`` holds each cut's best
         coefficient sum over the items free at depth L (branch rank >= L) that
         fit in r cells: zeros at the deepest depth, and each other depth is
         the one below plus a 0-1 knapsack step on its item."""
-        self._A = np.array([c.coefficients for c in self.cut_pool], dtype=float)
-        self._C = np.array([c.constant for c in self.cut_pool], dtype=float)
         self._tables = None  # the old pool's tables go before the new ones are allocated
         order = self._branch_order
         tables = self._tables = np.zeros((len(order) + 1, self._cells + 1, len(self._C)))

@@ -65,6 +65,10 @@ class Network:
     budget: int
 
     def __post_init__(self):
+        # tuples, as the parser gives them: a network of lists would neither round-trip nor hash
+        for name in ("sources", "source_probabilities", "sensor_costs"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
         n = self.node_count
         if not self.edges:
             raise ValueError("a network needs at least one edge")
@@ -93,6 +97,7 @@ class Scenario:
     edge_weights: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "edge_weights", tuple(self.edge_weights))
         if not all(1 <= w < math.inf for w in self.edge_weights):  # a NaN fails too
             raise ValueError("edge travel times must be >= 1 and finite")
 
@@ -334,6 +339,7 @@ class Instance:
     alpha_values: tuple | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "scenarios", tuple(self.scenarios))
         if self.alpha_mode not in ("unit", "values", "solve"):
             raise ValueError(f"unknown alpha mode {self.alpha_mode!r}")
         if self.alpha_mode != "values" and self.alpha_values is not None:
@@ -342,6 +348,7 @@ class Instance:
         if self.alpha_mode == "values":
             if self.alpha_values is None or len(self.alpha_values) != len(self.scenarios):
                 raise ValueError("alpha values must match the scenario count")
+            object.__setattr__(self, "alpha_values", tuple(self.alpha_values))
             if not all(0 < a < math.inf for a in self.alpha_values):
                 raise ValueError("alpha values must be positive and finite")
 
@@ -425,7 +432,7 @@ def parse_instance(text: str) -> Instance:
     if any(j >= n for j in sources):
         raise ParseError(ln, "source id out of range")
 
-    probs = None
+    probs = [1.0 / len(sources)] * len(sources)
     nxt = rd.peek()
     if nxt and nxt[1][0] == "probs":
         ln, toks = rd.take("probs")
@@ -439,8 +446,6 @@ def parse_instance(text: str) -> Instance:
             raise ParseError(ln, f"probabilities sum to {sum(probs)!r}, not 1")
         if not all(p >= 0 for p in probs):
             raise ParseError(ln, "probabilities must be nonnegative")
-    if probs is None:
-        probs = [1.0 / len(sources)] * len(sources)
 
     ln, toks = rd.take("costs")
     costs = _ints(ln, toks[1:], n, 1, "cost")
@@ -452,7 +457,7 @@ def parse_instance(text: str) -> Instance:
     for _ in range(m):
         ln, toks = rd.take()
         weights = _ints(ln, toks, e_count, 1, "travel time")
-        scenarios.append(Scenario(edge_weights=tuple(weights)))
+        scenarios.append(Scenario(weights))
 
     alpha_mode, alpha_values = "unit", None
     nxt = rd.peek()
@@ -463,7 +468,7 @@ def parse_instance(text: str) -> Instance:
         alpha_mode = toks[1]
         if alpha_mode == "values":
             try:
-                alpha_values = tuple(float(t) for t in toks[2:])
+                alpha_values = [float(t) for t in toks[2:]]
             except ValueError:
                 raise ParseError(ln, "non-numeric alpha value") from None
             if len(alpha_values) != m:
@@ -475,11 +480,8 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(ln, f"unexpected trailing content {toks[0]!r}")
 
     try:
-        network = Network(node_count=n, edges=tuple(edges), sources=tuple(sources),
-                          source_probabilities=tuple(probs), sensor_costs=tuple(costs),
-                          budget=budget)
-        return Instance(network=network, scenarios=tuple(scenarios),
-                        alpha_mode=alpha_mode, alpha_values=alpha_values)
+        network = Network(n, edges, sources, probs, costs, budget)
+        return Instance(network, scenarios, alpha_mode, alpha_values)
     except ValueError as exc:
         raise ParseError(rd.last_line, str(exc)) from None
 
@@ -541,12 +543,9 @@ def generate_instance(n: int, edge_factor: float, m: int, j_count: int,
         if u != v and (u, v) not in seen:
             edges.append((u, v))
             seen.add((u, v))
-    sources = tuple(rng.sample(range(n), j_count))
-    costs = tuple(rng.randint(5, 10) for _ in range(n))
-    scenarios = tuple(Scenario(edge_weights=tuple(rng.randint(1, 10) for _ in edges))
-                      for _ in range(m))
-    network = Network(node_count=n, edges=tuple(edges), sources=sources,
-                      source_probabilities=tuple(1.0 / j_count for _ in sources),
-                      sensor_costs=costs, budget=budget)
-    return Instance(network=network, scenarios=scenarios)
+    sources = rng.sample(range(n), j_count)
+    costs = [rng.randint(5, 10) for _ in range(n)]
+    scenarios = [Scenario([rng.randint(1, 10) for _ in edges]) for _ in range(m)]
+    network = Network(n, edges, sources, [1.0 / j_count] * j_count, costs, budget)
+    return Instance(network, scenarios)
 

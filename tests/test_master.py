@@ -12,7 +12,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robustmax import (DcgConfig, MasterState, SetFunction, SubmodularCut,
@@ -162,7 +162,32 @@ def scalar_add_cut(pool: list, cut: SubmodularCut) -> bool:
     return True
 
 
+def cut_rows(cuts) -> tuple:
+    """The arguments of :func:`~robustmax.core.dominance` for ``cuts``: their
+    constants, their (g, n) coefficient rows and their magnitudes."""
+    return (np.array([c.constant for c in cuts], dtype=float),
+            np.array([c.coefficients for c in cuts], dtype=float),
+            [c.magnitude for c in cuts])
+
+
+def assert_rows_in_step(ms: MasterState):
+    """Row k of the master's arrays is pool cut k's constant and
+    coefficients, with ==."""
+    assert ms._C.shape == (len(ms.cut_pool),) and ms._A.shape == (len(ms.cut_pool), ms.n)
+    assert ms._C.tolist() == [c.constant for c in ms.cut_pool]
+    assert ms._A.tolist() == [list(c.coefficients) for c in ms.cut_pool]
+
+
 VALUES = (0.0, 0.5, 1.0, 2.0, 3.0)
+# A pool of one cut z, then a call whose first cut drops z, a chain of cuts
+# each dropping the one before, and z re-offered last (see
+# test_call_re_offers_a_pool_cut_it_dropped).
+RE_OFFERED = SubmodularCut(0.0, (0.0,), 0, frozenset())
+RE_OFFER_STREAM = (1, [[RE_OFFERED],
+                       [SubmodularCut(-1.0, (0.0,), 1, frozenset()),
+                        SubmodularCut(-2.0, (1e-09,), 2, frozenset()),
+                        SubmodularCut(-3.0, (2.9999999990000002e-09,), 3, frozenset()),
+                        RE_OFFERED]])
 
 
 @st.composite
@@ -243,18 +268,45 @@ class TestBatchedInsertion:
         assert ms.add_cut(*chain, z) == accepted == 4
         assert [id(c) for c in ms.cut_pool] == [id(c) for c in pool] == [id(chain[2]), id(z)]
 
+    @settings(max_examples=300, deadline=None)
+    @given(cut_streams())
+    @example(RE_OFFER_STREAM)
+    def test_rows_stay_in_step_with_pool(self, stream):
+        n, calls = stream
+        ms = MasterState(n, (1,) * n, n)
+        assert_rows_in_step(ms)
+        for call in calls:
+            ms.add_cut(*call)
+            assert_rows_in_step(ms)
+
     @staticmethod
     def compared_sets(ms, call) -> list:
         """The generating sets of the cuts each dominance call of
-        ``ms.add_cut(*call)`` compares, one list per call."""
-        seen = []
+        ``ms.add_cut(*call)`` compares, one list per call.  Each call's row
+        block must be that of every pool cut, then every call cut, that
+        shares one generating set, and the calls must follow the order in
+        which the call's sets first appear."""
+        merged = ms.cut_pool + list(call)
+        blocks = []
 
-        def recording(cuts):
-            seen.append([c.generating_set for c in cuts])
-            return dominance(cuts)
+        def recording(constants, coefficients, magnitudes):
+            blocks.append((constants.tolist(), coefficients.tolist(), list(magnitudes)))
+            return dominance(constants, coefficients, magnitudes)
 
         with patch.object(master, "dominance", recording):
             ms.add_cut(*call)
+        gens = list(dict.fromkeys(c.generating_set for c in call))
+        seen = []
+        for block in blocks:
+            while gens:
+                gen = gens.pop(0)
+                same = [c for c in merged if c.generating_set == gen]
+                constants, coefficients, magnitudes = cut_rows(same)
+                if block == (constants.tolist(), coefficients.tolist(), magnitudes):
+                    seen.append([gen] * len(same))
+                    break
+            else:
+                raise AssertionError(f"no generating set's cuts have the rows {block}")
         return seen
 
     @settings(max_examples=300, deadline=None)
@@ -289,7 +341,7 @@ class TestBatchedInsertion:
         if not cuts:
             return
         with patch.object(core, "DOMINANCE_CHUNK", chunk):
-            beats = dominance(cuts)
+            beats = dominance(*cut_rows(cuts))
         assert beats.tolist() == [[scalar_dominates(a, b) for b in cuts] for a in cuts]
 
     def test_slack_boundary(self):
@@ -300,7 +352,7 @@ class TestBatchedInsertion:
         past = replace(at, coefficients=(math.nextafter(at.coefficients[0], math.inf), 3.0))
         assert objective_slack((base, at)) == objective_slack((base, past)) == TOL * base.magnitude
         assert scalar_dominates(at, base) and not scalar_dominates(past, base)
-        assert dominance((base, at, past)).tolist() == [
+        assert dominance(*cut_rows((base, at, past))).tolist() == [
             [True, False, False], [True, True, True], [False, True, True]]
 
 

@@ -516,6 +516,20 @@ class TestInstanceFiles:
         assert inst.alpha_values == (2.5,)
         assert parse_instance(serialize_instance(inst)) == inst
 
+    def test_list_fields_round_trip_and_hash(self):
+        # lists where the parser gives tuples are stored as tuples
+        inst = replace(generate_instance(n=8, edge_factor=1.5, m=3, j_count=3, budget=12,
+                                         seed=1), alpha_mode="values", alpha_values=[1.0, 2.0, 3.0])
+        net = inst.network
+        inst = replace(inst, scenarios=[Scenario(list(s.edge_weights)) for s in inst.scenarios],
+                       network=replace(net, edges=[list(e) for e in net.edges],
+                                       sources=list(net.sources),
+                                       source_probabilities=list(net.source_probabilities),
+                                       sensor_costs=list(net.sensor_costs)))
+        assert parse_instance(serialize_instance(inst)) == inst
+        assert hash(inst) == hash(parse_instance(serialize_instance(inst)))
+        assert inst.network.edges == net.edges and inst.alpha_values == (1.0, 2.0, 3.0)
+
     def test_bad_probability_sum(self):
         text = FIGURE_TEXT.replace("costs", "probs 0.5 0.4\ncosts")
         with pytest.raises(ParseError) as err:
