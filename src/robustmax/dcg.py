@@ -218,12 +218,12 @@ def strengthen_generating_sets(fns: Sequence[SetFunction], incumbent: Iterable[i
     return gens
 
 
-def kept_locations(fns: Sequence[SetFunction], costs: Sequence[float]) -> np.ndarray | None:
-    """The locations the tree branches on: those no other location beats
-    by the oracles' covering relations and the costs; None (all of them)
-    when some oracle declares no relation, or when the costs are not
-    integers summing below 2**53 (then a swap below could round a cost sum
-    up past the budget).
+def kept_locations(fns: Sequence[SetFunction], costs: Sequence[float]) -> np.ndarray:
+    """The locations the tree branches on, in index order: those no other
+    location beats by the oracles' covering relations and the costs; every
+    location when some oracle declares no relation, or when the costs are
+    not integers summing below 2**53 (then a swap below could round a cost
+    sum up past the budget).
 
     With ``covers`` the AND of every oracle's relation (one k must cover j in
     every scenario), k beats j when k != j, covers[k, j] and either
@@ -242,11 +242,11 @@ def kept_locations(fns: Sequence[SetFunction], costs: Sequence[float]) -> np.nda
     """
     relations = [fn.covers for fn in fns]
     cost = np.asarray(costs, dtype=float)
-    if (any(relation is None for relation in relations) or len(cost) != len(relations[0])
+    index = np.arange(ground_size(fns))
+    if (any(relation is None for relation in relations) or len(cost) != len(index)
             or not cost.sum() < 2**53 or (cost != np.floor(cost)).any()):
-        return None
+        return index
     covers = np.logical_and.reduce(relations)
-    index = np.arange(len(cost))
     tied = (cost[:, None] == cost) & (~covers.T | (index[:, None] < index))
     beats = covers & ((cost[:, None] < cost) | tied)
     np.fill_diagonal(beats, False)
@@ -278,8 +278,7 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
     empty = empty_set_cuts(fns, alphas)
     score = np.min([cut.coefficients for cut in empty], axis=0) / np.asarray(costs, dtype=float)
     order = np.lexsort((np.arange(n), -score))
-    kept = kept_locations(fns, costs)
-    state = MasterState(n, costs, budget, order if kept is None else order[np.isin(order, kept)])
+    state = MasterState(n, costs, budget, order[np.isin(order, kept_locations(fns, costs))])
     state.add_cut(*empty, *initial_cuts)
     warm_size = len(state.cut_pool)
     slack = objective_slack(state.cut_pool)
@@ -317,10 +316,7 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
     result = state.solve(separate, time_limit=remaining)
     x = result.x
     eta = min(v / a for v, a in zip(values_at(fns, support(x)), alphas))
-    if result.status == STATUS_OPTIMAL:
-        upper = eta + config.epsilon
-    else:
-        upper = max(result.bound, eta)
+    upper = eta + config.epsilon if result.status == STATUS_OPTIMAL else max(result.bound, eta)
     gap = (upper - eta) / upper if upper > 0 else 0.0
     return SolveReport(eta=eta, x=x, upper_bound=upper, gap=gap,
                        iterations=separations + 1,

@@ -1,15 +1,14 @@
 """Worst-case performance-ratio variant with time-limited scenario solves.
 
 Scaling each scenario by its own maximization optimum turns the robust
-objective into a worst-case performance ratio, but computing those optima
-means solving one NP-hard problem per scenario.  This pipeline runs each
-single-scenario maximization under a share of the call's time limit,
-records the incumbent value (lower bound) and master bound (upper bound),
-re-derives every cut it generated at its scenario's scale with ``build_cuts``
-and reuses it, and finishes with one robust solve where the scales are the
-recorded lower bounds.  ``config.epsilon`` is in oracle units in every
-solve: the final solve, whose objective is a ratio, gets it divided by the
-largest recorded lower bound.  The sandwich
+objective into a worst-case performance ratio, but computing those optima means
+solving one NP-hard problem per scenario.  This pipeline runs each
+single-scenario maximization under a share of the call's time limit, records
+the incumbent value (lower bound) and master bound (upper bound), re-derives
+its cuts at its scenario's scale to reuse them, and finishes with one robust
+solve where the scales are the recorded lower bounds.  ``config.epsilon`` is in
+oracle units in every solve: the final solve, whose objective is a ratio, gets
+it divided by the largest recorded lower bound.  The sandwich
 
     LB = min_i f_i(x)/ub_i  <=  true ratio optimum  <=  UB = final bound
 
@@ -21,14 +20,14 @@ of it not yet spent, scenario i of m gets ``left / (m - i + 1)``, capped by
 ``per_scenario_budget``, and the final solve gets all that is left: one
 share is always kept for it.
 
-The scenario solves form a chain.  A hypograph cut is valid at any
-generating set (Nemhauser, Wolsey & Fisher 1978), and the scenarios share one
-network, so scenario i starts from its own cuts at every distinct nonempty
-generating set in the pools of scenarios 0..i-1, in first-seen order, built
-in one ``build_cuts`` call (Padberg & Rinaldi 1991, cut pools).  The final
-solve reuses only the cuts each scenario solve generated itself, the pool
-cuts whose generating set did not come in warm: reusing the transferred ones
-too would hand it each transferred set once per later scenario.
+The scenario solves form a chain.  A hypograph cut is valid at any generating
+set (Nemhauser, Wolsey & Fisher 1978), and the scenarios share one network, so
+scenario i starts from its own cuts at every distinct nonempty generating set
+in the pools of scenarios 0..i-1, in first-seen order, built in one
+``build_cuts`` call (Padberg & Rinaldi 1991, cut pools).  The final solve
+reuses only each scenario's own cuts at nonempty generating sets, those that
+did not come in warm (the transferred ones would reach it once per later
+scenario); its empty-set cuts come from its own ``solve_robust`` warm start.
 """
 
 from __future__ import annotations
@@ -57,7 +56,9 @@ class RatioReport:
     """Ratio-robust outcome; upper/lower bracket the true ratio optimum.
 
     ``eta`` is the final solve's worst value with scenario i scaled by
-    ``per_scenario[i].lower``.
+    ``per_scenario[i].lower``; that solve takes its empty-set cuts from its
+    own warm start and each scenario's own cuts at nonempty sets, rescaled.
+    ``certified_exact`` vouches for the placement, not the value: LB may be < UB.
     ``iterations``, ``cuts_added``, ``nodes``, ``wall_time`` and ``status``
     cover the whole call: the scenario solves and the final solve.
     ``iterations`` sums each solve's own count, one plus its separations
@@ -166,9 +167,9 @@ def solve_ratio_robust(fns: Sequence[SetFunction], costs: Sequence[float],
                 f"scenario {i} has a nonpositive incumbent value {bounds.lower!r}; "
                 "ratio scaling is undefined")
         per_scenario.append(bounds)
-        own = [cut for cut in rep.pool if cut.generating_set not in sets]
+        own = [cut for cut in rep.pool if cut.generating_set and cut.generating_set not in sets]
         reused += rescale_cuts(fn, own, bounds.lower, i)
-        sets.update(dict.fromkeys(cut.generating_set for cut in own if cut.generating_set))
+        sets.update(dict.fromkeys(cut.generating_set for cut in own))
 
     scales = [b.lower for b in per_scenario]
     final = replace(config, time_limit=left(), epsilon=config.epsilon / max(scales))

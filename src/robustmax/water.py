@@ -313,7 +313,7 @@ class _ScenarioStack:
             relation &= (rows[:, :, None] >= rows[:, None, :]).all(axis=0)
         return relation
 
-    def oracle(self, i: int, name: str) -> SetFunction:
+    def oracle(self, i: int) -> SetFunction:
         """Scenario i's oracle, member i of the stack's family: a scalar
         read computes scenario i alone."""
         n = self.saved.shape[1]
@@ -328,7 +328,7 @@ class _ScenarioStack:
 
         evaluate.covers = partial(self.covers, i)
         evaluate.family = (self, i)
-        return SetFunction(n, evaluate, name=name)
+        return SetFunction(n, evaluate)
 
 
 @dataclass(frozen=True)
@@ -362,7 +362,7 @@ class Instance:
         """One oracle per scenario, each reading its slice of one (m, n, k)
         stack of the scenarios' saved arrays (see :class:`_ScenarioStack`)."""
         stack = _ScenarioStack(reduction_matrix(self.network, self.scenarios), self.network)
-        return [stack.oracle(i, f"scenario-{i}") for i in range(len(self.scenarios))]
+        return [stack.oracle(i) for i in range(len(self.scenarios))]
 
 
 def _tokens(text: str):

@@ -857,7 +857,7 @@ class TestCoveredLocations:
         report = solve_robust(fns, alphas, costs, budget, config)
         assert_certified(fns, alphas, costs, budget, report)
         plain = [max_type_fn(rows, weights, declare=False) for rows in saved]
-        assert kept_locations(plain, costs) is None
+        assert kept_locations(plain, costs).tolist() == list(range(len(costs)))
         assert solve_robust(plain, alphas, costs, budget, config).eta == report.eta
 
     @pytest.mark.parametrize("rows, costs, kept", [
@@ -877,7 +877,7 @@ class TestCoveredLocations:
         rows = np.array([[1, 2], [1, 2]], dtype=float)
         fns = [max_type_fn(rows, np.ones(2), declare=True),
                max_type_fn(rows, np.ones(2), declare=False)]
-        assert kept_locations(fns, (1, 1)) is None
+        assert kept_locations(fns, (1, 1)).tolist() == [0, 1]
 
     def test_fractional_costs_keep_all(self):
         # 0.2 + 0.3 + 0.1 == 0.6 fits, but the swap 0.1 + 0.2 + 0.3 rounds
@@ -886,7 +886,7 @@ class TestCoveredLocations:
         rows = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=float)
         fns = [max_type_fn(rows, np.ones(3), declare=True)]
         costs, budget = (0.1, 0.2, 0.3, 0.1), 0.6
-        assert kept_locations(fns, costs) is None
+        assert kept_locations(fns, costs).tolist() == [0, 1, 2, 3]
         assert kept_locations(fns, (1, 2, 3, 1)).tolist() == [0, 1, 2]
         report = solve_robust(fns, [1.0], costs, budget)
         assert_certified(fns, [1.0], costs, budget, report)
@@ -895,7 +895,7 @@ class TestCoveredLocations:
     def test_integer_costs_past_exact_sums_keep_all(self):
         rows = np.array([[1, 2], [1, 2]], dtype=float)
         fns = [max_type_fn(rows, np.ones(2), declare=True)]
-        assert kept_locations(fns, (2**52, 2**52)) is None
+        assert kept_locations(fns, (2**52, 2**52)).tolist() == [0, 1]
         assert kept_locations(fns, (2**51, 2**51)).tolist() == [0]
 
 

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from robustmax import (DcgConfig, ScenarioBounds,
+from robustmax import (DcgConfig, ScenarioBounds, dcg,
                        brute_force_robust, certify_ratio_optimal,
                        generate_instance, maximize_single, ratio, rescale_cuts,
                        solve_ratio_robust, support)
 from robustmax.core import TOL, build_cut
+from robustmax.master import MasterState
 
 from conftest import cut_is_valid, modular_fn, scenario_oracle
 from reference_milp import reference_eta
@@ -338,6 +339,7 @@ class TestScenarioChain:
         # scenario i is warm-started with its unit-scale cut at every distinct
         # nonempty generating set of pools 0..i-1, in first-seen order, and
         # the final solve reuses only the cuts each scenario generated itself
+        # at nonempty generating sets
         inst = generate_instance(seed=seed, **FAMILIES[family])
         scenarios, solves = _record_chain(monkeypatch)
         fns = inst.build_oracles()
@@ -349,13 +351,58 @@ class TestScenarioChain:
             assert [cut.generating_set for cut in warm] == seen
             for cut in warm:
                 assert cut == build_cut(fn, cut.generating_set, 1.0, 0)
-            own = [cut for cut in report.pool if cut not in warm]
+            own = [cut for cut in report.pool if cut not in warm and cut.generating_set]
             assert not {cut.generating_set for cut in own} & set(seen)
             reused += rescale_cuts(fn, own, bounds.lower, i)
             seen += [g for g in dict.fromkeys(cut.generating_set for cut in report.pool)
                      if g and g not in seen]
         assert any(warm for _, warm, _, _ in scenarios)
         assert solves[-1][0] == reused
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_final_empty_set_cuts_come_from_its_warm_start(self, monkeypatch, seed):
+        # solve_robust inserts every solve's empty-set cuts, so the final
+        # solve's initial cuts hold none, and its warm add_cut call accepts
+        # every cut it gets; the final solve does what it did when each
+        # scenario's rescaled empty-set cut came in too, and add_cut refused it
+        inst = generate_instance(seed=seed, **FAMILIES["ratio"])
+        scenarios, solves = _record_chain(monkeypatch)
+        warm_calls = []
+        add_cut = MasterState.add_cut
+
+        def recording_add_cut(state, *cuts):
+            empty = not state.cut_pool
+            accepted = add_cut(state, *cuts)
+            if empty:
+                warm_calls.append((len(cuts), accepted))
+            return accepted
+
+        monkeypatch.setattr(MasterState, "add_cut", recording_add_cut)
+        fns = inst.build_oracles()
+        args = (inst.network.sensor_costs, inst.network.budget)
+        report = solve_ratio_robust(fns, *args)
+        initial, final = solves[-1]
+        assert initial and all(cut.generating_set for cut in initial)
+        offered = len(fns) + len(initial)
+        assert warm_calls[-1] == (offered, offered)
+        if seed == 1:
+            assert warm_calls[-1] == (32, 32)
+        with_empty = []
+        for i, (fn, warm, bounds, rep) in enumerate(scenarios):
+            with_empty += rescale_cuts(fn, [cut for cut in rep.pool if cut not in warm],
+                                       bounds.lower, i)
+        assert len(with_empty) == len(initial) + len(fns)
+        scales = [b.lower for b in report.per_scenario]
+        reference = dcg.solve_robust(fns, scales, *args, initial_cuts=with_empty)
+        # there add_cut refuses each scenario's empty-set cut as an equal cut
+        assert warm_calls[-1] == (offered + len(fns), offered)
+        assert len(final.pool) == len(reference.pool)
+        for cut, ref in zip(final.pool, reference.pool):
+            assert (cut.constant, cut.coefficients, cut.scenario_index, cut.generating_set) == (
+                ref.constant, ref.coefficients, ref.scenario_index, ref.generating_set)
+        for name in ("eta", "x", "upper_bound", "status", "iterations", "cuts_added", "nodes",
+                     "master_values"):
+            assert getattr(final, name) == getattr(reference, name), name
 
     def test_pinned_node_counts(self, monkeypatch):
         # ratio seed 1: with the transfer the scenario trees take 2,650 nodes,

@@ -5,18 +5,24 @@ it, advancing a fixed 1e-4 s per read, so a limit stops a run at the same
 point on any host.  Each run is stopped before its tree (limit 0: the first
 pop), inside it and after it, and must still return a sandwich around the
 known optimum, a placement that fits, and a status that says whether it
-stopped.  The optima are the benchmark's goldens.
+stopped.  The fixed runs take their optima from the benchmark's goldens;
+the drawn runs take theirs from the exact MILP of tests/reference_milp.py.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import robustmax as rm
 from robustmax import dcg, master, ratio
 from robustmax.dcg import support, values_at
+
+from reference_milp import reference_eta
 
 DESK = dict(n=36, edge_factor=41 / 36, m=50, j_count=12, budget=30)
 RATIO = dict(n=36, edge_factor=41 / 36, m=10, j_count=12, budget=30)
@@ -27,8 +33,8 @@ TICK = 1e-4  # fake seconds per clock read
 SLACK = 1e-9
 
 
-@pytest.fixture
-def counting_clock(monkeypatch):
+def install_counting_clock(monkeypatch) -> list:
+    """Replace the clock of every module that reads it; return the read count."""
     reads = [0]
 
     def monotonic():
@@ -38,6 +44,11 @@ def counting_clock(monkeypatch):
     for module in (master, dcg, ratio):
         monkeypatch.setattr(module, "time", SimpleNamespace(monotonic=monotonic))
     return reads
+
+
+@pytest.fixture
+def counting_clock(monkeypatch):
+    return install_counting_clock(monkeypatch)
 
 
 def fits(inst, x) -> bool:
@@ -96,3 +107,97 @@ def test_ratio_sandwich_holds_at_every_limit(counting_clock):
             assert min(v / o for v, o in zip(values, optima)) == pytest.approx(
                 RATIO_OPTIMUM, abs=SLACK), limit
     assert stops == [True, True, True, True, False]
+
+
+@st.composite
+def truncated_instances(draw):
+    """Water instances of 24 to 36 nodes with 2 to 4 scenarios, shaped like
+    the desk family so that most trees take more than a few pops; the
+    fraction of a full run's clock reads at which the inside limit falls."""
+    n, m = draw(st.integers(24, 36)), draw(st.integers(2, 4))
+    inst = rm.generate_instance(n=n, edge_factor=draw(st.sampled_from((41 / 36, 1.5))), m=m,
+                                j_count=draw(st.integers(n // 6, n // 3)),
+                                budget=draw(st.integers(n // 2, n)),
+                                seed=draw(st.integers(0, 2**32 - 1)))
+    return inst, draw(st.floats(0.05, 0.95))
+
+
+def unstopped(reads: list, run) -> tuple:
+    """``run(limit)`` under a limit that never stops it, and the fake
+    seconds it read; a limited run reads the clock at every pop, so this
+    run's span is the one the limits are drawn against."""
+    before = reads[0]
+    full = run(1e9)
+    return full, (reads[0] - before) * TICK
+
+
+class TestAgainstReferenceMilp:
+    """Runs drawn above brute-force scale and stopped before, inside and
+    after the tree still bracket the exact MILP's optimum."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(truncated_instances())
+    def test_rsm_sandwich_holds_at_every_limit(self, case):
+        pytest.importorskip("scipy")
+        inst, inside = case
+        m = len(inst.scenarios)
+        optimum = reference_eta(inst, [1.0] * m)
+        fns = inst.build_oracles()
+        args = ([1.0] * m, inst.network.sensor_costs, inst.network.budget)
+        with pytest.MonkeyPatch.context() as mp:
+            reads = install_counting_clock(mp)
+
+            def run(limit):
+                return rm.solve_robust(fns, *args, rm.DcgConfig(time_limit=limit))
+
+            full, span = unstopped(reads, run)
+            assert full.status == "optimal" and abs(full.eta - optimum) <= SLACK
+            for limit in (0.0, inside * span, 2 * span):
+                report = run(limit)
+                stopped = ((report.nodes, report.master_values, report.upper_bound)
+                           != (full.nodes, full.master_values, full.upper_bound))
+                assert (report.status == "time_limit") == stopped, limit
+                upper = report.upper_bound
+                assert report.eta <= optimum + SLACK and optimum <= upper + SLACK, limit
+                assert fits(inst, report.x)
+                assert report.eta == min(values_at(fns, support(report.x)))
+                assert report.gap == ((upper - report.eta) / upper if upper > 0 else 0.0)
+            assert not stopped  # after the tree
+
+    @settings(max_examples=8, deadline=None)
+    @given(truncated_instances())
+    def test_rsm3_sandwich_holds_at_every_limit(self, case):
+        pytest.importorskip("scipy")
+        inst, inside = case
+        # each scale is its one-scenario instance's optimum, and the ratio
+        # optimum is the MILP's at those scales
+        scales = [reference_eta(dataclasses.replace(inst, scenarios=(scenario,)), [1.0])
+                  for scenario in inst.scenarios]
+        assume(min(scales) > 0)  # else ratio scaling is undefined
+        optimum = reference_eta(inst, scales)
+        fns = inst.build_oracles()
+        args = (inst.network.sensor_costs, inst.network.budget)
+        with pytest.MonkeyPatch.context() as mp:
+            reads = install_counting_clock(mp)
+
+            def run(limit):
+                return rm.solve_ratio_robust(fns, *args, config=rm.DcgConfig(time_limit=limit))
+
+            full, span = unstopped(reads, run)
+            assert full.status == "optimal"
+            assert abs(full.lower_bound - optimum) <= SLACK
+            assert abs(full.upper_bound - optimum) <= SLACK
+            # scenario i gets a share of what is left, at least span / (m + 1)
+            # of the first limit, so the last one leaves every solve its time
+            for limit in (0.0, inside * span, 2 * len(fns) * span):
+                report = run(limit)
+                stopped = ((report.nodes, report.per_scenario, report.upper_bound)
+                           != (full.nodes, full.per_scenario, full.upper_bound))
+                assert (report.status == "time_limit") == stopped, limit
+                for bounds, scale in zip(report.per_scenario, scales, strict=True):
+                    assert bounds.lower <= scale + SLACK and scale <= bounds.upper + SLACK, limit
+                lb, ub = report.lower_bound, report.upper_bound
+                assert lb <= optimum + SLACK and optimum <= ub + SLACK, limit
+                assert fits(inst, report.x)
+                assert report.gap == ((ub - lb) / ub if ub > 0 else 0.0)
+            assert not stopped  # after the tree
