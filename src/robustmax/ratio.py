@@ -13,7 +13,9 @@ it divided by the largest recorded lower bound.  The sandwich
     LB = min_i f_i(x)/ub_i  <=  true ratio optimum  <=  UB = final bound
 
 holds whether or not the scenario solves finished, so a finite limit still
-yields a feasible placement with a certified optimality gap.
+yields a feasible placement with a certified optimality gap.  The run is
+certified exact when the sandwich closes, LB >= (1 - TOL) UB: then both
+the value and the placement are optimal.
 
 The call owns one time limit, ``config.time_limit``.  With ``left`` the part
 of it not yet spent, scenario i of m gets ``left / (m - i + 1)``, capped by
@@ -58,7 +60,9 @@ class RatioReport:
     ``eta`` is the final solve's worst value with scenario i scaled by
     ``per_scenario[i].lower``; that solve takes its empty-set cuts from its
     own warm start and each scenario's own cuts at nonempty sets, rescaled.
-    ``certified_exact`` vouches for the placement, not the value: LB may be < UB.
+    ``certified_exact`` reads off the sandwich: it holds when LB meets UB
+    within TOL, so the gap is 0 within TOL, and then vouches for both the
+    value and the placement.
     ``iterations``, ``cuts_added``, ``nodes``, ``wall_time`` and ``status``
     cover the whole call: the scenario solves and the final solve.
     ``iterations`` sums each solve's own count, one plus its separations
@@ -80,7 +84,6 @@ class RatioReport:
     status: str
     per_scenario: tuple
     certified_exact: bool
-    certificate: str
 
 
 def maximize_single(fn: SetFunction, costs: Sequence[float], budget: float,
@@ -108,24 +111,15 @@ def rescale_cuts(fn: SetFunction, cuts: Sequence[SubmodularCut], alpha_bar: floa
                       [alpha_bar] * len(cuts), [scenario_index] * len(cuts))
 
 
-def certify_ratio_optimal(bounds: Sequence[ScenarioBounds], values: Sequence[float],
-                          relax_bound: float):
-    """Optimality certificate for the returned placement despite inexact scales.
+def certify_ratio_optimal(lower_bound: float, upper_bound: float) -> bool:
+    """Whether the ratio sandwich closes, LB >= (1 - TOL) UB.
 
-    ``values`` holds each scenario's f_i(x) at the returned placement x.
-    Condition (i): the conservative lower bound min_i f_i(x)/ub_i already
-    meets the relaxation bound.  Condition (ii): the scenario attaining the
-    lower-bound-scaled minimum dominates every other scenario's upper bound.
-    Either one certifies x as an exact ratio-robust optimum.
+    LB is attained by the returned placement and UB bounds every placement,
+    so a closed sandwich vouches for both the value and the placement.
+    Bounds alone certify nothing less: a placement that wins under the
+    recorded lower scales can lose under the true ones.
     """
-    if min(v / b.upper for v, b in zip(values, bounds)) >= (1 - TOL) * relax_bound:
-        return True, "lower bound meets the relaxation bound"
-    ratios_lb = [v / b.lower for v, b in zip(values, bounds)]
-    i_star = min(range(len(bounds)), key=lambda i: (ratios_lb[i], i))
-    if all(bounds[i_star].lower >= (1 - TOL) * bounds[i].upper
-           for i in range(len(bounds)) if i != i_star):
-        return True, "worst scenario's lower bound dominates all other upper bounds"
-    return False, ""
+    return lower_bound >= (1 - TOL) * upper_bound
 
 
 def solve_ratio_robust(fns: Sequence[SetFunction], costs: Sequence[float],
@@ -178,10 +172,8 @@ def solve_ratio_robust(fns: Sequence[SetFunction], costs: Sequence[float],
     stopped = any(r.status == STATUS_TIME_LIMIT for r in reports)
 
     ub = report.upper_bound
-    chosen = support(report.x)
-    values = values_at(fns, chosen)
+    values = values_at(fns, support(report.x))
     lb = min(ub, *(v / b.upper for v, b in zip(values, per_scenario)))
-    certified, reason = certify_ratio_optimal(per_scenario, values, ub)
     gap = (ub - lb) / ub if ub > 0 else 0.0
     return RatioReport(eta=report.eta, x=report.x, upper_bound=ub,
                        lower_bound=lb, gap=gap,
@@ -191,4 +183,4 @@ def solve_ratio_robust(fns: Sequence[SetFunction], costs: Sequence[float],
                        wall_time=time.monotonic() - start,
                        status=STATUS_TIME_LIMIT if stopped else report.status,
                        per_scenario=tuple(per_scenario),
-                       certified_exact=certified, certificate=reason)
+                       certified_exact=certify_ratio_optimal(lb, ub))

@@ -86,21 +86,30 @@ class TestMaximizeSingle:
 
 
 class TestCertify:
-    # values holds f_i(x) of each scenario at the placement being certified
+    # LB as solve_ratio_robust computes it: the final bound, or the placement's
+    # worst value with scenario i scaled by its upper bound, whichever is less
+    @staticmethod
+    def lower_bound(bounds, values, upper_bound):
+        return min(upper_bound, *(v / b.upper for v, b in zip(values, bounds)))
+
     def test_all_exact_certifies_via_relaxation_bound(self):
         bounds = [ScenarioBounds(3.0, 3.0, True), ScenarioBounds(3.0, 3.0, True)]
-        exact, reason = certify_ratio_optimal(bounds, (3.0, 3.0), 1.0)
-        assert exact and "relaxation" in reason
-
-    def test_dominating_scenario_certifies(self):
-        bounds = [ScenarioBounds(20.0, 30.0, False), ScenarioBounds(1.0, 1.0, True)]
-        exact, reason = certify_ratio_optimal(bounds, (10.0, 1.0), 0.9)
-        assert exact and "dominates" in reason
+        assert certify_ratio_optimal(self.lower_bound(bounds, (3.0, 3.0), 1.0), 1.0)
 
     def test_generic_inexact_is_uncertified(self):
         bounds = [ScenarioBounds(2.0, 4.0, False), ScenarioBounds(2.0, 4.0, False)]
-        exact, reason = certify_ratio_optimal(bounds, (2.0, 1.0), 0.99)
-        assert not exact and reason == ""
+        assert not certify_ratio_optimal(self.lower_bound(bounds, (2.0, 1.0), 0.99), 0.99)
+
+    def test_dominating_lower_bound_is_uncertified(self):
+        # x scores (9.5, 5) and wins under the lower scales (10, 5) with 0.95
+        # against y's (9, 9); scenario 0's lower bound dominates scenario 1's
+        # upper bound, yet y wins when scenario 1's optimum is 9
+        bounds = [ScenarioBounds(10.0, 10.0, True), ScenarioBounds(5.0, 10.0, False)]
+        assert not certify_ratio_optimal(self.lower_bound(bounds, (9.5, 5.0), 0.95), 0.95)
+
+    def test_gap_within_tol_certifies(self):
+        assert certify_ratio_optimal(1.0 - TOL / 2, 1.0)
+        assert not certify_ratio_optimal(1.0 - 2 * TOL, 1.0)
 
 
 class TestSolveRatioRobust:

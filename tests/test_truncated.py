@@ -5,8 +5,10 @@ it, advancing a fixed 1e-4 s per read, so a limit stops a run at the same
 point on any host.  Each run is stopped before its tree (limit 0: the first
 pop), inside it and after it, and must still return a sandwich around the
 known optimum, a placement that fits, and a status that says whether it
-stopped.  The fixed runs take their optima from the benchmark's goldens;
-the drawn runs take theirs from the exact MILP of tests/reference_milp.py.
+stopped.  The fixed runs take their optima from the benchmark's goldens
+or, for the rsm3 runs that must come back uncertified, from pinned values
+of the exact MILP of tests/reference_milp.py; the drawn runs solve that
+MILP.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 import robustmax as rm
 from robustmax import dcg, master, ratio
+from robustmax.core import TOL
 from robustmax.dcg import support, values_at
 
 from reference_milp import reference_eta
@@ -101,12 +104,48 @@ def test_ratio_sandwich_holds_at_every_limit(counting_clock):
         assert fits(inst, report.x)
         assert report.gap == ((ub - lb) / ub if ub > 0 else 0.0)
         if report.certified_exact:
-            # the certificate vouches for the placement, which attains the
-            # optimum under the exact scales; LB and UB may still differ
+            # the certificate vouches for the value, LB meets UB, and for the
+            # placement, which attains the optimum under the exact scales
+            assert lb >= (1 - TOL) * ub, limit
             values = values_at(fns, support(report.x))
             assert min(v / o for v, o in zip(values, optima)) == pytest.approx(
                 RATIO_OPTIMUM, abs=SLACK), limit
     assert stops == [True, True, True, True, False]
+
+
+# Drawn instances that, stopped at 0.9 of an unstopped run's span, return a
+# placement below the ratio optimum with an open sandwich, while one
+# scenario's lower bound dominates every other upper bound: a certificate
+# from bounds alone would vouch for it.  The optima are the exact MILP's
+# (tests/reference_milp.py), which the unstopped runs reach.
+UNCERTIFIED = [
+    (dict(n=33, m=2, j_count=7, budget=20, seed=3246154361), 1.0),
+    (dict(n=35, m=4, j_count=9, budget=32, seed=1430804514), 0.9956709956709957),
+    (dict(n=32, m=3, j_count=7, budget=25, seed=3034658173), 1.0),
+]
+
+
+@pytest.mark.parametrize("params, optimum", UNCERTIFIED)
+def test_ratio_open_sandwich_is_uncertified(counting_clock, params, optimum):
+    inst = rm.generate_instance(edge_factor=41 / 36, **params)
+    fns = inst.build_oracles()
+    args = (inst.network.sensor_costs, inst.network.budget)
+
+    def run(limit):
+        return rm.solve_ratio_robust(fns, *args, config=rm.DcgConfig(time_limit=limit))
+
+    full, span = unstopped(counting_clock, run)
+    assert full.status == "optimal" and all(b.solved_exactly for b in full.per_scenario)
+    assert abs(full.lower_bound - optimum) <= SLACK and abs(full.upper_bound - optimum) <= SLACK
+    scales = [b.lower for b in full.per_scenario]
+    report = run(0.9 * span)
+    lb, ub = report.lower_bound, report.upper_bound
+    assert report.status == "time_limit"
+    assert lb <= optimum + SLACK and optimum <= ub + SLACK
+    assert fits(inst, report.x)
+    score = min(v / s for v, s in zip(values_at(fns, support(report.x)), scales))
+    assert score < optimum - 1e-3
+    assert lb < (1 - TOL) * ub and not report.certified_exact
 
 
 @st.composite
@@ -200,4 +239,10 @@ class TestAgainstReferenceMilp:
                 assert lb <= optimum + SLACK and optimum <= ub + SLACK, limit
                 assert fits(inst, report.x)
                 assert report.gap == ((ub - lb) / ub if ub > 0 else 0.0)
+                if report.certified_exact:
+                    # certified: the value is the optimum, and x attains it
+                    # under the exact scales
+                    assert lb >= (1 - TOL) * ub, limit
+                    values = values_at(fns, support(report.x))
+                    assert abs(min(v / s for v, s in zip(values, scales)) - optimum) <= SLACK
             assert not stopped  # after the tree
