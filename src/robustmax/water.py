@@ -512,11 +512,38 @@ def serialize_instance(instance: Instance) -> str:
     return "\n".join(out) + "\n"
 
 
+def _randints(rng: Random, a: int, b: int, count: int) -> list:
+    """``[rng.randint(a, b) for _ in range(count)]``, leaving ``rng`` in the
+    same state, from one ``getrandbits`` call per block; the span b - a + 1
+    must be below 2**32.
+
+    randint takes one 32-bit Mersenne Twister word per attempt, keeps its
+    top ``span.bit_length()`` bits and tries again while they reach the span
+    (CPython's ``_randbelow_with_getrandbits``).  ``getrandbits(32 * c)``
+    hands out the next c words, the first least significant, so the same
+    rule on each word in turn keeps the same values; a block as long as the
+    values still missing never takes a word randint would not."""
+    span = b - a + 1
+    shift = 32 - span.bit_length()
+    out = []
+    while len(out) < count:
+        need = count - len(out)
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        drawn = np.frombuffer(words, "<u4").astype(np.int64) >> shift
+        out += (drawn[drawn < span] + a).tolist()
+    return out
+
+
 def generate_instance(n: int, edge_factor: float, m: int, j_count: int,
                       budget: int, seed: int) -> Instance:
     """Seeded random instance: a reachability backbone plus extra edges,
     travel times ~ U(1,10) per scenario, sensor costs ~ U(5,10), uniform
-    source probabilities.  Identical seeds give identical instances."""
+    source probabilities.
+
+    A seed fixes the instance file byte for byte.  One ``Random(seed)``
+    draws, in order, the backbone's node order, the extra edges, the
+    sources, the n sensor costs, and then the travel times scenario by
+    scenario, each scenario's in edge order."""
     if not 1 <= j_count <= n:
         raise ValueError("source count must be between 1 and the node count")
     if m < 1:
@@ -544,8 +571,9 @@ def generate_instance(n: int, edge_factor: float, m: int, j_count: int,
             edges.append((u, v))
             seen.add((u, v))
     sources = rng.sample(range(n), j_count)
-    costs = [rng.randint(5, 10) for _ in range(n)]
-    scenarios = [Scenario([rng.randint(1, 10) for _ in edges]) for _ in range(m)]
+    costs = _randints(rng, 5, 10, n)
+    times = _randints(rng, 1, 10, m * e_count)
+    scenarios = [Scenario(times[i:i + e_count]) for i in range(0, m * e_count, e_count)]
     network = Network(n, edges, sources, [1.0 / j_count] * j_count, costs, budget)
     return Instance(network, scenarios)
 

@@ -6,9 +6,9 @@ point on any host.  Each run is stopped before its tree (limit 0: the first
 pop), inside it and after it, and must still return a sandwich around the
 known optimum, a placement that fits, and a status that says whether it
 stopped.  The fixed runs take their optima from the benchmark's goldens
-or, for the rsm3 runs that must come back uncertified, from pinned values
-of the exact MILP of tests/reference_milp.py; the drawn runs solve that
-MILP.
+or, for the n=54 runs and the rsm3 runs that must come back uncertified,
+from pinned values of the exact MILP of tests/reference_milp.py; the drawn
+runs solve that MILP.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ RATIO = dict(n=36, edge_factor=41 / 36, m=10, j_count=12, budget=30)
 # eta of solve_robust and LB = UB of solve_ratio_robust, as bench/golden.json holds them
 DESK_OPTIMA = {1: 19.333333333333332, 2: 24.166666666666668, 3: 26.166666666666668}
 RATIO_OPTIMUM = 0.9872881355932204
+LARGE = dict(n=54, edge_factor=41 / 36, m=50, j_count=18, budget=45)
+# eta of solve_robust, which the exact MILP of tests/reference_milp.py confirmed
+LARGE_OPTIMA = {1: 48.444444444444436, 4: 35.94444444444444, 6: 44.833333333333336}
 TICK = 1e-4  # fake seconds per clock read
 SLACK = 1e-9
 
@@ -59,17 +62,17 @@ def fits(inst, x) -> bool:
     return sum(c for c, xj in zip(net.sensor_costs, x) if xj) <= net.budget
 
 
-@pytest.mark.parametrize("seed", sorted(DESK_OPTIMA))
-def test_desk_sandwich_holds_at_every_limit(counting_clock, seed):
-    # a full desk solve reads the clock 170-303 times, 0.017-0.030 fake s
-    inst = rm.generate_instance(seed=seed, **DESK)
+def check_robust_limits(inst, optimum: float, limits) -> list:
+    """solve_robust on ``inst`` unstopped, which must reach ``optimum``, and
+    then under each limit, which must still return a sandwich around it, a
+    placement that fits and the status of a run that stopped exactly when
+    it did less work; which limits stopped their run."""
     fns = inst.build_oracles()
     args = ([1.0] * len(fns), inst.network.sensor_costs, inst.network.budget)
     full = rm.solve_robust(fns, *args)
-    optimum = DESK_OPTIMA[seed]
     assert full.status == "optimal" and full.eta == optimum
     stops = []
-    for limit in (0.0, 0.002, 0.01, 1.0):
+    for limit in limits:
         report = rm.solve_robust(fns, *args, rm.DcgConfig(time_limit=limit))
         # a run the limit does not stop does the unlimited run's work
         stopped = (report.nodes, report.master_values) != (full.nodes, full.master_values)
@@ -80,7 +83,23 @@ def test_desk_sandwich_holds_at_every_limit(counting_clock, seed):
         assert report.eta == min(values_at(fns, support(report.x)))
         upper = report.upper_bound
         assert report.gap == ((upper - report.eta) / upper if upper > 0 else 0.0)
+    return stops
+
+
+@pytest.mark.parametrize("seed", sorted(DESK_OPTIMA))
+def test_desk_sandwich_holds_at_every_limit(counting_clock, seed):
+    # a full desk solve reads the clock 170-303 times, 0.017-0.030 fake s
+    inst = rm.generate_instance(seed=seed, **DESK)
+    stops = check_robust_limits(inst, DESK_OPTIMA[seed], (0.0, 0.002, 0.01, 1.0))
     assert stops == [True, True, True, False]
+
+
+@pytest.mark.parametrize("seed", sorted(LARGE_OPTIMA))
+def test_large_sandwich_holds_at_every_limit(counting_clock, seed):
+    # a limited run that ends unstopped reads the clock 2,016-5,040 times,
+    # 0.20-0.50 fake s, so 0.1 stops inside the tree
+    inst = rm.generate_instance(seed=seed, **LARGE)
+    assert check_robust_limits(inst, LARGE_OPTIMA[seed], (0.0, 0.1, 2.0)) == [True, True, False]
 
 
 def test_ratio_sandwich_holds_at_every_limit(counting_clock):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import heapq
 import math
 import re
@@ -789,6 +790,34 @@ class TestGenerateInstance:
         # that case in a child process, as a regression would loop forever)
         inst = generate_instance(n=3, edge_factor=2.0, m=1, j_count=1, budget=10, seed=0)
         assert len(set(inst.network.edges)) == 6
+
+    @pytest.mark.parametrize("span", range(1, 17))
+    def test_randints_match_randint(self, span):
+        # the same values and the same generator state as one randint call
+        # per value, over spans that are powers of two and spans that are not
+        for seed in range(40):
+            a = seed - 20
+            for count in (0, 1, 7, 600):
+                rng, twin = Random(seed), Random(seed)
+                assert water._randints(rng, a, a + span - 1, count) == [
+                    twin.randint(a, a + span - 1) for _ in range(count)]
+                assert rng.getstate() == twin.getstate()
+
+    def test_instance_bytes_are_pinned(self):
+        # a seed fixes the file byte for byte: the benchmark's grid seeds
+        # 0-199, desk seeds 1-5 and ratio seeds 1-2, and the larger n=54 and
+        # n=72 instances, under one sha256 of their files in that order
+        families = [(dict(n=12, edge_factor=2.0, m=5, j_count=5, budget=15), range(200)),
+                    (dict(n=36, edge_factor=41 / 36, m=50, j_count=12, budget=30), range(1, 6)),
+                    (dict(n=36, edge_factor=41 / 36, m=10, j_count=12, budget=30), range(1, 3))]
+        families += [(dict(n=n, edge_factor=41 / 36, m=50, j_count=n // 3, budget=5 * n // 6),
+                      range(1, 4)) for n in (54, 72)]
+        digest = hashlib.sha256()
+        for params, seeds in families:
+            for seed in seeds:
+                digest.update(serialize_instance(generate_instance(seed=seed, **params)).encode())
+        assert digest.hexdigest() == (
+            "8252b9f51a63dda199161270833f79f299a288c454bb60f08e3faf63f3ee910c")
 
     def test_with_budget_updates_flag(self):
         inst = generate_instance(n=5, edge_factor=1.2, m=1, j_count=1,
