@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain
 from operator import index
 from random import Random
 from typing import Callable, Iterable, Sequence
@@ -154,10 +155,15 @@ class SetFunction:
 
 
 def _members(keys: list, n: int) -> np.ndarray:
-    """The (len(keys), n) bool membership matrix of the bitmasks ``keys``."""
-    width = (n + 7) // 8
-    packed = np.frombuffer(b"".join([k.to_bytes(width, "little") for k in keys]),
-                           dtype=np.uint8).reshape(len(keys), width)
+    """The (len(keys), n) bool membership matrix of the bitmasks ``keys``,
+    each in range for the ground set: up to 64 elements, their bytes are
+    those of one little-endian uint64 array, and above it each key's."""
+    if n <= 64:
+        packed = np.array(keys, dtype="<u8").view(np.uint8).reshape(len(keys), 8)
+    else:
+        width = (n + 7) // 8
+        packed = np.frombuffer(b"".join([k.to_bytes(width, "little") for k in keys]),
+                               dtype=np.uint8).reshape(len(keys), width)
     return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
@@ -186,7 +192,7 @@ def values_in(fns: Sequence[SetFunction], keys: Sequence[Iterable[int]]) -> list
             if group.setdefault((fn, i), missing) is not missing:  # fn listed twice
                 group[fn, i] |= missing
     for source, misses in groups.items():
-        flat = [k for missing in misses.values() for k in missing]
+        flat = list(chain.from_iterable(misses.values()))
         n = next(iter(misses))[0].ground_size  # a family shares one ground size
         lo, hi = min(flat), max(flat)
         if lo < 0 or hi >> n:

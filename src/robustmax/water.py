@@ -16,11 +16,12 @@ reached count less the nodes popped at a strictly earlier arrival.  The
 oracles of one instance are made by one evaluator, which holds that stack,
 and they form one family: every miss reaches the stack's one read entry,
 ``rows``.  Two or more rows that all read one scenario go to its ranking
-kernel; any other read, one row or rows that span scenarios, to the
-gather-and-reduce kernel, which computes only the (scenario, set) rows it
-is given.  The instance data is immutable after construction, the kernels
-keep no state but a ranking built once, and oracles are shared freely
-across threads.
+kernel, which finds each row's best-ranked member per source from exact
+float64 products of the rows with powers-of-two rank weights; any other
+read, one row or rows that span scenarios, to the gather-and-reduce
+kernel, which computes only the (scenario, set) rows it is given.  The
+instance data is immutable after construction, the kernels keep no state
+but a ranking built once, and oracles are shared freely across threads.
 """
 
 from __future__ import annotations
@@ -36,8 +37,15 @@ import numpy as np
 
 from .core import SetFunction, TOL
 
-# Most bool entries one chunk of a batched oracle evaluation holds at once.
+# Most multiply-adds one rank-weight product of the ranking kernel makes,
+# and most bool entries one chunk of a covering relation holds at once.  A
+# product bounded so stays on one OpenBLAS thread: rows bounded by this over
+# n alone woke a second thread, which spun for as much CPU as the solve.
 BATCH_CHUNK = 1 << 16
+# Ranks one float64 rank-weight product tells apart: its weights are
+# distinct powers of two below 2**52, and every sum of them is an integer
+# below 2**53, which float64 holds exactly.
+RANK_BITS = 52
 # Most saved entries one chunk of a stacked read gathers at once, and most
 # entries one chunk of reduction_matrix's Dijkstra arrays and edge table hold.
 ROWS_CHUNK = 1 << 18
@@ -273,30 +281,48 @@ class _ScenarioStack:
         each equal with == to the scalar read.
 
         Per source, the sensor nodes are ranked by saved count, descending,
-        and the ranking ends with a sentinel node n that every set holds and
-        that saves 0 (saved is >= 0, so the sentinel sets the value only
+        and ``ranked`` holds the counts in rank order and then a sentinel
+        row of zeros (saved is >= 0, so the sentinel sets the value only
         where the members save 0 for that source or there are none).  A
-        set's best sensor for that source is its first member in the
-        ranking, found by argmax, and its count is an element of saved: the
-        same max :meth:`rows` takes, dotted with probs by the same
-        :func:`_expected`.
+        set's best sensor for that source is its best-ranked member, and its
+        count is an element of saved: the same max :meth:`gather` takes,
+        dotted with probs by the same :func:`_expected`.
+
+        The best rank is read from one float64 product per block of
+        ``RANK_BITS`` ranks.  Block b holds ranks 52b up to its end e, which
+        is 52(b + 1), or n for the last block; in it, node v weighs
+        2**(e - 1 - r) for a source that ranks it r, and 0 for the others.
+        A row's product is then a sum of distinct powers of two below
+        2**52, so every partial sum is an integer below 2**53, and the sum
+        is exact in any order of addition, fused multiply-adds included.
+        Its frexp exponent x names the block's best-ranked member, rank
+        e - x.  The first block that holds a member wins; a sum of 0 has
+        exponent 0 and reads rank e, which for the last block is n, the
+        sentinel.  Each product is bounded to ``BATCH_CHUNK`` multiply-adds,
+        which keeps it on one BLAS thread.
         """
         n, k = self.saved.shape[1:]
         if self._rankings[i] is None:
             saved = self.saved[i]
             order = np.argsort(-saved, axis=0, kind="stable")
+            rank = order.argsort(axis=0)  # rank[v, s]: node v's place in source s's order
+            starts = np.arange(0, n, RANK_BITS)[:, None, None]  # one (n, k) slice per block
+            ends = np.minimum(starts + RANK_BITS, n)
+            weights = np.ldexp(1.0, ends - 1 - rank, where=(starts <= rank) & (rank < ends),
+                               out=np.zeros((len(starts), n, k)))
             ranked = np.vstack([np.take_along_axis(saved, order, axis=0), np.zeros(k)])
-            self._rankings[i] = np.vstack([order, np.full(k, n)]).T.copy(), ranked
-        order, ranked = self._rankings[i]  # (k, n + 1) node ids, (n + 1, k) counts
-        held = np.ones((len(members), n + 1), dtype=bool)
-        held[:, :n] = members
+            self._rankings[i] = weights, ranked
+        weights, ranked = self._rankings[i]  # (blocks, n, k) weights, (n + 1, k) counts
         sources = np.arange(k)
         out = np.empty(len(members))
-        # chunks bound the (rows, k, n + 1) bool temporary
-        step = max(1, BATCH_CHUNK // order.size)
+        step = max(1, BATCH_CHUNK // (n * k))
         for lo in range(0, len(members), step):
-            best = ranked[held[lo:lo + step, order].argmax(axis=2), sources]
-            out[lo:lo + step] = _expected(best, self.probs)
+            chunk = members[lo:lo + step]
+            best = n - np.frexp(chunk @ weights[-1])[1]
+            for b in range(len(weights) - 2, -1, -1):  # an earlier block's member wins
+                sums = chunk @ weights[b]
+                np.copyto(best, RANK_BITS * (b + 1) - np.frexp(sums)[1], where=sums > 0)
+            out[lo:lo + step] = _expected(ranked[best, sources], self.probs)
         return out
 
     def covers(self, i: int) -> np.ndarray:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import robustmax.core
 from robustmax import (SetFunction, SubmodularCut, check_submodular, empty_set_cuts,
                        generate_instance)
-from robustmax.core import TOL, build_cut, build_cuts, dominates, values_in
+from robustmax.core import TOL, _members, build_cut, build_cuts, dominates, values_in
 from robustmax.dcg import strengthen_generating_set
 
 from conftest import (all_subsets, cut_is_valid, modular_fn, random_coverage,
@@ -696,6 +696,15 @@ class TestBatchReads:
             fn.values([1 << n, 3])
         with pytest.raises(ValueError):
             fn.values([-1, 3])
+
+    @pytest.mark.parametrize("n", [1, 8, 63, 64, 65, 130])
+    def test_members_decode_each_bit(self, n):
+        # up to 64 elements the keys decode as one uint64 array, above it
+        # key by key; both must agree with reading each bit on its own
+        keys = [0, 1, 1 << (n - 1), (1 << n) - 1]
+        expected = [[bool(key >> j & 1) for j in range(n)] for key in keys]
+        got = _members(keys, n)
+        assert got.dtype == bool and got.tolist() == expected
 
     def test_values_by_bitmask(self):
         fn = modular_fn((1, 2, 4))

@@ -239,10 +239,12 @@ class TestExpectedReductionOracle:
                 assert fn.value(S | {j, k}) == fn.value(S | {k})
 
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from((4, 12, 36, 72)), st.integers(0, 2**32 - 1), st.data())
+    @given(st.sampled_from((4, 12, 36, 52, 53, 72, 105)), st.integers(0, 2**32 - 1), st.data())
     def test_batch_equals_scalar_evaluation(self, n, seed, data):
         # the ranking kernel must give the scalar value itself, not a
-        # rounding of it, at every size (n = 72 is past int64 bitmasks)
+        # rounding of it, at every size: n = 52 fills one block of ranks
+        # (the full-set row sums all 52 weights), 53 starts a second, 105
+        # spans three, and n = 72 is past int64 bitmasks
         j_count = data.draw(st.integers(1, n))
         inst = generate_instance(n=n, edge_factor=41 / 36, m=1, j_count=j_count,
                                  budget=n, seed=seed % 1000)
