@@ -36,12 +36,13 @@ value on any thread; the water oracles keep none (see :mod:`robustmax.water`).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
 from operator import index
 from random import Random
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -154,16 +155,34 @@ class SetFunction:
         return [float(self._eval(frozenset(np.flatnonzero(row).tolist()))) for row in members]
 
 
-def _members(keys: list, n: int) -> np.ndarray:
-    """The (len(keys), n) bool membership matrix of the bitmasks ``keys``,
-    each in range for the ground set: up to 64 elements, their bytes are
-    those of one little-endian uint64 array, and above it each key's."""
+def _members(parts: Collection[Collection[int]], n: int) -> np.ndarray:
+    """The (B, n) bool membership matrix of the B bitmasks of ``parts``,
+    each part's in turn, refusing with ValueError a bitmask out of range for
+    the ground set.  Up to 64 elements the bitmasks go into one uint64
+    array, which refuses a negative key or one past 64 bits, whose largest
+    key is the range check and whose bytes are unpacked.  Above 64
+    elements, and to name a refused key, the keys are read as Python ints,
+    each key's bytes joined."""
     if n <= 64:
-        packed = np.array(keys, dtype="<u8").view(np.uint8).reshape(len(keys), 8)
-    else:
-        width = (n + 7) // 8
-        packed = np.frombuffer(b"".join([k.to_bytes(width, "little") for k in keys]),
-                               dtype=np.uint8).reshape(len(keys), width)
+        packed = array("Q")
+        try:
+            for part in parts:
+                packed.fromlist(list(part))
+        except OverflowError:  # a negative key, or one past 64 bits
+            pass
+        else:
+            keys = np.frombuffer(packed, dtype=np.uint64).astype("<u8", copy=False)
+            if not int(keys.max()) >> n:
+                return np.unpackbits(keys.view(np.uint8).reshape(-1, 8), axis=1, count=n,
+                                     bitorder="little").view(bool)
+    keys = list(chain.from_iterable(parts))
+    lo, hi = min(keys), max(keys)
+    if lo < 0 or hi >> n:
+        raise ValueError(f"bitmask {lo if lo < 0 else hi} out of range "
+                         f"for ground set of size {n}")
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join([k.to_bytes(width, "little") for k in keys]),
+                           dtype=np.uint8).reshape(len(keys), width)
     return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
@@ -192,15 +211,10 @@ def values_in(fns: Sequence[SetFunction], keys: Sequence[Iterable[int]]) -> list
             if group.setdefault((fn, i), missing) is not missing:  # fn listed twice
                 group[fn, i] |= missing
     for source, misses in groups.items():
-        flat = list(chain.from_iterable(misses.values()))
         n = next(iter(misses))[0].ground_size  # a family shares one ground size
-        lo, hi = min(flat), max(flat)
-        if lo < 0 or hi >> n:
-            raise ValueError(f"bitmask {lo if lo < 0 else hi} out of range "
-                             f"for ground set of size {n}")
         owners = np.array([i for _, i in misses])
         read = source.rows(owners.repeat([len(missing) for missing in misses.values()]),
-                           _members(flat, n))
+                           _members(misses.values(), n))
         read = iter(np.asarray(read, dtype=float).tolist())
         for (fn, _), missing in misses.items():
             fn._cache.update(zip(missing, read))  # zip stops at missing's end
@@ -333,37 +347,53 @@ def check_submodular(fn: SetFunction, exhaustive_limit: int = 12,
     per such key, the most recent one kept, so checking the scenarios of
     one instance in a row draws them once.  Marginals compare up to TOL
     times the largest |f| of the exhaustive table, or |f(N)| when sampling,
-    so the verdict does not depend on the oracle's scale.  f(empty) is the
-    oracle's own value, read like any other.  A value that is not finite is
-    a violation: no comparison with a NaN could find one.
+    so the verdict does not depend on the oracle's scale.  Each check reads
+    its values in one :meth:`SetFunction.values` call, f(N) with the
+    samples.  f(empty) is the oracle's own value, read like any other.  A
+    value that is not finite is a violation: no comparison with a NaN could
+    find one.
     """
     n = fn.ground_size
     if n <= exhaustive_limit or n < 2:
-        # F[mask] = f(mask); M[mask, j] = f(mask + j) - f(mask), which is 0
-        # where j is in mask and so never a violation.
+        # F[mask] = f(mask).  Row j of M holds f(mask + j) - f(mask) for the
+        # masks without bit j, ascending, from F's view that pairs each such
+        # mask (index 0 of the middle axis) with mask + j.  The marginal at
+        # a mask with bit j is 0, never a violation, and is left out.
         F = fn.values(range(1 << n))
         if not np.isfinite(F).all():
             return False
         slack = TOL * float(np.abs(F).max())
-        masks = np.arange(1 << n)
-        M = F[masks[:, None] | (1 << np.arange(n))] - F[:, None]
-        if (M < -slack).any():
+        M = np.empty((n, 1 << n - 1))
+        for j in range(n):
+            pairs = F.reshape(-1, 2, 1 << j)
+            np.subtract(pairs[:, 1], pairs[:, 0], out=M[j].reshape(-1, 1 << j))
+        if M.min() < -slack:  # F is finite, so M holds no NaN
             return False
-        # Diminishing returns in k: pair each mask without bit k (index 0 of
-        # the middle axis) with mask + k.  The j = k column compares 0 with
-        # M[mask, k] + slack, never a violation once M >= -slack holds.
-        for k in range(n):
-            pairs = M.reshape(-1, 2, 1 << k, n)
-            if (pairs[:, 1] > pairs[:, 0] + slack).any():
+        # Diminishing returns: bit b of row j's masks is element k = b, or
+        # k = b + 1 from b = j on.  Pairing each mask without bit b with
+        # mask + k, as above, compares f(mask + k + j) - f(mask + k) with
+        # f(mask + j) - f(mask) + slack for every k but j, which compares 0
+        # with M + slack and passes once M >= -slack holds.  numpy runs along
+        # the out array's contiguous axis, so that axis is the longer of the
+        # two a row splits into: blocks, or the masks of one block.
+        bound = M + slack
+        above = np.empty(M.size // 2, dtype=bool)
+        for b in range(n - 1):
+            blocks = 1 << n - 2 - b
+            out = (above.reshape(n, 1 << b, blocks).transpose(0, 2, 1) if blocks > 1 << b
+                   else above.reshape(n, blocks, 1 << b))
+            if np.greater(M.reshape(n, blocks, 2, 1 << b)[:, :, 1],
+                          bound.reshape(n, blocks, 2, 1 << b)[:, :, 0], out=out).any():
                 return False
         return True
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    full = fn.value(range(n))
-    F = fn.values(_sample_keys(n, samples, seed)).reshape(-1, 4)
-    if not (np.isfinite(full) and np.isfinite(F).all()):
+    # f(N) is read last, in the same read as the samples
+    F = fn.values(chain(_sample_keys(n, samples, seed), ((1 << n) - 1,)))
+    if not np.isfinite(F).all():
         return False
-    slack = TOL * abs(full)
+    slack = TOL * abs(float(F[-1]))
+    F = F[:-1].reshape(-1, 4)
     mj = F[:, 1] - F[:, 0]
     return not ((mj < -slack).any() or (F[:, 3] - F[:, 2] > mj + slack).any())
 

@@ -88,15 +88,15 @@ class Network:
         for j in self.sources:
             if not 0 <= j < n:
                 raise ValueError(f"source {j} out of range")
-        if not all(0 <= p < math.inf for p in self.source_probabilities):
+        if not _least(self.source_probabilities, "source probability") >= 0:
             raise ValueError("source probabilities must be nonnegative and finite")
         if abs(sum(self.source_probabilities) - 1.0) > TOL:
             raise ValueError("source probabilities must sum to 1")
         if len(self.sensor_costs) != n:
             raise ValueError("one sensor cost per node is required")
-        if not all(0 < c < math.inf for c in self.sensor_costs):
+        if not _least(self.sensor_costs, "cost") > 0:
             raise ValueError("sensor costs must be positive and finite")
-        if not 0 <= self.budget < math.inf:
+        if not _least((self.budget,), "budget") >= 0:
             raise ValueError("budget must be nonnegative and finite")
 
 
@@ -106,8 +106,29 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "edge_weights", tuple(self.edge_weights))
-        if not all(1 <= w < math.inf for w in self.edge_weights):  # a NaN fails too
+        if not _least(self.edge_weights, "travel time") >= 1:
             raise ValueError("edge travel times must be >= 1 and finite")
+
+
+def _least(values: tuple, what: str) -> float:
+    """The least of ``values`` (inf for none), or NaN if any is NaN or
+    +inf, so that a bound test refuses it: two C-level passes in the
+    common case, where a generator takes one Python step per value.  An
+    int beyond float range, which :func:`parse_instance` refuses, raises
+    ValueError naming ``what``."""
+    try:
+        total = sum(values, 0.0)  # a float, NaN if any value is
+    except OverflowError:  # an int that no float holds
+        raise ValueError(f"{what} beyond float range") from None
+    # A value that is +inf or an int past the largest float takes the sum
+    # there, unless a negative value, which every bound test refuses, is read.
+    if total >= sys.float_info.max:
+        hi = max(values)
+        if math.inf > hi > sys.float_info.max:
+            raise ValueError(f"{what} beyond float range")
+        if hi == math.inf:
+            return math.nan
+    return math.nan if total != total else min(values, default=math.inf)
 
 
 def _out_edges(network: Network, weights: np.ndarray):
@@ -313,7 +334,7 @@ class _ScenarioStack:
             ranked = np.vstack([np.take_along_axis(saved, order, axis=0), np.zeros(k)])
             self._rankings[i] = weights, ranked
         weights, ranked = self._rankings[i]  # (blocks, n, k) weights, (n + 1, k) counts
-        sources = np.arange(k)
+        sources = np.arange(k)  # ranked[r, s] is flat entry r * k + s, one take reads it
         out = np.empty(len(members))
         step = max(1, BATCH_CHUNK // (n * k))
         for lo in range(0, len(members), step):
@@ -322,7 +343,7 @@ class _ScenarioStack:
             for b in range(len(weights) - 2, -1, -1):  # an earlier block's member wins
                 sums = chunk @ weights[b]
                 np.copyto(best, RANK_BITS * (b + 1) - np.frexp(sums)[1], where=sums > 0)
-            out[lo:lo + step] = _expected(ranked[best, sources], self.probs)
+            out[lo:lo + step] = _expected(ranked.take(best * k + sources), self.probs)
         return out
 
     def covers(self, i: int) -> np.ndarray:

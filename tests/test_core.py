@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from random import Random
 
 import numpy as np
@@ -123,6 +124,32 @@ class TestFamilyReads:
         fns = CoverageFamily(3, 12, 1).functions()
         with pytest.raises(ValueError):
             values_in(fns, [[3], [5, bad], [6]])
+
+    @pytest.mark.parametrize("n, keys, named", [
+        (12, [3, 1 << 64, 5], 1 << 64),
+        (12, [3, 1 << 70, 5], 1 << 70),
+        (12, [1 << 70, -1, 1 << 64], -1),  # a negative key is named first
+        (63, [3, -1, 5], -1),
+        (64, [3, -1, 5], -1),
+        (64, [3, 1 << 64, 5], 1 << 64),
+        (63, [3, 1 << 63, 5], 1 << 63),
+        (63, [(1 << 64) - 1, 5], (1 << 64) - 1),
+    ], ids=["2**64", "2**70", "both-ways", "minus-one-63", "minus-one-64", "2**n-64",
+            "2**n-63", "uint64-max-63"])
+    def test_refusal_names_the_bitmask(self, n, keys, named):
+        # up to 64 elements the misses decode from one uint64 array; a key it
+        # cannot hold, or one at or past 2**n, is refused by the same message
+        # as the key-by-key check, naming the least key if negative and the
+        # largest otherwise
+        message = f"bitmask {named} out of range for ground set of size {n}"
+        family = CoverageFamily(2, n, 1)
+        fns = family.functions()
+        plain = SetFunction(n, lambda S: float(len(S)))
+        for read in (lambda: values_in(fns, [[6], keys]), lambda: plain.values(keys)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                read()
+        assert family.calls == []
+        assert [fn._cache for fn in fns + [plain]] == [{0: 0.0}] * 3
 
     def test_mixed_family_and_plain_functions(self):
         family = CoverageFamily(3, 10, 2)
@@ -639,6 +666,24 @@ class TestCheckSubmodular:
                    for fn in desk.build_oracles())
         assert seeds == [7]
 
+    @pytest.mark.parametrize("kind", ["family", "plain"])
+    @pytest.mark.parametrize("n, limit", [(1, 12), (7, 12), (12, 12), (7, 0), (36, 12)],
+                             ids=["exhaustive-1", "exhaustive-7", "exhaustive-12",
+                                  "sampled-7", "sampled-36"])
+    def test_memo_gains_the_keys_read(self, kind, n, limit):
+        # one read per check: an exhaustive check leaves every bitmask in the
+        # memo, a sampled one its sample keys, the empty set and the full set
+        fn = (CoverageFamily(1, n, n).functions()[0] if kind == "family"
+              else SetFunction(n, lambda S: float(min(len(S), 3))))
+        assert check_submodular(fn, exhaustive_limit=limit, samples=300, seed=5)
+        if n <= limit or n < 2:
+            expected = set(range(1 << n))
+        else:
+            expected = {0, (1 << n) - 1} | set(robustmax.core._sample_keys(n, 300, 5))
+        assert set(fn._cache) == expected
+        assert all(value == fn._eval(frozenset(j for j in range(n) if key >> j & 1))
+                   for key, value in fn._cache.items())
+
     @settings(max_examples=150, deadline=None)
     @given(set_function_tables())
     def test_verdict_matches_scalar_reference(self, case):
@@ -700,10 +745,11 @@ class TestBatchReads:
     @pytest.mark.parametrize("n", [1, 8, 63, 64, 65, 130])
     def test_members_decode_each_bit(self, n):
         # up to 64 elements the keys decode as one uint64 array, above it
-        # key by key; both must agree with reading each bit on its own
+        # key by key; both must agree with reading each bit on its own, the
+        # parts' keys in turn
         keys = [0, 1, 1 << (n - 1), (1 << n) - 1]
         expected = [[bool(key >> j & 1) for j in range(n)] for key in keys]
-        got = _members(keys, n)
+        got = _members([keys[:1], keys[1:]], n)
         assert got.dtype == bool and got.tolist() == expected
 
     def test_values_by_bitmask(self):

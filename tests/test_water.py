@@ -609,11 +609,49 @@ class TestNonFiniteInstanceData:
         with pytest.raises(ValueError, match="finite"):
             replace(self.instance().network, **{field: value})
 
-    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, 0.5, 0, -1])
     def test_scenario_refuses_travel_time(self, weight):
-        # serialize_instance would write a file parse_instance refuses
-        with pytest.raises(ValueError, match="finite"):
-            Scenario((weight, 1, 1))
+        # serialize_instance would write a file parse_instance refuses; the
+        # check reads every weight, the last one included
+        for weights in ((weight, 1, 1), (1, weight, 1), (1, 1, weight), (weight, -weight, 1)):
+            with pytest.raises(ValueError, match="edge travel times must be >= 1 and finite"):
+                Scenario(weights)
+
+    # The largest float's int plus one rounds to that float, so only an
+    # exact comparison refuses it, as parse_instance does.
+    BEYOND = [10**400, int(sys.float_info.max) + 1, -10**400]
+
+    @pytest.mark.parametrize("value", BEYOND, ids=["huge", "rounds-to-max", "minus-huge"])
+    def test_ints_beyond_float_range_refused(self, value):
+        # a positive one used to pass: build_oracles raised OverflowError,
+        # or the written file read back as a ParseError
+        inst = self.instance()
+        with pytest.raises(ValueError, match="travel time beyond float range"):
+            Scenario((value, 2))
+        with pytest.raises(ValueError):  # after a NaN, refused under either name
+            Scenario((math.nan, value))
+        with pytest.raises(ValueError, match="cost beyond float range"):
+            replace(inst.network, sensor_costs=(value,) + (5,) * 7)
+        with pytest.raises(ValueError, match="budget beyond float range"):
+            replace(inst.network, budget=value)
+        with pytest.raises(ValueError, match="source probability beyond float range"):
+            replace(inst.network, source_probabilities=(value, 0.5, 0.5))
+        # the parser refuses each in a file, under the same name
+        lines = serialize_instance(inst).splitlines()
+        for field, what in (("budget", "budget"), ("costs", "cost")):
+            text = "\n".join(f"{field} {value}" + " 5" * 7 * (field == "costs")
+                             if ln.split()[0] == field else ln for ln in lines)
+            with pytest.raises(ParseError, match=f"{what} beyond float range"):
+                parse_instance(text)
+
+    def test_largest_float_range_values_accepted(self):
+        # the largest int a float holds is in range, as in a file
+        top = int(sys.float_info.max)
+        assert Scenario((top, 1, sys.float_info.max)).edge_weights[0] == top
+        inst = self.instance()
+        assert replace(inst.network, budget=top).budget == top
+        costs = (top,) + (5,) * 7
+        assert replace(inst.network, sensor_costs=costs).sensor_costs == costs
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf])
     def test_instance_refuses_alpha_values(self, alpha):
