@@ -23,14 +23,18 @@ the linear inequality
 
 that upper-bounds ``f(X)/alpha`` over all binary points and is tight at the
 generating set; :func:`build_cuts` builds the cuts of several functions from
-one read of every value they need.  Pointwise dominance between such cuts
+one read of every value they need.  Each oracle also memoizes the cuts built
+from it, keyed by generating set (its elements in iteration order), alpha and
+scenario index, so a cut is built once per oracle and a repeat returns the
+same object, reading nothing.  Pointwise dominance between such cuts
 lives here as well, as one comparison of the arrays of their constants,
 coefficient rows and magnitudes (:func:`dominance`).
 
 Oracles are immutable after construction and safe to share across threads;
-the memo cache tolerates concurrent insertion of identical entries.  An
-``eval_fn`` may keep state of its own if every call still returns the same
-value on any thread; the water oracles keep none (see :mod:`robustmax.water`).
+the value and cut memos tolerate concurrent insertion of identical entries.
+An ``eval_fn`` may keep state of its own if every call still returns the
+same value on any thread; the water oracles keep none (see
+:mod:`robustmax.water`).
 """
 
 from __future__ import annotations
@@ -83,9 +87,13 @@ class SetFunction:
     fills all misses of a family's functions in one read with one call to it.
     A function that declares no family is its own one-member family, with
     :meth:`rows` as its kernel.
+
+    :func:`build_cuts` keeps every cut it builds from the function in a
+    second memo, for the function's lifetime, and answers a repeat from it.
     """
 
-    __slots__ = ("ground_size", "_eval", "_relate", "_family", "_covers", "_cache", "name")
+    __slots__ = ("ground_size", "_eval", "_relate", "_family", "_covers", "_cache", "_cuts",
+                 "name")
 
     def __init__(self, ground_size: int, eval_fn: Callable[[frozenset], float],
                  name: str = ""):
@@ -101,6 +109,7 @@ class SetFunction:
         if not abs(empty) <= TOL:  # a NaN fails this test too
             raise ValueError(f"set function is not normalized: f(empty)={empty!r}")
         self._cache: dict = {0: empty}
+        self._cuts: dict = {}  # (generating set in iteration order, alpha, scenario) -> cut
 
     @property
     def covers(self) -> np.ndarray | None:
@@ -248,7 +257,8 @@ class SubmodularCut:
 def build_cut(fn: SetFunction, subset: Iterable[int], alpha: float,
               scenario_index: int) -> SubmodularCut:
     """fn's hypograph linearized at the generating set, scaled by alpha, from
-    one :func:`values_in` read: the one-cut call of :func:`build_cuts`."""
+    fn's cut memo or one :func:`values_in` read: the one-cut call of
+    :func:`build_cuts`."""
     return build_cuts((fn,), (subset,), (alpha,), (scenario_index,))[0]
 
 
@@ -256,10 +266,17 @@ def build_cuts(fns: Sequence[SetFunction], subsets: Sequence[Iterable[int]],
                alphas: Sequence[float], scenario_indices: Sequence[int]) -> list:
     """One cut per function: fns[c]'s hypograph linearized at subsets[c] and
     scaled by alphas[c], tight there and valid for ``fns[c](X)/alphas[c]`` at
-    every binary point, filed under scenario_indices[c].  Every cut's keys go
-    to one :func:`values_in` read (at S: S + j for every j, S, then N and
-    N - j for each j in S in the set's iteration order, N only when S has an
-    element), and each cut is computed from its row."""
+    every binary point, filed under scenario_indices[c].  An alpha is read as
+    a Python float and an index as a Python int, so a cut's fields have the
+    same types whatever numbers built it.
+
+    Each function memoizes its cuts under the generating set's elements in
+    iteration order (which fixes the constant's rounding), alpha and the
+    scenario index; a memoized cut is returned as the same object and reads
+    nothing.  The keys of every other cut go to one :func:`values_in` read
+    (at S: S + j for every j, S, then N and N - j for each j in S in the
+    set's iteration order, N only when S has an element), and each cut is
+    computed from its row and memoized."""
     if not len(fns) == len(subsets) == len(alphas) == len(scenario_indices):
         raise ValueError("need one generating set, alpha and scenario index per set function")
     if not all(0 < alpha < math.inf for alpha in alphas):  # a NaN fails this test too
@@ -267,20 +284,28 @@ def build_cuts(fns: Sequence[SetFunction], subsets: Sequence[Iterable[int]],
     gens = [element_set(subset) for subset in subsets]
     if any(gen and (min(gen) < 0 or max(gen) >= fn.ground_size) for fn, gen in zip(fns, gens)):
         raise ValueError("generating set not within ground set")
+    entries = [(tuple(gen), float(alpha), index(i))
+               for gen, alpha, i in zip(gens, alphas, scenario_indices)]
+    cuts = [fn._cuts.get(entry) for fn, entry in zip(fns, entries)]
+    misses = [c for c, cut in enumerate(cuts) if cut is None]
+    if not misses:
+        return cuts
+    built = [(fns[c], gens[c]) for c in misses]
     keys = [fn.marginal_keys(key) + [key] + [full] * bool(gen) + [full ^ 1 << j for j in gen]
-            for fn, gen in zip(fns, gens)
+            for fn, gen in built
             for key, full in [(fn.key(gen), (1 << fn.ground_size) - 1)]]
-    cuts = []
-    for fn, gen, alpha, i, read in zip(fns, gens, alphas, scenario_indices, values_in(fns, keys)):
+    for c, (fn, gen), read in zip(misses, built, values_in([fn for fn, _ in built], keys)):
         # Python's sum in the set's iteration order fixes the constant's rounding.
+        _, alpha, i = entries[c]
         n = fn.ground_size
         row = np.array(read)
         full_minus = row[n + 1:n + 2] - row[n + 2:]
         coeffs = row[:n] - read[n]
         coeffs[list(gen)] = full_minus
-        cuts.append(SubmodularCut(constant=(read[n] - sum(full_minus.tolist())) / alpha,
-                                  coefficients=tuple((coeffs / alpha).tolist()),
-                                  scenario_index=i, generating_set=gen))
+        # setdefault: a cut asked for twice in one call is one object
+        cuts[c] = fn._cuts.setdefault(entries[c], SubmodularCut(
+            constant=(read[n] - sum(full_minus.tolist())) / alpha,
+            coefficients=tuple((coeffs / alpha).tolist()), scenario_index=i, generating_set=gen))
     return cuts
 
 

@@ -284,18 +284,30 @@ class _ScenarioStack:
     def gather(self, scenario_of_row: np.ndarray, members: np.ndarray) -> np.ndarray:
         """:meth:`rows` by one gather of every member's saved row, one max
         over each row's members and one :func:`_expected` product, in chunks
-        of rows that gather at most ``ROWS_CHUNK`` saved entries.  The max is
-        the one :meth:`batch` takes, so each value equals its row with ==."""
+        of whole rows that gather at most ``ROWS_CHUNK`` saved entries, k per
+        member (a row with more is a chunk of its own).  The max is the one
+        :meth:`batch` takes, so each value equals its row with ==."""
         n, k = self.saved.shape[1:]
-        step = max(1, ROWS_CHUNK // (n * k))  # a row has at most n members
-        if len(members) > step:
-            return np.concatenate([self.gather(scenario_of_row[lo:lo + step], members[lo:lo + step])
-                                   for lo in range(0, len(members), step)])
-        # r * n + v for member v of row r, in row order
+        # r * n + v for member v of row r, in row order, and where each row's
+        # members start
         row, col = np.divmod(members.ravel().nonzero()[0], n)
-        gathered = self._flat.take(scenario_of_row[row] * n + col, axis=0)
-        starts = row.searchsorted(np.arange(len(members)))  # each row's first member
-        return _expected(np.maximum.reduceat(gathered, starts), self.probs)
+        flat = scenario_of_row[row] * n + col
+        starts = row.searchsorted(np.arange(len(members)))
+        limit = max(1, ROWS_CHUNK // k)  # members one chunk gathers
+        if len(flat) <= limit:
+            return self._reduce(flat, starts)
+        ends = np.append(starts[1:], len(flat))
+        chunks, lo = [], 0
+        while lo < len(members):  # rows lo..hi-1: as many as end within the limit, one at least
+            hi = max(lo + 1, int(ends.searchsorted(starts[lo] + limit, side="right")))
+            chunks.append(self._reduce(flat[starts[lo]:ends[hi - 1]], starts[lo:hi] - starts[lo]))
+            lo = hi
+        return np.concatenate(chunks)
+
+    def _reduce(self, flat: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """The values of the rows whose members' saved rows are at ``flat``
+        in ``_flat``, row r's from ``starts[r]`` on."""
+        return _expected(np.maximum.reduceat(self._flat.take(flat, axis=0), starts), self.probs)
 
     def batch(self, i: int, members: np.ndarray) -> np.ndarray:
         """f_i at each row of the (B, n) bool membership matrix, B values,

@@ -408,6 +408,108 @@ class TestBuildCuts:
         assert build_cuts([], [], [], []) == []
 
 
+class TestCutMemo:
+    """Each oracle memoizes its cuts by generating set (in iteration order),
+    alpha and scenario index; a memoized cut is the object built before and
+    reads nothing."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        made = []
+
+        def counted(fns, keys):
+            made.append(len(fns))
+            return values_in(fns, keys)
+
+        monkeypatch.setattr(robustmax.core, "values_in", counted)
+        return made
+
+    def test_repeat_returns_the_same_objects_and_reads_nothing(self, reads):
+        fns = CoverageFamily(3, 7, 1).functions()
+        args = ([fns[0], fns[2], fns[0]], [{1, 4}, (), {2}], [1.0, 2.5, 1.0], [0, 2, 0])
+        first = build_cuts(*args)
+        assert reads == [3]
+        again = build_cuts(*args)
+        assert reads == [3]
+        assert all(a is b for a, b in zip(first, again))
+        # a cut of the first call asked for with others: only the others are read
+        mixed = build_cuts([fns[1], fns[0]], [{3}, {1, 4}], [1.0, 1.0], [1, 0])
+        assert reads == [3, 1] and mixed[1] is first[0]
+
+    def test_asked_for_twice_in_one_call_is_one_object(self):
+        fn = modular_fn((1, 2, 3))
+        a, b = build_cuts([fn, fn], [{0, 2}, [2, 0]], [1.0, 1.0], [0, 0])
+        assert a is b
+
+    @pytest.mark.parametrize("alpha, index", [(2.0, 0), (1.0, 1), (3.0, 4)])
+    def test_new_alpha_or_index_builds_afresh(self, alpha, index):
+        table = np.concatenate(([0.0], 10 * np.random.default_rng(3).random(63)))
+        fn, cold = table_fn(table), table_fn(table)
+        memoized = build_cut(fn, {0, 3, 5}, 1.0, 0)
+        cut = build_cut(fn, {0, 3, 5}, alpha, index)
+        assert cut is not memoized
+        assert cut == build_cut(cold, {0, 3, 5}, alpha, index)
+        assert cut.scenario_index == index
+
+    def test_numpy_numbers_hit_the_python_entry(self, reads):
+        fn = modular_fn((1, 2, 3, 4))
+        cut = build_cut(fn, {1, 3}, 2, 3)
+        for alpha, index in [(np.float64(2.0), np.int64(3)), (np.int64(2), np.int32(3)),
+                             (2.0, np.uint8(3))]:
+            got = build_cut(fn, [np.int64(3), np.int64(1)], alpha, index)
+            assert got is cut
+        assert reads == [1]
+        assert type(cut.scenario_index) is int and type(cut.constant) is float
+        # built from numpy numbers first, the fields are Python's all the same
+        other = modular_fn((1, 2, 3, 4))
+        fresh = build_cut(other, {1, 3}, np.float32(2.0), np.int64(3))
+        assert type(fresh.scenario_index) is int and type(fresh.constant) is float
+        assert fresh == cut and build_cut(other, {1, 3}, 2.0, 3) is fresh
+
+    def test_index_must_be_an_integer(self):
+        with pytest.raises(TypeError):
+            build_cut(modular_fn((1, 2)), {0}, 1.0, 0.0)
+
+    def test_equal_sets_in_another_order_each_get_their_own_constant(self):
+        # 0, 8 and 16 share a hash slot, so frozensets of them iterate in
+        # insertion order; the marginals 1, 1e16 and -1e16 sum to 0 in one
+        # order and to 1 in the other, so each order has its own constant
+        marginal = {0: 1.0, 8: 1e16, 16: -1e16}
+
+        def evaluate(S):
+            left = set(range(17)).difference(S)
+            return -marginal.get(left.pop(), 0.0) if len(left) == 1 else 0.0
+
+        one, other = frozenset((0, 8, 16)), frozenset((16, 8, 0))
+        assert one == other and tuple(one) != tuple(other)
+        fn = SetFunction(17, evaluate)
+        cuts = [build_cut(fn, gen, 1.0, 0) for gen in (one, other, one)]
+        fresh = [build_cut(SetFunction(17, evaluate), gen, 1.0, 0) for gen in (one, other)]
+        assert [c.constant for c in cuts] == [c.constant for c in fresh + fresh[:1]]
+        assert cuts[0].constant != cuts[1].constant
+        assert cuts[2] is cuts[0] and cuts[1] is not cuts[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 7), st.integers(0, 2**32 - 1), st.data())
+    def test_value_memo_is_the_one_rebuilding_leaves(self, m, n, seed, data):
+        # a sequence of calls, with repeats, on shared oracles and on oracles
+        # whose cut memo is emptied before each call (every cut rebuilt, as
+        # with no cut memo): the same cuts, and the same value memos
+        fns, rebuilt = (CoverageFamily(m, n, seed).functions() for _ in range(2))
+        cut = st.tuples(st.integers(0, m - 1), st.sets(st.integers(0, n - 1), max_size=3),
+                        st.sampled_from((1.0, 2.5)), st.integers(0, 2))
+        calls = data.draw(st.lists(st.lists(cut, min_size=1, max_size=4), min_size=1,
+                                   max_size=6))
+        for call in calls:
+            for fn in rebuilt:
+                fn._cuts.clear()
+            sides = [build_cuts([side[i] for i, _, _, _ in call], [gen for _, gen, _, _ in call],
+                                [alpha for _, _, alpha, _ in call], [k for _, _, _, k in call])
+                     for side in (fns, rebuilt)]
+            assert sides[0] == sides[1]
+            assert [fn._cache for fn in fns] == [fn._cache for fn in rebuilt]
+
+
 class TestEmptySetCuts:
     def test_singleton_rows(self, warmstart_triple):
         cuts = empty_set_cuts(warmstart_triple, [1.0, 1.0, 1.0])

@@ -1031,3 +1031,28 @@ class TestReadCounts:
         for made, _ in steps:
             lists = [entry for read in made for entry in read]
             assert len(lists) == len(set(lists))
+
+
+class TestSharedOracles:
+    """Solves that share oracles share their cut memos, as the acceptance
+    grid's four configs do; each report is the one fresh oracles give."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 5])
+    def test_grid_configs_on_shared_and_fresh_oracles(self, seed):
+        inst = generate_instance(n=12, edge_factor=2.0, m=5, j_count=5, budget=15, seed=seed)
+        net = inst.network
+        shared = inst.build_oracles()
+        pools = []
+        for reduce, stop_pt in product((False, True), (0, 2)):
+            config = DcgConfig(reduce=reduce, stop_pt=stop_pt)
+            got, want = (solve_robust(fns, [1.0] * 5, net.sensor_costs, net.budget, config)
+                         for fns in (shared, inst.build_oracles()))
+            assert got.eta == want.eta and got.x == want.x and got.status == want.status
+            assert got.upper_bound == want.upper_bound and got.nodes == want.nodes
+            assert (got.iterations, got.cuts_added) == (want.iterations, want.cuts_added)
+            assert got.master_values == want.master_values
+            assert got.pool == want.pool
+            pools.append(got.pool)
+        # the later solves were served cuts the earlier ones built
+        built = {id(cut) for cut in pools[0]}
+        assert any(id(cut) in built for pool in pools[1:] for cut in pool)

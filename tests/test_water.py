@@ -493,6 +493,61 @@ class TestKernelChoice:
         assert got == [want[0], want[1] - want[2], want[3] - want[4], want[0]]
 
 
+class TestGatherChunks:
+    """The gather-and-reduce kernel chunks a read by the saved entries it
+    gathers, k per member, not by rows of n members each."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        made = []
+        reduce = water._ScenarioStack._reduce
+
+        def counted(stack, flat, starts):
+            made.append((len(flat), len(starts)))
+            return reduce(stack, flat, starts)
+
+        monkeypatch.setattr(water._ScenarioStack, "_reduce", counted)
+        return made
+
+    @staticmethod
+    def read(n, m, keys_per_scenario, seed):
+        inst = generate_instance(n=n, edge_factor=41 / 36, m=m, j_count=n // 3, budget=n,
+                                 seed=seed)
+        fns, fresh = inst.build_oracles(), inst.build_oracles()
+        rng = Random(seed)
+        keys = [list({1 << rng.randrange(n) | rng.choice((0, 1 << rng.randrange(n)))
+                      for _ in range(keys_per_scenario)}) for _ in range(m)]
+        return fns, fresh, keys
+
+    def test_short_rows_past_the_full_row_bound_take_one_pass(self, passes):
+        # many one- and two-member rows across scenarios, more of them than
+        # ROWS_CHUNK // (n * k), the bound that assumed full rows
+        n, m = 60, 3
+        fns, fresh, keys = self.read(n, m, 200, 5)
+        k = fns[0]._eval.family[0].saved.shape[2]
+        rows = sum(map(len, keys))
+        assert rows > water.ROWS_CHUNK // (n * k)
+        got = values_in(fns, keys)
+        assert passes == [(passes[0][0], rows)]
+        assert got == [[f.value([j for j in range(n) if key >> j & 1]) for key in fn_keys]
+                       for f, fn_keys in zip(fresh, keys)]
+
+    def test_chunks_hold_whole_rows_within_the_bound(self, passes, monkeypatch):
+        # a bound of 5 members: every chunk holds whole rows, 5 members at
+        # most unless it is one row, and every value is the scalar read's
+        n, m = 24, 3
+        fns, fresh, keys = self.read(n, m, 40, 2)
+        keys[1] += [(1 << n) - 1, 0b1111110]  # rows past the bound, alone in their chunks
+        k = fns[0]._eval.family[0].saved.shape[2]
+        monkeypatch.setattr(water, "ROWS_CHUNK", 5 * k)
+        got = values_in(fns, keys)
+        assert sum(rows for _, rows in passes) == sum(map(len, keys))
+        assert all(members <= 5 or rows == 1 for members, rows in passes)
+        assert any(members > 5 for members, _ in passes) and len(passes) > 10
+        assert got == [[f.value([j for j in range(n) if key >> j & 1]) for key in fn_keys]
+                       for f, fn_keys in zip(fresh, keys)]
+
+
 def small_text_with(line_no: int, text: str) -> str:
     """The small instance's file with line ``line_no`` (1-based) replaced."""
     lines = list(SMALL_LINES)
