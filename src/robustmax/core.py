@@ -24,17 +24,18 @@ the linear inequality
 that upper-bounds ``f(X)/alpha`` over all binary points and is tight at the
 generating set; :func:`build_cuts` builds the cuts of several functions from
 one read of every value they need.  Each oracle also memoizes the cuts built
-from it, keyed by generating set (its elements in iteration order), alpha and
-scenario index, so a cut is built once per oracle and a repeat returns the
-same object, reading nothing.  Pointwise dominance between such cuts
-lives here as well, as one comparison of the arrays of their constants,
-coefficient rows and magnitudes (:func:`dominance`).
+from it, keyed by generating set (its elements in iteration order, or sorted
+for a set of at most two), alpha and scenario index, so a cut is built once
+per oracle and a repeat returns the same object, reading nothing.  Pointwise
+dominance between such cuts lives here as well, as one comparison of the
+arrays of their constants, coefficient rows and magnitudes
+(:func:`dominance`).
 
 Oracles are immutable after construction and safe to share across threads;
-the value and cut memos tolerate concurrent insertion of identical entries.
-An ``eval_fn`` may keep state of its own if every call still returns the
-same value on any thread; the water oracles keep none (see
-:mod:`robustmax.water`).
+the value, cut and strengthening memos tolerate concurrent insertion of
+identical entries.  An ``eval_fn`` may keep state of its own if every call
+still returns the same value on any thread; the water oracles keep none
+(see :mod:`robustmax.water`).
 """
 
 from __future__ import annotations
@@ -90,10 +91,15 @@ class SetFunction:
 
     :func:`build_cuts` keeps every cut it builds from the function in a
     second memo, for the function's lifetime, and answers a repeat from it.
+    :func:`robustmax.dcg.strengthen_generating_sets` keeps each generating
+    set it builds for the function in a third, for the same lifetime, keyed
+    by the incumbent's elements in iteration order, f at the incumbent and
+    ``stop_pt``; it holds the frozenset built, whose iteration order fixes
+    the rounding of its cut's constant.
     """
 
     __slots__ = ("ground_size", "_eval", "_relate", "_family", "_covers", "_cache", "_cuts",
-                 "name")
+                 "_strengthened", "name")
 
     def __init__(self, ground_size: int, eval_fn: Callable[[frozenset], float],
                  name: str = ""):
@@ -109,7 +115,8 @@ class SetFunction:
         if not abs(empty) <= TOL:  # a NaN fails this test too
             raise ValueError(f"set function is not normalized: f(empty)={empty!r}")
         self._cache: dict = {0: empty}
-        self._cuts: dict = {}  # (generating set in iteration order, alpha, scenario) -> cut
+        self._cuts: dict = {}  # (generating set's elements, alpha, scenario) -> cut
+        self._strengthened: dict = {}  # (incumbent in iteration order, f there, stop_pt) -> set
 
     @property
     def covers(self) -> np.ndarray | None:
@@ -271,12 +278,13 @@ def build_cuts(fns: Sequence[SetFunction], subsets: Sequence[Iterable[int]],
     same types whatever numbers built it.
 
     Each function memoizes its cuts under the generating set's elements in
-    iteration order (which fixes the constant's rounding), alpha and the
-    scenario index; a memoized cut is returned as the same object and reads
-    nothing.  The keys of every other cut go to one :func:`values_in` read
-    (at S: S + j for every j, S, then N and N - j for each j in S in the
-    set's iteration order, N only when S has an element), and each cut is
-    computed from its row and memoized."""
+    iteration order (which fixes the constant's rounding; a sum of at most
+    two floats rounds once in either order, so a set of at most two is
+    keyed sorted), alpha and the scenario index; a memoized cut is returned
+    as the same object and reads nothing.  The keys of every other cut go
+    to one :func:`values_in` read (at S: S + j for every j, S, then N and
+    N - j for each j in S in the set's iteration order, N only when S has
+    an element), and each cut is computed from its row and memoized."""
     if not len(fns) == len(subsets) == len(alphas) == len(scenario_indices):
         raise ValueError("need one generating set, alpha and scenario index per set function")
     if not all(0 < alpha < math.inf for alpha in alphas):  # a NaN fails this test too
@@ -284,7 +292,7 @@ def build_cuts(fns: Sequence[SetFunction], subsets: Sequence[Iterable[int]],
     gens = [element_set(subset) for subset in subsets]
     if any(gen and (min(gen) < 0 or max(gen) >= fn.ground_size) for fn, gen in zip(fns, gens)):
         raise ValueError("generating set not within ground set")
-    entries = [(tuple(gen), float(alpha), index(i))
+    entries = [(tuple(sorted(gen)) if len(gen) <= 2 else tuple(gen), float(alpha), index(i))
                for gen, alpha, i in zip(gens, alphas, scenario_indices)]
     cuts = [fn._cuts.get(entry) for fn, entry in zip(fns, entries)]
     misses = [c for c, cut in enumerate(cuts) if cut is None]

@@ -20,7 +20,11 @@ then, with ``stop_pt`` nonzero, the violated ones' marginals and pair keys,
 and last their cut keys.  Strengthening and cut building compute from these
 values, and one family's oracles fill each read together.  The
 strengthening's admission loop reads its few other values one at a time,
-and each of those that misses is a one-key ``values_in`` read.
+and each of those that misses is a one-key ``values_in`` read.  Each oracle
+memoizes its strengthened sets and its cuts, so solves that share oracles
+(the acceptance grid, ``robustmax verify``) build each once: a memoized
+strengthening makes no marginal or pair read, and a memoized cut no cut-key
+read.
 
 Before the tree starts, locations that a no-dearer location covers in every
 scenario are fixed at zero (:func:`kept_locations`), so the tree branches
@@ -37,6 +41,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -179,27 +184,37 @@ def strengthen_generating_sets(fns: Sequence[SetFunction], incumbent: Iterable[i
     part of the incumbent; the cut built on it is valid and remains tight at
     the incumbent.  stop_pt = 0 returns the support unchanged.
 
-    Every function's marginals at the incumbent go to one :func:`values_in`
-    read, its pair keys and the incumbent's singletons to one more, and the
-    admission loops use those values.
+    Each function memoizes its result under the incumbent's elements in
+    iteration order, ``float(at)`` and ``stop_pt`` (see
+    :class:`~robustmax.core.SetFunction`), and a repeat returns the same
+    frozenset, reading nothing.  The marginals at the incumbent of every
+    other function go to one :func:`values_in` read, its pair keys and the
+    incumbent's singletons to one more, and the admission loops use those
+    values.
     """
     incumbent = element_set(incumbent)
     if stop_pt == 0:
         return [incumbent] * len(fns)
     ground_size(fns)
+    elements, stop_pt = tuple(incumbent), index(stop_pt)
+    entries = [(elements, float(a), stop_pt) for _, a in zip(fns, at, strict=True)]
+    gens = [fn._strengthened.get(entry) for fn, entry in zip(fns, entries)]
+    misses = [c for c, gen in enumerate(gens) if gen is None]
+    if not misses:
+        return gens
+    fns, at = [fns[c] for c in misses], [at[c] for c in misses]
     bar = sorted(incumbent)
     after = values_in(fns, [fns[0].marginal_keys(fns[0].key(incumbent))] * len(fns))
     # Per function: the slack, the j whose gain is within it, and each pair
     # (j, k) with k in the incumbent: f({j, k}) - f({k}) is 0 for k = j.
     slacks = [TOL * a for a in at]
     zeros = [[j for j, v in enumerate(row) if v - a <= slack]
-             for a, row, slack in zip(at, after, slacks, strict=True)]
+             for a, row, slack in zip(at, after, slacks)]
     pairs = [[(j, k) for j in zero for k in bar] for zero in zeros]
     # each function's pair keys, then each incumbent singleton once
     reads = values_in(fns, [[1 << j | 1 << k for j, k in p] + ([1 << k for k in bar] if p else [])
                             for p in pairs])
-    gens = []
-    for fn, slack, zero, fn_pairs, read in zip(fns, slacks, zeros, pairs, reads):
+    for c, fn, slack, zero, fn_pairs, read in zip(misses, fns, slacks, zeros, pairs, reads):
         alone = dict(zip(bar, read[len(fn_pairs):]))
         witness = {(j, k) for (j, k), both in zip(fn_pairs, read) if both - alone[k] <= slack}
         covered, admitted = set(), set()
@@ -214,7 +229,9 @@ def strengthen_generating_sets(fns: Sequence[SetFunction], incumbent: Iterable[i
             if abs(lhs - rhs) <= slack:
                 admitted.add(j)
                 covered |= tmp
-        gens.append(frozenset(admitted) | (incumbent - covered))
+        # setdefault: a set asked for twice in one call is one object
+        gens[c] = fn._strengthened.setdefault(entries[c],
+                                              frozenset(admitted) | (incumbent - covered))
     return gens
 
 
@@ -278,7 +295,9 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
     empty = empty_set_cuts(fns, alphas)
     score = np.min([cut.coefficients for cut in empty], axis=0) / np.asarray(costs, dtype=float)
     order = np.lexsort((np.arange(n), -score))
-    state = MasterState(n, costs, budget, order[np.isin(order, kept_locations(fns, costs))])
+    kept = np.zeros(n, dtype=bool)
+    kept[kept_locations(fns, costs)] = True
+    state = MasterState(n, costs, budget, order[kept[order]])
     state.add_cut(*empty, *initial_cuts)
     warm_size = len(state.cut_pool)
     slack = objective_slack(state.cut_pool)

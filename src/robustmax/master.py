@@ -113,6 +113,10 @@ class MasterState:
         self._cost_slack = TOL * float(self._cost.sum())
         self._weights, self._unit = knapsack_grid(self._cost, budget)
         self._cells = min(CELLS, int((budget + self._cost_slack) / self._unit))
+        # _prepare's steps, deepest depth first: the item's weight capped at
+        # cells + 1 (too heavy for every cell) and its column, as Python ints
+        self._steps = [(min(int(self._weights[j]), self._cells + 1), int(j))
+                       for j in self._branch_order[::-1]]
         self.cut_pool: list = []
         self._C, self._A = np.zeros(0), np.zeros((0, n))  # cut_pool's constants and rows
         self._changes = 0  # pool changes so far; a heap node records its own
@@ -158,8 +162,11 @@ class MasterState:
                     accepted += 1
             keep[[p for q, p in enumerate(same) if q not in alive]] = False
         if accepted:
-            self.cut_pool = [cut for cut, kept in zip(merged, keep) if kept]
-            self._C, self._A = C[keep], A[keep]
+            if keep.all():
+                self.cut_pool, self._C, self._A = merged, C, A
+            else:
+                self.cut_pool = [cut for cut, kept in zip(merged, keep) if kept]
+                self._C, self._A = C[keep], A[keep]
             self._changes += 1
             self._prepare()
         return accepted
@@ -171,15 +178,22 @@ class MasterState:
         :meth:`add_cut` accepts cuts.  ``_tables[L, r]`` holds each cut's best
         coefficient sum over the items free at depth L (branch rank >= L) that
         fit in r cells: zeros at the deepest depth, and each other depth is
-        the one below plus a 0-1 knapsack step on its item."""
+        the one below plus a 0-1 knapsack step on its item of weight w, taken
+        from the plan the state builds once (``_steps``): the cells below w
+        are copied, and from cell w on the entry is the one below at r - w
+        plus the item's column, then its max with the one below at r, in
+        place and with no temporary array."""
         self._tables = None  # the old pool's tables go before the new ones are allocated
-        order = self._branch_order
-        tables = self._tables = np.zeros((len(order) + 1, self._cells + 1, len(self._C)))
-        for depth, j in reversed(list(enumerate(order))):
-            below, table = tables[depth + 1], tables[depth]
-            w = min(self._weights[j], len(below))  # an item too heavy for every cell: no step
-            table[:] = below
-            np.maximum(table[w:], below[:len(below) - w] + self._A[:, j], out=table[w:])
+        A, cells = self._A, self._cells + 1
+        tables = self._tables = np.empty((len(self._branch_order) + 1, cells, len(self._C)))
+        below = tables[-1]
+        below[:] = 0.0
+        for table, (w, j) in zip(tables[-2::-1], self._steps):
+            table[:w] = below[:w]
+            tail = table[w:]
+            np.add(below[:cells - w], A[:, j], out=tail)
+            np.maximum(tail, below[w:], out=tail)
+            below = table
 
     def _evaluate(self, base: np.ndarray, level: int, cost_ones: float) -> float:
         """Knapsack bound of the node at depth ``level`` whose fixed ones give

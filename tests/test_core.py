@@ -489,6 +489,25 @@ class TestCutMemo:
         assert cuts[0].constant != cuts[1].constant
         assert cuts[2] is cuts[0] and cuts[1] is not cuts[0]
 
+    def test_two_element_set_in_another_order_is_the_same_cut(self, reads):
+        # 3 and 11 share a hash slot, so frozensets of them iterate in
+        # insertion order; a sum of two floats rounds once in either order,
+        # so the second order is served the first order's cut
+        one, other = frozenset((3, 11)), frozenset((11, 3))
+        assert one == other and tuple(one) != tuple(other)
+        table = np.concatenate(([0.0], np.random.default_rng(5).random((1 << 12) - 1)))
+        fn = table_fn(table)
+        cut = build_cut(fn, one, 1.5, 2)
+        assert reads == [1]
+        assert build_cut(fn, other, 1.5, 2) is cut
+        assert reads == [1]
+        assert cut == build_cut(table_fn(table), other, 1.5, 2)  # a fresh oracle's read
+        # a set of three in another order still builds afresh
+        three, shuffled = frozenset((0, 8, 4)), frozenset((4, 8, 0))
+        assert tuple(three) != tuple(shuffled)
+        assert build_cut(fn, three, 1.5, 2) is not build_cut(fn, shuffled, 1.5, 2)
+        assert reads == [1, 1, 1, 1]
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 7), st.integers(0, 2**32 - 1), st.data())
     def test_value_memo_is_the_one_rebuilding_leaves(self, m, n, seed, data):

@@ -215,6 +215,123 @@ class TestStrengthenGeneratingSet:
         # 1 << k is the key of the pair (k, k) and of k alone, and of nothing else
         assert all(fn_keys.count(1 << k) == 2 for fn_keys in pairs for k in bar)
 
+    # Each oracle memoizes its strengthened sets by the incumbent's elements
+    # in iteration order, f at the incumbent and stop_pt; a memoized set is
+    # the object built before and reads nothing.
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        made = []
+
+        def counted(fns, keys):
+            made.append(len(fns))
+            return values_in(fns, keys)
+
+        monkeypatch.setattr(core, "values_in", counted)
+        monkeypatch.setattr(dcg, "values_in", counted)
+        return made
+
+    @staticmethod
+    def oracles(seed=0):
+        return generate_instance(n=16, edge_factor=41 / 36, m=4, j_count=5, budget=40,
+                                 seed=seed).build_oracles()
+
+    def test_memo_repeat_returns_the_same_objects_and_reads_nothing(self, reads):
+        fns = self.oracles()
+        bar = frozenset({0, 3, 5, 8, 11})
+        at = [fn.value(bar) for fn in fns]
+        first = strengthen_generating_sets(fns, bar, at, 2)
+        assert reads and first != [bar] * 4  # the rewrite fires
+        reads.clear()
+        memo = [dict(fn._cache) for fn in fns]
+        again = strengthen_generating_sets(fns, bar, at, 2)
+        assert reads == [] and [fn._cache for fn in fns] == memo
+        assert all(a is b for a, b in zip(first, again))
+        assert strengthen_generating_set(fns[1], bar, 2) is first[1]
+
+    def test_memo_partial_hit_reads_only_the_missing_functions(self, monkeypatch):
+        fns = self.oracles()
+        bar = frozenset({1, 2, 6, 9, 13})
+        at = [fn.value(bar) for fn in fns]
+        first = strengthen_generating_sets(fns[1:3], bar, at[1:3], 2)
+        want = strengthen_generating_sets(self.oracles(), bar, at, 2)
+        read = []
+
+        def recording(read_fns, keys):
+            read.append([fns.index(fn) for fn in read_fns])
+            return values_in(read_fns, keys)
+
+        monkeypatch.setattr(dcg, "values_in", recording)
+        got = strengthen_generating_sets(fns, bar, at, 2)
+        assert read == [[0, 3], [0, 3]]  # the marginal read, then the pair read
+        assert got[1] is first[0] and got[2] is first[1]
+        assert got == want
+
+    @pytest.mark.parametrize("change", ["stop_pt", "at", "order"])
+    def test_memo_another_key_computes_afresh(self, reads, change):
+        # 3 and 11 share a hash slot, so frozensets of them iterate in
+        # insertion order
+        one, other = frozenset((3, 11, 5)), frozenset((11, 3, 5))
+        assert one == other and tuple(one) != tuple(other)
+        fns = self.oracles(1)
+        at = [fn.value(one) for fn in fns]
+        first = strengthen_generating_sets(fns, one, at, 2)
+        bar, later_at, stop_pt = one, at, 2
+        if change == "stop_pt":
+            stop_pt = 1
+        elif change == "at":
+            later_at = [a * (1 + 1e-12) for a in at]
+        else:
+            bar = other
+        reads.clear()
+        got = strengthen_generating_sets(fns, bar, later_at, stop_pt)
+        assert reads  # computed, not served from the memo
+        want = strengthen_generating_sets(self.oracles(1), bar, later_at, stop_pt)
+        assert got == want
+        assert [tuple(gen) for gen in got] == [tuple(gen) for gen in want]
+        assert not any(a is b for a, b in zip(first, got))
+
+    def test_memo_numpy_integer_stop_pt_hits_the_int_entry(self, reads):
+        fns = self.oracles(2)
+        bar = frozenset({2, 4, 7, 10})
+        at = [fn.value(bar) for fn in fns]
+        first = strengthen_generating_sets(fns, bar, at, 2)
+        reads.clear()
+        for stop_pt in (np.int64(2), np.uint8(2)):
+            got = strengthen_generating_sets(fns, bar, [np.float64(a) for a in at], stop_pt)
+            assert all(a is b for a, b in zip(first, got))
+        assert reads == []
+
+    def test_needs_one_value_per_function(self):
+        fns = self.oracles()
+        with pytest.raises(ValueError):
+            strengthen_generating_sets(fns, {0, 3}, [1.0] * 3, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(2, 8), st.integers(0, 2**32 - 1),
+           st.lists(st.tuples(st.integers(1, 7), st.integers(0, 3), st.integers(0, 3)),
+                    min_size=1, max_size=10))
+    def test_memo_call_sequences_equal_fresh_oracles(self, m, n, seed, calls):
+        # shared oracles over a sequence of calls on four incumbents, repeats
+        # and partial hits included, give each call the sets that fresh
+        # oracles give it
+        rng = Random(seed)
+        tables = []
+        for _ in range(m):
+            cover = random_coverage(rng, n, duplicates=True)
+            tables.append([0.0] + [cover.value(S) for S in list(all_subsets(n))[1:]])
+        incumbents = [frozenset(j for j in range(n) if rng.random() < 0.6) for _ in range(4)]
+        shared = [table_fn(t) for t in tables]
+        for chosen, which, stop_pt in calls:
+            picked = [i for i in range(m) if chosen >> i & 1] or [0]
+            bar = incumbents[which]
+            at = [tables[i][sum(1 << j for j in bar)] for i in picked]
+            got = strengthen_generating_sets([shared[i] for i in picked], bar, at, stop_pt)
+            want = strengthen_generating_sets([table_fn(tables[i]) for i in picked], bar, at,
+                                              stop_pt)
+            assert got == want
+            assert [tuple(gen) for gen in got] == [tuple(gen) for gen in want]
+
 
 class TestSolveRobust:
     def test_two_modular_functions(self):

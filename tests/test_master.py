@@ -889,11 +889,14 @@ class TestTableRebuild:
     def test_tables_are_exact_knapsacks(self, monkeypatch):
         # Every (depth, cell, cut) entry of the stacked tables, for the pool
         # a solve starts with and for each pool it grows to mid-walk, against
-        # a brute-force 0-1 knapsack over the depth's free items.  Integer
-        # costs put the tables on an exact grid, and coefficients in halves
-        # sum exactly, so the two are equal.
+        # a brute-force 0-1 knapsack over the depth's free items, on the
+        # state's weights.  Coefficients in halves sum exactly, so the two
+        # are equal.  Integer costs put the tables on an exact grid; the
+        # last trials also take costs off any exact grid with one far below
+        # the budget's cell, so that item weighs 0, and budgets below the
+        # dearest cost, so that item is heavier than every cell.
         prepare, add_cut = MasterState._prepare, MasterState.add_cut
-        pools, changes, adding = [], {}, []
+        pools, changes, adding, edges = [], {}, [], set()
 
         def adding_cut(self, *cuts):
             adding.append(self._changes)
@@ -916,17 +919,28 @@ class TestTableRebuild:
             assert order.tolist() == (list(range(self.n)) if given is None else given)
             for depth in range(len(order) + 1):
                 assert (self._tables[depth] == knapsack_entries(self, depth)).all(), depth
+            weights = self._weights[order]
+            edges.update({"free"} if (weights == 0).any() else (),
+                         {"heavy"} if (weights > self._cells).any() else ())
 
         monkeypatch.setattr(MasterState, "_prepare", preparing)
         monkeypatch.setattr(MasterState, "add_cut", adding_cut)
         rng = Random(29)
-        for trial in range(40):
+        for trial in range(60):
             changes.clear()
             n = rng.randint(1, 7)
             costs = [rng.randint(1, 4) for _ in range(n)]
             hidden = distinct_sets(random_pool(rng, n, rng.randint(2, 6)))
             given = rng.sample(range(n), rng.randint(1, n)) if trial % 2 else None
-            ms = MasterState(n, costs, rng.randint(0, sum(costs) + 1), given)
+            budget = rng.randint(0, sum(costs) + 1)
+            if trial >= 40 and trial % 2:
+                costs = [rng.randint(1, 8) for _ in range(n)]
+                budget = rng.randint(0, max(costs) - 1)
+            elif trial >= 40:
+                costs = [rng.uniform(1, 4) for _ in range(n)]
+                costs[rng.randrange(n)] = rng.uniform(1e-4, 1e-3)
+                budget = rng.uniform(1, sum(costs))
+            ms = MasterState(n, costs, budget, given)
             ms.add_cut(SubmodularCut(10.0, (0.0,) * n, 0, frozenset({n})))
 
             def separate(x, value):
@@ -935,6 +949,7 @@ class TestTableRebuild:
 
             ms.solve(separate)
         assert False in pools and True in pools  # fresh pools and pools grown mid-walk
+        assert edges == {"free", "heavy"}
 
     def test_one_rebuild_per_iteration(self, monkeypatch):
         # The warm insertion's rebuild, then one per separation that adds
