@@ -24,11 +24,10 @@ the linear inequality
 that upper-bounds ``f(X)/alpha`` over all binary points and is tight at the
 generating set; :func:`build_cuts` builds the cuts of several functions from
 one read of every value they need.  Each oracle also memoizes the cuts built
-from it, keyed by generating set (its elements in iteration order, or sorted
-for a set of at most two), alpha and scenario index, so a cut is built once
-per oracle and a repeat returns the same object, reading nothing.  Pointwise
-dominance between such cuts lives here as well, as one comparison of the
-arrays of their constants, coefficient rows and magnitudes
+from it, keyed by generating set, alpha and scenario index, so a cut is
+built once per oracle and a repeat returns the same object, reading nothing.
+Pointwise dominance between such cuts lives here as well, as one comparison
+of the arrays of their constants, coefficient rows and magnitudes
 (:func:`dominance`).
 
 Oracles are immutable after construction and safe to share across threads;
@@ -93,9 +92,7 @@ class SetFunction:
     second memo, for the function's lifetime, and answers a repeat from it.
     :func:`robustmax.dcg.strengthen_generating_sets` keeps each generating
     set it builds for the function in a third, for the same lifetime, keyed
-    by the incumbent's elements in iteration order, f at the incumbent and
-    ``stop_pt``; it holds the frozenset built, whose iteration order fixes
-    the rounding of its cut's constant.
+    by the incumbent, f at the incumbent and ``stop_pt``.
     """
 
     __slots__ = ("ground_size", "_eval", "_relate", "_family", "_covers", "_cache", "_cuts",
@@ -115,8 +112,8 @@ class SetFunction:
         if not abs(empty) <= TOL:  # a NaN fails this test too
             raise ValueError(f"set function is not normalized: f(empty)={empty!r}")
         self._cache: dict = {0: empty}
-        self._cuts: dict = {}  # (generating set's elements, alpha, scenario) -> cut
-        self._strengthened: dict = {}  # (incumbent in iteration order, f there, stop_pt) -> set
+        self._cuts: dict = {}  # (generating set, alpha, scenario) -> cut
+        self._strengthened: dict = {}  # (incumbent, f there, stop_pt) -> set
 
     @property
     def covers(self) -> np.ndarray | None:
@@ -277,14 +274,14 @@ def build_cuts(fns: Sequence[SetFunction], subsets: Sequence[Iterable[int]],
     a Python float and an index as a Python int, so a cut's fields have the
     same types whatever numbers built it.
 
-    Each function memoizes its cuts under the generating set's elements in
-    iteration order (which fixes the constant's rounding; a sum of at most
-    two floats rounds once in either order, so a set of at most two is
-    keyed sorted), alpha and the scenario index; a memoized cut is returned
-    as the same object and reads nothing.  The keys of every other cut go
-    to one :func:`values_in` read (at S: S + j for every j, S, then N and
-    N - j for each j in S in the set's iteration order, N only when S has
-    an element), and each cut is computed from its row and memoized."""
+    The constant f(S) - sum_{j in S} (f(N) - f(N - j)) takes its sum with
+    :func:`math.fsum`, which rounds the exact sum once, so equal sets get
+    one constant whatever order they iterate in.  Each function memoizes
+    its cuts under the generating set, alpha and the scenario index; a
+    memoized cut is returned as the same object and reads nothing.  The
+    keys of every other cut go to one :func:`values_in` read (at S: S + j
+    for every j, S, then N and N - j for each j in S, N only when S has an
+    element), and each cut is computed from its row and memoized."""
     if not len(fns) == len(subsets) == len(alphas) == len(scenario_indices):
         raise ValueError("need one generating set, alpha and scenario index per set function")
     if not all(0 < alpha < math.inf for alpha in alphas):  # a NaN fails this test too
@@ -292,8 +289,7 @@ def build_cuts(fns: Sequence[SetFunction], subsets: Sequence[Iterable[int]],
     gens = [element_set(subset) for subset in subsets]
     if any(gen and (min(gen) < 0 or max(gen) >= fn.ground_size) for fn, gen in zip(fns, gens)):
         raise ValueError("generating set not within ground set")
-    entries = [(tuple(sorted(gen)) if len(gen) <= 2 else tuple(gen), float(alpha), index(i))
-               for gen, alpha, i in zip(gens, alphas, scenario_indices)]
+    entries = [(gen, float(a), index(i)) for gen, a, i in zip(gens, alphas, scenario_indices)]
     cuts = [fn._cuts.get(entry) for fn, entry in zip(fns, entries)]
     misses = [c for c, cut in enumerate(cuts) if cut is None]
     if not misses:
@@ -303,7 +299,6 @@ def build_cuts(fns: Sequence[SetFunction], subsets: Sequence[Iterable[int]],
             for fn, gen in built
             for key, full in [(fn.key(gen), (1 << fn.ground_size) - 1)]]
     for c, (fn, gen), read in zip(misses, built, values_in([fn for fn, _ in built], keys)):
-        # Python's sum in the set's iteration order fixes the constant's rounding.
         _, alpha, i = entries[c]
         n = fn.ground_size
         row = np.array(read)
@@ -312,15 +307,14 @@ def build_cuts(fns: Sequence[SetFunction], subsets: Sequence[Iterable[int]],
         coeffs[list(gen)] = full_minus
         # setdefault: a cut asked for twice in one call is one object
         cuts[c] = fn._cuts.setdefault(entries[c], SubmodularCut(
-            constant=(read[n] - sum(full_minus.tolist())) / alpha,
+            constant=(read[n] - math.fsum(full_minus.tolist())) / alpha,
             coefficients=tuple((coeffs / alpha).tolist()), scenario_index=i, generating_set=gen))
     return cuts
 
 
 def element_set(subset: Iterable[int]) -> frozenset:
-    """``frozenset(subset)``, its elements read as Python ints: a set of
-    Python ints keeps its iteration order, which fixes the rounding of sums
-    over it (see :func:`build_cuts`)."""
+    """``frozenset(subset)``, its elements read as Python ints, so a cut's
+    generating set holds one type whatever numbers built it."""
     elements = frozenset(subset)
     if all(type(j) is int for j in elements):
         return elements

@@ -184,20 +184,19 @@ def strengthen_generating_sets(fns: Sequence[SetFunction], incumbent: Iterable[i
     part of the incumbent; the cut built on it is valid and remains tight at
     the incumbent.  stop_pt = 0 returns the support unchanged.
 
-    Each function memoizes its result under the incumbent's elements in
-    iteration order, ``float(at)`` and ``stop_pt`` (see
-    :class:`~robustmax.core.SetFunction`), and a repeat returns the same
-    frozenset, reading nothing.  The marginals at the incumbent of every
-    other function go to one :func:`values_in` read, its pair keys and the
-    incumbent's singletons to one more, and the admission loops use those
-    values.
+    Each function memoizes its result under the incumbent, ``float(at)``
+    and ``stop_pt`` (see :class:`~robustmax.core.SetFunction`), and a repeat
+    returns the same frozenset, reading nothing.  The marginals at the
+    incumbent of every other function go to one :func:`values_in` read,
+    its pair keys and the incumbent's singletons to one more, and the
+    admission loops use those values.
     """
     incumbent = element_set(incumbent)
     if stop_pt == 0:
         return [incumbent] * len(fns)
     ground_size(fns)
-    elements, stop_pt = tuple(incumbent), index(stop_pt)
-    entries = [(elements, float(a), stop_pt) for _, a in zip(fns, at, strict=True)]
+    stop_pt = index(stop_pt)
+    entries = [(incumbent, float(a), stop_pt) for _, a in zip(fns, at, strict=True)]
     gens = [fn._strengthened.get(entry) for fn, entry in zip(fns, entries)]
     misses = [c for c, gen in enumerate(gens) if gen is None]
     if not misses:

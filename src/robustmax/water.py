@@ -15,10 +15,11 @@ once, in chunks of whole scenarios, where a node's saving is its pair's
 reached count less the nodes popped at a strictly earlier arrival.  The
 oracles of one instance are made by one evaluator, which holds that stack,
 and they form one family: every miss reaches the stack's one read entry,
-``rows``.  Two or more rows that all read one scenario go to its ranking
-kernel, which finds each row's best-ranked member per source from exact
-float64 products of the rows with powers-of-two rank weights; any other
-read, one row or rows that span scenarios, to the gather-and-reduce
+``rows``.  On ground sets of at most two rank blocks (n <= 104), two or
+more rows that all read one scenario go to its ranking kernel, which finds
+each row's best-ranked member per source from exact float64 products of
+the rows with powers-of-two rank weights; any other read, one row, rows
+that span scenarios or a larger ground set, goes to the gather-and-reduce
 kernel, which computes only the (scenario, set) rows it is given.  The
 instance data is immutable after construction, the kernels keep no state
 but a ranking built once, and oracles are shared freely across threads.
@@ -38,10 +39,10 @@ import numpy as np
 from .core import SetFunction, TOL
 
 # Most multiply-adds one rank-weight product of the ranking kernel makes,
-# and most bool entries one chunk of a covering relation holds at once.  A
-# product bounded so stays on one OpenBLAS thread: rows bounded by this over
-# n alone woke a second thread, which spun for as much CPU as the solve.
-BATCH_CHUNK = 1 << 16
+# and most bool entries one chunk of a covering relation holds at once.
+# OpenBLAS keeps a product of up to 65536 * GEMM_MULTITHREAD_THRESHOLD (4)
+# multiply-adds on one thread; a second one spins for as much CPU as it.
+BATCH_CHUNK = 1 << 18
 # Ranks one float64 rank-weight product tells apart: its weights are
 # distinct powers of two below 2**52, and every sum of them is an integer
 # below 2**53, which float64 holds exactly.
@@ -276,8 +277,11 @@ class _ScenarioStack:
     def rows(self, scenario_of_row: np.ndarray, members: np.ndarray) -> np.ndarray:
         """f_i(S) for each row r: i = scenario_of_row[r] and S the members of
         row r of the (B, n) bool matrix; no row may be empty.  Two or more
-        rows of one scenario go to :meth:`batch`, any other read to :meth:`gather`."""
-        if len(members) > 1 and (scenario_of_row == scenario_of_row[0]).all():
+        rows of one scenario over at most two rank blocks (n <= 2 *
+        ``RANK_BITS``) go to :meth:`batch`, any other read to :meth:`gather`:
+        above two blocks the products cost more than the gather (README)."""
+        if (len(members) > 1 and members.shape[1] <= 2 * RANK_BITS
+                and (scenario_of_row == scenario_of_row[0]).all()):
             return self.batch(int(scenario_of_row[0]), members)
         return self.gather(scenario_of_row, members)
 

@@ -195,11 +195,11 @@ def batched(fn: SetFunction, calls: list) -> SetFunction:
 
 def scalar_build_cut(fn: SetFunction, subset, alpha: float) -> tuple:
     """Reference for build_cut's (constant, coefficients), one marginal at a
-    time."""
+    time, the constant's sum exactly rounded."""
     gen = frozenset(subset)
     n = fn.ground_size
     full_minus = {j: fn.marginal(j, frozenset(range(n)) - {j}) for j in gen}
-    constant = (fn.value(gen) - sum(full_minus.values())) / alpha
+    constant = (fn.value(gen) - math.fsum(full_minus.values())) / alpha
     coeffs = tuple(full_minus[j] / alpha if j in gen else fn.marginal(j, gen) / alpha
                    for j in range(n))
     return constant, coeffs
@@ -409,9 +409,8 @@ class TestBuildCuts:
 
 
 class TestCutMemo:
-    """Each oracle memoizes its cuts by generating set (in iteration order),
-    alpha and scenario index; a memoized cut is the object built before and
-    reads nothing."""
+    """Each oracle memoizes its cuts by generating set, alpha and scenario
+    index; a memoized cut is the object built before and reads nothing."""
 
     @pytest.fixture
     def reads(self, monkeypatch):
@@ -470,10 +469,10 @@ class TestCutMemo:
         with pytest.raises(TypeError):
             build_cut(modular_fn((1, 2)), {0}, 1.0, 0.0)
 
-    def test_equal_sets_in_another_order_each_get_their_own_constant(self):
+    def test_equal_sets_in_another_order_are_one_cut(self, reads):
         # 0, 8 and 16 share a hash slot, so frozensets of them iterate in
-        # insertion order; the marginals 1, 1e16 and -1e16 sum to 0 in one
-        # order and to 1 in the other, so each order has its own constant
+        # insertion order; the marginals 1, 1e16 and -1e16 sum left to right
+        # to 0 in one order and to 1 in the other, and exactly to 1 in both
         marginal = {0: 1.0, 8: 1e16, 16: -1e16}
 
         def evaluate(S):
@@ -483,16 +482,39 @@ class TestCutMemo:
         one, other = frozenset((0, 8, 16)), frozenset((16, 8, 0))
         assert one == other and tuple(one) != tuple(other)
         fn = SetFunction(17, evaluate)
-        cuts = [build_cut(fn, gen, 1.0, 0) for gen in (one, other, one)]
-        fresh = [build_cut(SetFunction(17, evaluate), gen, 1.0, 0) for gen in (one, other)]
-        assert [c.constant for c in cuts] == [c.constant for c in fresh + fresh[:1]]
-        assert cuts[0].constant != cuts[1].constant
-        assert cuts[2] is cuts[0] and cuts[1] is not cuts[0]
+        cut = build_cut(fn, one, 1.0, 0)
+        assert build_cut(fn, other, 1.0, 0) is cut and reads == [1]
+        assert cut.constant == -1.0
+        for gen in (one, other):  # a fresh oracle's build, in either order
+            assert build_cut(SetFunction(17, evaluate), gen, 1.0, 0).constant == -1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(range(0, 64, 8)), min_size=1, max_size=8, unique=True),
+           st.data(), st.sampled_from((1.0, 2.5, 1e-3)))
+    def test_colliding_elements_in_any_order_are_one_cut(self, elements, data, alpha):
+        # multiples of 8 share hash slots, so each drawn insertion order can
+        # iterate in its own order; full-set marginals far apart in
+        # magnitude make a left-to-right sum depend on that order
+        weight = dict(zip(elements, data.draw(st.lists(
+            st.sampled_from((1.0, -1.0, 1e16, -1e16, 3.25, 1e-3)),
+            min_size=len(elements), max_size=len(elements)))))
+
+        def evaluate(S):
+            left = set(range(64)).difference(S)
+            if len(left) == 1:
+                return -weight.get(left.pop(), 0.0)
+            return math.fsum(weight.get(j, 0.0) for j in S)
+
+        orders = data.draw(st.lists(st.permutations(elements), min_size=1, max_size=4))
+        fn = SetFunction(64, evaluate)
+        cuts = [build_cut(fn, frozenset(order), alpha, 0) for order in orders]
+        assert all(cut is cuts[0] for cut in cuts)
+        constant, coefficients = scalar_build_cut(SetFunction(64, evaluate), elements, alpha)
+        assert cuts[0].constant == constant and cuts[0].coefficients == coefficients
 
     def test_two_element_set_in_another_order_is_the_same_cut(self, reads):
         # 3 and 11 share a hash slot, so frozensets of them iterate in
-        # insertion order; a sum of two floats rounds once in either order,
-        # so the second order is served the first order's cut
+        # insertion order; the second order is served the first order's cut
         one, other = frozenset((3, 11)), frozenset((11, 3))
         assert one == other and tuple(one) != tuple(other)
         table = np.concatenate(([0.0], np.random.default_rng(5).random((1 << 12) - 1)))
@@ -502,11 +524,11 @@ class TestCutMemo:
         assert build_cut(fn, other, 1.5, 2) is cut
         assert reads == [1]
         assert cut == build_cut(table_fn(table), other, 1.5, 2)  # a fresh oracle's read
-        # a set of three in another order still builds afresh
+        # so is a set of three
         three, shuffled = frozenset((0, 8, 4)), frozenset((4, 8, 0))
         assert tuple(three) != tuple(shuffled)
-        assert build_cut(fn, three, 1.5, 2) is not build_cut(fn, shuffled, 1.5, 2)
-        assert reads == [1, 1, 1, 1]
+        assert build_cut(fn, three, 1.5, 2) is build_cut(fn, shuffled, 1.5, 2)
+        assert reads == [1, 1, 1]  # the fresh oracle's read, then the set of three's
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3), st.integers(1, 7), st.integers(0, 2**32 - 1), st.data())

@@ -432,7 +432,7 @@ class TestKernelChoice:
         return [fn._eval(frozenset(j for j in range(fn.ground_size) if key >> j & 1))
                 for key in keys]
 
-    @pytest.mark.parametrize("n, seed", [(12, 1), (36, 2), (72, 3)])
+    @pytest.mark.parametrize("n, seed", [(12, 1), (36, 2), (72, 3), (104, 4)])
     def test_one_oracle_read_is_one_ranking_call(self, kernels, n, seed):
         # warm keys, repeats and two or more misses in one oracle: one
         # ranking call over the distinct misses, entered through rows
@@ -453,6 +453,39 @@ class TestKernelChoice:
         i, read = kernels["batch"][0]
         assert i == 2 and sorted(read) == sorted(missing)
         assert got == self.scalar(fn, keys)
+
+    @pytest.mark.parametrize("n, seed", [(105, 1), (130, 2)])
+    def test_past_two_blocks_one_oracle_read_takes_the_gather(self, kernels, n, seed):
+        # past n = 2 * RANK_BITS even two or more misses in one oracle take
+        # the gather-and-reduce kernel, and no ranking is built
+        fns = generate_instance(n=n, edge_factor=41 / 36, m=3, j_count=n // 3, budget=n,
+                                seed=seed).build_oracles()
+        stack = fns[0]._eval.family[0]
+        rng = Random(seed)
+        keys = [rng.getrandbits(n) | 1 for _ in range(8)] + [(1 << n) - 1, 1 << n - 1]
+        got = fns[1].values(keys).tolist()
+        assert kernels["batch"] == []
+        assert kernels["rows"] == [[1] * len(set(keys))]
+        assert stack._rankings == [None] * 3
+        assert got == self.scalar(fns[1], keys)
+
+    @pytest.mark.parametrize("n, seed", [(12, 5), (72, 6)])
+    def test_ranking_in_chunks_of_three_rows(self, kernels, monkeypatch, n, seed):
+        # with the product bound at three rows' worth, a 300-row read of one
+        # scenario takes 100 chunks, one rank block each at n = 12 and two
+        # at n = 72, and every value is the scalar read's
+        fns = generate_instance(n=n, edge_factor=41 / 36, m=2, j_count=n // 3, budget=n,
+                                seed=seed).build_oracles()
+        k = fns[0]._eval.family[0].saved.shape[2]
+        monkeypatch.setattr(water, "BATCH_CHUNK", 3 * n * k)
+        rng = Random(seed)
+        keys = set()
+        while len(keys) < 300:
+            keys.add(rng.getrandbits(n) | 1 << rng.randrange(n))
+        keys = list(keys)
+        got = fns[0].values(keys).tolist()
+        assert len(kernels["batch"]) == 1
+        assert got == self.scalar(fns[0], keys)
 
     @pytest.mark.parametrize("m", [2, 5])
     def test_read_across_scenarios_makes_no_ranking_call(self, kernels, m):
