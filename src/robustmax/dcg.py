@@ -32,15 +32,25 @@ only on the rest; cuts and the pool still span the whole ground set.  It
 branches on them in one order, read from the empty-set cuts alone, so a
 warm pool leaves it as a cold start has it.
 
+The warm start, that order and the pool of empty-set cuts with its
+node-bound tables, is kept for the last inputs solved without initial cuts,
+keyed by the oracles, alphas, costs and budget, so the four configs that
+the acceptance grid and ``robustmax verify`` run in a row on shared oracles
+build it once; each solve starts from a shallow copy, whose read-only
+arrays it replaces as its pool grows (:mod:`robustmax.master`).  The kept
+start holds its oracles alive until a solve on other inputs replaces it.
+
 A run is sequential (separation runs inside the tree's search); distinct runs
 are independent.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import index
 from typing import Iterable, Sequence
 
@@ -269,6 +279,28 @@ def kept_locations(fns: Sequence[SetFunction], costs: Sequence[float]) -> np.nda
     return np.flatnonzero(~beats.any(axis=0))
 
 
+@lru_cache(maxsize=1)
+def _warm_state(fns: tuple, alphas: tuple, costs: tuple, budget: float,
+                initial_cuts: tuple = ()) -> MasterState:
+    """The master a solve starts from: the branch order read from the
+    empty-set cuts and restricted to :func:`kept_locations`, and the pool
+    after one :meth:`~robustmax.master.MasterState.add_cut` of the
+    empty-set cuts and ``initial_cuts``.  Its arrays are read-only, so
+    copies of it may share them (see :mod:`robustmax.master`).  The last
+    call without initial cuts is kept and answers a repeat of its inputs;
+    ``__wrapped__`` builds one uncached."""
+    n = len(costs)
+    empty = empty_set_cuts(fns, alphas)
+    score = np.min([cut.coefficients for cut in empty], axis=0) / np.asarray(costs, dtype=float)
+    order = np.lexsort((np.arange(n), -score))
+    kept = np.zeros(n, dtype=bool)
+    kept[kept_locations(fns, costs)] = True
+    state = MasterState(n, costs, budget, order[kept[order]])
+    state.add_cut(*empty, *initial_cuts)
+    state.freeze()
+    return state
+
+
 def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
                  costs: Sequence[float], budget: float,
                  config: DcgConfig | None = None,
@@ -283,6 +315,17 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
     best first by the min over the empty-set cuts of each coefficient per
     unit cost, ties to the smaller index: the order a cold start's pool
     gives, whatever ``initial_cuts`` hold.
+
+    The warm start (that order, the pool after inserting the empty-set cuts
+    and ``initial_cuts`` in one call, and its node-bound tables) is built by
+    ``_warm_state``.  Without initial cuts, the last one built is kept,
+    under the key ``(tuple(fns), tuple(alphas), tuple(costs), budget)``
+    taken after the input checks, so that no NaN is in it and every value
+    compares exactly (oracles by identity; 5 and 5.0 are one key).  A
+    solve on equal inputs runs on a shallow copy of it, and one on other
+    inputs replaces it; the kept state holds the last inputs' oracles alive
+    until then.  A solve with initial cuts builds its own start and neither
+    reads nor replaces the kept one.
     """
     config = config or DcgConfig()
     m = len(fns)
@@ -291,13 +334,13 @@ def solve_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
     check_knapsack(n, costs, budget)
     start = time.monotonic()
 
-    empty = empty_set_cuts(fns, alphas)
-    score = np.min([cut.coefficients for cut in empty], axis=0) / np.asarray(costs, dtype=float)
-    order = np.lexsort((np.arange(n), -score))
-    kept = np.zeros(n, dtype=bool)
-    kept[kept_locations(fns, costs)] = True
-    state = MasterState(n, costs, budget, order[kept[order]])
-    state.add_cut(*empty, *initial_cuts)
+    initial_cuts = tuple(initial_cuts)
+    key = (tuple(fns), tuple(alphas), tuple(costs), budget)
+    if initial_cuts:
+        state = _warm_state.__wrapped__(*key, initial_cuts)
+    else:
+        state = copy.copy(_warm_state(*key))
+        state.costs = tuple(costs)  # _fits sums the caller's costs, ints or floats
     warm_size = len(state.cut_pool)
     slack = objective_slack(state.cut_pool)
 

@@ -27,8 +27,15 @@ knapsack value over the free items at every capacity (Martello & Toth 1990,
 whenever it accepts cuts (it reads each offered cut into rows once); a node's
 bound is one row of a table plus the node's per-cut values.
 
-A MasterState is owned by a single solve call; distinct states may run in
-parallel.
+A MasterState never writes an array, nor its pool list, after it builds
+it: :meth:`MasterState.add_cut` replaces the pool, its rows and the tables
+with new objects, and :meth:`MasterState.solve` only reads them.  So a
+shallow ``copy.copy`` of a state is an independent state that shares them,
+and :meth:`MasterState.freeze` makes the arrays read-only, so that an
+in-place write raises instead of reaching another copy.
+:func:`robustmax.dcg.solve_robust` keeps one frozen warm start and solves a
+copy of it.  A state, or a copy, serves one solve call at a time; distinct
+ones may run in parallel.
 """
 
 from __future__ import annotations
@@ -115,10 +122,11 @@ class MasterState:
         self._cells = min(CELLS, int((budget + self._cost_slack) / self._unit))
         # _prepare's steps, deepest depth first: the item's weight capped at
         # cells + 1 (too heavy for every cell) and its column, as Python ints
-        self._steps = [(min(int(self._weights[j]), self._cells + 1), int(j))
-                       for j in self._branch_order[::-1]]
+        self._steps = tuple((min(int(self._weights[j]), self._cells + 1), int(j))
+                            for j in self._branch_order[::-1])
         self.cut_pool: list = []
         self._C, self._A = np.zeros(0), np.zeros((0, n))  # cut_pool's constants and rows
+        self._tables = None  # built by _prepare
         self._changes = 0  # pool changes so far; a heap node records its own
 
     def add_cut(self, *cuts: SubmodularCut) -> int:
@@ -170,6 +178,14 @@ class MasterState:
             self._changes += 1
             self._prepare()
         return accepted
+
+    def freeze(self):
+        """Make the state's arrays read-only, so that copies of it can share
+        them; :meth:`add_cut` on a copy still replaces them with its own."""
+        for array in (self._C, self._A, self._tables, self._cost, self._weights,
+                      self._branch_order, self._kept):
+            if array is not None:
+                array.setflags(write=False)
 
     # -- prepared arrays -----------------------------------------------------
 

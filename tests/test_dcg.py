@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from itertools import product
 from random import Random
@@ -22,6 +24,16 @@ from robustmax.master import MasterState
 from conftest import (all_subsets, cut_is_valid, modular_fn, random_coverage, rhs,
                       scenario_oracle, table_fn)
 from reference_milp import reference_eta
+
+
+GRID_CONFIGS = tuple(DcgConfig(reduce=reduce, stop_pt=stop_pt)
+                     for reduce, stop_pt in product((False, True), (0, 2)))  # verify's order
+
+
+def report_fields(report) -> tuple:
+    """Every field of a report but its wall time and gap."""
+    return (report.eta, report.x, report.status, report.upper_bound, report.nodes,
+            report.iterations, report.cuts_added, report.master_values, report.pool)
 
 
 def scalar_brute_force(fns, alphas, costs, budget) -> tuple:
@@ -1164,20 +1176,166 @@ class TestSharedOracles:
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 5])
     def test_grid_configs_on_shared_and_fresh_oracles(self, seed):
+        # the shared solves run in a row, as verify runs them, so the later
+        # ones also take the kept warm start
         inst = generate_instance(n=12, edge_factor=2.0, m=5, j_count=5, budget=15, seed=seed)
         net = inst.network
         shared = inst.build_oracles()
-        pools = []
-        for reduce, stop_pt in product((False, True), (0, 2)):
-            config = DcgConfig(reduce=reduce, stop_pt=stop_pt)
-            got, want = (solve_robust(fns, [1.0] * 5, net.sensor_costs, net.budget, config)
-                         for fns in (shared, inst.build_oracles()))
-            assert got.eta == want.eta and got.x == want.x and got.status == want.status
-            assert got.upper_bound == want.upper_bound and got.nodes == want.nodes
-            assert (got.iterations, got.cuts_added) == (want.iterations, want.cuts_added)
-            assert got.master_values == want.master_values
-            assert got.pool == want.pool
-            pools.append(got.pool)
+        got = [solve_robust(shared, [1.0] * 5, net.sensor_costs, net.budget, config)
+               for config in GRID_CONFIGS]
+        wanted = [solve_robust(inst.build_oracles(), [1.0] * 5, net.sensor_costs, net.budget,
+                               config) for config in GRID_CONFIGS]
+        for got_one, want in zip(got, wanted):
+            assert report_fields(got_one) == report_fields(want)
         # the later solves were served cuts the earlier ones built
-        built = {id(cut) for cut in pools[0]}
-        assert any(id(cut) in built for pool in pools[1:] for cut in pool)
+        built = {id(cut) for cut in got[0].pool}
+        assert any(id(cut) in built for report in got[1:] for cut in report.pool)
+
+
+class TestWarmStartReuse:
+    """A solve without initial cuts starts from a copy of the kept warm
+    start when its oracles, alphas, costs and budget equal the last such
+    solve's, and each report is the one fresh oracles give."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The warm-start builds, named per call: kept_locations and
+        MasterState, each one call per build."""
+        made = []
+        kept, init = dcg.kept_locations, MasterState.__init__
+
+        def counted_kept(*args):
+            made.append("kept_locations")
+            return kept(*args)
+
+        def counted_init(state, *args, **kwargs):
+            made.append("MasterState")
+            init(state, *args, **kwargs)
+
+        monkeypatch.setattr(dcg, "kept_locations", counted_kept)
+        monkeypatch.setattr(MasterState, "__init__", counted_init)
+        dcg._warm_state.cache_clear()
+        return made
+
+    @staticmethod
+    def problem(seed=0):
+        inst = generate_instance(n=12, edge_factor=2.0, m=5, j_count=5, budget=15, seed=seed)
+        return inst, [1.0] * 5, list(inst.network.sensor_costs), inst.network.budget
+
+    def test_later_configs_take_the_kept_start(self, builds):
+        inst, alphas, costs, budget = self.problem()
+        shared = inst.build_oracles()
+        got, per_solve = [], []
+        for config in GRID_CONFIGS:
+            start = len(builds)
+            got.append(solve_robust(shared, alphas, costs, budget, config))
+            per_solve.append(builds[start:])
+        assert per_solve == [["kept_locations", "MasterState"], [], [], []]
+        for report, config in zip(got, GRID_CONFIGS):
+            want = solve_robust(inst.build_oracles(), alphas, costs, budget, config)
+            assert report_fields(report) == report_fields(want)
+
+    @pytest.mark.parametrize("change", ["order", "member", "alpha", "cost", "budget"])
+    def test_another_input_builds_again(self, builds, change):
+        inst, alphas, costs, budget = self.problem()
+
+        def changed(fns):
+            args = [list(fns), list(alphas), list(costs), budget]
+            if change == "order":
+                args[0].reverse()
+            elif change == "member":
+                args[0][2] = inst.build_oracles()[2]
+            elif change == "alpha":
+                args[1][3] = 2.0
+            elif change == "cost":
+                args[2][4] += 1
+            else:
+                args[3] += 1
+            return args
+
+        shared = inst.build_oracles()
+        solve_robust(shared, alphas, costs, budget)
+        del builds[:]
+        got = solve_robust(*changed(shared))
+        assert builds == ["kept_locations", "MasterState"]
+        want = solve_robust(*changed(inst.build_oracles()))
+        assert report_fields(got) == report_fields(want)
+
+    def test_equal_int_and_float_costs_share_one_start(self, builds):
+        inst, alphas, costs, budget = self.problem()
+        shared = inst.build_oracles()
+        as_ints = solve_robust(shared, alphas, costs, budget)
+        del builds[:]
+        as_floats = solve_robust(shared, alphas, [float(c) for c in costs], float(budget))
+        assert builds == []
+        assert report_fields(as_floats) == report_fields(as_ints)
+
+    def test_each_solve_sums_its_own_costs(self, builds):
+        # 2**53 + 1 + 1 rounds to 2**53 in floats, so the float costs fit
+        # all three items in the budget and the equal int costs two
+        fns = [modular_fn([1, 1, 1])]
+        big = 2**53
+        as_floats = solve_robust(fns, [1.0], [float(big), 1.0, 1.0], big + 1)
+        as_ints = solve_robust(fns, [1.0], [big, 1, 1], big + 1)
+        assert builds == ["kept_locations", "MasterState"]
+        assert (as_floats.eta, as_ints.eta) == (3.0, 2.0)
+
+    def test_initial_cuts_bypass_the_kept_start(self, builds):
+        inst, alphas, costs, budget = self.problem()
+        shared = inst.build_oracles()
+        cold = solve_robust(shared, alphas, costs, budget)
+        kept = dcg._warm_state.cache_info()
+        del builds[:]
+        warm = solve_robust(shared, alphas, costs, budget, initial_cuts=cold.pool)
+        assert builds == ["kept_locations", "MasterState"]
+        assert dcg._warm_state.cache_info() == kept  # neither read nor replaced
+        assert (warm.status, warm.eta, warm.cuts_added) == (cold.status, cold.eta, 0)
+        del builds[:]
+        again = solve_robust(shared, alphas, costs, budget)
+        assert builds == []
+        assert report_fields(again) == report_fields(cold)
+
+    def test_kept_arrays_are_read_only_and_outlive_a_growing_pool(self, builds, monkeypatch):
+        starts = []
+        solve = MasterState.solve
+
+        def recording(state, *args, **kwargs):
+            starts.append((list(state.cut_pool), state._C.copy(), state._A.copy(),
+                           state._tables.copy()))
+            return solve(state, *args, **kwargs)
+
+        monkeypatch.setattr(MasterState, "solve", recording)
+        inst, alphas, costs, budget = self.problem()
+        shared = inst.build_oracles()
+        first = solve_robust(shared, alphas, costs, budget)
+        assert first.cuts_added > 0
+        state = dcg._warm_state(tuple(shared), tuple(alphas), tuple(costs), budget)
+        assert isinstance(state._steps, tuple)
+        for name in ("_C", "_A", "_tables", "_cost", "_weights", "_branch_order", "_kept"):
+            with pytest.raises(ValueError):
+                getattr(state, name)[...] = 0
+        second = solve_robust(shared, alphas, costs, budget)
+        assert builds == ["kept_locations", "MasterState"]
+        assert report_fields(second) == report_fields(first)
+        (pool, C, A, tables), (pool2, C2, A2, tables2) = starts
+        assert pool2 == pool == state.cut_pool and len(pool) == len(shared)
+        for before, after, kept in ((C, C2, state._C), (A, A2, state._A),
+                                    (tables, tables2, state._tables)):
+            assert (before == after).all() and (before == kept).all()
+
+    def test_two_threads_get_the_fresh_reports(self, builds):
+        # a short switch interval interleaves the threads' solves finely
+        inst, alphas, costs, budget = self.problem(seed=1)
+        shared = inst.build_oracles()
+        configs = GRID_CONFIGS * 2
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                got = list(pool.map(lambda config: solve_robust(shared, alphas, costs, budget,
+                                                                config), configs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for report, config in zip(got, configs):
+            want = solve_robust(inst.build_oracles(), alphas, costs, budget, config)
+            assert report_fields(report) == report_fields(want)
