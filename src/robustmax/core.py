@@ -16,8 +16,19 @@ same whichever form filled it.  An oracle that declares none is its own
 one-member family, whose kernel calls ``eval_fn`` once per row.  An oracle
 may also declare which elements cover which (``eval_fn.covers``, see
 :class:`SetFunction`), so that the solvers never branch on a covered
-element.  From an oracle and a generating set, :func:`build_cut` produces
-the linear inequality
+element.
+
+A family may also declare a structural form, which computes f(S) and
+f(S + j) for every element j, and f(N) and f(N - j), from arrays of the
+family's own (see :class:`SetFunction`).  :func:`structural_values` is the
+one route to it: when every function of a read declares the form of one
+family, cut building here and the separation reads of
+:mod:`robustmax.dcg` take their values from it, in a fixed number of calls
+however many functions they span, and neither read nor fill the value
+memo; otherwise they make keyed :func:`values_in` reads.  The value memo
+then holds what scalar reads, :meth:`SetFunction.values` and the
+lawfulness checks read.  From an oracle and a generating set,
+:func:`build_cut` produces the linear inequality
 
     eta <= constant + sum_j coefficients[j] * x[j]
 
@@ -88,6 +99,18 @@ class SetFunction:
     A function that declares no family is its own one-member family, with
     :meth:`rows` as its kernel.
 
+    The source may also declare the family's structural form, two methods
+    whose values equal ``rows``' with ``==``.
+    ``source.extensions(scenario_of_row, subsets, extend)`` takes B member
+    indices and B collections of elements in range, empty ones included,
+    and returns a (B,) array of member ``scenario_of_row[r]``'s value at
+    ``subsets[r]`` and, if ``extend``, a (B, n) array whose [r, j] entry is
+    its value at ``subsets[r]`` plus element j (else None).
+    ``source.complements(i)`` returns member i's value at the ground set N,
+    as a float, and an (n,) array of its values at N - j.
+    :func:`structural_values` calls them for reads whose functions all
+    declare the form of one family; their values go into no memo.
+
     :func:`build_cuts` keeps every cut it builds from the function in a
     second memo, for the function's lifetime, and answers a repeat from it.
     :func:`robustmax.dcg.strengthen_generating_sets` keeps each generating
@@ -95,8 +118,8 @@ class SetFunction:
     by the incumbent, f at the incumbent and ``stop_pt``.
     """
 
-    __slots__ = ("ground_size", "_eval", "_relate", "_family", "_covers", "_cache", "_cuts",
-                 "_strengthened", "name")
+    __slots__ = ("ground_size", "_eval", "_relate", "_family", "_form", "_covers", "_cache",
+                 "_cuts", "_strengthened", "name")
 
     def __init__(self, ground_size: int, eval_fn: Callable[[frozenset], float],
                  name: str = ""):
@@ -106,6 +129,8 @@ class SetFunction:
         self._eval = eval_fn
         self._relate = getattr(eval_fn, "covers", None)
         self._family = getattr(eval_fn, "family", None)
+        self._form = (self._family if self._family is not None
+                      and hasattr(self._family[0], "extensions") else None)
         self._covers = None
         self.name = name
         empty = float(eval_fn(frozenset()))
@@ -199,6 +224,20 @@ def _members(parts: Collection[Collection[int]], n: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
+def structural_values(fns: Sequence[SetFunction], subsets: Sequence[Collection[int]],
+                      extend: bool = True) -> tuple | None:
+    """fns[c] at subsets[c] and, with ``extend``, at subsets[c] + j for every
+    element j: a (B,) and a (B, n) float array (None without ``extend``),
+    from one call to the structural form of the functions' family (see
+    :class:`SetFunction`).  None unless every function declares the form
+    of one and the same family source; the subsets' elements must be in
+    range.  No value memo is read or filled."""
+    forms = [fn._form for fn in fns]
+    if None in forms or any(source is not forms[0][0] for source, _ in forms):
+        return None
+    return forms[0][0].extensions([i for _, i in forms], subsets, extend)
+
+
 def values_in(fns: Sequence[SetFunction], keys: Sequence[Iterable[int]]) -> list:
     """fns[i] at each bitmask of the iterable keys[i]: one list of floats
     per function.  The one routine that finds and fills misses.
@@ -261,8 +300,7 @@ class SubmodularCut:
 def build_cut(fn: SetFunction, subset: Iterable[int], alpha: float,
               scenario_index: int) -> SubmodularCut:
     """fn's hypograph linearized at the generating set, scaled by alpha, from
-    fn's cut memo or one :func:`values_in` read: the one-cut call of
-    :func:`build_cuts`."""
+    fn's cut memo or one read: the one-cut call of :func:`build_cuts`."""
     return build_cuts((fn,), (subset,), (alpha,), (scenario_index,))[0]
 
 
@@ -278,10 +316,13 @@ def build_cuts(fns: Sequence[SetFunction], subsets: Sequence[Iterable[int]],
     :func:`math.fsum`, which rounds the exact sum once, so equal sets get
     one constant whatever order they iterate in.  Each function memoizes
     its cuts under the generating set, alpha and the scenario index; a
-    memoized cut is returned as the same object and reads nothing.  The
-    keys of every other cut go to one :func:`values_in` read (at S: S + j
-    for every j, S, then N and N - j for each j in S, N only when S has an
-    element), and each cut is computed from its row and memoized."""
+    memoized cut is returned as the same object and reads nothing.  Every
+    other cut takes f(S) and f(S + j) for every j from one
+    :func:`structural_values` read and f(N) and f(N - j) from its family's
+    ``complements``, when every such function declares the structural
+    form of one family; otherwise their keys go to one :func:`values_in` read (at S:
+    S + j for every j, S, then N and N - j for each j in S, N only when S
+    has an element).  Each cut is computed from its row and memoized."""
     if not len(fns) == len(subsets) == len(alphas) == len(scenario_indices):
         raise ValueError("need one generating set, alpha and scenario index per set function")
     if not all(0 < alpha < math.inf for alpha in alphas):  # a NaN fails this test too
@@ -295,19 +336,28 @@ def build_cuts(fns: Sequence[SetFunction], subsets: Sequence[Iterable[int]],
     if not misses:
         return cuts
     built = [(fns[c], gens[c]) for c in misses]
-    keys = [fn.marginal_keys(key) + [key] + [full] * bool(gen) + [full ^ 1 << j for j in gen]
-            for fn, gen in built
-            for key, full in [(fn.key(gen), (1 << fn.ground_size) - 1)]]
-    for c, (fn, gen), read in zip(misses, built, values_in([fn for fn, _ in built], keys)):
+    # per cut: f(S), f(S + j) for every j, and f(N) - f(N - j) for each j in S
+    read = structural_values([fn for fn, _ in built], [gen for _, gen in built])
+    if read is not None:
+        rows = []
+        for (fn, gen), at, after in zip(built, read[0].tolist(), read[1]):
+            # an empty S reads no complement: its full_minus is empty
+            full, without = fn._form[0].complements(fn._form[1]) if gen else (0.0, after)
+            rows.append((at, after, full - without[list(gen)]))
+    else:
+        keys = [fn.marginal_keys(key) + [key] + [full] * bool(gen) + [full ^ 1 << j for j in gen]
+                for fn, gen in built
+                for key, full in [(fn.key(gen), (1 << fn.ground_size) - 1)]]
+        rows = [(row[n], np.array(row[:n]), np.subtract(row[n + 1:n + 2], row[n + 2:]))
+                for (fn, _), row in zip(built, values_in([fn for fn, _ in built], keys))
+                for n in [fn.ground_size]]
+    for c, (fn, gen), (at, after, full_minus) in zip(misses, built, rows):
         _, alpha, i = entries[c]
-        n = fn.ground_size
-        row = np.array(read)
-        full_minus = row[n + 1:n + 2] - row[n + 2:]
-        coeffs = row[:n] - read[n]
+        coeffs = after - at
         coeffs[list(gen)] = full_minus
         # setdefault: a cut asked for twice in one call is one object
         cuts[c] = fn._cuts.setdefault(entries[c], SubmodularCut(
-            constant=(read[n] - math.fsum(full_minus.tolist())) / alpha,
+            constant=(at - math.fsum(full_minus.tolist())) / alpha,
             coefficients=tuple((coeffs / alpha).tolist()), scenario_index=i, generating_set=gen))
     return cuts
 

@@ -14,17 +14,22 @@ zero-marginal witnesses before the cut is built; the resulting inequality is
 still tight at the candidate.  The tree keeps its open nodes as cuts arrive
 and re-bounds each when it is next popped (Padberg & Rinaldi 1991).
 
-A separation makes at most four batch :func:`~robustmax.core.values_in`
-reads, however many scenarios it cuts: the candidate in every scenario,
-then, with ``stop_pt`` nonzero, the violated ones' marginals and pair keys,
-and last their cut keys.  Strengthening and cut building compute from these
-values, and one family's oracles fill each read together.  The
-strengthening's admission loop reads its few other values one at a time,
-and each of those that misses is a one-key ``values_in`` read.  Each oracle
+When the oracles are members of one family that declares a structural
+form (an instance's water oracles are; see
+:class:`~robustmax.core.SetFunction`), a separation reads
+through :func:`~robustmax.core.structural_values`, in a fixed number of
+calls however many scenarios it cuts: the candidate in every scenario;
+then, with ``stop_pt`` nonzero, the violated ones' marginals together with
+f({k}) and f({j, k}) for each k in the support, and one call per round of
+the admission loops; and last their cut rows.  These reads neither read
+nor fill the value memo.  Other oracles make at most four batch
+:func:`~robustmax.core.values_in` reads: the candidate, the marginals, the
+pair keys and the cut keys, and the admission loop reads its few other
+values one at a time, each miss a one-key ``values_in`` read.  Each oracle
 memoizes its strengthened sets and its cuts, so solves that share oracles
 (the acceptance grid, ``robustmax verify``) build each once: a memoized
-strengthening makes no marginal or pair read, and a memoized cut no cut-key
-read.
+strengthening makes no marginal or pair read, and a memoized cut no
+cut-row read.
 
 Before the tree starts, locations that a no-dearer location covers in every
 scenario are fixed at zero (:func:`kept_locations`), so the tree branches
@@ -57,7 +62,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (TOL, SetFunction, SubmodularCut, build_cuts, element_set,
-                   empty_set_cuts, objective_slack, values_in)
+                   empty_set_cuts, objective_slack, structural_values, values_in)
 from .master import MasterState, STATUS_OPTIMAL, check_knapsack
 
 MAX_GROUND = 22  # largest ground set brute_force_robust enumerates
@@ -163,8 +168,13 @@ def support(x: Sequence[int]) -> frozenset:
 
 
 def values_at(fns: Sequence[SetFunction], subset: Iterable[int]) -> list:
-    """f_i(S) for every function, as floats, in one :func:`values_in` read."""
+    """f_i(S) for every function, as floats, from the functions'
+    structural forms, or else in one :func:`values_in` read."""
+    subset = element_set(subset)
     key = fns[0].key(subset)
+    read = structural_values(fns, [subset] * len(fns), extend=False)
+    if read is not None:
+        return read[0].tolist()
     return [v for v, in values_in(fns, [[key]] * len(fns))]
 
 
@@ -196,10 +206,10 @@ def strengthen_generating_sets(fns: Sequence[SetFunction], incumbent: Iterable[i
 
     Each function memoizes its result under the incumbent, ``float(at)``
     and ``stop_pt`` (see :class:`~robustmax.core.SetFunction`), and a repeat
-    returns the same frozenset, reading nothing.  The marginals at the
-    incumbent of every other function go to one :func:`values_in` read,
-    its pair keys and the incumbent's singletons to one more, and the
-    admission loops use those values.
+    returns the same frozenset, reading nothing.  The other functions read
+    through their family's structural form when they share one
+    (:func:`_strengthen_by_form`), and by keys otherwise
+    (:func:`_strengthen_by_keys`); both decide alike.
     """
     incumbent = element_set(incumbent)
     if stop_pt == 0:
@@ -212,18 +222,42 @@ def strengthen_generating_sets(fns: Sequence[SetFunction], incumbent: Iterable[i
     if not misses:
         return gens
     fns, at = [fns[c] for c in misses], [at[c] for c in misses]
+    key = fns[0].key(incumbent)
     bar = sorted(incumbent)
-    after = values_in(fns, [fns[0].marginal_keys(fns[0].key(incumbent))] * len(fns))
-    # Per function: the slack, the j whose gain is within it, and each pair
-    # (j, k) with k in the incumbent: f({j, k}) - f({k}) is 0 for k = j.
     slacks = [TOL * a for a in at]
+    built = _strengthen_by_form(fns, incumbent, bar, at, slacks, stop_pt)
+    if built is None:
+        built = _strengthen_by_keys(fns, key, bar, at, slacks, stop_pt)
+    for c, fn, (admitted, covered) in zip(misses, fns, built):
+        # setdefault: a set asked for twice in one call is one object
+        gens[c] = fn._strengthened.setdefault(entries[c],
+                                              frozenset(admitted) | (incumbent - covered))
+    return gens
+
+
+def _admits(tmp: set, lhs: float, at_with_j: float, after_with_j: Sequence[float],
+            slack: float) -> bool:
+    """The interchange identity of :func:`strengthen_generating_sets`:
+    f(tmp) against f(W) plus the marginals on W of tmp's elements, with W
+    the admitted elements and j, ``after_with_j`` holding f(W + l) by l."""
+    return abs(lhs - (at_with_j + sum(after_with_j[l] - at_with_j for l in tmp))) <= slack
+
+
+def _strengthen_by_keys(fns, key, bar, at, slacks, stop_pt) -> list:
+    """Each function's (admitted, covered) sets from keyed reads: the
+    marginals and the pair keys in one :func:`values_in` read each, and the
+    admission loop's values one at a time."""
+    after = values_in(fns, [fns[0].marginal_keys(key)] * len(fns))
+    # Per function: the j whose gain is within the slack, and each pair
+    # (j, k) with k in the incumbent: f({j, k}) - f({k}) is 0 for k = j.
     zeros = [[j for j, v in enumerate(row) if v - a <= slack]
              for a, row, slack in zip(at, after, slacks)]
     pairs = [[(j, k) for j in zero for k in bar] for zero in zeros]
     # each function's pair keys, then each incumbent singleton once
     reads = values_in(fns, [[1 << j | 1 << k for j, k in p] + ([1 << k for k in bar] if p else [])
                             for p in pairs])
-    for c, fn, slack, zero, fn_pairs, read in zip(misses, fns, slacks, zeros, pairs, reads):
+    built = []
+    for fn, slack, zero, fn_pairs, read in zip(fns, slacks, zeros, pairs, reads):
         alone = dict(zip(bar, read[len(fn_pairs):]))
         witness = {(j, k) for (j, k), both in zip(fn_pairs, read) if both - alone[k] <= slack}
         covered, admitted = set(), set()
@@ -233,15 +267,58 @@ def strengthen_generating_sets(fns: Sequence[SetFunction], incumbent: Iterable[i
                 continue
             tmp = covered.union(found)
             with_j = frozenset(admitted | {j})
-            lhs = fn.value(tmp)
-            rhs = fn.value(with_j) + sum(fn.marginal(l, with_j) for l in tmp)
-            if abs(lhs - rhs) <= slack:
+            after_with_j = {l: fn.value(with_j | {l}) for l in tmp}
+            if _admits(tmp, fn.value(tmp), fn.value(with_j), after_with_j, slack):
                 admitted.add(j)
                 covered |= tmp
-        # setdefault: a set asked for twice in one call is one object
-        gens[c] = fn._strengthened.setdefault(entries[c],
-                                              frozenset(admitted) | (incumbent - covered))
-    return gens
+        built.append((admitted, covered))
+    return built
+
+
+def _strengthen_by_form(fns, incumbent, bar, at, slacks, stop_pt) -> list | None:
+    """Each function's (admitted, covered) sets from their family's
+    structural form, or None when they share none (see
+    :func:`~robustmax.core.structural_values`).  One read gives the
+    marginals at the incumbent and, at each singleton {k} of it, f({k})
+    and f({j, k}) for every j.  The admission loops then run in rounds over
+    every function at once: a round checks each function's remaining
+    candidates against its current sets in one read, admits the first that
+    passes, and leaves the rest to the next round, so it decides as the
+    loop one candidate at a time does."""
+    m, b, n = len(fns), len(bar), fns[0].ground_size
+    read = structural_values(fns + [fn for fn in fns for _ in bar],
+                             [incumbent] * m + [(k,) for _ in fns for k in bar])
+    if read is None:
+        return None
+    values, after = read
+    slack = np.array(slacks)[:, None]
+    zeros = after[:m] - np.array(at)[:, None] <= slack
+    # witness[c, r, j]: bar[r] is a witness for j, f({j, k}) - f({k}) within the slack
+    witness = after[m:].reshape(m, b, n) - values[m:].reshape(m, b, 1) <= slack[:, :, None]
+    enough = zeros & (witness.sum(axis=1) >= stop_pt)
+    queues = [[(j, [k for k, w in zip(bar, witness[c, :, j].tolist()) if w][:stop_pt])
+               for j in np.flatnonzero(enough[c]).tolist()] for c in range(m)]
+    built = [(set(), set()) for _ in fns]
+    while any(queues):
+        checks = [(c, j, covered.union(found), frozenset(admitted | {j}))
+                  for c, ((admitted, covered), queue) in enumerate(zip(built, queues))
+                  for j, found in queue]
+        # rows 2r and 2r + 1: check r's tmp and its admitted elements and j
+        at_rows, after_rows = structural_values(
+            [fns[c] for c, *_ in checks for _ in (0, 1)],
+            [s for *_, tmp, with_j in checks for s in (tmp, with_j)])
+        at_rows, after_rows = at_rows.tolist(), after_rows[1::2].tolist()
+        passed = set()  # the functions that admitted an element this round
+        for r, (c, j, tmp, _) in enumerate(checks):
+            if c in passed:
+                continue
+            queues[c] = queues[c][1:]
+            if _admits(tmp, at_rows[2 * r], at_rows[2 * r + 1], after_rows[r], slacks[c]):
+                admitted, covered = built[c]
+                admitted.add(j)
+                covered |= tmp
+                passed.add(c)
+    return built
 
 
 def kept_locations(fns: Sequence[SetFunction], costs: Sequence[float]) -> np.ndarray:

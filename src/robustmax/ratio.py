@@ -4,8 +4,8 @@ Scaling each scenario by its own maximization optimum turns the robust
 objective into a worst-case performance ratio, but computing those optima means
 solving one NP-hard problem per scenario.  This pipeline runs each
 single-scenario maximization under a share of the call's time limit, records
-the incumbent value (lower bound) and master bound (upper bound), re-derives
-its cuts at its scenario's scale to reuse them, and finishes with one robust
+the incumbent value (lower bound) and master bound (upper bound), rescales
+its cuts to its scenario's scale to reuse them, and finishes with one robust
 solve where the scales are the recorded lower bounds.  ``config.epsilon`` is in
 oracle units in every solve: the final solve, whose objective is a ratio, gets
 it divided by the largest recorded lower bound.  The sandwich
@@ -34,9 +34,13 @@ scenario); its empty-set cuts come from its own ``solve_robust`` warm start.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
+from operator import index
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .core import TOL, SetFunction, SubmodularCut, build_cuts
 from .dcg import DcgConfig, ground_size, solve_robust, support, values_at
@@ -103,12 +107,19 @@ def maximize_single(fn: SetFunction, costs: Sequence[float], budget: float,
     return bounds, report
 
 
-def rescale_cuts(fn: SetFunction, cuts: Sequence[SubmodularCut], alpha_bar: float,
-                 scenario_index: int) -> list:
-    """Re-derive each cut at scale ``alpha_bar`` from fn and the cut's
-    generating set, filed under ``scenario_index``, in one :func:`build_cuts`."""
-    return build_cuts([fn] * len(cuts), [cut.generating_set for cut in cuts],
-                      [alpha_bar] * len(cuts), [scenario_index] * len(cuts))
+def rescale_cuts(cuts: Sequence[SubmodularCut], alpha_bar: float, scenario_index: int) -> list:
+    """Each unit-scale cut (one :func:`build_cuts` built at alpha 1.0) at
+    scale ``alpha_bar``, filed under ``scenario_index``: its constant and
+    coefficients divided by alpha_bar, reading no oracle.  Dividing by 1.0
+    is exact, so a unit cut holds the very values build_cuts divides, and
+    each rescaled cut equals build_cuts' cut at alpha_bar with ==."""
+    if not 0 < alpha_bar < math.inf:  # a NaN fails this test too
+        raise ValueError("alpha must be positive and finite")
+    alpha, i = float(alpha_bar), index(scenario_index)
+    return [SubmodularCut(constant=cut.constant / alpha,
+                          coefficients=tuple((np.array(cut.coefficients) / alpha).tolist()),
+                          scenario_index=i, generating_set=cut.generating_set)
+            for cut in cuts]
 
 
 def certify_ratio_optimal(lower_bound: float, upper_bound: float) -> bool:
@@ -162,7 +173,7 @@ def solve_ratio_robust(fns: Sequence[SetFunction], costs: Sequence[float],
                 "ratio scaling is undefined")
         per_scenario.append(bounds)
         own = [cut for cut in rep.pool if cut.generating_set and cut.generating_set not in sets]
-        reused += rescale_cuts(fn, own, bounds.lower, i)
+        reused += rescale_cuts(own, bounds.lower, i)
         sets.update(dict.fromkeys(cut.generating_set for cut in own))
 
     scales = [b.lower for b in per_scenario]

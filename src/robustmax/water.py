@@ -20,9 +20,17 @@ more rows that all read one scenario go to its ranking kernel, which finds
 each row's best-ranked member per source from exact float64 products of
 the rows with powers-of-two rank weights; any other read, one row, rows
 that span scenarios or a larger ground set, goes to the gather-and-reduce
-kernel, which computes only the (scenario, set) rows it is given.  The
-instance data is immutable after construction, the kernels keep no state
-but a ranking built once, and oracles are shared freely across threads.
+kernel, which computes only the (scenario, set) rows it is given.
+
+The family also declares the structural form of a facility-location
+objective (Cornuejols, Fisher & Nemhauser 1977; Krause et al. 2008): a
+set's best savings per source, best_S[t] = max_{v in S} saved[v, t], give
+f(S) and, with one max per element, f(S + j) for every j; each scenario's
+top two counts per source give f(N) and f(N - j).  Separation reads its
+values there, in a fixed number of calls, and past the memo.  The instance
+data is immutable after construction, the kernels keep no state but a
+ranking and the values at N and N - j built once per scenario, and oracles
+are shared freely across threads.
 """
 
 from __future__ import annotations
@@ -31,8 +39,9 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 from random import Random
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -259,12 +268,13 @@ def _expected(best: np.ndarray, probs: np.ndarray) -> np.ndarray:
 class _ScenarioStack:
     """The saved arrays of an instance's scenarios, stacked (m, n, k): the
     instance's one evaluator.  :meth:`oracle` makes scenario i's oracle,
-    S -> expected number of saved nodes; every read of it goes to
+    S -> expected number of saved nodes; every keyed read of it goes to
     :meth:`rows`, which picks one of two kernels, :meth:`batch` (ranking) or
-    :meth:`gather` (gather and reduce), and its covering relation is
+    :meth:`gather` (gather and reduce), its structural form is
+    :meth:`extensions` and :meth:`complements`, and its covering relation is
     :meth:`covers`."""
 
-    __slots__ = ("saved", "probs", "_flat", "_rankings")
+    __slots__ = ("saved", "probs", "_flat", "_rankings", "_complements")
 
     def __init__(self, saved: np.ndarray, network: Network):
         self.saved = saved
@@ -273,6 +283,7 @@ class _ScenarioStack:
         # each scenario's ranking is built on its first read of two or more
         # rows: building an oracle, or reading it by scalars, costs no more
         self._rankings: list = [None] * len(saved)
+        self._complements: list = [None] * len(saved)  # built as the rankings are
 
     def rows(self, scenario_of_row: np.ndarray, members: np.ndarray) -> np.ndarray:
         """f_i(S) for each row r: i = scenario_of_row[r] and S the members of
@@ -312,6 +323,72 @@ class _ScenarioStack:
         """The values of the rows whose members' saved rows are at ``flat``
         in ``_flat``, row r's from ``starts[r]`` on."""
         return _expected(np.maximum.reduceat(self._flat.take(flat, axis=0), starts), self.probs)
+
+    def extensions(self, scenario_of_row: Sequence[int], subsets: Sequence[Collection[int]],
+                   extend: bool = True) -> tuple:
+        """The family's structural form: f_i(S) for each row r, i =
+        scenario_of_row[r] and S = subsets[r], which may be empty, and, with
+        ``extend``, f_i(S + j) for every element j; a (B,) and a (B, n)
+        float array (None without ``extend``).
+
+        Row r's best savings, best_S[t] = max_{v in S} saved_i[v, t] (0 for
+        an empty S, as saved is >= 0), come from one gather of every row's
+        members and one max; S + j's are max(best_S, saved_i[j]).  Both are
+        the maxima :meth:`rows` takes and go through the same
+        :func:`_expected` product, so every value equals its :meth:`rows`
+        value with ==.  Rows go in chunks whose (rows, n, k) extension holds
+        at most ``ROWS_CHUNK`` entries."""
+        n, k = self.saved.shape[1:]
+        step = max(1, ROWS_CHUNK // (n * k))
+        if len(subsets) <= step:
+            return self._extend(scenario_of_row, subsets, extend)
+        chunks = [self._extend(scenario_of_row[lo:lo + step], subsets[lo:lo + step], extend)
+                  for lo in range(0, len(subsets), step)]
+        return (np.concatenate([values for values, _ in chunks]),
+                np.concatenate([after for _, after in chunks]) if extend else None)
+
+    def _extend(self, scenario_of_row: Sequence[int], subsets: Sequence[Collection[int]],
+                extend: bool) -> tuple:
+        """:meth:`extensions` of one chunk of rows."""
+        n, k = self.saved.shape[1:]
+        sizes = [len(subset) for subset in subsets]
+        flat = [i * n + v for i, subset in zip(scenario_of_row, subsets) for v in subset]
+        filled = [r for r, size in enumerate(sizes) if size]
+        starts = list(accumulate([sizes[r] for r in filled[:-1]], initial=0))
+        if len(filled) == len(subsets):
+            best = np.maximum.reduceat(self._flat.take(flat, axis=0), starts)
+        else:
+            best = np.zeros((len(subsets), k))
+            if filled:
+                best[filled] = np.maximum.reduceat(self._flat.take(flat, axis=0), starts)
+        values = _expected(best, self.probs)
+        if not extend:
+            return values, None
+        block = self.saved.take(scenario_of_row, axis=0)
+        np.maximum(block, best[:, None], out=block)
+        return values, _expected(block.reshape(-1, k), self.probs).reshape(-1, n)
+
+    def complements(self, i: int) -> tuple:
+        """f_i(N) and f_i(N - j) for every element j: a float and an (n,)
+        float array, computed on scenario i's first call and kept.
+
+        Per source, the top count and the next one (0 when n is 1) give
+        N's best savings, and N - j's wherever j is the source's first
+        best sensor; a tie at the top leaves the next one equal to it.
+        The values go through :func:`_expected`, so each equals its
+        :meth:`rows` value with ==."""
+        if self._complements[i] is None:
+            saved = self.saved[i]
+            n, k = saved.shape
+            first = saved.argmax(axis=0)
+            rest = saved.copy()
+            rest[first, np.arange(k)] = 0.0
+            top = saved.max(axis=0)
+            best = np.vstack([top, np.where(np.arange(n)[:, None] == first, rest.max(axis=0), top)])
+            values = _expected(best, self.probs)
+            values.setflags(write=False)  # kept, and shared by every caller
+            self._complements[i] = float(values[0]), values[1:]
+        return self._complements[i]
 
     def batch(self, i: int, members: np.ndarray) -> np.ndarray:
         """f_i at each row of the (B, n) bool membership matrix, B values,

@@ -19,6 +19,45 @@ def scenario_oracle(network: Network, scenario: Scenario) -> SetFunction:
     return fn
 
 
+class RowsOnly:
+    """A family source that forwards its one kernel, ``rows``, to another
+    and declares no structural form, so its oracles take the keyed path."""
+
+    def __init__(self, source):
+        self.source = source
+
+    def rows(self, scenario_of_row, members):
+        return self.source.rows(scenario_of_row, members)
+
+
+def without_form(fns) -> list:
+    """The oracles rebuilt on the same eval functions, whose family keeps
+    its kernel but declares no structural form: every read is keyed, as
+    before the form, and a family's misses still go to one kernel call."""
+    sources: dict = {}
+    out = []
+    for fn in fns:
+        source, i = fn._family
+
+        def evaluate(subset, _eval=fn._eval):
+            return _eval(subset)
+
+        evaluate.family = (sources.setdefault(source, RowsOnly(source)), i)
+        evaluate.covers = fn._relate
+        out.append(SetFunction(fn.ground_size, evaluate))
+    return out
+
+
+def keyed_stand_in(fn) -> SetFunction:
+    """fn's eval function with its family attribute removed: its own
+    one-member family, read one ``eval_fn`` call per key."""
+    def evaluate(subset):
+        return fn._eval(subset)
+
+    evaluate.covers = fn._relate
+    return SetFunction(fn.ground_size, evaluate)
+
+
 def modular_fn(weights) -> SetFunction:
     w = tuple(float(v) for v in weights)
     return SetFunction(len(w), lambda S: sum(w[j] for j in S))

@@ -22,7 +22,7 @@ from robustmax.dcg import kept_locations, strengthen_generating_set, strengthen_
 from robustmax.master import MasterState
 
 from conftest import (all_subsets, cut_is_valid, modular_fn, random_coverage, rhs,
-                      scenario_oracle, table_fn)
+                      scenario_oracle, table_fn, without_form)
 from reference_milp import reference_eta
 
 
@@ -52,6 +52,13 @@ def scalar_brute_force(fns, alphas, costs, budget) -> tuple:
         if value > best_val or (value == best_val and x < best_x):
             best_val, best_x = value, x
     return best_val, best_x
+
+
+def assert_memo_is_fresh(fn: SetFunction, fresh: SetFunction):
+    """Every value fn memoizes equals a scalar read of a fresh oracle."""
+    n = fn.ground_size
+    for key, value in fn._cache.items():
+        assert value == fresh.value([j for j in range(n) if key >> j & 1])
 
 
 def scalar_strengthen_generating_set(fn: SetFunction, incumbent, stop_pt: int) -> frozenset:
@@ -157,19 +164,25 @@ class TestStrengthenGeneratingSet:
         assert fn._cache == ref._cache
 
     def test_matches_scalar_reference_on_water_oracles(self):
-        # the water oracles read their pair marginals through the ranking kernel
+        # the water oracles read through their structural form, and the same
+        # oracles without it read their pair marginals through the ranking
+        # kernel; the keyed reads fill the memo the scalar reference fills,
+        # and every value the form's oracle memoizes is a fresh scalar read
         rng = Random(5)
         for seed in range(4):
             inst = generate_instance(n=16, edge_factor=41 / 36, m=3, j_count=5,
                                      budget=40, seed=seed)
             for sc in inst.scenarios:
                 fn = scenario_oracle(inst.network, sc)
+                keyed, = without_form([scenario_oracle(inst.network, sc)])
                 ref = scenario_oracle(inst.network, sc)
                 for stop_pt in (1, 2, 3):
                     bar = frozenset(rng.sample(range(16), rng.randint(1, 8)))
-                    assert (strengthen_generating_set(fn, bar, stop_pt)
-                            == scalar_strengthen_generating_set(ref, bar, stop_pt))
-                assert fn._cache == ref._cache
+                    want = scalar_strengthen_generating_set(ref, bar, stop_pt)
+                    assert strengthen_generating_set(fn, bar, stop_pt) == want
+                    assert strengthen_generating_set(keyed, bar, stop_pt) == want
+                assert keyed._cache == ref._cache
+                assert_memo_is_fresh(fn, scenario_oracle(inst.network, sc))
 
 
     @settings(max_examples=100, deadline=None)
@@ -194,23 +207,27 @@ class TestStrengthenGeneratingSet:
         assert [fn._cache for fn in fns] == [ref._cache for ref in refs]
 
     def test_several_water_scenarios_match_scalar_reference(self):
-        # one family read per step for the instance's oracles
+        # the form's reads and, without the form, one family read per step
+        # for the instance's oracles
         rng = Random(8)
         for seed in range(3):
             inst = generate_instance(n=16, edge_factor=41 / 36, m=4, j_count=5,
                                      budget=40, seed=seed)
-            fns = inst.build_oracles()
+            fns, keyed = inst.build_oracles(), without_form(inst.build_oracles())
             refs = [scenario_oracle(inst.network, sc) for sc in inst.scenarios]
             for stop_pt in (1, 2, 3):
                 bar = frozenset(rng.sample(range(16), rng.randint(1, 8)))
                 want = [scalar_strengthen_generating_set(ref, bar, stop_pt) for ref in refs]
                 at = [ref.value(bar) for ref in refs]
                 assert strengthen_generating_sets(fns, bar, at, stop_pt) == want
-            assert [fn._cache for fn in fns] == [ref._cache for ref in refs]
+                assert strengthen_generating_sets(keyed, bar, at, stop_pt) == want
+            assert [fn._cache for fn in keyed] == [ref._cache for ref in refs]
+            for fn, fresh in zip(fns, inst.build_oracles()):
+                assert_memo_is_fresh(fn, fresh)
 
     def test_each_key_is_read_once(self, monkeypatch):
-        # the pair read lists each incumbent singleton once per function,
-        # not once per (j, k) pair
+        # on the keyed path, the pair read lists each incumbent singleton
+        # once per function, not once per (j, k) pair
         reads = []
 
         def recording(fns, keys):
@@ -219,8 +236,8 @@ class TestStrengthenGeneratingSet:
             return values_in(fns, keys)
 
         monkeypatch.setattr(dcg, "values_in", recording)
-        fns = generate_instance(n=16, edge_factor=41 / 36, m=4, j_count=5, budget=40,
-                                seed=0).build_oracles()
+        fns = without_form(generate_instance(n=16, edge_factor=41 / 36, m=4, j_count=5,
+                                             budget=40, seed=0).build_oracles())
         bar = frozenset({0, 3, 5, 8, 11})
         strengthen_generating_sets(fns, bar, [fn.value(bar) for fn in fns], 2)
         _, pairs = reads
@@ -233,14 +250,21 @@ class TestStrengthenGeneratingSet:
 
     @pytest.fixture
     def reads(self, monkeypatch):
+        """The keyed reads and the structural-form calls, in turn."""
         made = []
+        extensions = water._ScenarioStack.extensions
 
         def counted(fns, keys):
             made.append(len(fns))
             return values_in(fns, keys)
 
+        def counted_form(stack, scenario_of_row, subsets, extend=True):
+            made.append(len(subsets))
+            return extensions(stack, scenario_of_row, subsets, extend)
+
         monkeypatch.setattr(core, "values_in", counted)
         monkeypatch.setattr(dcg, "values_in", counted)
+        monkeypatch.setattr(water._ScenarioStack, "extensions", counted_form)
         return made
 
     @staticmethod
@@ -262,22 +286,35 @@ class TestStrengthenGeneratingSet:
         assert strengthen_generating_set(fns[1], bar, 2) is first[1]
 
     def test_memo_partial_hit_reads_only_the_missing_functions(self, monkeypatch):
-        fns = self.oracles()
-        bar = frozenset({1, 2, 6, 9, 13})
-        at = [fn.value(bar) for fn in fns]
-        first = strengthen_generating_sets(fns[1:3], bar, at[1:3], 2)
-        want = strengthen_generating_sets(self.oracles(), bar, at, 2)
-        read = []
+        # keyed: the marginal read, then the pair read, of functions 0 and 3;
+        # through the form, calls that read scenarios 0 and 3 alone
+        read, form = [], []
+        extensions = water._ScenarioStack.extensions
 
-        def recording(read_fns, keys):
-            read.append([fns.index(fn) for fn in read_fns])
-            return values_in(read_fns, keys)
+        def recording_form(stack, scenario_of_row, subsets, extend=True):
+            form.append(sorted(set(scenario_of_row)))
+            return extensions(stack, scenario_of_row, subsets, extend)
 
-        monkeypatch.setattr(dcg, "values_in", recording)
-        got = strengthen_generating_sets(fns, bar, at, 2)
-        assert read == [[0, 3], [0, 3]]  # the marginal read, then the pair read
-        assert got[1] is first[0] and got[2] is first[1]
-        assert got == want
+        monkeypatch.setattr(water._ScenarioStack, "extensions", recording_form)
+        for fns, want_read in ((without_form(self.oracles()), [[0, 3], [0, 3]]),
+                               (self.oracles(), [])):
+            bar = frozenset({1, 2, 6, 9, 13})
+            at = [fn.value(bar) for fn in fns]
+            first = strengthen_generating_sets(fns[1:3], bar, at[1:3], 2)
+            want = strengthen_generating_sets(self.oracles(), bar, at, 2)
+            del read[:], form[:]
+
+            def recording(read_fns, keys, fns=fns):
+                read.append([fns.index(fn) for fn in read_fns])
+                return values_in(read_fns, keys)
+
+            monkeypatch.setattr(dcg, "values_in", recording)
+            got = strengthen_generating_sets(fns, bar, at, 2)
+            assert read == want_read
+            assert form == ([[0, 3]] * len(form) if not want_read else [])
+            assert got[1] is first[0] and got[2] is first[1]
+            assert got == want
+        assert form
 
     @pytest.mark.parametrize("change", ["stop_pt", "at"])
     def test_memo_another_key_computes_afresh(self, reads, change):
@@ -1062,7 +1099,11 @@ class TestBranchOrder:
 
 class TestReadCounts:
     """How many kernel calls the water oracles' stack gets, counted by a
-    wrapper around its one kernel, ``_ScenarioStack.rows``."""
+    wrapper around its one kernel, ``_ScenarioStack.rows``, and how many
+    calls its structural form gets, counted by a wrapper around
+    ``_ScenarioStack.extensions``.  The water oracles read a separation
+    through the form; the same oracles without it (``without_form``) take
+    the keyed path, whose misses reach the kernel."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -1076,16 +1117,57 @@ class TestReadCounts:
         monkeypatch.setattr(water._ScenarioStack, "rows", counted)
         return made
 
+    @pytest.fixture
+    def form_calls(self, monkeypatch):
+        made = []
+        extensions = water._ScenarioStack.extensions
+
+        def counted(stack, scenario_of_row, subsets, extend=True):
+            made.append(list(scenario_of_row))
+            return extensions(stack, scenario_of_row, subsets, extend)
+
+        monkeypatch.setattr(water._ScenarioStack, "extensions", counted)
+        return made
+
+    @staticmethod
+    def per_separation(monkeypatch, *counters):
+        """Per separation of the solves that follow, each counter's new
+        entries, and the cuts offered to add_cut."""
+        steps = []
+        solve, add_cut = MasterState.solve, MasterState.add_cut
+        offered = []
+
+        def counted_add_cut(state, *cuts):
+            offered.append(cuts)
+            return add_cut(state, *cuts)
+
+        def counted_solve(state, separate, time_limit=None):
+            def counted(*args):
+                starts, cuts = [len(made) for made in counters], len(offered)
+                value = separate(*args)
+                steps.append(([made[start:] for made, start in zip(counters, starts)],
+                              [cut for made in offered[cuts:] for cut in made]))
+                return value
+            return solve(state, counted, time_limit)
+
+        monkeypatch.setattr(MasterState, "add_cut", counted_add_cut)
+        monkeypatch.setattr(MasterState, "solve", counted_solve)
+        return steps
+
     @staticmethod
     def family(made):
         """The calls that span several scenarios, as a family read makes."""
         return [call for call in made if len(set(call)) > 1]
 
-    def test_warm_start_is_one_call(self, calls):
-        fns = generate_instance(n=14, edge_factor=1.5, m=6, j_count=5, budget=20,
-                                seed=3).build_oracles()
-        empty_set_cuts(fns, [1.0] * 6)
-        assert len(calls) == 1
+    def test_warm_start_is_one_call(self, calls, form_calls):
+        # one form call reads every scenario, and no kernel call is made;
+        # without the form, one kernel call reads every scenario
+        inst = generate_instance(n=14, edge_factor=1.5, m=6, j_count=5, budget=20, seed=3)
+        cuts = empty_set_cuts(inst.build_oracles(), [1.0] * 6)
+        assert calls == [] and len(form_calls) == 1
+        assert sorted(set(form_calls[0])) == list(range(6))
+        assert empty_set_cuts(without_form(inst.build_oracles()), [1.0] * 6) == cuts
+        assert len(calls) == 1 and len(form_calls) == 1
         assert sorted(set(calls[0])) == list(range(6))
 
     def test_scalar_read_computes_its_scenario(self, calls):
@@ -1096,29 +1178,27 @@ class TestReadCounts:
         assert calls == [[3], [3]]
 
     @pytest.mark.parametrize("reduce", [False, True])
-    def test_separation_reads_once_per_step(self, calls, monkeypatch, reduce):
-        # x in every scenario, then the violated scenarios' marginals, pair
-        # keys and cut keys: at most four family calls per separation, and
-        # any other call reads one scenario (a step's read of one oracle, or
-        # a scalar read); at most four calls per separation read two or
-        # more rows
-        per_separation = []
-        solve = MasterState.solve
-
-        def counted_solve(state, separate, time_limit=None):
-            def counted(*args):
-                start = len(calls)
-                value = separate(*args)
-                per_separation.append(calls[start:])
-                return value
-            return solve(state, counted, time_limit)
-
-        monkeypatch.setattr(MasterState, "solve", counted_solve)
+    def test_separation_reads_once_per_step(self, calls, form_calls, monkeypatch, reduce):
+        # Through the form: x in every scenario, then the violated
+        # scenarios' cut rows, two form calls per separation however many
+        # scenarios it cuts, and no kernel call.  Without the form: x in
+        # every scenario, then the violated scenarios' marginals, pair keys
+        # and cut keys: at most four family calls per separation, and any
+        # other call reads one scenario (a step's read of one oracle, or a
+        # scalar read); at most four calls per separation read two or more
+        # rows
+        steps = self.per_separation(monkeypatch, calls, form_calls)
         inst = generate_instance(n=14, edge_factor=1.5, m=6, j_count=5, budget=20, seed=3)
         net = inst.network
-        solve_robust(inst.build_oracles(), [1.0] * 6, net.sensor_costs, net.budget,
-                     DcgConfig(reduce=reduce))
-        assert per_separation
+        args = ([1.0] * 6, net.sensor_costs, net.budget, DcgConfig(reduce=reduce))
+        form = solve_robust(inst.build_oracles(), *args)
+        assert steps and all(kernel == [] and len(made) <= 2 for (kernel, made), _ in steps)
+        assert max(len(cuts) for _, cuts in steps) >= 2 - reduce
+        del steps[:]
+        keyed = solve_robust(without_form(inst.build_oracles()), *args)
+        assert report_fields(keyed) == report_fields(form)
+        per_separation = [kernel for (kernel, made), _ in steps if not made]
+        assert len(per_separation) == len(steps)
         assert all(len(self.family(made)) <= 4 for made in per_separation)
         assert max(len(self.family(made)) for made in per_separation) >= 2 - reduce
         assert all(len(set(call)) == 1 for made in per_separation for call in made
@@ -1126,10 +1206,42 @@ class TestReadCounts:
         assert all(sum(len(call) > 1 for call in made) <= 4 for made in per_separation)
 
     @pytest.mark.parametrize("stop_pt", [0, 2])
+    def test_separation_makes_bounded_form_calls(self, monkeypatch, form_calls, stop_pt):
+        # Through the form, a separation makes no values_in read, and
+        # however many scenarios it cuts: x in every scenario, then the
+        # violated ones' marginals and pair rows together, one call per
+        # admission round, and their cut rows.  A round admits an element
+        # for some function or is the last, and each function's admitted
+        # elements are in its generating set, so the rounds are at most one
+        # more than the largest generating set cut.
+        reads = []
+
+        def counted(fns, keys):
+            reads.append(len(fns))
+            return values_in(fns, keys)
+
+        monkeypatch.setattr(core, "values_in", counted)
+        monkeypatch.setattr(dcg, "values_in", counted)
+        steps = self.per_separation(monkeypatch, reads, form_calls)
+        for seed in range(3):
+            inst = generate_instance(n=12, edge_factor=2.0, m=5, j_count=5, budget=15, seed=seed)
+            net = inst.network
+            solve_robust(inst.build_oracles(), [1.0] * 5, net.sensor_costs, net.budget,
+                         DcgConfig(reduce=False, stop_pt=stop_pt))
+        assert max(len(cuts) for _, cuts in steps) >= 2
+        for (read, made), cuts in steps:
+            assert read == []
+            bound = 4 + max((len(cut.generating_set) for cut in cuts), default=0) if stop_pt else 2
+            assert len(made) <= bound
+        if stop_pt:
+            assert any(len(made) > 3 for (_, made), _ in steps)  # some round ran
+
+    @pytest.mark.parametrize("stop_pt", [0, 2])
     def test_separation_makes_four_values_in_reads(self, monkeypatch, stop_pt):
-        # x in every scenario, then the violated scenarios' marginals, pair
-        # keys and cut keys: four values_in calls however many scenarios are
-        # cut, and no function reads a key list twice in one separation
+        # on the keyed path: x in every scenario, then the violated
+        # scenarios' marginals, pair keys and cut keys: four values_in calls
+        # however many scenarios are cut, and no function reads a key list
+        # twice in one separation
         reads = []
 
         def counted(fns, keys):
@@ -1161,8 +1273,8 @@ class TestReadCounts:
         for seed in range(3):
             inst = generate_instance(n=12, edge_factor=2.0, m=5, j_count=5, budget=15, seed=seed)
             net = inst.network
-            solve_robust(inst.build_oracles(), [1.0] * 5, net.sensor_costs, net.budget,
-                         DcgConfig(reduce=False, stop_pt=stop_pt))
+            solve_robust(without_form(inst.build_oracles()), [1.0] * 5, net.sensor_costs,
+                         net.budget, DcgConfig(reduce=False, stop_pt=stop_pt))
         assert max(cuts for _, cuts in steps) >= 2
         assert all(len(made) <= 4 for made, _ in steps)
         for made, _ in steps:

@@ -13,7 +13,7 @@ from robustmax import (DcgConfig, ScenarioBounds, dcg,
                        brute_force_robust, certify_ratio_optimal,
                        generate_instance, maximize_single, ratio, rescale_cuts,
                        solve_ratio_robust, support)
-from robustmax.core import TOL, build_cut
+from robustmax.core import TOL, build_cut, build_cuts
 from robustmax.master import MasterState
 
 from conftest import cut_is_valid, modular_fn, scenario_oracle
@@ -25,7 +25,7 @@ class TestRescaleCuts:
         f1, _ = facet_pair
         cut = build_cut(f1, {0, 1}, 1.0, 0)
         assert (cut.constant, cut.coefficients) == (2.0, (0.0, 0.0, 2.0, 3.0))
-        (out,) = rescale_cuts(f1, [cut], 2.0, 0)
+        (out,) = rescale_cuts([cut], 2.0, 0)
         assert out.constant == 1.0
         assert out.coefficients == (0.0, 0.0, 1.0, 1.5)
         assert out.generating_set == cut.generating_set
@@ -34,19 +34,58 @@ class TestRescaleCuts:
     def test_unit_scale_is_identity(self):
         fn = modular_fn((0.5, 2.0))
         cut = build_cut(fn, {1}, 1.0, 3)
-        (out,) = rescale_cuts(fn, [cut], 1.0, 3)
+        (out,) = rescale_cuts([cut], 1.0, 3)
         assert out == cut
 
     def test_nonpositive_scale_rejected(self):
         fn = modular_fn((1.0,))
         with pytest.raises(ValueError, match="alpha must be positive"):
-            rescale_cuts(fn, [build_cut(fn, (), 1.0, 0)], 0.0, 0)
+            rescale_cuts([build_cut(fn, (), 1.0, 0)], 0.0, 0)
 
     def test_rescaled_worked_cut_valid_for_scaled_function(self, facet_pair):
         f1, _ = facet_pair
         cut = build_cut(f1, {0, 1}, 1.0, 0)
-        (scaled,) = rescale_cuts(f1, [cut], 2.0, 0)
+        (scaled,) = rescale_cuts([cut], 2.0, 0)
         assert cut_is_valid(scaled, f1, 2.0)
+
+
+def assert_rescaled_cuts_equal_fresh_build_cuts(inst):
+    """Each scenario's own cuts, rescaled as the pipeline rescales them,
+    equal field by field the cuts a fresh oracle builds at the scale."""
+    with pytest.MonkeyPatch.context() as patched:
+        scenarios, _ = _record_chain(patched)
+        solve_ratio_robust(inst.build_oracles(), inst.network.sensor_costs,
+                           inst.network.budget)
+    fresh = inst.build_oracles()
+    checked = 0
+    for i, (_, warm, bounds, report) in enumerate(scenarios):
+        own = [cut for cut in report.pool if cut not in warm and cut.generating_set]
+        g = len(own)
+        got = rescale_cuts(own, bounds.lower, i)
+        want = build_cuts([fresh[i]] * g, [cut.generating_set for cut in own],
+                          [bounds.lower] * g, [i] * g)
+        for cut, ref in zip(got, want, strict=True):
+            assert (cut.constant, cut.coefficients, cut.scenario_index, cut.generating_set) == (
+                ref.constant, ref.coefficients, ref.scenario_index, ref.generating_set)
+            assert type(cut.constant) is float and type(cut.scenario_index) is int
+            assert all(type(c) is float for c in cut.coefficients)
+        checked += g
+    assert checked
+
+
+class TestRescaledCutsEqualBuiltOnes:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_ratio_seeds(self, seed):
+        assert_rescaled_cuts_equal_fresh_build_cuts(
+            generate_instance(seed=seed, **FAMILIES["ratio"]))
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(8, 20), st.integers(2, 4), st.integers(0, 2**32 - 1))
+    def test_drawn_instance(self, n, m, seed):
+        inst = generate_instance(n=n, edge_factor=1.5, m=m, j_count=max(1, n // 3),
+                                 budget=2 * n, seed=seed)
+        assume(not inst.budget_infeasible)
+        assert_rescaled_cuts_equal_fresh_build_cuts(inst)
 
 
 class TestMaximizeSingle:
@@ -362,7 +401,7 @@ class TestScenarioChain:
                 assert cut == build_cut(fn, cut.generating_set, 1.0, 0)
             own = [cut for cut in report.pool if cut not in warm and cut.generating_set]
             assert not {cut.generating_set for cut in own} & set(seen)
-            reused += rescale_cuts(fn, own, bounds.lower, i)
+            reused += rescale_cuts(own, bounds.lower, i)
             seen += [g for g in dict.fromkeys(cut.generating_set for cut in report.pool)
                      if g and g not in seen]
         assert any(warm for _, warm, _, _ in scenarios)
@@ -398,8 +437,8 @@ class TestScenarioChain:
             assert warm_calls[-1] == (32, 32)
         with_empty = []
         for i, (fn, warm, bounds, rep) in enumerate(scenarios):
-            with_empty += rescale_cuts(fn, [cut for cut in rep.pool if cut not in warm],
-                                       bounds.lower, i)
+            own = [cut for cut in rep.pool if cut not in warm]
+            with_empty += rescale_cuts(own, bounds.lower, i)
         assert len(with_empty) == len(initial) + len(fns)
         scales = [b.lower for b in report.per_scenario]
         reference = dcg.solve_robust(fns, scales, *args, initial_cuts=with_empty)

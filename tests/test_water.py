@@ -8,6 +8,7 @@ import sys
 import threading
 from dataclasses import replace
 from random import Random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,9 +19,10 @@ from robustmax import (Network, ParseError, Scenario, SetFunction, check_submodu
                        generate_instance, parse_instance, reduction_matrix,
                        serialize_instance)
 from robustmax import water
-from robustmax.core import values_in
+from robustmax.core import build_cuts, structural_values, values_in
+from robustmax.dcg import strengthen_generating_sets, values_at
 
-from conftest import scenario_oracle
+from conftest import keyed_stand_in, scenario_oracle
 
 
 def with_budget(instance, budget: int):
@@ -401,6 +403,120 @@ alpha unit
 # budget (12), scenarios 2 (13-15), alpha unit (16)
 SMALL_LINES = serialize_instance(generate_instance(n=4, edge_factor=1.5, m=2, j_count=2,
                                                    budget=10, seed=1)).splitlines()
+
+
+def synthetic_stack(rng: np.random.Generator, n: int, m: int, ties: bool):
+    """A stack over drawn (m, n, k) saved counts: counts of 0 to 2 when
+    ``ties`` (many ties, top-1 with top-2 included), else of 0 to n; some
+    sources have probability 0."""
+    k = int(rng.integers(1, 7))
+    saved = rng.integers(0, 3 if ties else n + 1, size=(m, n, k)).astype(float)
+    probs = rng.random(k) * (rng.random(k) < 0.7)
+    probs[0] += probs.sum() == 0
+    network = SimpleNamespace(source_probabilities=tuple((probs / probs.sum()).tolist()))
+    return water._ScenarioStack(saved, network)
+
+
+def by_rows(stack, owners, members) -> np.ndarray:
+    """The kernel's values at each row, 0.0 at an empty one: each
+    scenario's rows in one ``rows`` call, which takes the ranking kernel
+    for two or more rows up to two rank blocks, checked against one
+    gather-and-reduce call over every row."""
+    owners = np.asarray(owners)
+    out = np.zeros(len(members))
+    full = members.any(axis=1)
+    for i in set(owners[full].tolist()):
+        mine = np.flatnonzero(full & (owners == i))
+        out[mine] = stack.rows(owners[mine], members[mine])
+    if full.any():
+        assert stack.gather(owners[full], members[full]).tolist() == out[full].tolist()
+    return out
+
+
+class TestStructuralForm:
+    """The water family's structural form, ``extensions`` and
+    ``complements``, equals its kernel with ==, and the cuts and
+    strengthened sets read through it equal those of keyed stand-ins."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((1, 2, 12, 36, 105, 130)), st.integers(1, 3),
+           st.integers(0, 2**32 - 1), st.booleans())
+    def test_form_equals_rows(self, n, m, seed, ties):
+        # empty S and S = N among rows that span the scenarios, on both
+        # sides of two rank blocks (n <= 104 ranks, n >= 105 gathers)
+        rng = np.random.default_rng(seed)
+        stack = synthetic_stack(rng, n, m, ties)
+        rows = int(rng.integers(2, 9))
+        members = rng.random((rows, n)) < rng.random((rows, 1))
+        members[0], members[1] = False, True
+        owners = rng.integers(0, m, rows)
+        sets = [np.flatnonzero(row).tolist() for row in members]
+        values, after = stack.extensions(owners.tolist(), sets)
+        alone, none = stack.extensions(owners.tolist(), sets, extend=False)
+        assert none is None and alone.tolist() == values.tolist()
+        assert values.tolist() == by_rows(stack, owners, members).tolist()
+        plus = (members[:, None, :] | np.eye(n, dtype=bool)).reshape(-1, n)  # S + j by j
+        assert after.tolist() == by_rows(stack, owners.repeat(n), plus).reshape(rows, n).tolist()
+        for i in range(m):
+            full, without = stack.complements(i)
+            assert type(full) is float
+            assert full == by_rows(stack, [i], np.ones((1, n), dtype=bool))[0]
+            assert without.tolist() == by_rows(stack, [i] * n, ~np.eye(n, dtype=bool)).tolist()
+            assert stack.complements(i)[1] is without  # built once
+
+    def test_form_in_chunks(self, monkeypatch):
+        # rows split across chunks read as in one call
+        stack = synthetic_stack(np.random.default_rng(3), 12, 3, True)
+        rng = np.random.default_rng(4)
+        sets = [np.flatnonzero(rng.random(12) < 0.3).tolist() for _ in range(20)]
+        owners = rng.integers(0, 3, 20).tolist()
+        whole = stack.extensions(owners, sets)
+        for rows in (1, 12 * stack.saved.shape[2] * 3):
+            monkeypatch.setattr(water, "ROWS_CHUNK", rows)
+            chunked = stack.extensions(owners, sets)
+            assert [part.tolist() for part in chunked] == [part.tolist() for part in whole]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from((1, 2, 12, 36, 105, 130)), st.integers(1, 3),
+           st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 3))
+    def test_cuts_and_sets_equal_a_keyed_stand_in(self, n, m, seed, ties, stop_pt):
+        # the stand-in is each oracle's eval function without its family,
+        # read one key at a time; half the draws are generated instances
+        rng = np.random.default_rng(seed)
+        if n >= 12 and rng.random() < 0.5:
+            fns = generate_instance(n=n, edge_factor=41 / 36, m=m, j_count=max(1, n // 3),
+                                    budget=30, seed=seed).build_oracles()
+        else:
+            stack = synthetic_stack(rng, n, m, ties)
+            fns = [stack.oracle(i) for i in range(m)]
+        keyed = [keyed_stand_in(fn) for fn in fns]
+        incumbent = frozenset(rng.choice(n, int(rng.integers(0, min(n, 8) + 1)),
+                                         replace=False).tolist())
+        at = values_at(fns, incumbent)
+        assert at == values_at(keyed, incumbent)
+        gens = strengthen_generating_sets(fns, incumbent, at, stop_pt)
+        assert gens == strengthen_generating_sets(keyed, incumbent, at, stop_pt)
+        sets = gens + [frozenset(), frozenset(range(n)), incumbent]
+        owners = [i % m for i in range(len(sets))]
+        alphas = [float(rng.choice((1.0, 0.3, 7.0))) for _ in sets]
+        cuts = build_cuts([fns[i] for i in owners], sets, alphas, owners)
+        assert cuts == build_cuts([keyed[i] for i in owners], sets, alphas, owners)
+        assert all(fn._cache == {0: 0.0} for fn in fns)  # the form fills no memo
+
+    def test_two_families_take_the_keyed_path(self):
+        # oracles of two instances share no family: their reads are keyed,
+        # and their cuts are those of each family's form
+        one, two = (generate_instance(n=12, edge_factor=2.0, m=2, j_count=4, budget=15,
+                                      seed=seed).build_oracles() for seed in (1, 2))
+        mixed = [one[0], two[1]]
+        assert structural_values(mixed, [{1}, {2}]) is None
+        sets = [frozenset({1, 5}), frozenset({0, 3, 7})]
+        cuts = build_cuts(mixed, sets, [1.0, 2.0], [0, 1])
+        assert all(fn._cache != {0: 0.0} for fn in mixed)  # read by keys
+        fresh = [generate_instance(n=12, edge_factor=2.0, m=2, j_count=4, budget=15,
+                                   seed=seed).build_oracles()[i] for seed, i in ((1, 0), (2, 1))]
+        assert cuts == [build_cuts([fn], [S], [a], [i])[0] for fn, S, a, i in
+                        zip(fresh, sets, [1.0, 2.0], [0, 1])]
 
 
 class TestKernelChoice:
