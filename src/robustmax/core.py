@@ -79,8 +79,10 @@ class SetFunction:
     value the oracle returns there, so every marginal is a difference of two
     of its own values.
 
-    Elements and bitmasks may be any Python or numpy integers; the memo
-    keys them as Python ints.
+    ``ground_size`` is a positive Python or numpy integer, kept as a Python
+    int; anything else, a bool or a float included, is refused with
+    ValueError.  Elements and bitmasks may be any Python or numpy integers;
+    the memo keys them as Python ints.
 
     ``eval_fn`` may also carry ``eval_fn.covers``: a function of no
     arguments that returns an (n, n) bool relation, read by :attr:`covers`.
@@ -123,9 +125,10 @@ class SetFunction:
 
     def __init__(self, ground_size: int, eval_fn: Callable[[frozenset], float],
                  name: str = ""):
-        if ground_size <= 0:
-            raise ValueError("ground_size must be positive")
-        self.ground_size = ground_size
+        if (isinstance(ground_size, bool) or not isinstance(ground_size, (int, np.integer))
+                or ground_size <= 0):
+            raise ValueError(f"ground_size must be a positive integer, not {ground_size!r}")
+        self.ground_size = int(ground_size)
         self._eval = eval_fn
         self._relate = getattr(eval_fn, "covers", None)
         self._family = getattr(eval_fn, "family", None)

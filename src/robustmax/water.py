@@ -20,14 +20,15 @@ more rows that all read one scenario go to its ranking kernel, which finds
 each row's best-ranked member per source from exact float64 products of
 the rows with powers-of-two rank weights; any other read, one row, rows
 that span scenarios or a larger ground set, goes to the gather-and-reduce
-kernel, which computes only the (scenario, set) rows it is given.
+routine, which computes only the (scenario, set) rows it is given.
 
 The family also declares the structural form of a facility-location
 objective (Cornuejols, Fisher & Nemhauser 1977; Krause et al. 2008): a
 set's best savings per source, best_S[t] = max_{v in S} saved[v, t], give
-f(S) and, with one max per element, f(S + j) for every j; each scenario's
-top two counts per source give f(N) and f(N - j).  Separation reads its
-values there, in a fixed number of calls, and past the memo.  The instance
+f(S) and, with one max per element, f(S + j) for every j, both from the
+same gather-and-reduce routine; each scenario's top two counts per source
+give f(N) and f(N - j).  Separation reads its values there, in a fixed
+number of calls, and past the memo.  The instance
 data is immutable after construction, the kernels keep no state but a
 ranking and the values at N and N - j built once per scenario, and oracles
 are shared freely across threads.
@@ -56,8 +57,9 @@ BATCH_CHUNK = 1 << 18
 # distinct powers of two below 2**52, and every sum of them is an integer
 # below 2**53, which float64 holds exactly.
 RANK_BITS = 52
-# Most saved entries one chunk of a stacked read gathers at once, and most
-# entries one chunk of reduction_matrix's Dijkstra arrays and edge table hold.
+# Most saved entries one chunk of a gather-and-reduce read gathers at once,
+# and extends at once, and most entries one chunk of reduction_matrix's
+# Dijkstra arrays and edge table hold.
 ROWS_CHUNK = 1 << 18
 
 
@@ -270,9 +272,9 @@ class _ScenarioStack:
     instance's one evaluator.  :meth:`oracle` makes scenario i's oracle,
     S -> expected number of saved nodes; every keyed read of it goes to
     :meth:`rows`, which picks one of two kernels, :meth:`batch` (ranking) or
-    :meth:`gather` (gather and reduce), its structural form is
-    :meth:`extensions` and :meth:`complements`, and its covering relation is
-    :meth:`covers`."""
+    :meth:`_gather` (gather and reduce), its structural form is
+    :meth:`extensions`, which reads through :meth:`_gather` as well, and
+    :meth:`complements`, and its covering relation is :meth:`covers`."""
 
     __slots__ = ("saved", "probs", "_flat", "_rankings", "_complements")
 
@@ -289,82 +291,72 @@ class _ScenarioStack:
         """f_i(S) for each row r: i = scenario_of_row[r] and S the members of
         row r of the (B, n) bool matrix; no row may be empty.  Two or more
         rows of one scenario over at most two rank blocks (n <= 2 *
-        ``RANK_BITS``) go to :meth:`batch`, any other read to :meth:`gather`:
+        ``RANK_BITS``) go to :meth:`batch`, any other read to :meth:`_gather`:
         above two blocks the products cost more than the gather (README)."""
         if (len(members) > 1 and members.shape[1] <= 2 * RANK_BITS
                 and (scenario_of_row == scenario_of_row[0]).all()):
             return self.batch(int(scenario_of_row[0]), members)
-        return self.gather(scenario_of_row, members)
-
-    def gather(self, scenario_of_row: np.ndarray, members: np.ndarray) -> np.ndarray:
-        """:meth:`rows` by one gather of every member's saved row, one max
-        over each row's members and one :func:`_expected` product, in chunks
-        of whole rows that gather at most ``ROWS_CHUNK`` saved entries, k per
-        member (a row with more is a chunk of its own).  The max is the one
-        :meth:`batch` takes, so each value equals its row with ==."""
-        n, k = self.saved.shape[1:]
-        # r * n + v for member v of row r, in row order, and where each row's
-        # members start
-        row, col = np.divmod(members.ravel().nonzero()[0], n)
-        flat = scenario_of_row[row] * n + col
-        starts = row.searchsorted(np.arange(len(members)))
-        limit = max(1, ROWS_CHUNK // k)  # members one chunk gathers
-        if len(flat) <= limit:
-            return self._reduce(flat, starts)
-        ends = np.append(starts[1:], len(flat))
-        chunks, lo = [], 0
-        while lo < len(members):  # rows lo..hi-1: as many as end within the limit, one at least
-            hi = max(lo + 1, int(ends.searchsorted(starts[lo] + limit, side="right")))
-            chunks.append(self._reduce(flat[starts[lo]:ends[hi - 1]], starts[lo:hi] - starts[lo]))
-            lo = hi
-        return np.concatenate(chunks)
-
-    def _reduce(self, flat: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        """The values of the rows whose members' saved rows are at ``flat``
-        in ``_flat``, row r's from ``starts[r]`` on."""
-        return _expected(np.maximum.reduceat(self._flat.take(flat, axis=0), starts), self.probs)
+        n = members.shape[1]
+        row, col = np.divmod(members.ravel().nonzero()[0], n)  # member col[e] of row row[e]
+        return self._gather(scenario_of_row[row] * n + col,
+                            row.searchsorted(np.arange(len(members) + 1)))[0]
 
     def extensions(self, scenario_of_row: Sequence[int], subsets: Sequence[Collection[int]],
                    extend: bool = True) -> tuple:
         """The family's structural form: f_i(S) for each row r, i =
         scenario_of_row[r] and S = subsets[r], which may be empty, and, with
         ``extend``, f_i(S + j) for every element j; a (B,) and a (B, n)
-        float array (None without ``extend``).
-
-        Row r's best savings, best_S[t] = max_{v in S} saved_i[v, t] (0 for
-        an empty S, as saved is >= 0), come from one gather of every row's
-        members and one max; S + j's are max(best_S, saved_i[j]).  Both are
-        the maxima :meth:`rows` takes and go through the same
-        :func:`_expected` product, so every value equals its :meth:`rows`
-        value with ==.  Rows go in chunks whose (rows, n, k) extension holds
-        at most ``ROWS_CHUNK`` entries."""
-        n, k = self.saved.shape[1:]
-        step = max(1, ROWS_CHUNK // (n * k))
-        if len(subsets) <= step:
-            return self._extend(scenario_of_row, subsets, extend)
-        chunks = [self._extend(scenario_of_row[lo:lo + step], subsets[lo:lo + step], extend)
-                  for lo in range(0, len(subsets), step)]
-        return (np.concatenate([values for values, _ in chunks]),
-                np.concatenate([after for _, after in chunks]) if extend else None)
-
-    def _extend(self, scenario_of_row: Sequence[int], subsets: Sequence[Collection[int]],
-                extend: bool) -> tuple:
-        """:meth:`extensions` of one chunk of rows."""
-        n, k = self.saved.shape[1:]
+        float array (None without ``extend``), from :meth:`_gather`."""
+        n = self.saved.shape[1]
         sizes = [len(subset) for subset in subsets]
         flat = [i * n + v for i, subset in zip(scenario_of_row, subsets) for v in subset]
-        filled = [r for r, size in enumerate(sizes) if size]
-        starts = list(accumulate([sizes[r] for r in filled[:-1]], initial=0))
-        if len(filled) == len(subsets):
-            best = np.maximum.reduceat(self._flat.take(flat, axis=0), starts)
-        else:
-            best = np.zeros((len(subsets), k))
-            if filled:
-                best[filled] = np.maximum.reduceat(self._flat.take(flat, axis=0), starts)
+        offsets = np.fromiter(accumulate(sizes, initial=0), np.intp, len(sizes) + 1)
+        return self._gather(flat, offsets, scenario_of_row if extend else None, 0 in sizes)
+
+    def _gather(self, flat: Sequence[int], offsets: np.ndarray,
+                owners: Sequence[int] | None = None, empty: bool = False) -> tuple:
+        """f at B rows, row r's members the rows of ``_flat`` named at
+        ``flat[offsets[r]:offsets[r + 1]]`` (a row may have none only with
+        ``empty``), and, given the rows' scenarios ``owners``, each row's
+        value plus each element j, a (B, n) array (else None): every value
+        the stack computes outside :meth:`batch` and :meth:`complements`.
+
+        Row r's best savings, best_S[t] = max_{v in S} saved_i[v, t] (0 for
+        an empty S, as saved is >= 0), come from one gather of the members'
+        saved rows and one max per row, and S + j's are max(best_S,
+        saved_i[j]): the max :meth:`batch` takes, through the one
+        :func:`_expected` product, so every value equals the scalar read
+        with ==.  A read past either bound is read chunk by chunk, each
+        chunk whole rows that gather at most ``ROWS_CHUNK`` saved entries, k
+        per member (a longer row is a chunk of its own), and, when
+        extending, whose (rows, n, k) block holds at most ``ROWS_CHUNK``."""
+        n, k = self.saved.shape[1:]
+        count = len(offsets) - 1
+        limit = max(1, ROWS_CHUNK // k)  # members one chunk gathers
+        step = count if owners is None else max(1, ROWS_CHUNK // (n * k))  # rows one extends
+        if (len(flat) > limit and count > 1) or count > step:  # past a bound: in chunks
+            chunks, lo = [], 0
+            while lo < count:  # rows lo..hi-1: whole rows within both bounds, one at least
+                last = int(offsets.searchsorted(offsets[lo] + limit, side="right")) - 1
+                hi = min(lo + step, max(lo + 1, last))
+                chunks.append(self._gather(flat[offsets[lo]:offsets[hi]],
+                                           offsets[lo:hi + 1] - offsets[lo],
+                                           None if owners is None else owners[lo:hi], empty))
+                lo = hi
+            return (np.concatenate([values for values, _ in chunks]),
+                    None if owners is None else np.concatenate([after for _, after in chunks]))
+        starts = offsets[:-1]
+        if empty:
+            filled = (offsets[1:] > starts).nonzero()[0]
+            starts = starts[filled]
+        best = np.maximum.reduceat(self._flat.take(flat, axis=0), starts)
+        if empty:  # a row without members saves 0
+            best, some = np.zeros((count, k)), best
+            best[filled] = some
         values = _expected(best, self.probs)
-        if not extend:
+        if owners is None:
             return values, None
-        block = self.saved.take(scenario_of_row, axis=0)
+        block = self.saved.take(owners, axis=0)
         np.maximum(block, best[:, None], out=block)
         return values, _expected(block.reshape(-1, k), self.probs).reshape(-1, n)
 
@@ -399,7 +391,7 @@ class _ScenarioStack:
         row of zeros (saved is >= 0, so the sentinel sets the value only
         where the members save 0 for that source or there are none).  A
         set's best sensor for that source is its best-ranked member, and its
-        count is an element of saved: the same max :meth:`gather` takes,
+        count is an element of saved: the same max :meth:`_gather` takes,
         dotted with probs by the same :func:`_expected`.
 
         The best rank is read from one float64 product per block of

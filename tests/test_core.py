@@ -259,9 +259,21 @@ class TestMarginal:
         with pytest.raises(ValueError):
             fn.value({5})
 
-    def test_empty_ground_set_rejected(self):
-        with pytest.raises(ValueError, match="ground_size must be positive"):
-            SetFunction(0, lambda S: 0.0)
+    @pytest.mark.parametrize("size", [0, -3, 2.5, 3.0, True, np.True_, np.float64(3), "3", None],
+                             ids=["0", "negative", "float", "integral-float", "bool",
+                                  "numpy-bool", "numpy-float", "str", "None"])
+    def test_empty_ground_set_rejected(self, size):
+        # a ground size is a positive integer, refused at construction, not
+        # at the first read of a key
+        with pytest.raises(ValueError, match="ground_size must be a positive integer"):
+            SetFunction(size, lambda S: 0.0)
+
+    @pytest.mark.parametrize("size", [np.int64(3), np.uint8(3)], ids=["int64", "uint8"])
+    def test_numpy_integer_ground_size_accepted(self, size):
+        # kept as a Python int, so 1 << ground_size cannot wrap
+        fn = SetFunction(size, lambda S: float(len(S)))
+        assert type(fn.ground_size) is int and fn.ground_size == 3
+        assert fn.value({0, 2}) == 2.0 and fn.values([7]).tolist() == [3.0]
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):

@@ -418,18 +418,23 @@ def synthetic_stack(rng: np.random.Generator, n: int, m: int, ties: bool):
 
 
 def by_rows(stack, owners, members) -> np.ndarray:
-    """The kernel's values at each row, 0.0 at an empty one: each
-    scenario's rows in one ``rows`` call, which takes the ranking kernel
-    for two or more rows up to two rank blocks, checked against one
-    gather-and-reduce call over every row."""
+    """f at each row of the (B, n) bool matrix, in scenario owners[r]: a
+    reference that shares no code with the stack's reads but
+    ``water._expected``, the max of the row's members' saved rows (0 for an
+    empty row) dotted with probs.  The kernel must read the same: each
+    scenario's rows in one ``rows`` call, which takes the ranking kernel for
+    two or more rows up to two rank blocks, and every row in one call."""
     owners = np.asarray(owners)
-    out = np.zeros(len(members))
+    k = stack.saved.shape[2]
+    best = np.array([stack.saved[i][row].max(axis=0) if row.any() else np.zeros(k)
+                     for i, row in zip(owners.tolist(), members)]).reshape(-1, k)
+    out = water._expected(best, stack.probs)
     full = members.any(axis=1)
     for i in set(owners[full].tolist()):
         mine = np.flatnonzero(full & (owners == i))
-        out[mine] = stack.rows(owners[mine], members[mine])
+        assert stack.rows(owners[mine], members[mine]).tolist() == out[mine].tolist()
     if full.any():
-        assert stack.gather(owners[full], members[full]).tolist() == out[full].tolist()
+        assert stack.rows(owners[full], members[full]).tolist() == out[full].tolist()
     return out
 
 
@@ -603,13 +608,15 @@ class TestKernelChoice:
         assert len(kernels["batch"]) == 1
         assert got == self.scalar(fns[0], keys)
 
-    @pytest.mark.parametrize("m", [2, 5])
-    def test_read_across_scenarios_makes_no_ranking_call(self, kernels, m):
+    @pytest.mark.parametrize("m, n", [(2, 20), (5, 20), (2, 130), (5, 130)],
+                             ids=["2", "5", "2-n130", "5-n130"])
+    def test_read_across_scenarios_makes_no_ranking_call(self, kernels, m, n):
         # several misses in each of several oracles: one gather-and-reduce
-        # call, even where one scenario has two or more rows
-        fns = generate_instance(n=20, edge_factor=41 / 36, m=m, j_count=6, budget=20,
+        # call, even where one scenario has two or more rows, below and past
+        # two rank blocks
+        fns = generate_instance(n=n, edge_factor=41 / 36, m=m, j_count=6, budget=n,
                                 seed=m).build_oracles()
-        keys = [[0b1011, 0b110 << i, 1 << 19 | i + 1] for i in range(m)]
+        keys = [[0b1011, 0b110 << i, 1 << n - 1 | i + 1] for i in range(m)]
         got = values_in(fns, keys)
         assert kernels["batch"] == []
         assert len(kernels["rows"]) == 1
@@ -643,19 +650,27 @@ class TestKernelChoice:
 
 
 class TestGatherChunks:
-    """The gather-and-reduce kernel chunks a read by the saved entries it
-    gathers, k per member, not by rows of n members each."""
+    """The one gather-and-reduce routine chunks a read by the saved entries
+    it gathers, k per member, not by rows of n members each, and, when it
+    extends, by the entries of the (rows, n, k) block as well."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
+        """(members, rows) of each pass: a ``_gather`` call that reads its
+        rows itself, not one that cuts its read into chunks and calls
+        ``_gather`` on each."""
         made = []
-        reduce = water._ScenarioStack._reduce
+        gather = water._ScenarioStack._gather
 
-        def counted(stack, flat, starts):
-            made.append((len(flat), len(starts)))
-            return reduce(stack, flat, starts)
+        def counted(stack, flat, offsets, owners=None, empty=False):
+            at = len(made)
+            made.append((len(flat), len(offsets) - 1))
+            result = gather(stack, flat, offsets, owners, empty)
+            if len(made) > at + 1:  # the read went in chunks: they are its passes
+                del made[at]
+            return result
 
-        monkeypatch.setattr(water._ScenarioStack, "_reduce", counted)
+        monkeypatch.setattr(water._ScenarioStack, "_gather", counted)
         return made
 
     @staticmethod
@@ -695,6 +710,36 @@ class TestGatherChunks:
         assert any(members > 5 for members, _ in passes) and len(passes) > 10
         assert got == [[f.value([j for j in range(n) if key >> j & 1]) for key in fn_keys]
                        for f, fn_keys in zip(fresh, keys)]
+
+    def test_values_without_extension_take_one_pass(self, passes):
+        # f at one set in 20 scenarios gathers 20 * 9 members of k = 100
+        # entries, 18,000 in all, within one chunk, though 20 rows' (rows,
+        # n, k) blocks would not fit: without extension no block is built
+        n, m = 300, 20
+        fns = generate_instance(n=n, edge_factor=41 / 36, m=m, j_count=100, budget=n,
+                                seed=1).build_oracles()
+        assert m > water.ROWS_CHUNK // (n * 100)
+        got = values_at(fns, range(0, n, 37))
+        assert passes == [(m * 9, m)]
+        assert got == [fn.value(range(0, n, 37)) for fn in fns]
+
+    def test_extension_block_bound_splits_a_gather_that_fits(self, passes, monkeypatch):
+        # a bound of three rows' (n, k) blocks: ten short rows gather well
+        # within it, but their extension goes in chunks of three rows, and
+        # reads as in one pass
+        n, m = 24, 3
+        stack = generate_instance(n=n, edge_factor=41 / 36, m=m, j_count=8, budget=n,
+                                  seed=3).build_oracles()[0]._eval.family[0]
+        rng = Random(3)
+        sets = [rng.sample(range(n), rng.randint(0, 3)) for _ in range(10)]
+        owners = [rng.randrange(m) for _ in sets]
+        whole = stack.extensions(owners, sets)
+        passes.clear()
+        monkeypatch.setattr(water, "ROWS_CHUNK", 3 * n * 8)
+        assert sum(map(len, sets)) <= water.ROWS_CHUNK // 8
+        chunked = stack.extensions(owners, sets)
+        assert [rows for _, rows in passes] == [3, 3, 3, 1]
+        assert [part.tolist() for part in chunked] == [part.tolist() for part in whole]
 
 
 def small_text_with(line_no: int, text: str) -> str:
