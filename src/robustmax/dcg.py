@@ -14,18 +14,22 @@ zero-marginal witnesses before the cut is built; the resulting inequality is
 still tight at the candidate.  The tree keeps its open nodes as cuts arrive
 and re-bounds each when it is next popped (Padberg & Rinaldi 1991).
 
-When the oracles are members of one family that declares a structural
-form (an instance's water oracles are; see
-:class:`~robustmax.core.SetFunction`), a separation reads
-through :func:`~robustmax.core.structural_values`, in a fixed number of
-calls however many scenarios it cuts: the candidate in every scenario;
-then, with ``stop_pt`` nonzero, the violated ones' marginals together with
-f({k}) and f({j, k}) for each k in the support, and one call per round of
-the admission loops; and last their cut rows.  These reads neither read
-nor fill the value memo.  Other oracles make at most four batch
+Strengthening is one algorithm with two read routes.  When the oracles
+are members of one family that declares a structural form (an instance's
+water oracles are; see :class:`~robustmax.core.SetFunction`), a
+separation reads through :func:`~robustmax.core.structural_values`, in a
+fixed number of calls however many scenarios it cuts: the candidate in
+every scenario; then, with ``stop_pt`` nonzero, the violated ones'
+marginals together with f({k}) and f({j, k}) for each k in the support,
+and one call per admission round, which checks every remaining
+candidate; and last their cut rows.  These reads neither read nor fill
+the value memo.  Other oracles make at most four batch
 :func:`~robustmax.core.values_in` reads: the candidate, the marginals, the
-pair keys and the cut keys, and the admission loop reads its few other
-values one at a time, each miss a one-key ``values_in`` read.  Each oracle
+pair keys and the cut keys.  Their admission rounds check one candidate
+per function, reading its few other values one at a time, each miss a
+one-key ``values_in`` read, since a keyed value may cost an evaluation.
+Both routes decide alike: the witness test, the queues and the admission
+identity are computed once, whatever the reads.  Each oracle
 memoizes its strengthened sets and its cuts, so solves that share oracles
 (the acceptance grid, ``robustmax verify``) build each once: a memoized
 strengthening makes no marginal or pair read, and a memoized cut no
@@ -180,7 +184,7 @@ def values_at(fns: Sequence[SetFunction], subset: Iterable[int]) -> list:
 
 def strengthen_generating_set(fn: SetFunction, incumbent: Iterable[int],
                               stop_pt: int) -> frozenset:
-    """:func:`strengthen_generating_sets` for fn alone: f(incumbent), then its two reads."""
+    """:func:`strengthen_generating_sets` for fn alone, f(incumbent) read first."""
     incumbent = element_set(incumbent)
     if stop_pt == 0:
         return incumbent
@@ -206,10 +210,10 @@ def strengthen_generating_sets(fns: Sequence[SetFunction], incumbent: Iterable[i
 
     Each function memoizes its result under the incumbent, ``float(at)``
     and ``stop_pt`` (see :class:`~robustmax.core.SetFunction`), and a repeat
-    returns the same frozenset, reading nothing.  The other functions read
-    through their family's structural form when they share one
-    (:func:`_strengthen_by_form`), and by keys otherwise
-    (:func:`_strengthen_by_keys`); both decide alike.
+    returns the same frozenset, reading nothing.  The other functions go to
+    :func:`_strengthen`, one algorithm whose reads alone depend on whether
+    the functions share a structural form.  An element out of range is
+    refused with ValueError before any read.
     """
     incumbent = element_set(incumbent)
     if stop_pt == 0:
@@ -222,12 +226,8 @@ def strengthen_generating_sets(fns: Sequence[SetFunction], incumbent: Iterable[i
     if not misses:
         return gens
     fns, at = [fns[c] for c in misses], [at[c] for c in misses]
-    key = fns[0].key(incumbent)
-    bar = sorted(incumbent)
-    slacks = [TOL * a for a in at]
-    built = _strengthen_by_form(fns, incumbent, bar, at, slacks, stop_pt)
-    if built is None:
-        built = _strengthen_by_keys(fns, key, bar, at, slacks, stop_pt)
+    key = fns[0].key(incumbent)  # the range check: a form read would not make it
+    built = _strengthen(fns, incumbent, key, at, stop_pt)
     for c, fn, (admitted, covered) in zip(misses, fns, built):
         # setdefault: a set asked for twice in one call is one object
         gens[c] = fn._strengthened.setdefault(entries[c],
@@ -235,88 +235,80 @@ def strengthen_generating_sets(fns: Sequence[SetFunction], incumbent: Iterable[i
     return gens
 
 
-def _admits(tmp: set, lhs: float, at_with_j: float, after_with_j: Sequence[float],
-            slack: float) -> bool:
-    """The interchange identity of :func:`strengthen_generating_sets`:
-    f(tmp) against f(W) plus the marginals on W of tmp's elements, with W
-    the admitted elements and j, ``after_with_j`` holding f(W + l) by l."""
-    return abs(lhs - (at_with_j + sum(after_with_j[l] - at_with_j for l in tmp))) <= slack
+def _strengthen(fns, incumbent, key, at, stop_pt) -> list:
+    """Each function's (admitted, covered) sets, ``key`` the incumbent's
+    bitmask.
 
+    With a structural form shared by the functions (see
+    :func:`~robustmax.core.structural_values`), one call reads the
+    marginals at the incumbent and, at each singleton {k} of it, f({k}) and
+    f({j, k}) for every j.  Otherwise one :func:`values_in` read gives the
+    marginals and a second the pair keys of the zero-gain elements and each
+    singleton; the pairs of other elements stay NaN, which no witness test
+    passes.
 
-def _strengthen_by_keys(fns, key, bar, at, slacks, stop_pt) -> list:
-    """Each function's (admitted, covered) sets from keyed reads: the
-    marginals and the pair keys in one :func:`values_in` read each, and the
-    admission loop's values one at a time."""
-    after = values_in(fns, [fns[0].marginal_keys(key)] * len(fns))
-    # Per function: the j whose gain is within the slack, and each pair
-    # (j, k) with k in the incumbent: f({j, k}) - f({k}) is 0 for k = j.
-    zeros = [[j for j, v in enumerate(row) if v - a <= slack]
-             for a, row, slack in zip(at, after, slacks)]
-    pairs = [[(j, k) for j in zero for k in bar] for zero in zeros]
-    # each function's pair keys, then each incumbent singleton once
-    reads = values_in(fns, [[1 << j | 1 << k for j, k in p] + ([1 << k for k in bar] if p else [])
-                            for p in pairs])
-    built = []
-    for fn, slack, zero, fn_pairs, read in zip(fns, slacks, zeros, pairs, reads):
-        alone = dict(zip(bar, read[len(fn_pairs):]))
-        witness = {(j, k) for (j, k), both in zip(fn_pairs, read) if both - alone[k] <= slack}
-        covered, admitted = set(), set()
-        for j in zero:
-            found = [k for k in bar if (j, k) in witness][:stop_pt]
-            if len(found) < stop_pt:
-                continue
-            tmp = covered.union(found)
-            with_j = frozenset(admitted | {j})
-            after_with_j = {l: fn.value(with_j | {l}) for l in tmp}
-            if _admits(tmp, fn.value(tmp), fn.value(with_j), after_with_j, slack):
-                admitted.add(j)
-                covered |= tmp
-        built.append((admitted, covered))
-    return built
-
-
-def _strengthen_by_form(fns, incumbent, bar, at, slacks, stop_pt) -> list | None:
-    """Each function's (admitted, covered) sets from their family's
-    structural form, or None when they share none (see
-    :func:`~robustmax.core.structural_values`).  One read gives the
-    marginals at the incumbent and, at each singleton {k} of it, f({k})
-    and f({j, k}) for every j.  The admission loops then run in rounds over
-    every function at once: a round checks each function's remaining
-    candidates against its current sets in one read, admits the first that
-    passes, and leaves the rest to the next round, so it decides as the
-    loop one candidate at a time does."""
-    m, b, n = len(fns), len(bar), fns[0].ground_size
+    The admission loops then run in rounds over every function at once: a
+    round checks candidates of each function's queue against its current
+    sets, admits the first that passes, and leaves the rest to the next
+    round, so it decides as the loop one candidate at a time does.  A form
+    round checks every remaining candidate in one call.  A keyed round
+    checks only each queue's head, through scalar reads, since every keyed
+    value may cost an evaluation and a candidate behind an admission is
+    checked again anyway."""
+    m, b, n = len(fns), len(incumbent), fns[0].ground_size
+    bar = sorted(incumbent)
+    slacks = [TOL * a for a in at]
+    slack = np.array(slacks)[:, None]
     read = structural_values(fns + [fn for fn in fns for _ in bar],
                              [incumbent] * m + [(k,) for _ in fns for k in bar])
-    if read is None:
-        return None
-    values, after = read
-    slack = np.array(slacks)[:, None]
-    zeros = after[:m] - np.array(at)[:, None] <= slack
-    # witness[c, r, j]: bar[r] is a witness for j, f({j, k}) - f({k}) within the slack
-    witness = after[m:].reshape(m, b, n) - values[m:].reshape(m, b, 1) <= slack[:, :, None]
-    enough = zeros & (witness.sum(axis=1) >= stop_pt)
-    queues = [[(j, [k for k, w in zip(bar, witness[c, :, j].tolist()) if w][:stop_pt])
+    form = read is not None
+    if form:
+        values, after = read
+        gains, alone = after[:m], values[m:].reshape(m, 1, b)
+        pairs = after[m:].reshape(m, b, n).transpose(0, 2, 1)
+    else:
+        gains = np.array(values_in(fns, [fns[0].marginal_keys(key)] * m))
+    zeros = gains - np.array(at)[:, None] <= slack
+    if not form:
+        js = [np.flatnonzero(zero).tolist() for zero in zeros]
+        # each function's pair keys, then each incumbent singleton once
+        reads = values_in(fns, [[1 << j | 1 << k for j in fn_js for k in bar]
+                                + [1 << k for k in bar] * bool(fn_js) for fn_js in js])
+        pairs, alone = np.full((m, n, b), np.nan), np.full((m, 1, b), np.nan)
+        for c, (fn_js, fn_read) in enumerate(zip(js, reads)):
+            if fn_js:
+                pairs[c, fn_js] = np.reshape(fn_read[:len(fn_js) * b], (len(fn_js), b))
+                alone[c, 0] = fn_read[len(fn_js) * b:]
+    # witness[c, j, r]: k = bar[r] is a witness for j, f({j, k}) - f({k}) within the slack
+    witness = pairs - alone <= slack[:, :, None]
+    enough = zeros & (witness.sum(axis=2) >= stop_pt)
+    queues = [[(j, [k for k, w in zip(bar, witness[c, j].tolist()) if w][:stop_pt])
                for j in np.flatnonzero(enough[c]).tolist()] for c in range(m)]
     built = [(set(), set()) for _ in fns]
     while any(queues):
         checks = [(c, j, covered.union(found), frozenset(admitted | {j}))
                   for c, ((admitted, covered), queue) in enumerate(zip(built, queues))
-                  for j, found in queue]
-        # rows 2r and 2r + 1: check r's tmp and its admitted elements and j
-        at_rows, after_rows = structural_values(
-            [fns[c] for c, *_ in checks for _ in (0, 1)],
-            [s for *_, tmp, with_j in checks for s in (tmp, with_j)])
-        at_rows, after_rows = at_rows.tolist(), after_rows[1::2].tolist()
+                  for j, found in (queue if form else queue[:1])]
+        if form:
+            # rows 2r and 2r + 1: check r's tmp and its admitted elements and j
+            at_rows, after_rows = structural_values(
+                [fns[c] for c, *_ in checks for _ in (0, 1)],
+                [s for *_, tmp, with_j in checks for s in (tmp, with_j)])
+            at_rows = at_rows.tolist()
+            sides = zip(after_rows[1::2].tolist(), at_rows[::2], at_rows[1::2])
+        else:
+            sides = [({l: fns[c].value(with_j | {l}) for l in tmp}, fns[c].value(tmp),
+                      fns[c].value(with_j)) for c, _, tmp, with_j in checks]
         passed = set()  # the functions that admitted an element this round
-        for r, (c, j, tmp, _) in enumerate(checks):
+        for (c, j, tmp, _), (after_with_j, lhs, at_with_j) in zip(checks, sides):
             if c in passed:
                 continue
             queues[c] = queues[c][1:]
-            if _admits(tmp, at_rows[2 * r], at_rows[2 * r + 1], after_rows[r], slacks[c]):
-                admitted, covered = built[c]
-                admitted.add(j)
-                covered |= tmp
+            # the interchange identity, W the admitted elements and j:
+            # f(tmp) against f(W) plus the marginals on W of tmp's elements
+            if abs(lhs - (at_with_j + sum(after_with_j[l] - at_with_j for l in tmp))) <= slacks[c]:
+                built[c][0].add(j)
+                built[c][1].update(tmp)
                 passed.add(c)
     return built
 

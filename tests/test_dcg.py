@@ -18,7 +18,8 @@ from robustmax import (DcgConfig, SetFunction, brute_force_robust, empty_set_cut
 
 from robustmax import core, dcg
 from robustmax.core import TOL, build_cut, objective_slack, values_in
-from robustmax.dcg import kept_locations, strengthen_generating_set, strengthen_generating_sets
+from robustmax.dcg import (kept_locations, strengthen_generating_set,
+                           strengthen_generating_sets, values_at)
 from robustmax.master import MasterState
 
 from conftest import (all_subsets, cut_is_valid, modular_fn, random_coverage, rhs,
@@ -613,6 +614,24 @@ class TestMalformedInputs:
                                              "scenario function 0 one of size 2"):
             TestNonFiniteInputs.SOLVERS[solver](fns, [1, 1], [1, 1], 2)
 
+    @pytest.mark.parametrize("route", ["form", "keyed"])
+    @pytest.mark.parametrize("element", [12, -1])
+    def test_out_of_range_element_refused(self, route, element):
+        # at n=12 a form read of element 12 or -1 may read a neighbouring
+        # scenario's rows, so both routes refuse it before any read; fresh
+        # oracles each time, so no memo answers first
+        def oracles():
+            fns = generate_instance(n=12, edge_factor=2.0, m=5, j_count=5, budget=15,
+                                    seed=0).build_oracles()
+            return fns if route == "form" else without_form(fns)
+
+        message = f"element {element} out of range for ground set of size 12"
+        with pytest.raises(ValueError, match=message):
+            values_at(oracles(), {1, element})
+        for stop_pt in (1, 2):
+            with pytest.raises(ValueError, match=message):
+                strengthen_generating_sets(oracles(), {1, element}, [1.0] * 5, stop_pt)
+
 
 class TestBruteForce:
     def test_figure_instance_single_sensor(self, figure_network):
@@ -1204,6 +1223,22 @@ class TestReadCounts:
         assert all(len(set(call)) == 1 for made in per_separation for call in made
                    if call not in self.family(made))
         assert all(sum(len(call) > 1 for call in made) <= 4 for made in per_separation)
+
+    @pytest.mark.parametrize("n, edges, m, memo", [(70, 80, 8, 9258), (130, 148, 3, 9736)],
+                             ids=["wide", "wide130"])
+    def test_keyed_route_equals_form_route_past_64_elements(self, n, edges, m, memo):
+        # CI's wide.txt and wide130.txt, every violated scenario strengthened:
+        # keyed reads go through _members' byte path, and their admission
+        # rounds decide as the form's; the memo sizes (each f(empty) aside)
+        # pin the keys the keyed route reads
+        inst = generate_instance(n=n, edge_factor=edges / n, m=m, j_count=10, budget=20, seed=1)
+        net = inst.network
+        args = ([1.0] * m, net.sensor_costs, net.budget, DcgConfig(reduce=False, stop_pt=2))
+        form = solve_robust(inst.build_oracles(), *args)
+        keyed = without_form(inst.build_oracles())
+        assert report_fields(solve_robust(keyed, *args)) == report_fields(form)
+        assert form.status == "optimal"
+        assert sum(len(fn._cache) - 1 for fn in keyed) == memo
 
     @pytest.mark.parametrize("stop_pt", [0, 2])
     def test_separation_makes_bounded_form_calls(self, monkeypatch, form_calls, stop_pt):
