@@ -67,8 +67,10 @@ import numpy as np
 # f at the incumbent, the knapsack search the sum of the costs (a returned x
 # fits exactly), the lawfulness checks the largest value of f.
 TOL = 1e-9
-# Most (cut, cut, entry) elements one chunk of a dominance comparison holds.
-DOMINANCE_CHUNK = 1 << 16
+# The one memory bound: the most entries one numpy temporary of a chunked
+# loop holds at once, in dominance and in the water stack's gathers,
+# extension blocks, covering relations and saved-array Dijkstra.
+CHUNK = 1 << 18
 
 
 class SetFunction:
@@ -395,14 +397,14 @@ def dominance(constants: np.ndarray, coefficients: np.ndarray,
     right-hand side is pointwise <= cut b's, up to the objective slack of
     the two cuts, making cut b redundant; cut a is ``constants[a]``, row a of
     ``coefficients`` and its :attr:`SubmodularCut.magnitude` ``magnitudes[a]``.
-    One comparison, chunked so that at most ``DOMINANCE_CHUNK`` (cut, cut,
-    entry) elements are compared at once."""
+    One comparison, chunked so that at most ``CHUNK`` (cut, cut, entry)
+    elements are compared at once."""
     # entries[a]: a's constant and coefficients; slack[a, b, 0]: the pair's slack
     entries = np.concatenate((np.asarray(constants)[:, None], coefficients), axis=1)
     slack = TOL * np.maximum.outer(magnitudes, magnitudes)[:, :, None]
     g = len(entries)
     out = np.empty((g, g), dtype=bool)
-    step = max(1, DOMINANCE_CHUNK // entries.size)
+    step = max(1, CHUNK // entries.size)
     for lo in range(0, g, step):
         rows = slice(lo, lo + step)
         out[rows] = (entries[rows, None] <= entries + slack[rows]).all(axis=2)

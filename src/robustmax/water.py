@@ -46,10 +46,9 @@ from typing import Collection, Sequence
 
 import numpy as np
 
-from .core import SetFunction, TOL
+from .core import CHUNK, SetFunction, TOL
 
-# Most multiply-adds one rank-weight product of the ranking kernel makes,
-# and most bool entries one chunk of a covering relation holds at once.
+# Most multiply-adds one rank-weight product of the ranking kernel makes.
 # OpenBLAS keeps a product of up to 65536 * GEMM_MULTITHREAD_THRESHOLD (4)
 # multiply-adds on one thread; a second one spins for as much CPU as it.
 BATCH_CHUNK = 1 << 18
@@ -57,10 +56,6 @@ BATCH_CHUNK = 1 << 18
 # distinct powers of two below 2**52, and every sum of them is an integer
 # below 2**53, which float64 holds exactly.
 RANK_BITS = 52
-# Most saved entries one chunk of a gather-and-reduce read gathers at once,
-# and extends at once, and most entries one chunk of reduction_matrix's
-# Dijkstra arrays and edge table hold.
-ROWS_CHUNK = 1 << 18
 
 
 class ParseError(ValueError):
@@ -158,11 +153,12 @@ def _out_edges(network: Network, weights: np.ndarray):
     key = ends[:, 0] * n + ends[:, 1]
     order = key.argsort(kind="stable")  # by tail, then head
     key, weights = key[order], weights[:, order]
-    if (key[1:] == key[:-1]).any() or (ends[:, 0] == ends[:, 1]).any():
-        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])  # each (u, v) group's first
-        key, weights = key[starts], np.minimum.reduceat(weights, starts, axis=1)
-        kept = key // n != key % n
-        key, weights = key[kept], weights[:, kept]
+    first = np.ones(len(key), dtype=bool)  # each (u, v) group's first edge
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    key, weights = key[starts], np.minimum.reduceat(weights, starts, axis=1)
+    kept = key // n != key % n
+    key, weights = key[kept], weights[:, kept]
     tail, head = np.divmod(key, n)
     slot = np.arange(len(key)) - tail.searchsorted(tail)  # rank among its tail's edges
     width = int(slot.max()) + 1 if len(key) else 1
@@ -221,7 +217,7 @@ def reduction_matrix(network: Network, scenarios: Sequence[Scenario]) -> np.ndar
     pops at a strictly earlier time, which the step index counts.  The
     pairs go in chunks of whole scenarios, as many as keep a chunk's
     (pairs, n + width) Dijkstra arrays and its (scenarios, n, width) edge
-    table inside ``ROWS_CHUNK`` entries, where width is the most out-edges
+    table inside ``CHUNK`` entries, where width is the most out-edges
     any node has; a chunk holds at least one scenario, so one scenario's
     k * (n + width) + n * width entries is the floor.  Each step reads all
     n keys of every pair, so a pair costs O(n * (n + width)) where a heap
@@ -237,7 +233,7 @@ def reduction_matrix(network: Network, scenarios: Sequence[Scenario]) -> np.ndar
     saved = np.zeros(m * n * k + 1)  # the last entry takes the pops of pairs run dry
     heads, (tail, slot), weights = _out_edges(network, weights)
     width = heads.shape[1]
-    step = max(1, ROWS_CHUNK // (k * (n + width) + n * width))
+    step = max(1, CHUNK // (k * (n + width) + n * width))
     for lo in range(0, m, step):
         count = min(m, lo + step) - lo
         table = np.full((count, n, width), math.inf)  # row i * n + u: u's out-edges in lo + i
@@ -327,13 +323,13 @@ class _ScenarioStack:
         saved_i[j]): the max :meth:`batch` takes, through the one
         :func:`_expected` product, so every value equals the scalar read
         with ==.  A read past either bound is read chunk by chunk, each
-        chunk whole rows that gather at most ``ROWS_CHUNK`` saved entries, k
-        per member (a longer row is a chunk of its own), and, when
-        extending, whose (rows, n, k) block holds at most ``ROWS_CHUNK``."""
+        chunk whole rows that gather at most ``CHUNK`` saved entries, k per
+        member (a longer row is a chunk of its own), and, when extending,
+        whose (rows, n, k) block holds at most ``CHUNK``."""
         n, k = self.saved.shape[1:]
         count = len(offsets) - 1
-        limit = max(1, ROWS_CHUNK // k)  # members one chunk gathers
-        step = count if owners is None else max(1, ROWS_CHUNK // (n * k))  # rows one extends
+        limit = max(1, CHUNK // k)  # members one chunk gathers
+        step = count if owners is None else max(1, CHUNK // (n * k))  # rows one extends
         if (len(flat) > limit and count > 1) or count > step:  # past a bound: in chunks
             chunks, lo = [], 0
             while lo < count:  # rows lo..hi-1: whole rows within both bounds, one at least
@@ -439,7 +435,7 @@ class _ScenarioStack:
         by_source = np.ascontiguousarray(self.saved[i].T)
         n = by_source.shape[1]
         relation = np.ones((n, n), dtype=bool)
-        step = max(1, BATCH_CHUNK // relation.size)  # bounds the (step, n, n) temporary
+        step = max(1, CHUNK // relation.size)  # bounds the (step, n, n) temporary
         for lo in range(0, len(by_source), step):
             rows = by_source[lo:lo + step]
             relation &= (rows[:, :, None] >= rows[:, None, :]).all(axis=0)

@@ -1240,6 +1240,38 @@ class TestReadCounts:
         assert form.status == "optimal"
         assert sum(len(fn._cache) - 1 for fn in keyed) == memo
 
+    @pytest.mark.parametrize("n, edges, m, seed, admitted, memo",
+                             [(70, 80, 8, 4, 56, 7721), (130, 148, 3, 3, 84, 8266)],
+                             ids=["wide-seed4", "wide130-seed3"])
+    def test_admissions_past_64_elements(self, monkeypatch, n, edges, m, seed, admitted, memo):
+        # the sizes of CI's wide.txt and wide130.txt, at seeds whose
+        # strengthening admits elements, two of its calls over several
+        # scenarios among them: both routes admit the same elements in the
+        # same calls and reach the same report
+        calls = []  # (functions, elements admitted) of each strengthening call
+        strengthen = dcg._strengthen
+
+        def counted(fns, *args):
+            built = strengthen(fns, *args)
+            calls.append((len(fns), sum(len(found) for found, _ in built)))
+            return built
+
+        monkeypatch.setattr(dcg, "_strengthen", counted)
+        inst = generate_instance(n=n, edge_factor=edges / n, m=m, j_count=10, budget=20,
+                                 seed=seed)
+        net = inst.network
+        args = ([1.0] * m, net.sensor_costs, net.budget, DcgConfig(reduce=False, stop_pt=2))
+        form = solve_robust(inst.build_oracles(), *args)
+        form_calls = calls[:]
+        del calls[:]
+        keyed = without_form(inst.build_oracles())
+        assert report_fields(solve_robust(keyed, *args)) == report_fields(form)
+        assert form.status == "optimal"
+        assert calls == form_calls
+        assert sum(count for _, count in calls) == admitted
+        assert sum(fns > 1 and count > 0 for fns, count in calls) == 2
+        assert sum(len(fn._cache) - 1 for fn in keyed) == memo
+
     @pytest.mark.parametrize("stop_pt", [0, 2])
     def test_separation_makes_bounded_form_calls(self, monkeypatch, form_calls, stop_pt):
         # Through the form, a separation makes no values_in read, and

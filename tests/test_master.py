@@ -340,7 +340,7 @@ class TestBatchedInsertion:
         cuts = [cut for call in calls for cut in call]
         if not cuts:
             return
-        with patch.object(core, "DOMINANCE_CHUNK", chunk):
+        with patch.object(core, "CHUNK", chunk):
             beats = dominance(*cut_rows(cuts))
         assert beats.tolist() == [[scalar_dominates(a, b) for b in cuts] for a in cuts]
 

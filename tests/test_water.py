@@ -187,8 +187,8 @@ class TestReductionMatrix:
         # chunks of one scenario, of two (the last one short), and the whole stack
         inst = generate_instance(n=20, edge_factor=1.5, m=5, j_count=6, budget=20, seed=4)
         expect = [reference_saved(inst.network, sc)[0] for sc in inst.scenarios]
-        for rows in (1, 2 * 20 * 6, water.ROWS_CHUNK):
-            monkeypatch.setattr(water, "ROWS_CHUNK", rows)
+        for rows in (1, 2 * 20 * 6, water.CHUNK):
+            monkeypatch.setattr(water, "CHUNK", rows)
             saved = reduction_matrix(inst.network, inst.scenarios)
             assert all((saved[i] == e).all() for i, e in enumerate(expect))
 
@@ -239,6 +239,23 @@ class TestExpectedReductionOracle:
                 S = frozenset(v for v in range(n) if rng.random() < 0.3)
                 assert fn.value(S | {k}) >= fn.value(S | {j})
                 assert fn.value(S | {j, k}) == fn.value(S | {k})
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_covers_relation_in_chunks(self, monkeypatch, seed):
+        # a chunk of one source's (n, n) comparison, five chunks, then of
+        # two, three chunks with the last one short: each scenario's
+        # relation reads as in one chunk
+        inst = generate_instance(n=14, edge_factor=1.5, m=2, j_count=5, budget=14, seed=seed)
+        stack = inst.build_oracles()[0]._eval.family[0]
+        m, n, k = stack.saved.shape
+        assert k == 5 and n * n * k <= water.CHUNK
+        whole = [stack.covers(i) for i in range(m)]
+        for sources in (1, 2):
+            monkeypatch.setattr(water, "CHUNK", sources * n * n)
+            for i, relation in enumerate(whole):
+                saved = stack.saved[i]
+                assert (relation == (saved[:, None] >= saved[None]).all(axis=2)).all()
+                assert (stack.covers(i) == relation).all()
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from((4, 12, 36, 52, 53, 72, 105)), st.integers(0, 2**32 - 1), st.data())
@@ -477,7 +494,7 @@ class TestStructuralForm:
         owners = rng.integers(0, 3, 20).tolist()
         whole = stack.extensions(owners, sets)
         for rows in (1, 12 * stack.saved.shape[2] * 3):
-            monkeypatch.setattr(water, "ROWS_CHUNK", rows)
+            monkeypatch.setattr(water, "CHUNK", rows)
             chunked = stack.extensions(owners, sets)
             assert [part.tolist() for part in chunked] == [part.tolist() for part in whole]
 
@@ -685,12 +702,12 @@ class TestGatherChunks:
 
     def test_short_rows_past_the_full_row_bound_take_one_pass(self, passes):
         # many one- and two-member rows across scenarios, more of them than
-        # ROWS_CHUNK // (n * k), the bound that assumed full rows
+        # CHUNK // (n * k), the bound that assumed full rows
         n, m = 60, 3
         fns, fresh, keys = self.read(n, m, 200, 5)
         k = fns[0]._eval.family[0].saved.shape[2]
         rows = sum(map(len, keys))
-        assert rows > water.ROWS_CHUNK // (n * k)
+        assert rows > water.CHUNK // (n * k)
         got = values_in(fns, keys)
         assert passes == [(passes[0][0], rows)]
         assert got == [[f.value([j for j in range(n) if key >> j & 1]) for key in fn_keys]
@@ -703,7 +720,7 @@ class TestGatherChunks:
         fns, fresh, keys = self.read(n, m, 40, 2)
         keys[1] += [(1 << n) - 1, 0b1111110]  # rows past the bound, alone in their chunks
         k = fns[0]._eval.family[0].saved.shape[2]
-        monkeypatch.setattr(water, "ROWS_CHUNK", 5 * k)
+        monkeypatch.setattr(water, "CHUNK", 5 * k)
         got = values_in(fns, keys)
         assert sum(rows for _, rows in passes) == sum(map(len, keys))
         assert all(members <= 5 or rows == 1 for members, rows in passes)
@@ -718,7 +735,7 @@ class TestGatherChunks:
         n, m = 300, 20
         fns = generate_instance(n=n, edge_factor=41 / 36, m=m, j_count=100, budget=n,
                                 seed=1).build_oracles()
-        assert m > water.ROWS_CHUNK // (n * 100)
+        assert m > water.CHUNK // (n * 100)
         got = values_at(fns, range(0, n, 37))
         assert passes == [(m * 9, m)]
         assert got == [fn.value(range(0, n, 37)) for fn in fns]
@@ -735,8 +752,8 @@ class TestGatherChunks:
         owners = [rng.randrange(m) for _ in sets]
         whole = stack.extensions(owners, sets)
         passes.clear()
-        monkeypatch.setattr(water, "ROWS_CHUNK", 3 * n * 8)
-        assert sum(map(len, sets)) <= water.ROWS_CHUNK // 8
+        monkeypatch.setattr(water, "CHUNK", 3 * n * 8)
+        assert sum(map(len, sets)) <= water.CHUNK // 8
         chunked = stack.extensions(owners, sets)
         assert [rows for _, rows in passes] == [3, 3, 3, 1]
         assert [part.tolist() for part in chunked] == [part.tolist() for part in whole]
