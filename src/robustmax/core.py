@@ -6,10 +6,12 @@ j set iff element j is in the set); elements and bitmasks may be any Python
 or numpy integers.  Callers that need many values read them in batches, and
 every miss is filled by one routine, :func:`values_in`, which reads keys in
 one or several functions: :meth:`SetFunction.values` is its call for one
-function, a scalar miss its call for one key, and the lawfulness checks
-read all their values in one batch.  Every oracle is a member of a family
-whose one kernel evaluates rows of its members at once: all misses of a
-family's functions in one read go to it in one call.  An oracle is
+function and a scalar miss its call for one key.  Every oracle is a member
+of a family whose one kernel evaluates rows of its members at once: all
+misses of a family's functions in one read go to it in one call.  The
+one-shot lattice reads, the lawfulness checks and brute force, call that
+kernel directly on decoded rows, past the memo, which they neither read
+nor fill (:func:`_kernel_values`).  An oracle is
 vectorised by declaring its family (``eval_fn.family``, of one member or
 more), whose values must equal ``eval_fn``'s with ``==``, so the memo is the
 same whichever form filled it.  An oracle that declares none is its own
@@ -26,8 +28,8 @@ family, cut building here and the separation reads of
 :mod:`robustmax.dcg` take their values from it, in a fixed number of calls
 however many functions they span, and neither read nor fill the value
 memo; otherwise they make keyed :func:`values_in` reads.  The value memo
-then holds what scalar reads, :meth:`SetFunction.values` and the
-lawfulness checks read.  From an oracle and a generating set,
+then holds what scalar reads and :meth:`SetFunction.values` read.  From an
+oracle and a generating set,
 :func:`build_cut` produces the linear inequality
 
     eta <= constant + sum_j coefficients[j] * x[j]
@@ -99,8 +101,9 @@ class SetFunction:
     indices and a (B, n) bool membership matrix with no empty row, and
     returns B floats: float r is member ``scenario_of_row[r]``'s value at
     row r, equal with ``==`` to that member's ``eval_fn``.  :func:`values_in`
-    fills all misses of a family's functions in one read with one call to it.
-    A function that declares no family is its own one-member family, with
+    fills all misses of a family's functions in one read with one call to
+    it; the lawfulness checks and brute force call it past the memo.  A
+    function that declares no family is its own one-member family, with
     :meth:`rows` as its kernel.
 
     The source may also declare the family's structural form, two methods
@@ -203,7 +206,7 @@ def _members(parts: Collection[Collection[int]], n: int) -> np.ndarray:
     each part's in turn, refusing with ValueError a bitmask out of range for
     the ground set.  Up to 64 elements the bitmasks go into one uint64
     array, which refuses a negative key or one past 64 bits, whose largest
-    key is the range check and whose bytes are unpacked.  Above 64
+    key is the range check and which :func:`_bits` decodes.  Above 64
     elements, and to name a refused key, the keys are read as Python ints,
     each key's bytes joined."""
     if n <= 64:
@@ -214,10 +217,9 @@ def _members(parts: Collection[Collection[int]], n: int) -> np.ndarray:
         except OverflowError:  # a negative key, or one past 64 bits
             pass
         else:
-            keys = np.frombuffer(packed, dtype=np.uint64).astype("<u8", copy=False)
+            keys = np.frombuffer(packed, dtype=np.uint64)
             if not int(keys.max()) >> n:
-                return np.unpackbits(keys.view(np.uint8).reshape(-1, 8), axis=1, count=n,
-                                     bitorder="little").view(bool)
+                return _bits(keys, n)
     keys = list(chain.from_iterable(parts))
     lo, hi = min(keys), max(keys)
     if lo < 0 or hi >> n:
@@ -227,6 +229,15 @@ def _members(parts: Collection[Collection[int]], n: int) -> np.ndarray:
     packed = np.frombuffer(b"".join([k.to_bytes(width, "little") for k in keys]),
                            dtype=np.uint8).reshape(len(keys), width)
     return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+
+
+def _bits(masks: np.ndarray, n: int) -> np.ndarray:
+    """The (B, n) bool membership matrix of an integer array of B bitmasks,
+    each at least 0 and below 2**n <= 2**64: their little-endian bytes,
+    unpacked, with no Python int built."""
+    masks = np.ascontiguousarray(masks, dtype="<u8")
+    return np.unpackbits(masks.view(np.uint8).reshape(-1, 8), axis=1, count=n,
+                         bitorder="little").view(bool)
 
 
 def structural_values(fns: Sequence[SetFunction], subsets: Sequence[Collection[int]],
@@ -276,6 +287,22 @@ def values_in(fns: Sequence[SetFunction], keys: Sequence[Iterable[int]]) -> list
         for (fn, _), missing in misses.items():
             fn._cache.update(zip(missing, read))  # zip stops at missing's end
     return [list(map(fn._cache.__getitem__, fn_keys)) for fn, fn_keys in zip(fns, keys)]
+
+
+def _kernel_values(fn: SetFunction, members: np.ndarray, filled: np.ndarray) -> np.ndarray:
+    """f at ``len(filled)`` sets, past the memo: the sets at the places
+    ``filled`` marks are the rows of the (B, n) bool matrix ``members``, in
+    order, none empty, and every other set is empty.  The rows go to fn's
+    family kernel (``source.rows``, or fn's own :meth:`SetFunction.rows`)
+    in one call, none if there are no rows; an empty set takes the memo's
+    f(empty).  The one-shot lattice reads, the lawfulness checks and brute
+    force, go through here: they read each set once, so a memo lookup and
+    fill per key would be bookkeeping alone."""
+    source, i = fn._family or (fn, 0)
+    values = np.full(len(filled), fn._cache[0])
+    if len(members):
+        values[filled] = source.rows(np.full(len(members), i), members)
+    return values
 
 
 @dataclass(frozen=True)
@@ -425,15 +452,18 @@ def check_submodular(fn: SetFunction, exhaustive_limit: int = 12,
     Exhaustive over all (X, j, k) triples when the ground set has at most
     ``exhaustive_limit`` elements, or fewer than two (no triple to draw);
     otherwise ``samples`` seeded random triples, which must be at least 1.
-    The sampled sets depend only on (n, samples, seed) and are drawn once
-    per such key, the most recent one kept, so checking the scenarios of
-    one instance in a row draws them once.  Marginals compare up to TOL
-    times the largest |f| of the exhaustive table, or |f(N)| when sampling,
-    so the verdict does not depend on the oracle's scale.  Each check reads
-    its values in one :meth:`SetFunction.values` call, f(N) with the
-    samples.  f(empty) is the oracle's own value, read like any other.  A
-    value that is not finite is a violation: no comparison with a NaN could
-    find one.
+    The sampled sets depend only on (n, samples, seed) and are drawn and
+    decoded once per such key, the most recent one kept read-only, so
+    checking the scenarios of one instance in a row draws and decodes them
+    once.  Marginals compare up to TOL times the largest |f| of the
+    exhaustive table, or |f(N)| when sampling, so the verdict does not
+    depend on the oracle's scale.  Each check reads its values in one call
+    to the oracle's family kernel, past the memo (:func:`_kernel_values`):
+    every nonempty set when exhaustive, decoded from the mask range, or the
+    nonempty sampled sets and then N.  f(empty) is the memo's value.  A
+    warm memo is not consulted and the memo gains nothing: a plain oracle's
+    ``eval_fn`` is called once per nonempty set read.  A value that is not
+    finite is a violation: no comparison with a NaN could find one.
     """
     n = fn.ground_size
     if n <= exhaustive_limit or n < 2:
@@ -441,7 +471,8 @@ def check_submodular(fn: SetFunction, exhaustive_limit: int = 12,
         # masks without bit j, ascending, from F's view that pairs each such
         # mask (index 0 of the middle axis) with mask + j.  The marginal at
         # a mask with bit j is 0, never a violation, and is left out.
-        F = fn.values(range(1 << n))
+        masks = np.arange(1 << n)
+        F = _kernel_values(fn, _bits(masks[1:], n), masks != 0)
         if not np.isfinite(F).all():
             return False
         slack = TOL * float(np.abs(F).max())
@@ -471,7 +502,7 @@ def check_submodular(fn: SetFunction, exhaustive_limit: int = 12,
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     # f(N) is read last, in the same read as the samples
-    F = fn.values(chain(_sample_keys(n, samples, seed), ((1 << n) - 1,)))
+    F = _kernel_values(fn, *_sample_rows(n, samples, seed))
     if not np.isfinite(F).all():
         return False
     slack = TOL * abs(float(F[-1]))
@@ -481,10 +512,23 @@ def check_submodular(fn: SetFunction, exhaustive_limit: int = 12,
 
 
 @lru_cache(maxsize=1)
+def _sample_rows(n: int, samples: int, seed: int) -> tuple:
+    """The sets of :func:`_sample_keys` and then N, drawn and decoded once
+    per (n, samples, seed), the most recent kept: the (B, n) bool rows of
+    the nonempty ones and the bool mask of their places, as
+    :func:`_kernel_values` takes them.  Both are read-only, so no caller
+    can change the sets a later check reads."""
+    keys = _sample_keys(n, samples, seed) + ((1 << n) - 1,)
+    filled = np.fromiter(map(bool, keys), bool, len(keys))
+    members = _members([[key for key in keys if key]], n)
+    members.setflags(write=False)
+    filled.setflags(write=False)
+    return members, filled
+
+
 def _sample_keys(n: int, samples: int, seed: int) -> tuple:
     """The bitmasks of X, X + j, X + k and X + j + k for each of ``samples``
-    seeded random triples (X, j, k) over n >= 2 elements, four per sample.
-    A tuple, so no caller can change the keys a later check reads."""
+    seeded random triples (X, j, k) over n >= 2 elements, four per sample."""
     rng = Random(seed)
     keys = []
     for _ in range(samples):

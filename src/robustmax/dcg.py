@@ -65,8 +65,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import (TOL, SetFunction, SubmodularCut, build_cuts, element_set,
-                   empty_set_cuts, objective_slack, structural_values, values_in)
+from .core import (TOL, SetFunction, SubmodularCut, _bits, _kernel_values, build_cuts,
+                   element_set, empty_set_cuts, objective_slack, structural_values,
+                   values_in)
 from .master import MasterState, STATUS_OPTIMAL, check_knapsack
 
 MAX_GROUND = 22  # largest ground set brute_force_robust enumerates
@@ -461,7 +462,9 @@ def brute_force_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
     """Exact reference by enumeration; refuses ground sets above MAX_GROUND.
 
     Returns (eta, x) with ties broken by the lexicographically smallest
-    binary vector.
+    binary vector.  The feasible masks are decoded once, and each function
+    reads them all in one call to its family kernel, past the memo, which
+    it neither reads nor fills.
     """
     n = ground_size(fns)
     check_alphas(alphas, len(fns))
@@ -476,10 +479,11 @@ def brute_force_robust(fns: Sequence[SetFunction], alphas: Sequence[float],
     feasible = np.flatnonzero(~(cost > budget))
     if not feasible.size:
         return -math.inf, None
-    keys = feasible.tolist()
-    worst = fns[0].values(keys) / alphas[0]
+    filled = feasible != 0
+    members = _bits(feasible[filled], n)
+    worst = _kernel_values(fns[0], members, filled) / alphas[0]
     for fn, a in zip(fns[1:], alphas[1:]):
-        np.minimum(worst, fn.values(keys) / a, out=worst)
+        np.minimum(worst, _kernel_values(fn, members, filled) / a, out=worst)
     best = worst.max()
     # Among tied masks, the lexicographically smallest x is the one whose
     # bit-reversed mask is smallest.

@@ -314,6 +314,15 @@ class TestVerify:
         assert code == 2
         assert "22" in err
 
+    def test_one_past_the_guard_refused(self, tmp_path, capsys):
+        # 22 nodes is the largest file verify enumerates; 23 is refused
+        p = tmp_path / "n23.txt"
+        assert main(gen_args(p, nodes=23, edges=30, scenarios=2, sources=5, budget=20)) == 0
+        capsys.readouterr()
+        code, out, err = run(capsys, "verify", str(p))
+        assert code == 2
+        assert out == "" and "23 nodes exceeds the brute-force guard (22)" in err
+
 
 class TestNonFiniteInstance:
     @pytest.mark.parametrize("command", ["solve", "verify"])

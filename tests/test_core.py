@@ -757,11 +757,11 @@ class TestCheckSubmodular:
     @pytest.mark.parametrize("samples", [0, -3])
     def test_sampled_without_samples_refused(self, samples):
         # nothing drawn used to mean nothing violated, so this passed
-        robustmax.core._sample_keys.cache_clear()
+        robustmax.core._sample_rows.cache_clear()
         fn = SetFunction(6, lambda S: float(len(S) ** 2))
         with pytest.raises(ValueError, match="samples"):
             check_submodular(fn, exhaustive_limit=0, samples=samples)
-        assert robustmax.core._sample_keys.cache_info().currsize == 0
+        assert robustmax.core._sample_rows.cache_info().currsize == 0
 
     def test_one_element_checked_exhaustively(self):
         # one element has no (X, j, k) triple to draw; sampling raised
@@ -814,30 +814,114 @@ class TestCheckSubmodular:
                 super().__init__(seed)
 
         monkeypatch.setattr(robustmax.core, "Random", CountingRandom)
-        robustmax.core._sample_keys.cache_clear()
+        robustmax.core._sample_rows.cache_clear()
         desk = generate_instance(n=36, edge_factor=41 / 36, m=50, j_count=12,
                                  budget=30, seed=2)
         assert all(check_submodular(fn, exhaustive_limit=12, samples=200, seed=7)
                    for fn in desk.build_oracles())
         assert seeds == [7]
 
+    def test_desk_oracles_decode_once(self, monkeypatch):
+        decodes = []
+
+        def counting(parts, n):
+            decodes.append(n)
+            return decode(parts, n)
+
+        decode = robustmax.core._members
+        monkeypatch.setattr(robustmax.core, "_members", counting)
+        robustmax.core._sample_rows.cache_clear()
+        desk = generate_instance(n=36, edge_factor=41 / 36, m=50, j_count=12,
+                                 budget=30, seed=2)
+        assert all(check_submodular(fn, exhaustive_limit=12, samples=200, seed=7)
+                   for fn in desk.build_oracles())
+        assert decodes == [36]
+
+    def test_kept_rows_are_read_only(self):
+        members, filled = robustmax.core._sample_rows(36, 200, 7)
+        assert members.shape == (filled.sum(), 36) and len(filled) == 4 * 200 + 1
+        for kept in (members, filled):
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = True
+            with pytest.raises(ValueError, match="read-only"):
+                kept.fill(True)
+        # a kernel that writes into its rows cannot change what a later check reads
+        def evaluate(S):
+            return float(min(len(S), 3))
+
+        evaluate.family = (Kernel(lambda scenario_of_row, rows: rows.fill(False)), 0)
+        with pytest.raises(ValueError, match="read-only"):
+            check_submodular(SetFunction(36, evaluate), samples=200, seed=7)
+        assert members.any(axis=1).all()
+
     @pytest.mark.parametrize("kind", ["family", "plain"])
     @pytest.mark.parametrize("n, limit", [(1, 12), (7, 12), (12, 12), (7, 0), (36, 12)],
                              ids=["exhaustive-1", "exhaustive-7", "exhaustive-12",
                                   "sampled-7", "sampled-36"])
-    def test_memo_gains_the_keys_read(self, kind, n, limit):
-        # one read per check: an exhaustive check leaves every bitmask in the
-        # memo, a sampled one its sample keys, the empty set and the full set
-        fn = (CoverageFamily(1, n, n).functions()[0] if kind == "family"
-              else SetFunction(n, lambda S: float(min(len(S), 3))))
+    def test_kernel_reads_each_row_once_past_the_memo(self, monkeypatch, kind, n, limit):
+        # one kernel call per check, on every nonempty mask when exhaustive,
+        # or on the nonempty sample rows and then N when sampled; the memo
+        # keeps f(empty) alone, and every value equals eval_fn with ==
+        calls = []
+
+        def recording(rows):
+            def kernel(*args):
+                values = rows(*args)
+                calls.append((args[-1].copy(), np.asarray(values, dtype=float).tolist()))
+                return values
+            return kernel
+
+        if kind == "family":
+            family = CoverageFamily(1, n, n)
+            fn = family.functions()[0]
+            family.rows = recording(family.rows)
+        else:
+            fn = SetFunction(n, lambda S: float(min(len(S), 3)))
+            monkeypatch.setattr(SetFunction, "rows", recording(SetFunction.rows))
         assert check_submodular(fn, exhaustive_limit=limit, samples=300, seed=5)
         if n <= limit or n < 2:
-            expected = set(range(1 << n))
+            expected = list(range(1, 1 << n))
         else:
-            expected = {0, (1 << n) - 1} | set(robustmax.core._sample_keys(n, 300, 5))
-        assert set(fn._cache) == expected
-        assert all(value == fn._eval(frozenset(j for j in range(n) if key >> j & 1))
-                   for key, value in fn._cache.items())
+            keys = robustmax.core._sample_keys(n, 300, 5) + ((1 << n) - 1,)
+            expected = [key for key in keys if key]
+        (members, values), = calls
+        assert [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in members] == expected
+        assert values == [fn._eval(frozenset(np.flatnonzero(row).tolist())) for row in members]
+        assert fn._cache == {0: fn._eval(frozenset())}
+
+    def test_warm_memo_is_not_consulted(self):
+        # a plain oracle's eval_fn is called once per nonempty set, whatever
+        # its memo holds, and the memo is left as it was
+        calls = []
+        fn = SetFunction(5, lambda S: calls.append(S) or float(min(len(S), 3)))
+        fn.values(range(1 << 5))
+        memo = dict(fn._cache)
+        calls.clear()
+        assert check_submodular(fn)
+        assert len(calls) == (1 << 5) - 1 and fn._cache == memo
+
+    @pytest.mark.parametrize("n", [12, 36, 105, 130])
+    def test_table_equals_keyed_values(self, monkeypatch, n):
+        # n=12 reads the lattice and n=36 the samples through the ranking
+        # kernel, n=105 and 130 the samples through the gather: each
+        # check's table equals a fresh oracle's keyed values with ==
+        tables = []
+
+        def recording(*args):
+            tables.append(kernel_values(*args))
+            return tables[-1]
+
+        kernel_values = robustmax.core._kernel_values
+        monkeypatch.setattr(robustmax.core, "_kernel_values", recording)
+        instance = generate_instance(n=n, edge_factor=1.2, m=2, j_count=max(3, n // 3),
+                                     budget=n, seed=1)
+        if n <= 12:
+            keys = range(1 << n)
+        else:
+            keys = robustmax.core._sample_keys(n, 200, 3) + ((1 << n) - 1,)
+        assert all(check_submodular(fn, samples=200, seed=3) for fn in instance.build_oracles())
+        fresh = instance.build_oracles()
+        assert [table.tolist() for table in tables] == [fn.values(keys).tolist() for fn in fresh]
 
     @settings(max_examples=150, deadline=None)
     @given(set_function_tables())

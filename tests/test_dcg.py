@@ -55,6 +55,20 @@ def scalar_brute_force(fns, alphas, costs, budget) -> tuple:
     return best_val, best_x
 
 
+def keyed_brute_force(fns, alphas, costs, budget) -> tuple:
+    """Reference for brute_force_robust: the same enumeration, with every
+    oracle read at the feasible bitmasks through its memo (``values``)."""
+    n = fns[0].ground_size
+    keys = [mask for mask in range(1 << n)
+            if not sum(c for j, c in enumerate(costs) if mask >> j & 1) > budget]
+    if not keys:
+        return -math.inf, None
+    worst = np.min([fn.values(keys) / a for fn, a in zip(fns, alphas)], axis=0)
+    best = worst.max()
+    return float(best), min(tuple(mask >> j & 1 for j in range(n))
+                            for mask, value in zip(keys, worst.tolist()) if value == best)
+
+
 def assert_memo_is_fresh(fn: SetFunction, fresh: SetFunction):
     """Every value fn memoizes equals a scalar read of a fresh oracle."""
     n = fn.ground_size
@@ -683,6 +697,38 @@ class TestBruteForce:
         fns, alphas, costs, budget = case
         assert brute_force_robust(fns, alphas, costs, budget) == \
             scalar_brute_force(fns, alphas, costs, budget)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 3), st.integers(0, 2**32 - 1), st.booleans())
+    def test_drawn_tables_match_keyed_reference(self, n, m, seed, warm):
+        # small integer tables tie often, so the tie-break is exercised; a
+        # warm memo is neither read nor changed
+        rng = np.random.default_rng(seed)
+        tables = rng.integers(0, 6, (m, 1 << n)).astype(float)
+        tables[:, 0] = 0.0
+        fns = [table_fn(table) for table in tables]
+        alphas = rng.choice((1.0, 0.3, 7.0), m).tolist()
+        costs = (rng.integers(1, 30, n) / 10).tolist()
+        budget = float(rng.uniform(-0.5, sum(costs)))
+        if warm:
+            for fn in fns:
+                fn.values(rng.integers(0, 1 << n, 5).tolist())
+        memos = [dict(fn._cache) for fn in fns]
+        got = brute_force_robust(fns, alphas, costs, budget)
+        assert [fn._cache for fn in fns] == memos
+        assert got == keyed_brute_force([table_fn(table) for table in tables], alphas,
+                                        costs, budget)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_water_instances_match_keyed_reference(self, seed):
+        instance = generate_instance(n=10 + seed, edge_factor=2.0, m=1 + seed % 4,
+                                     j_count=4, budget=12, seed=seed)
+        fns = instance.build_oracles()
+        costs, budget = instance.network.sensor_costs, instance.network.budget
+        alphas = [1.0 + i for i in range(len(fns))]
+        got = brute_force_robust(fns, alphas, costs, budget)
+        assert [fn._cache for fn in fns] == [{0: 0.0}] * len(fns)
+        assert got == keyed_brute_force(instance.build_oracles(), alphas, costs, budget)
 
 
 def scaled_fn(fn, scale):
