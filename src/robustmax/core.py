@@ -118,6 +118,12 @@ class SetFunction:
     :func:`structural_values` calls them for reads whose functions all
     declare the form of one family; their values go into no memo.
 
+    The source may also declare ``source.covers(members)``: given one or
+    more member indices, repeats allowed, the (n, n) bool AND of those
+    members' covering relations, each one a relation ``eval_fn.covers``
+    could declare.  :func:`robustmax.dcg.kept_locations` calls it once per
+    family in place of reading each member's :attr:`covers`.
+
     :func:`build_cuts` keeps every cut it builds from the function in a
     second memo, for the function's lifetime, and answers a repeat from it.
     :func:`robustmax.dcg.strengthen_generating_sets` keeps each generating

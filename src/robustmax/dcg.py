@@ -36,8 +36,9 @@ strengthening makes no marginal or pair read, and a memoized cut no
 cut-row read.
 
 Before the tree starts, locations that a no-dearer location covers in every
-scenario are fixed at zero (:func:`kept_locations`), so the tree branches
-only on the rest; cuts and the pool still span the whole ground set.  It
+scenario are fixed at zero (:func:`kept_locations`, which takes the AND of
+a family's covering relations in one call), so the tree branches only on
+the rest; cuts and the pool still span the whole ground set.  It
 branches on them in one order, read from the empty-set cuts alone, so a
 warm pool leaves it as a cold start has it.
 
@@ -252,7 +253,10 @@ def _strengthen(fns, incumbent, key, at, stop_pt) -> list:
     round checks candidates of each function's queue against its current
     sets, admits the first that passes, and leaves the rest to the next
     round, so it decides as the loop one candidate at a time does.  A form
-    round checks every remaining candidate in one call.  A keyed round
+    round checks every remaining candidate in one call, which reads, per
+    candidate j, f(tmp), f(W + j) and f(W + j + l) for each l in tmp (tmp
+    the covered elements and j's witnesses, W the admitted ones), and
+    extends no row.  A keyed round
     checks only each queue's head, through scalar reads, since every keyed
     value may cost an evaluation and a candidate behind an admission is
     checked again anyway."""
@@ -291,12 +295,12 @@ def _strengthen(fns, incumbent, key, at, stop_pt) -> list:
                   for c, ((admitted, covered), queue) in enumerate(zip(built, queues))
                   for j, found in (queue if form else queue[:1])]
         if form:
-            # rows 2r and 2r + 1: check r's tmp and its admitted elements and j
-            at_rows, after_rows = structural_values(
-                [fns[c] for c, *_ in checks for _ in (0, 1)],
-                [s for *_, tmp, with_j in checks for s in (tmp, with_j)])
-            at_rows = at_rows.tolist()
-            sides = zip(after_rows[1::2].tolist(), at_rows[::2], at_rows[1::2])
+            # per check: W + j + l for each l in tmp, then tmp, then W + j
+            got = iter(structural_values(
+                [fns[c] for c, _, tmp, _ in checks for _ in range(len(tmp) + 2)],
+                [s for _, _, tmp, with_j in checks
+                 for s in (*(with_j | {l} for l in tmp), tmp, with_j)], extend=False)[0].tolist())
+            sides = [({l: next(got) for l in tmp}, next(got), next(got)) for _, _, tmp, _ in checks]
         else:
             sides = [({l: fns[c].value(with_j | {l}) for l in tmp}, fns[c].value(tmp),
                       fns[c].value(with_j)) for c, _, tmp, with_j in checks]
@@ -325,7 +329,10 @@ def kept_locations(fns: Sequence[SetFunction], costs: Sequence[float]) -> np.nda
     every scenario), k beats j when k != j, covers[k, j] and either
     c_k < c_j, or c_k == c_j and (not covers[j, k] or k < j).  As covers is
     transitive, beating is a strict partial order, so every location beaten
-    is beaten by an unbeaten one; the unbeaten are kept.
+    is beaten by an unbeaten one; the unbeaten are kept.  The members of a
+    family whose source declares ``covers(members)`` (see
+    :class:`~robustmax.core.SetFunction`) give their AND in one call to it;
+    every other oracle gives its own relation.
 
     Exchange argument: let S fit the budget and hold a dropped j, and let k
     be a kept location that beats j.  With T = S - j, S' = T + k costs no
@@ -336,13 +343,21 @@ def kept_locations(fns: Sequence[SetFunction], costs: Sequence[float]) -> np.nda
     so S' fits whenever S does.  A costs vector of the wrong length is left
     to :func:`~robustmax.master.check_knapsack` to refuse.
     """
-    relations = [fn.covers for fn in fns]
+    families: dict = {}  # family source declaring covers -> its members' indices
+    relations = []
+    for fn in fns:
+        source, i = fn._family or (None, 0)
+        if hasattr(source, "covers"):
+            families.setdefault(source, []).append(i)
+        else:
+            relations.append(fn.covers)
     cost = np.asarray(costs, dtype=float)
     index = np.arange(ground_size(fns))
     if (any(relation is None for relation in relations) or len(cost) != len(index)
             or not cost.sum() < 2**53 or (cost != np.floor(cost)).any()):
         return index
-    covers = np.logical_and.reduce(relations)
+    covers = np.logical_and.reduce(
+        relations + [source.covers(members) for source, members in families.items()])
     tied = (cost[:, None] == cost) & (~covers.T | (index[:, None] < index))
     beats = covers & ((cost[:, None] < cost) | tied)
     np.fill_diagonal(beats, False)

@@ -28,10 +28,11 @@ set's best savings per source, best_S[t] = max_{v in S} saved[v, t], give
 f(S) and, with one max per element, f(S + j) for every j, both from the
 same gather-and-reduce routine; each scenario's top two counts per source
 give f(N) and f(N - j).  Separation reads its values there, in a fixed
-number of calls, and past the memo.  The instance
-data is immutable after construction, the kernels keep no state but a
-ranking and the values at N and N - j built once per scenario, and oracles
-are shared freely across threads.
+number of calls, and past the memo.  The family's covering relation, the
+AND over any of its scenarios, is one call too.  The instance data is
+immutable after construction, the kernels keep no state but the rankings
+and the values at N and N - j, each built once for the whole stack, and
+oracles are shared freely across threads.
 """
 
 from __future__ import annotations
@@ -270,7 +271,13 @@ class _ScenarioStack:
     :meth:`rows`, which picks one of two kernels, :meth:`batch` (ranking) or
     :meth:`_gather` (gather and reduce), its structural form is
     :meth:`extensions`, which reads through :meth:`_gather` as well, and
-    :meth:`complements`, and its covering relation is :meth:`covers`."""
+    :meth:`complements`, and the covering relation of any of its scenarios
+    is :meth:`covers`.
+
+    The per-scenario tables, the rankings and the values at N and N - j,
+    are built for every scenario at once, each on its first use, in chunks
+    of whole scenarios within ``CHUNK`` entries, and kept: building an
+    oracle, or reading it by scalars, builds neither."""
 
     __slots__ = ("saved", "probs", "_flat", "_rankings", "_complements")
 
@@ -278,10 +285,15 @@ class _ScenarioStack:
         self.saved = saved
         self.probs = np.asarray(network.source_probabilities)
         self._flat = saved.reshape(-1, saved.shape[2])  # row i * n + v: saved[i, v]; a view
-        # each scenario's ranking is built on its first read of two or more
-        # rows: building an oracle, or reading it by scalars, costs no more
-        self._rankings: list = [None] * len(saved)
-        self._complements: list = [None] * len(saved)  # built as the rankings are
+        self._rankings: list | None = None  # per scenario (weights, ranked), see batch
+        self._complements: list | None = None  # per scenario (f(N), f(N - j) for every j)
+
+    def _chunks(self, entries: int) -> list:
+        """Slices of the stack for a build that holds ``entries`` per
+        scenario at once: as many whole scenarios per slice as fit in
+        ``CHUNK`` entries, one at least."""
+        step = max(1, CHUNK // entries)
+        return [slice(lo, lo + step) for lo in range(0, len(self.saved), step)]
 
     def rows(self, scenario_of_row: np.ndarray, members: np.ndarray) -> np.ndarray:
         """f_i(S) for each row r: i = scenario_of_row[r] and S the members of
@@ -358,24 +370,30 @@ class _ScenarioStack:
 
     def complements(self, i: int) -> tuple:
         """f_i(N) and f_i(N - j) for every element j: a float and an (n,)
-        float array, computed on scenario i's first call and kept.
+        float array, read from one read-only (m, n + 1) table of every
+        scenario, built on the first call and kept.
 
         Per source, the top count and the next one (0 when n is 1) give
         N's best savings, and N - j's wherever j is the source's first
         best sensor; a tie at the top leaves the next one equal to it.
         The values go through :func:`_expected`, so each equals its
         :meth:`rows` value with ==."""
-        if self._complements[i] is None:
-            saved = self.saved[i]
-            n, k = saved.shape
-            first = saved.argmax(axis=0)
-            rest = saved.copy()
-            rest[first, np.arange(k)] = 0.0
-            top = saved.max(axis=0)
-            best = np.vstack([top, np.where(np.arange(n)[:, None] == first, rest.max(axis=0), top)])
-            values = _expected(best, self.probs)
-            values.setflags(write=False)  # kept, and shared by every caller
-            self._complements[i] = float(values[0]), values[1:]
+        if self._complements is None:
+            m, n, k = self.saved.shape
+            table = np.empty((m, n + 1))
+            for part in self._chunks(n * k):  # one (scenarios, n, k) copy of the counts
+                saved = self.saved[part]
+                first = saved.argmax(axis=1)[:, None]  # (scenarios, 1, k)
+                top = np.take_along_axis(saved, first, axis=1)
+                best = saved.copy()
+                np.put_along_axis(best, first, 0.0, axis=1)
+                second = best.max(axis=1, keepdims=True)
+                np.copyto(best, top)  # N - j's best: the top count, or the next one at j = first
+                np.put_along_axis(best, first, second, axis=1)
+                table[part, 0] = _expected(top.reshape(-1, k), self.probs)
+                table[part, 1:] = _expected(best.reshape(-1, k), self.probs).reshape(-1, n)
+            table.setflags(write=False)  # kept, and shared by every caller
+            self._complements = [(float(row[0]), row[1:]) for row in table]
         return self._complements[i]
 
     def batch(self, i: int, members: np.ndarray) -> np.ndarray:
@@ -402,18 +420,26 @@ class _ScenarioStack:
         exponent 0 and reads rank e, which for the last block is n, the
         sentinel.  Each product is bounded to ``BATCH_CHUNK`` multiply-adds,
         which keeps it on one BLAS thread.
+
+        The first call builds every scenario's weights and ranked counts,
+        from one stable argsort of the stack over its node axis.
         """
-        n, k = self.saved.shape[1:]
-        if self._rankings[i] is None:
-            saved = self.saved[i]
-            order = np.argsort(-saved, axis=0, kind="stable")
-            rank = order.argsort(axis=0)  # rank[v, s]: node v's place in source s's order
+        m, n, k = self.saved.shape
+        if self._rankings is None:
             starts = np.arange(0, n, RANK_BITS)[:, None, None]  # one (n, k) slice per block
             ends = np.minimum(starts + RANK_BITS, n)
-            weights = np.ldexp(1.0, ends - 1 - rank, where=(starts <= rank) & (rank < ends),
-                               out=np.zeros((len(starts), n, k)))
-            ranked = np.vstack([np.take_along_axis(saved, order, axis=0), np.zeros(k)])
-            self._rankings[i] = weights, ranked
+            weights = np.zeros((m, len(starts), n, k))
+            ranked = np.zeros((m, n + 1, k))  # row n: the sentinel
+            for part in self._chunks(len(starts) * n * k):  # the (scenarios, blocks, n, k) exponents
+                saved = self.saved[part]
+                order = np.argsort(-saved, axis=1, kind="stable")
+                rank = np.empty_like(order)  # rank[i, v, s]: node v's place in source s's order
+                np.put_along_axis(rank, order, np.arange(n)[:, None], axis=1)
+                rank = rank[:, None]
+                np.ldexp(1.0, ends - 1 - rank, where=(starts <= rank) & (rank < ends),
+                         out=weights[part])
+                ranked[part, :n] = np.take_along_axis(saved, order, axis=1)
+            self._rankings = list(zip(weights, ranked))
         weights, ranked = self._rankings[i]  # (blocks, n, k) weights, (n + 1, k) counts
         sources = np.arange(k)  # ranked[r, s] is flat entry r * k + s, one take reads it
         out = np.empty(len(members))
@@ -427,18 +453,39 @@ class _ScenarioStack:
             out[lo:lo + step] = _expected(ranked.take(best * k + sources), self.probs)
         return out
 
-    def covers(self, i: int) -> np.ndarray:
-        """Scenario i's (n, n) covering relation: k covers j when it saves
-        at least as much for every source.  Then max_{v in S+k} saved[v] >=
-        max_{v in S+j} saved[v] for every S, and the sums over sources with
-        probs >= 0 keep that order."""
-        by_source = np.ascontiguousarray(self.saved[i].T)
-        n = by_source.shape[1]
+    def covers(self, members: Sequence[int]) -> np.ndarray:
+        """The AND of the listed scenarios' (n, n) covering relations, one
+        scenario at least: k covers j when it saves at least as much for
+        every source in every listed scenario.  Then max_{v in S+k}
+        saved_i[v] >= max_{v in S+j} saved_i[v] for every S, and the sums
+        over sources with probs >= 0 keep that order.
+
+        The first scenario's sources compare all (n, n) pairs, in chunks
+        of sources whose (sources, n, n) block holds at most ``CHUNK``; only
+        the pairs that survive are compared on the other scenarios' saved
+        rows, in chunks of pairs whose (pairs, scenarios, k) block holds at
+        most ``CHUNK``.  A repeated scenario is compared once."""
+        first, *others = dict.fromkeys(members)
+        by_source = np.ascontiguousarray(self.saved[first].T)
+        k, n = by_source.shape
         relation = np.ones((n, n), dtype=bool)
         step = max(1, CHUNK // relation.size)  # bounds the (step, n, n) temporary
-        for lo in range(0, len(by_source), step):
+        for lo in range(0, k, step):
             rows = by_source[lo:lo + step]
             relation &= (rows[:, :, None] >= rows[:, None, :]).all(axis=0)
+        if others:
+            coverer, covered = relation.nonzero()
+            off = coverer != covered  # a node covers itself everywhere
+            coverer, covered = coverer[off], covered[off]
+            offsets = np.array(others) * n  # node v of scenario i is row i * n + v of _flat
+            held = np.empty(len(coverer), dtype=bool)
+            step = max(1, CHUNK // (len(others) * k))  # bounds the (step, others, k) blocks
+            for lo in range(0, len(held), step):
+                pairs = slice(lo, lo + step)
+                held[pairs] = (self._flat.take(coverer[pairs, None] + offsets, axis=0)
+                               >= self._flat.take(covered[pairs, None] + offsets, axis=0)
+                               ).all(axis=(1, 2))
+            relation[coverer[~held], covered[~held]] = False
         return relation
 
     def oracle(self, i: int) -> SetFunction:
@@ -454,7 +501,7 @@ class _ScenarioStack:
             members.put(list(subset), True)
             return float(self.rows(own, members)[0])
 
-        evaluate.covers = partial(self.covers, i)
+        evaluate.covers = partial(self.covers, (i,))
         evaluate.family = (self, i)
         return SetFunction(n, evaluate)
 

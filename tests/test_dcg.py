@@ -1112,6 +1112,25 @@ class TestCoveredLocations:
         fns = [max_type_fn(np.array(r, dtype=float), np.ones(2), declare=True) for r in rows]
         assert kept_locations(fns, costs).tolist() == kept
 
+    @pytest.mark.parametrize("family, seed", [
+        (dict(n=36, edge_factor=41 / 36, m=50, j_count=12, budget=30), 1),  # desk
+        (dict(n=36, edge_factor=41 / 36, m=50, j_count=12, budget=30), 2),
+        (dict(n=36, edge_factor=41 / 36, m=50, j_count=12, budget=30), 3),
+        (dict(n=12, edge_factor=2.0, m=30, j_count=5, budget=15), 3),  # CI's many.txt
+    ], ids=["desk1", "desk2", "desk3", "many"])
+    def test_family_relation_keeps_what_each_oracle_keeps(self, family, seed):
+        # the water family's one covers(members) call against the same
+        # oracles without their family's form, each giving its own
+        # one-member relation; and each oracle alone, as rsm3 solves it
+        inst = generate_instance(seed=seed, **family)
+        costs = inst.network.sensor_costs
+        fns, own = inst.build_oracles(), without_form(inst.build_oracles())
+        kept = kept_locations(fns, costs)
+        assert kept.tolist() == kept_locations(own, costs).tolist()
+        assert len(kept) < family["n"]
+        for fn, alone in zip(fns, own):
+            assert kept_locations([fn], costs).tolist() == kept_locations([alone], costs).tolist()
+
     def test_one_oracle_without_relation_keeps_all(self):
         rows = np.array([[1, 2], [1, 2]], dtype=float)
         fns = [max_type_fn(rows, np.ones(2), declare=True),

@@ -249,13 +249,34 @@ class TestExpectedReductionOracle:
         stack = inst.build_oracles()[0]._eval.family[0]
         m, n, k = stack.saved.shape
         assert k == 5 and n * n * k <= water.CHUNK
-        whole = [stack.covers(i) for i in range(m)]
+        whole = [stack.covers((i,)) for i in range(m)]
         for sources in (1, 2):
             monkeypatch.setattr(water, "CHUNK", sources * n * n)
             for i, relation in enumerate(whole):
                 saved = stack.saved[i]
                 assert (relation == (saved[:, None] >= saved[None]).all(axis=2)).all()
-                assert (stack.covers(i) == relation).all()
+                assert (stack.covers((i,)) == relation).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((1, 2, 12, 36)), st.integers(1, 6), st.integers(0, 2**32 - 1),
+           st.booleans(), st.data())
+    def test_covers_of_members_is_the_and_of_their_relations(self, n, m, seed, ties, data):
+        # one member, repeated members or every scenario; with CHUNK at one
+        # entry each pass compares one source, then one surviving pair, at a
+        # time, so the survivor check runs in as many chunks as pairs survive
+        stack = synthetic_stack(np.random.default_rng(seed), n, m, ties)
+        members = data.draw(st.one_of(
+            st.integers(0, m - 1).map(lambda i: [i]),
+            st.lists(st.integers(0, m - 1), min_size=2, max_size=2 * m),
+            st.just(list(range(m)))))
+        chunk = data.draw(st.sampled_from((1, stack.saved.shape[2], water.CHUNK)))
+        saved = stack.saved
+        want = np.logical_and.reduce([(saved[i][:, None] >= saved[i][None]).all(axis=2)
+                                      for i in members])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(water, "CHUNK", chunk)
+            got = stack.covers(members)
+        assert got.dtype == bool and (got == want).all()
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from((4, 12, 36, 52, 53, 72, 105)), st.integers(0, 2**32 - 1), st.data())
@@ -486,6 +507,28 @@ class TestStructuralForm:
             assert without.tolist() == by_rows(stack, [i] * n, ~np.eye(n, dtype=bool)).tolist()
             assert stack.complements(i)[1] is without  # built once
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from((1, 2, 12, 36)), st.integers(1, 7), st.integers(0, 2**32 - 1),
+           st.booleans(), st.booleans())
+    def test_complements_equal_a_per_scenario_reference(self, n, m, seed, ties, one_each):
+        # the stack's one table against each scenario's top count per
+        # source and its best without each element, built one scenario at
+        # a time here, and, with one_each, one scenario per chunk there
+        stack = synthetic_stack(np.random.default_rng(seed), n, m, ties)
+        with pytest.MonkeyPatch.context() as patch:
+            if one_each:
+                patch.setattr(water, "CHUNK", 1)
+            got = [stack.complements(i) for i in range(m)]
+        for i, (full, without) in enumerate(got):
+            saved = stack.saved[i]
+            best = [saved.max(axis=0)] + [np.delete(saved, j, axis=0).max(axis=0, initial=0.0)
+                                          for j in range(n)]
+            want = water._expected(np.array(best), stack.probs)
+            assert type(full) is float and full == want[0]
+            assert without.tolist() == want[1:].tolist()
+            assert not without.flags.writeable
+            assert stack.complements(i)[1] is without
+
     def test_form_in_chunks(self, monkeypatch):
         # rows split across chunks read as in one call
         stack = synthetic_stack(np.random.default_rng(3), 12, 3, True)
@@ -604,7 +647,7 @@ class TestKernelChoice:
         got = fns[1].values(keys).tolist()
         assert kernels["batch"] == []
         assert kernels["rows"] == [[1] * len(set(keys))]
-        assert stack._rankings == [None] * 3
+        assert stack._rankings is None
         assert got == self.scalar(fns[1], keys)
 
     @pytest.mark.parametrize("n, seed", [(12, 5), (72, 6)])
@@ -661,9 +704,34 @@ class TestKernelChoice:
                fn.value({0, 2, 5})]
         assert kernels["batch"] == []
         assert kernels["rows"] == [[1], [1], [1], [1]]
-        assert stack._rankings == [None] * 3
+        assert stack._rankings is None
         want = self.scalar(fn, [0b100101, 0b10100101, 0b100101, 0b1000001000, 1 << 9])
         assert got == [want[0], want[1] - want[2], want[3] - want[4], want[0]]
+
+    @pytest.mark.parametrize("n, one_each", [(14, False), (14, True), (72, False)])
+    def test_one_ranking_read_builds_every_ranking_once(self, kernels, monkeypatch, n,
+                                                         one_each):
+        # scalar reads build none; the first ranking read builds every
+        # scenario's, and later ranking reads in any scenario build none
+        # again (the kept list and its entries stay the same objects); with
+        # one_each the build goes one scenario per chunk
+        fns = generate_instance(n=n, edge_factor=41 / 36, m=4, j_count=5, budget=n,
+                                seed=n).build_oracles()
+        stack = fns[0]._eval.family[0]
+        if one_each:
+            monkeypatch.setattr(water, "CHUNK", 1)
+        fns[2].value({0, 3})
+        assert stack._rankings is None
+        keys = [0b1011, 0b110, 1 << n - 1 | 1, (1 << n) - 1]
+        got = [fns[2].values(keys).tolist()]
+        tables = stack._rankings
+        assert len(tables) == 4
+        built = [(id(weights), id(ranked)) for weights, ranked in tables]
+        got += [fns[i].values(keys).tolist() for i in (0, 1, 3, 2)]
+        assert [i for i, _ in kernels["batch"]] == [2, 0, 1, 3]
+        assert stack._rankings is tables
+        assert [(id(weights), id(ranked)) for weights, ranked in tables] == built
+        assert got == [self.scalar(fns[i], keys) for i in (2, 0, 1, 3, 2)]
 
 
 class TestGatherChunks:
