@@ -11,25 +11,26 @@ of a family whose one kernel evaluates rows of its members at once: all
 misses of a family's functions in one read go to it in one call.  The
 one-shot lattice reads, the lawfulness checks and brute force, call that
 kernel directly on decoded rows, past the memo, which they neither read
-nor fill (:func:`_kernel_values`).  An oracle is
-vectorised by declaring its family (``eval_fn.family``, of one member or
-more), whose values must equal ``eval_fn``'s with ``==``, so the memo is the
-same whichever form filled it.  An oracle that declares none is its own
-one-member family, whose kernel calls ``eval_fn`` once per row.  An oracle
-may also declare which elements cover which (``eval_fn.covers``, see
-:class:`SetFunction`), so that the solvers never branch on a covered
-element.
+nor fill (:func:`_kernel_values`); the exhaustive check of an oracle that
+declares a structural form reads the whole lattice from the form
+instead.  An oracle is vectorised by declaring its family
+(``eval_fn.family``, of one member or more), whose values must equal
+``eval_fn``'s with ``==``, so the memo is the same whichever form filled
+it.  An oracle that declares none is its own one-member family, whose
+kernel calls ``eval_fn`` once per row.  An oracle may also declare which
+elements cover which (``eval_fn.covers``, see :class:`SetFunction`), so
+that the solvers never branch on a covered element.
 
 A family may also declare a structural form, which computes f(S) and
-f(S + j) for every element j, and f(N) and f(N - j), from arrays of the
-family's own (see :class:`SetFunction`).  :func:`structural_values` is the
-one route to it: when every function of a read declares the form of one
-family, cut building here and the separation reads of
-:mod:`robustmax.dcg` take their values from it, in a fixed number of calls
-however many functions they span, and neither read nor fill the value
-memo; otherwise they make keyed :func:`values_in` reads.  The value memo
-then holds what scalar reads and :meth:`SetFunction.values` read.  From an
-oracle and a generating set,
+f(S + j) for every element j, f(N) and f(N - j), and f at every subset,
+from arrays of the family's own (see :class:`SetFunction`).
+:func:`structural_values` is the one route to its first two: when every
+function of a read declares the form of one family, cut building here and
+the separation reads of :mod:`robustmax.dcg` take their values from it, in
+a fixed number of calls however many functions they span, and neither
+read nor fill the value memo; otherwise they make keyed :func:`values_in`
+reads.  The value memo then holds what scalar reads and
+:meth:`SetFunction.values` read.  From an oracle and a generating set,
 :func:`build_cut` produces the linear inequality
 
     eta <= constant + sum_j coefficients[j] * x[j]
@@ -102,12 +103,13 @@ class SetFunction:
     returns B floats: float r is member ``scenario_of_row[r]``'s value at
     row r, equal with ``==`` to that member's ``eval_fn``.  :func:`values_in`
     fills all misses of a family's functions in one read with one call to
-    it; the lawfulness checks and brute force call it past the memo.  A
-    function that declares no family is its own one-member family, with
-    :meth:`rows` as its kernel.
+    it; the lawfulness checks and brute force call it past the memo, bar
+    the exhaustive check of a function that declares the structural form
+    (below).  A function that declares no family is its own one-member
+    family, with :meth:`rows` as its kernel.
 
-    The source may also declare the family's structural form, two methods
-    whose values equal ``rows``' with ``==``.
+    The source may also declare the family's structural form, three
+    methods whose values equal ``rows``' with ``==``.
     ``source.extensions(scenario_of_row, subsets, extend)`` takes B member
     indices and B collections of elements in range, empty ones included,
     and returns a (B,) array of member ``scenario_of_row[r]``'s value at
@@ -115,8 +117,11 @@ class SetFunction:
     its value at ``subsets[r]`` plus element j (else None).
     ``source.complements(i)`` returns member i's value at the ground set N,
     as a float, and an (n,) array of its values at N - j.
-    :func:`structural_values` calls them for reads whose functions all
-    declare the form of one family; their values go into no memo.
+    ``source.lattice(i)`` returns member i's values at all 2**n subsets,
+    a (2**n,) float array indexed by bitmask, a new array per call.
+    :func:`structural_values` calls the first two for reads whose functions
+    all declare the form of one family, and :func:`check_submodular` the
+    third when exhaustive; their values go into no memo.
 
     The source may also declare ``source.covers(members)``: given one or
     more member indices, repeats allowed, the (n, n) bool AND of those
@@ -302,8 +307,10 @@ def _kernel_values(fn: SetFunction, members: np.ndarray, filled: np.ndarray) -> 
     family kernel (``source.rows``, or fn's own :meth:`SetFunction.rows`)
     in one call, none if there are no rows; an empty set takes the memo's
     f(empty).  The one-shot lattice reads, the lawfulness checks and brute
-    force, go through here: they read each set once, so a memo lookup and
-    fill per key would be bookkeeping alone."""
+    force, go through here, bar the exhaustive check of a function that
+    declares the structural form, which reads ``source.lattice``: they
+    read each set once, so a memo lookup and fill per key would be
+    bookkeeping alone."""
     source, i = fn._family or (fn, 0)
     values = np.full(len(filled), fn._cache[0])
     if len(members):
@@ -463,46 +470,56 @@ def check_submodular(fn: SetFunction, exhaustive_limit: int = 12,
     checking the scenarios of one instance in a row draws and decodes them
     once.  Marginals compare up to TOL times the largest |f| of the
     exhaustive table, or |f(N)| when sampling, so the verdict does not
-    depend on the oracle's scale.  Each check reads its values in one call
-    to the oracle's family kernel, past the memo (:func:`_kernel_values`):
-    every nonempty set when exhaustive, decoded from the mask range, or the
-    nonempty sampled sets and then N.  f(empty) is the memo's value.  A
-    warm memo is not consulted and the memo gains nothing: a plain oracle's
-    ``eval_fn`` is called once per nonempty set read.  A value that is not
-    finite is a violation: no comparison with a NaN could find one.
+    depend on the oracle's scale.  Each check reads its values in one
+    call, past the memo.  When exhaustive, an oracle that declares the
+    structural form reads every set from its family's ``lattice``, and any
+    other oracle every nonempty set, decoded from the mask range, from its
+    family kernel (:func:`_kernel_values`); when sampling, the kernel reads
+    the nonempty sampled sets and then N.  f(empty) is the memo's value.
+    A warm memo is not consulted and the memo gains nothing: a plain
+    oracle's ``eval_fn`` is called once per nonempty set read.  A value
+    that is not finite is a violation: no comparison with a NaN could find
+    one.  The exhaustive marginals are held mask-major, one row per set
+    without the element, so each bit's diminishing-returns test compares
+    two runs of whole rows.  ``exhaustive_limit`` and ``samples`` must be
+    Python or numpy integers; a bool or anything else is refused with
+    ValueError.
     """
+    for name, count in (("exhaustive_limit", exhaustive_limit), ("samples", samples)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     n = fn.ground_size
     if n <= exhaustive_limit or n < 2:
-        # F[mask] = f(mask).  Row j of M holds f(mask + j) - f(mask) for the
-        # masks without bit j, ascending, from F's view that pairs each such
-        # mask (index 0 of the middle axis) with mask + j.  The marginal at
-        # a mask with bit j is 0, never a violation, and is left out.
-        masks = np.arange(1 << n)
-        F = _kernel_values(fn, _bits(masks[1:], n), masks != 0)
+        # F[mask] = f(mask).  M[X, j] holds f(mask + j) - f(mask) for the
+        # X-th mask without bit j, ascending, from F's view that pairs each
+        # such mask (index 0 of the middle axis) with mask + j.  The
+        # marginal at a mask with bit j is 0, never a violation, and is
+        # left out.
+        if fn._form is not None:
+            F = fn._form[0].lattice(fn._form[1])
+            F[0] = fn._cache[0]
+        else:
+            masks = np.arange(1 << n)
+            F = _kernel_values(fn, _bits(masks[1:], n), masks != 0)
         if not np.isfinite(F).all():
             return False
         slack = TOL * float(np.abs(F).max())
-        M = np.empty((n, 1 << n - 1))
+        M = np.empty((1 << n - 1, n))
         for j in range(n):
             pairs = F.reshape(-1, 2, 1 << j)
-            np.subtract(pairs[:, 1], pairs[:, 0], out=M[j].reshape(-1, 1 << j))
+            np.subtract(pairs[:, 1], pairs[:, 0], out=M[:, j].reshape(-1, 1 << j))
         if M.min() < -slack:  # F is finite, so M holds no NaN
             return False
-        # Diminishing returns: bit b of row j's masks is element k = b, or
-        # k = b + 1 from b = j on.  Pairing each mask without bit b with
-        # mask + k, as above, compares f(mask + k + j) - f(mask + k) with
+        # Diminishing returns: bit b of X is element k = b of column j's
+        # masks, or k = b + 1 from b = j on.  Pairing each X without bit b
+        # with X + bit b compares f(mask + k + j) - f(mask + k) with
         # f(mask + j) - f(mask) + slack for every k but j, which compares 0
-        # with M + slack and passes once M >= -slack holds.  numpy runs along
-        # the out array's contiguous axis, so that axis is the longer of the
-        # two a row splits into: blocks, or the masks of one block.
+        # with M + slack and passes once M >= -slack holds.  Each pair is
+        # two runs of 2**b whole rows of M.
         bound = M + slack
-        above = np.empty(M.size // 2, dtype=bool)
         for b in range(n - 1):
-            blocks = 1 << n - 2 - b
-            out = (above.reshape(n, 1 << b, blocks).transpose(0, 2, 1) if blocks > 1 << b
-                   else above.reshape(n, blocks, 1 << b))
-            if np.greater(M.reshape(n, blocks, 2, 1 << b)[:, :, 1],
-                          bound.reshape(n, blocks, 2, 1 << b)[:, :, 0], out=out).any():
+            half = n << b
+            if (M.reshape(-1, 2, half)[:, 1] > bound.reshape(-1, 2, half)[:, 0]).any():
                 return False
         return True
     if samples < 1:

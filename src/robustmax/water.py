@@ -27,8 +27,10 @@ objective (Cornuejols, Fisher & Nemhauser 1977; Krause et al. 2008): a
 set's best savings per source, best_S[t] = max_{v in S} saved[v, t], give
 f(S) and, with one max per element, f(S + j) for every j, both from the
 same gather-and-reduce routine; each scenario's top two counts per source
-give f(N) and f(N - j).  Separation reads its values there, in a fixed
-number of calls, and past the memo.  The family's covering relation, the
+give f(N) and f(N - j), and one max per element, doubling the sets read
+so far, gives f at every subset.  Separation and the exhaustive
+lawfulness check read their values there, in a fixed number of calls,
+and past the memo.  The family's covering relation, the
 AND over any of its scenarios, is one call too.  The instance data is
 immutable after construction, the kernels keep no state but the rankings
 and the values at N and N - j, each built once for the whole stack, and
@@ -270,9 +272,10 @@ class _ScenarioStack:
     S -> expected number of saved nodes; every keyed read of it goes to
     :meth:`rows`, which picks one of two kernels, :meth:`batch` (ranking) or
     :meth:`_gather` (gather and reduce), its structural form is
-    :meth:`extensions`, which reads through :meth:`_gather` as well, and
-    :meth:`complements`, and the covering relation of any of its scenarios
-    is :meth:`covers`.
+    :meth:`extensions`, which reads through :meth:`_gather` as well,
+    :meth:`complements` and :meth:`lattice`, which fills every subset's
+    best savings by doubling for the exhaustive lawfulness check, and the
+    covering relation of any of its scenarios is :meth:`covers`.
 
     The per-scenario tables, the rankings and the values at N and N - j,
     are built for every scenario at once, each on its first use, in chunks
@@ -367,6 +370,23 @@ class _ScenarioStack:
         block = self.saved.take(owners, axis=0)
         np.maximum(block, best[:, None], out=block)
         return values, _expected(block.reshape(-1, k), self.probs).reshape(-1, n)
+
+    def lattice(self, i: int) -> np.ndarray:
+        """f_i at every subset of the ground set, indexed by bitmask: a
+        (2**n,) float array, for the exhaustive lawfulness check.
+
+        The (2**n, k) best savings fill by doubling: the masks from 2**j
+        up to 2**(j+1) are those below 2**j plus element j, so
+        best[2**j:2**(j+1)] is max(best[:2**j], saved_i[j]), and best[0]
+        is 0.  Each row is the
+        max :meth:`_gather` and :meth:`batch` take, dotted with probs by
+        the same :func:`_expected`, so every value equals :meth:`rows`'
+        with ==."""
+        saved = self.saved[i]
+        best = np.zeros((1 << len(saved), saved.shape[1]))
+        for j, row in enumerate(saved):
+            np.maximum(best[:1 << j], row, out=best[1 << j:2 << j])
+        return _expected(best, self.probs)
 
     def complements(self, i: int) -> tuple:
         """f_i(N) and f_i(N - j) for every element j: a float and an (n,)

@@ -902,17 +902,22 @@ class TestCheckSubmodular:
 
     @pytest.mark.parametrize("n", [12, 36, 105, 130])
     def test_table_equals_keyed_values(self, monkeypatch, n):
-        # n=12 reads the lattice and n=36 the samples through the ranking
-        # kernel, n=105 and 130 the samples through the gather: each
-        # check's table equals a fresh oracle's keyed values with ==
+        # n=12 reads the lattice through the structural form's doubling
+        # read, n=36 the samples through the ranking kernel, n=105 and 130
+        # the samples through the gather: each check makes one of the two
+        # reads, and its table equals a fresh oracle's keyed values with ==
         tables = []
 
-        def recording(*args):
-            tables.append(kernel_values(*args))
-            return tables[-1]
+        def recording(read):
+            def record(*args):
+                tables.append(read(*args).copy())
+                return tables[-1].copy()
+            return record
 
-        kernel_values = robustmax.core._kernel_values
-        monkeypatch.setattr(robustmax.core, "_kernel_values", recording)
+        monkeypatch.setattr(robustmax.core, "_kernel_values",
+                            recording(robustmax.core._kernel_values))
+        monkeypatch.setattr(robustmax.water._ScenarioStack, "lattice",
+                            recording(robustmax.water._ScenarioStack.lattice))
         instance = generate_instance(n=n, edge_factor=1.2, m=2, j_count=max(3, n // 3),
                                      budget=n, seed=1)
         if n <= 12:
@@ -922,6 +927,34 @@ class TestCheckSubmodular:
         assert all(check_submodular(fn, samples=200, seed=3) for fn in instance.build_oracles())
         fresh = instance.build_oracles()
         assert [table.tolist() for table in tables] == [fn.values(keys).tolist() for fn in fresh]
+
+    @pytest.mark.parametrize("violation", [None, *range(11), "monotone"],
+                             ids=["lawful", *map("bit-{}".format, range(11)), "monotone-last"])
+    def test_every_bit_at_twelve(self, violation):
+        # f = sqrt of a weighted size, strictly submodular, passes.  A bonus
+        # on the pair {b, b + 1} breaks diminishing returns at that pair
+        # alone, which both of its columns read at compressed bit b; f(N)
+        # lowered by 1 breaks monotonicity at the last mask alone
+        n = 12
+        bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        table = np.sqrt(bits @ (1.0 + np.arange(n) / n))
+        if violation == "monotone":
+            table[-1] -= 1.0
+        elif violation is not None:
+            table += 10.0 * (bits[:, violation] & bits[:, violation + 1])
+        assert check_submodular(table_fn(table)) is (violation is None)
+
+    @pytest.mark.parametrize("name", ["exhaustive_limit", "samples"])
+    @pytest.mark.parametrize("count", [True, False, 2.5, 12.0, np.float64(200), "12", None])
+    def test_non_integer_counts_refused(self, name, count):
+        # samples=True ran one sample and exhaustive_limit=True enumerated
+        # n <= 1 only; samples=2.5 raised TypeError while drawing
+        fn = SetFunction(6, lambda S: float(min(len(S), 3)))
+        for limit in (12, 0):
+            with pytest.raises(ValueError, match=name):
+                check_submodular(fn, **{"exhaustive_limit": limit, "samples": 50, name: count})
+        assert check_submodular(fn, exhaustive_limit=np.int64(3), samples=np.int32(50))
+        assert check_submodular(fn, exhaustive_limit=np.uint8(6))
 
     @settings(max_examples=150, deadline=None)
     @given(set_function_tables())

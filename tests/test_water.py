@@ -15,14 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustmax import (Network, ParseError, Scenario, SetFunction, check_submodular,
+from robustmax import (Instance, Network, ParseError, Scenario, SetFunction, check_submodular,
                        generate_instance, parse_instance, reduction_matrix,
                        serialize_instance)
-from robustmax import water
+from robustmax import core, water
 from robustmax.core import build_cuts, structural_values, values_in
 from robustmax.dcg import strengthen_generating_sets, values_at
 
-from conftest import keyed_stand_in, scenario_oracle
+from conftest import keyed_stand_in, scenario_oracle, without_form
 
 
 def with_budget(instance, budget: int):
@@ -540,6 +540,37 @@ class TestStructuralForm:
             monkeypatch.setattr(water, "CHUNK", rows)
             chunked = stack.extensions(owners, sets)
             assert [part.tolist() for part in chunked] == [part.tolist() for part in whole]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from((1, 2, 5, 8)), st.integers(1, 3), st.integers(0, 2**32 - 1),
+           st.booleans())
+    def test_lattice_equals_rows(self, n, m, seed, ties):
+        # every mask, the empty one included, of every scenario
+        stack = synthetic_stack(np.random.default_rng(seed), n, m, ties)
+        members = (np.arange(1 << n)[:, None] >> np.arange(n) & 1).astype(bool)
+        for i in range(m):
+            want = by_rows(stack, [i] * (1 << n), members)
+            assert stack.lattice(i).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_lattice_equals_kernel_values(self, n):
+        # the exhaustive check's doubling read equals the family kernel over
+        # the decoded lattice with ==; a check through it gives each oracle
+        # its keyed copy's verdict and leaves the memo at f(empty)
+        if n == 1:
+            network = Network(1, ((0, 0),), (0,), (1.0,), (1.0,), 1)
+            instance = Instance(network, (Scenario((1,)), Scenario((3,))))
+        else:
+            instance = generate_instance(n=n, edge_factor=1.0, m=3, j_count=max(1, n // 2),
+                                         budget=n + 5, seed=1)
+        fns = instance.build_oracles()
+        masks = np.arange(1 << n)
+        for fn, keyed in zip(fns, without_form(fns)):
+            source, i = fn._family
+            kernel = core._kernel_values(fn, core._bits(masks[1:], n), masks != 0)
+            assert source.lattice(i).tolist() == kernel.tolist()
+            assert check_submodular(fn) is check_submodular(keyed) is True
+            assert fn._cache == {0: fn._eval(frozenset())}
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from((1, 2, 12, 36, 105, 130)), st.integers(1, 3),
